@@ -5,6 +5,9 @@ desk-scale verification of the associated upper bounds."""
 
 from __future__ import annotations
 
+# the one version source: packaging metadata and reports both read it
+__version__ = "0.1.0"
+
 from .bundle import (
     InvariantMetric,
     NormReport,
@@ -72,7 +75,6 @@ from .yamabe import (
     sigma_sn,
     sphere_volume,
     wps_curvature_density,
+    wps_density_field,
     wps_metric,
 )
-
-__version__ = "0.1.0"

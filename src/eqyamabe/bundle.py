@@ -241,10 +241,7 @@ def omega_norms(metric: InvariantMetric, cfg: QuadratureConfig | None = None) ->
         scal32 = 0.0
     else:
         scal_int = integrate_over_base(
-            base,
-            lambda s: np.abs(2.0 * (-base.phi_d2(s) / base.phi(s))) ** 1.5,
-            cfg,
-            endpoint_mode="epsilon_cutoff",
+            base, lambda s: np.abs(2.0 * (-base.phi_d2(s) / base.phi(s))) ** 1.5, cfg
         ).value
         scal32 = scal_int ** (2.0 / 3.0)
 

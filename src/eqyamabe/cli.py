@@ -40,6 +40,7 @@ from .modelio import (
     parse_model_file,
     table_to_csv,
 )
+from .numerics import QuadratureConfig
 from .orbifold import area, chi_orb
 from .scaling import (
     REGIME_DIVERGES,
@@ -113,37 +114,50 @@ def _parse_ell_arg(text: str) -> tuple[str, object]:
     return "value", value
 
 
+def _tol_config(cls, **fields):
+    """A config built from --tol; its range check becomes a usage error."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise UsageError(f"--tol: {exc}") from exc
+
+
 def _tolerance_cfg(args):
     """Quadrature override built from --tol (tighter or looser refinement)."""
     if args.tol is None:
         return None
-    from .numerics import QuadratureConfig
-
-    # epsilon matches the invariants default: the cutoff ladder must start
-    # well inside the boundary layers of lopsided weight pairs
-    return QuadratureConfig(rel_tol=args.tol, abs_tol=args.tol * 1e-2, epsilon=1e-5)
+    return _tol_config(QuadratureConfig, rel_tol=args.tol, abs_tol=args.tol * 1e-2)
 
 
 def cmd_invariants(args) -> int:
+    m1, m2 = args.m1, args.m2
     report = _base_report(args, "invariants")
-    report["m1"] = args.m1
-    report["m2"] = args.m2
+    report["m1"] = m1
+    report["m2"] = m2
     cfg = _tolerance_cfg(args)
+    # (value, error) per route; "all" takes every route from one report, so
+    # its deltas describe exactly the printed values
+    c1q = chiq = chib = None
+    if args.method == "all":
+        rep = build_invariant_report(m1, m2, cfg)
+        c1q = (rep.c1_quadrature, rep.c1_error)
+        chiq = (rep.chi_quadrature, rep.chi_quadrature_error)
+        chib = rep.chi_boundary
+    elif args.method == "quadrature":
+        r1, r2 = c1_quadrature(m1, m2, cfg), chi_quadrature(m1, m2, cfg)
+        c1q, chiq = (r1.value, r1.error_estimate), (r2.value, r2.error_estimate)
+    elif args.method == "boundary":
+        chib = chi_boundary(m1, m2)
     quantities: dict = {}
     if args.method in ("closed", "all"):
-        quantities["c1_closed"] = _quantity(float(c1_closed(args.m1, args.m2)), exact=True)
-        quantities["chi_closed"] = _quantity(float(chi_closed(args.m1, args.m2)), exact=True)
-    if args.method in ("quadrature", "all"):
-        c1q = c1_quadrature(args.m1, args.m2, cfg)
-        chiq = chi_quadrature(args.m1, args.m2, cfg)
-        quantities["c1_quadrature"] = _quantity(c1q.value, c1q.error_estimate, "quadrature")
-        quantities["chi_quadrature"] = _quantity(chiq.value, chiq.error_estimate, "quadrature")
-    if args.method in ("boundary", "all"):
-        quantities["chi_boundary"] = _quantity(
-            chi_boundary(args.m1, args.m2), 0.0, "boundary_limits"
-        )
+        quantities["c1_closed"] = _quantity(float(c1_closed(m1, m2)), exact=True)
+        quantities["chi_closed"] = _quantity(float(chi_closed(m1, m2)), exact=True)
+    if c1q is not None:
+        quantities["c1_quadrature"] = _quantity(*c1q, "quadrature")
+        quantities["chi_quadrature"] = _quantity(*chiq, "quadrature")
+    if chib is not None:
+        quantities["chi_boundary"] = _quantity(chib, 0.0, "boundary_limits")
     if args.method == "all":
-        rep = build_invariant_report(args.m1, args.m2)
         quantities["deltas"] = {k: _quantity(v, exact=True) for k, v in rep.deltas().items()}
     report["quantities"] = quantities
     _emit(args, report)
@@ -297,7 +311,10 @@ def cmd_scan(args) -> int:
 def cmd_minimize(args) -> int:
     spec = parse_model_file(args.model)
     metric = build_metric(spec)
-    cfg = MinimizerConfig() if args.tol is None else MinimizerConfig(decrease_tol=args.tol)
+    if args.tol is None:
+        cfg = MinimizerConfig()
+    else:
+        cfg = _tol_config(MinimizerConfig, decrease_tol=args.tol)
     result = minimize_conformal(metric, cfg)
     report = _base_report(args, "minimize")
     report["model"] = spec.raw

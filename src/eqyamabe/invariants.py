@@ -33,13 +33,8 @@ __all__ = [
 ]
 
 # the kappa-route integrand cancels large terms near the endpoints, so the
-# refinement tolerance is kept looser than the library default; the cutoff
-# ladder starts at 1e-5 because lopsided weights put boundary layers of
-# width ~ 1/(m_big^2) at the ends and 1e-3 is preasymptotic there
-_CHI_CFG = QuadratureConfig(
-    endpoint_mode="epsilon_cutoff", epsilon=1e-5, abs_tol=1e-11, rel_tol=1e-9
-)
-_C1_CFG = QuadratureConfig(endpoint_mode="plain")
+# refinement tolerance is kept looser than the library default
+_CHI_CFG = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-9)
 
 
 def c1_closed(m1: int, m2: int) -> Fraction:
@@ -56,7 +51,7 @@ def c1_quadrature(m1: int, m2: int, cfg: QuadratureConfig | None = None) -> Inte
     def integrand(r):
         return (m1 * m2) / (m2 * m2 + a * r) ** 2
 
-    return integrate(integrand, 0.0, 1.0, cfg or _C1_CFG)
+    return integrate(integrand, 0.0, 1.0, cfg)
 
 
 def chi_closed(m1: int, m2: int) -> Fraction:
@@ -77,8 +72,8 @@ def kappa(m1: int, m2: int, r):
 def chi_quadrature(m1: int, m2: int, cfg: QuadratureConfig | None = None) -> IntegralResult:
     """Euler characteristic as the curvature integral of the chart metric.
 
-    Integrates kappa against the radial area density over (eps, 1-eps) with
-    Richardson extrapolation in eps, then fixes the orientation sign.
+    Integrates kappa against the radial area density over (0, 1), then fixes
+    the orientation sign.
     """
     _check_weights(m1, m2)
     chart = WpsChart(int(m1), int(m2))

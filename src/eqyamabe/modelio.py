@@ -20,6 +20,7 @@ from typing import Any
 
 import numpy as np
 
+from . import __version__
 from .bundle import InvariantMetric, RadialField
 from .errors import ModelParseError
 from .numerics import QuadratureConfig
@@ -30,7 +31,7 @@ from .orbifold import (
     profile_from_samples,
     wps_profile,
 )
-from .yamabe import _wps_density_field
+from .yamabe import wps_density_field
 
 __all__ = [
     "ModelSpec",
@@ -45,11 +46,16 @@ __all__ = [
 ]
 
 TOOL_NAME = "eqyamabe"
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 
 _BASE_TYPES = ("wps", "round_sphere", "profile", "flat_torus")
 _ELL_TYPES = ("constant", "samples")
 _F_TYPES = ("constant", "wps", "samples")
+_QUADRATURE_FIELDS = {"panels", "points_per_panel", "max_refinements", "abs_tol", "rel_tol"}
+# endpoint-mode keys of older model files: validated so those files still
+# parse, then ignored, because every integral uses the one Gauss-Legendre rule
+_LEGACY_QUADRATURE_FIELDS = {"endpoint_mode", "epsilon"}
+_LEGACY_ENDPOINT_MODES = ("plain", "substitution", "epsilon_cutoff")
 
 
 @dataclass(frozen=True)
@@ -146,18 +152,14 @@ def parse_model(doc: Any) -> ModelSpec:
     if quad is not None:
         if not isinstance(quad, dict):
             raise ModelParseError("$.quadrature: expected an object")
-        allowed = {
-            "panels",
-            "points_per_panel",
-            "endpoint_mode",
-            "epsilon",
-            "max_refinements",
-            "abs_tol",
-            "rel_tol",
-        }
-        unknown = set(quad) - allowed
+        unknown = set(quad) - _QUADRATURE_FIELDS - _LEGACY_QUADRATURE_FIELDS
         if unknown:
             raise ModelParseError(f"$.quadrature: unknown fields {sorted(unknown)}")
+        if "endpoint_mode" in quad:
+            _require(quad, "endpoint_mode", "$.quadrature", str, _LEGACY_ENDPOINT_MODES)
+        if "epsilon" in quad:
+            eps = _require(quad, "epsilon", "$.quadrature", (int, float))
+            _positive(eps, "$.quadrature.epsilon")
         try:
             build_quadrature(quad)
         except (TypeError, ValueError) as exc:
@@ -178,9 +180,8 @@ def parse_model_file(path: str) -> ModelSpec:
 
 
 def build_quadrature(overrides: dict | None) -> QuadratureConfig | None:
-    if not overrides:
-        return None
-    return QuadratureConfig(**overrides)
+    fields = {k: v for k, v in (overrides or {}).items() if k in _QUADRATURE_FIELDS}
+    return QuadratureConfig(**fields) if fields else None
 
 
 def build_base(spec: ModelSpec) -> Base:
@@ -216,7 +217,7 @@ def build_metric(spec: ModelSpec) -> InvariantMetric:
     base = build_base(spec)
     ell = _field_from(spec.ell, base, "ell")
     if spec.F["type"] == "wps":
-        F = _wps_density_field(spec.base["m1"], spec.base["m2"])
+        F = wps_density_field(spec.base["m1"], spec.base["m2"])
     else:
         F = _field_from(spec.F, base, "F")
     try:

@@ -34,31 +34,20 @@ __all__ = [
     "limit_at_zero",
 ]
 
-# Richardson ladder used by the epsilon-cutoff mode: cutoffs epsilon/10^k.
+# default step ratio of the h-ladder in `limit_at_zero`
 _RICHARDSON_RATIO = 10.0
-_RICHARDSON_LEVELS = 3
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Composite Gauss-Legendre settings.
-
-    endpoint_mode:
-      "plain"          nodes may come arbitrarily close to a and b;
-      "substitution"   map x = a + (b-a) sin^2(pi t / 2), which removes
-                       inverse-square-root endpoint singularities;
-      "epsilon_cutoff" integrate over [a+eps, b-eps] for a ladder of eps
-                       values and Richardson-extrapolate to eps = 0.  This is
-                       the default: the assembled geometric integrands are
-                       bounded but cannot be evaluated at the endpoints.
-    """
+    """Composite Gauss-Legendre settings: the starting panel count, the rule
+    order per panel, how often the panel count may double, and the stopping
+    tolerances."""
 
     panels: int = 32
     points_per_panel: int = 16
-    endpoint_mode: str = "epsilon_cutoff"
-    epsilon: float = 1e-3
     max_refinements: int = 6
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
@@ -68,13 +57,9 @@ class QuadratureConfig:
             raise ValueError("panels must be a positive integer")
         if self.points_per_panel < 2:
             raise ValueError("points_per_panel must be >= 2")
-        if self.endpoint_mode not in ("plain", "substitution", "epsilon_cutoff"):
-            raise ValueError(f"unknown endpoint_mode {self.endpoint_mode!r}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         if self.max_refinements < 0:
             raise ValueError("max_refinements must be >= 0")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+        if not (self.abs_tol > 0 and self.rel_tol > 0):  # also rejects NaN
             raise ValueError("tolerances must be positive")
 
 
@@ -138,47 +123,19 @@ def richardson_table(values: Sequence[float], ratio: float) -> list[list[float]]
 
 
 def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = None) -> IntegralResult:
-    """Integrate f over [a, b] with the configured endpoint handling.
+    """Integrate f over [a, b] by composite Gauss-Legendre with panel doubling.
 
-    The returned error_estimate is the a-posteriori difference of the last
-    two refinement (or extrapolation) stages.
+    Gauss nodes lie strictly inside every panel, so f is never evaluated at
+    a or b: integrands that are bounded but undefined at the endpoints (the
+    geometric integrands at cone poles) need no special handling.  The
+    returned error_estimate is the a-posteriori difference of the last two
+    refinement stages.
     """
     if cfg is None:
         cfg = QuadratureConfig()
     if not (a < b):
         raise ValueError(f"need a < b, got [{a}, {b}]")
-
-    if cfg.endpoint_mode == "plain":
-        value, err, refs = _refine(f, a, b, cfg)
-        return IntegralResult(value, err, refs)
-
-    if cfg.endpoint_mode == "substitution":
-        span = b - a
-
-        def g(t: np.ndarray) -> np.ndarray:
-            x = a + span * np.sin(0.5 * np.pi * t) ** 2
-            return np.asarray(f(x)) * span * 0.5 * np.pi * np.sin(np.pi * t)
-
-        value, err, refs = _refine(g, 0.0, 1.0, cfg)
-        return IntegralResult(value, err, refs)
-
-    # epsilon_cutoff
-    if cfg.epsilon >= 0.5 * (b - a):
-        raise ValueError("epsilon must be smaller than half the interval length")
-    vals = []
-    inner_err = 0.0
-    refs = 0
-    eps = cfg.epsilon
-    for _ in range(_RICHARDSON_LEVELS):
-        v, e, r = _refine(f, a + eps, b - eps, cfg)
-        vals.append(v)
-        inner_err = max(inner_err, e)
-        refs = max(refs, r)
-        eps /= _RICHARDSON_RATIO
-    table = richardson_table(vals, _RICHARDSON_RATIO)
-    value = table[-1][0]
-    err = abs(value - table[-2][0]) + inner_err
-    return IntegralResult(value, err, refs)
+    return IntegralResult(*_refine(f, a, b, cfg))
 
 
 def check_derivative(

@@ -414,21 +414,8 @@ def integrate_over_base(
     base: Base,
     fn: Callable[[np.ndarray], np.ndarray],
     cfg: QuadratureConfig | None = None,
-    endpoint_mode: str | None = None,
 ) -> IntegralResult:
     """Integral of a radial function against the area measure of the base."""
-    if cfg is None:
-        cfg = QuadratureConfig()
-    if endpoint_mode is not None and endpoint_mode != cfg.endpoint_mode:
-        cfg = QuadratureConfig(
-            panels=cfg.panels,
-            points_per_panel=cfg.points_per_panel,
-            endpoint_mode=endpoint_mode,
-            epsilon=cfg.epsilon,
-            max_refinements=cfg.max_refinements,
-            abs_tol=cfg.abs_tol,
-            rel_tol=cfg.rel_tol,
-        )
     try:
         if isinstance(base, FlatTorusBase):
             res = integrate(lambda s: np.asarray(fn(s)), 0.0, base.length, cfg)
@@ -449,7 +436,7 @@ def area(base: Base, cfg: QuadratureConfig | None = None) -> float:
     """Total area: 2 pi int phi ds, or 2 pi c L for the torus."""
     if isinstance(base, FlatTorusBase):
         return 2.0 * math.pi * base.radius * base.length
-    return integrate_over_base(base, lambda s: np.ones_like(s), cfg, endpoint_mode="plain").value
+    return integrate_over_base(base, lambda s: np.ones_like(s), cfg).value
 
 
 def gauss_bonnet_check(base: Base, cfg: QuadratureConfig | None = None) -> float:
@@ -462,10 +449,8 @@ def gauss_bonnet_check(base: Base, cfg: QuadratureConfig | None = None) -> float
     if isinstance(base, FlatTorusBase):
         return 0.0
     if cfg is None:
-        cfg = QuadratureConfig(endpoint_mode="epsilon_cutoff", abs_tol=1e-9, rel_tol=1e-8)
-    res = integrate_over_base(
-        base, lambda s: -base.phi_d2(s) / base.phi(s), cfg, endpoint_mode="epsilon_cutoff"
-    )
+        cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8)
+    res = integrate_over_base(base, lambda s: -base.phi_d2(s) / base.phi(s), cfg)
     return res.value / (2.0 * math.pi)
 
 

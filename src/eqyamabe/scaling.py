@@ -19,7 +19,7 @@ from .bundle import FieldLike, as_radial_field, omega_norms, InvariantMetric, Ra
 from .errors import DegenerateData, InvalidCase, PositiveChi
 from .numerics import QuadratureConfig
 from .orbifold import Base, area, chi_orb
-from .yamabe import functional_J_closed
+from .yamabe import _OMEGA_ZERO_TOL, closed_form_J, functional_J_closed
 
 __all__ = [
     "ScanTable",
@@ -34,8 +34,6 @@ __all__ = [
 REGIME_INTERIOR_MAX = "MaxInterior"
 REGIME_DIVERGES = "DivergesAsEllGrows"
 REGIME_SUP_ZERO = "SupZeroNotAttained"
-
-_OMEGA_ZERO_TOL = 1e-12
 
 
 @dataclass
@@ -70,9 +68,7 @@ def ell_scan(
     chi = chi_orb(base)
     Ff = as_radial_field(F)
     norms = omega_norms(InvariantMetric(base=base, ell=RadialField.const(1.0), F=Ff), cfg)
-    vol = area(base, cfg)
-    coef = (math.pi**2 / (16.0 * vol)) ** (1.0 / 3.0)
-    J = coef * (16.0 * math.pi * chi * ells ** (2.0 / 3.0) - norms.omega_L2_sq * ells ** (8.0 / 3.0))
+    J = closed_form_J(area(base, cfg), chi, norms.omega_L2_sq, ells)
 
     if chi > 0 and norms.omega_L2_sq > _OMEGA_ZERO_TOL:
         regime = REGIME_INTERIOR_MAX

@@ -58,9 +58,11 @@ __all__ = [
     "SIGMA_S3",
     "functional_J",
     "functional_J_closed",
+    "closed_form_J",
     "conformal_functional",
     "optimal_ell",
     "wps_curvature_density",
+    "wps_density_field",
     "wps_metric",
     "hopf_metric",
     "bound_cauchy_schwarz",
@@ -69,6 +71,7 @@ __all__ = [
     "hebey_vaugon_bound",
 ]
 
+# |Omega|_2^2 or |Omega|_1 at or below this counts as a flat bundle
 _OMEGA_ZERO_TOL = 1e-12
 
 
@@ -127,17 +130,14 @@ def functional_J(metric: InvariantMetric, cfg: QuadratureConfig | None = None) -
             K = np.zeros_like(np.asarray(s, dtype=float))
         return (2.0 * K - 0.5 * ell(s) ** 2 * F(s) ** 2) * ell(s)
 
-    mode = "epsilon_cutoff" if isinstance(base, ConeSurfaceProfile) else "plain"
-    num = integrate_over_base(base, integrand_base, cfg, endpoint_mode=mode)
+    num = integrate_over_base(base, integrand_base, cfg)
     vol_base = integrate_over_base(base, ell, cfg)
     numerator = 2.0 * math.pi * num.value
     volume = 2.0 * math.pi * vol_base.value
     denominator = volume ** (1.0 / 3.0)
     J = numerator / denominator
 
-    direct = integrate_over_base(
-        base, lambda s: scalar_curvature_total(metric, s) * ell(s), cfg, endpoint_mode=mode
-    )
+    direct = integrate_over_base(base, lambda s: scalar_curvature_total(metric, s) * ell(s), cfg)
     J_direct = 2.0 * math.pi * direct.value / denominator
     tol = 1e-8 * max(abs(J), abs(J_direct), 1e-6)
     if abs(J - J_direct) > tol:
@@ -162,13 +162,17 @@ def functional_J_closed(
     """
     if ell_const <= 0:
         raise ValueError("fiber length must be positive")
-    chi = chi_orb(base)
     vol = area(base, cfg)
     if norms is None:
         norms = omega_norms(_as_metric(base, F, ell_const), cfg)
+    return closed_form_J(vol, chi_orb(base), norms.omega_L2_sq, ell_const)
+
+
+def closed_form_J(vol: float, chi: float, omega_L2_sq: float, ell):
+    """(pi^2 / (16 vol))^{1/3} (16 pi chi ell^{2/3} - |Omega|_2^2 ell^{8/3});
+    ell may be a number or an array of fiber lengths."""
     return (math.pi**2 / (16.0 * vol)) ** (1.0 / 3.0) * (
-        16.0 * math.pi * chi * ell_const ** (2.0 / 3.0)
-        - norms.omega_L2_sq * ell_const ** (8.0 / 3.0)
+        16.0 * math.pi * chi * ell ** (2.0 / 3.0) - omega_L2_sq * ell ** (8.0 / 3.0)
     )
 
 
@@ -193,8 +197,6 @@ def conformal_functional(
     if np.any(np.asarray(uf.value(probe)) <= 0.0):
         raise NonPositiveFactor("conformal factor must be strictly positive")
 
-    mode = "epsilon_cutoff" if isinstance(base, ConeSurfaceProfile) else "plain"
-
     def num_integrand(s):
         return (
             2.0
@@ -206,8 +208,8 @@ def conformal_functional(
     def den_integrand(s):
         return 2.0 * math.pi * ell(s) * uf.value(s) ** 6
 
-    num = integrate_over_base(base, num_integrand, cfg, endpoint_mode=mode).value
-    den = integrate_over_base(base, den_integrand, cfg, endpoint_mode=mode).value
+    num = integrate_over_base(base, num_integrand, cfg).value
+    den = integrate_over_base(base, den_integrand, cfg).value
     return num / den ** (1.0 / 3.0)
 
 
@@ -241,15 +243,8 @@ def optimal_ell(
         * norms.omega_L2_sq ** (-1.0 / 3.0)
     )
 
-    coef = (math.pi**2 / (16.0 * vol)) ** (1.0 / 3.0)
-
-    def j_of_ell(l: float) -> float:
-        return coef * (
-            16.0 * math.pi * chi * l ** (2.0 / 3.0) - norms.omega_L2_sq * l ** (8.0 / 3.0)
-        )
-
     ell_num, neg_j = minimize_scalar(
-        lambda l: -j_of_ell(l),
+        lambda l: -closed_form_J(vol, chi, norms.omega_L2_sq, l),
         bracket=[ell_star / 8.0, ell_star * 8.0],
         tol=1e-9 * max(1.0, ell_star),
     )
@@ -277,7 +272,8 @@ def wps_curvature_density(m1: int, m2: int, t):
     return 2.0 * m1 * m2 / P**1.5
 
 
-def _wps_density_field(m1: int, m2: int) -> RadialField:
+def wps_density_field(m1: int, m2: int) -> RadialField:
+    """`wps_curvature_density` in the arclength coordinate of `wps_profile`."""
     # in arclength, P(sin^2 s) = m1^2 sin^2 s + m2^2 cos^2 s: stable at both poles
     a = float(m1 * m1 - m2 * m2)
     c = 2.0 * m1 * m2
@@ -306,7 +302,7 @@ def _wps_density_field(m1: int, m2: int) -> RadialField:
 def wps_metric(m1: int, m2: int, ell: float = 1.0, grid: int = 512) -> InvariantMetric:
     """Quotient base of the weighted circle action with its connection density."""
     base = wps_profile(m1, m2, grid=grid)
-    return InvariantMetric(base=base, ell=RadialField.const(ell), F=_wps_density_field(m1, m2))
+    return InvariantMetric(base=base, ell=RadialField.const(ell), F=wps_density_field(m1, m2))
 
 
 def hopf_metric(ell: float = 1.0) -> InvariantMetric:

@@ -83,7 +83,7 @@ def test_laplacian_term_integrates_to_zero(half_sphere):
         base_part = 2.0 * 4.0 - 0.5 * ell.value(s) ** 2 * 4.0  # K = 4, F = 2
         return (total - base_part) * ell.value(s)
 
-    res = integrate_over_base(half_sphere, integrand, endpoint_mode="epsilon_cutoff")
+    res = integrate_over_base(half_sphere, integrand)
     assert abs(res.value) <= 1e-8
 
 

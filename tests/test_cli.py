@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +88,35 @@ def test_invariants_unit_pair(capsys):
     doc = json.loads(out)
     assert doc["quantities"]["c1_closed"]["value"] == 1.0
     assert doc["quantities"]["chi_closed"]["value"] == 2.0
+
+
+def test_invariants_deltas_describe_printed_values(capsys):
+    code, out, _ = run(capsys, ["invariants", "--m1", "3", "--m2", "7", "--tol", "1e-3"])
+    assert code == 0
+    q = json.loads(out)["quantities"]
+    closed = {"c1": q["c1_closed"]["value"], "chi": q["chi_closed"]["value"]}
+    for route, kind in (("c1_quadrature", "c1"), ("chi_quadrature", "chi"),
+                        ("chi_boundary", "chi")):
+        delta = q["deltas"][f"{route}_vs_closed"]["value"]
+        assert delta == abs(q[route]["value"] - closed[kind])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--m1", "2", "--m2", "3", "--tol", "0"],
+        ["invariants", "--m1", "2", "--m2", "3", "--tol", "nan"],
+        ["functional", "--model", "{hopf}", "--tol", "-1"],
+        ["scan", "--model", "{hopf}", "--ell", "scan:0.5:2:4", "--tol", "0"],
+        ["minimize", "--model", "{hopf}", "--tol", "2"],
+    ],
+)
+def test_out_of_range_tol_exit_2(capsys, tmp_path, argv):
+    argv = [a.replace("{hopf}", hopf_model(tmp_path)) for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
 
 
 def test_invariants_noncoprime_exit_2(capsys):
@@ -275,6 +305,36 @@ def test_malformed_model_field_path(capsys, tmp_path):
     code, _, err = run(capsys, ["functional", "--model", str(path)])
     assert code == 2
     assert "$.base.m2" in err
+
+
+def test_legacy_endpoint_keys_are_accepted_and_ignored(capsys, tmp_path):
+    doc = json.loads(Path(hopf_model(tmp_path)).read_text())
+    doc["quadrature"] = {"rel_tol": 1e-9}
+    reports = []
+    for name, legacy in (("new.json", {}),
+                         ("legacy.json", {"endpoint_mode": "epsilon_cutoff", "epsilon": 1e-5})):
+        doc["quadrature"].update(legacy)
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, ["functional", "--model", str(path)])
+        assert code == 0
+        reports.append(json.loads(out)["quantities"])
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "legacy,field",
+    [({"endpoint_mode": "magic"}, "endpoint_mode"), ({"epsilon": -1.0}, "epsilon"),
+     ({"epsilon": "small"}, "epsilon")],
+)
+def test_malformed_legacy_endpoint_keys_exit_2(capsys, tmp_path, legacy, field):
+    doc = json.loads(Path(hopf_model(tmp_path)).read_text())
+    doc["quadrature"] = legacy
+    path = tmp_path / "bad_quadrature.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["functional", "--model", str(path)])
+    assert code == 2
+    assert f"$.quadrature.{field}" in err
 
 
 def test_unreadable_model(capsys):

@@ -116,7 +116,7 @@ def test_all_routes_agree_up_to_twenty():
         closed_c1 = 1.0 / (m1 * m2)
         closed_chi = 1.0 / m1 + 1.0 / m2
         assert eq.c1_quadrature(m1, m2).value == pytest.approx(closed_c1, abs=1e-8)
-        assert eq.chi_quadrature(m1, m2).value == pytest.approx(closed_chi, abs=1e-6)
+        assert eq.chi_quadrature(m1, m2).value == pytest.approx(closed_chi, abs=1e-12)
         assert eq.chi_boundary(m1, m2) == pytest.approx(closed_chi, abs=1e-8)
 
 

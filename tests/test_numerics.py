@@ -27,7 +27,7 @@ from eqyamabe.numerics import (
     solve_tridiagonal,
 )
 
-PLAIN = QuadratureConfig(endpoint_mode="plain")
+PLAIN = QuadratureConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -36,29 +36,16 @@ PLAIN = QuadratureConfig(endpoint_mode="plain")
 
 def test_cubic_two_point_gauss_single_panel_exact():
     cfg = QuadratureConfig(
-        panels=1, points_per_panel=2, endpoint_mode="plain", max_refinements=0
+        panels=1, points_per_panel=2, max_refinements=0
     )
     res = integrate(lambda x: x**3, 0.0, 1.0, cfg)
     assert res.value == pytest.approx(0.25, abs=1e-15)
-
-
-def test_inverse_sqrt_substitution():
-    cfg = QuadratureConfig(endpoint_mode="substitution")
-    res = integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, cfg)
-    assert res.value == pytest.approx(2.0, rel=1e-10)
-    assert abs(res.value - 2.0) <= max(res.error_estimate, 1e-12)
 
 
 def test_chern_integrand_pair_two_three():
     # integrand 6/(4+5r)^2 has antiderivative -6/(5(4+5r)): integral is 1/6
     res = integrate(lambda r: 6.0 / (4.0 + 5.0 * r) ** 2, 0.0, 1.0, PLAIN)
     assert res.value == pytest.approx(1.0 / 6.0, abs=1e-10)
-
-
-def test_epsilon_cutoff_matches_plain_on_smooth_integrand():
-    cut = integrate(np.sin, 0.0, 2.0, QuadratureConfig(endpoint_mode="epsilon_cutoff"))
-    exact = 1.0 - math.cos(2.0)
-    assert cut.value == pytest.approx(exact, abs=1e-9)
 
 
 def test_nonfinite_integrand_raises():
@@ -71,24 +58,16 @@ def test_nonfinite_integrand_raises():
 
 def test_refinement_budget_exhaustion_raises():
     cfg = QuadratureConfig(
-        panels=1, points_per_panel=2, endpoint_mode="plain", max_refinements=1,
+        panels=1, points_per_panel=2, max_refinements=1,
         abs_tol=1e-14, rel_tol=1e-14,
     )
     with pytest.raises(NoConvergence):
         integrate(lambda x: np.sin(40.0 * x) * np.exp(x), 0.0, 3.0, cfg)
 
 
-def test_epsilon_must_fit_interval():
-    cfg = QuadratureConfig(endpoint_mode="epsilon_cutoff", epsilon=0.3)
-    with pytest.raises(ValueError):
-        integrate(lambda x: x, 0.0, 0.5, cfg)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(points_per_panel=1)
-    with pytest.raises(ValueError):
-        QuadratureConfig(endpoint_mode="magic")
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=0.0)
 
@@ -103,8 +82,7 @@ def test_gauss_rule_polynomial_exactness(k, coeffs):
     coeffs = coeffs[: 2 * k]
     poly = np.polynomial.Polynomial(coeffs)
     exact = poly.integ()(1.5) - poly.integ()(-0.5)
-    cfg = QuadratureConfig(panels=3, points_per_panel=k, endpoint_mode="plain",
-                           max_refinements=0)
+    cfg = QuadratureConfig(panels=3, points_per_panel=k, max_refinements=0)
     res = integrate(poly, -0.5, 1.5, cfg)
     assert res.value == pytest.approx(exact, abs=1e-11 * max(1.0, abs(exact)))
 
