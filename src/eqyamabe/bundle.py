@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .numerics import QuadratureConfig
 from .orbifold import (
@@ -83,6 +82,8 @@ class RadialField:
                      periodic: bool = False) -> "RadialField":
         """Spline through samples; non-periodic data gets zero endpoint slope,
         matching the smoothness of invariant data at cone poles."""
+        from scipy.interpolate import CubicSpline
+
         grid = np.asarray(grid, dtype=float)
         values = np.asarray(values, dtype=float)
         if periodic:

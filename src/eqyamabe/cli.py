@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bundle import omega_norms
+from .bundle import NormReport, omega_norms
 from .conformal import MinimizerConfig, minimize_conformal, uniformize_positive
 from .errors import (
     CaseMismatchError,
@@ -192,16 +192,17 @@ def cmd_bound(args) -> int:
         )
     elif args.model:
         spec = parse_model_file(args.model)
+        cfg = build_quadrature(spec.quadrature) or _tolerance_cfg(args)
         metric = build_metric(spec)
         base = metric.base
         chi = chi_orb(base)
-        norms = omega_norms(metric)
+        norms = omega_norms(metric, cfg)
         report["model"] = spec.raw
         report["inputs"] = {
             "chi": _quantity(chi, exact=True),
             "c1_measured": _quantity(norms.chern_number, 0.0, "quadrature"),
         }
-        bounds, regime = _bounds_for(chi, norms.chern_number, base, metric.F)
+        bounds, regime = _bounds_for(chi, base, metric.F, cfg, norms)
         report["regime"] = regime
     elif args.chi is not None or args.c1 is not None:
         if args.chi is None or args.c1 is None:
@@ -235,13 +236,14 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _bounds_for(chi: float, c1: float, base, F) -> tuple[list[dict], str]:
+def _bounds_for(chi: float, base, F, cfg, norms: NormReport) -> tuple[list[dict], str]:
     # these values come from measured norms: carry the norm-quadrature
     # tolerance as a conservative relative error estimate
+    c1 = norms.chern_number
     measured_inputs = {"chi": chi, "c1_measured": c1}
     if chi > 0 and abs(c1) > 1e-12:
-        ell_star, j_max = optimal_ell(base, F)
-        cs = bound_cauchy_schwarz(base, F)
+        ell_star, j_max = optimal_ell(base, F, cfg, norms=norms)
+        cs = bound_cauchy_schwarz(base, F, cfg, norms=norms)
         top = bound_theorem_main(chi, c1)
         bounds = [
             _serialize_bound(
@@ -356,7 +358,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report (or CSV with --csv) to this path")
     p.add_argument("--csv", action="store_true", help="emit tables as CSV instead of JSON")
     p.add_argument("--seed", type=int, default=0, help="seed echoed into the report")
-    p.add_argument("--tol", type=float, default=None, help="override the stopping tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,6 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument(
         "--method", choices=["quadrature", "closed", "boundary", "all"], default="all"
     )
+    p_inv.add_argument("--tol", type=float, help="relative tolerance of the quadrature routes")
     _add_common(p_inv)
     p_inv.set_defaults(func=cmd_invariants)
 
@@ -386,6 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--hebey-vaugon", action="store_true", dest="hebey_vaugon")
     p_bound.add_argument("--n", type=int, default=3, help="dimension for --hebey-vaugon")
     p_bound.add_argument("--k", default="1", help="orbit cardinality (integer or 'inf')")
+    p_bound.add_argument(
+        "--tol", type=float, help="relative quadrature tolerance for --model, unless the "
+        "model file has a quadrature block"
+    )
     _add_common(p_bound)
     p_bound.set_defaults(func=cmd_bound)
 
@@ -396,11 +402,16 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--model", required=True)
         p.add_argument("--ell", help="fiber length VALUE or scan:lo:hi:n")
+        p.add_argument(
+            "--tol", type=float, help="relative quadrature tolerance, unless the model "
+            "file has a quadrature block"
+        )
         _add_common(p)
         p.set_defaults(func=fn)
 
     p_min = sub.add_parser("minimize", help="conformal minimization (upper bound)")
     p_min.add_argument("--model", required=True)
+    p_min.add_argument("--tol", type=float, help="relative decrease tolerance of the minimizer")
     _add_common(p_min)
     p_min.set_defaults(func=cmd_minimize)
 

@@ -19,16 +19,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 
 from .bundle import InvariantMetric, RadialField, scalar_curvature_total
 from .errors import NonpositiveChi, NotMeanZero
 from .orbifold import Base, FlatTorusBase, area, chi_orb
 from .yamabe import conformal_functional
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "RadialFunction",
@@ -63,6 +64,8 @@ class RadialFunction:
         return cls(grid=grid, values=np.asarray(fn(grid), dtype=float))
 
     def spline(self) -> CubicSpline:
+        from scipy.interpolate import CubicSpline
+
         return CubicSpline(self.grid, self.values)
 
     def derivative(self) -> np.ndarray:
@@ -94,6 +97,8 @@ def laplace_solve_radial(base: Base, f: RadialFunction) -> RadialFunction:
     Requires int f dv = 0 within 1e-8 of the L1 size of f (the solvability
     condition); raises NotMeanZero otherwise.
     """
+    from scipy.integrate import cumulative_simpson
+
     grid = f.grid
     fv = f.values
     w = _weights(base, grid)
@@ -128,6 +133,8 @@ def laplace_residual(base: Base, u: RadialFunction, f: RadialFunction) -> float:
     2 percent of a pole are excluded: there the quotient by phi amplifies
     interpolation noise without geometric meaning.
     """
+    from scipy.interpolate import CubicSpline
+
     grid = u.grid
     sp = u.spline()
     if isinstance(base, FlatTorusBase):
@@ -156,6 +163,8 @@ def uniformize_positive(
     pointwise value matching (4 pi chi / vol) e^{-2u}, is checked by the
     caller and the test suite.
     """
+    from scipy.interpolate import CubicSpline
+
     chi = chi_orb(base)
     if chi <= 0:
         raise NonpositiveChi("uniformization to positive curvature needs chi > 0")

@@ -94,10 +94,11 @@ def chi_boundary(m1: int, m2: int) -> float:
     """
     _check_weights(m1, m2)
     chart = WpsChart(int(m1), int(m2))
-    # ladder starts at 1e-5: for lopsided weights the endpoint Taylor series
-    # has coefficients like (m_big/m_small)^k, so 1e-3 is preasymptotic
-    at_zero, _ = limit_at_zero(lambda eps: chart.boundary_form(eps), h0=1e-5, rel_tol=1e-8)
-    at_one, _ = limit_at_zero(lambda eps: chart.boundary_form(1.0 - eps), h0=1e-5, rel_tol=1e-8)
+    # the endpoint Taylor series has coefficients like (m_big/m_small)^k, so
+    # the ladder starts at 1e-5 scaled down by that ratio to stay asymptotic
+    h0 = 1e-5 * min(m1, m2) / max(m1, m2)
+    at_zero, _ = limit_at_zero(lambda eps: chart.boundary_form(eps), h0=h0, rel_tol=1e-8)
+    at_one, _ = limit_at_zero(lambda eps: chart.boundary_form(1.0 - eps), h0=h0, rel_tol=1e-8)
     return at_zero - at_one
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, GridTooCoarse, NotCoprime, QuadratureFailure
 from .numerics import IntegralResult, NoConvergence, QuadratureConfig, integrate
@@ -359,6 +358,8 @@ def profile_from_samples(
     s = s - s[0]
     if np.any(p[1:-1] <= 0):
         raise ValueError("profile must be positive between the poles")
+
+    from scipy.interpolate import CubicSpline
 
     spline = CubicSpline(s, p, bc_type=((1, 1.0 / m_start), (1, -1.0 / m_end)))
     margin = max(3 * float(np.max(np.diff(s[: max(4, s.size // 8)]))), 0.02 * L)

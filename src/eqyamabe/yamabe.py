@@ -214,7 +214,8 @@ def conformal_functional(
 
 
 def optimal_ell(
-    base: Base, F: FieldLike, cfg: QuadratureConfig | None = None
+    base: Base, F: FieldLike, cfg: QuadratureConfig | None = None,
+    norms: NormReport | None = None,
 ) -> tuple[float, float]:
     """Maximizing constant fiber length and the maximal functional value.
 
@@ -222,12 +223,14 @@ def optimal_ell(
         J_max = 3 * 2^{4/3} pi^2 vol^{-1/3} chi^{4/3} |Omega|_2^{-2/3}
 
     Cross-checked against a numerical scan of the closed form; disagreement
-    raises InconsistentRoutes.
+    raises InconsistentRoutes.  `norms`, when given, is the `omega_norms`
+    report of (base, F) and is used instead of recomputing it.
     """
     chi = chi_orb(base)
     if chi <= 0:
         raise NonpositiveChi("no interior maximum in ell when chi <= 0")
-    norms = omega_norms(_as_metric(base, F, 1.0), cfg)
+    if norms is None:
+        norms = omega_norms(_as_metric(base, F, 1.0), cfg)
     if norms.omega_L2_sq <= _OMEGA_ZERO_TOL:
         raise UnboundedInEll(
             "curvature form vanishes: the functional grows like ell^{2/3} without bound"
@@ -313,13 +316,19 @@ def hopf_metric(ell: float = 1.0) -> InvariantMetric:
 
 
 def bound_cauchy_schwarz(
-    base: Base, F: FieldLike, cfg: QuadratureConfig | None = None
+    base: Base, F: FieldLike, cfg: QuadratureConfig | None = None,
+    norms: NormReport | None = None,
 ) -> float:
-    """Upper bound 3 * 2^{4/3} pi^2 chi^{4/3} |Omega|_1^{-2/3} (volume-free)."""
+    """Upper bound 3 * 2^{4/3} pi^2 chi^{4/3} |Omega|_1^{-2/3} (volume-free).
+
+    `norms`, when given, is the `omega_norms` report of (base, F) and is used
+    instead of recomputing it.
+    """
     chi = chi_orb(base)
     if chi <= 0:
         raise NonpositiveChi("the bound requires chi > 0")
-    norms = omega_norms(_as_metric(base, F, 1.0), cfg)
+    if norms is None:
+        norms = omega_norms(_as_metric(base, F, 1.0), cfg)
     if norms.omega_L1 <= _OMEGA_ZERO_TOL:
         raise UnboundedInEll("curvature form vanishes: no finite bound")
     return (

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +45,20 @@ def torus_model(tmp_path, ell=1.0):
                 "base": {"type": "flat_torus", "length": 1.0, "radius": 1.0},
                 "ell": {"type": "constant", "value": ell},
                 "F": {"type": "constant", "value": 1.0},
+            }
+        )
+    )
+    return str(path)
+
+
+def wps_model(tmp_path):
+    path = tmp_path / "wps_2_3.json"
+    path.write_text(
+        json.dumps(
+            {
+                "base": {"type": "wps", "m1": 2, "m2": 3},
+                "ell": {"type": "constant", "value": 0.7},
+                "F": {"type": "wps"},
             }
         )
     )
@@ -109,6 +126,7 @@ def test_invariants_deltas_describe_printed_values(capsys):
         ["functional", "--model", "{hopf}", "--tol", "-1"],
         ["scan", "--model", "{hopf}", "--ell", "scan:0.5:2:4", "--tol", "0"],
         ["minimize", "--model", "{hopf}", "--tol", "2"],
+        ["bound", "--model", "{hopf}", "--tol", "0"],
     ],
 )
 def test_out_of_range_tol_exit_2(capsys, tmp_path, argv):
@@ -117,6 +135,21 @@ def test_out_of_range_tol_exit_2(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert "--tol" in err
+
+
+def test_laplace_rejects_tol(capsys, tmp_path):
+    # laplace has no tolerance to set
+    code, out, err = run(capsys, ["laplace", "--model", hopf_model(tmp_path), "--tol", "1e-3"])
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
+
+
+def test_invariants_lopsided_pair(capsys):
+    code, out, _ = run(capsys, ["invariants", "--m1", "1", "--m2", "50"])
+    assert code == 0
+    deltas = json.loads(out)["quantities"]["deltas"]
+    assert deltas["chi_boundary_vs_closed"]["value"] <= 1e-12
 
 
 def test_invariants_noncoprime_exit_2(capsys):
@@ -287,6 +320,17 @@ def test_unreachable_tolerance_exit_3(capsys, tmp_path):
     assert "numerical failure" in err
 
 
+def test_bound_model_reads_quadrature_block(capsys, tmp_path):
+    # the same unreachable budget as above must reach the bound's norms too
+    doc = json.loads(Path(bump_sphere_model(tmp_path)).read_text())
+    doc["quadrature"] = {"max_refinements": 1, "abs_tol": 1e-16, "rel_tol": 1e-16}
+    path = tmp_path / "strict_bound.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["bound", "--model", str(path)])
+    assert code == 3
+    assert "numerical failure" in err
+
+
 def test_bound_collapse_model_reports_regime(capsys, tmp_path):
     code, out, _ = run(capsys, ["bound", "--model", torus_model(tmp_path)])
     doc = json.loads(out)
@@ -366,3 +410,33 @@ def test_minimize_reports_byte_identical(tmp_path):
 def test_floats_have_17_significant_digits(capsys):
     _, out, _ = run(capsys, ["bound", "--m1", "2", "--m2", "3"])
     assert "45.032244025421434" in out  # .17g of the double closest to the bound
+
+
+def test_commands_without_splines_import_no_scipy(tmp_path):
+    # scipy is imported only where a spline or cumulative Simpson rule is
+    # built; the commands below build neither, so a CLI call skips its import
+    wps, torus = wps_model(tmp_path), torus_model(tmp_path)
+    argvs = [
+        ["invariants", "--m1", "2", "--m2", "3"],
+        ["bound", "--m1", "2", "--m2", "3"],
+        ["bound", "--model", wps],
+        ["functional", "--model", wps],
+        ["functional", "--model", torus],
+        ["scan", "--model", torus, "--ell", "scan:0.1:1:4"],
+    ]
+    script = f"""
+import contextlib, io, sys
+import eqyamabe
+import eqyamabe.cli as cli
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -65,6 +65,15 @@ def test_chi_boundary(m1, m2):
     assert eq.chi_boundary(m1, m2) == pytest.approx(1.0 / m1 + 1.0 / m2, abs=1e-8)
 
 
+def test_chi_boundary_on_all_coprime_pairs_to_fifty():
+    # lopsided pairs such as (1, 50) need a ladder start scaled by the weight ratio
+    for m1 in range(1, 51):
+        for m2 in range(1, 51):
+            if math.gcd(m1, m2) == 1:
+                chi = eq.chi_boundary(m1, m2)
+                assert abs(chi - (1.0 / m1 + 1.0 / m2)) <= 1e-12, (m1, m2)
+
+
 def test_chi_boundary_swap_symmetric():
     assert eq.chi_boundary(5, 3) == pytest.approx(8.0 / 15.0, abs=1e-8)
     assert eq.chi_boundary(5, 3) == pytest.approx(eq.chi_boundary(3, 5), abs=1e-10)

@@ -215,6 +215,22 @@ def test_cauchy_schwarz_strict_for_variable_density(hopf):
     assert cs > j_max + 1e-6
 
 
+@pytest.mark.parametrize("case", ["wps23", "fourier_on_hopf"])
+def test_bounds_from_given_norms_are_bit_identical(case, hopf):
+    # omega_norms does not read ell, so one report serves both bounds
+    if case == "wps23":
+        metric = eq.wps_metric(2, 3)
+        base, F = metric.base, metric.F
+    else:
+        base = hopf.base
+        F = fourier_field(base.length, [0.5, -0.2], offset=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        norms = eq.omega_norms(eq.InvariantMetric(base=base, ell=eq.RadialField.const(1.0), F=F))
+        assert eq.optimal_ell(base, F, norms=norms) == eq.optimal_ell(base, F)
+        assert eq.bound_cauchy_schwarz(base, F, norms=norms) == eq.bound_cauchy_schwarz(base, F)
+
+
 def test_cauchy_schwarz_dominates_weighted_bound():
     metric = eq.wps_metric(2, 3)
     cs = eq.bound_cauchy_schwarz(metric.base, metric.F)
