@@ -25,7 +25,9 @@ from .orbifold import (
     Base,
     ConeSurfaceProfile,
     FlatTorusBase,
+    gauss_curvature,
     integrate_over_base,
+    scalar_curvature_integral,
     scale_base,
 )
 
@@ -180,18 +182,11 @@ def scalar_curvature_total(metric: InvariantMetric, s):
     """Total-space scalar curvature at base point s.
 
     2 K - (ell^2 / 2) F^2 + 2 Delta(ell)/ell, with the nonnegative Laplacian
-    and |Omega|^2 = 2 F^2.
+    and |Omega|^2 = 2 F^2.  On a profile, s must lie in the open interval
+    (0, L).
     """
     base = metric.base
-    s_arr = np.asarray(s, dtype=float)
-    if isinstance(base, ConeSurfaceProfile):
-        if np.any(s_arr <= 0.0) or np.any(s_arr >= base.length):
-            from .errors import DomainError
-
-            raise DomainError("scalar curvature is evaluated on the open interval (0, L)")
-        K = -base.phi_d2(s) / base.phi(s)
-    else:
-        K = np.zeros_like(s_arr)
+    K = gauss_curvature(base, s)
     ell = metric.ell.value(s)
     F = metric.F.value(s)
     return 2.0 * K - 0.5 * ell**2 * F**2 + 2.0 * _laplacian_of(metric.ell, base, s) / ell
@@ -207,20 +202,20 @@ def _scalar_curvature_log_form(metric: InvariantMetric, s):
     ell = metric.ell.value(s)
     dell = metric.ell.d1(s)
     F = metric.F.value(s)
+    K = gauss_curvature(base, s)
+    lap_log = -(metric.ell.d2(s) / ell - (dell / ell) ** 2)
     if isinstance(base, ConeSurfaceProfile):
-        K = -base.phi_d2(s) / base.phi(s)
-        lap_log = -(base.phi_d1(s) / base.phi(s)) * (dell / ell) - (
-            metric.ell.d2(s) / ell - (dell / ell) ** 2
-        )
-    else:
-        K = np.zeros_like(np.asarray(s, dtype=float))
-        lap_log = -(metric.ell.d2(s) / ell - (dell / ell) ** 2)
+        lap_log = -(base.phi_d1(s) / base.phi(s)) * (dell / ell) + lap_log
     return 2.0 * K - 0.5 * ell**2 * F**2 - 2.0 * (dell / ell) ** 2 + 2.0 * lap_log
 
 
 def omega_norms(metric: InvariantMetric, cfg: QuadratureConfig | None = None) -> NormReport:
     """L^p norms of the curvature form, the 3/2-norm of the base scalar
     curvature, and the measured Chern number (1/2pi) int F dv.
+
+    F is evaluated once per refinement level: the four integrands of F are
+    rows of one integral.  The scalar-curvature integral depends on the base
+    alone and is computed once per base and config.
 
     The default tolerance is 2e-8 relative: |F| has kinks wherever F changes
     sign, and composite rules cannot refine across a kink to 1e-10.  For
@@ -233,25 +228,26 @@ def omega_norms(metric: InvariantMetric, cfg: QuadratureConfig | None = None) ->
     F = metric.F.value
     sqrt2 = math.sqrt(2.0)
 
-    l1 = integrate_over_base(base, lambda s: sqrt2 * np.abs(F(s)), cfg).value
-    l2sq = integrate_over_base(base, lambda s: 2.0 * F(s) ** 2, cfg).value
-    l3_int = integrate_over_base(base, lambda s: (sqrt2 * np.abs(F(s))) ** 3, cfg).value
-    chern = integrate_over_base(base, F, cfg).value / (2.0 * math.pi)
+    def rows(s):
+        # sqrt2 |F|, 2 F^2, (sqrt2 |F|)^3 and F, written in place to keep
+        # the deep refinement levels small in memory
+        f = F(s)
+        out = np.empty((4, np.size(s)))
+        l1, l2, l3, chern = out
+        chern[:] = f
+        np.multiply(sqrt2, np.abs(chern, out=l1), out=l1)
+        np.multiply(2.0, np.square(chern, out=l2), out=l2)
+        np.power(l1, 3, out=l3)
+        return out
 
-    if isinstance(base, FlatTorusBase):
-        scal32 = 0.0
-    else:
-        scal_int = integrate_over_base(
-            base, lambda s: np.abs(2.0 * (-base.phi_d2(s) / base.phi(s))) ** 1.5, cfg
-        ).value
-        scal32 = scal_int ** (2.0 / 3.0)
-
+    l1, l2sq, l3, chern = integrate_over_base(base, rows, cfg)
+    chern = chern.value / (2.0 * math.pi)
     _warn_on_fractional_chern(base, chern)
     return NormReport(
-        omega_L1=l1,
-        omega_L2_sq=l2sq,
-        omega_L3_sq=l3_int ** (2.0 / 3.0),
-        scal_L32=scal32,
+        omega_L1=l1.value,
+        omega_L2_sq=l2sq.value,
+        omega_L3_sq=l3.value ** (2.0 / 3.0),
+        scal_L32=scalar_curvature_integral(base, cfg) ** (2.0 / 3.0),
         chern_number=chern,
     )
 

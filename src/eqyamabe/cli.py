@@ -173,6 +173,8 @@ def _serialize_bound(b: BoundReport, error: float | None = None) -> dict:
 
 def cmd_bound(args) -> int:
     report = _base_report(args, "bound")
+    # validated on every form, although only --model has integrals to tune
+    tol_cfg = _tolerance_cfg(args)
     bounds: list[dict] = []
     if args.hebey_vaugon:
         if args.k == "inf":
@@ -192,7 +194,7 @@ def cmd_bound(args) -> int:
         )
     elif args.model:
         spec = parse_model_file(args.model)
-        cfg = build_quadrature(spec.quadrature) or _tolerance_cfg(args)
+        cfg = build_quadrature(spec.quadrature) or tol_cfg
         metric = build_metric(spec)
         base = metric.base
         chi = chi_orb(base)

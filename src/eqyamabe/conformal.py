@@ -25,7 +25,7 @@ import numpy as np
 
 from .bundle import InvariantMetric, RadialField, scalar_curvature_total
 from .errors import NonpositiveChi, NotMeanZero
-from .orbifold import Base, FlatTorusBase, area, chi_orb
+from .orbifold import Base, FlatTorusBase, area, chi_orb, gauss_curvature
 from .yamabe import conformal_functional
 
 if TYPE_CHECKING:
@@ -173,7 +173,7 @@ def uniformize_positive(
     inner = grid.copy()
     inner[0] = grid[1] * 0.5
     inner[-1] = base.length - (base.length - grid[-2]) * 0.5
-    K = np.asarray(-base.phi_d2(inner) / base.phi(inner), dtype=float)
+    K = np.asarray(gauss_curvature(base, inner), dtype=float)
     f_vals = 2.0 * math.pi * chi / vol - K
     # exact-mean-zero data up to quadrature noise; recenter before solving
     w = _weights(base, grid)

@@ -3,7 +3,7 @@
 Everything here is deterministic: panel subdivision order is fixed and no
 reduction is reordered, so repeated calls with the same inputs produce
 bit-identical results.  Integrands must be vectorized (accept and return
-numpy arrays).
+numpy arrays); the node arrays they receive are read-only.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "QuadratureConfig",
     "IntegralResult",
     "integrate",
+    "gauss_panels",
     "check_derivative",
     "minimize_scalar",
     "solve_tridiagonal",
@@ -76,38 +77,68 @@ def _gauss_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _panel_sum(f: Callable, a: float, b: float, panels: int, k: int) -> float:
+def gauss_panels(a: float, b: float, panels: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the k-point Gauss-Legendre rule on `panels` equal
+    panels of [a, b]; both arrays are read-only."""
     x, w = _gauss_rule(k)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    vals = np.asarray(f(nodes), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = nodes[~np.isfinite(vals)][:3]
-        raise NonFinite(f"integrand returned non-finite values near x={bad}")
-    return float(np.dot(vals, (half[:, None] * w[None, :]).ravel()))
+    weights = (half[:, None] * w[None, :]).ravel()
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
-def _refine(f: Callable, a: float, b: float, cfg: QuadratureConfig) -> tuple[float, float, int]:
-    """Double the panel count until successive values agree to tolerance."""
-    panels = cfg.panels
-    prev = _panel_sum(f, a, b, panels, cfg.points_per_panel)
-    best_err = np.inf
+def _refine(
+    f: Callable, a: float, b: float, cfg: QuadratureConfig, levels: Sequence
+) -> tuple[bool, list[tuple[float, float, int]]]:
+    """Double the panel count until successive values agree to tolerance.
+
+    Each row of f stops at the first level where its own values agree.
+    Returns whether f gave rows and (value, error estimate, refinements) per
+    row.
+    """
+    multi = False
+
+    def level_sums(r: int, rows_wanted) -> dict[int, float]:
+        nonlocal multi
+        if r < len(levels):
+            nodes, weights = levels[r]
+        else:
+            nodes, weights = gauss_panels(a, b, cfg.panels * 2**r, cfg.points_per_panel)
+        vals = np.asarray(f(nodes), dtype=float)
+        multi = vals.ndim == 2
+        rows = vals if multi else vals[None]
+        sums = {}
+        for i in range(len(rows)) if rows_wanted is None else rows_wanted:
+            finite = np.isfinite(rows[i])
+            if not np.all(finite):
+                bad = nodes[~finite][:3]
+                raise NonFinite(f"integrand returned non-finite values near x={bad}")
+            sums[i] = float(np.dot(rows[i], weights))
+        return sums
+
+    prev = level_sums(0, None)
+    done: dict[int, tuple[float, float, int]] = {}
+    errs: dict[int, float] = {}
     for r in range(1, cfg.max_refinements + 1):
-        panels *= 2
-        cur = _panel_sum(f, a, b, panels, cfg.points_per_panel)
-        best_err = abs(cur - prev)
-        if best_err <= max(cfg.abs_tol, cfg.rel_tol * abs(cur)):
-            return cur, best_err, r
-        prev = cur
+        cur = level_sums(r, list(prev))
+        for i, value in cur.items():
+            errs[i] = abs(value - prev[i])
+            if errs[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+                done[i] = (value, errs[i], r)
+        prev = {i: v for i, v in cur.items() if i not in done}
+        if not prev:
+            return multi, [done[i] for i in sorted(done)]
     if cfg.max_refinements == 0:
         # single rule, no comparison available: report the rule value with a
         # zero a-posteriori estimate (caller opted out of refinement)
-        return prev, 0.0, 0
+        return multi, [(v, 0.0, 0) for _, v in sorted(prev.items())]
     raise NoConvergence(
         f"quadrature did not reach tolerance after {cfg.max_refinements} refinements "
-        f"(last error estimate {best_err:.3e})"
+        f"(last error estimate {max(errs[i] for i in prev):.3e})"
     )
 
 
@@ -122,7 +153,13 @@ def richardson_table(values: Sequence[float], ratio: float) -> list[list[float]]
     return table
 
 
-def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = None) -> IntegralResult:
+def integrate(
+    f: Callable,
+    a: float,
+    b: float,
+    cfg: QuadratureConfig | None = None,
+    levels: Sequence[tuple[np.ndarray, np.ndarray]] = (),
+) -> IntegralResult | list[IntegralResult]:
     """Integrate f over [a, b] by composite Gauss-Legendre with panel doubling.
 
     Gauss nodes lie strictly inside every panel, so f is never evaluated at
@@ -130,12 +167,21 @@ def integrate(f: Callable, a: float, b: float, cfg: QuadratureConfig | None = No
     geometric integrands at cone poles) need no special handling.  The
     returned error_estimate is the a-posteriori difference of the last two
     refinement stages.
+
+    f receives the nodes of one level as a read-only array; writing to it
+    raises.  If f returns a 2-d array, each row is a separate integrand that
+    stops at its own level, and one result per row is returned in a list.
+    `levels` may hold the (nodes, weights) of the first levels, as built by
+    `gauss_panels(a, b, cfg.panels * 2**r, cfg.points_per_panel)`, so that
+    callers can reuse them and whatever they computed at those nodes.
     """
     if cfg is None:
         cfg = QuadratureConfig()
     if not (a < b):
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    return IntegralResult(*_refine(f, a, b, cfg))
+    multi, rows = _refine(f, a, b, cfg, levels)
+    results = [IntegralResult(*row) for row in rows]
+    return results if multi else results[0]
 
 
 def check_derivative(

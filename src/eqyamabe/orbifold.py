@@ -13,18 +13,28 @@ Two representations are kept side by side:
 convention: the pole at s = 0 is the zero locus of the first complex
 coordinate and carries isotropy of order m2; the pole at s = L carries
 order m1.
+
+Base integrals (`integrate_over_base`, `area`, `gauss_bonnet_check`,
+`scalar_curvature_integral`) are served from a quadrature plan per base: the
+read-only nodes and weights of the first two refinement levels, phi and
+K = -phi''/phi at those nodes, and the base-only integrals, each computed on
+first use.  Plans live in a weak-keyed table, so a plan is dropped when its
+base is garbage-collected; integrands receive read-only node arrays, and the
+cached values they see are read-only too.  Results are bit-identical to
+evaluating phi afresh at every call.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
 from .errors import DomainError, GridTooCoarse, NotCoprime, QuadratureFailure
-from .numerics import IntegralResult, NoConvergence, QuadratureConfig, integrate
+from .numerics import IntegralResult, NoConvergence, QuadratureConfig, gauss_panels, integrate
 
 __all__ = [
     "ConeSurfaceProfile",
@@ -38,6 +48,7 @@ __all__ = [
     "gauss_curvature",
     "area",
     "gauss_bonnet_check",
+    "scalar_curvature_integral",
     "chi_orb",
     "integrate_over_base",
     "scale_base",
@@ -328,7 +339,9 @@ def wps_profile(m1: int, m2: int, grid: int = 512) -> ConeSurfaceProfile:
         lambda s: _eval(s, 2),
         label=f"wps({m1},{m2})",
     )
-    _check_cone_slopes(base, h=L / grid)
+    # the pole series of phi has curvature ~ max(m)^2 / min(m)^2 relative to
+    # its slope, so the differencing step shrinks with the weight ratio
+    _check_cone_slopes(base, h=L / grid * (min(m1, m2) / max(m1, m2)) ** 2)
     return base
 
 
@@ -398,13 +411,103 @@ def profile_from_samples(
 
 
 # ---------------------------------------------------------------------------
+# quadrature plan
+# ---------------------------------------------------------------------------
+
+# Refinement levels whose nodes, phi and K are kept per base.  Every base
+# integral visits the starting level and its first doubling; deeper levels
+# are reached only at kinks of the integrand and are built afresh each time.
+_PLAN_LEVELS = 2
+
+
+class _Plan:
+    """Quadrature data of one base, computed once.
+
+    `rules` maps (panels, points_per_panel) to the read-only (nodes, weights)
+    of the first `_PLAN_LEVELS` levels on [0, L]; `phi` and `K` map id(nodes)
+    to (nodes, values at the nodes); `integrals` maps (name, cfg) to a
+    base-only integral.  A plan holds no reference to its base.
+    """
+
+    def __init__(self) -> None:
+        self.rules: dict[tuple[int, int], tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
+        self.phi: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.K: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.integrals: dict[tuple[str, QuadratureConfig], float] = {}
+
+
+# One plan per live base; an entry dies with its base.
+_PLANS: "weakref.WeakKeyDictionary[Base, _Plan]" = weakref.WeakKeyDictionary()
+
+
+def _plan(base: Base) -> _Plan:
+    try:
+        plan = _PLANS.get(base)
+    except TypeError:  # a profile built from unhashable callables is not cached
+        return _Plan()
+    if plan is None:
+        plan = _PLANS[base] = _Plan()
+    return plan
+
+
+def _read_only(values) -> np.ndarray:
+    values = np.array(values, dtype=float)  # a copy: the caller's array stays writable
+    values.flags.writeable = False
+    return values
+
+
+def _cached(table: dict, s) -> np.ndarray | None:
+    hit = table.get(id(s))
+    return hit[1] if hit is not None and hit[0] is s else None
+
+
+def _rules(base: Base, plan: _Plan, cfg: QuadratureConfig):
+    key = (cfg.panels, cfg.points_per_panel)
+    rules = plan.rules.get(key)
+    if rules is None:
+        rules = tuple(
+            gauss_panels(0.0, base.length, cfg.panels * 2**r, cfg.points_per_panel)
+            for r in range(_PLAN_LEVELS)
+        )
+        if isinstance(base, ConeSurfaceProfile):
+            for nodes, _ in rules:
+                plan.phi[id(nodes)] = (nodes, _read_only(base.phi(nodes)))
+        plan.rules[key] = rules
+    return rules
+
+
+def _cached_integral(base: Base, name: str, fn: Callable, cfg: QuadratureConfig | None) -> float:
+    """`integrate_over_base(base, fn, cfg).value`, computed once per (name, cfg)
+    for an integrand that depends on the base alone."""
+    cfg = cfg or QuadratureConfig()
+    integrals = _plan(base).integrals
+    key = (name, cfg)
+    if key not in integrals:
+        integrals[key] = integrate_over_base(base, fn, cfg).value
+    return integrals[key]
+
+
+# ---------------------------------------------------------------------------
 # base queries
 # ---------------------------------------------------------------------------
 
 def gauss_curvature(base: Base, s):
-    """Gauss curvature at arclength s: -phi''/phi for profiles, 0 for the torus."""
+    """Gauss curvature at arclength s: -phi''/phi for profiles, 0 for the torus.
+
+    At the nodes of a cached quadrature level the values come from the base's
+    plan and are read-only.
+    """
     if isinstance(base, FlatTorusBase):
         return np.zeros_like(np.asarray(s, dtype=float)) if np.ndim(s) else 0.0
+    plan = _plan(base)
+    K = _cached(plan.K, s)
+    if K is not None:
+        return K
+    phi = _cached(plan.phi, s)
+    if phi is not None:
+        K = _read_only(-base.phi_d2(s) / phi)
+        plan.K[id(s)] = (s, K)
+        return K
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr <= 0.0) or np.any(s_arr >= base.length):
         raise DomainError("curvature is defined on the open interval (0, L)")
@@ -415,29 +518,56 @@ def integrate_over_base(
     base: Base,
     fn: Callable[[np.ndarray], np.ndarray],
     cfg: QuadratureConfig | None = None,
-) -> IntegralResult:
-    """Integral of a radial function against the area measure of the base."""
+) -> IntegralResult | list[IntegralResult]:
+    """Integral of a radial function against the area measure of the base.
+
+    fn receives read-only arclength nodes.  If it returns one row per
+    integrand (a 2-d array), every row is integrated at once and a list of
+    results is returned.  The first two refinement levels use the nodes and
+    phi values of the base's plan.
+    """
+    cfg = cfg or QuadratureConfig()
+    plan = _plan(base)
+    levels = _rules(base, plan, cfg)
+    if isinstance(base, FlatTorusBase):
+        scale = 2.0 * math.pi * base.radius
+        integrand = lambda s: np.asarray(fn(s))  # noqa: E731
+    else:
+        scale = 2.0 * math.pi
+
+        def integrand(s):
+            phi = _cached(plan.phi, s)
+            if phi is None:
+                phi = base.phi(s)
+            return np.asarray(fn(s)) * phi
+
     try:
-        if isinstance(base, FlatTorusBase):
-            res = integrate(lambda s: np.asarray(fn(s)), 0.0, base.length, cfg)
-            return IntegralResult(
-                2.0 * math.pi * base.radius * res.value,
-                2.0 * math.pi * base.radius * res.error_estimate,
-                res.refinements_used,
-            )
-        res = integrate(lambda s: np.asarray(fn(s)) * base.phi(s), 0.0, base.length, cfg)
-        return IntegralResult(
-            2.0 * math.pi * res.value, 2.0 * math.pi * res.error_estimate, res.refinements_used
-        )
+        res = integrate(integrand, 0.0, base.length, cfg, levels)
     except NoConvergence as exc:
         raise QuadratureFailure(str(exc)) from exc
+    scaled = [
+        IntegralResult(scale * r.value, scale * r.error_estimate, r.refinements_used)
+        for r in (res if isinstance(res, list) else [res])
+    ]
+    return scaled if isinstance(res, list) else scaled[0]
 
 
 def area(base: Base, cfg: QuadratureConfig | None = None) -> float:
-    """Total area: 2 pi int phi ds, or 2 pi c L for the torus."""
+    """Total area: 2 pi int phi ds (once per base and config), or 2 pi c L
+    for the torus."""
     if isinstance(base, FlatTorusBase):
         return 2.0 * math.pi * base.radius * base.length
-    return integrate_over_base(base, lambda s: np.ones_like(s), cfg).value
+    return _cached_integral(base, "area", lambda s: np.ones_like(s), cfg)
+
+
+def scalar_curvature_integral(base: Base, cfg: QuadratureConfig | None = None) -> float:
+    """int |2K|^{3/2} dA, the base scalar curvature to the power 3/2 (once
+    per base and config); 0 on the flat torus."""
+    if isinstance(base, FlatTorusBase):
+        return 0.0
+    return _cached_integral(
+        base, "scal_32", lambda s: np.abs(2.0 * gauss_curvature(base, s)) ** 1.5, cfg
+    )
 
 
 def gauss_bonnet_check(base: Base, cfg: QuadratureConfig | None = None) -> float:
@@ -451,7 +581,7 @@ def gauss_bonnet_check(base: Base, cfg: QuadratureConfig | None = None) -> float
         return 0.0
     if cfg is None:
         cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8)
-    res = integrate_over_base(base, lambda s: -base.phi_d2(s) / base.phi(s), cfg)
+    res = integrate_over_base(base, lambda s: gauss_curvature(base, s), cfg)
     return res.value / (2.0 * math.pi)
 
 

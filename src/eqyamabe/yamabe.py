@@ -42,9 +42,9 @@ from .errors import (
 from .numerics import QuadratureConfig, minimize_scalar
 from .orbifold import (
     Base,
-    ConeSurfaceProfile,
     area,
     chi_orb,
+    gauss_curvature,
     integrate_over_base,
     make_round_sphere,
     wps_profile,
@@ -124,11 +124,7 @@ def functional_J(metric: InvariantMetric, cfg: QuadratureConfig | None = None) -
     F = metric.F.value
 
     def integrand_base(s):
-        if isinstance(base, ConeSurfaceProfile):
-            K = -base.phi_d2(s) / base.phi(s)
-        else:
-            K = np.zeros_like(np.asarray(s, dtype=float))
-        return (2.0 * K - 0.5 * ell(s) ** 2 * F(s) ** 2) * ell(s)
+        return (2.0 * gauss_curvature(base, s) - 0.5 * ell(s) ** 2 * F(s) ** 2) * ell(s)
 
     num = integrate_over_base(base, integrand_base, cfg)
     vol_base = integrate_over_base(base, ell, cfg)

@@ -127,6 +127,9 @@ def test_invariants_deltas_describe_printed_values(capsys):
         ["scan", "--model", "{hopf}", "--ell", "scan:0.5:2:4", "--tol", "0"],
         ["minimize", "--model", "{hopf}", "--tol", "2"],
         ["bound", "--model", "{hopf}", "--tol", "0"],
+        ["bound", "--m1", "2", "--m2", "3", "--tol", "0"],
+        ["bound", "--chi", "1", "--c1", "1", "--tol", "0"],
+        ["bound", "--hebey-vaugon", "--tol", "nan"],
     ],
 )
 def test_out_of_range_tol_exit_2(capsys, tmp_path, argv):

@@ -122,6 +122,27 @@ def test_wps_profile_rejects_noncoprime():
         eq.wps_profile(0, 1)
 
 
+ALL_PAIRS_TO_30 = [
+    (m1, m2) for m1 in range(1, 31) for m2 in range(1, 31) if math.gcd(m1, m2) == 1
+]
+
+
+@pytest.mark.parametrize("m1,m2", ALL_PAIRS_TO_30)
+def test_wps_profile_on_all_coprime_pairs_to_thirty(m1, m2):
+    # lopsided pairs such as (1, 10) need a slope-check step scaled by the weight ratio
+    base = eq.wps_profile(m1, m2)
+    chi = 1.0 / m1 + 1.0 / m2
+    assert abs(eq.gauss_bonnet_check(base) - chi) <= 1e-6
+    F = eq.wps_density_field(m1, m2)
+    norms = eq.omega_norms(eq.InvariantMetric(base=base, ell=eq.RadialField.const(1.0), F=F))
+    _, j_max = eq.optimal_ell(base, F, norms=norms)
+    cs = eq.bound_cauchy_schwarz(base, F, norms=norms)
+    main_bound = eq.bound_theorem_main(chi, 1.0 / (m1 * m2))
+    slack = 1.0 + 1e-9
+    assert j_max <= cs * slack
+    assert cs <= main_bound * slack
+
+
 def test_wps_profile_grid_too_coarse():
     with pytest.raises(GridTooCoarse):
         eq.wps_profile(7, 11, grid=4)

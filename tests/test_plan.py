@@ -1,0 +1,180 @@
+"""The per-base quadrature plan: exact agreement with uncached integrals,
+evaluation budget, lifetime, and read-only nodes."""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+import math
+import warnings
+import weakref
+
+import numpy as np
+import pytest
+
+import eqyamabe as eq
+from eqyamabe import orbifold
+from eqyamabe.numerics import QuadratureConfig, integrate
+
+from conftest import bump_sphere, fourier_field
+
+NORMS_CFG = QuadratureConfig(abs_tol=1e-9, rel_tol=2e-8, max_refinements=7)
+GB_CFG = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8)
+
+
+def sampled_bump_sphere():
+    s = np.linspace(0.0, math.pi, 601)
+    return eq.profile_from_samples(s, bump_sphere().phi(s) * (s > 0) * (s < math.pi), 1, 1)
+
+
+def uncached(base, fn, cfg=None):
+    """2 pi int fn dA without the plan: fresh nodes, phi evaluated per call."""
+    if isinstance(base, eq.FlatTorusBase):
+        res = integrate(lambda s: np.asarray(fn(s)), 0.0, base.length, cfg)
+        return 2.0 * math.pi * base.radius * res.value
+    res = integrate(lambda s: np.asarray(fn(s)) * base.phi(s), 0.0, base.length, cfg)
+    return 2.0 * math.pi * res.value
+
+
+def curvature(base, s):
+    if isinstance(base, eq.FlatTorusBase):
+        return np.zeros_like(s)
+    return -base.phi_d2(s) / base.phi(s)
+
+
+def cases():
+    hopf = eq.make_round_sphere(0.5)
+    wps = eq.wps_profile(2, 3)
+    torus = eq.FlatTorusBase(length=1.0, radius=1.0)
+    sampled = sampled_bump_sphere()
+    return {
+        "hopf": (hopf, eq.RadialField.const(2.0), fourier_field(hopf.length, [0.05], 1.0)),
+        "wps23": (wps, eq.wps_density_field(2, 3), fourier_field(wps.length, [0.1, 0.02], 0.8)),
+        "torus": (torus, fourier_field(0.5, [0.3], 0.2), eq.RadialField.const(0.7)),
+        "sampled_bump": (
+            sampled,
+            fourier_field(sampled.length, [0.4, -0.1], 0.1),
+            fourier_field(sampled.length, [0.05], 1.0),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["hopf", "wps23", "torus", "sampled_bump"])
+def test_plan_results_equal_uncached_integrals(name):
+    base, F, ell = cases()[name]
+    metric = eq.InvariantMetric(base=base, ell=ell, F=F)
+    f = F.value
+    sqrt2 = math.sqrt(2.0)
+    scal = uncached(base, lambda s: np.abs(2.0 * curvature(base, s)) ** 1.5, NORMS_CFG)
+    expected_norms = eq.NormReport(
+        omega_L1=uncached(base, lambda s: sqrt2 * np.abs(f(s)), NORMS_CFG),
+        omega_L2_sq=uncached(base, lambda s: 2.0 * f(s) ** 2, NORMS_CFG),
+        omega_L3_sq=uncached(base, lambda s: (sqrt2 * np.abs(f(s))) ** 3, NORMS_CFG)
+        ** (2.0 / 3.0),
+        scal_L32=scal ** (2.0 / 3.0),
+        chern_number=uncached(base, f, NORMS_CFG) / (2.0 * math.pi),
+    )
+    numerator = 2.0 * math.pi * uncached(
+        base,
+        lambda s: (2.0 * curvature(base, s) - 0.5 * ell.value(s) ** 2 * f(s) ** 2) * ell.value(s),
+    )
+    expected_J = numerator / (2.0 * math.pi * uncached(base, ell.value)) ** (1.0 / 3.0)
+    expected_area = (
+        2.0 * math.pi * base.radius * base.length
+        if isinstance(base, eq.FlatTorusBase)
+        else uncached(base, np.ones_like)
+    )
+    expected_gb = (
+        0.0
+        if isinstance(base, eq.FlatTorusBase)
+        else uncached(base, lambda s: curvature(base, s), GB_CFG) / (2.0 * math.pi)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the test densities carry fractional Chern data
+        for _ in range(2):  # the first call fills the plan, the second reads it
+            assert eq.omega_norms(metric) == expected_norms
+            assert eq.area(base) == expected_area
+            assert eq.gauss_bonnet_check(base) == expected_gb
+            assert eq.functional_J(metric).J == expected_J
+
+
+def counted(fn, log):
+    def wrapped(s):
+        log.append(int(np.size(s)))
+        return fn(s)
+
+    return wrapped
+
+
+def test_warm_plan_evaluation_budget(monkeypatch):
+    phi_points, F_points = [], []
+    base = eq.wps_profile(2, 3)
+    base = dataclasses.replace(
+        base,
+        phi=counted(base.phi, phi_points),
+        phi_d1=counted(base.phi_d1, phi_points),
+        phi_d2=counted(base.phi_d2, phi_points),
+    )
+    F = eq.wps_density_field(2, 3)
+    F = dataclasses.replace(F, value=counted(F.value, F_points))
+    metric = eq.InvariantMetric(base=base, ell=eq.RadialField.const(1.0), F=F)
+    first = eq.omega_norms(metric)
+    first_area = eq.area(base)
+    phi_points.clear()
+    F_points.clear()
+
+    # a warm base evaluates no profile, and F once per level: 32 and 64 panels
+    # of 16 points, where every norm of this density converges
+    assert eq.omega_norms(metric) == first
+    assert phi_points == []
+    assert F_points == [512, 1024]
+
+    def no_integral(*args, **kwargs):
+        raise AssertionError("a cached area must not integrate")
+
+    monkeypatch.setattr(orbifold, "integrate", no_integral)
+    assert eq.area(base) == first_area
+    assert phi_points == []
+
+
+def test_plan_entry_dies_with_its_base():
+    base = eq.wps_profile(2, 3)
+    eq.area(base)
+    plan = orbifold._PLANS[base]
+    ref = weakref.ref(base)
+    del base
+    gc.collect()
+    assert ref() is None
+    assert all(p is not plan for p in orbifold._PLANS.values())
+
+
+def test_integrand_cannot_write_its_nodes():
+    base = eq.wps_profile(2, 3)
+    metric = eq.wps_metric(2, 3)
+    before = (eq.area(base), eq.gauss_bonnet_check(base), eq.omega_norms(metric))
+
+    def writes(s):
+        s[0] = 0.0
+        return np.ones_like(s)
+
+    with pytest.raises(ValueError):
+        orbifold.integrate_over_base(base, writes)
+    with pytest.raises(ValueError):
+        integrate(writes, 0.0, 1.0)
+    nodes = []
+    orbifold.integrate_over_base(base, lambda s: nodes.append(s) or np.ones_like(s))
+    with pytest.raises(ValueError):
+        eq.gauss_curvature(base, nodes[0])[0] = 0.0
+    assert (eq.area(base), eq.gauss_bonnet_check(base), eq.omega_norms(metric)) == before
+    reference = uncached(base, np.ones_like)
+    assert eq.area(eq.wps_profile(2, 3)) == reference == before[0]
+
+
+def test_profile_with_unhashable_callables_is_served_uncached():
+    # np.poly1d defines equality but no hash, so such a base cannot key a plan
+    phi = np.poly1d([-1.0 / math.pi, 1.0, 0.0])  # s (pi - s) / pi: slopes 1 and -1
+    base = eq.profile_from_callables(math.pi, phi, phi.deriv(), phi.deriv(2), 1, 1, check=False)
+    assert eq.area(base) == uncached(base, np.ones_like)
+    assert eq.gauss_bonnet_check(base) == uncached(
+        base, lambda s: curvature(base, s), GB_CFG
+    ) / (2.0 * math.pi)
