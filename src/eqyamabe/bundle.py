@@ -23,8 +23,6 @@ import numpy as np
 from .numerics import QuadratureConfig
 from .orbifold import (
     Base,
-    ConeSurfaceProfile,
-    FlatTorusBase,
     gauss_curvature,
     integrate_over_base,
     scalar_curvature_integral,
@@ -130,22 +128,22 @@ class InvariantMetric:
     F: RadialField
 
     def __post_init__(self) -> None:
-        probe = self._probe_grid()
+        L = self.base.length
+        inset = 1e-6 if self.base.cone_orders else 0.0  # no poles: probe end to end
+        probe = np.linspace(inset * L, L * (1.0 - inset), 257)
         ell_vals = np.asarray(self.ell.value(probe), dtype=float)
         if np.any(ell_vals <= 0.0):
             raise ValueError("fiber length must be strictly positive on the base")
-        if isinstance(self.base, ConeSurfaceProfile):
+        if self.base.cone_orders:
             # invariant data must be smooth across the poles: the radial
             # derivative must vanish there, so the slope within h of a pole
             # should be a small fraction of the field's interior slope scale
-            h = 1e-4 * self.base.length
+            h = 1e-4 * L
             for field, name in ((self.ell, "ell"), (self.F, "F")):
                 interior = np.max(np.abs(np.asarray(field.d1(probe), dtype=float)))
                 if interior <= 1e-12:
                     continue
-                pole_slope = max(
-                    abs(float(field.d1(h))), abs(float(field.d1(self.base.length - h)))
-                )
+                pole_slope = max(abs(float(field.d1(h))), abs(float(field.d1(L - h))))
                 if pole_slope > 0.05 * interior:
                     warnings.warn(
                         f"{name}' does not vanish at a cone pole "
@@ -153,12 +151,6 @@ class InvariantMetric:
                         "on the orbifold",
                         stacklevel=2,
                     )
-
-    def _probe_grid(self) -> np.ndarray:
-        if isinstance(self.base, FlatTorusBase):
-            return np.linspace(0.0, self.base.length, 257)
-        L = self.base.length
-        return np.linspace(1e-6 * L, L * (1.0 - 1e-6), 257)
 
 
 @dataclass(frozen=True)
@@ -171,11 +163,9 @@ class NormReport:
 
 
 def _laplacian_of(field: RadialField, base: Base, s):
-    """Nonnegative radial Laplacian: -(phi f')'/phi, or -f'' on the flat torus."""
+    """Nonnegative radial Laplacian -(phi f')'/phi = -(phi'/phi) f' - f''."""
     s = np.asarray(s, dtype=float)
-    if isinstance(base, FlatTorusBase):
-        return -field.d2(s)
-    return -(base.phi_d1(s) / base.phi(s)) * field.d1(s) - field.d2(s)
+    return -base.dlog_density(s) * field.d1(s) - field.d2(s)
 
 
 def scalar_curvature_total(metric: InvariantMetric, s):
@@ -204,8 +194,7 @@ def _scalar_curvature_log_form(metric: InvariantMetric, s):
     F = metric.F.value(s)
     K = gauss_curvature(base, s)
     lap_log = -(metric.ell.d2(s) / ell - (dell / ell) ** 2)
-    if isinstance(base, ConeSurfaceProfile):
-        lap_log = -(base.phi_d1(s) / base.phi(s)) * (dell / ell) + lap_log
+    lap_log = -base.dlog_density(s) * (dell / ell) + lap_log
     return 2.0 * K - 0.5 * ell**2 * F**2 - 2.0 * (dell / ell) ** 2 + 2.0 * lap_log
 
 
@@ -254,10 +243,7 @@ def omega_norms(metric: InvariantMetric, cfg: QuadratureConfig | None = None) ->
 
 def _warn_on_fractional_chern(base: Base, chern: float) -> None:
     # quantization is not enforced, only flagged: m1 m2 c1 should be an integer
-    if isinstance(base, ConeSurfaceProfile):
-        m_product = base.m_start * base.m_end
-    else:
-        m_product = 1
+    m_product = math.prod(base.cone_orders)
     scaled = m_product * chern
     if abs(scaled - round(scaled)) > 1e-3:
         warnings.warn(
@@ -278,9 +264,7 @@ def scale_metric(metric: InvariantMetric, c: float) -> InvariantMetric:
     The curvature 2-form is unchanged, so the Chern number is too, and the
     total scalar curvature scales by c^-2.
     """
-    if c <= 0:
-        raise ValueError("scale factor must be positive")
-    new_base = scale_base(metric.base, c)
+    new_base = scale_base(metric.base, c)  # raises on c <= 0
     old_ell, old_F = metric.ell, metric.F
     new_ell = RadialField(
         value=lambda s: c * old_ell.value(np.asarray(s) / c),

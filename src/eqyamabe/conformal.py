@@ -25,7 +25,7 @@ import numpy as np
 
 from .bundle import InvariantMetric, RadialField, scalar_curvature_total
 from .errors import NonpositiveChi, NotMeanZero
-from .orbifold import Base, FlatTorusBase, area, chi_orb, gauss_curvature
+from .orbifold import Base, area, chi_orb, gauss_curvature
 from .yamabe import conformal_functional
 
 if TYPE_CHECKING:
@@ -82,12 +82,10 @@ class RadialFunction:
 
 
 def _weights(base: Base, grid: np.ndarray) -> np.ndarray:
-    """Pointwise density of the area measure along the grid (without ds)."""
-    if isinstance(base, FlatTorusBase):
-        return np.full_like(grid, 2.0 * math.pi * base.radius)
-    w = 2.0 * math.pi * np.asarray(base.phi(grid), dtype=float)
-    w[0] = 0.0
-    w[-1] = 0.0
+    """Density of the area measure along the grid (without ds), 0 at cone poles."""
+    w = base.area_scale * np.asarray(base.density(grid), dtype=float)
+    for end, _ in zip((0, -1), base.cone_orders):
+        w[end] = 0.0
     return w
 
 
@@ -107,20 +105,18 @@ def laplace_solve_radial(base: Base, f: RadialFunction) -> RadialFunction:
     if abs(mean) > 1e-8 * max(scale, 1e-30):
         raise NotMeanZero(f"int f dv = {mean:.3e} exceeds 1e-8 * ||f||_1 = {1e-8 * scale:.3e}")
 
-    if isinstance(base, FlatTorusBase):
+    if base.periodic:
         # u'' = -f with periodic closure; constant radius cancels throughout
         g = cumulative_simpson(fv, x=grid, initial=0.0)
         up = -(g - np.trapezoid(g, grid) / (grid[-1] - grid[0]))
-        u = cumulative_simpson(up, x=grid, initial=0.0)
     else:
-        phi = np.asarray(base.phi(grid), dtype=float)
+        phi = np.asarray(base.density(grid), dtype=float)
         flux = -cumulative_simpson(fv * phi, x=grid, initial=0.0)  # phi u'
         with np.errstate(divide="ignore", invalid="ignore"):
             up = np.where(phi > 0.0, flux / np.where(phi > 0.0, phi, 1.0), 0.0)
         up[0] = 0.0
         up[-1] = 0.0
-        u = cumulative_simpson(up, x=grid, initial=0.0)
-
+    u = cumulative_simpson(up, x=grid, initial=0.0)
     u -= np.trapezoid(u * w, grid) / np.trapezoid(w, grid)
     return RadialFunction(grid=grid, values=u, mean_zero=True)
 
@@ -137,11 +133,11 @@ def laplace_residual(base: Base, u: RadialFunction, f: RadialFunction) -> float:
 
     grid = u.grid
     sp = u.spline()
-    if isinstance(base, FlatTorusBase):
+    if base.periodic:
         lap = -sp(grid, 2)
         mask = np.ones_like(grid, dtype=bool)
     else:
-        phi = np.asarray(base.phi(grid), dtype=float)
+        phi = np.asarray(base.density(grid), dtype=float)
         flux = phi * sp(grid, 1)
         flux_sp = CubicSpline(grid, flux)
         L = base.length
@@ -182,7 +178,7 @@ def uniformize_positive(
     u = laplace_solve_radial(base, f)
 
     sp = u.spline()
-    phi = np.asarray(base.phi(grid), dtype=float)
+    phi = np.asarray(base.density(grid), dtype=float)
     flux_sp = CubicSpline(grid, phi * sp(grid, 1))
     mask = (grid > 0.02 * base.length) & (grid < 0.98 * base.length)
     lap = -flux_sp(grid[mask], 1) / phi[mask]
@@ -232,22 +228,16 @@ def _discretize(metric: InvariantMetric, n: int):
     L = base.length
     ds = L / n
     centers = (np.arange(n) + 0.5) * ds
-    if isinstance(base, FlatTorusBase):
-        dens = np.full(n, 2.0 * math.pi * base.radius)
-        edges = (np.arange(n) + 1.0) * ds
-        dens_e = np.full(n, 2.0 * math.pi * base.radius)
-        periodic = True
-    else:
-        dens = 2.0 * math.pi * np.asarray(base.phi(centers), dtype=float)
-        edges = (np.arange(1, n)) * ds
-        dens_e = 2.0 * math.pi * np.asarray(base.phi(edges), dtype=float)
-        periodic = False
+    # on a periodic base the last edge closes the circle at s = L = 0
+    edges = np.arange(1, n + 1 if base.periodic else n) * ds
+    dens = base.area_scale * np.asarray(base.density(centers), dtype=float)
+    dens_e = base.area_scale * np.asarray(base.density(edges), dtype=float)
     ell_c = np.asarray(metric.ell.value(centers), dtype=float)
-    ell_e = np.asarray(metric.ell.value(edges % L if periodic else edges), dtype=float)
+    ell_e = np.asarray(metric.ell.value(edges % L), dtype=float)
     w = 2.0 * math.pi * ell_c * dens * ds
     ce = 8.0 * 2.0 * math.pi * ell_e * dens_e / ds
     scal = np.asarray(scalar_curvature_total(metric, centers), dtype=float)
-    return centers, w, ce, scal, periodic
+    return centers, w, ce, scal, base.periodic
 
 
 def minimize_conformal(

@@ -14,14 +14,19 @@ convention: the pole at s = 0 is the zero locus of the first complex
 coordinate and carries isotropy of order m2; the pole at s = L carries
 order m1.
 
+Both bases answer the same members, one place per fact: the area element
+`area_scale * density(s) ds` (2 pi phi ds, or 2 pi c ds on the torus),
+`dlog_density` (phi'/phi, 0 on the torus), `gauss_curvature`, `cone_orders`
+(empty on the torus), `periodic`, `closed_area` and `scaled(c)`.  The free
+functions here and in `bundle`, `conformal` and `modelio` never test a type.
+
 Base integrals (`integrate_over_base`, `area`, `gauss_bonnet_check`,
 `scalar_curvature_integral`) are served from a quadrature plan per base: the
-read-only nodes and weights of the first two refinement levels, phi and
-K = -phi''/phi at those nodes, and the base-only integrals, each computed on
-first use.  Plans live in a weak-keyed table, so a plan is dropped when its
-base is garbage-collected; integrands receive read-only node arrays, and the
-cached values they see are read-only too.  Results are bit-identical to
-evaluating phi afresh at every call.
+read-only nodes and weights of the first two refinement levels, the members'
+values at those nodes, and the base-only integrals, each computed on first
+use.  Plans live in a weak-keyed table, so a plan is dropped when its base is
+garbage-collected; integrands and callers see read-only nodes and values.
+Results are bit-identical to evaluating phi afresh at every call.
 """
 
 from __future__ import annotations
@@ -203,8 +208,42 @@ class ConeSurfaceProfile:
     phi_d2: Callable[[np.ndarray], np.ndarray]
     label: str = "profile"
 
+    periodic = False
+    area_scale = 2.0 * math.pi
+    closed_area = None
+
+    @property
+    def cone_orders(self) -> tuple[int, int]:
+        return (self.m_start, self.m_end)
+
     def chi_orb(self) -> float:
         return 1.0 / self.m_start + 1.0 / self.m_end
+
+    def density(self, s):
+        """phi(s): the area element over area_scale ds."""
+        return _planned(self, "phi", s, self.phi)
+
+    def dlog_density(self, s):
+        """phi'/phi, the first-order coefficient of the radial Laplacian."""
+        return _planned(self, "dlog", s, lambda s: self.phi_d1(s) / self.density(s))
+
+    def gauss_curvature(self, s):
+        """-phi''/phi on the open interval (0, L)."""
+        s_arr = np.asarray(s, dtype=float)
+        if np.any(s_arr <= 0.0) or np.any(s_arr >= self.length):
+            raise DomainError("curvature is defined on the open interval (0, L)")
+        return _planned(self, "K", s, lambda s: -self.phi_d2(s) / self.density(s))
+
+    def scaled(self, c: float) -> "ConeSurfaceProfile":
+        return ConeSurfaceProfile(
+            c * self.length,
+            self.m_start,
+            self.m_end,
+            lambda s: c * self.phi(np.asarray(s) / c),
+            lambda s: self.phi_d1(np.asarray(s) / c),
+            lambda s: self.phi_d2(np.asarray(s) / c) / c,
+            label=f"{self.label}*{c}",
+        )
 
 
 @dataclass(frozen=True)
@@ -214,12 +253,35 @@ class FlatTorusBase:
     length: float
     radius: float
 
+    periodic = True
+    cone_orders = ()
+
     def __post_init__(self) -> None:
         if self.length <= 0 or self.radius <= 0:
             raise ValueError("torus length and radius must be positive")
 
+    @property
+    def area_scale(self) -> float:
+        return 2.0 * math.pi * self.radius
+
+    @property
+    def closed_area(self) -> float:
+        return self.area_scale * self.length
+
     def chi_orb(self) -> float:
         return 0.0
+
+    def density(self, s):
+        return np.ones_like(np.asarray(s, dtype=float))
+
+    def dlog_density(self, s):
+        return 0.0
+
+    def gauss_curvature(self, s):
+        return np.zeros_like(np.asarray(s, dtype=float)) if np.ndim(s) else 0.0
+
+    def scaled(self, c: float) -> "FlatTorusBase":
+        return FlatTorusBase(c * self.length, c * self.radius)
 
 
 Base = Union[ConeSurfaceProfile, FlatTorusBase]
@@ -414,9 +476,9 @@ def profile_from_samples(
 # quadrature plan
 # ---------------------------------------------------------------------------
 
-# Refinement levels whose nodes, phi and K are kept per base.  Every base
-# integral visits the starting level and its first doubling; deeper levels
-# are reached only at kinks of the integrand and are built afresh each time.
+# Refinement levels whose nodes, and the base's values there, are kept per
+# base.  Every base integral visits the starting level and its first doubling;
+# deeper levels are reached only at kinks of the integrand and are built afresh.
 _PLAN_LEVELS = 2
 
 
@@ -424,15 +486,16 @@ class _Plan:
     """Quadrature data of one base, computed once.
 
     `rules` maps (panels, points_per_panel) to the read-only (nodes, weights)
-    of the first `_PLAN_LEVELS` levels on [0, L]; `phi` and `K` map id(nodes)
-    to (nodes, values at the nodes); `integrals` maps (name, cfg) to a
-    base-only integral.  A plan holds no reference to its base.
+    of the first `_PLAN_LEVELS` levels on [0, L], and `nodes` maps id(nodes)
+    to those node arrays; `values` maps (member, id(nodes)) to a base
+    member's read-only values at the nodes; `integrals` maps (name, cfg) to
+    a base-only integral.  A plan holds no reference to its base.
     """
 
     def __init__(self) -> None:
         self.rules: dict[tuple[int, int], tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
-        self.phi: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.K: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.nodes: dict[int, np.ndarray] = {}
+        self.values: dict[tuple[str, int], np.ndarray] = {}
         self.integrals: dict[tuple[str, QuadratureConfig], float] = {}
 
 
@@ -450,29 +513,30 @@ def _plan(base: Base) -> _Plan:
     return plan
 
 
-def _read_only(values) -> np.ndarray:
-    values = np.array(values, dtype=float)  # a copy: the caller's array stays writable
-    values.flags.writeable = False
-    return values
+def _planned(base: Base, name: str, s, compute: Callable):
+    """compute(s); at the nodes of a cached level, computed once per base and
+    returned read-only."""
+    plan = _plan(base)
+    if plan.nodes.get(id(s)) is not s:
+        return compute(s)
+    key = (name, id(s))
+    if key not in plan.values:
+        # a copy: the caller's array stays writable
+        values = plan.values[key] = np.array(compute(s), dtype=float)
+        values.flags.writeable = False
+    return plan.values[key]
 
 
-def _cached(table: dict, s) -> np.ndarray | None:
-    hit = table.get(id(s))
-    return hit[1] if hit is not None and hit[0] is s else None
-
-
-def _rules(base: Base, plan: _Plan, cfg: QuadratureConfig):
+def _rules(base: Base, cfg: QuadratureConfig):
+    plan = _plan(base)
     key = (cfg.panels, cfg.points_per_panel)
     rules = plan.rules.get(key)
     if rules is None:
-        rules = tuple(
+        rules = plan.rules[key] = tuple(
             gauss_panels(0.0, base.length, cfg.panels * 2**r, cfg.points_per_panel)
             for r in range(_PLAN_LEVELS)
         )
-        if isinstance(base, ConeSurfaceProfile):
-            for nodes, _ in rules:
-                plan.phi[id(nodes)] = (nodes, _read_only(base.phi(nodes)))
-        plan.rules[key] = rules
+        plan.nodes.update((id(nodes), nodes) for nodes, _ in rules)
     return rules
 
 
@@ -497,21 +561,7 @@ def gauss_curvature(base: Base, s):
     At the nodes of a cached quadrature level the values come from the base's
     plan and are read-only.
     """
-    if isinstance(base, FlatTorusBase):
-        return np.zeros_like(np.asarray(s, dtype=float)) if np.ndim(s) else 0.0
-    plan = _plan(base)
-    K = _cached(plan.K, s)
-    if K is not None:
-        return K
-    phi = _cached(plan.phi, s)
-    if phi is not None:
-        K = _read_only(-base.phi_d2(s) / phi)
-        plan.K[id(s)] = (s, K)
-        return K
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0.0) or np.any(s_arr >= base.length):
-        raise DomainError("curvature is defined on the open interval (0, L)")
-    return -base.phi_d2(s) / base.phi(s)
+    return base.gauss_curvature(s)
 
 
 def integrate_over_base(
@@ -524,27 +574,17 @@ def integrate_over_base(
     fn receives read-only arclength nodes.  If it returns one row per
     integrand (a 2-d array), every row is integrated at once and a list of
     results is returned.  The first two refinement levels use the nodes and
-    phi values of the base's plan.
+    area density of the base's plan.
     """
     cfg = cfg or QuadratureConfig()
-    plan = _plan(base)
-    levels = _rules(base, plan, cfg)
-    if isinstance(base, FlatTorusBase):
-        scale = 2.0 * math.pi * base.radius
-        integrand = lambda s: np.asarray(fn(s))  # noqa: E731
-    else:
-        scale = 2.0 * math.pi
-
-        def integrand(s):
-            phi = _cached(plan.phi, s)
-            if phi is None:
-                phi = base.phi(s)
-            return np.asarray(fn(s)) * phi
-
+    levels = _rules(base, cfg)
     try:
-        res = integrate(integrand, 0.0, base.length, cfg, levels)
+        res = integrate(
+            lambda s: np.asarray(fn(s)) * base.density(s), 0.0, base.length, cfg, levels
+        )
     except NoConvergence as exc:
         raise QuadratureFailure(str(exc)) from exc
+    scale = base.area_scale
     scaled = [
         IntegralResult(scale * r.value, scale * r.error_estimate, r.refinements_used)
         for r in (res if isinstance(res, list) else [res])
@@ -553,20 +593,18 @@ def integrate_over_base(
 
 
 def area(base: Base, cfg: QuadratureConfig | None = None) -> float:
-    """Total area: 2 pi int phi ds (once per base and config), or 2 pi c L
-    for the torus."""
-    if isinstance(base, FlatTorusBase):
-        return 2.0 * math.pi * base.radius * base.length
+    """Total area: the base's closed form where it has one (2 pi c L on the
+    torus), else 2 pi int phi ds once per base and config."""
+    if base.closed_area is not None:
+        return base.closed_area
     return _cached_integral(base, "area", lambda s: np.ones_like(s), cfg)
 
 
 def scalar_curvature_integral(base: Base, cfg: QuadratureConfig | None = None) -> float:
     """int |2K|^{3/2} dA, the base scalar curvature to the power 3/2 (once
     per base and config); 0 on the flat torus."""
-    if isinstance(base, FlatTorusBase):
-        return 0.0
     return _cached_integral(
-        base, "scal_32", lambda s: np.abs(2.0 * gauss_curvature(base, s)) ** 1.5, cfg
+        base, "scal_32", lambda s: np.abs(2.0 * base.gauss_curvature(s)) ** 1.5, cfg
     )
 
 
@@ -577,11 +615,9 @@ def gauss_bonnet_check(base: Base, cfg: QuadratureConfig | None = None) -> float
     library default: sampled profiles have piecewise second derivatives and
     cannot refine to 1e-10.
     """
-    if isinstance(base, FlatTorusBase):
-        return 0.0
     if cfg is None:
         cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8)
-    res = integrate_over_base(base, lambda s: gauss_curvature(base, s), cfg)
+    res = integrate_over_base(base, base.gauss_curvature, cfg)
     return res.value / (2.0 * math.pi)
 
 
@@ -594,14 +630,4 @@ def scale_base(base: Base, c: float) -> Base:
     """Metric scaling g -> c^2 g: (L, phi) -> (cL, c phi(s/c))."""
     if c <= 0:
         raise ValueError("scale factor must be positive")
-    if isinstance(base, FlatTorusBase):
-        return FlatTorusBase(c * base.length, c * base.radius)
-    return ConeSurfaceProfile(
-        c * base.length,
-        base.m_start,
-        base.m_end,
-        lambda s: c * base.phi(np.asarray(s) / c),
-        lambda s: base.phi_d1(np.asarray(s) / c),
-        lambda s: base.phi_d2(np.asarray(s) / c) / c,
-        label=f"{base.label}*{c}",
-    )
+    return base.scaled(c)

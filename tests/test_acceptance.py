@@ -108,8 +108,8 @@ def test_criterion_4_bound_chain_sweep():
                         eq.InvariantMetric(base=base, ell=eq.RadialField.const(1.0), F=F)
                     )
                     J = eq.functional_J_closed(base, F, ell, norms=norms)
-                    _, j_max = eq.optimal_ell(base, F)
-                    cs = eq.bound_cauchy_schwarz(base, F)
+                    _, j_max = eq.optimal_ell(base, F, norms=norms)
+                    cs = eq.bound_cauchy_schwarz(base, F, norms=norms)
                     main_bound = eq.bound_theorem_main(chi, norms.chern_number)
                     assert J <= j_max * slack + 1e-12
                     assert j_max <= cs * slack + 1e-12

@@ -193,6 +193,20 @@ def test_nonsmooth_pole_data_warns(half_sphere):
         eq.InvariantMetric(base=half_sphere, ell=ramp, F=eq.RadialField.const(2.0))
 
 
+def test_torus_slope_at_the_seam_does_not_warn():
+    # a torus has no cone poles, so a periodic field whose slope is largest at
+    # s = 0 is smooth data there
+    two_pi = 2.0 * math.pi
+    wave = eq.RadialField(
+        value=lambda s: 1.0 + 0.1 * np.sin(two_pi * np.asarray(s)),
+        d1=lambda s: 0.1 * two_pi * np.cos(two_pi * np.asarray(s)),
+        d2=lambda s: -0.1 * two_pi**2 * np.sin(two_pi * np.asarray(s)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eq.InvariantMetric(base=eq.FlatTorusBase(length=1.0, radius=1.0), ell=wave, F=wave)
+
+
 def test_fractional_chern_warns(half_sphere):
     metric = eq.InvariantMetric(
         base=half_sphere, ell=eq.RadialField.const(1.0), F=eq.RadialField.const(1.37)

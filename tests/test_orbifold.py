@@ -193,16 +193,30 @@ def test_area_and_gb_stable_under_grid_refinement():
     assert abs(g1 - g0) <= 1e-7
 
 
-def test_metric_scaling_of_base():
-    base = eq.wps_profile(2, 3)
-    for c in (0.5, 2.0, 10.0):
+def _sampled_bump_sphere():
+    s = np.linspace(0.0, math.pi, 601)
+    return eq.profile_from_samples(s, bump_sphere().phi(s) * (s > 0) * (s < math.pi), 1, 1)
+
+
+SCALING_BASES = {
+    "hopf": lambda: eq.make_round_sphere(0.5),
+    "wps23": lambda: eq.wps_profile(2, 3),
+    "sampled_bump": _sampled_bump_sphere,
+    "torus": lambda: eq.FlatTorusBase(length=1.0, radius=1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(SCALING_BASES))
+def test_metric_scaling_of_base(name):
+    base = SCALING_BASES[name]()
+    for c in (0.5, 2.0, 3.0, 10.0):
         scaled = eq.scale_base(base, c)
-        assert eq.area(scaled) == pytest.approx(c * c * eq.area(base), rel=1e-10)
+        assert type(scaled) is type(base)
+        assert scaled.cone_orders == base.cone_orders
+        assert eq.area(scaled) == pytest.approx(c * c * eq.area(base), rel=1e-14)
         assert eq.gauss_bonnet_check(scaled) == pytest.approx(
             eq.gauss_bonnet_check(base), abs=1e-6
         )
-    torus = eq.FlatTorusBase(length=1.0, radius=1.0)
-    assert eq.area(eq.scale_base(torus, 3.0)) == pytest.approx(9.0 * eq.area(torus), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

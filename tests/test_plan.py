@@ -120,6 +120,7 @@ def test_warm_plan_evaluation_budget(monkeypatch):
     metric = eq.InvariantMetric(base=base, ell=eq.RadialField.const(1.0), F=F)
     first = eq.omega_norms(metric)
     first_area = eq.area(base)
+    first_J = eq.functional_J(metric)
     phi_points.clear()
     F_points.clear()
 
@@ -128,6 +129,10 @@ def test_warm_plan_evaluation_budget(monkeypatch):
     assert eq.omega_norms(metric) == first
     assert phi_points == []
     assert F_points == [512, 1024]
+
+    # phi, phi'/phi and K of the functional's three integrals come from the plan
+    assert eq.functional_J(metric) == first_J
+    assert phi_points == []
 
     def no_integral(*args, **kwargs):
         raise AssertionError("a cached area must not integrate")
