@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_min = sub.add_parser("minimize", help="conformal minimization (upper bound)")
     p_min.add_argument("--model", required=True)
-    p_min.add_argument("--tol", type=float, help="relative decrease tolerance of the minimizer")
+    p_min.add_argument("--tol", type=float, help="stop once g.H^-1 g (predicted decrease) <= TOL*max(1,|J|)")
     _add_common(p_min)
     p_min.set_defaults(func=cmd_minimize)
 

@@ -5,14 +5,14 @@ The Poisson problem Delta u = f (nonnegative Laplacian, mean-zero f) is
 solved by exact double quadrature of the radial ODE rather than by a
 discretized linear system: the flux phi u' is a cumulative integral of
 -f phi, which vanishes at both poles automatically, so no boundary
-conditioning is involved.  A tridiagonal discretization remains available
-through `numerics.solve_tridiagonal` as an independent cross-check and is
-exercised by the test suite's eigenvalue oracle.
+conditioning is involved.  The test suite's eigenvalue oracle cross-checks
+it against a tridiagonal discretization.
 
-The conformal minimizer runs projected gradient descent on the discretized
-functional over positive radial factors, with renormalization after every
-step and Armijo backtracking (Barzilai-Borwein initial step).  Its output is
-an UPPER bound on the invariant conformal infimum, never the infimum itself.
+The conformal minimizer runs an H^1-preconditioned (Sobolev) gradient descent
+on the discretized functional over positive radial factors: each step solves
+the grid's tridiagonal H^1 Gram system with `numerics.solve_tridiagonal`,
+then backtracks under Armijo and renormalizes.  Its output is an UPPER bound
+on the invariant conformal infimum, never the infimum itself.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 from .bundle import InvariantMetric, RadialField, scalar_curvature_total
 from .errors import NonpositiveChi, NotMeanZero
+from .numerics import solve_tridiagonal
 from .orbifold import Base, area, chi_orb, gauss_curvature
 from .yamabe import conformal_functional
 
@@ -48,7 +49,6 @@ class RadialFunction:
 
     grid: np.ndarray
     values: np.ndarray
-    mean_zero: bool = False
 
     def __post_init__(self) -> None:
         self.grid = np.asarray(self.grid, dtype=float)
@@ -67,9 +67,6 @@ class RadialFunction:
         from scipy.interpolate import CubicSpline
 
         return CubicSpline(self.grid, self.values)
-
-    def derivative(self) -> np.ndarray:
-        return self.spline()(self.grid, 1)
 
     def as_field(self) -> RadialField:
         sp = self.spline()
@@ -118,33 +115,36 @@ def laplace_solve_radial(base: Base, f: RadialFunction) -> RadialFunction:
         up[-1] = 0.0
     u = cumulative_simpson(up, x=grid, initial=0.0)
     u -= np.trapezoid(u * w, grid) / np.trapezoid(w, grid)
-    return RadialFunction(grid=grid, values=u, mean_zero=True)
+    return RadialFunction(grid=grid, values=u)
+
+
+def _flux_laplacian(base: Base, u: RadialFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Delta u = -(phi u')'/phi on a profile, by spline differentiation of the
+    flux phi u'.  Returns the mask of nodes more than 2 percent of L from
+    either pole and the Laplacian there: nearer a pole the quotient by phi
+    amplifies interpolation noise without geometric meaning."""
+    from scipy.interpolate import CubicSpline
+
+    grid = u.grid
+    phi = np.asarray(base.density(grid), dtype=float)
+    flux_sp = CubicSpline(grid, phi * u.spline()(grid, 1))
+    mask = (grid > 0.02 * base.length) & (grid < 0.98 * base.length)
+    return mask, -flux_sp(grid[mask], 1) / phi[mask]
 
 
 def laplace_residual(base: Base, u: RadialFunction, f: RadialFunction) -> float:
     """Max-norm of Delta u - f, recomputing Delta u from the solution samples.
 
-    The Laplacian is rebuilt by spline differentiation of the flux phi u', so
-    this is an independent a-posteriori check, not an identity.  Nodes within
-    2 percent of a pole are excluded: there the quotient by phi amplifies
-    interpolation noise without geometric meaning.
+    The Laplacian is rebuilt by spline differentiation (of the flux phi u' on
+    a profile, see `_flux_laplacian`), so this is an independent a-posteriori
+    check, not an identity.
     """
-    from scipy.interpolate import CubicSpline
-
-    grid = u.grid
-    sp = u.spline()
     if base.periodic:
-        lap = -sp(grid, 2)
-        mask = np.ones_like(grid, dtype=bool)
+        mask = np.ones_like(u.grid, dtype=bool)
+        lap = -u.spline()(u.grid, 2)
     else:
-        phi = np.asarray(base.density(grid), dtype=float)
-        flux = phi * sp(grid, 1)
-        flux_sp = CubicSpline(grid, flux)
-        L = base.length
-        mask = (grid > 0.02 * L) & (grid < 0.98 * L)
-        lap = np.zeros_like(grid)
-        lap[mask] = -flux_sp(grid[mask], 1) / phi[mask]
-    return float(np.max(np.abs(lap[mask] - f.values[mask])))
+        mask, lap = _flux_laplacian(base, u)
+    return float(np.max(np.abs(lap - f.values[mask])))
 
 
 def uniformize_positive(
@@ -159,8 +159,6 @@ def uniformize_positive(
     pointwise value matching (4 pi chi / vol) e^{-2u}, is checked by the
     caller and the test suite.
     """
-    from scipy.interpolate import CubicSpline
-
     chi = chi_orb(base)
     if chi <= 0:
         raise NonpositiveChi("uniformization to positive curvature needs chi > 0")
@@ -177,11 +175,7 @@ def uniformize_positive(
     f = RadialFunction(grid=grid, values=f_vals)
     u = laplace_solve_radial(base, f)
 
-    sp = u.spline()
-    phi = np.asarray(base.density(grid), dtype=float)
-    flux_sp = CubicSpline(grid, phi * sp(grid, 1))
-    mask = (grid > 0.02 * base.length) & (grid < 0.98 * base.length)
-    lap = -flux_sp(grid[mask], 1) / phi[mask]
+    mask, lap = _flux_laplacian(base, u)
     scal_new = 2.0 * np.exp(-2.0 * u.values[mask]) * (lap + K[mask])
     return u, float(np.min(scal_new))
 
@@ -190,20 +184,16 @@ def uniformize_positive(
 class MinimizerConfig:
     grid_size: int = 200
     max_iterations: int = 20000
-    step_size: float = 1e-2
-    armijo_shrink: float = 0.5
-    decrease_tol: float = 1e-10  # relative decrease over a 50-iteration window
+    decrease_tol: float = 1e-10  # predicted decrease g.H^{-1}g, relative to max(1, |J|)
     u_floor: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.grid_size < 8 or self.max_iterations < 1:
             raise ValueError("grid_size and max_iterations must be positive")
-        if not (0.0 < self.armijo_shrink < 1.0):
-            raise ValueError("armijo_shrink must lie in (0, 1)")
         if not (0.0 < self.decrease_tol < 1.0):
             raise ValueError("decrease_tol must lie in (0, 1)")
-        if self.step_size <= 0 or self.u_floor <= 0:
-            raise ValueError("step_size and u_floor must be positive")
+        if self.u_floor <= 0:
+            raise ValueError("u_floor must be positive")
 
 
 @dataclass
@@ -237,7 +227,7 @@ def _discretize(metric: InvariantMetric, n: int):
     w = 2.0 * math.pi * ell_c * dens * ds
     ce = 8.0 * 2.0 * math.pi * ell_e * dens_e / ds
     scal = np.asarray(scalar_curvature_total(metric, centers), dtype=float)
-    return centers, w, ce, scal, base.periodic
+    return centers, w, ce, scal
 
 
 def minimize_conformal(
@@ -245,36 +235,51 @@ def minimize_conformal(
     cfg: MinimizerConfig | None = None,
     u0: Callable | np.ndarray | None = None,
 ) -> MinimizeResult:
-    """Projected gradient descent on the conformal functional over radial u > 0.
+    """Sobolev-gradient descent on the conformal functional over radial u > 0.
 
-    The iterate is renormalized to int 2 pi ell u^6 dv = 1 after every step,
-    floored away from zero, and accepted only under an Armijo decrease, so the
-    returned trace is non-increasing.  If the iteration budget runs out before
-    the decrease stalls, the best-so-far value is returned with
-    converged=False.
+    Each step moves along p = H^{-1} g, with g the gradient of the discrete
+    functional and H the grid's H^1 Gram matrix (edge stiffness plus cell
+    mass), so the iteration count does not grow with the grid.  Armijo
+    backtracking halves the step from t = 1/2; the iterate is floored away
+    from zero and renormalized to int 2 pi ell u^6 dv = 1, so the trace is
+    non-increasing.  The descent converges when g.p <= decrease_tol *
+    max(1, |J|) or no step decreases J; if the iteration budget runs out
+    first, the last iterate is returned with converged=False.
     """
     if cfg is None:
         cfg = MinimizerConfig()
-    centers, w, ce, scal, periodic = _discretize(metric, cfg.grid_size)
+    centers, w, ce, scal = _discretize(metric, cfg.grid_size)
+    n = centers.size
+    lo = np.arange(ce.size)  # edge k joins cells k and (k + 1) mod n
+    hi = (lo + 1) % n
 
-    def diffs(u: np.ndarray) -> np.ndarray:
-        return (np.roll(u, -1) - u) if periodic else np.diff(u)
+    # H = T + close z z^T: T is tridiagonal (cell mass and chain edges) and
+    # z = e_0 - e_{n-1} carries the closing edge, which only a periodic base
+    # has; Sherman-Morrison adds it back, and without it the gain is 0
+    chain, close = ce[: n - 1], float(np.sum(ce[n - 1:]))
+    diag = w + np.bincount(lo[: n - 1], chain, n) + np.bincount(hi[: n - 1], chain, n)
+    z = np.zeros(n)
+    z[0], z[-1] = 1.0, -1.0
+    tz = solve_tridiagonal(-chain, diag, -chain, z)
+    gain = close / (1.0 + close * (tz[0] - tz[-1]))
+
+    def precondition(g: np.ndarray) -> np.ndarray:
+        tg = solve_tridiagonal(-chain, diag, -chain, g)
+        return tg - gain * (tg[0] - tg[-1]) * tz
 
     def energy(u: np.ndarray) -> tuple[float, float, float]:
-        du = diffs(u)
-        num = float(np.sum(ce * du**2) + np.sum(w * scal * u**2))
+        num = float(np.sum(ce * (u[hi] - u[lo]) ** 2) + np.sum(w * scal * u**2))
         den = float(np.sum(w * u**6))
         return num / den ** (1.0 / 3.0), num, den
 
     def gradient(u: np.ndarray, num: float, den: float) -> np.ndarray:
-        du = diffs(u)
-        g = 2.0 * w * scal * u
-        if periodic:
-            g += -2.0 * ce * du + np.roll(2.0 * ce * du, 1)
-        else:
-            g[:-1] += -2.0 * ce * du
-            g[1:] += 2.0 * ce * du
+        flux = 2.0 * ce * (u[hi] - u[lo])
+        g = 2.0 * w * scal * u + np.bincount(hi, flux, n) - np.bincount(lo, flux, n)
         return g / den ** (1.0 / 3.0) - (num / (3.0 * den ** (4.0 / 3.0))) * 6.0 * w * u**5
+
+    def normalized(u: np.ndarray) -> np.ndarray:
+        u = np.maximum(u, cfg.u_floor)
+        return u / np.sum(w * u**6) ** (1.0 / 6.0)
 
     if u0 is None:
         u = np.ones_like(centers)
@@ -284,42 +289,34 @@ def minimize_conformal(
         u = np.asarray(u0, dtype=float).copy()
         if u.shape != centers.shape:
             raise ValueError(f"u0 must have {centers.size} samples")
-    u = np.maximum(u, cfg.u_floor)
-    u /= np.sum(w * u**6) ** (1.0 / 6.0)
+    u = normalized(u)
 
     J, num, den = energy(u)
     trace = [J]
-    g = gradient(u, num, den)
-    step = cfg.step_size / max(np.max(np.abs(g)), 1e-30)
-    u_prev = g_prev = None
     converged = False
-    for _ in range(cfg.max_iterations):
-        if u_prev is not None:
-            du_ = u - u_prev
-            dg_ = g - g_prev
-            curv = float(np.dot(du_, dg_))
-            if curv > 0.0:
-                step = float(np.dot(du_, du_)) / curv
-        accepted = False
-        t = step
-        for _ in range(60):
-            u_new = np.maximum(u - t * g, cfg.u_floor)
-            u_new /= np.sum(w * u_new**6) ** (1.0 / 6.0)
-            J_new, num_new, den_new = energy(u_new)
-            if J_new <= J - 1e-4 * t * float(np.dot(g, g)):
-                accepted = True
-                break
-            t *= cfg.armijo_shrink
-        if not accepted:
-            converged = True  # no descent direction left at this resolution
-            break
-        u_prev, g_prev = u, g
-        u, J, num, den = u_new, J_new, num_new, den_new
+    while True:
         g = gradient(u, num, den)
-        trace.append(J)
-        if len(trace) > 51 and trace[-51] - trace[-1] < cfg.decrease_tol * max(1.0, abs(J)):
+        p = precondition(g)
+        gp = float(np.dot(g, p))
+        if gp <= cfg.decrease_tol * max(1.0, abs(J)):
             converged = True
             break
+        if len(trace) > cfg.max_iterations:
+            break
+        t = 0.5
+        # halve t until Armijo holds or the predicted decrease t g.p is below
+        # the rounding of J
+        while t * gp > np.spacing(max(1.0, abs(J))):
+            u_new = normalized(u - t * p)
+            J_new, num_new, den_new = energy(u_new)
+            if J_new <= J - 1e-4 * t * gp:
+                break
+            t *= 0.5
+        else:
+            converged = True  # no step decreases J at this resolution
+            break
+        u, J, num, den = u_new, J_new, num_new, den_new
+        trace.append(J)
 
     u_star = RadialFunction(grid=centers, values=u)
     mu_upper = conformal_functional(metric, u_star.as_field())

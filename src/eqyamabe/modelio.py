@@ -207,9 +207,10 @@ def _field_from(spec_part: dict, base: Base, kind: str) -> RadialField:
         return RadialField.const(float(spec_part["value"]))
     grid = np.linspace(0.0, base.length, len(spec_part["values"]))
     values = np.asarray(spec_part["values"], dtype=float)
-    if base.periodic and abs(values[0] - values[-1]) > 1e-12 * max(1.0, abs(float(values[0]))):
-        raise ModelParseError(f"$.{kind}.values: periodic data must match at the seam")
-    return RadialField.from_samples(grid, values, periodic=base.periodic)
+    try:
+        return RadialField.from_samples(grid, values, periodic=base.periodic)
+    except ValueError as exc:
+        raise ModelParseError(f"$.{kind}.values: {exc}") from exc
 
 
 def build_metric(spec: ModelSpec) -> InvariantMetric:

@@ -354,6 +354,17 @@ def test_malformed_model_field_path(capsys, tmp_path):
     assert "$.base.m2" in err
 
 
+def test_torus_seam_mismatch_names_ell_values(capsys, tmp_path):
+    doc = json.loads(Path(torus_model(tmp_path)).read_text())
+    doc["ell"] = {"type": "samples", "values": [1.0, 1.2, 0.9, 1.1, 1.0 + 1e-6]}
+    path = tmp_path / "torus_seam.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["functional", "--model", str(path)])
+    assert code == 2
+    assert "$.ell.values" in err
+    assert "seam" in err
+
+
 def test_legacy_endpoint_keys_are_accepted_and_ignored(capsys, tmp_path):
     doc = json.loads(Path(hopf_model(tmp_path)).read_text())
     doc["quadrature"] = {"rel_tol": 1e-9}

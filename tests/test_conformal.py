@@ -223,3 +223,48 @@ def test_minimize_invariant_under_initial_scaling(hopf):
     r1 = eq.minimize_conformal(hopf, cfg, u0=lambda s: 1.0 + 0.2 * np.cos(4.0 * s))
     r2 = eq.minimize_conformal(hopf, cfg, u0=lambda s: 5.0 * (1.0 + 0.2 * np.cos(4.0 * s)))
     assert r1.mu_upper == pytest.approx(r2.mu_upper, abs=1e-6 * abs(r1.mu_upper))
+
+
+def _perturbed_start(metric):
+    L = metric.base.length
+    if metric.base.periodic:
+        return lambda s: 1.0 + 0.1 * np.cos(2.0 * np.pi * s / L) + 0.05 * np.sin(4.0 * np.pi * s / L)
+    return lambda s: 1.0 + 0.2 * np.cos(np.pi * s / L) - 0.1 * np.cos(2.0 * np.pi * s / L)
+
+
+_DESCENT_METRICS = {
+    "hopf": lambda: eq.hopf_metric(),
+    "wps23": lambda: eq.wps_metric(2, 3),
+    "torus": lambda: eq.InvariantMetric(
+        base=eq.FlatTorusBase(length=1.0, radius=1.0),
+        ell=eq.RadialField.const(0.3),
+        F=eq.RadialField.const(1.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DESCENT_METRICS))
+def test_minimize_iterations_do_not_grow_with_grid(kind):
+    # the H^1-preconditioned step is mesh independent; plain L2-gradient
+    # descent needs more iterations on every refinement (hopf from this
+    # start: 666 at n = 100, 10378 at n = 800)
+    metric = _DESCENT_METRICS[kind]()
+    counts = []
+    for n in (100, 200, 400, 800):
+        result = eq.minimize_conformal(
+            metric, eq.MinimizerConfig(grid_size=n), u0=_perturbed_start(metric)
+        )
+        assert result.converged
+        assert np.all(np.diff(result.trace) <= 1e-12)
+        counts.append(len(result.trace) - 1)
+    assert len(set(counts)) == 1, counts
+    assert counts[0] <= 20
+
+
+def test_minimize_budget_exhausted(hopf):
+    result = eq.minimize_conformal(
+        hopf, eq.MinimizerConfig(max_iterations=1), u0=_perturbed_start(hopf)
+    )
+    assert not result.converged
+    assert result.trace.size == 2
+    assert result.trace[1] < result.trace[0]
