@@ -30,7 +30,7 @@ def run(ell: float, grid: int) -> None:
     closed = eq.functional_J_closed(metric.base, metric.F, ell)
     print(
         f"ell={ell:<5g} mu_upper={result.mu_upper:.8f}  closed-form J={closed:.8f}  "
-        f"iters={len(result.trace):>5}  u oscillation={osc:.2e}  "
+        f"iters={len(result.trace) - 1:>5}  u oscillation={osc:.2e}  "
         f"monotone={bool(np.all(np.diff(result.trace) <= 1e-12))}"
     )
 

@@ -20,11 +20,12 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .numerics import QuadratureConfig
+from .numerics import QuadratureConfig, sign_change_roots
 from .orbifold import (
     Base,
     gauss_curvature,
     integrate_over_base,
+    quadrature_nodes,
     scalar_curvature_integral,
     scale_base,
 )
@@ -203,40 +204,49 @@ def omega_norms(metric: InvariantMetric, cfg: QuadratureConfig | None = None) ->
     curvature, and the measured Chern number (1/2pi) int F dv.
 
     F is evaluated once per refinement level: the four integrands of F are
-    rows of one integral.  The scalar-curvature integral depends on the base
-    alone and is computed once per base and config.
-
-    The default tolerance is 2e-8 relative: |F| has kinks wherever F changes
-    sign, and composite rules cannot refine across a kink to 1e-10.  For
-    one-signed densities the |F| and F integrands coincide pointwise, so the
-    triangle inequality between the L1 norm and the Chern number is exact.
+    rows of one integral.  |F| has a kink wherever F changes sign, so the
+    roots of F found between the first level's nodes (and the ends of a base
+    without poles) cut the panels that hold them, and every row converges
+    as for a smooth integrand.  Two roots between the same pair of nodes are
+    not seen; that integral refines across its kinks.  The scalar-curvature
+    integral depends on the base alone and is computed once per base and
+    config, by default at the tolerance of `scalar_curvature_integral`.
     """
-    if cfg is None:
-        cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=2e-8, max_refinements=7)
     base = metric.base
+    scal = scalar_curvature_integral(base, cfg)
+    cfg = cfg or QuadratureConfig()
     F = metric.F.value
     sqrt2 = math.sqrt(2.0)
+    nodes = quadrature_nodes(base, cfg)
+    f_nodes = F(nodes)
+    x, fx = nodes, f_nodes
+    if not base.cone_orders:
+        # no poles: the area element does not vanish at the ends, so a root
+        # between an end and its nearest node must be found too
+        ends = np.array([0.0, base.length])
+        f_ends = np.zeros(2) + F(ends)
+        x = np.concatenate([ends[:1], nodes, ends[1:]])
+        fx = np.concatenate([f_ends[:1], f_nodes, f_ends[1:]])
+    roots = sign_change_roots(F, metric.F.d1, x, fx)
 
     def rows(s):
-        # sqrt2 |F|, 2 F^2, (sqrt2 |F|)^3 and F, written in place to keep
-        # the deep refinement levels small in memory
-        f = F(s)
+        # sqrt2 |F|, 2 F^2, (sqrt2 |F|)^3 and F, written in place
         out = np.empty((4, np.size(s)))
         l1, l2, l3, chern = out
-        chern[:] = f
+        chern[:] = f_nodes if s is nodes else F(s)
         np.multiply(sqrt2, np.abs(chern, out=l1), out=l1)
         np.multiply(2.0, np.square(chern, out=l2), out=l2)
         np.power(l1, 3, out=l3)
         return out
 
-    l1, l2sq, l3, chern = integrate_over_base(base, rows, cfg)
+    l1, l2sq, l3, chern = integrate_over_base(base, rows, cfg, breaks=roots)
     chern = chern.value / (2.0 * math.pi)
     _warn_on_fractional_chern(base, chern)
     return NormReport(
         omega_L1=l1.value,
         omega_L2_sq=l2sq.value,
         omega_L3_sq=l3.value ** (2.0 / 3.0),
-        scal_L32=scalar_curvature_integral(base, cfg) ** (2.0 / 3.0),
+        scal_L32=scal ** (2.0 / 3.0),
         chern_number=chern,
     )
 

@@ -324,7 +324,8 @@ def cmd_minimize(args) -> int:
     report["model"] = spec.raw
     report["quantities"] = {
         "mu_upper": _quantity(result.mu_upper, 0.0, "projected_gradient"),
-        "iterations": _quantity(float(len(result.trace)), exact=True),
+        # the trace starts with the value at u0: steps taken, not values seen
+        "iterations": _quantity(float(len(result.trace) - 1), exact=True),
         "converged": result.converged,
         "trace_monotone": bool(np.all(np.diff(result.trace) <= 1e-12)),
     }

@@ -8,6 +8,8 @@ numpy arrays); the node arrays they receive are read-only.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -28,6 +30,7 @@ __all__ = [
     "IntegralResult",
     "integrate",
     "gauss_panels",
+    "sign_change_roots",
     "check_derivative",
     "minimize_scalar",
     "solve_tridiagonal",
@@ -39,6 +42,12 @@ __all__ = [
 _RICHARDSON_RATIO = 10.0
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+
+# step budget of `sign_change_roots`; from its interpolated start a simple
+# root takes two or three Newton steps
+_ROOT_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -91,40 +100,107 @@ def gauss_panels(a: float, b: float, panels: int, k: int) -> tuple[np.ndarray, n
     return nodes, weights
 
 
+@lru_cache(maxsize=128)
+def _panel_edges(a: float, b: float, panels: int) -> list[float]:
+    return np.linspace(a, b, panels + 1).tolist()
+
+
+def _split_panels(
+    a: float, b: float, k: int, nodes: np.ndarray, weights: np.ndarray, breaks: list[float]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One level's rule with every panel that contains a break cut there.
+
+    The level's own nodes keep their places, with zero weight on the cut
+    panels, so values cached at those nodes still serve every other panel;
+    each piece of a cut panel gets a k-point rule of its own.  `breaks` are
+    sorted, distinct and inside (a, b).
+    """
+    panels = nodes.size // k
+    edges = _panel_edges(a, b, panels)
+    pieces: dict[int, list[float]] = {}  # cut panel -> its left edge and breaks
+    for x in breaks:
+        j = bisect.bisect_right(edges, x) - 1
+        if x > edges[j]:  # a break on a panel edge cuts nothing
+            pieces.setdefault(j, [edges[j]]).append(x)
+    if not pieces:
+        return [(nodes, weights)]
+    lo, hi = [], []
+    for j, points in pieces.items():
+        points.append(edges[j + 1])
+        lo += points[:-1]
+        hi += points[1:]
+    lo, hi = np.array(lo), np.array(hi)
+    x, w = _gauss_rule(k)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    piece_nodes = (mid[:, None] + half[:, None] * x).ravel()
+    piece_nodes.flags.writeable = False
+    kept = weights.copy()
+    kept.reshape(panels, k)[list(pieces)] = 0.0
+    return [(nodes, kept), (piece_nodes, (half[:, None] * w).ravel())]
+
+
 def _refine(
-    f: Callable, a: float, b: float, cfg: QuadratureConfig, levels: Sequence
+    f: Callable,
+    a: float,
+    b: float,
+    cfg: QuadratureConfig,
+    levels: Sequence,
+    breaks: list[float],
 ) -> tuple[bool, list[tuple[float, float, int]]]:
     """Double the panel count until successive values agree to tolerance.
 
     Each row of f stops at the first level where its own values agree.
-    Returns whether f gave rows and (value, error estimate, refinements) per
-    row.
+    Panels that contain a break are cut there at every level.  Returns
+    whether f gave rows and (value, error estimate, refinements) per row.
     """
     multi = False
+    k = cfg.points_per_panel
 
-    def level_sums(r: int, rows_wanted) -> dict[int, float]:
+    def rule(r: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        nodes_weights = levels[r] if r < len(levels) else gauss_panels(a, b, cfg.panels * 2**r, k)
+        return _split_panels(a, b, k, *nodes_weights, breaks) if breaks else [nodes_weights]
+
+    def rows_at(nodes: np.ndarray) -> np.ndarray:
         nonlocal multi
-        if r < len(levels):
-            nodes, weights = levels[r]
-        else:
-            nodes, weights = gauss_panels(a, b, cfg.panels * 2**r, cfg.points_per_panel)
         vals = np.asarray(f(nodes), dtype=float)
         multi = vals.ndim == 2
-        rows = vals if multi else vals[None]
-        sums = {}
-        for i in range(len(rows)) if rows_wanted is None else rows_wanted:
-            finite = np.isfinite(rows[i])
-            if not np.all(finite):
-                bad = nodes[~finite][:3]
-                raise NonFinite(f"integrand returned non-finite values near x={bad}")
-            sums[i] = float(np.dot(rows[i], weights))
+        return vals if multi else vals[None]
+
+    # Every integral visits levels 0 and 1.  With breaks, one call of f
+    # serves the pieces of both: on a few dozen nodes a call costs about as
+    # much as on a few.
+    first = [rule(0), rule(1)] if breaks and cfg.max_refinements else [rule(0)]
+    ahead: dict[int, np.ndarray] = {}  # id(piece nodes) -> rows evaluated ahead
+    pieces = [parts[1][0] for parts in first if len(parts) > 1] if breaks else []
+    if pieces:
+        both = np.concatenate(pieces)
+        both.flags.writeable = False
+        rows = rows_at(both)
+        ends = np.cumsum([nodes.size for nodes in pieces]).tolist()
+        ahead = {id(n): rows[:, e - n.size : e] for n, e in zip(pieces, ends)}
+
+    def level_sums(parts, rows_wanted) -> dict[int, float]:
+        sums: dict[int, float] = {}
+        for nodes, weights in parts:
+            rows = ahead.pop(id(nodes), None)
+            if rows is None:
+                rows = rows_at(nodes)
+            wanted = range(len(rows)) if rows_wanted is None else rows_wanted
+            finite = np.isfinite(rows)
+            if not finite.all():  # a row that has stopped may go non-finite
+                bad = ~finite[list(wanted)].all(axis=0)
+                if bad.any():
+                    raise NonFinite(f"integrand returned non-finite values near x={nodes[bad][:3]}")
+            for i in wanted:
+                part = float(np.dot(rows[i], weights))
+                sums[i] = sums[i] + part if i in sums else part
         return sums
 
-    prev = level_sums(0, None)
+    prev = level_sums(first[0], None)
     done: dict[int, tuple[float, float, int]] = {}
     errs: dict[int, float] = {}
     for r in range(1, cfg.max_refinements + 1):
-        cur = level_sums(r, list(prev))
+        cur = level_sums(first[r] if r < len(first) else rule(r), list(prev))
         for i, value in cur.items():
             errs[i] = abs(value - prev[i])
             if errs[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
@@ -159,6 +235,7 @@ def integrate(
     b: float,
     cfg: QuadratureConfig | None = None,
     levels: Sequence[tuple[np.ndarray, np.ndarray]] = (),
+    breaks: Sequence[float] = (),
 ) -> IntegralResult | list[IntegralResult]:
     """Integrate f over [a, b] by composite Gauss-Legendre with panel doubling.
 
@@ -174,14 +251,67 @@ def integrate(
     `levels` may hold the (nodes, weights) of the first levels, as built by
     `gauss_panels(a, b, cfg.panels * 2**r, cfg.points_per_panel)`, so that
     callers can reuse them and whatever they computed at those nodes.
+
+    `breaks` are points where f may have a kink, such as the roots of F in
+    |F|.  At every level each panel that contains a break is cut there and
+    each piece gets a rule of its own; the level's nodes stay as they are and
+    carry zero weight on the cut panels, so values cached at them stay
+    valid.  f is called once more on the nodes of the pieces, for levels 0
+    and 1 together and then once per deeper level.  A function that is
+    smooth between its breaks converges as a smooth one does.  Breaks outside
+    (a, b) or on a panel edge change nothing.
     """
     if cfg is None:
         cfg = QuadratureConfig()
     if not (a < b):
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    multi, rows = _refine(f, a, b, cfg, levels)
+    breaks = sorted({float(x) for x in breaks if a < x < b}) if len(breaks) else []
+    multi, rows = _refine(f, a, b, cfg, levels, breaks)
     results = [IntegralResult(*row) for row in rows]
     return results if multi else results[0]
+
+
+def sign_change_roots(f: Callable, df: Callable, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
+    """The roots of f between consecutive points of x where the values fx
+    change sign, in increasing order; x increases, and a simple root is
+    refined to rounding level.
+
+    All roots are refined together: each Newton step calls f and df once on
+    the vector of roots.  Each root starts at the linear interpolant of its
+    bracket and stays inside it: a step that would leave the bracket becomes
+    a bisection.  df may be a finite-difference derivative.  Two roots
+    between the same pair of points give no sign change there and are not
+    found.
+    """
+    fx = np.asarray(fx, dtype=float)
+    neg = fx < 0.0
+    if not 0 < np.count_nonzero(neg) < neg.size:
+        return np.empty(0)
+    x = np.asarray(x, dtype=float)
+    i = np.flatnonzero(neg[:-1] != neg[1:])
+    lo, hi, rising = x[i].tolist(), x[i + 1].tolist(), neg[i].tolist()
+    roots = (x[i] - fx[i] * (x[i + 1] - x[i]) / (fx[i + 1] - fx[i])).tolist()
+    zero = np.zeros(i.size)  # broadcasts a scalar f or df over the roots
+    # a Newton step this small leaves an error of its square on a simple root
+    tol = _SQRT_EPS * max(abs(x[0]), abs(x[-1]))
+    for _ in range(_ROOT_STEPS):
+        at = np.array(roots)
+        values = (zero + f(at)).tolist()
+        slopes = (zero + df(at)).tolist()
+        moved = 0.0
+        for j, (r, v, d) in enumerate(zip(roots, values, slopes)):
+            if (v < 0.0) == rising[j]:  # r replaces the end of its own sign
+                lo[j] = r
+            else:
+                hi[j] = r
+            nxt = r - v / d if d else math.nan
+            if not lo[j] <= nxt <= hi[j]:
+                nxt = 0.5 * (lo[j] + hi[j])
+            moved = max(moved, abs(nxt - r))
+            roots[j] = nxt
+        if moved <= tol:
+            break
+    return np.array(roots)
 
 
 def check_derivative(

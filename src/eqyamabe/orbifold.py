@@ -24,7 +24,8 @@ Base integrals (`integrate_over_base`, `area`, `gauss_bonnet_check`,
 `scalar_curvature_integral`) are served from a quadrature plan per base: the
 read-only nodes and weights of the first two refinement levels, the members'
 values at those nodes, and the base-only integrals, each computed on first
-use.  Plans live in a weak-keyed table, so a plan is dropped when its base is
+use; `quadrature_nodes` hands a caller the first level's nodes.  Plans live
+in a weak-keyed table, so a plan is dropped when its base is
 garbage-collected; integrands and callers see read-only nodes and values.
 Results are bit-identical to evaluating phi afresh at every call.
 """
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -56,6 +57,7 @@ __all__ = [
     "scalar_curvature_integral",
     "chi_orb",
     "integrate_over_base",
+    "quadrature_nodes",
     "scale_base",
 ]
 
@@ -564,23 +566,32 @@ def gauss_curvature(base: Base, s):
     return base.gauss_curvature(s)
 
 
+def quadrature_nodes(base: Base, cfg: QuadratureConfig | None = None) -> np.ndarray:
+    """The read-only nodes at which `integrate_over_base(base, fn, cfg)`
+    first calls fn, so that a caller can compute there once and have fn
+    return those values when it receives this array."""
+    return _rules(base, cfg or QuadratureConfig())[0][0]
+
+
 def integrate_over_base(
     base: Base,
     fn: Callable[[np.ndarray], np.ndarray],
     cfg: QuadratureConfig | None = None,
+    breaks: Sequence[float] = (),
 ) -> IntegralResult | list[IntegralResult]:
     """Integral of a radial function against the area measure of the base.
 
     fn receives read-only arclength nodes.  If it returns one row per
     integrand (a 2-d array), every row is integrated at once and a list of
     results is returned.  The first two refinement levels use the nodes and
-    area density of the base's plan.
+    area density of the base's plan; panels are cut at `breaks` as in
+    `integrate`.
     """
     cfg = cfg or QuadratureConfig()
     levels = _rules(base, cfg)
     try:
         res = integrate(
-            lambda s: np.asarray(fn(s)) * base.density(s), 0.0, base.length, cfg, levels
+            lambda s: np.asarray(fn(s)) * base.density(s), 0.0, base.length, cfg, levels, breaks
         )
     except NoConvergence as exc:
         raise QuadratureFailure(str(exc)) from exc
@@ -602,7 +613,14 @@ def area(base: Base, cfg: QuadratureConfig | None = None) -> float:
 
 def scalar_curvature_integral(base: Base, cfg: QuadratureConfig | None = None) -> float:
     """int |2K|^{3/2} dA, the base scalar curvature to the power 3/2 (once
-    per base and config); 0 on the flat torus."""
+    per base and config); 0 on the flat torus.
+
+    The default tolerance is 2e-8 relative, looser than the library default
+    for the reason given in `gauss_bonnet_check`: the K of a sampled profile
+    is piecewise.
+    """
+    if cfg is None:
+        cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=2e-8, max_refinements=7)
     return _cached_integral(
         base, "scal_32", lambda s: np.abs(2.0 * base.gauss_curvature(s)) ** 1.5, cfg
     )

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,3 +226,25 @@ def test_radial_field_from_samples_matches_function(half_sphere):
     s = np.linspace(0.1, half_sphere.length - 0.1, 17)
     assert np.max(np.abs(field.value(s) - (1.0 + 0.2 * np.cos(2.0 * s)))) <= 1e-6
     assert np.max(np.abs(field.d1(s) + 0.4 * np.sin(2.0 * s))) <= 1e-4
+
+
+def test_sign_changing_norms_import_no_scipy():
+    # root finding and piecewise quadrature are numpy only
+    script = """
+import sys, warnings
+import numpy as np
+import eqyamabe as eq
+base = eq.make_round_sphere(0.5)
+F = eq.RadialField.from_callables(lambda s: 0.2 + np.cos(np.pi * np.asarray(s) / base.length))
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    eq.omega_norms(eq.InvariantMetric(base=base, ell=eq.RadialField.const(1.0), F=F))
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

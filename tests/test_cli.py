@@ -274,6 +274,15 @@ def test_minimize_hopf_cli(capsys, tmp_path):
     assert doc["quantities"]["trace_monotone"] is True
 
 
+def test_minimize_iterations_count_steps_not_the_start(capsys, tmp_path):
+    # the constant factor minimizes on the round sphere: no step is taken
+    code, out, _ = run(capsys, ["minimize", "--model", hopf_model(tmp_path)])
+    doc = json.loads(out)
+    assert code == 0
+    assert len(doc["tables"]["trace"]) == 1
+    assert doc["quantities"]["iterations"]["value"] == 0.0
+
+
 def test_laplace_bump_sphere(capsys, tmp_path):
     code, out, _ = run(capsys, ["laplace", "--model", bump_sphere_model(tmp_path)])
     doc = json.loads(out)

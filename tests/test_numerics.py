@@ -24,6 +24,7 @@ from eqyamabe.numerics import (
     integrate,
     limit_at_zero,
     minimize_scalar,
+    sign_change_roots,
     solve_tridiagonal,
 )
 
@@ -96,6 +97,71 @@ def test_integrate_is_linear(alpha, beta):
     separate = alpha * integrate(f, 0.0, 2.0, PLAIN).value + beta * integrate(g, 0.0, 2.0, PLAIN).value
     tol = 1e-10 * max(1.0, abs(separate)) + 2.0 * combined.error_estimate + 1e-12
     assert abs(combined.value - separate) <= tol
+
+
+def test_breaks_make_a_kink_converge_at_level_one():
+    # |x - c| on [0, 1], c inside a panel: cut there, each piece is linear
+    c = 0.3 + 1e-3 / 7
+    exact = 0.5 * (c * c + (1.0 - c) ** 2)
+    res = integrate(lambda x: np.abs(x - c), 0.0, 1.0, PLAIN, breaks=[c])
+    assert res.refinements_used == 1
+    assert res.value == pytest.approx(exact, rel=1e-15)
+    with pytest.raises(NoConvergence):  # panel doubling stalls at the kink
+        integrate(lambda x: np.abs(x - c), 0.0, 1.0, PLAIN)
+
+
+def test_breaks_several_per_panel_on_edges_and_outside():
+    cfg = QuadratureConfig(panels=4, points_per_panel=8)
+    cuts = [0.1, 0.13, 0.25, 0.6, 0.6]  # two in one panel, one on an edge, a repeat
+    f = lambda x: np.abs((x - 0.1) * (x - 0.13) * (x - 0.6))  # noqa: E731
+    res = integrate(f, 0.0, 1.0, cfg, breaks=cuts + [-1.0, 0.0, 1.0, 2.0, float("nan")])
+    pieces = [0.0, 0.1, 0.13, 0.6, 1.0]
+    one_panel = QuadratureConfig(panels=1, points_per_panel=8, max_refinements=0)
+    exact = sum(integrate(f, lo, hi, one_panel).value for lo, hi in zip(pieces, pieces[1:]))
+    assert res.refinements_used == 1
+    assert res.value == pytest.approx(exact, rel=1e-14)
+
+
+def test_breaks_keep_rows_and_read_only_nodes():
+    seen = []
+
+    def rows(x):
+        seen.append(x.flags.writeable)
+        return np.stack([np.abs(x - 0.37), np.ones_like(x)])
+
+    a, b = integrate(rows, 0.0, 1.0, PLAIN, breaks=np.array([0.37]))
+    assert a.value == pytest.approx(0.5 * (0.37**2 + 0.63**2), rel=1e-15)
+    assert b.value == pytest.approx(1.0, rel=1e-15)
+    assert seen and not any(seen)
+
+
+def test_no_breaks_is_the_plain_rule():
+    f = lambda x: np.exp(np.sin(3.0 * x))  # noqa: E731
+    assert integrate(f, 0.0, 2.0, PLAIN, breaks=()) == integrate(f, 0.0, 2.0, PLAIN)
+    assert integrate(f, 0.0, 2.0, PLAIN, breaks=[2.0, 5.0]) == integrate(f, 0.0, 2.0, PLAIN)
+
+
+def test_sign_change_roots_simple_multiple_and_finite_difference():
+    x = np.linspace(0.0, 3.0, 31)
+    roots = sign_change_roots(np.cos, lambda t: -np.sin(t), x, np.cos(x))
+    assert roots == pytest.approx([math.pi / 2], abs=1e-15)
+
+    # a finite-difference slope still polishes to rounding level
+    fd = lambda t: (np.cos(t + 1e-6) - np.cos(t - 1e-6)) / 2e-6  # noqa: E731
+    assert sign_change_roots(np.cos, fd, x, np.cos(x)) == pytest.approx([math.pi / 2], abs=1e-15)
+
+    # a triple root (zero slope) and a node exactly on a root
+    cube = lambda t: (t - 1.234) ** 3  # noqa: E731
+    assert sign_change_roots(cube, lambda t: 3 * (t - 1.234) ** 2, x, cube(x)) == pytest.approx(
+        [1.234], abs=1e-5
+    )
+    line = lambda t: t - 1.5  # noqa: E731
+    assert sign_change_roots(line, np.ones_like, x, line(x)).tolist() == [1.5]
+
+    # no sign change, and two roots between the same pair of points
+    assert sign_change_roots(np.cos, np.sin, x, np.cos(x) + 2.0).size == 0
+    pair = lambda t: (t - 1.52) * (t - 1.58)  # noqa: E731
+    assert sign_change_roots(pair, lambda t: 2 * t - 3.1, x, pair(x)).size == 0
 
 
 # ---------------------------------------------------------------------------
