@@ -6,13 +6,15 @@ solved by exact double quadrature of the radial ODE rather than by a
 discretized linear system: the flux phi u' is a cumulative integral of
 -f phi, which vanishes at both poles automatically, so no boundary
 conditioning is involved.  The test suite's eigenvalue oracle cross-checks
-it against a tridiagonal discretization.
+it against a tridiagonal discretization.  The solution's spectrum does not
+decay, so its Laplacian is checked by differentiating splines (scipy).
 
 The conformal minimizer runs an H^1-preconditioned (Sobolev) gradient descent
 on the discretized functional over positive radial factors: each step solves
 the grid's tridiagonal H^1 Gram system with `numerics.solve_tridiagonal`,
-then backtracks under Armijo and renormalizes.  Its output is an UPPER bound
-on the invariant conformal infimum, never the infimum itself.
+then backtracks under Armijo and renormalizes.  The final cell values are
+evaluated as their cosine series (Fourier on the torus), and the result is an
+UPPER bound on the invariant conformal infimum, never the infimum itself.
 """
 
 from __future__ import annotations
@@ -67,15 +69,6 @@ class RadialFunction:
         from scipy.interpolate import CubicSpline
 
         return CubicSpline(self.grid, self.values)
-
-    def as_field(self) -> RadialField:
-        sp = self.spline()
-        lo, hi = float(self.grid[0]), float(self.grid[-1])
-        return RadialField(
-            value=lambda s: sp(np.clip(s, lo, hi)),
-            d1=lambda s: sp(np.clip(s, lo, hi), 1),
-            d2=lambda s: sp(np.clip(s, lo, hi), 2),
-        )
 
 
 def _weights(base: Base, grid: np.ndarray) -> np.ndarray:
@@ -200,7 +193,7 @@ class MinimizerConfig:
 class MinimizeResult:
     """Descent output.
 
-    mu_upper is the final iterate re-evaluated with the library quadrature,
+    mu_upper evaluates the series of the final iterate with the library quadrature,
     so it is the functional value of an actual invariant metric and therefore
     a true upper bound on the conformal infimum; `trace` holds the discrete
     objective values of the descent itself (non-increasing by construction).
@@ -318,11 +311,10 @@ def minimize_conformal(
         u, J, num, den = u_new, J_new, num_new, den_new
         trace.append(J)
 
-    u_star = RadialFunction(grid=centers, values=u)
-    mu_upper = conformal_functional(metric, u_star.as_field())
+    u_star = RadialField.from_samples(centers, u, periodic=metric.base.periodic)
     return MinimizeResult(
-        mu_upper=mu_upper,
-        u_star=u_star,
+        mu_upper=conformal_functional(metric, u_star),
+        u_star=RadialFunction(grid=centers, values=u),
         trace=np.asarray(trace),
         converged=converged,
     )

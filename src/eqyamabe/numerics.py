@@ -31,6 +31,7 @@ __all__ = [
     "integrate",
     "gauss_panels",
     "sign_change_roots",
+    "trig_interpolant",
     "check_derivative",
     "minimize_scalar",
     "solve_tridiagonal",
@@ -269,6 +270,33 @@ def integrate(
     multi, rows = _refine(f, a, b, cfg, levels, breaks)
     results = [IntegralResult(*row) for row in rows]
     return results if multi else results[0]
+
+
+def trig_interpolant(samples: np.ndarray, start: float, period: float) -> tuple[Callable, ...]:
+    """Value, first and second derivative of the trigonometric interpolant of
+    one period of uniform samples, the j-th of n taken at start + j period / n.
+    The coefficients come from one real FFT, trailing modes below eps times
+    the largest are dropped, and each callable sums the rest by Horner's rule
+    in z = exp(i omega (s - start)), omega = 2 pi / period."""
+    n = len(samples)
+    c = np.fft.rfft(samples) / n
+    c[1 : (n + 1) // 2] *= 2.0  # each mode below Nyquist stands for +k and -k
+    c = c[: np.flatnonzero(np.abs(c) >= np.finfo(float).eps * np.abs(c).max())[-1] + 1]
+    omega = 2.0 * math.pi / period
+    k = omega * np.arange(c.size)
+
+    def horner(coeffs: np.ndarray) -> Callable:
+        def evaluate(s):
+            z = np.exp(1j * omega * (np.asarray(s, dtype=float) - start))
+            acc = np.full(z.shape, coeffs[-1])
+            for a in coeffs[-2::-1]:
+                acc *= z
+                acc += a
+            return acc.real
+
+        return evaluate
+
+    return horner(c), horner(1j * k * c), horner(-k * k * c)
 
 
 def sign_change_roots(f: Callable, df: Callable, x: np.ndarray, fx: np.ndarray) -> np.ndarray:

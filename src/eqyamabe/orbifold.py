@@ -3,8 +3,8 @@
 Two representations are kept side by side:
 
 * an arclength profile (ds^2 + phi(s)^2 dtheta^2 on [0, L] with cone points
-  at the ends), which makes curvature, area and the radial Laplacian
-  one-dimensional, and
+  at the ends; phi in closed form, or the sine series or spline of samples),
+  which makes curvature, area and the radial Laplacian one-dimensional, and
 * the rational chart of the weighted projective line CP^1(m1, m2), carrying
   the functions lam1, lam2, gamma of the quotient metric of the weighted
   circle action on the 3-sphere.
@@ -22,8 +22,8 @@ functions here and in `bundle`, `conformal` and `modelio` never test a type.
 
 Base integrals (`integrate_over_base`, `area`, `gauss_bonnet_check`,
 `scalar_curvature_integral`) are served from a quadrature plan per base: the
-read-only nodes and weights of the first two refinement levels, the members'
-values at those nodes, and the base-only integrals, each computed on first
+members' values at the read-only nodes of the first two refinement levels
+(built once per length), and the base-only integrals, each computed on first
 use; `quadrature_nodes` hands a caller the first level's nodes.  Plans live
 in a weak-keyed table, so a plan is dropped when its base is
 garbage-collected; integrands and callers see read-only nodes and values.
@@ -35,12 +35,14 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, GridTooCoarse, NotCoprime, QuadratureFailure
 from .numerics import IntegralResult, NoConvergence, QuadratureConfig, gauss_panels, integrate
+from .numerics import trig_interpolant
 
 __all__ = [
     "ConeSurfaceProfile",
@@ -418,10 +420,10 @@ def profile_from_samples(
 ) -> ConeSurfaceProfile:
     """Profile from arclength samples; endpoints must be the poles (phi = 0).
 
-    Interior values and first derivatives come from a cubic spline.  Second
-    derivatives near the poles are evaluated from the odd series
-    phi ~ s/m - c s^3 fitted to nearby samples, which avoids differencing
-    across the pole.
+    phi is odd about each pole: uniform samples give the sine series of their
+    odd extension to period 2L (`trig_interpolant`), smooth through the poles,
+    and non-uniform samples a cubic spline through the samples reflected
+    oddly through each pole (16 per pole), accurate to about 1e-7.
     """
     s = np.asarray(s_values, dtype=float)
     p = np.asarray(phi_values, dtype=float)
@@ -435,41 +437,20 @@ def profile_from_samples(
     s = s - s[0]
     if np.any(p[1:-1] <= 0):
         raise ValueError("profile must be positive between the poles")
+    if np.allclose(s, np.linspace(0.0, L, s.size), rtol=0.0, atol=1e-12 * L):
+        series = trig_interpolant(np.concatenate([p, -p[-2:0:-1]]), 0.0, 2.0 * L)
+        return profile_from_callables(L, *series, m_start, m_end, label)
 
     from scipy.interpolate import CubicSpline
 
-    spline = CubicSpline(s, p, bc_type=((1, 1.0 / m_start), (1, -1.0 / m_end)))
-    margin = max(3 * float(np.max(np.diff(s[: max(4, s.size // 8)]))), 0.02 * L)
-
-    def _series_c3(pole: float, m: int, sign: float) -> float:
-        # least squares for phi = d/m - c d^3 with d the distance into the profile
-        sel = (np.abs(s - pole) > 0) & (np.abs(s - pole) <= 2 * margin)
-        d = sign * (s[sel] - pole)
-        resid = d / m - p[sel]
-        return float(np.sum(d**3 * resid) / np.sum(d**6))
-
-    c3_start = _series_c3(0.0, m_start, +1.0)
-    c3_end = _series_c3(L, m_end, -1.0)
-
-    def phi_fn(x):
-        return spline(np.clip(np.asarray(x, dtype=float), 0.0, L))
-
-    def phi_d1(x):
-        return spline(np.clip(np.asarray(x, dtype=float), 0.0, L), 1)
-
-    def phi_d2(x):
-        # series near the poles, spline in the interior, linearly blended over
-        # the outer half of the margin so the integrand stays continuous
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = spline(np.clip(x, 0.0, L), 2)
-        for dist, series in ((x, -6.0 * c3_start * x), (L - x, -6.0 * c3_end * (L - x))):
-            w = np.clip(2.0 - 2.0 * dist / margin, 0.0, 1.0)
-            out = w * series + (1.0 - w) * out
-        return out[0] if scalar else out
-
-    base = ConeSurfaceProfile(L, int(m_start), int(m_end), phi_fn, phi_d1, phi_d2, label)
+    r = min(16, s.size - 1)
+    spline = CubicSpline(
+        np.concatenate([-s[r:0:-1], s, 2.0 * L - s[-2 : -r - 2 : -1]]),
+        np.concatenate([-p[r:0:-1], p, -p[-2 : -r - 2 : -1]]),
+    )
+    base = ConeSurfaceProfile(
+        L, int(m_start), int(m_end), spline, spline.derivative(), spline.derivative(2), label
+    )
     _check_cone_slopes(base, h=max(L * 1e-4, float(s[1] - s[0])))
     return base
 
@@ -487,15 +468,13 @@ _PLAN_LEVELS = 2
 class _Plan:
     """Quadrature data of one base, computed once.
 
-    `rules` maps (panels, points_per_panel) to the read-only (nodes, weights)
-    of the first `_PLAN_LEVELS` levels on [0, L], and `nodes` maps id(nodes)
-    to those node arrays; `values` maps (member, id(nodes)) to a base
-    member's read-only values at the nodes; `integrals` maps (name, cfg) to
-    a base-only integral.  A plan holds no reference to its base.
+    `nodes` maps id(nodes) to the node arrays of the cached levels that the
+    base has used; `values` maps (member, id(nodes)) to a base member's
+    read-only values at the nodes; `integrals` maps (name, cfg) to a
+    base-only integral.  A plan holds no reference to its base.
     """
 
     def __init__(self) -> None:
-        self.rules: dict[tuple[int, int], tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
         self.nodes: dict[int, np.ndarray] = {}
         self.values: dict[tuple[str, int], np.ndarray] = {}
         self.integrals: dict[tuple[str, QuadratureConfig], float] = {}
@@ -529,16 +508,18 @@ def _planned(base: Base, name: str, s, compute: Callable):
     return plan.values[key]
 
 
+@lru_cache(maxsize=64)
+def _level_rules(length: float, panels: int, k: int):
+    """The read-only (nodes, weights) of the first `_PLAN_LEVELS` levels on
+    [0, length], shared by every base of that length, plan or no plan, and
+    their nodes by id."""
+    rules = tuple(gauss_panels(0.0, length, panels * 2**r, k) for r in range(_PLAN_LEVELS))
+    return rules, {id(nodes): nodes for nodes, _ in rules}
+
+
 def _rules(base: Base, cfg: QuadratureConfig):
-    plan = _plan(base)
-    key = (cfg.panels, cfg.points_per_panel)
-    rules = plan.rules.get(key)
-    if rules is None:
-        rules = plan.rules[key] = tuple(
-            gauss_panels(0.0, base.length, cfg.panels * 2**r, cfg.points_per_panel)
-            for r in range(_PLAN_LEVELS)
-        )
-        plan.nodes.update((id(nodes), nodes) for nodes, _ in rules)
+    rules, nodes = _level_rules(base.length, cfg.panels, cfg.points_per_panel)
+    _plan(base).nodes.update(nodes)
     return rules
 
 
@@ -616,8 +597,7 @@ def scalar_curvature_integral(base: Base, cfg: QuadratureConfig | None = None) -
     per base and config); 0 on the flat torus.
 
     The default tolerance is 2e-8 relative, looser than the library default
-    for the reason given in `gauss_bonnet_check`: the K of a sampled profile
-    is piecewise.
+    for the reason given in `gauss_bonnet_check`.
     """
     if cfg is None:
         cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=2e-8, max_refinements=7)
@@ -630,8 +610,8 @@ def gauss_bonnet_check(base: Base, cfg: QuadratureConfig | None = None) -> float
     """(1/2pi) int K dA by quadrature; contract: equals chi_orb within 1e-6.
 
     The default tolerance is matched to that contract rather than to the
-    library default: sampled profiles have piecewise second derivatives and
-    cannot refine to 1e-10.
+    library default: the spline of non-uniform profile samples has a
+    piecewise second derivative and cannot refine to 1e-10.
     """
     if cfg is None:
         cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8)

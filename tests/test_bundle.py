@@ -228,6 +228,32 @@ def test_radial_field_from_samples_matches_function(half_sphere):
     assert np.max(np.abs(field.d1(s) + 0.4 * np.sin(2.0 * s))) <= 1e-4
 
 
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("cells", [False, True])
+def test_radial_field_from_samples_is_spectral_on_both_grids(periodic, cells):
+    # cos 4s is smooth data on [0, pi/2] with poles (even about both ends),
+    # and sin 4s joins it on the torus of length pi/2
+    L, n = 0.5 * math.pi, 40
+    grid = (np.arange(n) + 0.5) * L / n if cells else np.linspace(0.0, L, n + 1)
+    odd = 0.1 if periodic else 0.0
+    f = lambda s: 1.0 + 0.2 * np.cos(4.0 * s) + odd * np.sin(4.0 * s)  # noqa: E731
+    df = lambda s: -0.8 * np.sin(4.0 * s) + 4.0 * odd * np.cos(4.0 * s)  # noqa: E731
+    field = eq.RadialField.from_samples(grid, f(grid), periodic=periodic)
+    s = np.linspace(0.0, L, 33)
+    assert field.value(s) == pytest.approx(f(s), abs=1e-14)
+    assert field.d1(s) == pytest.approx(df(s), abs=1e-13)
+
+
+def test_radial_field_from_samples_rejects_other_grids():
+    values = np.ones(9)
+    for grid in (np.linspace(0.1, 1.0, 9), np.linspace(0.0, 1.0, 9) ** 2):
+        for periodic in (False, True):
+            with pytest.raises(ValueError, match="grid"):
+                eq.RadialField.from_samples(grid, values, periodic=periodic)
+    with pytest.raises(ValueError, match="matching"):
+        eq.RadialField.from_samples(np.linspace(0.0, 1.0, 9), np.ones(8))
+
+
 def test_sign_changing_norms_import_no_scipy():
     # root finding and piecewise quadrature are numpy only
     script = """

@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import eqyamabe as eq
 from eqyamabe.cli import main
 
-from conftest import HEBEY_VAUGON_3_2, SIGMA_S3, TORUS_J_ELL1, WEIGHTED_BOUND
+from conftest import HEBEY_VAUGON_3_2, SIGMA_S3, TORUS_J_ELL1, WEIGHTED_BOUND, bump_sphere
 
 
 def run(capsys, argv):
@@ -65,24 +66,27 @@ def wps_model(tmp_path):
     return str(path)
 
 
-def bump_sphere_model(tmp_path):
-    s = np.linspace(0.0, math.pi, 601)
+def bump_sphere_model(tmp_path, n=601, sampled_fields=False):
+    s = np.linspace(0.0, math.pi, n)
     phi = np.sin(s) * (1.0 + 0.15 * np.sin(s) ** 2)
-    path = tmp_path / "bump_sphere.json"
-    path.write_text(
-        json.dumps(
-            {
-                "base": {
-                    "type": "profile",
-                    "samples": [[float(a), float(b)] for a, b in zip(s, phi)],
-                    "m_start": 1,
-                    "m_end": 1,
-                },
-                "ell": {"type": "constant", "value": 1.0},
-                "F": {"type": "constant", "value": 1.0},
-            }
-        )
-    )
+    doc = {
+        "base": {
+            "type": "profile",
+            "samples": [[float(a), float(b)] for a, b in zip(s, phi)],
+            "m_start": 1,
+            "m_end": 1,
+        },
+        "ell": {"type": "constant", "value": 1.0},
+        "F": {"type": "constant", "value": 1.0},
+    }
+    if sampled_fields:
+        # even about both poles; F has Chern number int F phi ds = 1, from
+        # int_0^pi sin^k s ds = 2, 4/3, 16/15 for k = 1, 3, 5
+        chern = 2.2 + 0.2 * (2.0 - 1.85 * 4.0 / 3.0 - 0.3 * 16.0 / 15.0)
+        doc["ell"] = {"type": "samples", "values": (1.0 + 0.1 * np.cos(2.0 * s)).tolist()}
+        doc["F"] = {"type": "samples", "values": ((1.0 + 0.2 * np.cos(2.0 * s)) / chern).tolist()}
+    path = tmp_path / f"bump_sphere_{n}_{int(sampled_fields)}.json"
+    path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -307,8 +311,8 @@ def test_functional_ell_override(capsys, tmp_path):
 
 
 def test_unreachable_tolerance_exit_3(capsys, tmp_path):
-    # sampled profiles have piecewise second derivatives: a one-refinement
-    # budget with 1e-16 tolerance cannot converge
+    # a two-point rule on one panel, refined once, cannot meet the default
+    # tolerance on any of the model's integrands
     path = tmp_path / "strict.json"
     s = np.linspace(0.0, math.pi, 601)
     phi = np.sin(s) * (1.0 + 0.15 * np.sin(s) ** 2)
@@ -323,7 +327,7 @@ def test_unreachable_tolerance_exit_3(capsys, tmp_path):
                 },
                 "ell": {"type": "constant", "value": 1.0},
                 "F": {"type": "constant", "value": 1.0},
-                "quadrature": {"max_refinements": 1, "abs_tol": 1e-16, "rel_tol": 1e-16},
+                "quadrature": {"panels": 1, "points_per_panel": 2, "max_refinements": 1},
             }
         )
     )
@@ -335,12 +339,22 @@ def test_unreachable_tolerance_exit_3(capsys, tmp_path):
 def test_bound_model_reads_quadrature_block(capsys, tmp_path):
     # the same unreachable budget as above must reach the bound's norms too
     doc = json.loads(Path(bump_sphere_model(tmp_path)).read_text())
-    doc["quadrature"] = {"max_refinements": 1, "abs_tol": 1e-16, "rel_tol": 1e-16}
+    doc["quadrature"] = {"panels": 1, "points_per_panel": 2, "max_refinements": 1}
     path = tmp_path / "strict_bound.json"
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, ["bound", "--model", str(path)])
     assert code == 3
     assert "numerical failure" in err
+
+
+def test_functional_on_uniform_profile_samples_matches_the_closed_form(capsys, tmp_path):
+    # 201 uniform samples of the bump sphere give its sine series, so J agrees
+    # with the closed-form profile to rounding
+    code, out, _ = run(capsys, ["functional", "--model", bump_sphere_model(tmp_path, n=201)])
+    assert code == 0
+    one = eq.RadialField.const(1.0)
+    closed = eq.functional_J(eq.InvariantMetric(bump_sphere(0.15), one, one)).J
+    assert json.loads(out)["quantities"]["J"]["value"] == pytest.approx(closed, rel=1e-12)
 
 
 def test_bound_collapse_model_reports_regime(capsys, tmp_path):
@@ -436,9 +450,11 @@ def test_floats_have_17_significant_digits(capsys):
 
 
 def test_commands_without_splines_import_no_scipy(tmp_path):
-    # scipy is imported only where a spline or cumulative Simpson rule is
-    # built; the commands below build neither, so a CLI call skips its import
+    # scipy is imported only by `laplace` and by non-uniform profile samples;
+    # the commands below use neither, so a CLI call skips its import
     wps, torus = wps_model(tmp_path), torus_model(tmp_path)
+    # uniform profile, ell and F samples are trigonometric series
+    sampled = bump_sphere_model(tmp_path, n=201, sampled_fields=True)
     argvs = [
         ["invariants", "--m1", "2", "--m2", "3"],
         ["bound", "--m1", "2", "--m2", "3"],
@@ -446,6 +462,8 @@ def test_commands_without_splines_import_no_scipy(tmp_path):
         ["functional", "--model", wps],
         ["functional", "--model", torus],
         ["scan", "--model", torus, "--ell", "scan:0.1:1:4"],
+        ["functional", "--model", sampled],
+        ["minimize", "--model", sampled],
     ]
     script = f"""
 import contextlib, io, sys

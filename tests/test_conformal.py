@@ -268,3 +268,18 @@ def test_minimize_budget_exhausted(hopf):
     assert not result.converged
     assert result.trace.size == 2
     assert result.trace[1] < result.trace[0]
+
+
+def test_torus_minimizer_field_is_continuous_at_the_seam():
+    # mu_upper evaluates the Fourier series of the final cell values, which
+    # is periodic although the cell values differ across the seam
+    metric = _DESCENT_METRICS["torus"]()
+    u0 = lambda s: 1.0 + 0.2 * np.sin(2.0 * np.pi * s)  # noqa: E731
+    result = eq.minimize_conformal(metric, eq.MinimizerConfig(max_iterations=1), u0=u0)
+    u = result.u_star
+    assert abs(u.values[0] - u.values[-1]) > 1e-5
+    field = eq.RadialField.from_samples(u.grid, u.values, periodic=True)
+    assert result.mu_upper == eq.conformal_functional(metric, field)
+    end = np.nextafter(metric.base.length, 0.0)
+    assert abs(field.value(0.0) - field.value(end)) <= 1e-12
+    assert abs(field.d1(0.0) - field.d1(end)) <= 1e-9

@@ -26,6 +26,7 @@ from eqyamabe.numerics import (
     minimize_scalar,
     sign_change_roots,
     solve_tridiagonal,
+    trig_interpolant,
 )
 
 PLAIN = QuadratureConfig()
@@ -162,6 +163,41 @@ def test_sign_change_roots_simple_multiple_and_finite_difference():
     assert sign_change_roots(np.cos, np.sin, x, np.cos(x) + 2.0).size == 0
     pair = lambda t: (t - 1.52) * (t - 1.58)  # noqa: E731
     assert sign_change_roots(pair, lambda t: 2 * t - 3.1, x, pair(x)).size == 0
+
+
+# ---------------------------------------------------------------------------
+# trig_interpolant
+# ---------------------------------------------------------------------------
+
+def test_trig_interpolant_reproduces_a_trigonometric_polynomial():
+    start, period = 0.25, 2.0
+    w = 2.0 * math.pi / period
+    x = lambda s: w * (s - start)  # noqa: E731
+    f = lambda s: 0.3 + np.cos(x(s)) - 0.5 * np.sin(3.0 * x(s))  # noqa: E731
+    value, d1, d2 = trig_interpolant(f(start + period * np.arange(16) / 16), start, period)
+    s = np.linspace(-1.0, 3.0, 41)  # beyond one period too
+    assert value(s) == pytest.approx(f(s), abs=1e-14)
+    assert d1(s) == pytest.approx(-w * np.sin(x(s)) - 1.5 * w * np.cos(3.0 * x(s)), abs=1e-13)
+    assert d2(s) == pytest.approx(-w * w * np.cos(x(s)) + 4.5 * w * w * np.sin(3.0 * x(s)),
+                                  abs=1e-12)
+    assert np.shape(value(0.7)) == ()
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_trig_interpolant_passes_through_its_samples(n):
+    # random data keeps every mode, the Nyquist mode of an even count too
+    samples = np.random.default_rng(n).normal(size=n)
+    value, d1, _ = trig_interpolant(samples, -1.0, 3.0)
+    nodes = -1.0 + 3.0 * np.arange(n) / n
+    assert value(nodes) == pytest.approx(samples, abs=1e-13)
+    assert value(nodes + 3.0) == pytest.approx(samples, abs=1e-13)
+    assert np.all(np.isfinite(d1(nodes)))
+
+
+def test_trig_interpolant_of_zeros_is_zero():
+    value, d1, d2 = trig_interpolant(np.zeros(8), 0.0, 1.0)
+    s = np.linspace(0.0, 1.0, 5)
+    assert value(s).tolist() == d1(s).tolist() == d2(s).tolist() == [0.0] * 5
 
 
 # ---------------------------------------------------------------------------

@@ -246,3 +246,47 @@ def test_profile_from_samples_validation():
     with pytest.raises(GridTooCoarse):
         # slopes are pi, not matching cone orders (1, 1) at slope 1
         eq.profile_from_samples(s, phi, 1, 1)
+
+
+SAMPLED_PROFILES = {
+    "sin": lambda: eq.make_round_sphere(1.0),
+    "sin_plus_sin_cubed": lambda: bump_sphere(0.1),  # sin s + 0.1 sin^3 s
+    "bump": lambda: bump_sphere(0.15),
+    "wps23": lambda: eq.wps_profile(2, 3),
+}
+
+
+def _samples(base, s):
+    p = np.asarray(base.phi(s), dtype=float)
+    p[0] = p[-1] = 0.0
+    return eq.profile_from_samples(s, p, base.m_start, base.m_end)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_PROFILES))
+def test_uniform_samples_meet_gauss_bonnet_to_rounding(name):
+    # uniform samples give the sine series of the profile, exact to rounding
+    # at every sample count
+    base = SAMPLED_PROFILES[name]()
+    for n in (201, 401, 801, 1601, 3201):
+        sampled = _samples(base, np.linspace(0.0, base.length, n))
+        assert abs(eq.gauss_bonnet_check(sampled) - eq.chi_orb(base)) <= 1e-9, n
+
+
+def test_non_uniform_samples_meet_the_gauss_bonnet_contract():
+    # warped abscissae take the reflected spline, within the 1e-6 contract
+    base = bump_sphere(0.15)
+    for n in (201, 401, 801, 1601):
+        t = np.linspace(0.0, 1.0, n)
+        s = math.pi * (t + 0.08 * np.sin(2.0 * math.pi * t))
+        s[-1] = math.pi
+        assert abs(eq.gauss_bonnet_check(_samples(base, s)) - 2.0) <= 1e-6, n
+
+
+def test_coarse_uniform_samples_pass_the_cone_slope_check():
+    # the slope check differences the series at the 1e-5 L step of closed
+    # forms: at the sample spacing its Richardson pair misreads this profile
+    # (slope errors 4.1e-6 > 1e-6)
+    closed = bump_sphere(0.15)
+    base = _samples(closed, np.linspace(0.0, math.pi, 51))
+    assert abs(eq.gauss_bonnet_check(base) - 2.0) <= 1e-12
+    assert eq.gauss_curvature(base, 1e-3) == pytest.approx(closed.gauss_curvature(1e-3), abs=1e-9)

@@ -196,3 +196,31 @@ def test_profile_with_unhashable_callables_is_served_uncached():
     assert eq.gauss_bonnet_check(base) == uncached(
         base, lambda s: curvature(base, s), GB_CFG
     ) / (2.0 * math.pi)
+
+
+def test_unhashable_base_evaluates_F_once_per_level():
+    # a base without a plan still shares the level nodes, so F's first-level
+    # values serve the F rows, bit for bit as on a base with a plan
+    class Unhashable:
+        __hash__ = None
+
+        def __init__(self, fn):
+            self.fn = fn
+
+        def __call__(self, s):
+            return self.fn(s)
+
+    members = (np.sin, np.cos, lambda s: -np.sin(s))
+    unhashable = eq.profile_from_callables(math.pi, *map(Unhashable, members), 1, 1)
+    hashable = eq.profile_from_callables(math.pi, *members, 1, 1)
+    F_points = []
+    F = fourier_field(math.pi, [0.1], 1.0)
+    F = dataclasses.replace(F, value=counted(F.value, F_points))
+    norms = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # fractional Chern data
+        for base in (unhashable, hashable):
+            F_points.clear()
+            norms.append(eq.omega_norms(eq.InvariantMetric(base, eq.RadialField.const(1.0), F)))
+            assert F_points == [512, 1024]
+    assert norms[0] == norms[1]
