@@ -210,7 +210,7 @@ def omega_norms(metric: InvariantMetric, cfg: QuadratureConfig | None = None) ->
     as for a smooth integrand.  Two roots between the same pair of nodes are
     not seen; that integral refines across its kinks.  The scalar-curvature
     integral depends on the base alone and is computed once per base and
-    config, by default at the tolerance of `scalar_curvature_integral`.
+    config by `scalar_curvature_integral`.
     """
     base = metric.base
     scal = scalar_curvature_integral(base, cfg)

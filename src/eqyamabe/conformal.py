@@ -2,12 +2,12 @@
 minimization of the conformal functional.
 
 The Poisson problem Delta u = f (nonnegative Laplacian, mean-zero f) is
-solved by exact double quadrature of the radial ODE rather than by a
-discretized linear system: the flux phi u' is a cumulative integral of
--f phi, which vanishes at both poles automatically, so no boundary
-conditioning is involved.  The test suite's eigenvalue oracle cross-checks
-it against a tridiagonal discretization.  The solution's spectrum does not
-decay, so its Laplacian is checked by differentiating splines (scipy).
+solved by double quadrature of the radial ODE in trigonometric series
+(`numerics.trig_antiderivative`), with no boundary conditioning: the flux
+phi u' is the integral of -f phi, made to vanish at both poles.  The test
+suite's eigenvalue oracle cross-checks it against a tridiagonal
+discretization, and its Laplacian is recomputed from the series of the
+solution's samples (`RadialField.from_samples`).
 
 The conformal minimizer runs an H^1-preconditioned (Sobolev) gradient descent
 on the discretized functional over positive radial factors: each step solves
@@ -21,18 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
-from .bundle import InvariantMetric, RadialField, scalar_curvature_total
+from .bundle import InvariantMetric, RadialField, _laplacian_of, scalar_curvature_total
 from .errors import NonpositiveChi, NotMeanZero
-from .numerics import solve_tridiagonal
+from .numerics import solve_tridiagonal, trig_antiderivative
 from .orbifold import Base, area, chi_orb, gauss_curvature
 from .yamabe import conformal_functional
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "RadialFunction",
@@ -65,11 +62,6 @@ class RadialFunction:
         grid = np.linspace(0.0, base.length, n)
         return cls(grid=grid, values=np.asarray(fn(grid), dtype=float))
 
-    def spline(self) -> CubicSpline:
-        from scipy.interpolate import CubicSpline
-
-        return CubicSpline(self.grid, self.values)
-
 
 def _weights(base: Base, grid: np.ndarray) -> np.ndarray:
     """Density of the area measure along the grid (without ds), 0 at cone poles."""
@@ -79,16 +71,24 @@ def _weights(base: Base, grid: np.ndarray) -> np.ndarray:
     return w
 
 
+def _odd_antiderivative(values: np.ndarray, length: float) -> np.ndarray:
+    """int_0^s of the sine series through samples on linspace(0, L, n) that
+    are odd about both ends, at the samples."""
+    odd = np.concatenate([values, -values[-2:0:-1]])
+    return trig_antiderivative(odd, 2.0 * length)[: values.size]
+
+
 def laplace_solve_radial(base: Base, f: RadialFunction) -> RadialFunction:
     """Solve Delta u = f with the nonnegative Laplacian; u has mean zero.
 
-    Requires int f dv = 0 within 1e-8 of the L1 size of f (the solvability
-    condition); raises NotMeanZero otherwise.
+    f is sampled on the uniform grid linspace(0, L, n) of the base (raises
+    ValueError on any other grid).  Requires int f dv = 0 within 1e-8 of the
+    L1 size of f (the solvability condition); raises NotMeanZero otherwise.
     """
-    from scipy.integrate import cumulative_simpson
-
-    grid = f.grid
-    fv = f.values
+    grid, fv = f.grid, f.values
+    L = base.length
+    if not np.allclose(grid, np.linspace(0.0, L, grid.size), rtol=0.0, atol=1e-12 * L):
+        raise ValueError("laplace data must lie on the grid linspace(0, L, n) of the base")
     w = _weights(base, grid)
     mean = np.trapezoid(fv * w, grid)
     scale = np.trapezoid(np.abs(fv) * w, grid)
@@ -96,47 +96,41 @@ def laplace_solve_radial(base: Base, f: RadialFunction) -> RadialFunction:
         raise NotMeanZero(f"int f dv = {mean:.3e} exceeds 1e-8 * ||f||_1 = {1e-8 * scale:.3e}")
 
     if base.periodic:
-        # u'' = -f with periodic closure; constant radius cancels throughout
-        g = cumulative_simpson(fv, x=grid, initial=0.0)
-        up = -(g - np.trapezoid(g, grid) / (grid[-1] - grid[0]))
+        # -u'' = f: one period of samples, its Fourier series integrated twice
+        u = trig_antiderivative(-trig_antiderivative(fv[:-1], L), L)
+        u = np.append(u, u[0])
     else:
+        # phi u' = -int_0^s f phi.  The series sees a mean of f that differs
+        # from the trapezoid mean by O(h^2); removing it, as g(L) A/A(L) with
+        # A = int phi, makes the flux vanish at s = L, where u' = flux/phi
+        # would otherwise blow up
         phi = np.asarray(base.density(grid), dtype=float)
-        flux = -cumulative_simpson(fv * phi, x=grid, initial=0.0)  # phi u'
-        with np.errstate(divide="ignore", invalid="ignore"):
-            up = np.where(phi > 0.0, flux / np.where(phi > 0.0, phi, 1.0), 0.0)
-        up[0] = 0.0
-        up[-1] = 0.0
-    u = cumulative_simpson(up, x=grid, initial=0.0)
+        g = _odd_antiderivative(fv * phi, L)
+        A = _odd_antiderivative(phi, L)
+        flux = g[-1] * A / A[-1] - g
+        up = np.concatenate([[0.0], flux[1:-1] / phi[1:-1], [0.0]])
+        u = _odd_antiderivative(up, L)
     u -= np.trapezoid(u * w, grid) / np.trapezoid(w, grid)
     return RadialFunction(grid=grid, values=u)
 
 
-def _flux_laplacian(base: Base, u: RadialFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Delta u = -(phi u')'/phi on a profile, by spline differentiation of the
-    flux phi u'.  Returns the mask of nodes more than 2 percent of L from
-    either pole and the Laplacian there: nearer a pole the quotient by phi
-    amplifies interpolation noise without geometric meaning."""
-    from scipy.interpolate import CubicSpline
-
-    grid = u.grid
-    phi = np.asarray(base.density(grid), dtype=float)
-    flux_sp = CubicSpline(grid, phi * u.spline()(grid, 1))
-    mask = (grid > 0.02 * base.length) & (grid < 0.98 * base.length)
-    return mask, -flux_sp(grid[mask], 1) / phi[mask]
+def _series_laplacian(base: Base, u: RadialFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Delta u from the trigonometric series of the samples of u
+    (`RadialField.from_samples`).  Returns the mask of nodes more than 2
+    percent of L from either pole (every node on the torus) and the Laplacian
+    there: nearer a pole the quotient phi'/phi amplifies rounding without
+    geometric meaning."""
+    grid, L = u.grid, base.length
+    mask = (grid > 0.02 * L) & (grid < 0.98 * L) if base.cone_orders else np.full(grid.shape, True)
+    field = RadialField.from_samples(grid, u.values, periodic=base.periodic)
+    return mask, _laplacian_of(field, base, grid[mask])
 
 
 def laplace_residual(base: Base, u: RadialFunction, f: RadialFunction) -> float:
-    """Max-norm of Delta u - f, recomputing Delta u from the solution samples.
-
-    The Laplacian is rebuilt by spline differentiation (of the flux phi u' on
-    a profile, see `_flux_laplacian`), so this is an independent a-posteriori
-    check, not an identity.
-    """
-    if base.periodic:
-        mask = np.ones_like(u.grid, dtype=bool)
-        lap = -u.spline()(u.grid, 2)
-    else:
-        mask, lap = _flux_laplacian(base, u)
+    """Max-norm of Delta u - f, recomputing Delta u from the solution samples
+    by their trigonometric series (see `_series_laplacian`), not from the
+    solve's own flux."""
+    mask, lap = _series_laplacian(base, u)
     return float(np.max(np.abs(lap - f.values[mask])))
 
 
@@ -168,7 +162,7 @@ def uniformize_positive(
     f = RadialFunction(grid=grid, values=f_vals)
     u = laplace_solve_radial(base, f)
 
-    mask, lap = _flux_laplacian(base, u)
+    mask, lap = _series_laplacian(base, u)
     scal_new = 2.0 * np.exp(-2.0 * u.values[mask]) * (lap + K[mask])
     return u, float(np.min(scal_new))
 

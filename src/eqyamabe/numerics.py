@@ -32,6 +32,7 @@ __all__ = [
     "gauss_panels",
     "sign_change_roots",
     "trig_interpolant",
+    "trig_antiderivative",
     "check_derivative",
     "minimize_scalar",
     "solve_tridiagonal",
@@ -297,6 +298,21 @@ def trig_interpolant(samples: np.ndarray, start: float, period: float) -> tuple[
         return evaluate
 
     return horner(c), horner(1j * k * c), horner(-k * k * c)
+
+
+def trig_antiderivative(samples: np.ndarray, period: float) -> np.ndarray:
+    """The antiderivative of the trigonometric interpolant of one period of
+    uniform samples, zero at the first, at each sample point.  The mean of the
+    samples has no periodic antiderivative and is dropped, as is the Nyquist
+    mode of an even count: one real FFT there and one back."""
+    n = len(samples)
+    c = np.fft.rfft(samples)
+    c[1:] /= 1j * (2.0 * math.pi / period) * np.arange(1, c.size)
+    c[0] = 0.0
+    if n % 2 == 0:
+        c[-1] = 0.0
+    out = np.fft.irfft(c, n)
+    return out - out[0]
 
 
 def sign_change_roots(f: Callable, df: Callable, x: np.ndarray, fx: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@
 Two representations are kept side by side:
 
 * an arclength profile (ds^2 + phi(s)^2 dtheta^2 on [0, L] with cone points
-  at the ends; phi in closed form, or the sine series or spline of samples),
-  which makes curvature, area and the radial Laplacian one-dimensional, and
+  at the ends; phi in closed form, or the sine series of samples, fitted by
+  least squares first when they are not uniform), which makes curvature,
+  area and the radial Laplacian one-dimensional, and
 * the rational chart of the weighted projective line CP^1(m1, m2), carrying
   the functions lam1, lam2, gamma of the quotient metric of the weighted
   circle action on the 3-sphere.
@@ -42,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError, GridTooCoarse, NotCoprime, QuadratureFailure
 from .numerics import IntegralResult, NoConvergence, QuadratureConfig, gauss_panels, integrate
-from .numerics import trig_interpolant
+from .numerics import sign_change_roots, trig_interpolant
 
 __all__ = [
     "ConeSurfaceProfile",
@@ -421,9 +422,9 @@ def profile_from_samples(
     """Profile from arclength samples; endpoints must be the poles (phi = 0).
 
     phi is odd about each pole: uniform samples give the sine series of their
-    odd extension to period 2L (`trig_interpolant`), smooth through the poles,
-    and non-uniform samples a cubic spline through the samples reflected
-    oddly through each pole (16 per pole), accurate to about 1e-7.
+    odd extension to period 2L (`trig_interpolant`), smooth through the poles.
+    Non-uniform samples are fitted by least squares with its first (n - 1) // 2
+    modes, read on the uniform grid of the same count (2 s at n = 3201).
     """
     s = np.asarray(s_values, dtype=float)
     p = np.asarray(phi_values, dtype=float)
@@ -437,22 +438,13 @@ def profile_from_samples(
     s = s - s[0]
     if np.any(p[1:-1] <= 0):
         raise ValueError("profile must be positive between the poles")
-    if np.allclose(s, np.linspace(0.0, L, s.size), rtol=0.0, atol=1e-12 * L):
-        series = trig_interpolant(np.concatenate([p, -p[-2:0:-1]]), 0.0, 2.0 * L)
-        return profile_from_callables(L, *series, m_start, m_end, label)
-
-    from scipy.interpolate import CubicSpline
-
-    r = min(16, s.size - 1)
-    spline = CubicSpline(
-        np.concatenate([-s[r:0:-1], s, 2.0 * L - s[-2 : -r - 2 : -1]]),
-        np.concatenate([-p[r:0:-1], p, -p[-2 : -r - 2 : -1]]),
-    )
-    base = ConeSurfaceProfile(
-        L, int(m_start), int(m_end), spline, spline.derivative(), spline.derivative(2), label
-    )
-    _check_cone_slopes(base, h=max(L * 1e-4, float(s[1] - s[0])))
-    return base
+    uniform = np.linspace(0.0, L, s.size)
+    if not np.allclose(s, uniform, rtol=0.0, atol=1e-12 * L):
+        k = np.arange(1, (s.size - 1) // 2 + 1) * (math.pi / L)
+        coeffs = np.linalg.lstsq(np.sin(np.outer(s, k)), p, rcond=None)[0]
+        p = np.sin(np.outer(uniform, k)) @ coeffs
+    series = trig_interpolant(np.concatenate([p, -p[-2:0:-1]]), 0.0, 2.0 * L)
+    return profile_from_callables(L, *series, m_start, m_end, label)
 
 
 # ---------------------------------------------------------------------------
@@ -523,14 +515,16 @@ def _rules(base: Base, cfg: QuadratureConfig):
     return rules
 
 
-def _cached_integral(base: Base, name: str, fn: Callable, cfg: QuadratureConfig | None) -> float:
-    """`integrate_over_base(base, fn, cfg).value`, computed once per (name, cfg)
-    for an integrand that depends on the base alone."""
+def _cached_integral(
+    base: Base, name: str, fn: Callable, cfg: QuadratureConfig | None, breaks: Callable = tuple
+) -> float:
+    """`integrate_over_base(base, fn, cfg, breaks()).value`, computed once per
+    (name, cfg) for an integrand that depends on the base alone."""
     cfg = cfg or QuadratureConfig()
     integrals = _plan(base).integrals
     key = (name, cfg)
     if key not in integrals:
-        integrals[key] = integrate_over_base(base, fn, cfg).value
+        integrals[key] = integrate_over_base(base, fn, cfg, breaks()).value
     return integrals[key]
 
 
@@ -596,25 +590,22 @@ def scalar_curvature_integral(base: Base, cfg: QuadratureConfig | None = None) -
     """int |2K|^{3/2} dA, the base scalar curvature to the power 3/2 (once
     per base and config); 0 on the flat torus.
 
-    The default tolerance is 2e-8 relative, looser than the library default
-    for the reason given in `gauss_bonnet_check`.
+    The integrand has a kink wherever K changes sign, so the roots of K found
+    between the first level's nodes (Newton steps on a centred difference)
+    cut the panels that hold them, as the roots of F do in `omega_norms`.
     """
-    if cfg is None:
-        cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=2e-8, max_refinements=7)
-    return _cached_integral(
-        base, "scal_32", lambda s: np.abs(2.0 * base.gauss_curvature(s)) ** 1.5, cfg
-    )
+    K = base.gauss_curvature
+
+    def roots() -> np.ndarray:
+        nodes = quadrature_nodes(base, cfg)
+        h = 1e-6 * base.length
+        return sign_change_roots(K, lambda s: (K(s + h) - K(s - h)) / (2.0 * h), nodes, K(nodes))
+
+    return _cached_integral(base, "scal_32", lambda s: np.abs(2.0 * K(s)) ** 1.5, cfg, roots)
 
 
 def gauss_bonnet_check(base: Base, cfg: QuadratureConfig | None = None) -> float:
-    """(1/2pi) int K dA by quadrature; contract: equals chi_orb within 1e-6.
-
-    The default tolerance is matched to that contract rather than to the
-    library default: the spline of non-uniform profile samples has a
-    piecewise second derivative and cannot refine to 1e-10.
-    """
-    if cfg is None:
-        cfg = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8)
+    """(1/2pi) int K dA by quadrature; contract: equals chi_orb within 1e-6."""
     res = integrate_over_base(base, base.gauss_curvature, cfg)
     return res.value / (2.0 * math.pi)
 

@@ -193,20 +193,15 @@ def conformal_functional(
     if np.any(np.asarray(uf.value(probe)) <= 0.0):
         raise NonPositiveFactor("conformal factor must be strictly positive")
 
-    def num_integrand(s):
-        return (
-            2.0
-            * math.pi
-            * ell(s)
-            * (8.0 * uf.d1(s) ** 2 + scalar_curvature_total(metric, s) * uf.value(s) ** 2)
-        )
+    def rows(s):
+        # numerator and denominator share the evaluations of ell and u
+        ell_s, u_s = ell(s), uf.value(s)
+        scal = scalar_curvature_total(metric, s)
+        num = 2.0 * math.pi * ell_s * (8.0 * uf.d1(s) ** 2 + scal * u_s**2)
+        return np.stack([num, 2.0 * math.pi * ell_s * u_s**6])
 
-    def den_integrand(s):
-        return 2.0 * math.pi * ell(s) * uf.value(s) ** 6
-
-    num = integrate_over_base(base, num_integrand, cfg).value
-    den = integrate_over_base(base, den_integrand, cfg).value
-    return num / den ** (1.0 / 3.0)
+    num, den = integrate_over_base(base, rows, cfg)
+    return num.value / den.value ** (1.0 / 3.0)
 
 
 def optimal_ell(

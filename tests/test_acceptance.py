@@ -157,7 +157,7 @@ def test_criterion_6_laplace_and_uniformization():
             mask = (g > 0.05 * base.length) & (g < 0.95 * base.length)
             from scipy.interpolate import CubicSpline
 
-            sp = uu.spline()
+            sp = CubicSpline(g, uu.values)
             flux = CubicSpline(g, np.asarray(base.phi(g)) * sp(g, 1))
             lap = -flux(g[mask], 1) / np.asarray(base.phi(g[mask]))
             K = np.asarray(-base.phi_d2(g[mask]) / base.phi(g[mask]))

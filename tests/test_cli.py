@@ -66,8 +66,11 @@ def wps_model(tmp_path):
     return str(path)
 
 
-def bump_sphere_model(tmp_path, n=601, sampled_fields=False):
+def bump_sphere_model(tmp_path, n=601, sampled_fields=False, warped=False):
     s = np.linspace(0.0, math.pi, n)
+    if warped:  # non-uniform abscissae
+        s += 0.08 * math.pi * np.sin(2.0 * s)
+        s[-1] = math.pi
     phi = np.sin(s) * (1.0 + 0.15 * np.sin(s) ** 2)
     doc = {
         "base": {
@@ -85,7 +88,7 @@ def bump_sphere_model(tmp_path, n=601, sampled_fields=False):
         chern = 2.2 + 0.2 * (2.0 - 1.85 * 4.0 / 3.0 - 0.3 * 16.0 / 15.0)
         doc["ell"] = {"type": "samples", "values": (1.0 + 0.1 * np.cos(2.0 * s)).tolist()}
         doc["F"] = {"type": "samples", "values": ((1.0 + 0.2 * np.cos(2.0 * s)) / chern).tolist()}
-    path = tmp_path / f"bump_sphere_{n}_{int(sampled_fields)}.json"
+    path = tmp_path / f"bump_sphere_{n}_{int(sampled_fields)}_{int(warped)}.json"
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -450,11 +453,12 @@ def test_floats_have_17_significant_digits(capsys):
 
 
 def test_commands_without_splines_import_no_scipy(tmp_path):
-    # scipy is imported only by `laplace` and by non-uniform profile samples;
-    # the commands below use neither, so a CLI call skips its import
+    # scipy is a test oracle only: no command imports it
     wps, torus = wps_model(tmp_path), torus_model(tmp_path)
-    # uniform profile, ell and F samples are trigonometric series
+    # uniform profile, ell and F samples are trigonometric series, and
+    # non-uniform profile samples are fitted by one
     sampled = bump_sphere_model(tmp_path, n=201, sampled_fields=True)
+    warped = bump_sphere_model(tmp_path, n=201, warped=True)
     argvs = [
         ["invariants", "--m1", "2", "--m2", "3"],
         ["bound", "--m1", "2", "--m2", "3"],
@@ -464,6 +468,9 @@ def test_commands_without_splines_import_no_scipy(tmp_path):
         ["scan", "--model", torus, "--ell", "scan:0.1:1:4"],
         ["functional", "--model", sampled],
         ["minimize", "--model", sampled],
+        ["functional", "--model", warped],
+        ["laplace", "--model", sampled],
+        ["laplace", "--model", wps],
     ]
     script = f"""
 import contextlib, io, sys

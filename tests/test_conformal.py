@@ -116,6 +116,12 @@ def test_solver_linearity(half_sphere):
     assert np.max(np.abs(uc.values - (2.5 * u1.values - 1.25 * u2.values))) <= 1e-9
 
 
+def test_solver_rejects_a_non_uniform_grid(half_sphere):
+    grid = half_sphere.length * np.linspace(0.0, 1.0, 2001) ** 2
+    with pytest.raises(ValueError):
+        eq.laplace_solve_radial(half_sphere, RadialFunction(grid=grid, values=np.cos(2.0 * grid)))
+
+
 def test_torus_solver():
     base = eq.FlatTorusBase(length=1.0, radius=1.0)
     grid = np.linspace(0.0, 1.0, 2001)
@@ -143,10 +149,10 @@ def _uniformize_identity_error(base):
     target = 4.0 * math.pi * chi / vol
     grid = u.grid
     mask = (grid > 0.05 * base.length) & (grid < 0.95 * base.length)
-    sp = u.spline()
     phi = np.asarray(base.phi(grid[mask]))
     from scipy.interpolate import CubicSpline
 
+    sp = CubicSpline(grid, u.values)
     flux = CubicSpline(grid, np.asarray(base.phi(grid)) * sp(grid, 1))
     lap = -flux(grid[mask], 1) / phi
     K = np.asarray(-base.phi_d2(grid[mask]) / base.phi(grid[mask]))
@@ -161,9 +167,18 @@ def test_uniformize_bump_sphere_identity():
 
 
 def test_uniformize_wps_identity():
-    base = eq.wps_profile(2, 3)
-    rel_err = _uniformize_identity_error(base)
-    assert rel_err <= 1e-6
+    # lopsided weights put nearly all of the curvature next to one pole
+    for m1, m2 in ((2, 3), (1, 10), (1, 20)):
+        rel_err = _uniformize_identity_error(eq.wps_profile(m1, m2))
+        assert rel_err <= 1e-6, (m1, m2)
+
+
+def test_uniformized_solution_has_a_decaying_cosine_spectrum():
+    # u is smooth and even about both poles, so the cosine series of its
+    # samples decays to rounding after a few dozen modes
+    u, _ = eq.uniformize_positive(bump_sphere(0.2))
+    c = np.abs(np.fft.rfft(np.concatenate([u.values, u.values[-2:0:-1]])))
+    assert np.count_nonzero(c >= np.finfo(float).eps * c.max()) <= 64
 
 
 def test_uniformize_rejects_torus():
