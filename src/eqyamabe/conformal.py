@@ -10,9 +10,10 @@ discretization, and its Laplacian is recomputed from the series of the
 solution's samples (`RadialField.from_samples`).
 
 The conformal minimizer runs an H^1-preconditioned (Sobolev) gradient descent
-on the discretized functional over positive radial factors: each step solves
-the grid's tridiagonal H^1 Gram system with `numerics.solve_tridiagonal`,
-then backtracks under Armijo and renormalizes.  The final cell values are
+on the discretized functional over positive radial factors.  The grid's
+tridiagonal H^1 Gram matrix is factored once per descent
+(`numerics.factor_tridiagonal`); each step solves with that factor, then
+backtracks under Armijo and renormalizes.  The final cell values are
 evaluated as their cosine series (Fourier on the torus), and the result is an
 UPPER bound on the invariant conformal infimum, never the infimum itself.
 """
@@ -27,7 +28,7 @@ import numpy as np
 
 from .bundle import InvariantMetric, RadialField, _laplacian_of, scalar_curvature_total
 from .errors import NonpositiveChi, NotMeanZero
-from .numerics import solve_tridiagonal, trig_antiderivative
+from .numerics import factor_tridiagonal, trig_antiderivative
 from .orbifold import Base, area, chi_orb, gauss_curvature
 from .yamabe import conformal_functional
 
@@ -175,8 +176,10 @@ class MinimizerConfig:
     u_floor: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.grid_size < 8 or self.max_iterations < 1:
-            raise ValueError("grid_size and max_iterations must be positive")
+        if self.grid_size < 8:
+            raise ValueError(f"grid_size must be >= 8, got {self.grid_size}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (0.0 < self.decrease_tol < 1.0):
             raise ValueError("decrease_tol must lie in (0, 1)")
         if self.u_floor <= 0:
@@ -217,6 +220,32 @@ def _discretize(metric: InvariantMetric, n: int):
     return centers, w, ce, scal
 
 
+def _h1_preconditioner(w: np.ndarray, ce: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """g -> H^{-1} g for the grid's H^1 Gram matrix H: cell mass w on the
+    diagonal plus ce_k (e_k - e_{k+1})(e_k - e_{k+1})^T for edge k, which
+    joins cells k and (k + 1) mod n.  H is factored once, and each call runs
+    only the substitution sweeps.
+
+    H = T + close z z^T: T is tridiagonal (cell mass and chain edges) and
+    z = e_0 - e_{n-1} carries the closing edge, which only a periodic base
+    has; Sherman-Morrison adds it back, and without it the gain is 0."""
+    n = w.size
+    chain, close = ce[: n - 1], float(np.sum(ce[n - 1:]))
+    cells = np.arange(n - 1)
+    diag = w + np.bincount(cells, chain, n) + np.bincount(cells + 1, chain, n)
+    solve = factor_tridiagonal(-chain, diag, -chain)
+    z = np.zeros(n)
+    z[0], z[-1] = 1.0, -1.0
+    tz = solve(z)
+    gain = close / (1.0 + close * (tz[0] - tz[-1]))
+
+    def precondition(g: np.ndarray) -> np.ndarray:
+        tg = solve(g)
+        return tg - gain * (tg[0] - tg[-1]) * tz
+
+    return precondition
+
+
 def minimize_conformal(
     metric: InvariantMetric,
     cfg: MinimizerConfig | None = None,
@@ -240,19 +269,7 @@ def minimize_conformal(
     lo = np.arange(ce.size)  # edge k joins cells k and (k + 1) mod n
     hi = (lo + 1) % n
 
-    # H = T + close z z^T: T is tridiagonal (cell mass and chain edges) and
-    # z = e_0 - e_{n-1} carries the closing edge, which only a periodic base
-    # has; Sherman-Morrison adds it back, and without it the gain is 0
-    chain, close = ce[: n - 1], float(np.sum(ce[n - 1:]))
-    diag = w + np.bincount(lo[: n - 1], chain, n) + np.bincount(hi[: n - 1], chain, n)
-    z = np.zeros(n)
-    z[0], z[-1] = 1.0, -1.0
-    tz = solve_tridiagonal(-chain, diag, -chain, z)
-    gain = close / (1.0 + close * (tz[0] - tz[-1]))
-
-    def precondition(g: np.ndarray) -> np.ndarray:
-        tg = solve_tridiagonal(-chain, diag, -chain, g)
-        return tg - gain * (tg[0] - tg[-1]) * tz
+    precondition = _h1_preconditioner(w, ce)
 
     def energy(u: np.ndarray) -> tuple[float, float, float]:
         num = float(np.sum(ce * (u[hi] - u[lo]) ** 2) + np.sum(w * scal * u**2))

@@ -35,6 +35,7 @@ __all__ = [
     "trig_antiderivative",
     "check_derivative",
     "minimize_scalar",
+    "factor_tridiagonal",
     "solve_tridiagonal",
     "richardson_table",
     "limit_at_zero",
@@ -273,16 +274,23 @@ def integrate(
     return results if multi else results[0]
 
 
+def _trim_modes(c: np.ndarray) -> np.ndarray:
+    """The modes up to the last one above eps times the largest; the mean
+    mode always stays, so all-zero coefficients keep one mode, not all."""
+    keep = np.flatnonzero(np.abs(c) > np.finfo(float).eps * np.abs(c).max())
+    return c[: np.max(keep, initial=0) + 1]
+
+
 def trig_interpolant(samples: np.ndarray, start: float, period: float) -> tuple[Callable, ...]:
     """Value, first and second derivative of the trigonometric interpolant of
     one period of uniform samples, the j-th of n taken at start + j period / n.
-    The coefficients come from one real FFT, trailing modes below eps times
-    the largest are dropped, and each callable sums the rest by Horner's rule
-    in z = exp(i omega (s - start)), omega = 2 pi / period."""
+    The coefficients come from one real FFT, trailing modes at or below eps
+    times the largest are dropped, and each callable sums the rest by Horner's
+    rule in z = exp(i omega (s - start)), omega = 2 pi / period."""
     n = len(samples)
     c = np.fft.rfft(samples) / n
     c[1 : (n + 1) // 2] *= 2.0  # each mode below Nyquist stands for +k and -k
-    c = c[: np.flatnonzero(np.abs(c) >= np.finfo(float).eps * np.abs(c).max())[-1] + 1]
+    c = _trim_modes(c)
     omega = 2.0 * math.pi / period
     k = omega * np.arange(c.size)
 
@@ -435,6 +443,51 @@ def minimize_scalar(
     return x, fx
 
 
+def factor_tridiagonal(
+    lower: Sequence[float],
+    diag: Sequence[float],
+    upper: Sequence[float],
+) -> Callable[[Sequence[float]], np.ndarray]:
+    """Thomas elimination of the matrix alone.  lower/upper have length n-1,
+    diag length n.  The multipliers and pivots are computed once (raising
+    SingularMatrix on a pivot underflow); the returned solve(rhs), rhs of
+    length n, runs only the forward and back substitution sweeps."""
+    d = np.asarray(diag, dtype=float)
+    lo = np.asarray(lower, dtype=float)
+    up = np.asarray(upper, dtype=float)
+    n = d.size
+    if lo.size != n - 1 or up.size != n - 1:
+        raise ValueError("inconsistent band lengths")
+    scale = max(np.max(np.abs(d)), np.max(np.abs(lo), initial=0.0), np.max(np.abs(up), initial=0.0))
+    tiny = 1e-300 + 1e-14 * scale
+    # the sweeps run on Python floats: the same IEEE operations as numpy
+    # scalars, without their per-operation overhead
+    d, lo, up = d.tolist(), lo.tolist(), up.tolist()
+    mult = [0.0] * n
+    for i in range(1, n):
+        if abs(d[i - 1]) < tiny:
+            raise SingularMatrix(f"pivot underflow at row {i - 1}")
+        m = mult[i] = lo[i - 1] / d[i - 1]
+        d[i] -= m * up[i - 1]
+    if abs(d[-1]) < tiny:
+        raise SingularMatrix("pivot underflow at last row")
+
+    def solve(rhs: Sequence[float]) -> np.ndarray:
+        y = np.asarray(rhs, dtype=float)
+        if y.size != n:
+            raise ValueError("inconsistent band lengths")
+        y = y.ravel().tolist()
+        for i in range(1, n):
+            y[i] -= mult[i] * y[i - 1]
+        x = [0.0] * n
+        x[-1] = y[-1] / d[-1]
+        for i in range(n - 2, -1, -1):
+            x[i] = (y[i] - up[i] * x[i + 1]) / d[i]
+        return np.array(x)
+
+    return solve
+
+
 def solve_tridiagonal(
     lower: Sequence[float],
     diag: Sequence[float],
@@ -442,28 +495,7 @@ def solve_tridiagonal(
     rhs: Sequence[float],
 ) -> np.ndarray:
     """Thomas elimination.  lower/upper have length n-1, diag/rhs length n."""
-    d = np.asarray(diag, dtype=float).copy()
-    lo = np.asarray(lower, dtype=float)
-    up = np.asarray(upper, dtype=float)
-    y = np.asarray(rhs, dtype=float).copy()
-    n = d.size
-    if lo.size != n - 1 or up.size != n - 1 or y.size != n:
-        raise ValueError("inconsistent band lengths")
-    scale = max(np.max(np.abs(d)), np.max(np.abs(lo), initial=0.0), np.max(np.abs(up), initial=0.0))
-    tiny = 1e-300 + 1e-14 * scale
-    for i in range(1, n):
-        if abs(d[i - 1]) < tiny:
-            raise SingularMatrix(f"pivot underflow at row {i - 1}")
-        m = lo[i - 1] / d[i - 1]
-        d[i] -= m * up[i - 1]
-        y[i] -= m * y[i - 1]
-    if abs(d[-1]) < tiny:
-        raise SingularMatrix("pivot underflow at last row")
-    x = np.empty(n)
-    x[-1] = y[-1] / d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (y[i] - up[i] * x[i + 1]) / d[i]
-    return x
+    return factor_tridiagonal(lower, diag, upper)(rhs)
 
 
 def limit_at_zero(

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import eqyamabe as eq
+import eqyamabe.conformal as conformal
 from eqyamabe.conformal import RadialFunction, laplace_residual
 from eqyamabe.errors import NonpositiveChi, NotMeanZero
-from eqyamabe.numerics import solve_tridiagonal
+from eqyamabe.numerics import factor_tridiagonal
 
 from conftest import BERGER_HALF_J, SIGMA_S3, bump_sphere
 
@@ -20,7 +21,8 @@ def _eigenvalue_oracle(base, n=2000):
     iteration on a tridiagonal finite-volume discretization.
 
     Independent of the double-quadrature solver: the operator is assembled
-    from fluxes at cell edges and inverted with the Thomas solver.
+    from fluxes at cell edges, shifted by 1e-8, and factored once by the
+    Thomas solver.
     """
     L = base.length
     h = L / n
@@ -36,9 +38,9 @@ def _eigenvalue_oracle(base, n=2000):
     w = phi_c * h
     u = np.cos(2.0 * centers)  # rough mode shape to seed the iteration
     u -= np.dot(u, w) / np.sum(w)
-    shift = 1e-8
+    solve = factor_tridiagonal(lower, diag + 1e-8, upper)
     for _ in range(60):
-        v = solve_tridiagonal(lower, diag + shift, upper, u)
+        v = solve(u)
         v -= np.dot(v, w) / np.sum(w)  # project out the constant kernel
         u = v / np.max(np.abs(v))
     Au = diag * u
@@ -274,6 +276,45 @@ def test_minimize_iterations_do_not_grow_with_grid(kind):
         counts.append(len(result.trace) - 1)
     assert len(set(counts)) == 1, counts
     assert counts[0] <= 20
+
+
+def test_minimizer_config_names_its_bounds():
+    with pytest.raises(ValueError, match="grid_size must be >= 8"):
+        eq.MinimizerConfig(grid_size=5)
+    with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+        eq.MinimizerConfig(max_iterations=0)
+    eq.MinimizerConfig(grid_size=8, max_iterations=1)
+
+
+@pytest.mark.parametrize("kind", sorted(_DESCENT_METRICS))
+def test_h1_preconditioner_matches_a_dense_solve(kind):
+    # the dense Gram matrix carries the torus closing edge as a corner pair,
+    # which the preconditioner adds by Sherman-Morrison
+    n = 64
+    _, w, ce, _ = conformal._discretize(_DESCENT_METRICS[kind](), n)
+    H = np.diag(w)
+    for k, c in enumerate(ce):
+        e = np.zeros(n)
+        e[k], e[(k + 1) % n] = 1.0, -1.0
+        H += c * np.outer(e, e)
+    assert (H[0, -1] != 0.0) == (kind == "torus")
+    precondition = conformal._h1_preconditioner(w, ce)
+    for g in np.random.default_rng(3).normal(size=(3, n)):
+        exact = np.linalg.solve(H, g)
+        assert np.max(np.abs(precondition(g) - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def test_minimize_factors_the_gram_matrix_once(monkeypatch, hopf):
+    calls = []
+
+    def counting(*bands):
+        calls.append(len(bands[1]))
+        return factor_tridiagonal(*bands)
+
+    monkeypatch.setattr(conformal, "factor_tridiagonal", counting)
+    result = eq.minimize_conformal(hopf, eq.MinimizerConfig(grid_size=64), u0=_perturbed_start(hopf))
+    assert len(result.trace) > 3
+    assert calls == [64]
 
 
 def test_minimize_budget_exhausted(hopf):

@@ -20,7 +20,9 @@ from eqyamabe.errors import (
 from eqyamabe.numerics import (
     IntegralResult,
     QuadratureConfig,
+    _trim_modes,
     check_derivative,
+    factor_tridiagonal,
     integrate,
     limit_at_zero,
     minimize_scalar,
@@ -200,6 +202,13 @@ def test_trig_interpolant_of_zeros_is_zero():
     assert value(s).tolist() == d1(s).tolist() == d2(s).tolist() == [0.0] * 5
 
 
+def test_trim_keeps_only_the_mean_mode_of_zeros():
+    # 0 is not above eps * max|c| = 0, so no trailing mode of zero data stays
+    assert _trim_modes(np.zeros(2001, dtype=complex)).size == 1
+    c = np.array([0.0, 1.0, 1e-17, 0.0], dtype=complex)
+    assert _trim_modes(c).tolist() == [0.0, 1.0]
+
+
 # ---------------------------------------------------------------------------
 # check_derivative
 # ---------------------------------------------------------------------------
@@ -300,6 +309,47 @@ def test_tridiagonal_dirichlet_laplacian_manufactured():
 def test_tridiagonal_singular():
     with pytest.raises(SingularMatrix):
         solve_tridiagonal([0.0], [0.0, 1.0], [0.0], [1.0, 1.0])
+
+
+def _thomas_reference(lo, d, up, y):
+    # the one-shot elimination on numpy scalars, in the solver's operation order
+    d, y = np.array(d, dtype=float), np.array(y, dtype=float)
+    for i in range(1, d.size):
+        m = lo[i - 1] / d[i - 1]
+        d[i] -= m * up[i - 1]
+        y[i] -= m * y[i - 1]
+    x = np.empty(d.size)
+    x[-1] = y[-1] / d[-1]
+    for i in range(d.size - 2, -1, -1):
+        x[i] = (y[i] - up[i] * x[i + 1]) / d[i]
+    return x
+
+
+def test_tridiagonal_factor_solves_bit_identically_to_one_shot_elimination():
+    rng = np.random.default_rng(11)
+    n = 50
+    lo, up = rng.normal(size=n - 1), rng.normal(size=n - 1)
+    d = np.abs(rng.normal(size=n)) + 3.0
+    solve = factor_tridiagonal(lo, d, up)
+    for rhs in rng.normal(size=(4, n)):
+        expected = _thomas_reference(lo, d, up, rhs).tolist()
+        assert solve(rhs).tolist() == solve_tridiagonal(lo, d, up, rhs).tolist() == expected
+
+
+def test_tridiagonal_factor_checks_the_matrix_before_any_rhs():
+    with pytest.raises(SingularMatrix):
+        factor_tridiagonal([0.0], [0.0, 1.0], [0.0])
+    with pytest.raises(ValueError):
+        factor_tridiagonal([1.0, 1.0], [2.0, 2.0], [1.0])
+    solve = factor_tridiagonal([1.0], [2.0, 2.0], [1.0])
+    with pytest.raises(ValueError):
+        solve([1.0, 2.0, 3.0])
+
+
+def test_tridiagonal_one_by_one():
+    assert factor_tridiagonal([], [4.0], [])([2.0]).tolist() == [0.5]
+    with pytest.raises(SingularMatrix):
+        factor_tridiagonal([], [0.0], [])
 
 
 @settings(max_examples=40, deadline=None)
