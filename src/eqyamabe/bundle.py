@@ -23,6 +23,7 @@ import numpy as np
 from .numerics import QuadratureConfig, sign_change_roots, trig_interpolant
 from .orbifold import (
     Base,
+    _cached_norms,
     gauss_curvature,
     integrate_over_base,
     quadrature_nodes,
@@ -45,8 +46,11 @@ __all__ = [
 class RadialField:
     """A radial (circle-invariant) function on the base with two derivatives.
 
-    Callables must be vectorized.  `constant` is set when the field is known
-    to be constant, which lets closed-form evaluations skip quadrature.
+    Callables must be vectorized, and pure for the life of the field: the
+    curvature-form norms of a field are computed once per base and config
+    (`omega_norms`), as a base's values are.  `constant` is set when the field
+    is known to be constant, which lets closed-form evaluations skip
+    quadrature.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -140,11 +144,13 @@ class InvariantMetric:
             # derivative must vanish there, so the slope within h of a pole
             # should be a small fraction of the field's interior slope scale
             h = 1e-4 * L
+            points = np.append(probe, [h, L - h])
             for field, name in ((self.ell, "ell"), (self.F, "F")):
-                interior = np.max(np.abs(np.asarray(field.d1(probe), dtype=float)))
+                slopes = np.abs(np.asarray(field.d1(points), dtype=float))
+                interior = np.max(slopes[:-2])
                 if interior <= 1e-12:
                     continue
-                pole_slope = max(abs(float(field.d1(h))), abs(float(field.d1(L - h))))
+                pole_slope = float(np.max(slopes[-2:]))
                 if pole_slope > 0.05 * interior:
                     warnings.warn(
                         f"{name}' does not vanish at a cone pole "
@@ -203,6 +209,35 @@ def omega_norms(metric: InvariantMetric, cfg: QuadratureConfig | None = None) ->
     """L^p norms of the curvature form, the 3/2-norm of the base scalar
     curvature, and the measured Chern number (1/2pi) int F dv.
 
+    The report is computed once per (base, F, config) and kept in the base's
+    quadrature plan until F or the base is garbage-collected, so a repeat is
+    a lookup (a field whose callables cannot be hashed is computed afresh).
+    A fractional Chern number is warned about on every call.
+    """
+    return _norms(metric.base, metric.F, cfg, validated=True)
+
+
+def _norms(
+    base: Base, F: FieldLike, cfg: QuadratureConfig | None = None, validated: bool = False
+) -> NormReport:
+    """`omega_norms` of (base, F).  A report not yet in the plan first
+    validates F as `InvariantMetric` does, unless the caller's metric already
+    has (`validated`)."""
+    F = as_radial_field(F)
+
+    def compute(cfg: QuadratureConfig) -> NormReport:
+        if not validated:
+            InvariantMetric(base, RadialField.const(1.0), F)  # warns on F' at a pole
+        return _compute_norms(base, F, cfg)
+
+    report = _cached_norms(base, F, cfg, compute)
+    _warn_on_fractional_chern(base, report.chern_number)
+    return report
+
+
+def _compute_norms(base: Base, field: RadialField, cfg: QuadratureConfig) -> NormReport:
+    """The quadrature behind `omega_norms`.
+
     F is evaluated once per refinement level: the four integrands of F are
     rows of one integral.  |F| has a kink wherever F changes sign, so the
     roots of F found between the first level's nodes (and the ends of a base
@@ -212,10 +247,8 @@ def omega_norms(metric: InvariantMetric, cfg: QuadratureConfig | None = None) ->
     integral depends on the base alone and is computed once per base and
     config by `scalar_curvature_integral`.
     """
-    base = metric.base
     scal = scalar_curvature_integral(base, cfg)
-    cfg = cfg or QuadratureConfig()
-    F = metric.F.value
+    F = field.value
     sqrt2 = math.sqrt(2.0)
     nodes = quadrature_nodes(base, cfg)
     f_nodes = F(nodes)
@@ -227,7 +260,7 @@ def omega_norms(metric: InvariantMetric, cfg: QuadratureConfig | None = None) ->
         f_ends = np.zeros(2) + F(ends)
         x = np.concatenate([ends[:1], nodes, ends[1:]])
         fx = np.concatenate([f_ends[:1], f_nodes, f_ends[1:]])
-    roots = sign_change_roots(F, metric.F.d1, x, fx)
+    roots = sign_change_roots(F, field.d1, x, fx)
 
     def rows(s):
         # sqrt2 |F|, 2 F^2, (sqrt2 |F|)^3 and F, written in place
@@ -240,14 +273,12 @@ def omega_norms(metric: InvariantMetric, cfg: QuadratureConfig | None = None) ->
         return out
 
     l1, l2sq, l3, chern = integrate_over_base(base, rows, cfg, breaks=roots)
-    chern = chern.value / (2.0 * math.pi)
-    _warn_on_fractional_chern(base, chern)
     return NormReport(
         omega_L1=l1.value,
         omega_L2_sq=l2sq.value,
         omega_L3_sq=l3.value ** (2.0 / 3.0),
         scal_L32=scal ** (2.0 / 3.0),
-        chern_number=chern,
+        chern_number=chern.value / (2.0 * math.pi),
     )
 
 
@@ -259,7 +290,7 @@ def _warn_on_fractional_chern(base: Base, chern: float) -> None:
         warnings.warn(
             f"curvature density has non-integral Chern data: {m_product} * {chern:.6f} "
             "is not close to an integer",
-            stacklevel=3,
+            stacklevel=4,  # the caller of omega_norms or of a function reading the norms
         )
 
 

@@ -24,10 +24,12 @@ functions here and in `bundle`, `conformal` and `modelio` never test a type.
 Base integrals (`integrate_over_base`, `area`, `gauss_bonnet_check`,
 `scalar_curvature_integral`) are served from a quadrature plan per base: the
 members' values at the read-only nodes of the first two refinement levels
-(built once per length), and the base-only integrals, each computed on first
-use; `quadrature_nodes` hands a caller the first level's nodes.  Plans live
-in a weak-keyed table, so a plan is dropped when its base is
-garbage-collected; integrands and callers see read-only nodes and values.
+(built once per length), the base-only integrals, and the curvature-form
+norms of each curvature density (`bundle.omega_norms`), each computed on
+first use; `quadrature_nodes` hands a caller the first level's nodes.  Plans
+live in a weak-keyed table, so a plan is dropped when its base is
+garbage-collected, and a field's norms when the field is; integrands and
+callers see read-only nodes and values.
 Results are bit-identical to evaluating phi afresh at every call.
 """
 
@@ -463,13 +465,16 @@ class _Plan:
     `nodes` maps id(nodes) to the node arrays of the cached levels that the
     base has used; `values` maps (member, id(nodes)) to a base member's
     read-only values at the nodes; `integrals` maps (name, cfg) to a
-    base-only integral.  A plan holds no reference to its base.
+    base-only integral; `norms` maps a curvature density F, weakly, to its
+    curvature-form norms per cfg, so an entry dies with its field.  A plan
+    holds no reference to its base.
     """
 
     def __init__(self) -> None:
         self.nodes: dict[int, np.ndarray] = {}
         self.values: dict[tuple[str, int], np.ndarray] = {}
         self.integrals: dict[tuple[str, QuadratureConfig], float] = {}
+        self.norms: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 # One plan per live base; an entry dies with its base.
@@ -526,6 +531,19 @@ def _cached_integral(
     if key not in integrals:
         integrals[key] = integrate_over_base(base, fn, cfg, breaks()).value
     return integrals[key]
+
+
+def _cached_norms(base: Base, field, cfg: QuadratureConfig | None, compute: Callable):
+    """compute(cfg), the curvature-form norms of `field` on the base, once per
+    (field, cfg); a field that cannot be hashed is computed afresh."""
+    cfg = cfg or QuadratureConfig()
+    try:
+        reports = _plan(base).norms.setdefault(field, {})
+    except TypeError:  # callables that define equality but no hash
+        return compute(cfg)
+    if cfg not in reports:
+        reports[cfg] = compute(cfg)
+    return reports[cfg]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import FieldLike, as_radial_field, omega_norms, InvariantMetric, RadialField
+from .bundle import FieldLike, _norms
 from .errors import DegenerateData, InvalidCase, PositiveChi
 from .numerics import QuadratureConfig
 from .orbifold import Base, area, chi_orb
@@ -66,8 +66,7 @@ def ell_scan(
         raise ValueError("fiber lengths must be positive")
 
     chi = chi_orb(base)
-    Ff = as_radial_field(F)
-    norms = omega_norms(InvariantMetric(base=base, ell=RadialField.const(1.0), F=Ff), cfg)
+    norms = _norms(base, F, cfg)
     J = closed_form_J(area(base, cfg), chi, norms.omega_L2_sq, ells)
 
     if chi > 0 and norms.omega_L2_sq > _OMEGA_ZERO_TOL:
@@ -113,9 +112,8 @@ def collapse_bounds(
         raise ValueError("fiber length must be positive")
     if ell > 1.0:
         raise InvalidCase("the collapse lower bound is normalized to ell <= 1")
-    Ff = as_radial_field(F)
-    norms = omega_norms(InvariantMetric(base=base, ell=RadialField.const(1.0), F=Ff), cfg)
-    upper = functional_J_closed(base, Ff, ell, cfg, norms=norms)
+    norms = _norms(base, F, cfg)
+    upper = functional_J_closed(base, F, ell, cfg, norms=norms)
     lower = -((2.0 * math.pi * ell) ** (2.0 / 3.0)) * (
         norms.scal_L32 + 0.25 * norms.omega_L3_sq
     )

@@ -27,8 +27,8 @@ from .bundle import (
     InvariantMetric,
     NormReport,
     RadialField,
+    _norms,
     as_radial_field,
-    omega_norms,
     scalar_curvature_total,
 )
 from .errors import (
@@ -155,12 +155,16 @@ def functional_J_closed(
     """Closed form for constant fiber length:
 
         (pi^2 / (16 vol))^{1/3} (16 pi chi ell^{2/3} - |Omega|_2^2 ell^{8/3})
+
+    `norms`, when given, is the `omega_norms` report of (base, F) and is used
+    instead of looking it up; otherwise the report is read from the base's
+    quadrature plan, where the first call for (F, cfg) computes it.
     """
     if ell_const <= 0:
         raise ValueError("fiber length must be positive")
     vol = area(base, cfg)
     if norms is None:
-        norms = omega_norms(_as_metric(base, F, ell_const), cfg)
+        norms = _norms(base, F, cfg)
     return closed_form_J(vol, chi_orb(base), norms.omega_L2_sq, ell_const)
 
 
@@ -170,10 +174,6 @@ def closed_form_J(vol: float, chi: float, omega_L2_sq: float, ell):
     return (math.pi**2 / (16.0 * vol)) ** (1.0 / 3.0) * (
         16.0 * math.pi * chi * ell ** (2.0 / 3.0) - omega_L2_sq * ell ** (8.0 / 3.0)
     )
-
-
-def _as_metric(base: Base, F: FieldLike, ell_const: float) -> InvariantMetric:
-    return InvariantMetric(base=base, ell=RadialField.const(ell_const), F=as_radial_field(F))
 
 
 def conformal_functional(
@@ -215,13 +215,15 @@ def optimal_ell(
 
     Cross-checked against a numerical scan of the closed form; disagreement
     raises InconsistentRoutes.  `norms`, when given, is the `omega_norms`
-    report of (base, F) and is used instead of recomputing it.
+    report of (base, F) and is used instead of looking it up; otherwise the
+    report is read from the base's quadrature plan, where the first call for
+    (F, cfg) computes it.
     """
     chi = chi_orb(base)
     if chi <= 0:
         raise NonpositiveChi("no interior maximum in ell when chi <= 0")
     if norms is None:
-        norms = omega_norms(_as_metric(base, F, 1.0), cfg)
+        norms = _norms(base, F, cfg)
     if norms.omega_L2_sq <= _OMEGA_ZERO_TOL:
         raise UnboundedInEll(
             "curvature form vanishes: the functional grows like ell^{2/3} without bound"
@@ -313,13 +315,14 @@ def bound_cauchy_schwarz(
     """Upper bound 3 * 2^{4/3} pi^2 chi^{4/3} |Omega|_1^{-2/3} (volume-free).
 
     `norms`, when given, is the `omega_norms` report of (base, F) and is used
-    instead of recomputing it.
+    instead of looking it up; otherwise the report is read from the base's
+    quadrature plan, where the first call for (F, cfg) computes it.
     """
     chi = chi_orb(base)
     if chi <= 0:
         raise NonpositiveChi("the bound requires chi > 0")
     if norms is None:
-        norms = omega_norms(_as_metric(base, F, 1.0), cfg)
+        norms = _norms(base, F, cfg)
     if norms.omega_L1 <= _OMEGA_ZERO_TOL:
         raise UnboundedInEll("curvature form vanishes: no finite bound")
     return (

@@ -217,6 +217,8 @@ def test_fractional_chern_warns(half_sphere):
     )
     with pytest.warns(UserWarning, match="Chern"):
         eq.omega_norms(metric)
+    with pytest.warns(UserWarning, match="Chern"):  # a repeat reads the plan and warns again
+        eq.omega_norms(metric)
 
 
 def test_radial_field_from_samples_matches_function(half_sphere):

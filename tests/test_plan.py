@@ -1,5 +1,6 @@
 """The per-base quadrature plan: exact agreement with uncached integrals,
-evaluation budget, lifetime, and read-only nodes."""
+evaluation budget, lifetime, and read-only nodes; the curvature-form norms
+kept per field and config."""
 
 from __future__ import annotations
 
@@ -61,6 +62,28 @@ def cases():
     }
 
 
+def rewrapped(field):
+    """The same functions in new callables: an equal field that is a new key."""
+    return eq.RadialField(
+        value=lambda s: field.value(s),
+        d1=lambda s: field.d1(s),
+        d2=lambda s: field.d2(s),
+        constant=field.constant,
+    )
+
+
+def norms_and_bounds(base, F, ell=0.7):
+    """omega_norms, J at ell, J_max and Cauchy-Schwarz without `norms=`
+    (the bounds only where chi > 0)."""
+    results = [
+        eq.omega_norms(eq.InvariantMetric(base, eq.RadialField.const(1.0), F)),
+        eq.functional_J_closed(base, F, ell),
+    ]
+    if eq.chi_orb(base) > 0:
+        results += [eq.optimal_ell(base, F), eq.bound_cauchy_schwarz(base, F)]
+    return results
+
+
 @pytest.mark.parametrize("name", ["hopf", "wps23", "torus", "sampled_bump"])
 def test_plan_results_equal_uncached_integrals(name):
     base, F, ell = cases()[name]
@@ -109,6 +132,8 @@ def test_plan_results_equal_uncached_integrals(name):
             assert eq.area(base) == expected_area
             assert eq.gauss_bonnet_check(base) == expected_gb
             assert eq.functional_J(metric).J == expected_J
+            # the bounds read the plan's report; an equal field in new callables misses
+            assert norms_and_bounds(base, F) == norms_and_bounds(base, rewrapped(F))
 
 
 def counted(fn, log):
@@ -137,9 +162,15 @@ def test_warm_plan_evaluation_budget(monkeypatch):
     phi_points.clear()
     F_points.clear()
 
-    # a warm base evaluates no profile, and F once per level: 32 and 64 panels
-    # of 16 points, where every norm of this density converges
+    # a repeat on the same F is a lookup in the plan
     assert eq.omega_norms(metric) == first
+    assert phi_points == []
+    assert F_points == []
+
+    # a new field on the warm base evaluates no profile, and F once per level:
+    # 32 and 64 panels of 16 points, where every norm of this density converges
+    F = dataclasses.replace(F, value=counted(eq.wps_density_field(2, 3).value, F_points))
+    assert eq.omega_norms(eq.InvariantMetric(base, eq.RadialField.const(1.0), F)) == first
     assert phi_points == []
     assert F_points == [512, 1024]
 
@@ -224,3 +255,60 @@ def test_unhashable_base_evaluates_F_once_per_level():
             norms.append(eq.omega_norms(eq.InvariantMetric(base, eq.RadialField.const(1.0), F)))
             assert F_points == [512, 1024]
     assert norms[0] == norms[1]
+
+
+def test_bound_chain_evaluates_F_once_per_level():
+    # omega_norms, J, J_max and Cauchy-Schwarz share one report: F is evaluated
+    # once at each of the two levels where every norm of this density converges
+    F_points = []
+    base = eq.wps_profile(2, 3)
+    F = eq.wps_density_field(2, 3)
+    F = dataclasses.replace(F, value=counted(F.value, F_points))
+    norms_and_bounds(base, F)
+    assert F_points == [512, 1024]
+
+    # None and the default config are one key; another config is another
+    F_points.clear()
+    metric = eq.InvariantMetric(base, eq.RadialField.const(1.0), F)
+    assert eq.omega_norms(metric, QuadratureConfig()) == eq.omega_norms(metric)
+    assert F_points == []
+    eq.omega_norms(metric, QuadratureConfig(rel_tol=1e-9))
+    assert F_points
+
+
+def test_norms_entry_dies_with_its_field_and_its_base():
+    base = eq.wps_profile(2, 3)
+    F = eq.wps_density_field(2, 3)
+    eq.optimal_ell(base, F)
+    plan = orbifold._PLANS[base]
+    assert list(plan.norms) == [F]
+    field_ref = weakref.ref(F)
+    del F
+    gc.collect()
+    assert field_ref() is None
+    assert len(plan.norms) == 0
+
+    F = eq.wps_density_field(2, 3)
+    eq.optimal_ell(base, F)
+    plan_ref, base_ref = weakref.ref(plan), weakref.ref(base)
+    del plan, base
+    gc.collect()
+    assert base_ref() is None
+    assert plan_ref() is None
+
+
+def test_field_with_unhashable_callables_is_served_uncached():
+    # np.poly1d defines equality but no hash, so such a field cannot key a
+    # report; F' = 0.4 s (L - s) (L - 2 s) vanishes at both poles
+    base = eq.make_round_sphere(0.5)
+    p = 1.0 + 0.1 * np.poly1d([-1.0, base.length, 0.0]) ** 2
+    unhashable = eq.RadialField(value=p, d1=p.deriv(), d2=p.deriv(2))
+    with pytest.raises(TypeError):
+        hash(unhashable)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # fractional Chern data
+        hashable = rewrapped(unhashable)
+        expected = norms_and_bounds(base, hashable)
+        for _ in range(2):
+            assert norms_and_bounds(base, unhashable) == expected
+    assert list(orbifold._PLANS[base].norms) == [hashable]
