@@ -182,9 +182,13 @@ def scalar_curvature_total(metric: InvariantMetric, s):
     and |Omega|^2 = 2 F^2.  On a profile, s must lie in the open interval
     (0, L).
     """
+    return _scalar_curvature(metric, s, metric.ell.value(s))
+
+
+def _scalar_curvature(metric: InvariantMetric, s, ell):
+    """`scalar_curvature_total` at s, given ell's values there."""
     base = metric.base
     K = gauss_curvature(base, s)
-    ell = metric.ell.value(s)
     F = metric.F.value(s)
     return 2.0 * K - 0.5 * ell**2 * F**2 + 2.0 * _laplacian_of(metric.ell, base, s) / ell
 

@@ -29,7 +29,7 @@ import numpy as np
 from .bundle import InvariantMetric, RadialField, _laplacian_of, scalar_curvature_total
 from .errors import NonpositiveChi, NotMeanZero
 from .numerics import factor_tridiagonal, trig_antiderivative
-from .orbifold import Base, area, chi_orb, gauss_curvature
+from .orbifold import Base, _cells, area, chi_orb, gauss_curvature
 from .yamabe import conformal_functional
 
 __all__ = [
@@ -207,9 +207,9 @@ def _discretize(metric: InvariantMetric, n: int):
     base = metric.base
     L = base.length
     ds = L / n
-    centers = (np.arange(n) + 0.5) * ds
-    # on a periodic base the last edge closes the circle at s = L = 0
-    edges = np.arange(1, n + 1 if base.periodic else n) * ds
+    # read-only points of the base's plan; on a periodic base the last edge
+    # closes the circle at s = L = 0
+    centers, edges = _cells(base, n)
     dens = base.area_scale * np.asarray(base.density(centers), dtype=float)
     dens_e = base.area_scale * np.asarray(base.density(edges), dtype=float)
     ell_c = np.asarray(metric.ell.value(centers), dtype=float)
@@ -260,7 +260,8 @@ def minimize_conformal(
     from zero and renormalized to int 2 pi ell u^6 dv = 1, so the trace is
     non-increasing.  The descent converges when g.p <= decrease_tol *
     max(1, |J|) or no step decreases J; if the iteration budget runs out
-    first, the last iterate is returned with converged=False.
+    first, the last iterate is returned with converged=False.  A callable
+    u0 receives the read-only cell centres of the base's quadrature plan.
     """
     if cfg is None:
         cfg = MinimizerConfig()
@@ -325,7 +326,7 @@ def minimize_conformal(
     u_star = RadialField.from_samples(centers, u, periodic=metric.base.periodic)
     return MinimizeResult(
         mu_upper=conformal_functional(metric, u_star),
-        u_star=RadialFunction(grid=centers, values=u),
+        u_star=RadialFunction(grid=centers.copy(), values=u),  # writable, not the plan's
         trace=np.asarray(trace),
         converged=converged,
     )

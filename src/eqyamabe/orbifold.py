@@ -26,11 +26,19 @@ Base integrals (`integrate_over_base`, `area`, `gauss_bonnet_check`,
 members' values at the read-only nodes of the first two refinement levels
 (built once per length), the base-only integrals, and the curvature-form
 norms of each curvature density (`bundle.omega_norms`), each computed on
-first use; `quadrature_nodes` hands a caller the first level's nodes.  Plans
-live in a weak-keyed table, so a plan is dropped when its base is
-garbage-collected, and a field's norms when the field is; integrands and
-callers see read-only nodes and values.
+first use; `quadrature_nodes` hands a caller the first level's nodes, and
+the minimizer's cell centres and edges are plan nodes too.  Plans live in a
+weak-keyed table, so a plan is dropped when its base is garbage-collected,
+and a field's norms when the field is; integrands and callers see read-only
+nodes and values.
 Results are bit-identical to evaluating phi afresh at every call.
+
+`wps_profile` and `make_round_sphere` validate their arguments on every
+call and then share one base per canonical arguments (int weights and grid;
+float radius), so every metric, model file and script built from the same
+arguments shares that base's plan.  Those bases, and their plans, live for
+the process, up to the last `_SHARED_BASES` arguments of each constructor;
+every other base still drops its plan when it is collected.
 """
 
 from __future__ import annotations
@@ -334,11 +342,23 @@ def _check_cone_slopes(base: ConeSurfaceProfile, h: float) -> None:
         )
 
 
+# Bases kept per constructor, least recently used first out: every caller of
+# the same arguments shares one base and its quadrature plan.
+_SHARED_BASES = 32
+
+
 def make_round_sphere(radius: float) -> ConeSurfaceProfile:
-    """Round sphere of the given radius as a smooth profile (cone orders 1, 1)."""
+    """Round sphere of the given radius as a smooth profile (cone orders 1, 1).
+
+    One base per radius: calls with equal float(radius) return the same base.
+    """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    R = float(radius)
+    return _round_sphere(float(radius))
+
+
+@lru_cache(maxsize=_SHARED_BASES)
+def _round_sphere(R: float) -> ConeSurfaceProfile:
     return profile_from_callables(
         math.pi * R,
         lambda s: R * np.sin(np.asarray(s) / R),
@@ -358,13 +378,20 @@ def wps_profile(m1: int, m2: int, grid: int = 512) -> ConeSurfaceProfile:
     is |gamma'| dt / (2 gamma |lam2|), which simplifies to dt / (2 sqrt(t(1-t))),
     so t = sin(s)^2 with total length pi/2.  Evaluation is split at L/2 and
     mirrored through the swapped-weight chart so that 1 - t is never formed
-    by cancellation near a pole.
+    by cancellation near a pole.  `grid` sets the differencing step of the
+    cone-slope check.  One base per (int(m1), int(m2), int(grid)): equal
+    arguments return the same base.
     """
     _check_weights(m1, m2)
     if grid < 4:
         raise GridTooCoarse("grid must be at least 4")
-    chart_lo = WpsChart(int(m1), int(m2))      # s <= L/2, t = sin^2 s small
-    chart_hi = WpsChart(int(m2), int(m1))      # mirrored coordinates near s = L
+    return _wps_profile(int(m1), int(m2), int(grid))
+
+
+@lru_cache(maxsize=_SHARED_BASES)
+def _wps_profile(m1: int, m2: int, grid: int) -> ConeSurfaceProfile:
+    chart_lo = WpsChart(m1, m2)      # s <= L/2, t = sin^2 s small
+    chart_hi = WpsChart(m2, m1)      # mirrored coordinates near s = L
     L = 0.5 * math.pi
 
     def _eval(s, order: int):
@@ -401,8 +428,8 @@ def wps_profile(m1: int, m2: int, grid: int = 512) -> ConeSurfaceProfile:
 
     base = ConeSurfaceProfile(
         L,
-        int(m2),
-        int(m1),
+        m2,
+        m1,
         lambda s: _eval(s, 0),
         lambda s: _eval(s, 1),
         lambda s: _eval(s, 2),
@@ -462,12 +489,12 @@ _PLAN_LEVELS = 2
 class _Plan:
     """Quadrature data of one base, computed once.
 
-    `nodes` maps id(nodes) to the node arrays of the cached levels that the
-    base has used; `values` maps (member, id(nodes)) to a base member's
-    read-only values at the nodes; `integrals` maps (name, cfg) to a
-    base-only integral; `norms` maps a curvature density F, weakly, to its
-    curvature-form norms per cfg, so an entry dies with its field.  A plan
-    holds no reference to its base.
+    `nodes` maps id(nodes) to the node arrays of the cached levels and cell
+    grids that the base has used; `values` maps (member, id(nodes)) to a
+    base member's read-only values at the nodes; `integrals` maps (name,
+    cfg) to a base-only integral; `norms` maps a curvature density F,
+    weakly, to its curvature-form norms per cfg, so an entry dies with its
+    field.  A plan holds no reference to its base.
     """
 
     def __init__(self) -> None:
@@ -518,6 +545,27 @@ def _rules(base: Base, cfg: QuadratureConfig):
     rules, nodes = _level_rules(base.length, cfg.panels, cfg.points_per_panel)
     _plan(base).nodes.update(nodes)
     return rules
+
+
+@lru_cache(maxsize=64)
+def _cell_points(length: float, n: int, periodic: bool):
+    """The read-only centres (j + 1/2) ds and inner edges j ds (with the
+    closing edge at s = length when periodic) of n cells of width
+    ds = length / n, shared by every base of that length, and their ids."""
+    ds = length / n
+    centers = (np.arange(n) + 0.5) * ds
+    edges = np.arange(1, n + 1 if periodic else n) * ds
+    for points in (centers, edges):
+        points.flags.writeable = False
+    return (centers, edges), {id(centers): centers, id(edges): edges}
+
+
+def _cells(base: Base, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_cell_points` of the base, whose members are then computed once per
+    (base, n) at them."""
+    points, nodes = _cell_points(base.length, n, base.periodic)
+    _plan(base).nodes.update(nodes)
+    return points
 
 
 def _cached_integral(

@@ -28,8 +28,8 @@ from .bundle import (
     NormReport,
     RadialField,
     _norms,
+    _scalar_curvature,
     as_radial_field,
-    scalar_curvature_total,
 )
 from .errors import (
     InconsistentRoutes,
@@ -124,7 +124,12 @@ def functional_J(metric: InvariantMetric, cfg: QuadratureConfig | None = None) -
     F = metric.F.value
 
     def integrand_base(s):
-        return (2.0 * gauss_curvature(base, s) - 0.5 * ell(s) ** 2 * F(s) ** 2) * ell(s)
+        ell_s = ell(s)
+        return (2.0 * gauss_curvature(base, s) - 0.5 * ell_s**2 * F(s) ** 2) * ell_s
+
+    def integrand_direct(s):
+        ell_s = ell(s)
+        return _scalar_curvature(metric, s, ell_s) * ell_s
 
     num = integrate_over_base(base, integrand_base, cfg)
     vol_base = integrate_over_base(base, ell, cfg)
@@ -133,7 +138,7 @@ def functional_J(metric: InvariantMetric, cfg: QuadratureConfig | None = None) -
     denominator = volume ** (1.0 / 3.0)
     J = numerator / denominator
 
-    direct = integrate_over_base(base, lambda s: scalar_curvature_total(metric, s) * ell(s), cfg)
+    direct = integrate_over_base(base, integrand_direct, cfg)
     J_direct = 2.0 * math.pi * direct.value / denominator
     tol = 1e-8 * max(abs(J), abs(J_direct), 1e-6)
     if abs(J - J_direct) > tol:
@@ -196,7 +201,7 @@ def conformal_functional(
     def rows(s):
         # numerator and denominator share the evaluations of ell and u
         ell_s, u_s = ell(s), uf.value(s)
-        scal = scalar_curvature_total(metric, s)
+        scal = _scalar_curvature(metric, s, ell_s)
         num = 2.0 * math.pi * ell_s * (8.0 * uf.d1(s) ** 2 + scal * u_s**2)
         return np.stack([num, 2.0 * math.pi * ell_s * u_s**6])
 

@@ -1,6 +1,7 @@
 """The per-base quadrature plan: exact agreement with uncached integrals,
 evaluation budget, lifetime, and read-only nodes; the curvature-form norms
-kept per field and config."""
+kept per field and config; one shared base per constructor arguments, and
+the minimizer's cells in the plan."""
 
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 
 import eqyamabe as eq
-from eqyamabe import orbifold
+from eqyamabe import modelio, orbifold
+from eqyamabe.errors import GridTooCoarse, NotCoprime
 from eqyamabe.numerics import QuadratureConfig, gauss_panels, integrate, sign_change_roots
 
 from conftest import bump_sphere, fourier_field
@@ -69,6 +71,21 @@ def rewrapped(field):
         d1=lambda s: field.d1(s),
         d2=lambda s: field.d2(s),
         constant=field.constant,
+    )
+
+
+def unshared(base):
+    """The members of a shared base (`wps_profile`, `make_round_sphere`) in a
+    new profile of new callables: a base of its own, whose plan starts empty
+    and dies with it."""
+    return eq.profile_from_callables(
+        base.length,
+        lambda s: base.phi(s),
+        lambda s: base.phi_d1(s),
+        lambda s: base.phi_d2(s),
+        base.m_start,
+        base.m_end,
+        label=base.label,
     )
 
 
@@ -187,7 +204,7 @@ def test_warm_plan_evaluation_budget(monkeypatch):
 
 
 def test_plan_entry_dies_with_its_base():
-    base = eq.wps_profile(2, 3)
+    base = unshared(eq.wps_profile(2, 3))
     eq.area(base)
     plan = orbifold._PLANS[base]
     ref = weakref.ref(base)
@@ -277,7 +294,7 @@ def test_bound_chain_evaluates_F_once_per_level():
 
 
 def test_norms_entry_dies_with_its_field_and_its_base():
-    base = eq.wps_profile(2, 3)
+    base = unshared(eq.wps_profile(2, 3))
     F = eq.wps_density_field(2, 3)
     eq.optimal_ell(base, F)
     plan = orbifold._PLANS[base]
@@ -300,7 +317,7 @@ def test_norms_entry_dies_with_its_field_and_its_base():
 def test_field_with_unhashable_callables_is_served_uncached():
     # np.poly1d defines equality but no hash, so such a field cannot key a
     # report; F' = 0.4 s (L - s) (L - 2 s) vanishes at both poles
-    base = eq.make_round_sphere(0.5)
+    base = unshared(eq.make_round_sphere(0.5))
     p = 1.0 + 0.1 * np.poly1d([-1.0, base.length, 0.0]) ** 2
     unhashable = eq.RadialField(value=p, d1=p.deriv(), d2=p.deriv(2))
     with pytest.raises(TypeError):
@@ -312,3 +329,92 @@ def test_field_with_unhashable_callables_is_served_uncached():
         for _ in range(2):
             assert norms_and_bounds(base, unhashable) == expected
     assert list(orbifold._PLANS[base].norms) == [hashable]
+
+
+def test_constructors_share_one_base_per_arguments():
+    base = eq.wps_profile(2, 3)
+    assert eq.wps_profile(2, 3, 512) is base
+    assert eq.wps_profile(np.int64(2), 3, grid=512) is base
+    assert eq.wps_metric(2, 3, 0.4).base is eq.wps_metric(2, 3, 0.7).base is base
+    wps_model = {"base": {"type": "wps", "m1": 2, "m2": 3, "grid": 512},
+                 "ell": {"type": "constant", "value": 1.0}, "F": {"type": "wps"}}
+    assert modelio.build_metric(modelio.parse_model(wps_model)).base is base
+    assert eq.wps_profile(3, 2) is not base
+    assert eq.wps_profile(2, 3, grid=256) is not base
+
+    sphere = eq.make_round_sphere(0.5)
+    assert eq.hopf_metric(0.3).base is sphere
+    assert eq.make_round_sphere(np.float64(0.5)) is sphere
+    assert eq.make_round_sphere(1) is eq.make_round_sphere(1.0) is not sphere
+
+
+def test_shared_constructors_validate_every_call():
+    eq.wps_profile(2, 3)
+    eq.make_round_sphere(0.5)
+    for _ in range(2):  # a rejected call caches nothing that a repeat could return
+        with pytest.raises(NotCoprime):
+            eq.wps_profile(2, 4)
+        with pytest.raises(NotCoprime):  # int(2.0) would be a cached key
+            eq.wps_profile(2.0, 3)
+        with pytest.raises(GridTooCoarse):
+            eq.wps_profile(2, 3, grid=3)
+        for radius in (0.0, -0.5):
+            with pytest.raises(ValueError):
+                eq.make_round_sphere(radius)
+
+
+def test_second_descent_on_a_base_evaluates_no_profile():
+    # the cells' density, phi'/phi and K join the base's plan with the
+    # quadrature levels: a descent on a new ell over a warm base reads them all
+    phi_points = []
+    shared = eq.wps_profile(2, 3)
+    base = dataclasses.replace(
+        shared,
+        phi=counted(shared.phi, phi_points),
+        phi_d1=counted(shared.phi_d1, phi_points),
+        phi_d2=counted(shared.phi_d2, phi_points),
+    )
+    F = eq.wps_density_field(2, 3)
+    eq.minimize_conformal(eq.InvariantMetric(base, eq.RadialField.const(0.5), F))
+    assert phi_points
+    phi_points.clear()
+
+    result = eq.minimize_conformal(eq.InvariantMetric(base, eq.RadialField.const(0.8), F))
+    assert phi_points == []
+    reference = eq.minimize_conformal(eq.wps_metric(2, 3, 0.8))
+    assert result.mu_upper == reference.mu_upper
+    assert result.trace.tolist() == reference.trace.tolist()
+    assert len(result.trace) > 1
+
+    # the result's grid is the caller's to write, not the plan's cell centres
+    centers, _ = orbifold._cells(base, eq.MinimizerConfig().grid_size)
+    assert not centers.flags.writeable
+    assert result.u_star.grid.flags.writeable
+    assert not np.shares_memory(result.u_star.grid, centers)
+    assert np.array_equal(result.u_star.grid, centers)
+
+
+def test_functionals_evaluate_ell_once_per_node_array(monkeypatch):
+    # J's three integrands and the conformal functional's rows each read ell
+    # once per node array they receive
+    integrand_points, ell_points = [], []
+    real_integrate = orbifold.integrate
+
+    def counting_integrate(f, *args, **kwargs):
+        return real_integrate(counted(f, integrand_points), *args, **kwargs)
+
+    monkeypatch.setattr(orbifold, "integrate", counting_integrate)
+    base = eq.wps_profile(2, 3)
+    ell = fourier_field(base.length, [0.1], 1.0)
+    ell = dataclasses.replace(ell, value=counted(ell.value, ell_points))
+    metric = eq.InvariantMetric(base, ell, eq.wps_density_field(2, 3))
+    ell_points.clear()
+    eq.functional_J(metric)
+    assert len(integrand_points) >= 6  # three integrals, two levels at least
+    assert ell_points == integrand_points
+
+    integrand_points.clear()
+    ell_points.clear()
+    eq.conformal_functional(metric, fourier_field(base.length, [0.05], 1.0))
+    assert integrand_points
+    assert ell_points == integrand_points
