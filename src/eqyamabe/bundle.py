@@ -86,28 +86,22 @@ class RadialField:
     def from_samples(cls, grid: np.ndarray, values: np.ndarray,
                      periodic: bool = False) -> "RadialField":
         """Trigonometric series (`numerics.trig_interpolant`) through samples
-        on the endpoint grid linspace(0, L, n) or the cell centres
-        (j + 1/2) L / n, and no other grid.  A smooth field is even about each
-        pole, so off the torus the samples are extended evenly to period 2L (a
-        cosine series); on the torus endpoint samples must match at the seam.
+        on the endpoint grid linspace(0, L, n), and no other grid.  A smooth
+        field is even about each pole, so off the torus the samples are
+        extended evenly to period 2L (a cosine series); on the torus the
+        samples must match at the seam.
         """
         grid = np.asarray(grid, dtype=float)
         values = np.asarray(values, dtype=float)
         if grid.ndim != 1 or grid.shape != values.shape:
             raise ValueError("grid and values must be matching 1-d arrays")
-        n, hi = grid.size, float(grid[-1])
-        h = hi / (n - 0.5)  # the spacing of a cell-centred grid
-        if np.allclose(grid, np.linspace(0.0, hi, n), rtol=0.0, atol=1e-12 * hi):
-            length, start = hi, 0.0
-            if periodic and abs(values[0] - values[-1]) > 1e-12 * max(1.0, abs(values[0])):
-                raise ValueError("periodic samples must match at the seam")
-            values = values[:-1] if periodic else np.concatenate([values, values[-2:0:-1]])
-        elif np.allclose(grid, (np.arange(n) + 0.5) * h, rtol=0.0, atol=1e-12 * hi):
-            length, start = n * h, 0.5 * h
-            values = values if periodic else np.concatenate([values, values[::-1]])
-        else:
-            raise ValueError("samples must lie on the endpoint or the cell-centred uniform grid")
-        value, d1, d2 = trig_interpolant(values, start, length if periodic else 2.0 * length)
+        length = float(grid[-1])
+        if not np.allclose(grid, np.linspace(0.0, length, grid.size), rtol=0.0, atol=1e-12 * length):
+            raise ValueError("samples must lie on the uniform endpoint grid linspace(0, L, n)")
+        if periodic and abs(values[0] - values[-1]) > 1e-12 * max(1.0, abs(values[0])):
+            raise ValueError("periodic samples must match at the seam")
+        values = values[:-1] if periodic else np.concatenate([values, values[-2:0:-1]])
+        value, d1, d2 = trig_interpolant(values, 0.0, length if periodic else 2.0 * length)
         return cls(value=value, d1=d1, d2=d2)
 
 

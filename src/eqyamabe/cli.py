@@ -323,10 +323,12 @@ def cmd_minimize(args) -> int:
     report = _base_report(args, "minimize")
     report["model"] = spec.raw
     report["quantities"] = {
-        "mu_upper": _quantity(result.mu_upper, 0.0, "projected_gradient"),
+        "mu_upper": _quantity(result.mu_upper, 0.0, "galerkin_sobolev_descent"),
         # the trace starts with the value at u0: steps taken, not values seen
         "iterations": _quantity(float(len(result.trace) - 1), exact=True),
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
+        "modes": _quantity(float(result.modes), exact=True),
         "trace_monotone": bool(np.all(np.diff(result.trace) <= 1e-12)),
     }
     report["tables"] = {"trace": result.trace.tolist()}

@@ -9,27 +9,31 @@ suite's eigenvalue oracle cross-checks it against a tridiagonal
 discretization, and its Laplacian is recomputed from the series of the
 solution's samples (`RadialField.from_samples`).
 
-The conformal minimizer runs an H^1-preconditioned (Sobolev) gradient descent
-on the discretized functional over positive radial factors.  The grid's
-tridiagonal H^1 Gram matrix is factored once per descent
-(`numerics.factor_tridiagonal`); each step solves with that factor, then
-backtracks under Armijo and renormalizes.  The final cell values are
-evaluated as their cosine series (Fourier on the torus), and the result is an
-UPPER bound on the invariant conformal infimum, never the infimum itself.
+The conformal minimizer is a Rayleigh-Ritz (Galerkin) discretization: u is a
+cosine series cos(j pi s / L) on a profile, whose terms are the smooth radial
+fields, and a Fourier series on the torus.  The functional's quadratic forms
+become small dense matrices, assembled from the basis at the first-level
+nodes of the base's quadrature plan, and an H^1-preconditioned (Sobolev)
+gradient descent runs on the coefficients: the Gram matrix is factored once
+per basis size, each step backtracks under Armijo, and the basis doubles
+while its trailing coefficients are not negligible.  The final series is
+evaluated with the library quadrature, so the result is an UPPER bound on the
+invariant conformal infimum, never the infimum itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .bundle import InvariantMetric, RadialField, _laplacian_of, scalar_curvature_total
-from .errors import NonpositiveChi, NotMeanZero
-from .numerics import factor_tridiagonal, trig_antiderivative
-from .orbifold import Base, _cells, area, chi_orb, gauss_curvature
+from .bundle import InvariantMetric, RadialField, _laplacian_of, _scalar_curvature
+from .errors import NonPositiveFactor, NonpositiveChi, NotMeanZero
+from .numerics import QuadratureConfig, trig_antiderivative, trig_series
+from .orbifold import Base, _level_rules, _rules, area, chi_orb, gauss_curvature
 from .yamabe import conformal_functional
 
 __all__ = [
@@ -170,10 +174,9 @@ def uniformize_positive(
 
 @dataclass(frozen=True)
 class MinimizerConfig:
-    grid_size: int = 200
+    grid_size: int = 200  # caps the number of basis functions
     max_iterations: int = 20000
     decrease_tol: float = 1e-10  # predicted decrease g.H^{-1}g, relative to max(1, |J|)
-    u_floor: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.grid_size < 8:
@@ -182,68 +185,166 @@ class MinimizerConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (0.0 < self.decrease_tol < 1.0):
             raise ValueError("decrease_tol must lie in (0, 1)")
-        if self.u_floor <= 0:
-            raise ValueError("u_floor must be positive")
 
 
 @dataclass
 class MinimizeResult:
     """Descent output.
 
-    mu_upper evaluates the series of the final iterate with the library quadrature,
-    so it is the functional value of an actual invariant metric and therefore
-    a true upper bound on the conformal infimum; `trace` holds the discrete
-    objective values of the descent itself (non-increasing by construction).
+    mu_upper evaluates the final series with the library quadrature, so it is
+    the functional value of an actual invariant metric and therefore a true
+    upper bound on the conformal infimum; `u_star` samples that series on
+    linspace(0, L, grid_size + 1); `trace` holds the discrete objective values
+    of the descent itself (non-increasing by construction).  `stop_reason` is
+    "tolerance" (the predicted decrease fell below decrease_tol), "no_decrease"
+    (no step decreased J at rounding level) or "budget" (max_iterations ran
+    out), and `modes` is the final basis size.
     """
 
     mu_upper: float
     u_star: RadialFunction
     trace: np.ndarray
     converged: bool
+    stop_reason: str
+    modes: int
 
 
-def _discretize(metric: InvariantMetric, n: int):
-    """Cell-centered grid, weights of 2 pi ell dv, and edge stiffness data."""
+# The minimizer integrates with the first level of the default quadrature
+# rule, whose nodes, and the base's values there, the base's plan keeps.
+_QUADRATURE = QuadratureConfig()
+
+# Basis size of a descent's first stage; grid_size caps it and every doubling.
+_START_MODES = 16
+
+# A coefficient below sqrt(eps) of the largest changes a Rayleigh quotient by
+# about eps, since the error of the quotient is quadratic in the truncation.
+_TAIL_TOL = float(np.sqrt(np.finfo(float).eps))
+
+
+@dataclass(frozen=True)
+class _Basis:
+    """Values and slopes (read-only, nodes by columns) of the first m basis
+    functions at the read-only first-level quadrature nodes: cos(j pi s / L)
+    on a profile; 1, cos(2 pi j s / L), sin(2 pi j s / L) by increasing j on
+    the torus.  Column j is Re(z^power[j]), or Re(-i z^power[j]) where
+    `sine`, with z = exp(i omega s)."""
+
+    nodes: np.ndarray
+    values: np.ndarray
+    slopes: np.ndarray
+    omega: float
+    power: np.ndarray
+    sine: np.ndarray
+
+    def series(self, c: np.ndarray) -> RadialField:
+        """The field sum_j c[j] (column j): at the nodes, the products of the
+        basis arrays with c; elsewhere summed by `numerics.trig_series`."""
+        coeffs = np.zeros(self.power[-1] + 1, dtype=complex)
+        coeffs[self.power[~self.sine]] = c[~self.sine]
+        coeffs[self.power[self.sine]] -= 1j * c[self.sine]
+        value, d1, d2 = trig_series(coeffs, 0.0, self.omega)
+
+        def planned(horner: Callable, columns: np.ndarray) -> Callable:
+            return lambda s: columns @ c if s is self.nodes else horner(s)
+
+        return RadialField(planned(value, self.values), planned(d1, self.slopes), d2)
+
+
+@lru_cache(maxsize=64)
+def _basis(length: float, periodic: bool, m: int) -> _Basis:
+    """The first m basis functions at the first-level nodes of the default
+    rule on [0, length], shared by every base of that length."""
+    nodes = _level_rules(length, _QUADRATURE.panels, _QUADRATURE.points_per_panel)[0][0][0]
+    j = np.arange(m)
+    power = (j + 1) // 2 if periodic else j
+    sine = (j % 2 == 0) & (j > 0) & periodic
+    omega = (2.0 if periodic else 1.0) * math.pi / length
+    k = omega * power
+    x = np.outer(nodes, k)
+    values = np.where(sine, np.sin(x), np.cos(x))
+    slopes = np.where(sine, np.cos(x), -np.sin(x)) * k
+    for a in (values, slopes, power, sine):
+        a.flags.writeable = False
+    return _Basis(nodes, values, slopes, omega, power, sine)
+
+
+def _node_data(metric: InvariantMetric) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first-level quadrature weights of 2 pi ell dA, the total scalar
+    curvature at those nodes, and the plain weights of ds."""
     base = metric.base
-    L = base.length
-    ds = L / n
-    # read-only points of the base's plan; on a periodic base the last edge
-    # closes the circle at s = L = 0
-    centers, edges = _cells(base, n)
-    dens = base.area_scale * np.asarray(base.density(centers), dtype=float)
-    dens_e = base.area_scale * np.asarray(base.density(edges), dtype=float)
-    ell_c = np.asarray(metric.ell.value(centers), dtype=float)
-    ell_e = np.asarray(metric.ell.value(edges % L), dtype=float)
-    w = 2.0 * math.pi * ell_c * dens * ds
-    ce = 8.0 * 2.0 * math.pi * ell_e * dens_e / ds
-    scal = np.asarray(scalar_curvature_total(metric, centers), dtype=float)
-    return centers, w, ce, scal
+    nodes, weights = _rules(base, _QUADRATURE)[0]
+    ell = np.asarray(metric.ell.value(nodes), dtype=float)
+    dens = base.area_scale * np.asarray(base.density(nodes), dtype=float)
+    scal = np.asarray(_scalar_curvature(metric, nodes, ell), dtype=float)
+    return 2.0 * math.pi * ell * dens * weights, scal, weights
 
 
-def _h1_preconditioner(w: np.ndarray, ce: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """g -> H^{-1} g for the grid's H^1 Gram matrix H: cell mass w on the
-    diagonal plus ce_k (e_k - e_{k+1})(e_k - e_{k+1})^T for edge k, which
-    joins cells k and (k + 1) mod n.  H is factored once, and each call runs
-    only the substitution sweeps.
+def _forms(basis: _Basis, W: np.ndarray, scal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The functional's numerator matrix A = stiffness + int scal u^2 and the
+    H^1 Gram matrix H = stiffness + int u^2, stiffness = int 8 |u'|^2, each
+    against the node weights W of 2 pi ell dA."""
+    B, D = basis.values, basis.slopes
+    stiffness = 8.0 * (D.T * W) @ D
+    BW = B.T * W
+    return stiffness + (BW * scal) @ B, stiffness + BW @ B
 
-    H = T + close z z^T: T is tridiagonal (cell mass and chain edges) and
-    z = e_0 - e_{n-1} carries the closing edge, which only a periodic base
-    has; Sherman-Morrison adds it back, and without it the gain is 0."""
-    n = w.size
-    chain, close = ce[: n - 1], float(np.sum(ce[n - 1:]))
-    cells = np.arange(n - 1)
-    diag = w + np.bincount(cells, chain, n) + np.bincount(cells + 1, chain, n)
-    solve = factor_tridiagonal(-chain, diag, -chain)
-    z = np.zeros(n)
-    z[0], z[-1] = 1.0, -1.0
-    tz = solve(z)
-    gain = close / (1.0 + close * (tz[0] - tz[-1]))
 
-    def precondition(g: np.ndarray) -> np.ndarray:
-        tg = solve(g)
-        return tg - gain * (tg[0] - tg[-1]) * tz
+def _h1_preconditioner(H: np.ndarray) -> np.ndarray:
+    """H^{-1}, from one LU factorization of H; a step then costs one product."""
+    return np.linalg.inv(H)
 
-    return precondition
+
+def _energy(B: np.ndarray, A: np.ndarray, W: np.ndarray, c: np.ndarray):
+    """The discrete J(c) = c.A c / (sum W u^6)^{1/3}, its numerator and
+    denominator, u = B c at the nodes, and W u^5."""
+    u = B @ c
+    wu5 = W * u**5
+    num = float(c @ A @ c)
+    den = float(np.dot(wu5, u))
+    return num / den ** (1.0 / 3.0), num, den, u, wu5
+
+
+def _gradient(B, A, c, num: float, den: float, wu5: np.ndarray) -> np.ndarray:
+    """dJ/dc at c, given the rest of `_energy(B, A, W, c)`."""
+    return (2.0 * (A @ c) - (2.0 * num / den) * (B.T @ wu5)) / den ** (1.0 / 3.0)
+
+
+def _descend(
+    basis: _Basis, W: np.ndarray, scal: np.ndarray, c: np.ndarray, trace: list, cfg: MinimizerConfig
+) -> tuple[np.ndarray, str]:
+    """Sobolev-gradient descent on J(c) = c.A c / (sum W (B c)^6)^{1/3} over
+    coefficients with B c > 0 at every node, from c normalized to
+    sum W (B c)^6 = 1.  Appends each accepted J to `trace` (and the start's J
+    to an empty one); returns the last iterate and why the descent stopped."""
+    B = basis.values
+    A, H = _forms(basis, W, scal)
+    Hinv = _h1_preconditioner(H)
+    J, num, den, _, wu5 = _energy(B, A, W, c)
+    if not trace:
+        trace.append(J)
+    while True:
+        g = _gradient(B, A, c, num, den, wu5)
+        p = Hinv @ g
+        gp = float(np.dot(g, p))
+        if gp <= cfg.decrease_tol * max(1.0, abs(J)):
+            return c, "tolerance"
+        if len(trace) > cfg.max_iterations:
+            return c, "budget"
+        t = 0.5
+        # halve t until Armijo holds at a positive iterate or the predicted
+        # decrease t g.p is below the rounding of J
+        while t * gp > np.spacing(max(1.0, abs(J))):
+            c_new = c - t * p
+            J_new, num_new, den_new, u_new, wu5_new = _energy(B, A, W, c_new)
+            if J_new <= J - 1e-4 * t * gp and u_new.min() > 0.0:
+                break
+            t *= 0.5
+        else:
+            return c, "no_decrease"
+        scale = den_new ** (-1.0 / 6.0)  # renormalize: sum W u^6 = 1
+        c, wu5, J = c_new * scale, wu5_new * scale**5, J_new
+        num, den = num_new * scale**2, den_new * scale**6
+        trace.append(J)
 
 
 def minimize_conformal(
@@ -251,82 +352,65 @@ def minimize_conformal(
     cfg: MinimizerConfig | None = None,
     u0: Callable | np.ndarray | None = None,
 ) -> MinimizeResult:
-    """Sobolev-gradient descent on the conformal functional over radial u > 0.
+    """Galerkin Sobolev-gradient descent on the conformal functional over
+    radial u > 0.
 
-    Each step moves along p = H^{-1} g, with g the gradient of the discrete
-    functional and H the grid's H^1 Gram matrix (edge stiffness plus cell
-    mass), so the iteration count does not grow with the grid.  Armijo
-    backtracking halves the step from t = 1/2; the iterate is floored away
-    from zero and renormalized to int 2 pi ell u^6 dv = 1, so the trace is
-    non-increasing.  The descent converges when g.p <= decrease_tol *
-    max(1, |J|) or no step decreases J; if the iteration budget runs out
-    first, the last iterate is returned with converged=False.  A callable
-    u0 receives the read-only cell centres of the base's quadrature plan.
+    u is a series in the first m basis functions (see `_Basis`), m starting
+    at min(16, grid_size).  Each step moves the coefficients along
+    p = H^{-1} g, with g the gradient of the discrete functional and H the H^1
+    Gram matrix (stiffness plus mass), so the iteration count does not grow
+    with m.  Armijo backtracking halves the step from t = 1/2 and rejects
+    steps that leave u nonpositive at a node; the iterate is renormalized to
+    int 2 pi ell u^6 dv = 1, so the trace is non-increasing.  A stage stops
+    when g.p <= decrease_tol * max(1, |J|) or no step decreases J; then, while
+    the trailing quarter of the coefficients exceeds sqrt(eps) times the
+    largest and 2m <= grid_size, m doubles and the same trace continues.  If
+    the iteration budget runs out first, the last iterate is returned with
+    converged=False.  A callable u0 receives the read-only first-level nodes
+    of the base's quadrature plan, an array u0 holds samples on
+    linspace(0, L, n) (read through `RadialField.from_samples`), and either is
+    projected onto the basis in L^2(ds); the projection must be positive at
+    every node (NonPositiveFactor otherwise).
     """
     if cfg is None:
         cfg = MinimizerConfig()
-    centers, w, ce, scal = _discretize(metric, cfg.grid_size)
-    n = centers.size
-    lo = np.arange(ce.size)  # edge k joins cells k and (k + 1) mod n
-    hi = (lo + 1) % n
-
-    precondition = _h1_preconditioner(w, ce)
-
-    def energy(u: np.ndarray) -> tuple[float, float, float]:
-        num = float(np.sum(ce * (u[hi] - u[lo]) ** 2) + np.sum(w * scal * u**2))
-        den = float(np.sum(w * u**6))
-        return num / den ** (1.0 / 3.0), num, den
-
-    def gradient(u: np.ndarray, num: float, den: float) -> np.ndarray:
-        flux = 2.0 * ce * (u[hi] - u[lo])
-        g = 2.0 * w * scal * u + np.bincount(hi, flux, n) - np.bincount(lo, flux, n)
-        return g / den ** (1.0 / 3.0) - (num / (3.0 * den ** (4.0 / 3.0))) * 6.0 * w * u**5
-
-    def normalized(u: np.ndarray) -> np.ndarray:
-        u = np.maximum(u, cfg.u_floor)
-        return u / np.sum(w * u**6) ** (1.0 / 6.0)
-
+    base = metric.base
+    W, scal, weights = _node_data(metric)
+    m = min(_START_MODES, cfg.grid_size)
+    basis = _basis(base.length, base.periodic, m)
     if u0 is None:
-        u = np.ones_like(centers)
-    elif callable(u0):
-        u = np.asarray(u0(centers), dtype=float)
+        c = np.zeros(m)
+        c[0] = 1.0
     else:
-        u = np.asarray(u0, dtype=float).copy()
-        if u.shape != centers.shape:
-            raise ValueError(f"u0 must have {centers.size} samples")
-    u = normalized(u)
+        if not callable(u0):
+            samples = np.asarray(u0, dtype=float)
+            grid = np.linspace(0.0, base.length, samples.size)
+            u0 = RadialField.from_samples(grid, samples, periodic=base.periodic).value
+        # the basis is orthogonal in L^2(ds): |1|^2 = L, every other |b_j|^2 = L/2
+        u = np.asarray(u0(basis.nodes), dtype=float)
+        c = (basis.values.T @ (weights * u)) / np.where(basis.power == 0, 1.0, 0.5) / base.length
+    u = basis.values @ c
+    if not np.all(u > 0.0):
+        raise NonPositiveFactor("the projection of u0 must be positive at every quadrature node")
+    c = c / float(np.dot(W, u**6)) ** (1.0 / 6.0)
 
-    J, num, den = energy(u)
-    trace = [J]
-    converged = False
+    trace: list[float] = []
     while True:
-        g = gradient(u, num, den)
-        p = precondition(g)
-        gp = float(np.dot(g, p))
-        if gp <= cfg.decrease_tol * max(1.0, abs(J)):
-            converged = True
+        c, stop = _descend(basis, W, scal, c, trace, cfg)
+        tail = np.max(np.abs(c[3 * m // 4 :]))
+        if stop == "budget" or 2 * m > cfg.grid_size or tail <= _TAIL_TOL * np.max(np.abs(c)):
             break
-        if len(trace) > cfg.max_iterations:
-            break
-        t = 0.5
-        # halve t until Armijo holds or the predicted decrease t g.p is below
-        # the rounding of J
-        while t * gp > np.spacing(max(1.0, abs(J))):
-            u_new = normalized(u - t * p)
-            J_new, num_new, den_new = energy(u_new)
-            if J_new <= J - 1e-4 * t * gp:
-                break
-            t *= 0.5
-        else:
-            converged = True  # no step decreases J at this resolution
-            break
-        u, J, num, den = u_new, J_new, num_new, den_new
-        trace.append(J)
+        m *= 2
+        c = np.concatenate([c, np.zeros(m - c.size)])
+        basis = _basis(base.length, base.periodic, m)
 
-    u_star = RadialField.from_samples(centers, u, periodic=metric.base.periodic)
+    series = basis.series(c)
+    grid = np.linspace(0.0, base.length, cfg.grid_size + 1)
     return MinimizeResult(
-        mu_upper=conformal_functional(metric, u_star),
-        u_star=RadialFunction(grid=centers.copy(), values=u),  # writable, not the plan's
+        mu_upper=conformal_functional(metric, series),
+        u_star=RadialFunction(grid=grid, values=series.value(grid)),
         trace=np.asarray(trace),
-        converged=converged,
+        converged=stop != "budget",
+        stop_reason=stop,
+        modes=m,
     )

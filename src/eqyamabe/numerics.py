@@ -31,6 +31,7 @@ __all__ = [
     "integrate",
     "gauss_panels",
     "sign_change_roots",
+    "trig_series",
     "trig_interpolant",
     "trig_antiderivative",
     "check_derivative",
@@ -281,31 +282,37 @@ def _trim_modes(c: np.ndarray) -> np.ndarray:
     return c[: np.max(keep, initial=0) + 1]
 
 
-def trig_interpolant(samples: np.ndarray, start: float, period: float) -> tuple[Callable, ...]:
-    """Value, first and second derivative of the trigonometric interpolant of
-    one period of uniform samples, the j-th of n taken at start + j period / n.
-    The coefficients come from one real FFT, trailing modes at or below eps
-    times the largest are dropped, and each callable sums the rest by Horner's
-    rule in z = exp(i omega (s - start)), omega = 2 pi / period."""
-    n = len(samples)
-    c = np.fft.rfft(samples) / n
-    c[1 : (n + 1) // 2] *= 2.0  # each mode below Nyquist stands for +k and -k
-    c = _trim_modes(c)
-    omega = 2.0 * math.pi / period
-    k = omega * np.arange(c.size)
+def trig_series(coeffs: np.ndarray, start: float, omega: float) -> tuple[Callable, ...]:
+    """Value, first and second derivative of the real part of
+    sum_k coeffs[k] z^k, z = exp(i omega (s - start)), each summed by Horner's
+    rule.  A real coefficient a_k stands for a_k cos(k omega (s - start)),
+    -i b_k for b_k sin(k omega (s - start))."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    k = omega * np.arange(coeffs.size)
 
-    def horner(coeffs: np.ndarray) -> Callable:
+    def horner(c: np.ndarray) -> Callable:
         def evaluate(s):
             z = np.exp(1j * omega * (np.asarray(s, dtype=float) - start))
-            acc = np.full(z.shape, coeffs[-1])
-            for a in coeffs[-2::-1]:
+            acc = np.full(z.shape, c[-1])
+            for a in c[-2::-1]:
                 acc *= z
                 acc += a
             return acc.real
 
         return evaluate
 
-    return horner(c), horner(1j * k * c), horner(-k * k * c)
+    return horner(coeffs), horner(1j * k * coeffs), horner(-k * k * coeffs)
+
+
+def trig_interpolant(samples: np.ndarray, start: float, period: float) -> tuple[Callable, ...]:
+    """Value, first and second derivative of the trigonometric interpolant of
+    one period of uniform samples, the j-th of n taken at start + j period / n.
+    The coefficients come from one real FFT, trailing modes at or below eps
+    times the largest are dropped, and the rest are summed by `trig_series`."""
+    n = len(samples)
+    c = np.fft.rfft(samples) / n
+    c[1 : (n + 1) // 2] *= 2.0  # each mode below Nyquist stands for +k and -k
+    return trig_series(_trim_modes(c), start, 2.0 * math.pi / period)
 
 
 def trig_antiderivative(samples: np.ndarray, period: float) -> np.ndarray:

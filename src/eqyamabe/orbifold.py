@@ -26,8 +26,8 @@ Base integrals (`integrate_over_base`, `area`, `gauss_bonnet_check`,
 members' values at the read-only nodes of the first two refinement levels
 (built once per length), the base-only integrals, and the curvature-form
 norms of each curvature density (`bundle.omega_norms`), each computed on
-first use; `quadrature_nodes` hands a caller the first level's nodes, and
-the minimizer's cell centres and edges are plan nodes too.  Plans live in a
+first use; `quadrature_nodes` hands a caller the first level's nodes, at
+which the conformal minimizer also assembles its matrices.  Plans live in a
 weak-keyed table, so a plan is dropped when its base is garbage-collected,
 and a field's norms when the field is; integrands and callers see read-only
 nodes and values.
@@ -489,8 +489,8 @@ _PLAN_LEVELS = 2
 class _Plan:
     """Quadrature data of one base, computed once.
 
-    `nodes` maps id(nodes) to the node arrays of the cached levels and cell
-    grids that the base has used; `values` maps (member, id(nodes)) to a
+    `nodes` maps id(nodes) to the node arrays of the cached levels that the
+    base has used; `values` maps (member, id(nodes)) to a
     base member's read-only values at the nodes; `integrals` maps (name,
     cfg) to a base-only integral; `norms` maps a curvature density F,
     weakly, to its curvature-form norms per cfg, so an entry dies with its
@@ -545,27 +545,6 @@ def _rules(base: Base, cfg: QuadratureConfig):
     rules, nodes = _level_rules(base.length, cfg.panels, cfg.points_per_panel)
     _plan(base).nodes.update(nodes)
     return rules
-
-
-@lru_cache(maxsize=64)
-def _cell_points(length: float, n: int, periodic: bool):
-    """The read-only centres (j + 1/2) ds and inner edges j ds (with the
-    closing edge at s = length when periodic) of n cells of width
-    ds = length / n, shared by every base of that length, and their ids."""
-    ds = length / n
-    centers = (np.arange(n) + 0.5) * ds
-    edges = np.arange(1, n + 1 if periodic else n) * ds
-    for points in (centers, edges):
-        points.flags.writeable = False
-    return (centers, edges), {id(centers): centers, id(edges): edges}
-
-
-def _cells(base: Base, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_cell_points` of the base, whose members are then computed once per
-    (base, n) at them."""
-    points, nodes = _cell_points(base.length, n, base.periodic)
-    _plan(base).nodes.update(nodes)
-    return points
 
 
 def _cached_integral(

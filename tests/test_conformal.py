@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 import eqyamabe as eq
 import eqyamabe.conformal as conformal
 from eqyamabe.conformal import RadialFunction, laplace_residual
-from eqyamabe.errors import NonpositiveChi, NotMeanZero
+from eqyamabe import numerics, orbifold
+from eqyamabe.errors import NonPositiveFactor, NonpositiveChi, NotMeanZero
 from eqyamabe.numerics import factor_tridiagonal
 
 from conftest import BERGER_HALF_J, SIGMA_S3, bump_sphere
@@ -286,35 +288,80 @@ def test_minimizer_config_names_its_bounds():
     eq.MinimizerConfig(grid_size=8, max_iterations=1)
 
 
+def _galerkin(metric, m):
+    """The descent's basis, node weights W and matrices A and H at m modes."""
+    basis = conformal._basis(metric.base.length, metric.base.periodic, m)
+    W, scal, _ = conformal._node_data(metric)
+    return (basis, W) + conformal._forms(basis, W, scal)
+
+
 @pytest.mark.parametrize("kind", sorted(_DESCENT_METRICS))
 def test_h1_preconditioner_matches_a_dense_solve(kind):
-    # the dense Gram matrix carries the torus closing edge as a corner pair,
-    # which the preconditioner adds by Sherman-Morrison
-    n = 64
-    _, w, ce, _ = conformal._discretize(_DESCENT_METRICS[kind](), n)
-    H = np.diag(w)
-    for k, c in enumerate(ce):
-        e = np.zeros(n)
-        e[k], e[(k + 1) % n] = 1.0, -1.0
-        H += c * np.outer(e, e)
-    assert (H[0, -1] != 0.0) == (kind == "torus")
-    precondition = conformal._h1_preconditioner(w, ce)
-    for g in np.random.default_rng(3).normal(size=(3, n)):
+    # H is the Gram matrix of the basis in the H^1 inner product: symmetric
+    # positive definite, and factored once into the preconditioner
+    _, _, _, H = _galerkin(_DESCENT_METRICS[kind](), 32)
+    assert np.max(np.abs(H - H.T)) <= 1e-14 * np.max(np.abs(H))
+    assert np.min(np.linalg.eigvalsh(H)) > 0.0
+    Hinv = conformal._h1_preconditioner(H)
+    for g in np.random.default_rng(3).normal(size=(3, H.shape[0])):
         exact = np.linalg.solve(H, g)
-        assert np.max(np.abs(precondition(g) - exact)) <= 1e-12 * np.max(np.abs(exact))
+        assert np.max(np.abs(Hinv @ g - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
-def test_minimize_factors_the_gram_matrix_once(monkeypatch, hopf):
-    calls = []
+@pytest.mark.parametrize("kind", ["wps23", "torus"])
+def test_coefficient_gradient_matches_the_discrete_functional(kind):
+    basis, W, A, _ = _galerkin(_DESCENT_METRICS[kind](), 16)
+    B = basis.values
+    rng = np.random.default_rng(11)
+    c = np.zeros(16)
+    c[0] = 1.0
+    c[1:] = 0.02 * rng.normal(size=15)
+    for d in rng.normal(size=(3, 16)):
+        def J(t):
+            return conformal._energy(B, A, W, c + t * d)[0]
 
-    def counting(*bands):
-        calls.append(len(bands[1]))
-        return factor_tridiagonal(*bands)
+        def dJ(t):
+            _, num, den, _, wu5 = conformal._energy(B, A, W, c + t * d)
+            return float(conformal._gradient(B, A, c + t * d, num, den, wu5) @ d)
 
-    monkeypatch.setattr(conformal, "factor_tridiagonal", counting)
-    result = eq.minimize_conformal(hopf, eq.MinimizerConfig(grid_size=64), u0=_perturbed_start(hopf))
+        assert numerics.check_derivative(J, dJ, 0.0, [1e-4, 1e-5]) <= 1e-6
+
+
+def test_basis_is_read_only_and_shared_per_length():
+    # hopf and wps(2,3) have length pi/2: one basis serves both
+    hopf, wps = eq.hopf_metric(), eq.wps_metric(2, 3)
+    assert hopf.base.length == wps.base.length
+    basis = conformal._basis(hopf.base.length, False, 16)
+    assert conformal._basis(wps.base.length, False, 16) is basis
+    assert conformal._basis(hopf.base.length, False, 32) is not basis
+    for array in (basis.values, basis.slopes):
+        assert array.shape == (orbifold.quadrature_nodes(hopf.base).size, 16)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0
+
+
+def test_minimize_factors_the_gram_matrix_once(monkeypatch):
+    # once per basis size: wps(1,9) doubles its basis twice
+    sizes = []
+    factor = conformal._h1_preconditioner
+
+    def counting(H):
+        sizes.append(H.shape[0])
+        return factor(H)
+
+    monkeypatch.setattr(conformal, "_h1_preconditioner", counting)
+    result = eq.minimize_conformal(eq.wps_metric(1, 9))
     assert len(result.trace) > 3
-    assert calls == [64]
+    assert sizes == [16, 32, 64]
+    assert result.modes == 64
+
+
+def test_minimize_trace_is_monotone_across_basis_doublings():
+    result = eq.minimize_conformal(eq.wps_metric(1, 9))
+    assert result.modes == 64  # from 16
+    assert result.converged and result.stop_reason == "tolerance"
+    assert np.all(np.diff(result.trace) <= 1e-12)
+    assert result.mu_upper <= result.trace[0]
 
 
 def test_minimize_budget_exhausted(hopf):
@@ -322,20 +369,80 @@ def test_minimize_budget_exhausted(hopf):
         hopf, eq.MinimizerConfig(max_iterations=1), u0=_perturbed_start(hopf)
     )
     assert not result.converged
+    assert result.stop_reason == "budget"
     assert result.trace.size == 2
     assert result.trace[1] < result.trace[0]
 
 
-def test_torus_minimizer_field_is_continuous_at_the_seam():
-    # mu_upper evaluates the Fourier series of the final cell values, which
-    # is periodic although the cell values differ across the seam
+def test_minimize_reports_why_it_stopped(hopf):
+    # the constant factor is the critical point on the round sphere
+    result = eq.minimize_conformal(hopf)
+    assert (result.stop_reason, result.modes, result.trace.size) == ("tolerance", 16, 1)
+    assert eq.minimize_conformal(hopf, eq.MinimizerConfig(grid_size=8)).modes == 8
+
+
+def test_minimize_reads_array_u0_as_endpoint_samples(hopf):
+    # an array start is the callable start sampled on linspace(0, L, n)
+    start = _perturbed_start(hopf)
+    grid = np.linspace(0.0, hopf.base.length, 65)
+    from_array = eq.minimize_conformal(hopf, u0=start(grid))
+    from_callable = eq.minimize_conformal(hopf, u0=start)
+    assert from_array.trace[0] == pytest.approx(from_callable.trace[0], rel=1e-13)
+    assert from_array.mu_upper == pytest.approx(from_callable.mu_upper, rel=1e-12)
+
+
+def test_minimize_rejects_a_nonpositive_start(hopf):
+    with pytest.raises(NonPositiveFactor):
+        eq.minimize_conformal(hopf, u0=lambda s: np.cos(4.0 * s))
+
+
+def test_torus_minimizer_series_is_periodic():
+    # mu_upper evaluates a Fourier series, whose samples on the endpoint grid
+    # close up at the seam and read back as the same field
     metric = _DESCENT_METRICS["torus"]()
     u0 = lambda s: 1.0 + 0.2 * np.sin(2.0 * np.pi * s)  # noqa: E731
     result = eq.minimize_conformal(metric, eq.MinimizerConfig(max_iterations=1), u0=u0)
     u = result.u_star
-    assert abs(u.values[0] - u.values[-1]) > 1e-5
+    assert np.ptp(u.values) > 1e-3
+    assert abs(u.values[0] - u.values[-1]) <= 1e-12
     field = eq.RadialField.from_samples(u.grid, u.values, periodic=True)
-    assert result.mu_upper == eq.conformal_functional(metric, field)
-    end = np.nextafter(metric.base.length, 0.0)
-    assert abs(field.value(0.0) - field.value(end)) <= 1e-12
-    assert abs(field.d1(0.0) - field.d1(end)) <= 1e-9
+    assert eq.conformal_functional(metric, field) == pytest.approx(result.mu_upper, rel=1e-12)
+
+
+# mu_upper against the cell-centred finite-difference minimizer at n cells
+# (its value converges as n^-2), measured with decrease_tol = 1e-14
+_CELL_VALUES = {
+    "wps23": 30.68751608156943,  # n = 3200
+    "hopf_ell": 39.09679741435538,  # n = 3200, ell = 1 + 0.3 cos 4s
+}
+
+
+def _hopf_with_varying_ell():
+    hopf = eq.hopf_metric()
+    ell = eq.RadialField(
+        lambda s: 1.0 + 0.3 * np.cos(4.0 * s),
+        lambda s: -1.2 * np.sin(4.0 * s),
+        lambda s: -4.8 * np.cos(4.0 * s),
+    )
+    return eq.InvariantMetric(hopf.base, ell, hopf.F)
+
+
+_GATE_METRICS = {"wps23": lambda: eq.wps_metric(2, 3), "hopf_ell": _hopf_with_varying_ell}
+
+
+@pytest.mark.parametrize("kind", sorted(_GATE_METRICS))
+def test_minimize_beats_the_finest_cell_grid(kind, monkeypatch):
+    metric = _GATE_METRICS[kind]()
+    cfg = eq.MinimizerConfig(decrease_tol=1e-14)
+    result = eq.minimize_conformal(metric, cfg)
+    assert result.mu_upper <= _CELL_VALUES[kind] * (1.0 + 1e-13)
+    # a basis of twice the size changes nothing at this tolerance
+    monkeypatch.setattr(conformal, "_TAIL_TOL", 0.0)  # double up to the cap
+    doubled = eq.minimize_conformal(metric, dataclasses.replace(cfg, grid_size=2 * result.modes))
+    assert doubled.modes == 2 * result.modes
+    assert abs(doubled.mu_upper - result.mu_upper) <= 1e-13 * result.mu_upper
+
+
+def test_minimize_wps_1_9_beats_the_cell_grid_at_the_defaults():
+    # the n = 800 cell value; the basis grows from 16 to 64 modes
+    assert eq.minimize_conformal(eq.wps_metric(1, 9)).mu_upper <= 22.188576563317

@@ -1,7 +1,7 @@
 """The per-base quadrature plan: exact agreement with uncached integrals,
 evaluation budget, lifetime, and read-only nodes; the curvature-form norms
 kept per field and config; one shared base per constructor arguments, and
-the minimizer's cells in the plan."""
+the minimizer's matrices assembled at the plan's nodes."""
 
 from __future__ import annotations
 
@@ -364,8 +364,9 @@ def test_shared_constructors_validate_every_call():
 
 
 def test_second_descent_on_a_base_evaluates_no_profile():
-    # the cells' density, phi'/phi and K join the base's plan with the
-    # quadrature levels: a descent on a new ell over a warm base reads them all
+    # the minimizer assembles its matrices at the first-level plan nodes, so
+    # a descent on a new ell over a warm base reads density, phi'/phi and K
+    # from the plan
     phi_points = []
     shared = eq.wps_profile(2, 3)
     base = dataclasses.replace(
@@ -386,12 +387,13 @@ def test_second_descent_on_a_base_evaluates_no_profile():
     assert result.trace.tolist() == reference.trace.tolist()
     assert len(result.trace) > 1
 
-    # the result's grid is the caller's to write, not the plan's cell centres
-    centers, _ = orbifold._cells(base, eq.MinimizerConfig().grid_size)
-    assert not centers.flags.writeable
+    # the result's grid is the caller's to write, not the plan's nodes
+    nodes = orbifold.quadrature_nodes(base)
+    assert not nodes.flags.writeable
     assert result.u_star.grid.flags.writeable
-    assert not np.shares_memory(result.u_star.grid, centers)
-    assert np.array_equal(result.u_star.grid, centers)
+    assert not np.shares_memory(result.u_star.grid, nodes)
+    grid_size = eq.MinimizerConfig().grid_size
+    assert np.array_equal(result.u_star.grid, np.linspace(0.0, base.length, grid_size + 1))
 
 
 def test_functionals_evaluate_ell_once_per_node_array(monkeypatch):
