@@ -42,7 +42,6 @@ from .numerics import (
     check_derivative,
     integrate,
     minimize_scalar,
-    solve_tridiagonal,
 )
 from .orbifold import (
     ConeSurfaceProfile,

@@ -347,7 +347,7 @@ def cmd_laplace(args) -> int:
     report = _base_report(args, "laplace")
     report["model"] = spec.raw
     report["quantities"] = {
-        "min_scal": _quantity(min_scal, 0.0, "double_quadrature"),
+        "min_scal": _quantity(min_scal, 0.0, "galerkin_series_at_nodes"),
         "uniformized_constant": _quantity(target, 0.0, "closed_form"),
         "positive": bool(min_scal > 0.0),
         "u_range": {

@@ -1,24 +1,26 @@
 """Radial Poisson solves, uniformization to positive curvature, and numerical
 minimization of the conformal functional.
 
-The Poisson problem Delta u = f (nonnegative Laplacian, mean-zero f) is
-solved by double quadrature of the radial ODE in trigonometric series
-(`numerics.trig_antiderivative`), with no boundary conditioning: the flux
-phi u' is the integral of -f phi, made to vanish at both poles.  The test
-suite's eigenvalue oracle cross-checks it against a tridiagonal
-discretization, and its Laplacian is recomputed from the series of the
-solution's samples (`RadialField.from_samples`).
+Both the Poisson solve and the minimizer are Rayleigh-Ritz (Galerkin)
+discretizations on one basis: a cosine series cos(j pi s / L) on a profile,
+whose terms are the smooth radial fields, and a Fourier series on the torus,
+held with its slopes at the first-level nodes of the base's quadrature plan.
+The basis doubles from 16 modes while its trailing coefficients are not
+negligible (`_refinable`).
 
-The conformal minimizer is a Rayleigh-Ritz (Galerkin) discretization: u is a
-cosine series cos(j pi s / L) on a profile, whose terms are the smooth radial
-fields, and a Fourier series on the torus.  The functional's quadratic forms
-become small dense matrices, assembled from the basis at the first-level
-nodes of the base's quadrature plan, and an H^1-preconditioned (Sobolev)
-gradient descent runs on the coefficients: the Gram matrix is factored once
-per basis size, each step backtracks under Armijo, and the basis doubles
-while its trailing coefficients are not negligible.  The final series is
-evaluated with the library quadrature, so the result is an UPPER bound on the
-invariant conformal infimum, never the infimum itself.
+The Poisson problem Delta u = f (nonnegative Laplacian, mean-zero f) is one
+linear solve with the stiffness matrix int u' v' dA over the non-constant
+basis functions.  The test suite's eigenvalue oracle cross-checks it against
+a tridiagonal finite-volume discretization, and `laplace_residual` recomputes
+its Laplacian from the series of the solution's samples
+(`RadialField.from_samples`).
+
+In the conformal minimizer the functional's quadratic forms become small
+dense matrices, and an H^1-preconditioned (Sobolev) gradient descent runs on
+the coefficients: the Gram matrix is factored once per basis size and each
+step backtracks under Armijo.  The final series is evaluated with the library
+quadrature, so the result is an UPPER bound on the invariant conformal
+infimum, never the infimum itself.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import numpy as np
 
 from .bundle import InvariantMetric, RadialField, _laplacian_of, _scalar_curvature
 from .errors import NonPositiveFactor, NonpositiveChi, NotMeanZero
-from .numerics import QuadratureConfig, trig_antiderivative, trig_series
-from .orbifold import Base, _level_rules, _rules, area, chi_orb, gauss_curvature
+from .numerics import QuadratureConfig, trig_series
+from .orbifold import Base, _level_rules, _rules, area, chi_orb, gauss_curvature, quadrature_nodes
 from .yamabe import conformal_functional
 
 __all__ = [
@@ -76,19 +78,23 @@ def _weights(base: Base, grid: np.ndarray) -> np.ndarray:
     return w
 
 
-def _odd_antiderivative(values: np.ndarray, length: float) -> np.ndarray:
-    """int_0^s of the sine series through samples on linspace(0, L, n) that
-    are odd about both ends, at the samples."""
-    odd = np.concatenate([values, -values[-2:0:-1]])
-    return trig_antiderivative(odd, 2.0 * length)[: values.size]
+def _sampled(base: Base, series: RadialField, grid: np.ndarray) -> tuple[RadialFunction, float]:
+    """The series on the grid less its trapezoid area mean, and that mean."""
+    w = _weights(base, grid)
+    u = np.asarray(series.value(grid), dtype=float)
+    mean = np.trapezoid(u * w, grid) / np.trapezoid(w, grid)
+    return RadialFunction(grid=grid, values=u - mean), float(mean)
 
 
 def laplace_solve_radial(base: Base, f: RadialFunction) -> RadialFunction:
     """Solve Delta u = f with the nonnegative Laplacian; u has mean zero.
 
     f is sampled on the uniform grid linspace(0, L, n) of the base (raises
-    ValueError on any other grid).  Requires int f dv = 0 within 1e-8 of the
-    L1 size of f (the solvability condition); raises NotMeanZero otherwise.
+    ValueError on any other grid) and read at the plan's first-level nodes
+    through `RadialField.from_samples`.  Requires int f dv = 0 within 1e-8 of
+    the L1 size of f (the solvability condition); raises NotMeanZero
+    otherwise.  The Galerkin solution (`_poisson_series`) is returned on the
+    same grid, less its trapezoid area mean.
     """
     grid, fv = f.grid, f.values
     L = base.length
@@ -99,44 +105,21 @@ def laplace_solve_radial(base: Base, f: RadialFunction) -> RadialFunction:
     scale = np.trapezoid(np.abs(fv) * w, grid)
     if abs(mean) > 1e-8 * max(scale, 1e-30):
         raise NotMeanZero(f"int f dv = {mean:.3e} exceeds 1e-8 * ||f||_1 = {1e-8 * scale:.3e}")
-
-    if base.periodic:
-        # -u'' = f: one period of samples, its Fourier series integrated twice
-        u = trig_antiderivative(-trig_antiderivative(fv[:-1], L), L)
-        u = np.append(u, u[0])
-    else:
-        # phi u' = -int_0^s f phi.  The series sees a mean of f that differs
-        # from the trapezoid mean by O(h^2); removing it, as g(L) A/A(L) with
-        # A = int phi, makes the flux vanish at s = L, where u' = flux/phi
-        # would otherwise blow up
-        phi = np.asarray(base.density(grid), dtype=float)
-        g = _odd_antiderivative(fv * phi, L)
-        A = _odd_antiderivative(phi, L)
-        flux = g[-1] * A / A[-1] - g
-        up = np.concatenate([[0.0], flux[1:-1] / phi[1:-1], [0.0]])
-        u = _odd_antiderivative(up, L)
-    u -= np.trapezoid(u * w, grid) / np.trapezoid(w, grid)
-    return RadialFunction(grid=grid, values=u)
-
-
-def _series_laplacian(base: Base, u: RadialFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Delta u from the trigonometric series of the samples of u
-    (`RadialField.from_samples`).  Returns the mask of nodes more than 2
-    percent of L from either pole (every node on the torus) and the Laplacian
-    there: nearer a pole the quotient phi'/phi amplifies rounding without
-    geometric meaning."""
-    grid, L = u.grid, base.length
-    mask = (grid > 0.02 * L) & (grid < 0.98 * L) if base.cone_orders else np.full(grid.shape, True)
-    field = RadialField.from_samples(grid, u.values, periodic=base.periodic)
-    return mask, _laplacian_of(field, base, grid[mask])
+    nodes = quadrature_nodes(base, _QUADRATURE)
+    f_nodes = RadialField.from_samples(grid, fv, periodic=base.periodic).value(nodes)
+    return _sampled(base, _poisson_series(base, f_nodes), grid)[0]
 
 
 def laplace_residual(base: Base, u: RadialFunction, f: RadialFunction) -> float:
-    """Max-norm of Delta u - f, recomputing Delta u from the solution samples
-    by their trigonometric series (see `_series_laplacian`), not from the
-    solve's own flux."""
-    mask, lap = _series_laplacian(base, u)
-    return float(np.max(np.abs(lap - f.values[mask])))
+    """Max-norm of Delta u - f, recomputing Delta u from the trigonometric
+    series of the solution's samples (`RadialField.from_samples`), not from
+    the solve's own series.  On a profile only the grid points more than 2
+    percent of L from either pole count: nearer a pole the quotient phi'/phi
+    amplifies rounding without geometric meaning."""
+    grid, L = u.grid, base.length
+    mask = (grid > 0.02 * L) & (grid < 0.98 * L) if base.cone_orders else np.full(grid.shape, True)
+    field = RadialField.from_samples(grid, u.values, periodic=base.periodic)
+    return float(np.max(np.abs(_laplacian_of(field, base, grid[mask]) - f.values[mask])))
 
 
 def uniformize_positive(
@@ -145,30 +128,23 @@ def uniformize_positive(
     """Conformal change to positive curvature on a chi > 0 base.
 
     Solves Delta u = 2 pi chi / vol - K (the right side has zero mean by the
-    curvature integral) and returns u together with the minimum over the grid
-    of the resulting scalar curvature 2 e^{-2u} (Delta u + K), where Delta u
-    is recomputed numerically from u.  The contract min > 0, with the
-    pointwise value matching (4 pi chi / vol) e^{-2u}, is checked by the
+    curvature integral) at the plan's first-level nodes (`_poisson_series`)
+    and returns u sampled on linspace(0, L, n), less its trapezoid area mean,
+    together with the minimum over the nodes of the resulting scalar
+    curvature 2 e^{-2u} (Delta u + K), with Delta u taken from the series' own
+    derivatives.  That curvature is (4 pi chi / vol) e^{-2u}, so its minimum
+    is (4 pi chi / vol) e^{-2 max u}; the contract min > 0 is checked by the
     caller and the test suite.
     """
     chi = chi_orb(base)
     if chi <= 0:
         raise NonpositiveChi("uniformization to positive curvature needs chi > 0")
-    vol = area(base)
-    grid = np.linspace(0.0, base.length, n)
-    inner = grid.copy()
-    inner[0] = grid[1] * 0.5
-    inner[-1] = base.length - (base.length - grid[-2]) * 0.5
-    K = np.asarray(gauss_curvature(base, inner), dtype=float)
-    f_vals = 2.0 * math.pi * chi / vol - K
-    # exact-mean-zero data up to quadrature noise; recenter before solving
-    w = _weights(base, grid)
-    f_vals = f_vals - np.trapezoid(f_vals * w, grid) / np.trapezoid(w, grid)
-    f = RadialFunction(grid=grid, values=f_vals)
-    u = laplace_solve_radial(base, f)
-
-    mask, lap = _series_laplacian(base, u)
-    scal_new = 2.0 * np.exp(-2.0 * u.values[mask]) * (lap + K[mask])
+    nodes = quadrature_nodes(base, _QUADRATURE)
+    K = np.asarray(gauss_curvature(base, nodes), dtype=float)
+    series = _poisson_series(base, 2.0 * math.pi * chi / area(base) - K)
+    u, mean = _sampled(base, series, np.linspace(0.0, base.length, n))
+    lap = _laplacian_of(series, base, nodes)
+    scal_new = 2.0 * np.exp(-2.0 * (series.value(nodes) - mean)) * (lap + K)
     return u, float(np.min(scal_new))
 
 
@@ -209,15 +185,18 @@ class MinimizeResult:
     modes: int
 
 
-# The minimizer integrates with the first level of the default quadrature
-# rule, whose nodes, and the base's values there, the base's plan keeps.
+# The minimizer and the Poisson solve integrate with the first level of the
+# default quadrature rule, whose nodes, and the base's values there, the
+# base's plan keeps.
 _QUADRATURE = QuadratureConfig()
 
-# Basis size of a descent's first stage; grid_size caps it and every doubling.
+# Basis size of a first stage: a descent's grid_size caps it and every
+# doubling, and a Poisson solve doubles up to half the node count.
 _START_MODES = 16
 
 # A coefficient below sqrt(eps) of the largest changes a Rayleigh quotient by
 # about eps, since the error of the quotient is quadratic in the truncation.
+# The Poisson solve doubles by the same rule (`_refinable`).
 _TAIL_TOL = float(np.sqrt(np.finfo(float).eps))
 
 
@@ -266,6 +245,36 @@ def _basis(length: float, periodic: bool, m: int) -> _Basis:
     for a in (values, slopes, power, sine):
         a.flags.writeable = False
     return _Basis(nodes, values, slopes, omega, power, sine)
+
+
+def _refinable(c: np.ndarray, cap: int) -> bool:
+    """Whether a basis of c.size modes should double: 2 c.size <= cap and the
+    trailing quarter of the coefficients c exceeds _TAIL_TOL times the
+    largest."""
+    m = c.size
+    return 2 * m <= cap and np.max(np.abs(c[3 * m // 4 :])) > _TAIL_TOL * np.max(np.abs(c))
+
+
+def _poisson_series(base: Base, f_nodes: np.ndarray) -> RadialField:
+    """Galerkin solution of Delta u = f, f given at the plan's first-level
+    nodes, as a series in the non-constant basis functions (`_Basis`).
+
+    f is recentred by its node-quadrature mean against the weights wA of dA;
+    then S c = B^T (wA f) with stiffness S = D^T wA D, values B and slopes D
+    of the non-constant columns.  m starts at _START_MODES and doubles while
+    the tail is not negligible (`_refinable`), up to half the node count,
+    past which the products in S alias on the nodes."""
+    nodes, weights = _rules(base, _QUADRATURE)[0]
+    wA = base.area_scale * np.asarray(base.density(nodes), dtype=float) * weights
+    wf = wA * (f_nodes - np.dot(wA, f_nodes) / np.sum(wA))
+    m = _START_MODES
+    while True:
+        basis = _basis(base.length, base.periodic, m)
+        B, D = basis.values[:, 1:], basis.slopes[:, 1:]
+        c = np.concatenate([[0.0], np.linalg.solve((D.T * wA) @ D, B.T @ wf)])
+        if not _refinable(c, nodes.size // 2):
+            return basis.series(c)
+        m *= 2
 
 
 def _node_data(metric: InvariantMetric) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -397,8 +406,7 @@ def minimize_conformal(
     trace: list[float] = []
     while True:
         c, stop = _descend(basis, W, scal, c, trace, cfg)
-        tail = np.max(np.abs(c[3 * m // 4 :]))
-        if stop == "budget" or 2 * m > cfg.grid_size or tail <= _TAIL_TOL * np.max(np.abs(c)):
+        if stop == "budget" or not _refinable(c, cfg.grid_size):
             break
         m *= 2
         c = np.concatenate([c, np.zeros(m - c.size)])

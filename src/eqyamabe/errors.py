@@ -53,10 +53,6 @@ class LimitNotConverged(NumericalError):
     """One-sided limit extrapolation disagrees across scales."""
 
 
-class SingularMatrix(NumericalError):
-    """Tridiagonal elimination hit a vanishing pivot."""
-
-
 class DomainError(NumericalError):
     """Evaluation point is outside the function's domain (e.g. at a cone pole)."""
 

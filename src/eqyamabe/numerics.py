@@ -1,4 +1,4 @@
-"""Quadrature, derivative checking, scalar minimization and linear solves.
+"""Quadrature, trigonometric series, derivative checking and scalar minimization.
 
 Everything here is deterministic: panel subdivision order is fixed and no
 reduction is reordered, so repeated calls with the same inputs produce
@@ -22,7 +22,6 @@ from .errors import (
     NoConvergence,
     NonFinite,
     LimitNotConverged,
-    SingularMatrix,
 )
 
 __all__ = [
@@ -33,11 +32,8 @@ __all__ = [
     "sign_change_roots",
     "trig_series",
     "trig_interpolant",
-    "trig_antiderivative",
     "check_derivative",
     "minimize_scalar",
-    "factor_tridiagonal",
-    "solve_tridiagonal",
     "richardson_table",
     "limit_at_zero",
 ]
@@ -315,21 +311,6 @@ def trig_interpolant(samples: np.ndarray, start: float, period: float) -> tuple[
     return trig_series(_trim_modes(c), start, 2.0 * math.pi / period)
 
 
-def trig_antiderivative(samples: np.ndarray, period: float) -> np.ndarray:
-    """The antiderivative of the trigonometric interpolant of one period of
-    uniform samples, zero at the first, at each sample point.  The mean of the
-    samples has no periodic antiderivative and is dropped, as is the Nyquist
-    mode of an even count: one real FFT there and one back."""
-    n = len(samples)
-    c = np.fft.rfft(samples)
-    c[1:] /= 1j * (2.0 * math.pi / period) * np.arange(1, c.size)
-    c[0] = 0.0
-    if n % 2 == 0:
-        c[-1] = 0.0
-    out = np.fft.irfft(c, n)
-    return out - out[0]
-
-
 def sign_change_roots(f: Callable, df: Callable, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
     """The roots of f between consecutive points of x where the values fx
     change sign, in increasing order; x increases, and a simple root is
@@ -448,61 +429,6 @@ def minimize_scalar(
     if fhi < fx:
         return hi, fhi
     return x, fx
-
-
-def factor_tridiagonal(
-    lower: Sequence[float],
-    diag: Sequence[float],
-    upper: Sequence[float],
-) -> Callable[[Sequence[float]], np.ndarray]:
-    """Thomas elimination of the matrix alone.  lower/upper have length n-1,
-    diag length n.  The multipliers and pivots are computed once (raising
-    SingularMatrix on a pivot underflow); the returned solve(rhs), rhs of
-    length n, runs only the forward and back substitution sweeps."""
-    d = np.asarray(diag, dtype=float)
-    lo = np.asarray(lower, dtype=float)
-    up = np.asarray(upper, dtype=float)
-    n = d.size
-    if lo.size != n - 1 or up.size != n - 1:
-        raise ValueError("inconsistent band lengths")
-    scale = max(np.max(np.abs(d)), np.max(np.abs(lo), initial=0.0), np.max(np.abs(up), initial=0.0))
-    tiny = 1e-300 + 1e-14 * scale
-    # the sweeps run on Python floats: the same IEEE operations as numpy
-    # scalars, without their per-operation overhead
-    d, lo, up = d.tolist(), lo.tolist(), up.tolist()
-    mult = [0.0] * n
-    for i in range(1, n):
-        if abs(d[i - 1]) < tiny:
-            raise SingularMatrix(f"pivot underflow at row {i - 1}")
-        m = mult[i] = lo[i - 1] / d[i - 1]
-        d[i] -= m * up[i - 1]
-    if abs(d[-1]) < tiny:
-        raise SingularMatrix("pivot underflow at last row")
-
-    def solve(rhs: Sequence[float]) -> np.ndarray:
-        y = np.asarray(rhs, dtype=float)
-        if y.size != n:
-            raise ValueError("inconsistent band lengths")
-        y = y.ravel().tolist()
-        for i in range(1, n):
-            y[i] -= mult[i] * y[i - 1]
-        x = [0.0] * n
-        x[-1] = y[-1] / d[-1]
-        for i in range(n - 2, -1, -1):
-            x[i] = (y[i] - up[i] * x[i + 1]) / d[i]
-        return np.array(x)
-
-    return solve
-
-
-def solve_tridiagonal(
-    lower: Sequence[float],
-    diag: Sequence[float],
-    upper: Sequence[float],
-    rhs: Sequence[float],
-) -> np.ndarray:
-    """Thomas elimination.  lower/upper have length n-1, diag/rhs length n."""
-    return factor_tridiagonal(lower, diag, upper)(rhs)
 
 
 def limit_at_zero(

@@ -299,6 +299,7 @@ def test_laplace_bump_sphere(capsys, tmp_path):
     assert code == 0
     assert doc["quantities"]["positive"] is True
     assert doc["quantities"]["min_scal"]["value"] > 0.0
+    assert doc["quantities"]["min_scal"]["route"] == "galerkin_series_at_nodes"
 
 
 def test_laplace_torus_case_mismatch(capsys, tmp_path):

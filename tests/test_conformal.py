@@ -13,43 +13,29 @@ import eqyamabe.conformal as conformal
 from eqyamabe.conformal import RadialFunction, laplace_residual
 from eqyamabe import numerics, orbifold
 from eqyamabe.errors import NonPositiveFactor, NonpositiveChi, NotMeanZero
-from eqyamabe.numerics import factor_tridiagonal
 
 from conftest import BERGER_HALF_J, SIGMA_S3, bump_sphere
 
 
 def _eigenvalue_oracle(base, n=2000):
-    """Smallest nonzero eigenvalue of the radial Laplacian by inverse power
-    iteration on a tridiagonal finite-volume discretization.
+    """Smallest nonzero eigenvalue of the radial Laplacian on a tridiagonal
+    finite-volume discretization.
 
-    Independent of the double-quadrature solver: the operator is assembled
-    from fluxes at cell edges, shifted by 1e-8, and factored once by the
-    Thomas solver.
+    Independent of the Galerkin solver: the operator -(phi u')'/phi is
+    assembled from fluxes at cell edges, zero-flux at the poles.  It is
+    self-adjoint in the area-weighted inner product, so its symmetrized form
+    goes to scipy's `eigh_tridiagonal`; the constant kernel is eigenvalue 0.
     """
-    L = base.length
-    h = L / n
-    centers = (np.arange(n) + 0.5) * h
-    phi_c = np.asarray(base.phi(centers), dtype=float)
-    phi_e = np.asarray(base.phi((np.arange(1, n)) * h), dtype=float)
-    # (A u)_i = -(phi u')'/phi at cell centers, zero-flux at the poles
-    lower = -phi_e / (h * h * phi_c[1:])
-    upper = -phi_e / (h * h * phi_c[:-1])
+    from scipy.linalg import eigh_tridiagonal
+
+    h = base.length / n
+    phi_c = np.asarray(base.phi((np.arange(n) + 0.5) * h), dtype=float)
+    flux = np.asarray(base.phi(np.arange(1, n) * h), dtype=float) / (h * h)
     diag = np.zeros(n)
-    diag[:-1] -= upper
-    diag[1:] -= lower
-    w = phi_c * h
-    u = np.cos(2.0 * centers)  # rough mode shape to seed the iteration
-    u -= np.dot(u, w) / np.sum(w)
-    solve = factor_tridiagonal(lower, diag + 1e-8, upper)
-    for _ in range(60):
-        v = solve(u)
-        v -= np.dot(v, w) / np.sum(w)  # project out the constant kernel
-        u = v / np.max(np.abs(v))
-    Au = diag * u
-    Au[1:] += lower * u[:-1]
-    Au[:-1] += upper * u[1:]
-    # Rayleigh quotient in the area-weighted inner product (A is self-adjoint there)
-    return float(np.dot(w * Au, u) / np.dot(w * u, u))
+    diag[:-1] += flux / phi_c[:-1]
+    diag[1:] += flux / phi_c[1:]
+    off = -flux / np.sqrt(phi_c[:-1] * phi_c[1:])
+    return float(eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(1, 1))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +119,51 @@ def test_torus_solver():
     u = eq.laplace_solve_radial(base, f)
     # Delta u = -u'' = f has solution f / (2 pi)^2
     assert np.max(np.abs(u.values - f.values / (2.0 * np.pi) ** 2)) <= 1e-8
+    # the sine columns of the Fourier basis
+    sine, cosine = np.sin(2.0 * np.pi * grid), np.cos(4.0 * np.pi * grid)
+    u = eq.laplace_solve_radial(base, RadialFunction(grid=grid, values=sine + cosine))
+    exact = sine / (2.0 * np.pi) ** 2 + cosine / (4.0 * np.pi) ** 2
+    assert np.max(np.abs(u.values - exact)) <= 1e-10
+
+
+def _basis_sizes(monkeypatch):
+    sizes = []
+    basis = conformal._basis
+
+    def counting(length, periodic, m):
+        sizes.append(m)
+        return basis(length, periodic, m)
+
+    monkeypatch.setattr(conformal, "_basis", counting)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "pair, expected", [((2, 3), [16]), ((1, 9), [16, 32, 64, 128])], ids=["wps23", "wps19"]
+)
+def test_poisson_basis_doubles_while_its_tail_is_not_negligible(monkeypatch, pair, expected):
+    sizes = _basis_sizes(monkeypatch)
+    eq.uniformize_positive(eq.wps_profile(*pair))
+    assert sizes == expected
+
+
+def test_poisson_basis_stops_at_half_the_node_count(monkeypatch):
+    # past 256 modes on the 512 first-level nodes the stiffness products alias
+    sizes = _basis_sizes(monkeypatch)
+    monkeypatch.setattr(conformal, "_TAIL_TOL", 0.0)
+    u, min_scal = eq.uniformize_positive(eq.wps_profile(2, 3))
+    assert sizes == [16, 32, 64, 128, 256]
+    assert 2 * sizes[-1] == orbifold.quadrature_nodes(eq.wps_profile(2, 3)).size
+    assert min_scal > 0.0
+
+
+def test_one_rule_doubles_both_bases(monkeypatch):
+    # the minimizer and the Poisson solve ask the same helper whether to double
+    sizes = _basis_sizes(monkeypatch)
+    monkeypatch.setattr(conformal, "_refinable", lambda c, cap: False)
+    assert eq.minimize_conformal(eq.wps_metric(1, 9)).modes == 16
+    eq.uniformize_positive(eq.wps_profile(1, 9))
+    assert sizes == [16, 16]
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +214,31 @@ def test_uniformized_solution_has_a_decaying_cosine_spectrum():
     u, _ = eq.uniformize_positive(bump_sphere(0.2))
     c = np.abs(np.fft.rfft(np.concatenate([u.values, u.values[-2:0:-1]])))
     assert np.count_nonzero(c >= np.finfo(float).eps * c.max()) <= 64
+
+
+def _sampled_bump_profile():
+    s = np.linspace(0.0, math.pi, 201)
+    phi = np.sin(s) * (1.0 + 0.15 * np.sin(s) ** 2)
+    phi[0] = phi[-1] = 0.0
+    return eq.profile_from_samples(s, phi, 1, 1)
+
+
+_UNIFORMIZED_BASES = {
+    "wps23": lambda: eq.wps_profile(2, 3),
+    "wps12": lambda: eq.wps_profile(1, 2),
+    "wps19": lambda: eq.wps_profile(1, 9),
+    "bump": lambda: bump_sphere(0.2),
+    "sampled": _sampled_bump_profile,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_UNIFORMIZED_BASES))
+def test_uniformized_min_scal_is_the_closed_form(kind):
+    # the new curvature is (4 pi chi / vol) e^{-2u}, least where u peaks
+    base = _UNIFORMIZED_BASES[kind]()
+    u, min_scal = eq.uniformize_positive(base)
+    closed = 4.0 * math.pi * eq.chi_orb(base) / eq.area(base) * math.exp(-2.0 * np.max(u.values))
+    assert min_scal == pytest.approx(closed, rel=1e-6)
 
 
 def test_uniformize_rejects_torus():

@@ -1,4 +1,4 @@
-"""Quadrature, derivative checker, scalar minimizer, tridiagonal solver."""
+"""Quadrature, trigonometric series, derivative checker, scalar minimizer."""
 
 from __future__ import annotations
 
@@ -15,19 +15,16 @@ from eqyamabe.errors import (
     LimitNotConverged,
     NoConvergence,
     NonFinite,
-    SingularMatrix,
 )
 from eqyamabe.numerics import (
     IntegralResult,
     QuadratureConfig,
     _trim_modes,
     check_derivative,
-    factor_tridiagonal,
     integrate,
     limit_at_zero,
     minimize_scalar,
     sign_change_roots,
-    solve_tridiagonal,
     trig_interpolant,
 )
 
@@ -280,92 +277,6 @@ def test_minimize_fiber_length_functional():
 def test_minimize_shifted_quadratics(center, scale):
     x, _ = minimize_scalar(lambda t: scale * (t - center) ** 2, [0.0, 5.0], tol=1e-10)
     assert abs(x - center) <= 1e-6
-
-
-# ---------------------------------------------------------------------------
-# solve_tridiagonal
-# ---------------------------------------------------------------------------
-
-def test_tridiagonal_identity():
-    x = solve_tridiagonal([0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0], [1.0, 2.0, 3.0])
-    assert np.allclose(x, [1.0, 2.0, 3.0], atol=1e-14)
-
-
-def test_tridiagonal_two_by_two_hand_solve():
-    x = solve_tridiagonal([-1.0], [2.0, 2.0], [-1.0], [1.0, 1.0])
-    assert np.allclose(x, [1.0, 1.0], atol=1e-14)
-
-
-def test_tridiagonal_dirichlet_laplacian_manufactured():
-    n = 200
-    h = 1.0 / (n + 1)
-    grid = np.linspace(h, 1.0 - h, n)
-    exact = grid * (1.0 - grid)
-    rhs = np.full(n, 2.0 * h * h)  # -u'' = 2
-    x = solve_tridiagonal(np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0), rhs)
-    assert np.max(np.abs(x - exact)) <= 5.0 * h * h
-
-
-def test_tridiagonal_singular():
-    with pytest.raises(SingularMatrix):
-        solve_tridiagonal([0.0], [0.0, 1.0], [0.0], [1.0, 1.0])
-
-
-def _thomas_reference(lo, d, up, y):
-    # the one-shot elimination on numpy scalars, in the solver's operation order
-    d, y = np.array(d, dtype=float), np.array(y, dtype=float)
-    for i in range(1, d.size):
-        m = lo[i - 1] / d[i - 1]
-        d[i] -= m * up[i - 1]
-        y[i] -= m * y[i - 1]
-    x = np.empty(d.size)
-    x[-1] = y[-1] / d[-1]
-    for i in range(d.size - 2, -1, -1):
-        x[i] = (y[i] - up[i] * x[i + 1]) / d[i]
-    return x
-
-
-def test_tridiagonal_factor_solves_bit_identically_to_one_shot_elimination():
-    rng = np.random.default_rng(11)
-    n = 50
-    lo, up = rng.normal(size=n - 1), rng.normal(size=n - 1)
-    d = np.abs(rng.normal(size=n)) + 3.0
-    solve = factor_tridiagonal(lo, d, up)
-    for rhs in rng.normal(size=(4, n)):
-        expected = _thomas_reference(lo, d, up, rhs).tolist()
-        assert solve(rhs).tolist() == solve_tridiagonal(lo, d, up, rhs).tolist() == expected
-
-
-def test_tridiagonal_factor_checks_the_matrix_before_any_rhs():
-    with pytest.raises(SingularMatrix):
-        factor_tridiagonal([0.0], [0.0, 1.0], [0.0])
-    with pytest.raises(ValueError):
-        factor_tridiagonal([1.0, 1.0], [2.0, 2.0], [1.0])
-    solve = factor_tridiagonal([1.0], [2.0, 2.0], [1.0])
-    with pytest.raises(ValueError):
-        solve([1.0, 2.0, 3.0])
-
-
-def test_tridiagonal_one_by_one():
-    assert factor_tridiagonal([], [4.0], [])([2.0]).tolist() == [0.5]
-    with pytest.raises(SingularMatrix):
-        factor_tridiagonal([], [0.0], [])
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=2**31 - 1))
-def test_tridiagonal_residual_bound(n, seed):
-    rng = np.random.default_rng(seed)
-    lo = rng.normal(size=n - 1)
-    up = rng.normal(size=n - 1)
-    # diagonal dominance keeps unpivoted elimination stable
-    d = np.abs(rng.normal(size=n)) + np.abs(np.r_[0.0, lo]) + np.abs(np.r_[up, 0.0]) + 1.0
-    rhs = rng.normal(size=n)
-    x = solve_tridiagonal(lo, d, up, rhs)
-    resid = d * x
-    resid[1:] += lo * x[:-1]
-    resid[:-1] += up * x[1:]
-    assert np.max(np.abs(resid - rhs)) <= 1e-12 * max(1.0, float(np.max(np.abs(rhs))))
 
 
 # ---------------------------------------------------------------------------
