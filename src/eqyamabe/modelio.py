@@ -51,7 +51,14 @@ TOOL_VERSION = __version__
 _BASE_TYPES = ("wps", "round_sphere", "profile", "flat_torus")
 _ELL_TYPES = ("constant", "samples")
 _F_TYPES = ("constant", "wps", "samples")
-_QUADRATURE_FIELDS = {"panels", "points_per_panel", "max_refinements", "abs_tol", "rel_tol"}
+# quadrature overrides and the JSON types each takes
+_QUADRATURE_FIELDS = {
+    "panels": int,
+    "points_per_panel": int,
+    "max_refinements": int,
+    "abs_tol": (int, float),
+    "rel_tol": (int, float),
+}
 # endpoint-mode keys of older model files: validated so those files still
 # parse, then ignored, because every integral uses the one Gauss-Legendre rule
 _LEGACY_QUADRATURE_FIELDS = {"endpoint_mode", "epsilon"}
@@ -73,12 +80,17 @@ def _require(mapping: dict, key: str, path: str, types, choices=None):
     if key not in mapping:
         raise ModelParseError(f"{path}.{key}: missing required field")
     value = mapping[key]
-    if not isinstance(value, types):
+    # JSON true/false are Python bools, which are ints: no field takes one
+    if isinstance(value, bool) or not isinstance(value, types):
         tn = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
         raise ModelParseError(f"{path}.{key}: expected {tn}, got {type(value).__name__}")
     if choices is not None and value not in choices:
         raise ModelParseError(f"{path}.{key}: expected one of {sorted(choices)}, got {value!r}")
     return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _positive(value, path: str) -> float:
@@ -98,10 +110,10 @@ def parse_model(doc: Any) -> ModelSpec:
         m2 = _require(base, "m2", "$.base", int)
         if m1 < 1 or m2 < 1 or math.gcd(m1, m2) != 1:
             raise ModelParseError("$.base: m1, m2 must be coprime positive integers")
-        if "grid" in base:
-            g = _require(base, "grid", "$.base", int)
-            if g < 4:
-                raise ModelParseError("$.base.grid: must be an integer >= 4")
+        # the grid of older model files: validated so those files still
+        # parse, then ignored, because the profile is in closed form
+        if "grid" in base and _require(base, "grid", "$.base", int) < 4:
+            raise ModelParseError("$.base.grid: must be an integer >= 4")
     elif btype == "round_sphere":
         _positive(_require(base, "radius", "$.base", (int, float)), "$.base.radius")
     elif btype == "flat_torus":
@@ -115,7 +127,7 @@ def parse_model(doc: Any) -> ModelSpec:
             if (
                 not isinstance(row, list)
                 or len(row) != 2
-                or not all(isinstance(v, (int, float)) for v in row)
+                or not all(_is_number(v) for v in row)
             ):
                 raise ModelParseError(f"$.base.samples[{i}]: expected a [s, phi] number pair")
         for key in ("m_start", "m_end"):
@@ -129,7 +141,7 @@ def parse_model(doc: Any) -> ModelSpec:
         _positive(_require(ell, "value", "$.ell", (int, float)), "$.ell.value")
     else:
         values = _require(ell, "values", "$.ell", list)
-        if len(values) < 4 or not all(isinstance(v, (int, float)) for v in values):
+        if len(values) < 4 or not all(_is_number(v) for v in values):
             raise ModelParseError("$.ell.values: need at least 4 numbers")
         if min(values) <= 0:
             raise ModelParseError("$.ell.values: fiber length must be positive everywhere")
@@ -142,7 +154,7 @@ def parse_model(doc: Any) -> ModelSpec:
             raise ModelParseError("$.F.value: must be finite")
     elif ftype == "samples":
         values = _require(F, "values", "$.F", list)
-        if len(values) < 4 or not all(isinstance(v, (int, float)) for v in values):
+        if len(values) < 4 or not all(_is_number(v) for v in values):
             raise ModelParseError("$.F.values: need at least 4 numbers")
     else:  # wps density needs a wps base
         if btype != "wps":
@@ -152,9 +164,12 @@ def parse_model(doc: Any) -> ModelSpec:
     if quad is not None:
         if not isinstance(quad, dict):
             raise ModelParseError("$.quadrature: expected an object")
-        unknown = set(quad) - _QUADRATURE_FIELDS - _LEGACY_QUADRATURE_FIELDS
+        unknown = set(quad) - set(_QUADRATURE_FIELDS) - _LEGACY_QUADRATURE_FIELDS
         if unknown:
             raise ModelParseError(f"$.quadrature: unknown fields {sorted(unknown)}")
+        for key, types in _QUADRATURE_FIELDS.items():
+            if key in quad:
+                _require(quad, key, "$.quadrature", types)
         if "endpoint_mode" in quad:
             _require(quad, "endpoint_mode", "$.quadrature", str, _LEGACY_ENDPOINT_MODES)
         if "epsilon" in quad:
@@ -188,7 +203,7 @@ def build_base(spec: ModelSpec) -> Base:
     base = spec.base
     btype = base["type"]
     if btype == "wps":
-        return wps_profile(base["m1"], base["m2"], grid=base.get("grid", 512))
+        return wps_profile(base["m1"], base["m2"])
     if btype == "round_sphere":
         return make_round_sphere(float(base["radius"]))
     if btype == "flat_torus":

@@ -8,12 +8,14 @@ Two representations are kept side by side:
   area and the radial Laplacian one-dimensional, and
 * the rational chart of the weighted projective line CP^1(m1, m2), carrying
   the functions lam1, lam2, gamma of the quotient metric of the weighted
-  circle action on the 3-sphere.
+  circle action on the 3-sphere; the `invariants` routes and the tests read
+  it as the independent route.
 
-`wps_profile` converts the chart into an arclength profile.  Labelling
-convention: the pole at s = 0 is the zero locus of the first complex
-coordinate and carries isotropy of order m2; the pole at s = L carries
-order m1.
+`wps_profile` is the chart's quotient metric in arclength, where it is
+elementary: phi, phi' and phi'' are closed forms, accurate relative to phi
+up to both poles.  Labelling convention: the pole at s = 0 is the zero locus
+of the first complex coordinate and carries isotropy of order m2; the pole
+at s = L carries order m1.
 
 Both bases answer the same members, one place per fact: the area element
 `area_scale * density(s) ds` (2 pi phi ds, or 2 pi c ds on the torus),
@@ -34,8 +36,8 @@ nodes and values.
 Results are bit-identical to evaluating phi afresh at every call.
 
 `wps_profile` and `make_round_sphere` validate their arguments on every
-call and then share one base per canonical arguments (int weights and grid;
-float radius), so every metric, model file and script built from the same
+call and then share one base per canonical arguments (int weights; float
+radius), so every metric, model file and script built from the same
 arguments shares that base's plan.  Those bases, and their plans, live for
 the process, up to the last `_SHARED_BASES` arguments of each constructor;
 every other base still drops its plan when it is collected.
@@ -371,74 +373,51 @@ def _round_sphere(R: float) -> ConeSurfaceProfile:
     )
 
 
-def wps_profile(m1: int, m2: int, grid: int = 512) -> ConeSurfaceProfile:
+def wps_profile(m1: int, m2: int) -> ConeSurfaceProfile:
     """Arclength profile of the quotient metric of the weighted circle action.
 
     Along the chart, circumference/2pi is -1/lam1 and the arclength element
     is |gamma'| dt / (2 gamma |lam2|), which simplifies to dt / (2 sqrt(t(1-t))),
-    so t = sin(s)^2 with total length pi/2.  Evaluation is split at L/2 and
-    mirrored through the swapped-weight chart so that 1 - t is never formed
-    by cancellation near a pole.  `grid` sets the differencing step of the
-    cone-slope check.  One base per (int(m1), int(m2), int(grid)): equal
-    arguments return the same base.
+    so t = sin(s)^2 with total length L = pi/2 and
+
+        phi(s) = sin(s) cos(s) / sqrt(P(s)),  P(s) = m1^2 sin(s)^2 + m2^2 cos(s)^2,
+
+    the same P as `yamabe.wps_density_field`.  phi, phi' and phi'' are closed
+    forms in sin 2s, cos 2s and P, with cos s read as sin(L - s): sin 2s is then
+    an exact zero at both poles, every value is accurate relative to phi up to
+    either pole, and the pole slopes are exactly 1/m2 and -1/m1.  One base per
+    (int(m1), int(m2)): equal weights return the same base.
     """
     _check_weights(m1, m2)
-    if grid < 4:
-        raise GridTooCoarse("grid must be at least 4")
-    return _wps_profile(int(m1), int(m2), int(grid))
+    return _wps_profile(int(m1), int(m2))
 
 
 @lru_cache(maxsize=_SHARED_BASES)
-def _wps_profile(m1: int, m2: int, grid: int) -> ConeSurfaceProfile:
-    chart_lo = WpsChart(m1, m2)      # s <= L/2, t = sin^2 s small
-    chart_hi = WpsChart(m2, m1)      # mirrored coordinates near s = L
+def _wps_profile(m1: int, m2: int) -> ConeSurfaceProfile:
     L = 0.5 * math.pi
+    a = float(m1 * m1 - m2 * m2)
 
-    def _eval(s, order: int):
+    def terms(s):
+        """sin 2s, cos 2s, P'/P and P^(-1/2) at s."""
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s).copy()
-        out = np.empty_like(s)
-        # exact pole values, so the accessors are total on [0, L]
-        at_start = s <= 0.0
-        at_end = s >= L
-        pole_vals = {0: (0.0, 0.0), 1: (1.0 / m2, -1.0 / m1), 2: (0.0, 0.0)}[order]
-        near = s <= 0.5 * L
-        for mask, chart, sign in ((near & ~at_start, chart_lo, 1.0), (~near & ~at_end, chart_hi, -1.0)):
-            if not np.any(mask):
-                continue
-            sf = s[mask] if sign > 0 else L - s[mask]
-            t = np.sin(sf) ** 2
-            l1 = chart.lam1(t)
-            if order == 0:
-                out[mask] = -1.0 / l1
-                continue
-            l1p = chart.lam1_d1(t)
-            dphidt = l1p / l1**2
-            s2 = np.sin(2.0 * sf)
-            if order == 1:
-                out[mask] = sign * dphidt * s2
-            else:
-                l1pp = chart.lam1_d2(t)
-                d2 = (l1pp / l1**2 - 2.0 * l1p**2 / l1**3) * s2**2 + dphidt * 2.0 * np.cos(2.0 * sf)
-                out[mask] = d2
-        out[at_start] = pole_vals[0]
-        out[at_end] = pole_vals[1]
-        return out[0] if scalar else out
+        sin, cos = np.sin(s), np.sin(L - s)
+        s2 = 2.0 * sin * cos
+        r = 1.0 / np.sqrt((m1 * sin) ** 2 + (m2 * cos) ** 2)
+        return s2, np.cos(2.0 * s), a * s2 * r * r, r
 
-    base = ConeSurfaceProfile(
-        L,
-        m2,
-        m1,
-        lambda s: _eval(s, 0),
-        lambda s: _eval(s, 1),
-        lambda s: _eval(s, 2),
-        label=f"wps({m1},{m2})",
-    )
-    # the pole series of phi has curvature ~ max(m)^2 / min(m)^2 relative to
-    # its slope, so the differencing step shrinks with the weight ratio
-    _check_cone_slopes(base, h=L / grid * (min(m1, m2) / max(m1, m2)) ** 2)
-    return base
+    def phi(s):
+        s2, _, _, r = terms(s)
+        return 0.5 * s2 * r
+
+    def phi_d1(s):
+        s2, c2, q, r = terms(s)
+        return r * (c2 - 0.25 * s2 * q)
+
+    def phi_d2(s):
+        s2, c2, q, r = terms(s)
+        return r * (-2.0 * s2 - c2 * q - 0.5 * a * c2 * s2 * r * r + 0.375 * s2 * q * q)
+
+    return ConeSurfaceProfile(L, m2, m1, phi, phi_d1, phi_d2, label=f"wps({m1},{m2})")
 
 
 def profile_from_samples(

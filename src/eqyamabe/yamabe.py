@@ -300,10 +300,12 @@ def wps_density_field(m1: int, m2: int) -> RadialField:
     return RadialField(value=val, d1=d1, d2=d2)
 
 
-def wps_metric(m1: int, m2: int, ell: float = 1.0, grid: int = 512) -> InvariantMetric:
-    """Quotient base of the weighted circle action with its connection density."""
-    base = wps_profile(m1, m2, grid=grid)
-    return InvariantMetric(base=base, ell=RadialField.const(ell), F=wps_density_field(m1, m2))
+def wps_metric(m1: int, m2: int, ell: float = 1.0) -> InvariantMetric:
+    """Quotient base of the weighted circle action (the shared `wps_profile`
+    base) with its connection density and constant fiber length ell."""
+    return InvariantMetric(
+        base=wps_profile(m1, m2), ell=RadialField.const(ell), F=wps_density_field(m1, m2)
+    )
 
 
 def hopf_metric(ell: float = 1.0) -> InvariantMetric:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import eqyamabe as eq
+from eqyamabe import modelio
 from eqyamabe.cli import main
 
 from conftest import HEBEY_VAUGON_3_2, SIGMA_S3, TORUS_J_ELL1, WEIGHTED_BOUND, bump_sphere
@@ -423,6 +424,69 @@ def test_malformed_legacy_endpoint_keys_exit_2(capsys, tmp_path, legacy, field):
     code, _, err = run(capsys, ["functional", "--model", str(path)])
     assert code == 2
     assert f"$.quadrature.{field}" in err
+
+
+_MODEL_DOCS = {
+    "wps": {"base": {"type": "wps", "m1": 2, "m2": 3, "grid": 512},
+            "ell": {"type": "constant", "value": 0.7}, "F": {"type": "wps"},
+            "quadrature": {"panels": 32, "points_per_panel": 16, "max_refinements": 6,
+                           "abs_tol": 1e-12, "rel_tol": 1e-10}},
+    "sphere": {"base": {"type": "round_sphere", "radius": 0.5},
+               "ell": {"type": "constant", "value": 1.0}, "F": {"type": "constant", "value": 2.0}},
+    "torus": {"base": {"type": "flat_torus", "length": 1.0, "radius": 1.0},
+              "ell": {"type": "samples", "values": [1.0] * 5},
+              "F": {"type": "samples", "values": [1.0] * 5}},
+    "profile": {"base": {"type": "profile", "m_start": 1, "m_end": 1,
+                         "samples": [[s, math.sin(s)] for s in np.linspace(0.0, math.pi, 9)]},
+                "ell": {"type": "constant", "value": 1.0}, "F": {"type": "constant", "value": 1.0}},
+}
+
+
+@pytest.mark.parametrize(
+    "kind,field",
+    [("wps", "$.base.m1"), ("wps", "$.base.m2"), ("wps", "$.base.grid"),
+     ("sphere", "$.base.radius"), ("torus", "$.base.length"), ("torus", "$.base.radius"),
+     ("profile", "$.base.samples[3]"), ("profile", "$.base.m_start"), ("profile", "$.base.m_end"),
+     ("wps", "$.ell.value"), ("torus", "$.ell.values"), ("sphere", "$.F.value"),
+     ("torus", "$.F.values"), ("wps", "$.quadrature.panels"),
+     ("wps", "$.quadrature.points_per_panel"), ("wps", "$.quadrature.max_refinements"),
+     ("wps", "$.quadrature.abs_tol"), ("wps", "$.quadrature.rel_tol")],
+)
+def test_json_booleans_are_not_numbers(capsys, tmp_path, kind, field):
+    # true is a Python int: it parsed as 1 wherever a number was asked for
+    doc = json.loads(json.dumps(_MODEL_DOCS[kind]))
+    modelio.build_metric(modelio.parse_model(doc))  # valid before the edit
+    *parents, key = field.split(".")[1:]
+    node = doc
+    for name in parents:
+        node = node[name]
+    if key.endswith("]"):  # one [s, phi] pair
+        key, index = key[:-1].split("[")
+        node[key][int(index)][1] = True
+    elif isinstance(node[key], list):  # one sample value
+        node[key][2] = True
+    else:
+        node[key] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["bound", "--model", str(path)])
+    assert code == 2
+    assert field in err
+
+
+def test_wps_model_grid_is_validated_and_ignored(capsys, tmp_path):
+    # the profile is in closed form: an older file's grid changes nothing
+    doc = json.loads(json.dumps(_MODEL_DOCS["wps"]))
+    del doc["base"]["grid"]
+    base = modelio.build_base(modelio.parse_model(doc))
+    doc["base"]["grid"] = 4096
+    assert modelio.build_base(modelio.parse_model(doc)) is base is eq.wps_profile(2, 3)
+    doc["base"]["grid"] = 3
+    path = tmp_path / "coarse_grid.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["bound", "--model", str(path)])
+    assert code == 2
+    assert "$.base.grid" in err
 
 
 def test_unreadable_model(capsys):

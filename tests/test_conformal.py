@@ -139,12 +139,16 @@ def _basis_sizes(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "pair, expected", [((2, 3), [16]), ((1, 9), [16, 32, 64, 128])], ids=["wps23", "wps19"]
+    "pair, expected",
+    [((2, 3), [16]), ((1, 9), [16, 32, 64, 128]), ((1, 1), [16])],
+    ids=["wps23", "wps19", "wps11"],
 )
 def test_poisson_basis_doubles_while_its_tail_is_not_negligible(monkeypatch, pair, expected):
     sizes = _basis_sizes(monkeypatch)
-    eq.uniformize_positive(eq.wps_profile(*pair))
+    _, min_scal = eq.uniformize_positive(eq.wps_profile(*pair))
     assert sizes == expected
+    if pair == (1, 1):  # K = 4 exactly at every node: the data vanishes
+        assert min_scal == pytest.approx(8.0, abs=1e-13)
 
 
 def test_poisson_basis_stops_at_half_the_node_count(monkeypatch):

@@ -56,6 +56,28 @@ def test_norms_and_gauss_bonnet_match_mpmath(m1, m2):
     assert eq.gauss_bonnet_check(metric.base) == pytest.approx(ref["gauss_bonnet"], rel=REL)
 
 
+@pytest.mark.parametrize("m1,m2", [(2, 3), (1, 9), (1, 20)])
+def test_wps_profile_matches_mpmath_up_to_both_poles(m1, m2):
+    # the reference profile ends at the library's float L, with cos s read as
+    # sin(L - s), and is differentiated numerically at 30 digits
+    base = eq.wps_profile(m1, m2)
+    L = base.length
+    points = [1e-6, 1e-4, 1e-2, L / 2, L - 1e-2, L - 1e-4, L - 1e-6]
+    with mpmath.workdps(30):
+        Lm = mpmath.mpf(L)
+
+        def phi(s):
+            sin, cos = mpmath.sin(s), mpmath.sin(Lm - s)
+            return sin * cos / mpmath.sqrt((m1 * sin) ** 2 + (m2 * cos) ** 2)
+
+        for s in points:
+            ref = [mpmath.diff(phi, mpmath.mpf(s), n) for n in range(3)]
+            ref.append(-ref[2] / ref[0])
+            got = [base.phi(s), base.phi_d1(s), base.phi_d2(s), eq.gauss_curvature(base, s)]
+            for name, g, r in zip(("phi", "phi'", "phi''", "K"), got, ref):
+                assert float(g) == pytest.approx(float(r), rel=1e-14), (name, s)
+
+
 # Sign-changing densities F = offset + sum_k c_k cos(k pi s / period) on
 # three bases: (1/2pi) dA = w(s) ds with w = phi on a profile and the radius
 # on the torus.  |F| has a kink at every root of F, so the references

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import eqyamabe as eq
+from eqyamabe import orbifold
 from eqyamabe.errors import DomainError, GridTooCoarse, NotCoprime
 from eqyamabe.numerics import QuadratureConfig
 
@@ -78,9 +79,8 @@ def test_wps_profile_unit_weights_is_half_radius_sphere(half_sphere):
     assert base.length == pytest.approx(half_sphere.length, abs=1e-15)
     assert np.max(np.abs(base.phi(s) - half_sphere.phi(s))) <= 1e-8
     assert eq.area(base) == pytest.approx(math.pi, abs=1e-8)
-    s_in = s[(s > 1e-3) & (s < base.length - 1e-3)]
-    K = eq.gauss_curvature(base, s_in)
-    assert np.max(np.abs(K - 4.0)) <= 1e-8
+    K = eq.gauss_curvature(base, s)
+    assert np.max(np.abs(K - 4.0)) <= 1e-13
 
 
 @pytest.mark.parametrize("m1,m2", COPRIME_PAIRS)
@@ -113,6 +113,16 @@ def test_wps_profile_cone_slopes_all_pairs():
         h = 1e-6
         assert float(base.phi(h)) / h == pytest.approx(1.0 / m2, abs=1e-6)
         assert -float(base.phi(base.length - h)) / h == pytest.approx(-1.0 / m1, abs=1e-6)
+        # the closed form is exact at the poles
+        assert base.phi(0.0) == base.phi(base.length) == 0.0
+        assert (base.phi_d1(0.0), base.phi_d1(base.length)) == (1.0 / m2, -1.0 / m1)
+        # and phi'' stays accurate next to them: it is odd about each pole,
+        # so phi''/d tends to a finite limit in the distance d to the pole
+        for pole in (0.0, base.length):
+            s = np.abs(pole - np.array([1e-8, 1e-6]))
+            d = np.abs(pole - s)
+            near, far = base.phi_d2(s) / d
+            assert near == pytest.approx(far, rel=1e-9)
 
 
 def test_wps_profile_rejects_noncoprime():
@@ -129,7 +139,7 @@ ALL_PAIRS_TO_30 = [
 
 @pytest.mark.parametrize("m1,m2", ALL_PAIRS_TO_30)
 def test_wps_profile_on_all_coprime_pairs_to_thirty(m1, m2):
-    # lopsided pairs such as (1, 10) need a slope-check step scaled by the weight ratio
+    # lopsided pairs such as (1, 29) put a cone of order 29 at one pole
     base = eq.wps_profile(m1, m2)
     chi = 1.0 / m1 + 1.0 / m2
     assert abs(eq.gauss_bonnet_check(base) - chi) <= 1e-6
@@ -143,17 +153,20 @@ def test_wps_profile_on_all_coprime_pairs_to_thirty(m1, m2):
     assert cs <= main_bound * slack
 
 
-def test_wps_profile_grid_too_coarse():
-    with pytest.raises(GridTooCoarse):
-        eq.wps_profile(7, 11, grid=4)
-
-
 def test_wps_curvature_matches_chart():
-    base = eq.wps_profile(2, 3)
-    chart = eq.WpsChart(2, 3)
-    s = base.length / 2.0
-    t = math.sin(s) ** 2
-    assert eq.gauss_curvature(base, s) == pytest.approx(float(chart.kappa(t)), abs=1e-4)
+    # the chart is an independent route: phi = -1/lam1 and K = kappa at t = sin^2 s
+    for m1, m2 in COPRIME_PAIRS:
+        base = eq.wps_profile(m1, m2)
+        chart = eq.WpsChart(m1, m2)
+        s = orbifold.quadrature_nodes(base)
+        t = np.sin(s) ** 2
+        inner = (t >= 0.05) & (t <= 0.95)
+        s, t = s[inner], t[inner]
+        assert s.size == 366
+        phi_chart = -1.0 / chart.lam1(t)
+        assert np.max(np.abs(base.phi(s) / phi_chart - 1.0)) <= 1e-14, (m1, m2)
+        K = eq.gauss_curvature(base, s)
+        assert np.max(np.abs(K / chart.kappa(t) - 1.0)) <= 1e-12, (m1, m2)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 
 import eqyamabe as eq
 from eqyamabe import modelio, orbifold
-from eqyamabe.errors import GridTooCoarse, NotCoprime
+from eqyamabe.errors import NotCoprime
 from eqyamabe.numerics import QuadratureConfig, gauss_panels, integrate, sign_change_roots
 
 from conftest import bump_sphere, fourier_field
@@ -333,14 +333,12 @@ def test_field_with_unhashable_callables_is_served_uncached():
 
 def test_constructors_share_one_base_per_arguments():
     base = eq.wps_profile(2, 3)
-    assert eq.wps_profile(2, 3, 512) is base
-    assert eq.wps_profile(np.int64(2), 3, grid=512) is base
+    assert eq.wps_profile(np.int64(2), 3) is base
     assert eq.wps_metric(2, 3, 0.4).base is eq.wps_metric(2, 3, 0.7).base is base
     wps_model = {"base": {"type": "wps", "m1": 2, "m2": 3, "grid": 512},
                  "ell": {"type": "constant", "value": 1.0}, "F": {"type": "wps"}}
     assert modelio.build_metric(modelio.parse_model(wps_model)).base is base
     assert eq.wps_profile(3, 2) is not base
-    assert eq.wps_profile(2, 3, grid=256) is not base
 
     sphere = eq.make_round_sphere(0.5)
     assert eq.hopf_metric(0.3).base is sphere
@@ -356,8 +354,6 @@ def test_shared_constructors_validate_every_call():
             eq.wps_profile(2, 4)
         with pytest.raises(NotCoprime):  # int(2.0) would be a cached key
             eq.wps_profile(2.0, 3)
-        with pytest.raises(GridTooCoarse):
-            eq.wps_profile(2, 3, grid=3)
         for radius in (0.0, -0.5):
             with pytest.raises(ValueError):
                 eq.make_round_sphere(radius)
