@@ -20,7 +20,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .numerics import QuadratureConfig, sign_change_roots, trig_interpolant
+from .numerics import QuadratureConfig, _with_dips, sign_change_roots, trig_interpolant
 from .orbifold import (
     Base,
     _cached_norms,
@@ -176,15 +176,14 @@ def scalar_curvature_total(metric: InvariantMetric, s):
     and |Omega|^2 = 2 F^2.  On a profile, s must lie in the open interval
     (0, L).
     """
-    return _scalar_curvature(metric, s, metric.ell.value(s))
+    return _scalar_curvature(
+        metric, s, metric.ell.value(s), gauss_curvature(metric.base, s), metric.F.value(s)
+    )
 
 
-def _scalar_curvature(metric: InvariantMetric, s, ell):
-    """`scalar_curvature_total` at s, given ell's values there."""
-    base = metric.base
-    K = gauss_curvature(base, s)
-    F = metric.F.value(s)
-    return 2.0 * K - 0.5 * ell**2 * F**2 + 2.0 * _laplacian_of(metric.ell, base, s) / ell
+def _scalar_curvature(metric: InvariantMetric, s, ell, K, F):
+    """`scalar_curvature_total` at s, given the values of ell, K and F there."""
+    return 2.0 * K - 0.5 * ell**2 * F**2 + 2.0 * _laplacian_of(metric.ell, metric.base, s) / ell
 
 
 def _scalar_curvature_log_form(metric: InvariantMetric, s):
@@ -237,18 +236,22 @@ def _compute_norms(base: Base, field: RadialField, cfg: QuadratureConfig) -> Nor
     """The quadrature behind `omega_norms`.
 
     F is evaluated once per refinement level: the four integrands of F are
-    rows of one integral.  |F| has a kink wherever F changes sign, so the
-    roots of F found between the first level's nodes (and the ends of a base
-    without poles) cut the panels that hold them, and every row converges
-    as for a smooth integrand.  Two roots between the same pair of nodes are
-    not seen; that integral refines across its kinks.  The scalar-curvature
-    integral depends on the base alone and is computed once per base and
-    config by `scalar_curvature_integral`.
+    rows of one integral, whose first call, when F has no root, receives the
+    first-level nodes where F was evaluated to look for roots.  |F| has a
+    kink wherever F changes sign, so the roots of F found between the first
+    level's nodes (and the ends of a base without poles) split the integral
+    into pieces, and every row converges as for a smooth integrand.  Two
+    roots between the same pair of nodes are found where F dips across zero
+    at the vertex of the parabola through its values at three nodes
+    (`numerics._with_dips`); a shallower dip is not seen, and the integral
+    refines across its kinks only where the nested levels disagree.  The
+    scalar-curvature integral depends on the base alone and is computed once
+    per base and config by `scalar_curvature_integral`.
     """
     scal = scalar_curvature_integral(base, cfg)
     F = field.value
     sqrt2 = math.sqrt(2.0)
-    nodes = quadrature_nodes(base, cfg)
+    nodes = quadrature_nodes(base)
     f_nodes = F(nodes)
     x, fx = nodes, f_nodes
     if not base.cone_orders:
@@ -258,7 +261,7 @@ def _compute_norms(base: Base, field: RadialField, cfg: QuadratureConfig) -> Nor
         f_ends = np.zeros(2) + F(ends)
         x = np.concatenate([ends[:1], nodes, ends[1:]])
         fx = np.concatenate([f_ends[:1], f_nodes, f_ends[1:]])
-    roots = sign_change_roots(F, field.d1, x, fx)
+    roots = sign_change_roots(F, field.d1, *_with_dips(F, x, fx))
 
     def rows(s):
         # sqrt2 |F|, 2 F^2, (sqrt2 |F|)^3 and F, written in place

@@ -4,7 +4,9 @@ minimization of the conformal functional.
 Both the Poisson solve and the minimizer are Rayleigh-Ritz (Galerkin)
 discretizations on one basis: a cosine series cos(j pi s / L) on a profile,
 whose terms are the smooth radial fields, and a Fourier series on the torus,
-held with its slopes at the first-level nodes of the base's quadrature plan.
+held with its slopes at the nodes of a fixed grid, the 16-point
+Gauss-Legendre rule on 32 equal panels, which the base's quadrature plan
+keeps.
 The basis doubles from 16 modes while its trailing coefficients are not
 negligible (`_refinable`).
 
@@ -34,8 +36,8 @@ import numpy as np
 
 from .bundle import InvariantMetric, RadialField, _laplacian_of, _scalar_curvature
 from .errors import NonPositiveFactor, NonpositiveChi, NotMeanZero
-from .numerics import QuadratureConfig, trig_series
-from .orbifold import Base, _level_rules, _rules, area, chi_orb, gauss_curvature, quadrature_nodes
+from .numerics import trig_series
+from .orbifold import Base, _plan_nodes, area, chi_orb, gauss_curvature
 from .yamabe import conformal_functional
 
 __all__ = [
@@ -90,7 +92,7 @@ def laplace_solve_radial(base: Base, f: RadialFunction) -> RadialFunction:
     """Solve Delta u = f with the nonnegative Laplacian; u has mean zero.
 
     f is sampled on the uniform grid linspace(0, L, n) of the base (raises
-    ValueError on any other grid) and read at the plan's first-level nodes
+    ValueError on any other grid) and read at the Galerkin grid's nodes
     through `RadialField.from_samples`.  Requires int f dv = 0 within 1e-8 of
     the L1 size of f (the solvability condition); raises NotMeanZero
     otherwise.  The Galerkin solution (`_poisson_series`) is returned on the
@@ -105,9 +107,9 @@ def laplace_solve_radial(base: Base, f: RadialFunction) -> RadialFunction:
     scale = np.trapezoid(np.abs(fv) * w, grid)
     if abs(mean) > 1e-8 * max(scale, 1e-30):
         raise NotMeanZero(f"int f dv = {mean:.3e} exceeds 1e-8 * ||f||_1 = {1e-8 * scale:.3e}")
-    nodes = quadrature_nodes(base, _QUADRATURE)
+    nodes = _grid(base)[0]
     f_nodes = RadialField.from_samples(grid, fv, periodic=base.periodic).value(nodes)
-    return _sampled(base, _poisson_series(base, f_nodes), grid)[0]
+    return _sampled(base, _poisson_series(base, f_nodes, _EPS * np.max(np.abs(f_nodes))), grid)[0]
 
 
 def laplace_residual(base: Base, u: RadialFunction, f: RadialFunction) -> float:
@@ -128,7 +130,7 @@ def uniformize_positive(
     """Conformal change to positive curvature on a chi > 0 base.
 
     Solves Delta u = 2 pi chi / vol - K (the right side has zero mean by the
-    curvature integral) at the plan's first-level nodes (`_poisson_series`)
+    curvature integral) at the Galerkin grid's nodes (`_poisson_series`)
     and returns u sampled on linspace(0, L, n), less its trapezoid area mean,
     together with the minimum over the nodes of the resulting scalar
     curvature 2 e^{-2u} (Delta u + K), with Delta u taken from the series' own
@@ -139,9 +141,9 @@ def uniformize_positive(
     chi = chi_orb(base)
     if chi <= 0:
         raise NonpositiveChi("uniformization to positive curvature needs chi > 0")
-    nodes = quadrature_nodes(base, _QUADRATURE)
+    nodes = _grid(base)[0]
     K = np.asarray(gauss_curvature(base, nodes), dtype=float)
-    series = _poisson_series(base, 2.0 * math.pi * chi / area(base) - K)
+    series = _poisson_series(base, 2.0 * math.pi * chi / area(base) - K, _EPS * np.max(np.abs(K)))
     u, mean = _sampled(base, series, np.linspace(0.0, base.length, n))
     lap = _laplacian_of(series, base, nodes)
     scal_new = 2.0 * np.exp(-2.0 * (series.value(nodes) - mean)) * (lap + K)
@@ -185,25 +187,27 @@ class MinimizeResult:
     modes: int
 
 
-# The minimizer and the Poisson solve integrate with the first level of the
-# default quadrature rule, whose nodes, and the base's values there, the
-# base's plan keeps.
-_QUADRATURE = QuadratureConfig()
+# The Galerkin grid: the minimizer and the Poisson solve integrate with the
+# 16-point Gauss-Legendre rule on 32 equal panels, whose 512 nodes, and the
+# base's values there, the base's plan keeps.
+_GRID_PANELS, _GRID_POINTS = 32, 16
 
 # Basis size of a first stage: a descent's grid_size caps it and every
 # doubling, and a Poisson solve doubles up to half the node count.
 _START_MODES = 16
 
+_EPS = float(np.finfo(float).eps)
+
 # A coefficient below sqrt(eps) of the largest changes a Rayleigh quotient by
 # about eps, since the error of the quotient is quadratic in the truncation.
 # The Poisson solve doubles by the same rule (`_refinable`).
-_TAIL_TOL = float(np.sqrt(np.finfo(float).eps))
+_TAIL_TOL = math.sqrt(_EPS)
 
 
 @dataclass(frozen=True)
 class _Basis:
     """Values and slopes (read-only, nodes by columns) of the first m basis
-    functions at the read-only first-level quadrature nodes: cos(j pi s / L)
+    functions at the read-only nodes of the Galerkin grid: cos(j pi s / L)
     on a profile; 1, cos(2 pi j s / L), sin(2 pi j s / L) by increasing j on
     the torus.  Column j is Re(z^power[j]), or Re(-i z^power[j]) where
     `sine`, with z = exp(i omega s)."""
@@ -230,10 +234,29 @@ class _Basis:
 
 
 @lru_cache(maxsize=64)
+def _grid_rule(length: float) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only nodes and weights of the Galerkin grid on [0, length],
+    shared by every base of that length."""
+    x, w = np.polynomial.legendre.leggauss(_GRID_POINTS)
+    edges = np.linspace(0.0, length, _GRID_PANELS + 1)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x).ravel()
+    weights = (half[:, None] * w).ravel()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _grid(base: Base) -> tuple[np.ndarray, np.ndarray]:
+    """The Galerkin grid of the base, its nodes entered in the base's plan."""
+    nodes, weights = _grid_rule(base.length)
+    return _plan_nodes(base, nodes), weights
+
+
+@lru_cache(maxsize=64)
 def _basis(length: float, periodic: bool, m: int) -> _Basis:
-    """The first m basis functions at the first-level nodes of the default
-    rule on [0, length], shared by every base of that length."""
-    nodes = _level_rules(length, _QUADRATURE.panels, _QUADRATURE.points_per_panel)[0][0][0]
+    """The first m basis functions at the Galerkin grid's nodes on
+    [0, length], shared by every base of that length."""
+    nodes = _grid_rule(length)[0]
     j = np.arange(m)
     power = (j + 1) // 2 if periodic else j
     sine = (j % 2 == 0) & (j > 0) & periodic
@@ -247,24 +270,28 @@ def _basis(length: float, periodic: bool, m: int) -> _Basis:
     return _Basis(nodes, values, slopes, omega, power, sine)
 
 
-def _refinable(c: np.ndarray, cap: int) -> bool:
-    """Whether a basis of c.size modes should double: 2 c.size <= cap and the
-    trailing quarter of the coefficients c exceeds _TAIL_TOL times the
-    largest."""
+def _refinable(c: np.ndarray, cap: int, floor: np.ndarray | float = 0.0) -> bool:
+    """Whether a basis of c.size modes should double: 2 c.size <= cap and a
+    coefficient of the trailing quarter of c exceeds both _TAIL_TOL times the
+    largest and its floor (one number, or one per coefficient)."""
     m = c.size
-    return 2 * m <= cap and np.max(np.abs(c[3 * m // 4 :])) > _TAIL_TOL * np.max(np.abs(c))
+    tail = slice(3 * m // 4, m)
+    bound = np.maximum(_TAIL_TOL * np.max(np.abs(c)), np.broadcast_to(floor, c.shape)[tail])
+    return 2 * m <= cap and bool(np.any(np.abs(c[tail]) > bound))
 
 
-def _poisson_series(base: Base, f_nodes: np.ndarray) -> RadialField:
-    """Galerkin solution of Delta u = f, f given at the plan's first-level
+def _poisson_series(base: Base, f_nodes: np.ndarray, rounding: float) -> RadialField:
+    """Galerkin solution of Delta u = f, f given at the Galerkin grid's
     nodes, as a series in the non-constant basis functions (`_Basis`).
 
     f is recentred by its node-quadrature mean against the weights wA of dA;
     then S c = B^T (wA f) with stiffness S = D^T wA D, values B and slopes D
     of the non-constant columns.  m starts at _START_MODES and doubles while
     the tail is not negligible (`_refinable`), up to half the node count,
-    past which the products in S alias on the nodes."""
-    nodes, weights = _rules(base, _QUADRATURE)[0]
+    past which the products in S alias on the nodes.  A mode of wavenumber k
+    adds k^2 c to Delta u, so a tail coefficient with k^2 |c| below the
+    rounding level of the data f is noise and asks for no doubling."""
+    nodes, weights = _grid(base)
     wA = base.area_scale * np.asarray(base.density(nodes), dtype=float) * weights
     wf = wA * (f_nodes - np.dot(wA, f_nodes) / np.sum(wA))
     m = _START_MODES
@@ -272,19 +299,21 @@ def _poisson_series(base: Base, f_nodes: np.ndarray) -> RadialField:
         basis = _basis(base.length, base.periodic, m)
         B, D = basis.values[:, 1:], basis.slopes[:, 1:]
         c = np.concatenate([[0.0], np.linalg.solve((D.T * wA) @ D, B.T @ wf)])
-        if not _refinable(c, nodes.size // 2):
+        k = basis.omega * np.maximum(basis.power, 1)  # the constant mode is never in the tail
+        if not _refinable(c, nodes.size // 2, rounding / k**2):
             return basis.series(c)
         m *= 2
 
 
 def _node_data(metric: InvariantMetric) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first-level quadrature weights of 2 pi ell dA, the total scalar
-    curvature at those nodes, and the plain weights of ds."""
+    """The Galerkin grid's weights of 2 pi ell dA, the total scalar
+    curvature at its nodes, and the plain weights of ds."""
     base = metric.base
-    nodes, weights = _rules(base, _QUADRATURE)[0]
+    nodes, weights = _grid(base)
     ell = np.asarray(metric.ell.value(nodes), dtype=float)
     dens = base.area_scale * np.asarray(base.density(nodes), dtype=float)
-    scal = np.asarray(_scalar_curvature(metric, nodes, ell), dtype=float)
+    K, F = gauss_curvature(base, nodes), metric.F.value(nodes)
+    scal = np.asarray(_scalar_curvature(metric, nodes, ell, K, F), dtype=float)
     return 2.0 * math.pi * ell * dens * weights, scal, weights
 
 
@@ -375,8 +404,8 @@ def minimize_conformal(
     the trailing quarter of the coefficients exceeds sqrt(eps) times the
     largest and 2m <= grid_size, m doubles and the same trace continues.  If
     the iteration budget runs out first, the last iterate is returned with
-    converged=False.  A callable u0 receives the read-only first-level nodes
-    of the base's quadrature plan, an array u0 holds samples on
+    converged=False.  A callable u0 receives the read-only nodes of the
+    Galerkin grid, an array u0 holds samples on
     linspace(0, L, n) (read through `RadialField.from_samples`), and either is
     projected onto the basis in L^2(ds); the projection must be positive at
     every node (NonPositiveFactor otherwise).

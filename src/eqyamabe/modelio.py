@@ -53,15 +53,16 @@ _ELL_TYPES = ("constant", "samples")
 _F_TYPES = ("constant", "wps", "samples")
 # quadrature overrides and the JSON types each takes
 _QUADRATURE_FIELDS = {
-    "panels": int,
-    "points_per_panel": int,
     "max_refinements": int,
     "abs_tol": (int, float),
     "rel_tol": (int, float),
 }
-# endpoint-mode keys of older model files: validated so those files still
-# parse, then ignored, because every integral uses the one Gauss-Legendre rule
-_LEGACY_QUADRATURE_FIELDS = {"endpoint_mode", "epsilon"}
+# endpoint-mode and panel keys of older model files: validated so those files
+# still parse, then ignored, because every integral uses the one nested Fejér
+# rule, whose first level is fixed
+_LEGACY_QUADRATURE_FIELDS = {"endpoint_mode", "epsilon", "panels", "points_per_panel"}
+# the least value each legacy panel key took
+_LEGACY_PANEL_MINIMA = {"panels": 1, "points_per_panel": 2}
 _LEGACY_ENDPOINT_MODES = ("plain", "substitution", "epsilon_cutoff")
 
 
@@ -175,6 +176,9 @@ def parse_model(doc: Any) -> ModelSpec:
         if "epsilon" in quad:
             eps = _require(quad, "epsilon", "$.quadrature", (int, float))
             _positive(eps, "$.quadrature.epsilon")
+        for key, least in _LEGACY_PANEL_MINIMA.items():
+            if key in quad and _require(quad, key, "$.quadrature", int) < least:
+                raise ModelParseError(f"$.quadrature.{key}: must be an integer >= {least}")
         try:
             build_quadrature(quad)
         except (TypeError, ValueError) as exc:

@@ -1,14 +1,18 @@
 """Quadrature, trigonometric series, derivative checking and scalar minimization.
 
-Everything here is deterministic: panel subdivision order is fixed and no
-reduction is reordered, so repeated calls with the same inputs produce
-bit-identical results.  Integrands must be vectorized (accept and return
-numpy arrays); the node arrays they receive are read-only.
-"""
+Every integral uses one rule, Fejér's second rule (`integrate`).  Its nodes
+are interior Chebyshev points, which nest under doubling: a refinement
+evaluates only the new nodes, and a smooth integrand is settled by one call
+on 127 nodes, which gives its value and its error estimate together.
+
+Everything here is deterministic: quadrature nodes and reductions come in a
+fixed order, so repeated calls with the same inputs produce bit-identical
+results.  Integrands must be vectorized (accept and return numpy arrays);
+the node arrays they receive are read-only."""
 
 from __future__ import annotations
 
-import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,7 +32,6 @@ __all__ = [
     "QuadratureConfig",
     "IntegralResult",
     "integrate",
-    "gauss_panels",
     "sign_change_roots",
     "trig_series",
     "trig_interpolant",
@@ -52,21 +55,14 @@ _ROOT_STEPS = 100
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Composite Gauss-Legendre settings: the starting panel count, the rule
-    order per panel, how often the panel count may double, and the stopping
-    tolerances."""
+    """Nested Fejér settings: how often the rule may double past its first
+    level, and the stopping tolerances."""
 
-    panels: int = 32
-    points_per_panel: int = 16
     max_refinements: int = 6
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.panels < 1:
-            raise ValueError("panels must be a positive integer")
-        if self.points_per_panel < 2:
-            raise ValueError("points_per_panel must be >= 2")
         if self.max_refinements < 0:
             raise ValueError("max_refinements must be >= 0")
         if not (self.abs_tol > 0 and self.rel_tol > 0):  # also rejects NaN
@@ -80,142 +76,93 @@ class IntegralResult:
     refinements_used: int
 
 
-@lru_cache(maxsize=64)
-def _gauss_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(k)
-    return x, w
+# Intervals of the first level of Fejér's second rule: the first call of an
+# integrand covers the 127 interior nodes of n = 128 on every piece.
+_FIRST_LEVEL = 128
 
 
-def gauss_panels(a: float, b: float, panels: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the k-point Gauss-Legendre rule on `panels` equal
-    panels of [a, b]; both arrays are read-only."""
-    x, w = _gauss_rule(k)
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+@lru_cache(maxsize=16)
+def _fejer_weights(n: int) -> np.ndarray:
+    """Read-only weights of Fejér's second rule with n intervals (n even) on
+    [-1, 1] at its interior nodes -cos(k pi / n), k = 1, ..., n - 1, from one
+    inverse FFT (Waldvogel, BIT 46, 2006)."""
+    odd = np.arange(1.0, n, 2.0)
+    v = np.concatenate([2.0 / (odd * (odd - 2.0)), [1.0 / odd[-1]], np.zeros(n - odd.size)])
+    w = np.fft.ifft(-v[:-1] - v[:0:-1]).real[1:]  # entry 0 is an end node's zero weight
+    w.flags.writeable = False
+    return w
+
+
+def _fejer_nodes(lo: np.ndarray, hi: np.ndarray, n: int, step: int) -> np.ndarray:
+    """The read-only nodes lo + (hi - lo) sin^2(k pi / 2n), k = 1, 1 + step,
+    ... < n, of level n on every piece [lo, hi], increasing: step 1 gives the
+    whole level, step 2 the nodes that level n / 2 lacks."""
+    t = np.sin(np.arange(1, n, step) * (0.5 * math.pi / n)) ** 2
+    nodes = (lo[:, None] + (hi - lo)[:, None] * t).ravel()
     nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+    return nodes
 
 
-@lru_cache(maxsize=128)
-def _panel_edges(a: float, b: float, panels: int) -> list[float]:
-    return np.linspace(a, b, panels + 1).tolist()
-
-
-def _split_panels(
-    a: float, b: float, k: int, nodes: np.ndarray, weights: np.ndarray, breaks: list[float]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One level's rule with every panel that contains a break cut there.
-
-    The level's own nodes keep their places, with zero weight on the cut
-    panels, so values cached at those nodes still serve every other panel;
-    each piece of a cut panel gets a k-point rule of its own.  `breaks` are
-    sorted, distinct and inside (a, b).
-    """
-    panels = nodes.size // k
-    edges = _panel_edges(a, b, panels)
-    pieces: dict[int, list[float]] = {}  # cut panel -> its left edge and breaks
-    for x in breaks:
-        j = bisect.bisect_right(edges, x) - 1
-        if x > edges[j]:  # a break on a panel edge cuts nothing
-            pieces.setdefault(j, [edges[j]]).append(x)
-    if not pieces:
-        return [(nodes, weights)]
-    lo, hi = [], []
-    for j, points in pieces.items():
-        points.append(edges[j + 1])
-        lo += points[:-1]
-        hi += points[1:]
-    lo, hi = np.array(lo), np.array(hi)
-    x, w = _gauss_rule(k)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    piece_nodes = (mid[:, None] + half[:, None] * x).ravel()
-    piece_nodes.flags.writeable = False
-    kept = weights.copy()
-    kept.reshape(panels, k)[list(pieces)] = 0.0
-    return [(nodes, kept), (piece_nodes, (half[:, None] * w).ravel())]
+@lru_cache(maxsize=64)
+def _first_nodes(a: float, b: float) -> np.ndarray:
+    """The first-level nodes on [a, b]: one shared read-only array per (a, b)."""
+    return _fejer_nodes(np.array([a]), np.array([b]), _FIRST_LEVEL, 1)
 
 
 def _refine(
-    f: Callable,
-    a: float,
-    b: float,
-    cfg: QuadratureConfig,
-    levels: Sequence,
-    breaks: list[float],
+    f: Callable, edges: list[float], cfg: QuadratureConfig
 ) -> tuple[bool, list[tuple[float, float, int]]]:
-    """Double the panel count until successive values agree to tolerance.
+    """Double the level of the rule on every piece between consecutive edges
+    until two successive levels agree to tolerance.
 
     Each row of f stops at the first level where its own values agree.
-    Panels that contain a break are cut there at every level.  Returns
-    whether f gave rows and (value, error estimate, refinements) per row.
+    Returns whether f gave rows and (value, error estimate, refinements) per
+    row.
     """
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    half = 0.5 * (hi - lo)
     multi = False
-    k = cfg.points_per_panel
 
-    def rule(r: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        nodes_weights = levels[r] if r < len(levels) else gauss_panels(a, b, cfg.panels * 2**r, k)
-        return _split_panels(a, b, k, *nodes_weights, breaks) if breaks else [nodes_weights]
-
-    def rows_at(nodes: np.ndarray) -> np.ndarray:
+    def rows_at(nodes: np.ndarray, wanted) -> np.ndarray:
+        """f's rows at the nodes, one axis per piece: (rows, pieces, nodes)."""
         nonlocal multi
         vals = np.asarray(f(nodes), dtype=float)
         multi = vals.ndim == 2
-        return vals if multi else vals[None]
+        vals = vals if multi else vals[None]
+        finite = np.isfinite(vals if wanted is None else vals[wanted]).all(axis=0)
+        if not finite.all():  # a row that has stopped may go non-finite
+            raise NonFinite(f"integrand returned non-finite values near x={nodes[~finite][:3]}")
+        return vals.reshape(len(vals), lo.size, -1)
 
-    # Every integral visits levels 0 and 1.  With breaks, one call of f
-    # serves the pieces of both: on a few dozen nodes a call costs about as
-    # much as on a few.
-    first = [rule(0), rule(1)] if breaks and cfg.max_refinements else [rule(0)]
-    ahead: dict[int, np.ndarray] = {}  # id(piece nodes) -> rows evaluated ahead
-    pieces = [parts[1][0] for parts in first if len(parts) > 1] if breaks else []
-    if pieces:
-        both = np.concatenate(pieces)
-        both.flags.writeable = False
-        rows = rows_at(both)
-        ends = np.cumsum([nodes.size for nodes in pieces]).tolist()
-        ahead = {id(n): rows[:, e - n.size : e] for n, e in zip(pieces, ends)}
+    def level_sum(vals: np.ndarray, n: int) -> np.ndarray:
+        # row by row, so a row's value does not depend on the other rows
+        return np.sum((vals @ _fejer_weights(n)) * half, axis=1)
 
-    def level_sums(parts, rows_wanted) -> dict[int, float]:
-        sums: dict[int, float] = {}
-        for nodes, weights in parts:
-            rows = ahead.pop(id(nodes), None)
-            if rows is None:
-                rows = rows_at(nodes)
-            wanted = range(len(rows)) if rows_wanted is None else rows_wanted
-            finite = np.isfinite(rows)
-            if not finite.all():  # a row that has stopped may go non-finite
-                bad = ~finite[list(wanted)].all(axis=0)
-                if bad.any():
-                    raise NonFinite(f"integrand returned non-finite values near x={nodes[bad][:3]}")
-            for i in wanted:
-                part = float(np.dot(rows[i], weights))
-                sums[i] = sums[i] + part if i in sums else part
-        return sums
-
-    prev = level_sums(first[0], None)
+    n = _FIRST_LEVEL
+    vals = rows_at(_first_nodes(*edges) if lo.size == 1 else _fejer_nodes(lo, hi, n, 1), None)
+    coarse = level_sum(vals[:, :, 1::2], n // 2)  # level n / 2 sits at every second node
+    wanted = list(range(len(vals)))
     done: dict[int, tuple[float, float, int]] = {}
-    errs: dict[int, float] = {}
-    for r in range(1, cfg.max_refinements + 1):
-        cur = level_sums(first[r] if r < len(first) else rule(r), list(prev))
-        for i, value in cur.items():
-            errs[i] = abs(value - prev[i])
-            if errs[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-                done[i] = (value, errs[i], r)
-        prev = {i: v for i, v in cur.items() if i not in done}
-        if not prev:
+    for r in itertools.count():
+        fine = level_sum(vals, n)
+        err = np.abs(fine - coarse)
+        for i in wanted:
+            # with no refinement allowed, the first level stands with its estimate
+            if err[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(fine[i])) or not cfg.max_refinements:
+                done[i] = (float(fine[i]), float(err[i]), r)
+        wanted = [i for i in wanted if i not in done]
+        if not wanted:
             return multi, [done[i] for i in sorted(done)]
-    if cfg.max_refinements == 0:
-        # single rule, no comparison available: report the rule value with a
-        # zero a-posteriori estimate (caller opted out of refinement)
-        return multi, [(v, 0.0, 0) for _, v in sorted(prev.items())]
-    raise NoConvergence(
-        f"quadrature did not reach tolerance after {cfg.max_refinements} refinements "
-        f"(last error estimate {max(errs[i] for i in prev):.3e})"
-    )
+        if r == cfg.max_refinements:
+            raise NoConvergence(
+                f"quadrature did not reach tolerance after {r} refinements "
+                f"(last error estimate {max(err[i] for i in wanted):.3e})"
+            )
+        new = rows_at(_fejer_nodes(lo, hi, 2 * n, 2), wanted)
+        merged = np.empty(vals.shape[:2] + (2 * n - 1,))
+        merged[:, :, 0::2] = new
+        merged[:, :, 1::2] = vals
+        vals, coarse, n = merged, fine, 2 * n
 
 
 def richardson_table(values: Sequence[float], ratio: float) -> list[list[float]]:
@@ -234,39 +181,43 @@ def integrate(
     a: float,
     b: float,
     cfg: QuadratureConfig | None = None,
-    levels: Sequence[tuple[np.ndarray, np.ndarray]] = (),
     breaks: Sequence[float] = (),
 ) -> IntegralResult | list[IntegralResult]:
-    """Integrate f over [a, b] by composite Gauss-Legendre with panel doubling.
+    """Integrate f over [a, b] by Fejér's second rule, doubled until two
+    successive levels agree.
 
-    Gauss nodes lie strictly inside every panel, so f is never evaluated at
-    a or b: integrands that are bounded but undefined at the endpoints (the
-    geometric integrands at cone poles) need no special handling.  The
-    returned error_estimate is the a-posteriori difference of the last two
-    refinement stages.
+    The rule's nodes are the interior Chebyshev points, so f is never
+    evaluated at a or b: integrands that are bounded but undefined at the
+    endpoints (the geometric integrands at cone poles) need no special
+    handling.  The nodes nest under doubling.  The first call of f covers
+    the 127 interior nodes of level n = 128; they give the level-n value and,
+    from every second node, the level-n/2 value, and the difference of the
+    two is the returned error_estimate.  A value that misses
+    max(abs_tol, rel_tol |value|) is refined: each further call covers only
+    the n new nodes of level 2n.  After max_refinements doublings
+    NoConvergence is raised; with max_refinements = 0 the first level's value
+    is returned with its estimate, met or not.
 
-    f receives the nodes of one level as a read-only array; writing to it
-    raises.  If f returns a 2-d array, each row is a separate integrand that
-    stops at its own level, and one result per row is returned in a list.
-    `levels` may hold the (nodes, weights) of the first levels, as built by
-    `gauss_panels(a, b, cfg.panels * 2**r, cfg.points_per_panel)`, so that
-    callers can reuse them and whatever they computed at those nodes.
+    f receives the nodes of one call as a read-only, increasing array;
+    writing to it raises.  Without breaks the first call's array is one
+    shared array per (a, b), so a caller may compute there once and reuse
+    it (`orbifold.quadrature_nodes`).  If f returns a 2-d array, each row is
+    a separate integrand that stops at its own level, and one result per row
+    is returned in a list.
 
     `breaks` are points where f may have a kink, such as the roots of F in
-    |F|.  At every level each panel that contains a break is cut there and
-    each piece gets a rule of its own; the level's nodes stay as they are and
-    carry zero weight on the cut panels, so values cached at them stay
-    valid.  f is called once more on the nodes of the pieces, for levels 0
-    and 1 together and then once per deeper level.  A function that is
-    smooth between its breaks converges as a smooth one does.  Breaks outside
-    (a, b) or on a panel edge change nothing.
+    |F|.  The rule runs on each piece between them, and every call of f
+    covers all pieces at once, so a function that is smooth between its
+    breaks converges as a smooth one does.  Breaks outside (a, b) change
+    nothing.
     """
     if cfg is None:
         cfg = QuadratureConfig()
     if not (a < b):
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    breaks = sorted({float(x) for x in breaks if a < x < b}) if len(breaks) else []
-    multi, rows = _refine(f, a, b, cfg, levels, breaks)
+    a, b = float(a), float(b)
+    inner = sorted({float(x) for x in breaks if a < x < b}) if len(breaks) else []
+    multi, rows = _refine(f, [a, *inner, b], cfg)
     results = [IntegralResult(*row) for row in rows]
     return results if multi else results[0]
 
@@ -352,6 +303,38 @@ def sign_change_roots(f: Callable, df: Callable, x: np.ndarray, fx: np.ndarray) 
         if moved <= tol:
             break
     return np.array(roots)
+
+
+def _with_dips(f: Callable, x: np.ndarray, fx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and the values fx of f there, with the points added where f dips
+    across zero between points of one sign, so that `sign_change_roots`
+    sees the two roots of such a dip.
+
+    A candidate is the vertex of the parabola through an interior local
+    minimum of |fx| and its two neighbours, where all three have one sign and
+    the parabola crosses zero; f is called once, on all candidates, and a
+    candidate is added where f has the other sign.  A dip shallower than the
+    parabola's error is not seen.
+    """
+    s, mag = np.sign(fx), np.abs(fx)
+    j = 1 + np.flatnonzero(
+        (mag[1:-1] <= mag[:-2]) & (mag[1:-1] < mag[2:]) & (s[:-2] == s[1:-1]) & (s[1:-1] == s[2:])
+    )
+    if not j.size:
+        return x, fx
+    x0, x1, x2, f0, f1, f2 = x[j - 1], x[j], x[j + 1], fx[j - 1], fx[j], fx[j + 1]
+    d01 = (f1 - f0) / (x1 - x0)
+    curv = ((f2 - f1) / (x2 - x1) - d01) / (x2 - x0)  # nonzero: |f| has a strict minimum
+    v = 0.5 * (x0 + x1) - d01 / (2.0 * curv)
+    crosses = s[j] * (f0 + (v - x0) * (d01 + curv * (v - x1))) <= 0.0
+    v, sign = v[crosses], s[j][crosses]
+    if not v.size:
+        return x, fx
+    fv = np.zeros(v.size) + f(v)
+    dip = sign * fv < 0.0
+    xs, fs = np.concatenate([x, v[dip]]), np.concatenate([fx, fv[dip]])
+    order = np.argsort(xs, kind="stable")
+    return xs[order], fs[order]
 
 
 def check_derivative(

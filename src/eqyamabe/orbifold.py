@@ -25,14 +25,16 @@ functions here and in `bundle`, `conformal` and `modelio` never test a type.
 
 Base integrals (`integrate_over_base`, `area`, `gauss_bonnet_check`,
 `scalar_curvature_integral`) are served from a quadrature plan per base: the
-members' values at the read-only nodes of the first two refinement levels
-(built once per length), the base-only integrals, and the curvature-form
-norms of each curvature density (`bundle.omega_norms`), each computed on
-first use; `quadrature_nodes` hands a caller the first level's nodes, at
-which the conformal minimizer also assembles its matrices.  Plans live in a
-weak-keyed table, so a plan is dropped when its base is garbage-collected,
-and a field's norms when the field is; integrands and callers see read-only
-nodes and values.
+members' values at the shared read-only node arrays the base has used, the
+base-only integrals, and the curvature-form norms of each curvature density
+(`bundle.omega_norms`), each computed on first use.  The node arrays are the
+127 first-level nodes of the nested Fejér rule on [0, L], one array per
+length (`quadrature_nodes`), where a smooth integral makes its only call of
+its integrand and where `omega_norms` and `scalar_curvature_integral`
+bracket their roots, and the conformal minimizer's Gauss-Legendre grid.
+Plans live in a weak-keyed table, so a plan is dropped when its base is
+garbage-collected, and a field's norms when the field is; integrands and
+callers see read-only nodes and values.
 Results are bit-identical to evaluating phi afresh at every call.
 
 `wps_profile` and `make_round_sphere` validate their arguments on every
@@ -54,8 +56,8 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, GridTooCoarse, NotCoprime, QuadratureFailure
-from .numerics import IntegralResult, NoConvergence, QuadratureConfig, gauss_panels, integrate
-from .numerics import sign_change_roots, trig_interpolant
+from .numerics import IntegralResult, NoConvergence, QuadratureConfig, _first_nodes, integrate
+from .numerics import _with_dips, sign_change_roots, trig_interpolant
 
 __all__ = [
     "ConeSurfaceProfile",
@@ -459,21 +461,16 @@ def profile_from_samples(
 # quadrature plan
 # ---------------------------------------------------------------------------
 
-# Refinement levels whose nodes, and the base's values there, are kept per
-# base.  Every base integral visits the starting level and its first doubling;
-# deeper levels are reached only at kinks of the integrand and are built afresh.
-_PLAN_LEVELS = 2
-
-
 class _Plan:
     """Quadrature data of one base, computed once.
 
-    `nodes` maps id(nodes) to the node arrays of the cached levels that the
-    base has used; `values` maps (member, id(nodes)) to a
-    base member's read-only values at the nodes; `integrals` maps (name,
-    cfg) to a base-only integral; `norms` maps a curvature density F,
-    weakly, to its curvature-form norms per cfg, so an entry dies with its
-    field.  A plan holds no reference to its base.
+    `nodes` maps id(nodes) to the shared node arrays that the base has used:
+    the quadrature's first-level nodes and the conformal minimizer's grid;
+    `values` maps (member, id(nodes)) to a base member's read-only values at
+    those nodes; `integrals` maps (name, cfg) to a base-only integral;
+    `norms` maps a curvature density F, weakly, to its curvature-form norms
+    per cfg, so an entry dies with its field.  A plan holds no reference to
+    its base.
     """
 
     def __init__(self) -> None:
@@ -498,7 +495,7 @@ def _plan(base: Base) -> _Plan:
 
 
 def _planned(base: Base, name: str, s, compute: Callable):
-    """compute(s); at the nodes of a cached level, computed once per base and
+    """compute(s); at the plan's node arrays, computed once per base and
     returned read-only."""
     plan = _plan(base)
     if plan.nodes.get(id(s)) is not s:
@@ -511,19 +508,11 @@ def _planned(base: Base, name: str, s, compute: Callable):
     return plan.values[key]
 
 
-@lru_cache(maxsize=64)
-def _level_rules(length: float, panels: int, k: int):
-    """The read-only (nodes, weights) of the first `_PLAN_LEVELS` levels on
-    [0, length], shared by every base of that length, plan or no plan, and
-    their nodes by id."""
-    rules = tuple(gauss_panels(0.0, length, panels * 2**r, k) for r in range(_PLAN_LEVELS))
-    return rules, {id(nodes): nodes for nodes, _ in rules}
-
-
-def _rules(base: Base, cfg: QuadratureConfig):
-    rules, nodes = _level_rules(base.length, cfg.panels, cfg.points_per_panel)
-    _plan(base).nodes.update(nodes)
-    return rules
+def _plan_nodes(base: Base, nodes: np.ndarray) -> np.ndarray:
+    """The shared read-only nodes, entered in the base's plan: from then on
+    the base's members are computed there once."""
+    _plan(base).nodes[id(nodes)] = nodes
+    return nodes
 
 
 def _cached_integral(
@@ -559,17 +548,18 @@ def _cached_norms(base: Base, field, cfg: QuadratureConfig | None, compute: Call
 def gauss_curvature(base: Base, s):
     """Gauss curvature at arclength s: -phi''/phi for profiles, 0 for the torus.
 
-    At the nodes of a cached quadrature level the values come from the base's
-    plan and are read-only.
+    At the node arrays of the base's plan the values come from the plan and
+    are read-only.
     """
     return base.gauss_curvature(s)
 
 
-def quadrature_nodes(base: Base, cfg: QuadratureConfig | None = None) -> np.ndarray:
-    """The read-only nodes at which `integrate_over_base(base, fn, cfg)`
-    first calls fn, so that a caller can compute there once and have fn
-    return those values when it receives this array."""
-    return _rules(base, cfg or QuadratureConfig())[0][0]
+def quadrature_nodes(base: Base) -> np.ndarray:
+    """The read-only, increasing nodes at which `integrate_over_base(base,
+    fn)` without breaks first calls fn, one array per base length: a caller
+    can compute there once and have fn return those values when it receives
+    this array.  The base's members are computed there once per base."""
+    return _plan_nodes(base, _first_nodes(0.0, base.length))
 
 
 def integrate_over_base(
@@ -582,15 +572,15 @@ def integrate_over_base(
 
     fn receives read-only arclength nodes.  If it returns one row per
     integrand (a 2-d array), every row is integrated at once and a list of
-    results is returned.  The first two refinement levels use the nodes and
-    area density of the base's plan; panels are cut at `breaks` as in
+    results is returned.  Without breaks the first call receives
+    `quadrature_nodes(base)`, where the area density comes from the base's
+    plan; with breaks the rule runs on each piece between them, as in
     `integrate`.
     """
-    cfg = cfg or QuadratureConfig()
-    levels = _rules(base, cfg)
+    quadrature_nodes(base)  # enters the first-level nodes in the plan
     try:
         res = integrate(
-            lambda s: np.asarray(fn(s)) * base.density(s), 0.0, base.length, cfg, levels, breaks
+            lambda s: np.asarray(fn(s)) * base.density(s), 0.0, base.length, cfg, breaks
         )
     except NoConvergence as exc:
         raise QuadratureFailure(str(exc)) from exc
@@ -616,14 +606,18 @@ def scalar_curvature_integral(base: Base, cfg: QuadratureConfig | None = None) -
 
     The integrand has a kink wherever K changes sign, so the roots of K found
     between the first level's nodes (Newton steps on a centred difference)
-    cut the panels that hold them, as the roots of F do in `omega_norms`.
+    split the integral into pieces, as the roots of F do in `omega_norms`.
     """
     K = base.gauss_curvature
 
     def roots() -> np.ndarray:
-        nodes = quadrature_nodes(base, cfg)
+        nodes = quadrature_nodes(base)
         h = 1e-6 * base.length
-        return sign_change_roots(K, lambda s: (K(s + h) - K(s - h)) / (2.0 * h), nodes, K(nodes))
+
+        def dK(s):
+            return (K(s + h) - K(s - h)) / (2.0 * h)
+
+        return sign_change_roots(K, dK, *_with_dips(K, nodes, K(nodes)))
 
     return _cached_integral(base, "scal_32", lambda s: np.abs(2.0 * K(s)) ** 1.5, cfg, roots)
 

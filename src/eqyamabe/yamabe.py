@@ -118,27 +118,27 @@ class BoundReport:
 
 def functional_J(metric: InvariantMetric, cfg: QuadratureConfig | None = None) -> YamabeReport:
     """Evaluate the functional by the base-integral route, cross-checked
-    against the direct total-scalar-curvature route."""
+    against the direct total-scalar-curvature route.
+
+    The base route's numerator, the volume and the direct route's numerator
+    are three rows of one integral, which share the values of ell, K and F.
+    """
     base = metric.base
-    ell = metric.ell.value
-    F = metric.F.value
 
-    def integrand_base(s):
-        ell_s = ell(s)
-        return (2.0 * gauss_curvature(base, s) - 0.5 * ell_s**2 * F(s) ** 2) * ell_s
+    def rows(s):
+        out = np.empty((3, np.size(s)))
+        ell, K, F = metric.ell.value(s), gauss_curvature(base, s), metric.F.value(s)
+        out[0] = (2.0 * K - 0.5 * ell**2 * F**2) * ell
+        out[1] = ell
+        out[2] = _scalar_curvature(metric, s, ell, K, F) * ell
+        return out
 
-    def integrand_direct(s):
-        ell_s = ell(s)
-        return _scalar_curvature(metric, s, ell_s) * ell_s
-
-    num = integrate_over_base(base, integrand_base, cfg)
-    vol_base = integrate_over_base(base, ell, cfg)
+    num, vol_base, direct = integrate_over_base(base, rows, cfg)
     numerator = 2.0 * math.pi * num.value
     volume = 2.0 * math.pi * vol_base.value
     denominator = volume ** (1.0 / 3.0)
     J = numerator / denominator
 
-    direct = integrate_over_base(base, integrand_direct, cfg)
     J_direct = 2.0 * math.pi * direct.value / denominator
     tol = 1e-8 * max(abs(J), abs(J_direct), 1e-6)
     if abs(J - J_direct) > tol:
@@ -201,7 +201,7 @@ def conformal_functional(
     def rows(s):
         # numerator and denominator share the evaluations of ell and u
         ell_s, u_s = ell(s), uf.value(s)
-        scal = _scalar_curvature(metric, s, ell_s)
+        scal = _scalar_curvature(metric, s, ell_s, gauss_curvature(base, s), metric.F.value(s))
         num = 2.0 * math.pi * ell_s * (8.0 * uf.d1(s) ** 2 + scal * u_s**2)
         return np.stack([num, 2.0 * math.pi * ell_s * u_s**6])
 

@@ -318,41 +318,39 @@ def test_functional_ell_override(capsys, tmp_path):
     assert doc["quantities"]["J"]["value"] == pytest.approx(-0.01248944564173399, rel=1e-9)
 
 
-def test_unreachable_tolerance_exit_3(capsys, tmp_path):
-    # a two-point rule on one panel, refined once, cannot meet the default
-    # tolerance on any of the model's integrands
-    path = tmp_path / "strict.json"
-    s = np.linspace(0.0, math.pi, 601)
-    phi = np.sin(s) * (1.0 + 0.15 * np.sin(s) ** 2)
+def _strict_model(tmp_path, name):
+    """wps(1, 50) with one doubling allowed: its density crowds next to one
+    pole, where 255 nodes cannot meet the default tolerance."""
+    path = tmp_path / name
     path.write_text(
         json.dumps(
             {
-                "base": {
-                    "type": "profile",
-                    "samples": [[float(a), float(b)] for a, b in zip(s, phi)],
-                    "m_start": 1,
-                    "m_end": 1,
-                },
+                "base": {"type": "wps", "m1": 1, "m2": 50},
                 "ell": {"type": "constant", "value": 1.0},
-                "F": {"type": "constant", "value": 1.0},
-                "quadrature": {"panels": 1, "points_per_panel": 2, "max_refinements": 1},
+                "F": {"type": "wps"},
+                "quadrature": {"max_refinements": 1},
             }
         )
     )
-    code, _, err = run(capsys, ["functional", "--model", str(path)])
+    return str(path)
+
+
+def test_unreachable_tolerance_exit_3(capsys, tmp_path):
+    code, _, err = run(capsys, ["functional", "--model", _strict_model(tmp_path, "strict.json")])
     assert code == 3
     assert "numerical failure" in err
 
 
 def test_bound_model_reads_quadrature_block(capsys, tmp_path):
     # the same unreachable budget as above must reach the bound's norms too
-    doc = json.loads(Path(bump_sphere_model(tmp_path)).read_text())
-    doc["quadrature"] = {"panels": 1, "points_per_panel": 2, "max_refinements": 1}
-    path = tmp_path / "strict_bound.json"
-    path.write_text(json.dumps(doc))
-    code, _, err = run(capsys, ["bound", "--model", str(path)])
+    code, _, err = run(capsys, ["bound", "--model", _strict_model(tmp_path, "strict_bound.json")])
     assert code == 3
     assert "numerical failure" in err
+    doc = json.loads(Path(_strict_model(tmp_path, "default.json")).read_text())
+    del doc["quadrature"]
+    path = tmp_path / "default.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, ["bound", "--model", str(path)])[0] == 0
 
 
 def test_functional_on_uniform_profile_samples_matches_the_closed_form(capsys, tmp_path):
@@ -411,10 +409,26 @@ def test_legacy_endpoint_keys_are_accepted_and_ignored(capsys, tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_legacy_panel_keys_are_accepted_and_ignored(capsys, tmp_path):
+    # the nested rule has no panels: older files parse and give the same report
+    doc = json.loads(Path(hopf_model(tmp_path)).read_text())
+    reports = []
+    for name, legacy in (("new.json", {}), ("panels.json", {"panels": 1, "points_per_panel": 2}),
+                         ("many.json", {"panels": 4096, "points_per_panel": 64})):
+        doc["quadrature"] = {"rel_tol": 1e-9, **legacy}
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, ["functional", "--model", str(path)])
+        assert code == 0
+        reports.append(json.loads(out)["quantities"])
+    assert reports[0] == reports[1] == reports[2]
+
+
 @pytest.mark.parametrize(
     "legacy,field",
     [({"endpoint_mode": "magic"}, "endpoint_mode"), ({"epsilon": -1.0}, "epsilon"),
-     ({"epsilon": "small"}, "epsilon")],
+     ({"epsilon": "small"}, "epsilon"), ({"panels": 0}, "panels"),
+     ({"points_per_panel": 1}, "points_per_panel"), ({"panels": 2.5}, "panels")],
 )
 def test_malformed_legacy_endpoint_keys_exit_2(capsys, tmp_path, legacy, field):
     doc = json.loads(Path(hopf_model(tmp_path)).read_text())

@@ -140,31 +140,39 @@ def _basis_sizes(monkeypatch):
 
 @pytest.mark.parametrize(
     "pair, expected",
-    [((2, 3), [16]), ((1, 9), [16, 32, 64, 128]), ((1, 1), [16])],
-    ids=["wps23", "wps19", "wps11"],
+    [((2, 3), [16]), ((1, 9), [16, 32, 64, 128]), ((1, 20), [16, 32, 64, 128, 256]),
+     ((1, 1), [16]), (0.7, [16])],
+    ids=["wps23", "wps19", "wps120", "wps11", "sphere07"],
 )
 def test_poisson_basis_doubles_while_its_tail_is_not_negligible(monkeypatch, pair, expected):
     sizes = _basis_sizes(monkeypatch)
-    _, min_scal = eq.uniformize_positive(eq.wps_profile(*pair))
+    base = eq.make_round_sphere(pair) if pair == 0.7 else eq.wps_profile(*pair)
+    u, min_scal = eq.uniformize_positive(base)
     assert sizes == expected
     if pair == (1, 1):  # K = 4 exactly at every node: the data vanishes
         assert min_scal == pytest.approx(8.0, abs=1e-13)
+    if pair == 0.7:
+        # K = 1/R^2 only to rounding: a tail at the data's rounding level
+        # asks for no doubling
+        closed = 4.0 * math.pi * eq.chi_orb(base) / eq.area(base)
+        assert min_scal == pytest.approx(closed * math.exp(-2.0 * np.max(u.values)), rel=1e-12)
 
 
 def test_poisson_basis_stops_at_half_the_node_count(monkeypatch):
-    # past 256 modes on the 512 first-level nodes the stiffness products alias
+    # past 256 modes on the 512 nodes of the Galerkin grid the stiffness
+    # products alias
     sizes = _basis_sizes(monkeypatch)
     monkeypatch.setattr(conformal, "_TAIL_TOL", 0.0)
     u, min_scal = eq.uniformize_positive(eq.wps_profile(2, 3))
     assert sizes == [16, 32, 64, 128, 256]
-    assert 2 * sizes[-1] == orbifold.quadrature_nodes(eq.wps_profile(2, 3)).size
+    assert 2 * sizes[-1] == conformal._grid(eq.wps_profile(2, 3))[0].size == 512
     assert min_scal > 0.0
 
 
 def test_one_rule_doubles_both_bases(monkeypatch):
     # the minimizer and the Poisson solve ask the same helper whether to double
     sizes = _basis_sizes(monkeypatch)
-    monkeypatch.setattr(conformal, "_refinable", lambda c, cap: False)
+    monkeypatch.setattr(conformal, "_refinable", lambda c, cap, floor=0.0: False)
     assert eq.minimize_conformal(eq.wps_metric(1, 9)).modes == 16
     eq.uniformize_positive(eq.wps_profile(1, 9))
     assert sizes == [16, 16]
@@ -395,7 +403,7 @@ def test_basis_is_read_only_and_shared_per_length():
     assert conformal._basis(wps.base.length, False, 16) is basis
     assert conformal._basis(hopf.base.length, False, 32) is not basis
     for array in (basis.values, basis.slopes):
-        assert array.shape == (orbifold.quadrature_nodes(hopf.base).size, 16)
+        assert array.shape == (conformal._grid(hopf.base)[0].size, 16)
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0.0
 

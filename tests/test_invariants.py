@@ -129,6 +129,17 @@ def test_all_routes_agree_up_to_twenty():
         assert eq.chi_boundary(m1, m2) == pytest.approx(closed_chi, abs=1e-8)
 
 
+def test_quadrature_routes_match_the_closed_forms_to_rounding():
+    # the nested rule settles both chart integrals within two doublings on
+    # every ordered coprime pair up to 20, at rounding level
+    for m1, m2 in _coprime_pairs_up_to(20):
+        for a, b in ((m1, m2), (m2, m1)):
+            c1, chi = eq.c1_quadrature(a, b), eq.chi_quadrature(a, b)
+            assert c1.value == pytest.approx(1.0 / (a * b), rel=1e-12, abs=0.0), (a, b)
+            assert chi.value == pytest.approx(1.0 / a + 1.0 / b, rel=0.0, abs=1e-12), (a, b)
+            assert max(c1.refinements_used, chi.refinements_used) <= 2, (a, b)
+
+
 def test_swap_invariance():
     for m1, m2 in [(2, 3), (3, 7)]:
         assert eq.c1_quadrature(m1, m2).value == pytest.approx(

@@ -19,7 +19,9 @@ from eqyamabe.errors import (
 from eqyamabe.numerics import (
     IntegralResult,
     QuadratureConfig,
+    _fejer_weights,
     _trim_modes,
+    _with_dips,
     check_derivative,
     integrate,
     limit_at_zero,
@@ -35,12 +37,72 @@ PLAIN = QuadratureConfig()
 # integrate
 # ---------------------------------------------------------------------------
 
-def test_cubic_two_point_gauss_single_panel_exact():
-    cfg = QuadratureConfig(
-        panels=1, points_per_panel=2, max_refinements=0
-    )
-    res = integrate(lambda x: x**3, 0.0, 1.0, cfg)
+def test_cubic_single_level_exact():
+    res = integrate(lambda x: x**3, 0.0, 1.0, QuadratureConfig(max_refinements=0))
     assert res.value == pytest.approx(0.25, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128, 256, 512, 1024])
+def test_fejer_weights_match_the_direct_formula(n):
+    # w_k = (4 sin t_k / n) sum_{j <= n/2} sin((2j - 1) t_k) / (2j - 1), t_k = k pi / n
+    t = np.arange(1, n) * math.pi / n
+    odd = np.arange(1, n, 2)
+    direct = 4.0 * np.sin(t) / n * (np.sin(np.outer(t, odd)) / odd).sum(axis=1)
+    assert np.max(np.abs(_fejer_weights(n) - direct)) <= 1e-15
+    assert not _fejer_weights(n).flags.writeable
+
+
+def test_smooth_integrand_is_one_call_of_127_points():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.exp(np.sin(3.0 * x))
+
+    res = integrate(f, 0.0, 2.0)
+    assert [x.size for x in calls] == [127]
+    assert res.refinements_used == 0
+    assert np.all(np.diff(calls[0]) > 0.0) and 0.0 < calls[0][0] and calls[0][-1] < 2.0
+    assert integrate(f, 0.0, 2.0) == res
+    assert calls[1] is calls[0]  # one shared first-level array per interval
+
+
+def test_refinement_evaluates_only_the_new_nodes():
+    # a narrow peak needs doublings: each call covers the n new nodes of
+    # level 2n, and all calls together are the nodes of the last level
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 1.0 / (1e-4 + (x - 0.3) ** 2)
+
+    res = integrate(f, 0.0, 1.0)
+    exact = 100.0 * (math.atan(70.0) + math.atan(30.0))
+    assert res.value == pytest.approx(exact, rel=1e-10)
+    assert [x.size for x in calls] == [127] + [128 * 2**r for r in range(len(calls) - 1)]
+    assert res.refinements_used == len(calls) - 1 >= 1
+    nodes = np.sort(np.concatenate(calls))
+    assert nodes.size == 128 * 2**res.refinements_used - 1
+    assert np.unique(nodes).size == nodes.size
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([4, 8, 16, 32]),
+    coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=32),
+)
+def test_fejer_rule_polynomial_exactness(n, coeffs):
+    # Fejer's second rule with n intervals integrates degree <= n - 1 exactly
+    poly = np.polynomial.Polynomial(coeffs[:n])
+    exact = poly.integ()(1.0) - poly.integ()(-1.0)
+    x = -np.cos(np.arange(1, n) * math.pi / n)
+    scale = max(1.0, abs(exact))
+    assert np.dot(_fejer_weights(n), poly(x)) == pytest.approx(exact, abs=1e-13 * scale)
+    # and so does integrate, whose first level has 128 intervals, on [-0.5, 1.5]
+    poly = np.polynomial.Polynomial(coeffs[:12])
+    res = integrate(poly, -0.5, 1.5, QuadratureConfig(max_refinements=0))
+    exact = poly.integ()(1.5) - poly.integ()(-0.5)
+    assert res.value == pytest.approx(exact, abs=1e-11 * max(1.0, abs(exact)))
 
 
 def test_chern_integrand_pair_two_three():
@@ -58,34 +120,37 @@ def test_nonfinite_integrand_raises():
 
 
 def test_refinement_budget_exhaustion_raises():
-    cfg = QuadratureConfig(
-        panels=1, points_per_panel=2, max_refinements=1,
-        abs_tol=1e-14, rel_tol=1e-14,
-    )
+    # 1200 oscillations are not resolved by 255 nodes
+    cfg = QuadratureConfig(max_refinements=1, abs_tol=1e-14, rel_tol=1e-14)
     with pytest.raises(NoConvergence):
-        integrate(lambda x: np.sin(40.0 * x) * np.exp(x), 0.0, 3.0, cfg)
+        integrate(lambda x: np.sin(2500.0 * x) * np.exp(x), 0.0, 3.0, cfg)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        QuadratureConfig(points_per_panel=1)
+        QuadratureConfig(max_refinements=-1)
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=0.0)
+    with pytest.raises(TypeError):  # the panel knobs are gone
+        QuadratureConfig(panels=32)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    k=st.integers(min_value=2, max_value=6),
-    coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12),
+@pytest.mark.parametrize(
+    "f, exact",
+    [(lambda x: 1.0 / (0.01 + (x - 0.5) ** 2), 20.0 * math.atan(5.0)),
+     (lambda x: np.abs(x - 0.3 - 1e-3 / 7), 0.5 * ((0.3 + 1e-3 / 7) ** 2 + (0.7 - 1e-3 / 7) ** 2))],
+    ids=["smooth", "kinked"],
 )
-def test_gauss_rule_polynomial_exactness(k, coeffs):
-    # k-point Gauss integrates degree <= 2k-1 exactly on each panel
-    coeffs = coeffs[: 2 * k]
-    poly = np.polynomial.Polynomial(coeffs)
-    exact = poly.integ()(1.5) - poly.integ()(-0.5)
-    cfg = QuadratureConfig(panels=3, points_per_panel=k, max_refinements=0)
-    res = integrate(poly, -0.5, 1.5, cfg)
-    assert res.value == pytest.approx(exact, abs=1e-11 * max(1.0, abs(exact)))
+def test_single_level_reports_a_real_estimate(f, exact):
+    # max_refinements = 0: the first level's value, from one call, with the
+    # difference to the level below it as the estimate, which bounds the error
+    calls = []
+    one_level = QuadratureConfig(max_refinements=0)
+    res = integrate(lambda x: calls.append(x.size) or f(x), 0.0, 1.0, one_level)
+    assert calls == [127]
+    assert res.refinements_used == 0
+    assert res.error_estimate > 0.0
+    assert abs(res.value - exact) <= res.error_estimate
 
 
 @settings(max_examples=25, deadline=None)
@@ -100,26 +165,47 @@ def test_integrate_is_linear(alpha, beta):
 
 
 def test_breaks_make_a_kink_converge_at_level_one():
-    # |x - c| on [0, 1], c inside a panel: cut there, each piece is linear
+    # |x - c| on [0, 1]: split there, each piece is linear and the first
+    # level converges
     c = 0.3 + 1e-3 / 7
     exact = 0.5 * (c * c + (1.0 - c) ** 2)
     res = integrate(lambda x: np.abs(x - c), 0.0, 1.0, PLAIN, breaks=[c])
-    assert res.refinements_used == 1
+    assert res.refinements_used == 0
     assert res.value == pytest.approx(exact, rel=1e-15)
-    with pytest.raises(NoConvergence):  # panel doubling stalls at the kink
+    with pytest.raises(NoConvergence):  # doubling stalls at the kink
         integrate(lambda x: np.abs(x - c), 0.0, 1.0, PLAIN)
 
 
 def test_breaks_several_per_panel_on_edges_and_outside():
-    cfg = QuadratureConfig(panels=4, points_per_panel=8)
-    cuts = [0.1, 0.13, 0.25, 0.6, 0.6]  # two in one panel, one on an edge, a repeat
+    # breaks close together, a repeat, and breaks on or outside the ends
+    cuts = [0.1, 0.13, 0.6, 0.6]
     f = lambda x: np.abs((x - 0.1) * (x - 0.13) * (x - 0.6))  # noqa: E731
-    res = integrate(f, 0.0, 1.0, cfg, breaks=cuts + [-1.0, 0.0, 1.0, 2.0, float("nan")])
+    res = integrate(f, 0.0, 1.0, PLAIN, breaks=cuts + [-1.0, 0.0, 1.0, 2.0, float("nan")])
     pieces = [0.0, 0.1, 0.13, 0.6, 1.0]
-    one_panel = QuadratureConfig(panels=1, points_per_panel=8, max_refinements=0)
-    exact = sum(integrate(f, lo, hi, one_panel).value for lo, hi in zip(pieces, pieces[1:]))
-    assert res.refinements_used == 1
+    # |f| is a cubic on each piece: one level integrates it exactly
+    one_level = QuadratureConfig(max_refinements=0)
+    exact = sum(integrate(f, lo, hi, one_level).value for lo, hi in zip(pieces, pieces[1:]))
+    assert res.refinements_used == 0
     assert res.value == pytest.approx(exact, rel=1e-14)
+
+
+def test_breaks_give_one_call_per_level_covering_every_piece():
+    calls = []
+    cuts = [0.2, 0.45]
+
+    def f(x):
+        calls.append(x)
+        return np.abs(x - 0.2) * np.abs(x - 0.45) / (1e-3 + (x - 0.8) ** 2)
+
+    res = integrate(f, 0.0, 1.0, PLAIN, breaks=cuts)
+    assert res.refinements_used >= 1
+    assert len(calls) == res.refinements_used + 1
+    assert calls[0].size == 3 * 127
+    assert [x.size for x in calls[1:]] == [3 * 128 * 2**r for r in range(res.refinements_used)]
+    for x in calls:
+        assert np.all(np.diff(x) > 0.0) and not x.flags.writeable
+        for lo, hi in zip([0.0, *cuts], [*cuts, 1.0]):
+            assert np.count_nonzero((lo < x) & (x < hi)) == x.size // 3
 
 
 def test_breaks_keep_rows_and_read_only_nodes():
@@ -162,6 +248,25 @@ def test_sign_change_roots_simple_multiple_and_finite_difference():
     assert sign_change_roots(np.cos, np.sin, x, np.cos(x) + 2.0).size == 0
     pair = lambda t: (t - 1.52) * (t - 1.58)  # noqa: E731
     assert sign_change_roots(pair, lambda t: 2 * t - 3.1, x, pair(x)).size == 0
+
+
+def test_dips_between_points_of_one_sign_are_bracketed():
+    x = np.linspace(0.0, 3.0, 31)
+    pair = lambda t: (t - 1.52) * (t - 1.58)  # noqa: E731
+    xs, fs = _with_dips(pair, x, pair(x))
+    assert xs.size == x.size + 1 and np.all(np.diff(xs) > 0.0)
+    assert fs.tolist() == pair(xs).tolist()
+    roots = sign_change_roots(pair, lambda t: 2 * t - 3.1, xs, fs)
+    assert roots == pytest.approx([1.52, 1.58], abs=1e-15)
+
+    # a tangential zero and a minimum that stays positive add nothing, and
+    # f is not called where the parabola does not cross zero
+    calls = []
+    square = lambda t: calls.append(np.size(t)) or (t - 1.55) ** 2  # noqa: E731
+    assert _with_dips(square, x, square(x))[0].tolist() == x.tolist()
+    positive = lambda t: calls.append(np.size(t)) or 1.0 + np.cos(t)  # noqa: E731
+    assert _with_dips(positive, x, positive(x))[0].tolist() == x.tolist()
+    assert calls == [31, 1, 31]
 
 
 # ---------------------------------------------------------------------------

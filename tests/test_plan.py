@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import eqyamabe as eq
-from eqyamabe import modelio, orbifold
+from eqyamabe import conformal, modelio, orbifold
 from eqyamabe.errors import NotCoprime
-from eqyamabe.numerics import QuadratureConfig, gauss_panels, integrate, sign_change_roots
+from eqyamabe.numerics import QuadratureConfig, _with_dips, integrate, sign_change_roots
 
 from conftest import bump_sphere, fourier_field
 
@@ -31,7 +31,7 @@ def sampled_bump_sphere():
 
 
 def uncached(base, fn, cfg=None, breaks=()):
-    """2 pi int fn dA without the plan: fresh nodes, phi evaluated per call."""
+    """2 pi int fn dA without the plan: phi evaluated afresh at every call."""
     if isinstance(base, eq.FlatTorusBase):
         res = integrate(lambda s: np.asarray(fn(s)), 0.0, base.length, cfg, breaks=breaks)
         return 2.0 * math.pi * base.radius * res.value
@@ -111,8 +111,8 @@ def test_plan_results_equal_uncached_integrals(name):
         # F changes sign: the library default, integrating between the roots
         # of F found from its values at the first level's nodes
         cfg = QuadratureConfig()
-        nodes, _ = gauss_panels(0.0, base.length, cfg.panels, cfg.points_per_panel)
-        breaks = sign_change_roots(f, F.d1, nodes, f(nodes))
+        nodes = orbifold.quadrature_nodes(base)
+        breaks = sign_change_roots(f, F.d1, *_with_dips(f, nodes, f(nodes)))
         assert breaks.size
     else:
         # one-signed F: the values of the former 2e-8 default, bit for bit
@@ -184,12 +184,12 @@ def test_warm_plan_evaluation_budget(monkeypatch):
     assert phi_points == []
     assert F_points == []
 
-    # a new field on the warm base evaluates no profile, and F once per level:
-    # 32 and 64 panels of 16 points, where every norm of this density converges
+    # a new field on the warm base evaluates no profile, and F once: at the
+    # 127 first-level nodes, where it has no root and every norm converges
     F = dataclasses.replace(F, value=counted(eq.wps_density_field(2, 3).value, F_points))
     assert eq.omega_norms(eq.InvariantMetric(base, eq.RadialField.const(1.0), F)) == first
     assert phi_points == []
-    assert F_points == [512, 1024]
+    assert F_points == [127]
 
     # phi, phi'/phi and K of the functional's three integrals come from the plan
     assert eq.functional_J(metric) == first_J
@@ -247,8 +247,8 @@ def test_profile_with_unhashable_callables_is_served_uncached():
 
 
 def test_unhashable_base_evaluates_F_once_per_level():
-    # a base without a plan still shares the level nodes, so F's first-level
-    # values serve the F rows, bit for bit as on a base with a plan
+    # a base without a plan still shares the first-level nodes, so F's values
+    # there serve the F rows, bit for bit as on a base with a plan
     class Unhashable:
         __hash__ = None
 
@@ -270,19 +270,19 @@ def test_unhashable_base_evaluates_F_once_per_level():
         for base in (unhashable, hashable):
             F_points.clear()
             norms.append(eq.omega_norms(eq.InvariantMetric(base, eq.RadialField.const(1.0), F)))
-            assert F_points == [512, 1024]
+            assert F_points == [127]
     assert norms[0] == norms[1]
 
 
 def test_bound_chain_evaluates_F_once_per_level():
     # omega_norms, J, J_max and Cauchy-Schwarz share one report: F is evaluated
-    # once at each of the two levels where every norm of this density converges
+    # once, at the first level, where every norm of this density converges
     F_points = []
     base = eq.wps_profile(2, 3)
     F = eq.wps_density_field(2, 3)
     F = dataclasses.replace(F, value=counted(F.value, F_points))
     norms_and_bounds(base, F)
-    assert F_points == [512, 1024]
+    assert F_points == [127]
 
     # None and the default config are one key; another config is another
     F_points.clear()
@@ -360,9 +360,10 @@ def test_shared_constructors_validate_every_call():
 
 
 def test_second_descent_on_a_base_evaluates_no_profile():
-    # the minimizer assembles its matrices at the first-level plan nodes, so
-    # a descent on a new ell over a warm base reads density, phi'/phi and K
-    # from the plan
+    # the minimizer assembles its matrices at the Galerkin grid, and its final
+    # functional is integrated at the first-level nodes; the plan keeps both,
+    # so a descent on a new ell over a warm base reads density, phi'/phi and
+    # K from the plan
     phi_points = []
     shared = eq.wps_profile(2, 3)
     base = dataclasses.replace(
@@ -384,17 +385,17 @@ def test_second_descent_on_a_base_evaluates_no_profile():
     assert len(result.trace) > 1
 
     # the result's grid is the caller's to write, not the plan's nodes
-    nodes = orbifold.quadrature_nodes(base)
-    assert not nodes.flags.writeable
-    assert result.u_star.grid.flags.writeable
-    assert not np.shares_memory(result.u_star.grid, nodes)
+    for nodes in (orbifold.quadrature_nodes(base), conformal._grid(base)[0]):
+        assert not nodes.flags.writeable
+        assert result.u_star.grid.flags.writeable
+        assert not np.shares_memory(result.u_star.grid, nodes)
     grid_size = eq.MinimizerConfig().grid_size
     assert np.array_equal(result.u_star.grid, np.linspace(0.0, base.length, grid_size + 1))
 
 
 def test_functionals_evaluate_ell_once_per_node_array(monkeypatch):
-    # J's three integrands and the conformal functional's rows each read ell
-    # once per node array they receive
+    # J's three integrands are rows of one integral, as are the conformal
+    # functional's two: each reads ell once per node array it receives
     integrand_points, ell_points = [], []
     real_integrate = orbifold.integrate
 
@@ -408,7 +409,7 @@ def test_functionals_evaluate_ell_once_per_node_array(monkeypatch):
     metric = eq.InvariantMetric(base, ell, eq.wps_density_field(2, 3))
     ell_points.clear()
     eq.functional_J(metric)
-    assert len(integrand_points) >= 6  # three integrals, two levels at least
+    assert integrand_points == [127]  # one call: the first level converges
     assert ell_points == integrand_points
 
     integrand_points.clear()
