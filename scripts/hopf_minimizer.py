@@ -5,11 +5,11 @@ Starting from a perturbed conformal factor, H^1-preconditioned (Sobolev)
 gradient descent drives the functional back to the value of the constant
 factor: the sphere constant for unit fiber length, and the closed-form value
 of the squashed metric otherwise.  The descent runs on the coefficients of a
-cosine series; --grid caps the number of basis functions (the basis starts at
-16 and doubles only while its trailing coefficients matter) and sets the
-linspace(0, L, grid + 1) samples of the final factor, which is constant to
-within the reported oscillation.  The iteration count does not grow with
---grid.
+cosine series; --grid caps the number of basis functions below the library's
+cap of 256 (the basis starts at 16 and doubles only while its trailing
+coefficients matter) and sets the linspace(0, L, grid + 1) samples of the
+final factor, which is constant to within the reported oscillation.  The
+iteration count does not grow with --grid.
 """
 
 from __future__ import annotations

@@ -135,10 +135,9 @@ class InvariantMetric:
             raise ValueError("fiber length must be strictly positive on the base")
         if self.base.cone_orders:
             # invariant data must be smooth across the poles: the radial
-            # derivative must vanish there, so the slope within h of a pole
-            # should be a small fraction of the field's interior slope scale
-            h = 1e-4 * L
-            points = np.append(probe, [h, L - h])
+            # derivative must vanish there, so the slope at a pole should be
+            # a small fraction of the field's interior slope scale
+            points = np.append(probe, [0.0, L])
             for field, name in ((self.ell, "ell"), (self.F, "F")):
                 slopes = np.abs(np.asarray(field.d1(points), dtype=float))
                 interior = np.max(slopes[:-2])

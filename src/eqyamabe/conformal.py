@@ -4,11 +4,11 @@ minimization of the conformal functional.
 Both the Poisson solve and the minimizer are Rayleigh-Ritz (Galerkin)
 discretizations on one basis: a cosine series cos(j pi s / L) on a profile,
 whose terms are the smooth radial fields, and a Fourier series on the torus,
-held with its slopes at the nodes of a fixed grid, the 16-point
-Gauss-Legendre rule on 32 equal panels, which the base's quadrature plan
-keeps.
-The basis doubles from 16 modes while its trailing coefficients are not
-negligible (`_refinable`).
+held with its slopes at the nodes of a fixed grid, level 512 of the
+library's nested Fejér rule (`numerics._fejer_rule`), which the base's
+quadrature plan keeps; the first-level nodes of `integrate` are every fourth
+of them.  The basis doubles from 16 modes while its trailing coefficients
+are not negligible (`_refinable`), up to 256 modes, half the level.
 
 The Poisson problem Delta u = f (nonnegative Laplacian, mean-zero f) is one
 linear solve with the stiffness matrix int u' v' dA over the non-constant
@@ -36,7 +36,7 @@ import numpy as np
 
 from .bundle import InvariantMetric, RadialField, _laplacian_of, _scalar_curvature
 from .errors import NonPositiveFactor, NonpositiveChi, NotMeanZero
-from .numerics import trig_series
+from .numerics import _fejer_rule, trig_series
 from .orbifold import Base, _plan_nodes, area, chi_orb, gauss_curvature
 from .yamabe import conformal_functional
 
@@ -152,7 +152,7 @@ def uniformize_positive(
 
 @dataclass(frozen=True)
 class MinimizerConfig:
-    grid_size: int = 200  # caps the number of basis functions
+    grid_size: int = 200  # caps the basis size; the effective cap is min(grid_size, 256)
     max_iterations: int = 20000
     decrease_tol: float = 1e-10  # predicted decrease g.H^{-1}g, relative to max(1, |J|)
 
@@ -187,13 +187,14 @@ class MinimizeResult:
     modes: int
 
 
-# The Galerkin grid: the minimizer and the Poisson solve integrate with the
-# 16-point Gauss-Legendre rule on 32 equal panels, whose 512 nodes, and the
-# base's values there, the base's plan keeps.
-_GRID_PANELS, _GRID_POINTS = 32, 16
+# The Galerkin grid: the minimizer and the Poisson solve integrate with level
+# 512 of the library's Fejér rule; the base's plan keeps its 511 nodes and the
+# base's values there.  Both solves double their basis up to half the level,
+# past which the products in their matrices alias on the nodes.
+_GRID_LEVEL = 512
+_MAX_MODES = _GRID_LEVEL // 2
 
-# Basis size of a first stage: a descent's grid_size caps it and every
-# doubling, and a Poisson solve doubles up to half the node count.
+# Basis size of a first stage; a descent's grid_size caps it and every doubling.
 _START_MODES = 16
 
 _EPS = float(np.finfo(float).eps)
@@ -233,22 +234,10 @@ class _Basis:
         return RadialField(planned(value, self.values), planned(d1, self.slopes), d2)
 
 
-@lru_cache(maxsize=64)
-def _grid_rule(length: float) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only nodes and weights of the Galerkin grid on [0, length],
-    shared by every base of that length."""
-    x, w = np.polynomial.legendre.leggauss(_GRID_POINTS)
-    edges = np.linspace(0.0, length, _GRID_PANELS + 1)
-    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x).ravel()
-    weights = (half[:, None] * w).ravel()
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
 def _grid(base: Base) -> tuple[np.ndarray, np.ndarray]:
-    """The Galerkin grid of the base, its nodes entered in the base's plan."""
-    nodes, weights = _grid_rule(base.length)
+    """The read-only nodes and weights of the Galerkin grid on [0, L], shared
+    by every base of that length, its nodes entered in the base's plan."""
+    nodes, weights = _fejer_rule(0.0, base.length, _GRID_LEVEL)
     return _plan_nodes(base, nodes), weights
 
 
@@ -256,7 +245,7 @@ def _grid(base: Base) -> tuple[np.ndarray, np.ndarray]:
 def _basis(length: float, periodic: bool, m: int) -> _Basis:
     """The first m basis functions at the Galerkin grid's nodes on
     [0, length], shared by every base of that length."""
-    nodes = _grid_rule(length)[0]
+    nodes = _fejer_rule(0.0, length, _GRID_LEVEL)[0]
     j = np.arange(m)
     power = (j + 1) // 2 if periodic else j
     sine = (j % 2 == 0) & (j > 0) & periodic
@@ -287,10 +276,10 @@ def _poisson_series(base: Base, f_nodes: np.ndarray, rounding: float) -> RadialF
     f is recentred by its node-quadrature mean against the weights wA of dA;
     then S c = B^T (wA f) with stiffness S = D^T wA D, values B and slopes D
     of the non-constant columns.  m starts at _START_MODES and doubles while
-    the tail is not negligible (`_refinable`), up to half the node count,
-    past which the products in S alias on the nodes.  A mode of wavenumber k
-    adds k^2 c to Delta u, so a tail coefficient with k^2 |c| below the
-    rounding level of the data f is noise and asks for no doubling."""
+    the tail is not negligible (`_refinable`), up to _MAX_MODES.  A mode of
+    wavenumber k adds k^2 c to Delta u, so a tail coefficient with k^2 |c|
+    below the rounding level of the data f is noise and asks for no
+    doubling."""
     nodes, weights = _grid(base)
     wA = base.area_scale * np.asarray(base.density(nodes), dtype=float) * weights
     wf = wA * (f_nodes - np.dot(wA, f_nodes) / np.sum(wA))
@@ -300,7 +289,7 @@ def _poisson_series(base: Base, f_nodes: np.ndarray, rounding: float) -> RadialF
         B, D = basis.values[:, 1:], basis.slopes[:, 1:]
         c = np.concatenate([[0.0], np.linalg.solve((D.T * wA) @ D, B.T @ wf)])
         k = basis.omega * np.maximum(basis.power, 1)  # the constant mode is never in the tail
-        if not _refinable(c, nodes.size // 2, rounding / k**2):
+        if not _refinable(c, _MAX_MODES, rounding / k**2):
             return basis.series(c)
         m *= 2
 
@@ -402,13 +391,13 @@ def minimize_conformal(
     int 2 pi ell u^6 dv = 1, so the trace is non-increasing.  A stage stops
     when g.p <= decrease_tol * max(1, |J|) or no step decreases J; then, while
     the trailing quarter of the coefficients exceeds sqrt(eps) times the
-    largest and 2m <= grid_size, m doubles and the same trace continues.  If
-    the iteration budget runs out first, the last iterate is returned with
-    converged=False.  A callable u0 receives the read-only nodes of the
-    Galerkin grid, an array u0 holds samples on
-    linspace(0, L, n) (read through `RadialField.from_samples`), and either is
-    projected onto the basis in L^2(ds); the projection must be positive at
-    every node (NonPositiveFactor otherwise).
+    largest and 2m <= min(grid_size, 256), m doubles and the same trace
+    continues.  If the iteration budget runs out first, the last iterate is
+    returned with converged=False.  A callable u0 receives the read-only
+    nodes of the Galerkin grid, an array u0 holds samples on linspace(0, L, n)
+    (read through `RadialField.from_samples`), and either is projected onto
+    the basis in L^2(ds); the projection must be positive at every node
+    (NonPositiveFactor otherwise).
     """
     if cfg is None:
         cfg = MinimizerConfig()
@@ -435,7 +424,7 @@ def minimize_conformal(
     trace: list[float] = []
     while True:
         c, stop = _descend(basis, W, scal, c, trace, cfg)
-        if stop == "budget" or not _refinable(c, cfg.grid_size):
+        if stop == "budget" or not _refinable(c, min(cfg.grid_size, _MAX_MODES)):
             break
         m *= 2
         c = np.concatenate([c, np.zeros(m - c.size)])

@@ -3,7 +3,9 @@
 Every integral uses one rule, Fejér's second rule (`integrate`).  Its nodes
 are interior Chebyshev points, which nest under doubling: a refinement
 evaluates only the new nodes, and a smooth integrand is settled by one call
-on 127 nodes, which gives its value and its error estimate together.
+on 127 nodes, which gives its value and its error estimate together.  Whole
+levels, nodes with weights, are kept per interval and level (`_fejer_rule`):
+level 128 for `integrate`, level 512 for the Galerkin matrices of `conformal`.
 
 Everything here is deterministic: quadrature nodes and reductions come in a
 fixed order, so repeated calls with the same inputs produce bit-identical
@@ -103,10 +105,18 @@ def _fejer_nodes(lo: np.ndarray, hi: np.ndarray, n: int, step: int) -> np.ndarra
     return nodes
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=128)
+def _fejer_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only nodes and weights of the whole level n of Fejér's second
+    rule on [a, b]: one shared pair of arrays per (a, b, n)."""
+    weights = 0.5 * (b - a) * _fejer_weights(n)
+    weights.flags.writeable = False
+    return _fejer_nodes(np.array([a]), np.array([b]), n, 1), weights
+
+
 def _first_nodes(a: float, b: float) -> np.ndarray:
     """The first-level nodes on [a, b]: one shared read-only array per (a, b)."""
-    return _fejer_nodes(np.array([a]), np.array([b]), _FIRST_LEVEL, 1)
+    return _fejer_rule(a, b, _FIRST_LEVEL)[0]
 
 
 def _refine(

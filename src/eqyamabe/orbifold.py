@@ -27,14 +27,14 @@ Base integrals (`integrate_over_base`, `area`, `gauss_bonnet_check`,
 `scalar_curvature_integral`) are served from a quadrature plan per base: the
 members' values at the shared read-only node arrays the base has used, the
 base-only integrals, and the curvature-form norms of each curvature density
-(`bundle.omega_norms`), each computed on first use.  The node arrays are the
-127 first-level nodes of the nested Fejér rule on [0, L], one array per
-length (`quadrature_nodes`), where a smooth integral makes its only call of
-its integrand and where `omega_norms` and `scalar_curvature_integral`
-bracket their roots, and the conformal minimizer's Gauss-Legendre grid.
-Plans live in a weak-keyed table, so a plan is dropped when its base is
-garbage-collected, and a field's norms when the field is; integrands and
-callers see read-only nodes and values.
+(`bundle.omega_norms`), each computed on first use.  The node arrays are
+two levels of the nested Fejér rule on [0, L], one array per length: the
+127 nodes of level 128 (`quadrature_nodes`), where a smooth integral makes
+its only call of its integrand and where `omega_norms` and
+`scalar_curvature_integral` bracket their roots, and the 511 of level 512,
+the Galerkin grid of `conformal`.  Plans live in a weak-keyed table, so a
+plan is dropped when its base is garbage-collected, and a field's norms when
+the field is; integrands and callers see read-only nodes and values.
 Results are bit-identical to evaluating phi afresh at every call.
 
 `wps_profile` and `make_round_sphere` validate their arguments on every
@@ -465,7 +465,7 @@ class _Plan:
     """Quadrature data of one base, computed once.
 
     `nodes` maps id(nodes) to the shared node arrays that the base has used:
-    the quadrature's first-level nodes and the conformal minimizer's grid;
+    levels 128 (the first) and 512 (the Galerkin grid) of the Fejér rule;
     `values` maps (member, id(nodes)) to a base member's read-only values at
     those nodes; `integrals` maps (name, cfg) to a base-only integral;
     `norms` maps a curvature density F, weakly, to its curvature-form norms

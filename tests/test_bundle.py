@@ -197,6 +197,15 @@ def test_nonsmooth_pole_data_warns(half_sphere):
         eq.InvariantMetric(base=half_sphere, ell=ramp, F=eq.RadialField.const(2.0))
 
 
+@pytest.mark.parametrize("weights", [(1, 97), (1, 200), (97, 1)])
+def test_steep_smooth_pole_data_does_not_warn(weights):
+    # near an order-m pole the wps density varies on the scale 1/m, but its
+    # slope vanishes at the pole itself, where the check reads it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eq.wps_metric(*weights)
+
+
 def test_torus_slope_at_the_seam_does_not_warn():
     # a torus has no cone poles, so a periodic field whose slope is largest at
     # s = 0 is smooth data there

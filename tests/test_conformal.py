@@ -159,14 +159,40 @@ def test_poisson_basis_doubles_while_its_tail_is_not_negligible(monkeypatch, pai
 
 
 def test_poisson_basis_stops_at_half_the_node_count(monkeypatch):
-    # past 256 modes on the 512 nodes of the Galerkin grid the stiffness
-    # products alias
+    # past 256 modes, half the Galerkin grid's level 512 (its 511 interior
+    # nodes), the stiffness products alias
     sizes = _basis_sizes(monkeypatch)
     monkeypatch.setattr(conformal, "_TAIL_TOL", 0.0)
     u, min_scal = eq.uniformize_positive(eq.wps_profile(2, 3))
     assert sizes == [16, 32, 64, 128, 256]
-    assert 2 * sizes[-1] == conformal._grid(eq.wps_profile(2, 3))[0].size == 512
+    assert 2 * sizes[-1] == conformal._grid(eq.wps_profile(2, 3))[0].size + 1 == 512
     assert min_scal > 0.0
+
+
+def test_galerkin_grid_is_a_level_of_the_quadrature_rule():
+    # level 512 of the nested Fejér rule: the first-level nodes of
+    # `integrate` are every fourth node, bit for bit
+    base = eq.wps_profile(2, 3)
+    nodes, weights = conformal._grid(base)
+    first = orbifold.quadrature_nodes(base)
+    assert nodes.size == weights.size == 511
+    assert np.array_equal(nodes[3::4], first)
+    assert not (nodes.flags.writeable or weights.flags.writeable)
+    assert conformal._grid(eq.wps_profile(1, 9))[0] is nodes  # one array per length
+    assert math.fsum(weights) == pytest.approx(base.length, rel=1e-14)
+    assert np.dot(weights, np.cos(nodes)) == pytest.approx(math.sin(base.length), rel=1e-14)
+
+
+def test_minimizer_basis_stops_at_half_the_grid_level():
+    # past 256 modes the Galerkin matrices alias on the 511 nodes; a larger
+    # grid_size caps nothing more
+    metric = eq.wps_metric(1, 60)
+    default = eq.minimize_conformal(metric, eq.MinimizerConfig(grid_size=200))
+    assert default.modes == 128
+    for grid_size in (512, 2048):
+        result = eq.minimize_conformal(metric, eq.MinimizerConfig(grid_size=grid_size))
+        assert (result.modes, result.stop_reason) == (256, "tolerance")
+        assert result.mu_upper <= default.mu_upper
 
 
 def test_one_rule_doubles_both_bases(monkeypatch):
@@ -239,6 +265,7 @@ _UNIFORMIZED_BASES = {
     "wps23": lambda: eq.wps_profile(2, 3),
     "wps12": lambda: eq.wps_profile(1, 2),
     "wps19": lambda: eq.wps_profile(1, 9),
+    "wps1_20": lambda: eq.wps_profile(1, 20),  # the Poisson basis reaches 256 modes
     "bump": lambda: bump_sphere(0.2),
     "sampled": _sampled_bump_profile,
 }
@@ -250,7 +277,7 @@ def test_uniformized_min_scal_is_the_closed_form(kind):
     base = _UNIFORMIZED_BASES[kind]()
     u, min_scal = eq.uniformize_positive(base)
     closed = 4.0 * math.pi * eq.chi_orb(base) / eq.area(base) * math.exp(-2.0 * np.max(u.values))
-    assert min_scal == pytest.approx(closed, rel=1e-6)
+    assert min_scal == pytest.approx(closed, rel=2e-8)
 
 
 def test_uniformize_rejects_torus():
