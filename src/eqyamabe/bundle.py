@@ -46,7 +46,10 @@ __all__ = [
 class RadialField:
     """A radial (circle-invariant) function on the base with two derivatives.
 
-    Callables must be vectorized, and pure for the life of the field: the
+    Wherever a field is taken, a number, a `RadialField` or a plain vectorized
+    callable of s will do (`as_radial_field`); a plain callable is read as a
+    chopped trigonometric series and needs no derivatives.  Callables must be
+    vectorized, and pure for the life of the field: the
     curvature-form norms of a field are computed once per base and config
     (`omega_norms`), as a base's values are.  `constant` is set when the field
     is known to be constant, which lets closed-form evaluations skip
@@ -69,20 +72,6 @@ class RadialField:
         )
 
     @classmethod
-    def from_callables(cls, value: Callable, d1: Callable | None = None,
-                       d2: Callable | None = None, fd_step: float = 1e-6) -> "RadialField":
-        """Wrap a callable; missing derivatives fall back to central differences."""
-        if d1 is None:
-            def d1(s, _f=value, _h=fd_step):
-                s = np.asarray(s, dtype=float)
-                return (_f(s + _h) - _f(s - _h)) / (2.0 * _h)
-        if d2 is None:
-            def d2(s, _f=value, _h=fd_step):
-                s = np.asarray(s, dtype=float)
-                return (_f(s + _h) - 2.0 * _f(s) + _f(s - _h)) / (_h * _h)
-        return cls(value=value, d1=d1, d2=d2)
-
-    @classmethod
     def from_samples(cls, grid: np.ndarray, values: np.ndarray,
                      periodic: bool = False) -> "RadialField":
         """Trigonometric series (`numerics.trig_interpolant`) through samples
@@ -100,33 +89,76 @@ class RadialField:
             raise ValueError("samples must lie on the uniform endpoint grid linspace(0, L, n)")
         if periodic and abs(values[0] - values[-1]) > 1e-12 * max(1.0, abs(values[0])):
             raise ValueError("periodic samples must match at the seam")
-        values = values[:-1] if periodic else np.concatenate([values, values[-2:0:-1]])
-        value, d1, d2 = trig_interpolant(values, 0.0, length if periodic else 2.0 * length)
+        value, d1, d2 = trig_interpolant(
+            _one_period(values, periodic), 0.0, length if periodic else 2.0 * length
+        )
         return cls(value=value, d1=d1, d2=d2)
+
+
+def _one_period(values: np.ndarray, periodic: bool) -> np.ndarray:
+    """One period of the series through samples on linspace(0, L, n): on the
+    torus the samples less the repeat at the seam, off it their even
+    extension to period 2L."""
+    return values[:-1] if periodic else np.concatenate([values, values[-2:0:-1]])
 
 
 FieldLike = Union[RadialField, float, int, Callable]
 
 
-def as_radial_field(obj: FieldLike) -> RadialField:
+_EPS = float(np.finfo(float).eps)
+_CHOP_SAMPLES = 2**14 + 1  # the most samples a plain callable is read at
+
+
+def as_radial_field(obj: FieldLike, base: Base) -> RadialField:
+    """A `RadialField` as itself, a number as a constant field, and a plain
+    vectorized callable as its trigonometric series on the base.
+
+    The callable is sampled on linspace(0, L, n) for n = 17, 33, 65, ... and
+    read through `RadialField.from_samples` at the first n where every
+    coefficient in the trailing quarter of the series of those samples
+    (extended as `from_samples` extends them) is at most eps times the
+    largest sample: the series is chopped at rounding.  Data that has not
+    chopped by n = 2**14 + 1, such as a ramp at a cone pole, keeps that
+    series and is warned about.
+    """
     if isinstance(obj, RadialField):
         return obj
     if isinstance(obj, (int, float)):
         return RadialField.const(float(obj))
-    if callable(obj):
-        return RadialField.from_callables(obj)
-    raise TypeError(f"cannot interpret {type(obj).__name__} as a radial field")
+    if not callable(obj):
+        raise TypeError(f"cannot interpret {type(obj).__name__} as a radial field")
+    n = 17
+    while True:
+        grid = np.linspace(0.0, base.length, n)
+        values = np.zeros(n) + np.asarray(obj(grid), dtype=float)  # a scalar broadcasts
+        period = _one_period(values, base.periodic)
+        c = np.abs(np.fft.rfft(period)) * (2.0 / period.size)
+        if np.all(c[3 * c.size // 4 :] <= _EPS * np.max(np.abs(values))):
+            break
+        if n >= _CHOP_SAMPLES:
+            warnings.warn(
+                f"a radial callable has not chopped to rounding at {n} samples; "
+                "data may not be smooth on the orbifold",
+                stacklevel=3,
+            )
+            break
+        n = 2 * n - 1
+    return RadialField.from_samples(grid, values, base.periodic)
 
 
 @dataclass(frozen=True)
 class InvariantMetric:
-    """base + fiber-length profile + curvature density, all radial."""
+    """base + fiber-length profile + curvature density, all radial.  ell and F
+    may be given as anything `as_radial_field` reads and are kept as the
+    `RadialField`s it returns."""
 
     base: Base
     ell: RadialField
     F: RadialField
 
     def __post_init__(self) -> None:
+        for name in ("ell", "F"):
+            object.__setattr__(self, name, as_radial_field(getattr(self, name), self.base))
         L = self.base.length
         inset = 1e-6 if self.base.cone_orders else 0.0  # no poles: probe end to end
         probe = np.linspace(inset * L, L * (1.0 - inset), 257)
@@ -219,7 +251,7 @@ def _norms(
     """`omega_norms` of (base, F).  A report not yet in the plan first
     validates F as `InvariantMetric` does, unless the caller's metric already
     has (`validated`)."""
-    F = as_radial_field(F)
+    F = as_radial_field(F, base)
 
     def compute(cfg: QuadratureConfig) -> NormReport:
         if not validated:

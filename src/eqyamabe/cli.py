@@ -283,7 +283,8 @@ def cmd_functional(args) -> int:
         report["regime"] = table.regime
         cols = {"ell": table.ell.tolist(), "J": table.J.tolist(), "flag": table.flags}
         if table.lower is not None:
-            cols["lower_bound"] = table.lower.tolist()
+            # a row without a bound is null, as it is an empty cell in the CSV
+            cols["lower_bound"] = [None if math.isnan(v) else v for v in table.lower.tolist()]
         report["tables"] = cols
         if table.exponent is not None:
             report["fit"] = {

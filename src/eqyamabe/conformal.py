@@ -66,11 +66,6 @@ class RadialFunction:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("radial function samples must be finite")
 
-    @classmethod
-    def from_callable(cls, base: Base, fn: Callable, n: int = 2001) -> "RadialFunction":
-        grid = np.linspace(0.0, base.length, n)
-        return cls(grid=grid, values=np.asarray(fn(grid), dtype=float))
-
 
 def _weights(base: Base, grid: np.ndarray) -> np.ndarray:
     """Density of the area measure along the grid (without ds), 0 at cone poles."""

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .bundle import InvariantMetric, RadialField
-from .errors import ModelParseError
+from .errors import ModelParseError, NumericalError
 from .numerics import QuadratureConfig
 from .orbifold import (
     Base,
@@ -259,7 +259,7 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_canonical(obj: Any, out: io.StringIO, indent: int) -> None:
+def _write_canonical(obj: Any, out: io.StringIO, indent: int, path: str = "$") -> None:
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -269,7 +269,7 @@ def _write_canonical(obj: Any, out: io.StringIO, indent: int) -> None:
         items = list(obj.items())
         for i, (k, v) in enumerate(items):
             out.write(f'{pad}  "{k}": ')
-            _write_canonical(v, out, indent + 1)
+            _write_canonical(v, out, indent + 1, f"{path}.{k}")
             out.write(",\n" if i < len(items) - 1 else "\n")
         out.write(pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -280,12 +280,14 @@ def _write_canonical(obj: Any, out: io.StringIO, indent: int) -> None:
         out.write("[\n")
         for i, v in enumerate(seq):
             out.write(pad + "  ")
-            _write_canonical(v, out, indent + 1)
+            _write_canonical(v, out, indent + 1, f"{path}[{i}]")
             out.write(",\n" if i < len(seq) - 1 else "\n")
         out.write(pad + "]")
     elif isinstance(obj, bool):
         out.write("true" if obj else "false")
     elif isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise NumericalError(f"{path} is {format_float(float(obj))}, which JSON cannot carry")
         out.write(format_float(float(obj)))
     elif isinstance(obj, (int, np.integer)):
         out.write(str(int(obj)))
@@ -296,6 +298,9 @@ def _write_canonical(obj: Any, out: io.StringIO, indent: int) -> None:
 
 
 def canonical_json(obj: Any) -> str:
+    """The report as JSON (RFC 8259): keys in the order given, two-space
+    indents and 17-digit floats.  JSON has no NaN or infinity, so either
+    raises NumericalError naming its key path."""
     buf = io.StringIO()
     _write_canonical(obj, buf, 0)
     buf.write("\n")

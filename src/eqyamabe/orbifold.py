@@ -159,23 +159,8 @@ class WpsChart:
         vp = -0.5 * q**-1.5 * qp
         return -(b * v + self._Q(t) * vp)
 
-    def lam2_d2(self, t):
-        b = self.m1 - self.m2
-        q = t * (1.0 - t)
-        qp = 1.0 - 2.0 * t
-        vp = -0.5 * q**-1.5 * qp
-        vpp = 0.75 * q**-2.5 * qp**2 + q**-1.5
-        return -(2.0 * b * vp + self._Q(t) * vpp)
-
     def gamma(self, r):
         return (1.0 - r) ** self.m1 / r**self.m2
-
-    def gamma_d1(self, r):
-        return self.gamma(r) * self.dlog_gamma(r)
-
-    def gamma_d2(self, r):
-        D = self.dlog_gamma(r)
-        return self.gamma(r) * (D * D + self.dlog_gamma_d1(r))
 
     # log-derivative of gamma; works at every scale, unlike gamma itself
     def dlog_gamma(self, r):

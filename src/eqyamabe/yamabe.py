@@ -190,8 +190,8 @@ def conformal_functional(
 
     Invariant under u -> c u; requires u > 0.
     """
-    uf = as_radial_field(u)
     base = metric.base
+    uf = as_radial_field(u, base)
     ell = metric.ell.value
 
     probe = np.linspace(0.0, base.length, 513)[1:-1]

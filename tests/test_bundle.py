@@ -190,11 +190,35 @@ def test_metric_requires_positive_ell(half_sphere):
 
 
 def test_nonsmooth_pole_data_warns(half_sphere):
-    ramp = eq.RadialField.from_callables(
-        lambda s: 1.0 + np.asarray(s), lambda s: np.ones_like(np.asarray(s, dtype=float))
+    ramp = eq.RadialField(
+        value=lambda s: 1.0 + np.asarray(s),
+        d1=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+        d2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
     )
     with pytest.warns(UserWarning, match="cone pole"):
         eq.InvariantMetric(base=half_sphere, ell=ramp, F=eq.RadialField.const(2.0))
+
+
+def test_plain_callable_ramp_warns_and_keeps_its_norm(half_sphere):
+    # the even extension of a ramp has a kink at the pole, so its series never
+    # chops; the area element vanishes there, and the norm still comes out
+    # right: sqrt2 * 2pi int (1 + s) sin(2s) / 2 ds over [0, pi/2]
+    with pytest.warns(UserWarning, match="smooth on the orbifold"):
+        metric = eq.InvariantMetric(base=half_sphere, ell=1.0, F=lambda s: 1.0 + np.asarray(s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the ramp's Chern number is fractional
+        norms = eq.omega_norms(metric)
+    assert norms.omega_L1 == pytest.approx(math.sqrt(2.0) * math.pi * (1.0 + math.pi / 4.0), rel=1e-12)
+
+
+def test_plain_callable_on_the_torus_is_a_fourier_series():
+    base = eq.FlatTorusBase(length=1.0, radius=1.0)
+    k = 2.0 * math.pi
+    f = lambda s: 1.0 + 0.1 * np.sin(k * np.asarray(s)) + 0.05 * np.cos(2.0 * k * np.asarray(s))  # noqa: E731
+    d2 = lambda s: -0.1 * k**2 * np.sin(k * np.asarray(s)) - 0.2 * k**2 * np.cos(2.0 * k * np.asarray(s))  # noqa: E731
+    metric = eq.InvariantMetric(base=base, ell=f, F=1.0)
+    s = np.linspace(0.0, 1.0, 33)
+    assert metric.ell.d2(s) == pytest.approx(d2(s), abs=1e-12)
 
 
 @pytest.mark.parametrize("weights", [(1, 97), (1, 200), (97, 1)])
@@ -272,7 +296,7 @@ import sys, warnings
 import numpy as np
 import eqyamabe as eq
 base = eq.make_round_sphere(0.5)
-F = eq.RadialField.from_callables(lambda s: 0.2 + np.cos(np.pi * np.asarray(s) / base.length))
+F = lambda s: 0.2 + np.cos(np.pi * np.asarray(s) / base.length)
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     eq.omega_norms(eq.InvariantMetric(base=base, ell=eq.RadialField.const(1.0), F=F))

@@ -257,6 +257,53 @@ def test_scan_csv(capsys, tmp_path):
     assert len(lines) == 7
 
 
+def _strict_json(text):
+    # RFC 8259 has no NaN or Infinity tokens; json.loads accepts them unless told not to
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_scan_rows_without_a_bound_are_null(capsys, tmp_path):
+    # on a chi <= 0 base the collapse lower bound holds only for ell <= 1
+    out_path = tmp_path / "scan.json"
+    argv = ["scan", "--model", torus_model(tmp_path), "--ell", "scan:0.5:4:4"]
+    assert main(argv + ["--out", str(out_path)]) == 0
+    tables = _strict_json(out_path.read_text())["tables"]
+    assert [lower is None for lower in tables["lower_bound"]] == [ell > 1.0 for ell in tables["ell"]]
+    assert any(lower is None for lower in tables["lower_bound"])
+    code, out, _ = run(capsys, argv + ["--csv"])
+    assert code == 0
+    assert [row.split(",")[3] == "" for row in out.splitlines()[1:]] == [
+        lower is None for lower in tables["lower_bound"]
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_report_exits_3_and_writes_nothing(capsys, tmp_path):
+    # the 256-mode Poisson solve does not resolve the order-1905 cone, so the
+    # uniformized curvature overflows to -Infinity, which JSON cannot carry
+    path = tmp_path / "wps_2_1905.json"
+    path.write_text(json.dumps({"base": {"type": "wps", "m1": 2, "m2": 1905},
+                                "ell": {"type": "constant", "value": 29}, "F": {"type": "wps"}}))
+    out_path = tmp_path / "laplace.json"
+    code, out, err = run(capsys, ["laplace", "--model", str(path), "--out", str(out_path)])
+    assert code == 3
+    assert "$.quantities.min_scal.value" in err
+    assert not out_path.exists() and out == ""
+    code, out, _ = run(capsys, ["laplace", "--model", wps_model(tmp_path)])
+    assert code == 0
+    assert math.isfinite(_strict_json(out)["quantities"]["min_scal"]["value"])
+
+
+def test_canonical_json_rejects_non_finite_numbers():
+    with pytest.raises(eq.errors.NumericalError, match=r"\$\.a\[1\]\.b is NaN"):
+        modelio.canonical_json({"a": [1.0, {"b": math.nan}]})
+    with pytest.raises(eq.errors.NumericalError, match=r"\$\[0\] is Infinity"):
+        modelio.canonical_json([np.float64(math.inf)])
+
+
 def test_scan_requires_ladder(capsys, tmp_path):
     code, _, _ = run(capsys, ["scan", "--model", torus_model(tmp_path)])
     assert code == 2

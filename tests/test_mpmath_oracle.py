@@ -181,15 +181,14 @@ def test_unseen_root_pair_and_tangential_zero_match_mpmath(half_width):
 
 
 def test_plain_callable_density_matches_mpmath():
-    # a bare callable's derivative is a central difference, which the root
-    # polish must tolerate
+    # a bare callable is read as its chopped cosine series, whose derivative
+    # polishes the roots
     base = eq.make_round_sphere(0.5)
     L = base.length
-    F = eq.RadialField.from_callables(lambda s: 0.2 + np.cos(np.pi * np.asarray(s) / L))
     ref = _mp_norms(_mp_cosine([1.0], 0.2, L), _mp_round_w, L)
-    norms = _norms(base, F)
+    norms = _norms(base, lambda s: 0.2 + np.cos(np.pi * np.asarray(s) / L))
     for key in ("omega_L1", "omega_L3_sq", "chern_number"):
-        assert getattr(norms, key) == pytest.approx(ref[key], rel=1e-8), key
+        assert getattr(norms, key) == pytest.approx(ref[key], rel=REL), key
 
 
 def test_torus_root_next_to_an_end_matches_mpmath():

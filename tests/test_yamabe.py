@@ -142,6 +142,41 @@ def test_conformal_rejects_nonpositive(hopf):
         eq.conformal_functional(hopf, -1.0)
 
 
+@pytest.mark.parametrize("a,k", [(0.01, 2), (0.3, 4), (0.5, 8)])
+def test_plain_callable_ell_matches_exact_derivatives(a, k):
+    # a bare callable is read as its chopped cosine series, so ell'' is exact
+    # to rounding (a central difference put noise of 1e-4 into it)
+    base = eq.make_round_sphere(0.5)
+    w = k / 0.5
+    exact = eq.RadialField(
+        value=lambda s: 1.0 + a * np.cos(w * np.asarray(s)),
+        d1=lambda s: -a * w * np.sin(w * np.asarray(s)),
+        d2=lambda s: -a * w * w * np.cos(w * np.asarray(s)),
+    )
+    plain = eq.InvariantMetric(base=base, ell=exact.value, F=2.0)
+    ref = eq.InvariantMetric(base=base, ell=exact, F=2.0)
+    assert eq.functional_J(plain).J == pytest.approx(eq.functional_J(ref).J, rel=1e-13)
+    assert eq.conformal_functional(plain, 1.0) == pytest.approx(
+        eq.conformal_functional(ref, 1.0), rel=1e-13
+    )
+
+
+@pytest.mark.parametrize("weights", [(2, 3), (1, 9)])
+def test_plain_callable_factor_matches_exact_derivatives(weights):
+    metric = eq.wps_metric(*weights)
+    w = 2.0 * math.pi / metric.base.length
+    u = lambda s: np.exp(0.3 * np.cos(w * np.asarray(s)))  # noqa: E731
+    exact = eq.RadialField(
+        value=u,
+        d1=lambda s: -0.3 * w * np.sin(w * np.asarray(s)) * u(s),
+        d2=lambda s: ((0.3 * w * np.sin(w * np.asarray(s))) ** 2
+                      - 0.3 * w * w * np.cos(w * np.asarray(s))) * u(s),
+    )
+    assert eq.conformal_functional(metric, u) == pytest.approx(
+        eq.conformal_functional(metric, exact), rel=1e-14
+    )
+
+
 # ---------------------------------------------------------------------------
 # optimal fiber length
 # ---------------------------------------------------------------------------
