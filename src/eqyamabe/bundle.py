@@ -20,7 +20,13 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .numerics import QuadratureConfig, _with_dips, sign_change_roots, trig_interpolant
+from .numerics import (
+    QuadratureConfig,
+    _with_dips,
+    chopped_interpolant,
+    sign_change_roots,
+    trig_interpolant,
+)
 from .orbifold import (
     Base,
     _cached_norms,
@@ -80,32 +86,31 @@ class RadialField:
         extended evenly to period 2L (a cosine series); on the torus the
         samples must match at the seam.
         """
-        grid = np.asarray(grid, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if grid.ndim != 1 or grid.shape != values.shape:
-            raise ValueError("grid and values must be matching 1-d arrays")
-        length = float(grid[-1])
-        if not np.allclose(grid, np.linspace(0.0, length, grid.size), rtol=0.0, atol=1e-12 * length):
-            raise ValueError("samples must lie on the uniform endpoint grid linspace(0, L, n)")
-        if periodic and abs(values[0] - values[-1]) > 1e-12 * max(1.0, abs(values[0])):
+        return cls(*trig_interpolant(*_one_period(grid, values, periodic)))
+
+
+def _one_period(grid: np.ndarray, values: np.ndarray,
+                periodic: bool) -> tuple[np.ndarray, float, float]:
+    """One period of the series through samples on linspace(0, L, n), with its
+    start and its period: on the torus the samples less the repeat at the
+    seam, off it their even extension to period 2L."""
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.shape != values.shape:
+        raise ValueError("grid and values must be matching 1-d arrays")
+    length = float(grid[-1])
+    if not np.allclose(grid, np.linspace(0.0, length, grid.size), rtol=0.0, atol=1e-12 * length):
+        raise ValueError("samples must lie on the uniform endpoint grid linspace(0, L, n)")
+    if periodic:
+        if abs(values[0] - values[-1]) > 1e-12 * max(1.0, abs(values[0])):
             raise ValueError("periodic samples must match at the seam")
-        value, d1, d2 = trig_interpolant(
-            _one_period(values, periodic), 0.0, length if periodic else 2.0 * length
-        )
-        return cls(value=value, d1=d1, d2=d2)
-
-
-def _one_period(values: np.ndarray, periodic: bool) -> np.ndarray:
-    """One period of the series through samples on linspace(0, L, n): on the
-    torus the samples less the repeat at the seam, off it their even
-    extension to period 2L."""
-    return values[:-1] if periodic else np.concatenate([values, values[-2:0:-1]])
+        return values[:-1], 0.0, length
+    return np.concatenate([values, values[-2:0:-1]]), 0.0, 2.0 * length
 
 
 FieldLike = Union[RadialField, float, int, Callable]
 
 
-_EPS = float(np.finfo(float).eps)
 _CHOP_SAMPLES = 2**14 + 1  # the most samples a plain callable is read at
 
 
@@ -113,13 +118,13 @@ def as_radial_field(obj: FieldLike, base: Base) -> RadialField:
     """A `RadialField` as itself, a number as a constant field, and a plain
     vectorized callable as its trigonometric series on the base.
 
-    The callable is sampled on linspace(0, L, n) for n = 17, 33, 65, ... and
-    read through `RadialField.from_samples` at the first n where every
-    coefficient in the trailing quarter of the series of those samples
-    (extended as `from_samples` extends them) is at most eps times the
-    largest sample: the series is chopped at rounding.  Data that has not
-    chopped by n = 2**14 + 1, such as a ramp at a cone pole, keeps that
-    series and is warned about.
+    The callable is sampled on linspace(0, L, n), ends included, for
+    n = 17, 33, 65, ...; its samples are extended as `RadialField.from_samples`
+    extends them, and the series is kept at the first n where it has chopped
+    to rounding (`numerics.chopped_interpolant`).  Data that has not chopped
+    by n = 2**14 + 1, such as a ramp at a cone pole, keeps that series and is
+    warned about.  A callable that is not finite at a sample, such as one
+    with a removable singularity at a pole, is rejected.
     """
     if isinstance(obj, RadialField):
         return obj
@@ -131,9 +136,17 @@ def as_radial_field(obj: FieldLike, base: Base) -> RadialField:
     while True:
         grid = np.linspace(0.0, base.length, n)
         values = np.zeros(n) + np.asarray(obj(grid), dtype=float)  # a scalar broadcasts
-        period = _one_period(values, base.periodic)
-        c = np.abs(np.fft.rfft(period)) * (2.0 / period.size)
-        if np.all(c[3 * c.size // 4 :] <= _EPS * np.max(np.abs(values))):
+        bad = ~np.isfinite(values)
+        if np.any(bad):
+            ends = "the seam" if base.periodic else "the poles"
+            where = ", ".join(f"{x:.6g}" for x in grid[bad][:3])
+            raise ValueError(
+                f"a radial callable is not finite at s = {where}; it is sampled on "
+                f"[0, {base.length:.6g}] with {ends} included and must be finite there"
+            )
+        period = _one_period(grid, values, base.periodic)
+        series = chopped_interpolant(*period)
+        if series is not None:
             break
         if n >= _CHOP_SAMPLES:
             warnings.warn(
@@ -141,9 +154,10 @@ def as_radial_field(obj: FieldLike, base: Base) -> RadialField:
                 "data may not be smooth on the orbifold",
                 stacklevel=3,
             )
+            series = trig_interpolant(*period)
             break
         n = 2 * n - 1
-    return RadialField.from_samples(grid, values, base.periodic)
+    return RadialField(*series)
 
 
 @dataclass(frozen=True)

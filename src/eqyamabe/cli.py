@@ -189,9 +189,10 @@ def cmd_bound(args) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         k_echo = "inf" if k == math.inf else int(k)
-        bounds.append(
-            _serialize_bound(BoundReport("orbit_count", value, {"n": args.n, "k": k_echo}))
-        )
+        entry = _serialize_bound(BoundReport("orbit_count", value, {"n": args.n, "k": k_echo}))
+        if k == math.inf:
+            entry["value"] = None  # no finite orbit, no constraint: JSON has no Infinity
+        bounds.append(entry)
     elif args.model:
         spec = parse_model_file(args.model)
         cfg = build_quadrature(spec.quadrature) or tol_cfg
@@ -281,10 +282,7 @@ def cmd_functional(args) -> int:
     if kind == "scan":
         table = ell_scan(metric.base, metric.F, parsed, cfg)
         report["regime"] = table.regime
-        cols = {"ell": table.ell.tolist(), "J": table.J.tolist(), "flag": table.flags}
-        if table.lower is not None:
-            # a row without a bound is null, as it is an empty cell in the CSV
-            cols["lower_bound"] = [None if math.isnan(v) else v for v in table.lower.tolist()]
+        cols = table.columns()
         report["tables"] = cols
         if table.exponent is not None:
             report["fit"] = {

@@ -308,14 +308,15 @@ def canonical_json(obj: Any) -> str:
 
 
 def table_to_csv(columns: dict[str, list]) -> str:
-    """RFC-4180-style CSV with a one-line header, 17-digit floats, CRLF rows."""
+    """RFC-4180-style CSV with a one-line header, 17-digit floats, CRLF rows;
+    None is an empty cell."""
     names = list(columns)
     rows = zip(*[columns[n] for n in names])
     lines = [",".join(names)]
     for row in rows:
         cells = []
         for v in row:
-            if v is None or (isinstance(v, float) and math.isnan(v)):
+            if v is None:
                 cells.append("")
             elif isinstance(v, (float, np.floating)):
                 cells.append(format_float(float(v)))

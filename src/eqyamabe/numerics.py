@@ -37,6 +37,7 @@ __all__ = [
     "sign_change_roots",
     "trig_series",
     "trig_interpolant",
+    "chopped_interpolant",
     "check_derivative",
     "minimize_scalar",
     "richardson_table",
@@ -48,7 +49,8 @@ _RICHARDSON_RATIO = 10.0
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
-_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+_EPS = float(np.finfo(float).eps)
+_SQRT_EPS = float(np.sqrt(_EPS))
 
 # step budget of `sign_change_roots`; from its interpolated start a simple
 # root takes two or three Newton steps
@@ -235,7 +237,7 @@ def integrate(
 def _trim_modes(c: np.ndarray) -> np.ndarray:
     """The modes up to the last one above eps times the largest; the mean
     mode always stays, so all-zero coefficients keep one mode, not all."""
-    keep = np.flatnonzero(np.abs(c) > np.finfo(float).eps * np.abs(c).max())
+    keep = np.flatnonzero(np.abs(c) > _EPS * np.abs(c).max())
     return c[: np.max(keep, initial=0) + 1]
 
 
@@ -261,14 +263,31 @@ def trig_series(coeffs: np.ndarray, start: float, omega: float) -> tuple[Callabl
     return horner(coeffs), horner(1j * k * coeffs), horner(-k * k * coeffs)
 
 
+def _interpolant_coefficients(samples: np.ndarray) -> np.ndarray:
+    """The `trig_series` coefficients of the interpolant of one period of
+    uniform samples, from one real FFT."""
+    n = len(samples)
+    c = np.fft.rfft(samples) / n
+    c[1 : (n + 1) // 2] *= 2.0  # each mode below Nyquist stands for +k and -k
+    return c
+
+
 def trig_interpolant(samples: np.ndarray, start: float, period: float) -> tuple[Callable, ...]:
     """Value, first and second derivative of the trigonometric interpolant of
     one period of uniform samples, the j-th of n taken at start + j period / n.
     The coefficients come from one real FFT, trailing modes at or below eps
     times the largest are dropped, and the rest are summed by `trig_series`."""
-    n = len(samples)
-    c = np.fft.rfft(samples) / n
-    c[1 : (n + 1) // 2] *= 2.0  # each mode below Nyquist stands for +k and -k
+    return trig_series(_trim_modes(_interpolant_coefficients(samples)), start, 2.0 * math.pi / period)
+
+
+def chopped_interpolant(samples: np.ndarray, start: float, period: float) -> tuple[Callable, ...] | None:
+    """`trig_interpolant` of samples whose series has reached rounding: every
+    coefficient in its trailing quarter is at most eps times the largest
+    sample (Aurentz & Trefethen, "Chopping a Chebyshev series", 2017).  None
+    for samples that have not, which a finer sampling may resolve."""
+    c = _interpolant_coefficients(samples)
+    if np.any(np.abs(c[3 * c.size // 4 :]) > _EPS * np.max(np.abs(samples))):
+        return None
     return trig_series(_trim_modes(c), start, 2.0 * math.pi / period)
 
 

@@ -48,11 +48,22 @@ class ScanTable:
     exponent: float | None = None
     coefficient: float | None = None
 
-    def rows(self):
+    def _bounds(self) -> list[float | None]:
+        # a row without a collapse lower bound has None, not the NaN of `lower`
         low = self.lower if self.lower is not None else [None] * len(self.ell)
-        return list(zip(self.ell.tolist(), self.J.tolist(),
-                        [None if v is None or not np.isfinite(v) else float(v) for v in low],
-                        self.flags))
+        return [None if v is None or not np.isfinite(v) else float(v) for v in low]
+
+    def rows(self):
+        return list(zip(self.ell.tolist(), self.J.tolist(), self._bounds(), self.flags))
+
+    def columns(self) -> dict[str, list]:
+        """The rows as the columns ell, J, flag and, in the regime that has
+        them, lower_bound, where a row without a bound has None: null in
+        JSON and an empty cell in CSV."""
+        cols = {"ell": self.ell.tolist(), "J": self.J.tolist(), "flag": self.flags}
+        if self.lower is not None:
+            cols["lower_bound"] = self._bounds()
+        return cols
 
 
 def ell_scan(

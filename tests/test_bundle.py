@@ -211,6 +211,23 @@ def test_plain_callable_ramp_warns_and_keeps_its_norm(half_sphere):
     assert norms.omega_L1 == pytest.approx(math.sqrt(2.0) * math.pi * (1.0 + math.pi / 4.0), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_plain_callable_not_finite_at_a_pole_is_rejected(half_sphere):
+    # sin(2s)/sin(s) tends to 2 at s = 0, but a plain callable is sampled at
+    # the poles themselves
+    with pytest.raises(ValueError, match="not finite at s = 0;.*the poles"):
+        eq.InvariantMetric(base=half_sphere, ell=1.0, F=lambda s: np.sin(2.0 * s) / np.sin(s))
+
+
+def test_plain_callable_off_the_seam_is_rejected_at_once():
+    # the seam is checked on the first sampling, before any warning about chopping
+    base = eq.FlatTorusBase(length=1.0, radius=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="seam"):
+            eq.InvariantMetric(base=base, ell=lambda s: 1.0 + 0.1 * np.asarray(s), F=1.0)
+
+
 def test_plain_callable_on_the_torus_is_a_fourier_series():
     base = eq.FlatTorusBase(length=1.0, radius=1.0)
     k = 2.0 * math.pi

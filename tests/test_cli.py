@@ -204,6 +204,15 @@ def test_bound_hebey_vaugon(capsys):
     assert doc["bounds"][0]["inputs"] == {"n": 3, "k": 2}
 
 
+def test_bound_hebey_vaugon_without_a_finite_orbit_is_null(capsys):
+    # k = inf puts no constraint on the constant; JSON has no Infinity
+    code, out, _ = run(capsys, ["bound", "--hebey-vaugon", "--n", "3", "--k", "inf"])
+    assert code == 0
+    entry = _strict_json(out)["bounds"][0]
+    assert entry["value"] is None
+    assert entry["inputs"] == {"n": 3, "k": "inf"}
+
+
 def test_bound_model_route(capsys, tmp_path):
     code, out, _ = run(capsys, ["bound", "--model", hopf_model(tmp_path)])
     doc = json.loads(out)

@@ -23,6 +23,7 @@ from eqyamabe.numerics import (
     _trim_modes,
     _with_dips,
     check_derivative,
+    chopped_interpolant,
     integrate,
     limit_at_zero,
     minimize_scalar,
@@ -302,6 +303,19 @@ def test_trig_interpolant_of_zeros_is_zero():
     value, d1, d2 = trig_interpolant(np.zeros(8), 0.0, 1.0)
     s = np.linspace(0.0, 1.0, 5)
     assert value(s).tolist() == d1(s).tolist() == d2(s).tolist() == [0.0] * 5
+
+
+def test_chopped_interpolant_waits_for_the_tail_to_reach_rounding():
+    # exp(cos) has coefficients 2 I_k(1), below eps from k = 15 on: 16 samples
+    # leave its trailing quarter above rounding, 64 do not
+    f = lambda s: np.exp(np.cos(2.0 * math.pi * s))  # noqa: E731
+    assert chopped_interpolant(f(np.arange(16) / 16), 0.0, 1.0) is None
+    samples = f(np.arange(64) / 64)
+    s = np.linspace(0.0, 1.0, 33)
+    chopped = chopped_interpolant(samples, 0.0, 1.0)
+    for got, want in zip(chopped, trig_interpolant(samples, 0.0, 1.0)):
+        assert got(s).tolist() == want(s).tolist()
+    assert chopped_interpolant(np.zeros(8), 0.0, 1.0) is not None
 
 
 def test_trim_keeps_only_the_mean_mode_of_zeros():
