@@ -7,9 +7,9 @@ factor: the sphere constant for unit fiber length, and the closed-form value
 of the squashed metric otherwise.  The descent runs on the coefficients of a
 cosine series; --grid caps the number of basis functions below the library's
 cap of 256 (the basis starts at 16 and doubles only while its trailing
-coefficients matter) and sets the linspace(0, L, grid + 1) samples of the
-final factor, which is constant to within the reported oscillation.  The
-iteration count does not grow with --grid.
+coefficients matter) and sets the linspace(0, L, grid + 1) points at which
+the final factor's series is sampled for the printed oscillation; the factor
+is constant to within it.  The iteration count does not grow with --grid.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def run(ell: float, grid: int) -> None:
         eq.MinimizerConfig(grid_size=grid),
         u0=lambda s: 1.0 + 0.3 * np.cos(2.0 * np.pi * s / L),
     )
-    u = result.u_star.values
+    u = result.u_star.value(np.linspace(0.0, L, grid + 1))
     osc = (np.max(u) - np.min(u)) / np.mean(u)
     closed = eq.functional_J_closed(metric.base, metric.F, ell)
     print(

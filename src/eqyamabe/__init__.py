@@ -20,7 +20,6 @@ from .bundle import (
 from .conformal import (
     MinimizeResult,
     MinimizerConfig,
-    RadialFunction,
     laplace_residual,
     laplace_solve_radial,
     minimize_conformal,

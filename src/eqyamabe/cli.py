@@ -340,6 +340,7 @@ def cmd_laplace(args) -> int:
     spec = parse_model_file(args.model)
     metric = build_metric(spec)
     u, min_scal = uniformize_positive(metric.base)
+    u_values = u.value(np.linspace(0.0, metric.base.length, 4001))
     chi = chi_orb(metric.base)
     vol = area(metric.base)
     target = 4.0 * math.pi * chi / vol
@@ -350,8 +351,8 @@ def cmd_laplace(args) -> int:
         "uniformized_constant": _quantity(target, 0.0, "closed_form"),
         "positive": bool(min_scal > 0.0),
         "u_range": {
-            "min": _quantity(float(np.min(u.values)), exact=True),
-            "max": _quantity(float(np.max(u.values)), exact=True),
+            "min": _quantity(float(np.min(u_values)), exact=True),
+            "max": _quantity(float(np.max(u_values)), exact=True),
         },
     }
     _emit(args, report)

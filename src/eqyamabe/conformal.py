@@ -10,12 +10,15 @@ quadrature plan keeps; the first-level nodes of `integrate` are every fourth
 of them.  The basis doubles from 16 modes while its trailing coefficients
 are not negligible (`_refinable`), up to 256 modes, half the level.
 
-The Poisson problem Delta u = f (nonnegative Laplacian, mean-zero f) is one
-linear solve with the stiffness matrix int u' v' dA over the non-constant
-basis functions.  The test suite's eigenvalue oracle cross-checks it against
-a tridiagonal finite-volume discretization, and `laplace_residual` recomputes
-its Laplacian from the series of the solution's samples
-(`RadialField.from_samples`).
+Radial data comes in as anything `bundle.as_radial_field` reads and every
+solution goes out as its series, a `RadialField`; means are taken with the
+node weights of the Galerkin grid.  The Poisson problem Delta u = f
+(nonnegative Laplacian, mean-zero f) is one linear solve with the stiffness
+matrix int u' v' dA over the non-constant basis functions, and its constant
+coefficient gives u mean zero.  `laplace_residual` reads Delta u - f at the
+nodes from the series' own derivatives; the test suite's eigenvalue oracle
+cross-checks the solve against a tridiagonal finite-volume discretization,
+and its spline checks differentiate samples of the series.
 
 In the conformal minimizer the functional's quadratic forms become small
 dense matrices, and an H^1-preconditioned (Sobolev) gradient descent runs on
@@ -34,14 +37,20 @@ from typing import Callable
 
 import numpy as np
 
-from .bundle import InvariantMetric, RadialField, _laplacian_of, _scalar_curvature
-from .errors import NonPositiveFactor, NonpositiveChi, NotMeanZero
+from .bundle import (
+    FieldLike,
+    InvariantMetric,
+    RadialField,
+    _laplacian_of,
+    _scalar_curvature,
+    as_radial_field,
+)
+from .errors import NonPositiveFactor, NonpositiveChi, NotMeanZero, NumericalError
 from .numerics import _fejer_rule, trig_series
 from .orbifold import Base, _plan_nodes, area, chi_orb, gauss_curvature
 from .yamabe import conformal_functional
 
 __all__ = [
-    "RadialFunction",
     "MinimizerConfig",
     "MinimizeResult",
     "laplace_solve_radial",
@@ -51,87 +60,47 @@ __all__ = [
 ]
 
 
-@dataclass
-class RadialFunction:
-    """Samples of a radial function on a uniform arclength grid of the base."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.grid.shape != self.values.shape or self.grid.ndim != 1:
-            raise ValueError("grid and values must be matching 1-d arrays")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("radial function samples must be finite")
-
-
-def _weights(base: Base, grid: np.ndarray) -> np.ndarray:
-    """Density of the area measure along the grid (without ds), 0 at cone poles."""
-    w = base.area_scale * np.asarray(base.density(grid), dtype=float)
-    for end, _ in zip((0, -1), base.cone_orders):
-        w[end] = 0.0
-    return w
-
-
-def _sampled(base: Base, series: RadialField, grid: np.ndarray) -> tuple[RadialFunction, float]:
-    """The series on the grid less its trapezoid area mean, and that mean."""
-    w = _weights(base, grid)
-    u = np.asarray(series.value(grid), dtype=float)
-    mean = np.trapezoid(u * w, grid) / np.trapezoid(w, grid)
-    return RadialFunction(grid=grid, values=u - mean), float(mean)
-
-
-def laplace_solve_radial(base: Base, f: RadialFunction) -> RadialFunction:
+def laplace_solve_radial(base: Base, f: FieldLike) -> RadialField:
     """Solve Delta u = f with the nonnegative Laplacian; u has mean zero.
 
-    f is sampled on the uniform grid linspace(0, L, n) of the base (raises
-    ValueError on any other grid) and read at the Galerkin grid's nodes
-    through `RadialField.from_samples`.  Requires int f dv = 0 within 1e-8 of
-    the L1 size of f (the solvability condition); raises NotMeanZero
-    otherwise.  The Galerkin solution (`_poisson_series`) is returned on the
-    same grid, less its trapezoid area mean.
+    f is anything `bundle.as_radial_field` reads (samples on linspace(0, L, n)
+    come in through `RadialField.from_samples`) and is read at the Galerkin
+    grid's nodes.  Requires int f dv = 0 within 1e-8 of int |f| dv, both by
+    the nodes' quadrature of the area measure (the solvability condition);
+    raises NotMeanZero otherwise.  Returns the Galerkin series
+    (`_poisson_series`), whose mean by the same quadrature is zero.
     """
-    grid, fv = f.grid, f.values
-    L = base.length
-    if not np.allclose(grid, np.linspace(0.0, L, grid.size), rtol=0.0, atol=1e-12 * L):
-        raise ValueError("laplace data must lie on the grid linspace(0, L, n) of the base")
-    w = _weights(base, grid)
-    mean = np.trapezoid(fv * w, grid)
-    scale = np.trapezoid(np.abs(fv) * w, grid)
+    f_nodes = np.asarray(as_radial_field(f, base).value(_grid(base)[0]), dtype=float)
+    wA = _area_weights(base)
+    mean, scale = float(np.dot(wA, f_nodes)), float(np.dot(wA, np.abs(f_nodes)))
     if abs(mean) > 1e-8 * max(scale, 1e-30):
         raise NotMeanZero(f"int f dv = {mean:.3e} exceeds 1e-8 * ||f||_1 = {1e-8 * scale:.3e}")
-    nodes = _grid(base)[0]
-    f_nodes = RadialField.from_samples(grid, fv, periodic=base.periodic).value(nodes)
-    return _sampled(base, _poisson_series(base, f_nodes, _EPS * np.max(np.abs(f_nodes))), grid)[0]
+    return _poisson_series(base, f_nodes, _EPS * np.max(np.abs(f_nodes)))
 
 
-def laplace_residual(base: Base, u: RadialFunction, f: RadialFunction) -> float:
-    """Max-norm of Delta u - f, recomputing Delta u from the trigonometric
-    series of the solution's samples (`RadialField.from_samples`), not from
-    the solve's own series.  On a profile only the grid points more than 2
+def laplace_residual(base: Base, u: RadialField, f: FieldLike) -> float:
+    """Max-norm of Delta u - f at the Galerkin grid's nodes, with Delta u from
+    the series' own derivatives.  On a profile only the nodes more than 2
     percent of L from either pole count: nearer a pole the quotient phi'/phi
     amplifies rounding without geometric meaning."""
-    grid, L = u.grid, base.length
-    mask = (grid > 0.02 * L) & (grid < 0.98 * L) if base.cone_orders else np.full(grid.shape, True)
-    field = RadialField.from_samples(grid, u.values, periodic=base.periodic)
-    return float(np.max(np.abs(_laplacian_of(field, base, grid[mask]) - f.values[mask])))
+    nodes, L = _grid(base)[0], base.length
+    s = nodes[(nodes > 0.02 * L) & (nodes < 0.98 * L)] if base.cone_orders else nodes
+    return float(np.max(np.abs(_laplacian_of(u, base, s) - as_radial_field(f, base).value(s))))
 
 
-def uniformize_positive(
-    base: Base, n: int = 4001
-) -> tuple[RadialFunction, float]:
+def uniformize_positive(base: Base) -> tuple[RadialField, float]:
     """Conformal change to positive curvature on a chi > 0 base.
 
     Solves Delta u = 2 pi chi / vol - K (the right side has zero mean by the
-    curvature integral) at the Galerkin grid's nodes (`_poisson_series`)
-    and returns u sampled on linspace(0, L, n), less its trapezoid area mean,
-    together with the minimum over the nodes of the resulting scalar
-    curvature 2 e^{-2u} (Delta u + K), with Delta u taken from the series' own
+    curvature integral) at the Galerkin grid's nodes (`_poisson_series`) and
+    returns the series u, of mean zero by the nodes' quadrature, together
+    with the minimum over the nodes of the resulting scalar curvature
+    2 e^{-2u} (Delta u + K), with Delta u taken from the series' own
     derivatives.  That curvature is (4 pi chi / vol) e^{-2u}, so its minimum
     is (4 pi chi / vol) e^{-2 max u}; the contract min > 0 is checked by the
-    caller and the test suite.
+    caller and the test suite.  The minimum is taken in log form, since
+    e^{-2u} may overflow where the product does not; a minimum that is not
+    finite raises NumericalError.
     """
     chi = chi_orb(base)
     if chi <= 0:
@@ -139,15 +108,22 @@ def uniformize_positive(
     nodes = _grid(base)[0]
     K = np.asarray(gauss_curvature(base, nodes), dtype=float)
     series = _poisson_series(base, 2.0 * math.pi * chi / area(base) - K, _EPS * np.max(np.abs(K)))
-    u, mean = _sampled(base, series, np.linspace(0.0, base.length, n))
-    lap = _laplacian_of(series, base, nodes)
-    scal_new = 2.0 * np.exp(-2.0 * (series.value(nodes) - mean)) * (lap + K)
-    return u, float(np.min(scal_new))
+    g = 2.0 * (_laplacian_of(series, base, nodes) + K)
+    log_g = np.log(np.abs(g), out=np.full(g.shape, -np.inf), where=g != 0.0)
+    log_scal = log_g - 2.0 * series.value(nodes)  # log |g e^{-2u}|
+    negative = g < 0.0
+    i = np.argmax(np.where(negative, log_scal, -np.inf)) if negative.any() else np.argmin(log_scal)
+    if not log_scal[i] < _LOG_MAX:
+        raise NumericalError(
+            f"min_scal is not finite: its log magnitude {log_scal[i]:.6g} at s = {nodes[i]:.6g} "
+            f"exceeds log(DBL_MAX) = {_LOG_MAX:.6g}"
+        )
+    return series, math.copysign(math.exp(log_scal[i]), g[i])
 
 
 @dataclass(frozen=True)
 class MinimizerConfig:
-    grid_size: int = 200  # caps the basis size; the effective cap is min(grid_size, 256)
+    grid_size: int = 200  # only caps the basis size: the cap is min(grid_size, 256)
     max_iterations: int = 20000
     decrease_tol: float = 1e-10  # predicted decrease g.H^{-1}g, relative to max(1, |J|)
 
@@ -164,18 +140,17 @@ class MinimizerConfig:
 class MinimizeResult:
     """Descent output.
 
-    mu_upper evaluates the final series with the library quadrature, so it is
-    the functional value of an actual invariant metric and therefore a true
-    upper bound on the conformal infimum; `u_star` samples that series on
-    linspace(0, L, grid_size + 1); `trace` holds the discrete objective values
-    of the descent itself (non-increasing by construction).  `stop_reason` is
-    "tolerance" (the predicted decrease fell below decrease_tol), "no_decrease"
-    (no step decreased J at rounding level) or "budget" (max_iterations ran
-    out), and `modes` is the final basis size.
+    mu_upper evaluates the final series `u_star` with the library quadrature,
+    so it is the functional value of an actual invariant metric and therefore
+    a true upper bound on the conformal infimum; `trace` holds the discrete
+    objective values of the descent itself (non-increasing by construction).
+    `stop_reason` is "tolerance" (the predicted decrease fell below
+    decrease_tol), "no_decrease" (no step decreased J at rounding level) or
+    "budget" (max_iterations ran out), and `modes` is the final basis size.
     """
 
     mu_upper: float
-    u_star: RadialFunction
+    u_star: RadialField
     trace: np.ndarray
     converged: bool
     stop_reason: str
@@ -193,6 +168,7 @@ _MAX_MODES = _GRID_LEVEL // 2
 _START_MODES = 16
 
 _EPS = float(np.finfo(float).eps)
+_LOG_MAX = math.log(np.finfo(float).max)  # the largest finite exp(x) has x below this
 
 # A coefficient below sqrt(eps) of the largest changes a Rayleigh quotient by
 # about eps, since the error of the quotient is quadratic in the truncation.
@@ -264,19 +240,25 @@ def _refinable(c: np.ndarray, cap: int, floor: np.ndarray | float = 0.0) -> bool
     return 2 * m <= cap and bool(np.any(np.abs(c[tail]) > bound))
 
 
+def _area_weights(base: Base) -> np.ndarray:
+    """The Galerkin grid's weights of the area measure dA."""
+    nodes, weights = _grid(base)
+    return base.area_scale * np.asarray(base.density(nodes), dtype=float) * weights
+
+
 def _poisson_series(base: Base, f_nodes: np.ndarray, rounding: float) -> RadialField:
     """Galerkin solution of Delta u = f, f given at the Galerkin grid's
-    nodes, as a series in the non-constant basis functions (`_Basis`).
+    nodes, as a series in the basis functions (`_Basis`) whose mean against
+    the weights wA of dA at the nodes is zero.
 
-    f is recentred by its node-quadrature mean against the weights wA of dA;
-    then S c = B^T (wA f) with stiffness S = D^T wA D, values B and slopes D
-    of the non-constant columns.  m starts at _START_MODES and doubles while
-    the tail is not negligible (`_refinable`), up to _MAX_MODES.  A mode of
-    wavenumber k adds k^2 c to Delta u, so a tail coefficient with k^2 |c|
-    below the rounding level of the data f is noise and asks for no
-    doubling."""
-    nodes, weights = _grid(base)
-    wA = base.area_scale * np.asarray(base.density(nodes), dtype=float) * weights
+    f is recentred by its mean against wA; then S c = B^T (wA f) with
+    stiffness S = D^T wA D, values B and slopes D of the non-constant
+    columns.  m starts at _START_MODES and doubles while the tail is not
+    negligible (`_refinable`), up to _MAX_MODES; then the constant
+    coefficient cancels the mean of the rest.  A mode of wavenumber k adds
+    k^2 c to Delta u, so a tail coefficient with k^2 |c| below the rounding
+    level of the data f is noise and asks for no doubling."""
+    wA = _area_weights(base)
     wf = wA * (f_nodes - np.dot(wA, f_nodes) / np.sum(wA))
     m = _START_MODES
     while True:
@@ -285,6 +267,7 @@ def _poisson_series(base: Base, f_nodes: np.ndarray, rounding: float) -> RadialF
         c = np.concatenate([[0.0], np.linalg.solve((D.T * wA) @ D, B.T @ wf)])
         k = basis.omega * np.maximum(basis.power, 1)  # the constant mode is never in the tail
         if not _refinable(c, _MAX_MODES, rounding / k**2):
+            c[0] = -np.dot(wA, basis.values @ c) / np.sum(wA)
             return basis.series(c)
         m *= 2
 
@@ -388,16 +371,22 @@ def minimize_conformal(
     the trailing quarter of the coefficients exceeds sqrt(eps) times the
     largest and 2m <= min(grid_size, 256), m doubles and the same trace
     continues.  If the iteration budget runs out first, the last iterate is
-    returned with converged=False.  A callable u0 receives the read-only
-    nodes of the Galerkin grid, an array u0 holds samples on linspace(0, L, n)
-    (read through `RadialField.from_samples`), and either is projected onto
-    the basis in L^2(ds); the projection must be positive at every node
-    (NonPositiveFactor otherwise).
+    returned with converged=False.  Before the first step the node weights
+    and the scalar curvature at the nodes must be finite (NumericalError
+    otherwise, as when the data's scale overflows).  A callable u0 receives
+    the read-only nodes of the Galerkin grid, an array u0 holds samples on
+    linspace(0, L, n) (read through `RadialField.from_samples`), and either
+    is projected onto the basis in L^2(ds); the projection must be positive
+    at every node (NonPositiveFactor otherwise).
     """
     if cfg is None:
         cfg = MinimizerConfig()
     base = metric.base
-    W, scal, weights = _node_data(metric)
+    with np.errstate(all="ignore"):  # data out of scale is an error below, not a warning
+        W, scal, weights = _node_data(metric)
+    for name, values in (("node weights W of 2 pi ell dA", W), ("scalar curvature", scal)):
+        if not np.all(np.isfinite(values)):
+            raise NumericalError(f"the {name} at the Galerkin nodes is not finite: out of scale")
     m = min(_START_MODES, cfg.grid_size)
     basis = _basis(base.length, base.periodic, m)
     if u0 is None:
@@ -426,10 +415,9 @@ def minimize_conformal(
         basis = _basis(base.length, base.periodic, m)
 
     series = basis.series(c)
-    grid = np.linspace(0.0, base.length, cfg.grid_size + 1)
     return MinimizeResult(
         mu_upper=conformal_functional(metric, series),
-        u_star=RadialFunction(grid=grid, values=series.value(grid)),
+        u_star=series,
         trace=np.asarray(trace),
         converged=stop != "budget",
         stop_reason=stop,

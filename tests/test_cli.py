@@ -289,21 +289,33 @@ def test_scan_rows_without_a_bound_are_null(capsys, tmp_path):
     ]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_non_finite_report_exits_3_and_writes_nothing(capsys, tmp_path):
     # the 256-mode Poisson solve does not resolve the order-1905 cone, so the
-    # uniformized curvature overflows to -Infinity, which JSON cannot carry
+    # uniformized curvature's minimum lies below -DBL_MAX (log magnitude
+    # 746.7), which no double and no JSON number can carry
     path = tmp_path / "wps_2_1905.json"
     path.write_text(json.dumps({"base": {"type": "wps", "m1": 2, "m2": 1905},
                                 "ell": {"type": "constant", "value": 29}, "F": {"type": "wps"}}))
     out_path = tmp_path / "laplace.json"
     code, out, err = run(capsys, ["laplace", "--model", str(path), "--out", str(out_path)])
     assert code == 3
-    assert "$.quantities.min_scal.value" in err
+    assert "min_scal is not finite" in err
     assert not out_path.exists() and out == ""
     code, out, _ = run(capsys, ["laplace", "--model", wps_model(tmp_path)])
     assert code == 0
     assert math.isfinite(_strict_json(out)["quantities"]["min_scal"]["value"])
+
+
+def test_minimize_out_of_scale_exits_3_without_a_warning(capsys, tmp_path):
+    # ell^2 = 1e600 overflows the scalar curvature; the minimizer reports it
+    # before descending, and no numpy RuntimeWarning (an error under pytest)
+    # escapes as a traceback
+    out_path = tmp_path / "minimize.json"
+    argv = ["minimize", "--model", torus_model(tmp_path, ell=1e300), "--out", str(out_path)]
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert "scalar curvature at the Galerkin nodes is not finite" in err
+    assert not out_path.exists() and out == ""
 
 
 def test_canonical_json_rejects_non_finite_numbers():

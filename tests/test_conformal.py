@@ -10,9 +10,9 @@ import pytest
 
 import eqyamabe as eq
 import eqyamabe.conformal as conformal
-from eqyamabe.conformal import RadialFunction, laplace_residual
+from eqyamabe.conformal import laplace_residual
 from eqyamabe import numerics, orbifold
-from eqyamabe.errors import NonPositiveFactor, NonpositiveChi, NotMeanZero
+from eqyamabe.errors import NonPositiveFactor, NonpositiveChi, NotMeanZero, NumericalError
 
 from conftest import BERGER_HALF_J, SIGMA_S3, bump_sphere
 
@@ -44,9 +44,9 @@ def _eigenvalue_oracle(base, n=2000):
 
 def test_zero_data_gives_zero_solution(half_sphere):
     grid = np.linspace(0.0, half_sphere.length, 2001)
-    f = RadialFunction(grid=grid, values=np.zeros_like(grid))
+    f = eq.RadialField.from_samples(grid, np.zeros_like(grid))
     u = eq.laplace_solve_radial(half_sphere, f)
-    assert np.max(np.abs(u.values)) <= 1e-14
+    assert np.max(np.abs(u.value(grid))) <= 1e-14
 
 
 def test_axial_harmonic_eigenfunction(half_sphere):
@@ -54,24 +54,24 @@ def test_axial_harmonic_eigenfunction(half_sphere):
     lam = _eigenvalue_oracle(half_sphere)
     assert lam == pytest.approx(8.0, rel=1e-3)
     grid = np.linspace(0.0, half_sphere.length, 4001)
-    f = RadialFunction(grid=grid, values=np.cos(2.0 * grid))
+    f = eq.RadialField.from_samples(grid, np.cos(2.0 * grid))
     u = eq.laplace_solve_radial(half_sphere, f)
-    assert np.max(np.abs(u.values - f.values / 8.0)) <= 1e-6
+    assert np.max(np.abs(u.value(grid) - f.value(grid) / 8.0)) <= 1e-6
 
 
 def test_nonzero_mean_rejected(half_sphere):
     grid = np.linspace(0.0, half_sphere.length, 2001)
-    f = RadialFunction(grid=grid, values=np.ones_like(grid))
+    f = eq.RadialField.from_samples(grid, np.ones_like(grid))
     with pytest.raises(NotMeanZero):
         eq.laplace_solve_radial(half_sphere, f)
 
 
 def _centered(base, grid, vals):
-    # subtract the area-weighted mean so the data is admissible
-    w = np.asarray(base.phi(grid))
-    return RadialFunction(
-        grid=grid, values=vals - np.trapezoid(vals * w, grid) / np.trapezoid(w, grid)
-    )
+    # subtract the area-weighted mean, by the library quadrature, so the data
+    # is admissible: a trapezoid mean leaves about 9e-8 of int |f| dv, above
+    # the solvability tolerance 1e-8
+    mean = orbifold.integrate_over_base(base, eq.RadialField.from_samples(grid, vals).value).value
+    return eq.RadialField.from_samples(grid, vals - mean / eq.area(base))
 
 
 def test_residual_bound_random_data(half_sphere):
@@ -85,49 +85,94 @@ def test_residual_bound_random_data(half_sphere):
         f = _centered(half_sphere, grid, np.asarray(vals))
         u = eq.laplace_solve_radial(half_sphere, f)
         resid = laplace_residual(half_sphere, u, f)
-        assert resid <= 1e-6 * max(1.0, float(np.max(np.abs(f.values))))
+        assert resid <= 1e-6 * max(1.0, float(np.max(np.abs(f.value(grid)))))
 
 
 def test_solution_mean_is_zero(half_sphere):
     grid = np.linspace(0.0, half_sphere.length, 4001)
-    f = RadialFunction(grid=grid, values=np.cos(2.0 * grid))
+    f = eq.RadialField.from_samples(grid, np.cos(2.0 * grid))
     u = eq.laplace_solve_radial(half_sphere, f)
-    w = np.asarray(half_sphere.phi(u.grid))
-    mean = np.trapezoid(u.values * w, u.grid) / np.trapezoid(w, u.grid)
+    w = np.asarray(half_sphere.phi(grid))
+    mean = np.trapezoid(u.value(grid) * w, grid) / np.trapezoid(w, grid)
     assert abs(mean) <= 1e-10
 
 
 def test_solver_linearity(half_sphere):
     grid = np.linspace(0.0, half_sphere.length, 2001)
-    f1 = RadialFunction(grid=grid, values=np.cos(2.0 * grid))
+    f1 = eq.RadialField.from_samples(grid, np.cos(2.0 * grid))
     f2 = _centered(half_sphere, grid, np.cos(4.0 * grid))
-    combo = RadialFunction(
-        grid=f1.grid, values=2.5 * f1.values - 1.25 * f2.values
-    )
+    combo = eq.RadialField.from_samples(grid, 2.5 * f1.value(grid) - 1.25 * f2.value(grid))
     u1 = eq.laplace_solve_radial(half_sphere, f1)
     u2 = eq.laplace_solve_radial(half_sphere, f2)
     uc = eq.laplace_solve_radial(half_sphere, combo)
-    assert np.max(np.abs(uc.values - (2.5 * u1.values - 1.25 * u2.values))) <= 1e-9
+    assert np.max(np.abs(uc.value(grid) - (2.5 * u1.value(grid) - 1.25 * u2.value(grid)))) <= 1e-9
 
 
 def test_solver_rejects_a_non_uniform_grid(half_sphere):
+    # samples come in through the series, which reads no other grid
     grid = half_sphere.length * np.linspace(0.0, 1.0, 2001) ** 2
     with pytest.raises(ValueError):
-        eq.laplace_solve_radial(half_sphere, RadialFunction(grid=grid, values=np.cos(2.0 * grid)))
+        eq.laplace_solve_radial(half_sphere, eq.RadialField.from_samples(grid, np.cos(2.0 * grid)))
 
 
 def test_torus_solver():
     base = eq.FlatTorusBase(length=1.0, radius=1.0)
     grid = np.linspace(0.0, 1.0, 2001)
-    f = RadialFunction(grid=grid, values=np.cos(2.0 * np.pi * grid))
+    f = eq.RadialField.from_samples(grid, np.cos(2.0 * np.pi * grid), periodic=True)
     u = eq.laplace_solve_radial(base, f)
     # Delta u = -u'' = f has solution f / (2 pi)^2
-    assert np.max(np.abs(u.values - f.values / (2.0 * np.pi) ** 2)) <= 1e-8
+    assert np.max(np.abs(u.value(grid) - f.value(grid) / (2.0 * np.pi) ** 2)) <= 1e-8
     # the sine columns of the Fourier basis
     sine, cosine = np.sin(2.0 * np.pi * grid), np.cos(4.0 * np.pi * grid)
-    u = eq.laplace_solve_radial(base, RadialFunction(grid=grid, values=sine + cosine))
+    f = eq.RadialField.from_samples(grid, sine + cosine, periodic=True)
+    u = eq.laplace_solve_radial(base, f)
     exact = sine / (2.0 * np.pi) ** 2 + cosine / (4.0 * np.pi) ** 2
-    assert np.max(np.abs(u.values - exact)) <= 1e-10
+    assert np.max(np.abs(u.value(grid) - exact)) <= 1e-10
+
+
+_MEAN_ZERO_BASES = {
+    "wps12": lambda: eq.wps_profile(1, 2),
+    "wps19": lambda: eq.wps_profile(1, 9),
+    "wps1_20": lambda: eq.wps_profile(1, 20),
+    "bump": lambda: bump_sphere(0.2),
+    "torus": lambda: eq.FlatTorusBase(length=1.0, radius=1.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MEAN_ZERO_BASES))
+def test_solutions_have_mean_zero_by_the_library_quadrature(kind):
+    # the constant coefficient cancels the mean of the series at the
+    # Galerkin nodes, and the library quadrature agrees; a trapezoid mean of
+    # 4001 samples was 2.1e-6 off on wps(1,20)
+    base = _MEAN_ZERO_BASES[kind]()
+    L, vol = base.length, eq.area(base)
+    k = (2.0 if base.periodic else 1.0) * np.pi / L
+    mean = orbifold.integrate_over_base(base, lambda s: np.cos(k * s)).value / vol
+    solutions = [eq.laplace_solve_radial(base, lambda s: np.cos(k * s) - mean)]
+    if not base.periodic:
+        solutions.append(eq.uniformize_positive(base)[0])
+    for u in solutions:
+        assert abs(orbifold.integrate_over_base(base, u.value).value) / vol <= 1e-14
+
+
+def test_poisson_data_may_be_a_number_a_callable_or_a_field(half_sphere):
+    grid = np.linspace(0.0, half_sphere.length, 201)
+    cosine = [
+        eq.RadialField(
+            lambda s: np.cos(2.0 * s), lambda s: -2.0 * np.sin(2.0 * s), lambda s: -4.0 * np.cos(2.0 * s)
+        ),
+        lambda s: np.cos(2.0 * s),
+        eq.RadialField.from_samples(grid, np.cos(2.0 * grid)),
+    ]
+    solutions = [eq.laplace_solve_radial(half_sphere, f).value(grid) for f in cosine]
+    for u in solutions[1:]:
+        assert np.max(np.abs(u - solutions[0])) <= 1e-15
+    for f in (0, 0.0, lambda s: np.zeros_like(s), eq.RadialField.const(0.0)):
+        u = eq.laplace_solve_radial(half_sphere, f)
+        assert np.array_equal(u.value(grid), np.zeros_like(grid))
+    for f in (1, 1.0, lambda s: np.ones_like(s), eq.RadialField.const(1.0)):
+        with pytest.raises(NotMeanZero):
+            eq.laplace_solve_radial(half_sphere, f)
 
 
 def _basis_sizes(monkeypatch):
@@ -159,7 +204,8 @@ def test_poisson_basis_doubles_while_its_tail_is_not_negligible(monkeypatch, pai
         # K = 1/R^2 only to rounding: a tail at the data's rounding level
         # asks for no doubling
         closed = 4.0 * math.pi * eq.chi_orb(base) / eq.area(base)
-        assert min_scal == pytest.approx(closed * math.exp(-2.0 * np.max(u.values)), rel=1e-12)
+        u_max = np.max(u.value(np.linspace(0.0, base.length, 4001)))
+        assert min_scal == pytest.approx(closed * math.exp(-2.0 * u_max), rel=1e-12)
 
 
 def test_poisson_basis_stops_at_half_the_node_count(monkeypatch):
@@ -214,7 +260,7 @@ def test_one_rule_doubles_both_bases(monkeypatch):
 
 def test_uniformize_round_sphere_is_identity(half_sphere):
     u, min_scal = eq.uniformize_positive(half_sphere)
-    assert np.max(np.abs(u.values)) <= 1e-8
+    assert np.max(np.abs(u.value(np.linspace(0.0, half_sphere.length, 4001)))) <= 1e-8
     assert min_scal == pytest.approx(8.0, rel=1e-6)
 
 
@@ -224,12 +270,12 @@ def _uniformize_identity_error(base):
     chi = eq.chi_orb(base)
     vol = eq.area(base)
     target = 4.0 * math.pi * chi / vol
-    grid = u.grid
+    grid = np.linspace(0.0, base.length, 4001)
     mask = (grid > 0.05 * base.length) & (grid < 0.95 * base.length)
     phi = np.asarray(base.phi(grid[mask]))
     from scipy.interpolate import CubicSpline
 
-    sp = CubicSpline(grid, u.values)
+    sp = CubicSpline(grid, u.value(grid))
     flux = CubicSpline(grid, np.asarray(base.phi(grid)) * sp(grid, 1))
     lap = -flux(grid[mask], 1) / phi
     K = np.asarray(-base.phi_d2(grid[mask]) / base.phi(grid[mask]))
@@ -253,8 +299,10 @@ def test_uniformize_wps_identity():
 def test_uniformized_solution_has_a_decaying_cosine_spectrum():
     # u is smooth and even about both poles, so the cosine series of its
     # samples decays to rounding after a few dozen modes
-    u, _ = eq.uniformize_positive(bump_sphere(0.2))
-    c = np.abs(np.fft.rfft(np.concatenate([u.values, u.values[-2:0:-1]])))
+    base = bump_sphere(0.2)
+    u, _ = eq.uniformize_positive(base)
+    values = u.value(np.linspace(0.0, base.length, 4001))
+    c = np.abs(np.fft.rfft(np.concatenate([values, values[-2:0:-1]])))
     assert np.count_nonzero(c >= np.finfo(float).eps * c.max()) <= 64
 
 
@@ -280,7 +328,8 @@ def test_uniformized_min_scal_is_the_closed_form(kind):
     # the new curvature is (4 pi chi / vol) e^{-2u}, least where u peaks
     base = _UNIFORMIZED_BASES[kind]()
     u, min_scal = eq.uniformize_positive(base)
-    closed = 4.0 * math.pi * eq.chi_orb(base) / eq.area(base) * math.exp(-2.0 * np.max(u.values))
+    u_max = np.max(u.value(np.linspace(0.0, base.length, 4001)))
+    closed = 4.0 * math.pi * eq.chi_orb(base) / eq.area(base) * math.exp(-2.0 * u_max)
     assert min_scal == pytest.approx(closed, rel=2e-8)
 
 
@@ -300,9 +349,8 @@ def test_minimize_hopf(hopf):
     )
     assert result.converged
     assert result.mu_upper == pytest.approx(SIGMA_S3, rel=1e-3)
-    osc = (np.max(result.u_star.values) - np.min(result.u_star.values)) / np.mean(
-        result.u_star.values
-    )
+    u = result.u_star.value(np.linspace(0.0, hopf.base.length, cfg.grid_size + 1))
+    osc = (np.max(u) - np.min(u)) / np.mean(u)
     assert osc <= 1e-3
     assert np.all(np.diff(result.trace) <= 1e-12)
 
@@ -501,11 +549,28 @@ def test_torus_minimizer_series_is_periodic():
     metric = _DESCENT_METRICS["torus"]()
     u0 = lambda s: 1.0 + 0.2 * np.sin(2.0 * np.pi * s)  # noqa: E731
     result = eq.minimize_conformal(metric, eq.MinimizerConfig(max_iterations=1), u0=u0)
-    u = result.u_star
-    assert np.ptp(u.values) > 1e-3
-    assert abs(u.values[0] - u.values[-1]) <= 1e-12
-    field = eq.RadialField.from_samples(u.grid, u.values, periodic=True)
+    grid = np.linspace(0.0, metric.base.length, eq.MinimizerConfig().grid_size + 1)
+    u = result.u_star.value(grid)
+    assert np.ptp(u) > 1e-3
+    assert abs(u[0] - u[-1]) <= 1e-12
+    field = eq.RadialField.from_samples(grid, u, periodic=True)
     assert eq.conformal_functional(metric, field) == pytest.approx(result.mu_upper, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(_DESCENT_METRICS))
+def test_u_star_is_the_series_mu_upper_evaluates(kind):
+    metric = _DESCENT_METRICS[kind]()
+    result = eq.minimize_conformal(metric, u0=_perturbed_start(metric))
+    assert isinstance(result.u_star, eq.RadialField)
+    assert eq.conformal_functional(metric, result.u_star) == result.mu_upper
+
+
+def test_minimize_rejects_data_out_of_scale():
+    # ell^2 overflows in the scalar curvature: an error before the first
+    # step, with no numpy warning (pytest turns RuntimeWarning into errors)
+    metric = eq.InvariantMetric(eq.FlatTorusBase(length=1.0, radius=1.0), 1e300, 1.0)
+    with pytest.raises(NumericalError, match="scalar curvature at the Galerkin nodes"):
+        eq.minimize_conformal(metric)
 
 
 # mu_upper against the cell-centred finite-difference minimizer at n cells

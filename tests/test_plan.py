@@ -384,14 +384,6 @@ def test_second_descent_on_a_base_evaluates_no_profile():
     assert result.trace.tolist() == reference.trace.tolist()
     assert len(result.trace) > 1
 
-    # the result's grid is the caller's to write, not the plan's nodes
-    for nodes in (orbifold.quadrature_nodes(base), conformal._grid(base)[0]):
-        assert not nodes.flags.writeable
-        assert result.u_star.grid.flags.writeable
-        assert not np.shares_memory(result.u_star.grid, nodes)
-    grid_size = eq.MinimizerConfig().grid_size
-    assert np.array_equal(result.u_star.grid, np.linspace(0.0, base.length, grid_size + 1))
-
 
 def test_functionals_evaluate_ell_once_per_node_array(monkeypatch):
     # J's three integrands are rows of one integral, as are the conformal
