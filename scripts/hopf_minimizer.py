@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Conformal descent on the round 3-sphere data and its squashed family.
 
-Starting from a perturbed conformal factor, H^1-preconditioned (Sobolev)
-gradient descent drives the functional back to the value of the constant
-factor: the sphere constant for unit fiber length, and the closed-form value
-of the squashed metric otherwise.  The descent runs on the coefficients of a
-cosine series; --grid caps the number of basis functions below the library's
-cap of 256 (the basis starts at 16 and doubles only while its trailing
-coefficients matter) and sets the linspace(0, L, grid + 1) points at which
-the final factor's series is sampled for the printed oscillation; the factor
-is constant to within it.  The iteration count does not grow with --grid.
+Starting from a perturbed conformal factor, Newton steps on the Yamabe
+equation, safeguarded by H^1-preconditioned (Sobolev) gradient steps, drive
+the functional back to the value of the constant factor: the sphere constant
+for unit fiber length, and the closed-form value of the squashed metric
+otherwise.  The iteration runs on the coefficients of a cosine series;
+--grid caps the number of basis functions below the library's cap of 256
+(the basis starts at 16 and doubles only while its trailing coefficients
+matter) and sets the linspace(0, L, grid + 1) points at which the final
+factor's series is sampled for the printed oscillation; the factor is
+constant to within it.  The step count does not grow with --grid.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .errors import DomainError
 from .numerics import (
     QuadratureConfig,
     _with_dips,
@@ -124,7 +125,8 @@ def as_radial_field(obj: FieldLike, base: Base) -> RadialField:
     to rounding (`numerics.chopped_interpolant`).  Data that has not chopped
     by n = 2**14 + 1, such as a ramp at a cone pole, keeps that series and is
     warned about.  A callable that is not finite at a sample, such as one
-    with a removable singularity at a pole, is rejected.
+    with a removable singularity at a pole, or one that raises DomainError
+    there, is rejected with ValueError.
     """
     if isinstance(obj, RadialField):
         return obj
@@ -132,17 +134,23 @@ def as_radial_field(obj: FieldLike, base: Base) -> RadialField:
         return RadialField.const(float(obj))
     if not callable(obj):
         raise TypeError(f"cannot interpret {type(obj).__name__} as a radial field")
+    ends = "the seam" if base.periodic else "the poles"
+    sampled = f"it is sampled on [0, {base.length:.6g}] with {ends} included"
     n = 17
     while True:
         grid = np.linspace(0.0, base.length, n)
-        values = np.zeros(n) + np.asarray(obj(grid), dtype=float)  # a scalar broadcasts
+        try:
+            values = np.zeros(n) + np.asarray(obj(grid), dtype=float)  # a scalar broadcasts
+        except DomainError as exc:
+            raise ValueError(
+                f"a radial callable raised DomainError; {sampled} and must be defined there"
+            ) from exc
         bad = ~np.isfinite(values)
         if np.any(bad):
-            ends = "the seam" if base.periodic else "the poles"
             where = ", ".join(f"{x:.6g}" for x in grid[bad][:3])
             raise ValueError(
-                f"a radial callable is not finite at s = {where}; it is sampled on "
-                f"[0, {base.length:.6g}] with {ends} included and must be finite there"
+                f"a radial callable is not finite at s = {where}; {sampled} "
+                "and must be finite there"
             )
         period = _one_period(grid, values, base.periodic)
         series = chopped_interpolant(*period)

@@ -322,7 +322,7 @@ def cmd_minimize(args) -> int:
     report = _base_report(args, "minimize")
     report["model"] = spec.raw
     report["quantities"] = {
-        "mu_upper": _quantity(result.mu_upper, 0.0, "galerkin_sobolev_descent"),
+        "mu_upper": _quantity(result.mu_upper, result.error_estimate, "galerkin_newton"),
         # the trace starts with the value at u0: steps taken, not values seen
         "iterations": _quantity(float(len(result.trace) - 1), exact=True),
         "converged": result.converged,

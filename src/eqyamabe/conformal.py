@@ -4,11 +4,13 @@ minimization of the conformal functional.
 Both the Poisson solve and the minimizer are Rayleigh-Ritz (Galerkin)
 discretizations on one basis: a cosine series cos(j pi s / L) on a profile,
 whose terms are the smooth radial fields, and a Fourier series on the torus,
-held with its slopes at the nodes of a fixed grid, level 512 of the
-library's nested Fejér rule (`numerics._fejer_rule`), which the base's
-quadrature plan keeps; the first-level nodes of `integrate` are every fourth
-of them.  The basis doubles from 16 modes while its trailing coefficients
-are not negligible (`_refinable`), up to 256 modes, half the level.
+held with its slopes at the nodes of a level of the library's nested Fejér
+rule (`numerics._fejer_rule`), which the base's quadrature plan keeps.  The
+Poisson solve runs on level 512, whose every fourth node is a first-level
+node of `integrate`; a minimizer stage of m modes runs on level
+clamp(4m, 128, 512), so 16 and 32 modes use the first level itself.  The
+basis doubles from 16 modes while its trailing coefficients are not
+negligible (`_refinable`), up to 256 modes, half of level 512.
 
 Radial data comes in as anything `bundle.as_radial_field` reads and every
 solution goes out as its series, a `RadialField`; means are taken with the
@@ -21,11 +23,13 @@ cross-checks the solve against a tridiagonal finite-volume discretization,
 and its spline checks differentiate samples of the series.
 
 In the conformal minimizer the functional's quadratic forms become small
-dense matrices, and an H^1-preconditioned (Sobolev) gradient descent runs on
-the coefficients: the Gram matrix is factored once per basis size and each
-step backtracks under Armijo.  The final series is evaluated with the library
-quadrature, so the result is an UPPER bound on the invariant conformal
-infimum, never the infimum itself.
+dense matrices, and each step on the coefficients is a Newton step on the
+discrete Euler-Lagrange (Yamabe) equation 8 Delta u + scal u = mu u^5 where
+it lowers J, and otherwise an H^1-preconditioned (Sobolev) gradient step
+under Armijo backtracking.  mu_upper is the discrete functional of the final
+series on the stage's grid, with the nested estimate of `integrate`; it is
+the functional of an actual invariant metric, so an UPPER bound on the
+invariant conformal infimum, never the infimum itself.
 """
 
 from __future__ import annotations
@@ -45,10 +49,9 @@ from .bundle import (
     _scalar_curvature,
     as_radial_field,
 )
-from .errors import NonPositiveFactor, NonpositiveChi, NotMeanZero, NumericalError
-from .numerics import _fejer_rule, trig_series
+from .errors import NoConvergence, NonPositiveFactor, NonpositiveChi, NotMeanZero, NumericalError
+from .numerics import _FIRST_LEVEL, QuadratureConfig, _fejer_rule, trig_series
 from .orbifold import Base, _plan_nodes, area, chi_orb, gauss_curvature
-from .yamabe import conformal_functional
 
 __all__ = [
     "MinimizerConfig",
@@ -138,18 +141,24 @@ class MinimizerConfig:
 
 @dataclass
 class MinimizeResult:
-    """Descent output.
+    """Minimizer output.
 
-    mu_upper evaluates the final series `u_star` with the library quadrature,
-    so it is the functional value of an actual invariant metric and therefore
-    a true upper bound on the conformal infimum; `trace` holds the discrete
-    objective values of the descent itself (non-increasing by construction).
-    `stop_reason` is "tolerance" (the predicted decrease fell below
-    decrease_tol), "no_decrease" (no step decreased J at rounding level) or
-    "budget" (max_iterations ran out), and `modes` is the final basis size.
+    mu_upper is the functional of the final series `u_star` on the last
+    stage's Galerkin grid, a level n of the library's Fejér rule (or a finer
+    one, see below), and `error_estimate` its difference from the functional
+    on every second node with the weights of level n / 2, the nested test of
+    `integrate`; it meets the default `QuadratureConfig` tolerance.  So
+    mu_upper is the functional value of an actual invariant metric and
+    therefore a true upper bound on the conformal infimum.  `trace` holds the
+    discrete objective values of the iteration itself (non-increasing by
+    construction).  `stop_reason` is "tolerance" (the predicted decrease fell
+    below decrease_tol), "no_decrease" (no step decreased J at rounding
+    level) or "budget" (max_iterations ran out), and `modes` is the final
+    basis size.
     """
 
     mu_upper: float
+    error_estimate: float
     u_star: RadialField
     trace: np.ndarray
     converged: bool
@@ -157,10 +166,12 @@ class MinimizeResult:
     modes: int
 
 
-# The Galerkin grid: the minimizer and the Poisson solve integrate with level
-# 512 of the library's Fejér rule; the base's plan keeps its 511 nodes and the
-# base's values there.  Both solves double their basis up to half the level,
-# past which the products in their matrices alias on the nodes.
+# The Galerkin grids are levels of the library's Fejér rule, and the base's
+# plan keeps their nodes and the base's values there.  The Poisson solve runs
+# on level 512 (511 nodes); a minimizer stage of m modes on level
+# clamp(4m, 128, 512) (`_level`), so the first level of `integrate` serves up
+# to 32 modes.  Both solves double their basis up to half of level 512, past
+# which the products in their matrices alias on the nodes.
 _GRID_LEVEL = 512
 _MAX_MODES = _GRID_LEVEL // 2
 
@@ -205,18 +216,25 @@ class _Basis:
         return RadialField(planned(value, self.values), planned(d1, self.slopes), d2)
 
 
-def _grid(base: Base) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only nodes and weights of the Galerkin grid on [0, L], shared
-    by every base of that length, its nodes entered in the base's plan."""
-    nodes, weights = _fejer_rule(0.0, base.length, _GRID_LEVEL)
+def _level(m: int) -> int:
+    """The Fejér level of a minimizer stage of m modes: four nodes a mode,
+    from the first level of `integrate` up to the Poisson solve's level."""
+    return min(max(4 * m, _FIRST_LEVEL), _GRID_LEVEL)
+
+
+def _grid(base: Base, level: int = _GRID_LEVEL) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only nodes and weights of a level of the Fejér rule on
+    [0, L], shared by every base of that length, its nodes entered in the
+    base's plan."""
+    nodes, weights = _fejer_rule(0.0, base.length, level)
     return _plan_nodes(base, nodes), weights
 
 
 @lru_cache(maxsize=64)
-def _basis(length: float, periodic: bool, m: int) -> _Basis:
-    """The first m basis functions at the Galerkin grid's nodes on
-    [0, length], shared by every base of that length."""
-    nodes = _fejer_rule(0.0, length, _GRID_LEVEL)[0]
+def _basis(length: float, periodic: bool, m: int, level: int = _GRID_LEVEL) -> _Basis:
+    """The first m basis functions at the nodes of a level of the Fejér rule
+    on [0, length], shared by every base of that length."""
+    nodes = _fejer_rule(0.0, length, level)[0]
     j = np.arange(m)
     power = (j + 1) // 2 if periodic else j
     sine = (j % 2 == 0) & (j > 0) & periodic
@@ -272,16 +290,24 @@ def _poisson_series(base: Base, f_nodes: np.ndarray, rounding: float) -> RadialF
         m *= 2
 
 
-def _node_data(metric: InvariantMetric) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Galerkin grid's weights of 2 pi ell dA, the total scalar
-    curvature at its nodes, and the plain weights of ds."""
+def _node_data(
+    metric: InvariantMetric, level: int = _GRID_LEVEL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A grid's weights W of 2 pi ell dA, the total scalar curvature at its
+    nodes, and the plain weights of ds.  W and the curvature must be finite
+    (NumericalError otherwise, as when the data's scale overflows)."""
     base = metric.base
-    nodes, weights = _grid(base)
-    ell = np.asarray(metric.ell.value(nodes), dtype=float)
-    dens = base.area_scale * np.asarray(base.density(nodes), dtype=float)
-    K, F = gauss_curvature(base, nodes), metric.F.value(nodes)
-    scal = np.asarray(_scalar_curvature(metric, nodes, ell, K, F), dtype=float)
-    return 2.0 * math.pi * ell * dens * weights, scal, weights
+    nodes, weights = _grid(base, level)
+    with np.errstate(all="ignore"):  # data out of scale is an error below, not a warning
+        ell = np.asarray(metric.ell.value(nodes), dtype=float)
+        dens = base.area_scale * np.asarray(base.density(nodes), dtype=float)
+        K, F = gauss_curvature(base, nodes), metric.F.value(nodes)
+        scal = np.asarray(_scalar_curvature(metric, nodes, ell, K, F), dtype=float)
+        W = 2.0 * math.pi * ell * dens * weights
+    for name, values in (("node weights W of 2 pi ell dA", W), ("scalar curvature", scal)):
+        if not np.all(np.isfinite(values)):
+            raise NumericalError(f"the {name} at the Galerkin nodes is not finite: out of scale")
+    return W, scal, weights
 
 
 def _forms(basis: _Basis, W: np.ndarray, scal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,13 +340,30 @@ def _gradient(B, A, c, num: float, den: float, wu5: np.ndarray) -> np.ndarray:
     return (2.0 * (A @ c) - (2.0 * num / den) * (B.T @ wu5)) / den ** (1.0 / 3.0)
 
 
+def _newton(B: np.ndarray, A: np.ndarray, W: np.ndarray, c: np.ndarray, num: float, den: float):
+    """One Newton step on A c = sigma B^T (W u^5), u = B c, from c scaled by
+    |num / den|^{1/4} so that the multiplier is sigma = sign J; Newton's
+    matrix is N = A - 5 sigma B^T diag(W u^4) B.  None where N is singular."""
+    scale = abs(num / den) ** 0.25
+    sigma = math.copysign(1.0, num)
+    c, u = scale * c, scale * (B @ c)
+    wu4 = W * u**4
+    N = A - (5.0 * sigma) * (B.T * wu4) @ B
+    try:
+        return c - np.linalg.solve(N, A @ c - sigma * (B.T @ (wu4 * u)))
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _descend(
     basis: _Basis, W: np.ndarray, scal: np.ndarray, c: np.ndarray, trace: list, cfg: MinimizerConfig
 ) -> tuple[np.ndarray, str]:
-    """Sobolev-gradient descent on J(c) = c.A c / (sum W (B c)^6)^{1/3} over
-    coefficients with B c > 0 at every node, from c normalized to
-    sum W (B c)^6 = 1.  Appends each accepted J to `trace` (and the start's J
-    to an empty one); returns the last iterate and why the descent stopped."""
+    """Minimize J(c) = c.A c / (sum W (B c)^6)^{1/3} over coefficients with
+    B c > 0 at every node, from c normalized to sum W (B c)^6 = 1.  Each
+    iteration takes the Newton step (`_newton`, skipped at J = 0) if it keeps
+    u positive at every node and does not raise J, and otherwise a Sobolev
+    gradient step.  Appends each accepted J to `trace` (and the start's J to
+    an empty one); returns the last iterate and why the iteration stopped."""
     B = basis.values
     A, H = _forms(basis, W, scal)
     Hinv = _h1_preconditioner(H)
@@ -335,21 +378,63 @@ def _descend(
             return c, "tolerance"
         if len(trace) > cfg.max_iterations:
             return c, "budget"
-        t = 0.5
-        # halve t until Armijo holds at a positive iterate or the predicted
-        # decrease t g.p is below the rounding of J
-        while t * gp > np.spacing(max(1.0, abs(J))):
-            c_new = c - t * p
-            J_new, num_new, den_new, u_new, wu5_new = _energy(B, A, W, c_new)
-            if J_new <= J - 1e-4 * t * gp and u_new.min() > 0.0:
-                break
-            t *= 0.5
-        else:
-            return c, "no_decrease"
+        c_new = _newton(B, A, W, c, num, den) if num != 0.0 else None
+        if c_new is not None:
+            with np.errstate(all="ignore"):  # a wild step is rejected, not warned about
+                J_new, num_new, den_new, u_new, wu5_new = _energy(B, A, W, c_new)
+        if c_new is None or not (J_new <= J and u_new.min() > 0.0):
+            t = 0.5
+            # halve t until Armijo holds at a positive iterate or the predicted
+            # decrease t g.p is below the rounding of J
+            while t * gp > np.spacing(max(1.0, abs(J))):
+                c_new = c - t * p
+                J_new, num_new, den_new, u_new, wu5_new = _energy(B, A, W, c_new)
+                if J_new <= J - 1e-4 * t * gp and u_new.min() > 0.0:
+                    break
+                t *= 0.5
+            else:
+                return c, "no_decrease"
         scale = den_new ** (-1.0 / 6.0)  # renormalize: sum W u^6 = 1
         c, wu5, J = c_new * scale, wu5_new * scale**5, J_new
         num, den = num_new * scale**2, den_new * scale**6
         trace.append(J)
+
+
+def _read_off(
+    metric: InvariantMetric, basis: _Basis, c: np.ndarray, level: int, data: tuple
+) -> tuple[float, float]:
+    """mu_upper and its error estimate: the discrete functional of the series
+    sum_j c[j] (column j of the basis on level n of the Fejér rule, with the
+    `_node_data` there), and its difference from the functional on every
+    second node with the weights of level n / 2, the nested test of
+    `integrate`.  A level whose estimate misses the default
+    `QuadratureConfig` tolerance doubles, up to max_refinements times
+    (NoConvergence past them).  The series must be positive at the nodes of
+    the last level and between them, at the nodes of level max(2n, 512)
+    (NonPositiveFactor otherwise)."""
+    base, cfg = metric.base, QuadratureConfig()
+    W, scal, weights = data
+    for refinement in range(cfg.max_refinements + 1):
+        u, du = basis.values @ c, basis.slopes @ c
+        num, den = 8.0 * du**2 + scal * u**2, u**6
+        W_half = W[1::2] * (_fejer_rule(0.0, base.length, level // 2)[1] / weights[1::2])
+        J = float(np.dot(W, num)) / float(np.dot(W, den)) ** (1.0 / 3.0)
+        J_half = float(np.dot(W_half, num[1::2])) / float(np.dot(W_half, den[1::2])) ** (1.0 / 3.0)
+        error = abs(J - J_half)
+        if error <= max(cfg.abs_tol, cfg.rel_tol * abs(J)):
+            break
+        if refinement == cfg.max_refinements:
+            raise NoConvergence(
+                f"mu_upper did not reach tolerance after {refinement} refinements "
+                f"(last error estimate {error:.3e})"
+            )
+        level *= 2
+        W, scal, weights = _node_data(metric, level)
+        basis = _basis(base.length, base.periodic, c.size, level)
+    between = _basis(base.length, base.periodic, c.size, max(2 * level, _GRID_LEVEL)).values @ c
+    if not (np.all(u > 0.0) and np.all(between > 0.0)):
+        raise NonPositiveFactor("the minimizer's factor must be strictly positive")
+    return J, error
 
 
 def minimize_conformal(
@@ -357,38 +442,41 @@ def minimize_conformal(
     cfg: MinimizerConfig | None = None,
     u0: Callable | np.ndarray | None = None,
 ) -> MinimizeResult:
-    """Galerkin Sobolev-gradient descent on the conformal functional over
-    radial u > 0.
+    """Galerkin minimization of the conformal functional over radial u > 0,
+    by Newton steps on its Euler-Lagrange equation, safeguarded by Sobolev
+    gradient steps.
 
     u is a series in the first m basis functions (see `_Basis`), m starting
-    at min(16, grid_size).  Each step moves the coefficients along
-    p = H^{-1} g, with g the gradient of the discrete functional and H the H^1
-    Gram matrix (stiffness plus mass), so the iteration count does not grow
-    with m.  Armijo backtracking halves the step from t = 1/2 and rejects
-    steps that leave u nonpositive at a node; the iterate is renormalized to
+    at min(16, grid_size), on level clamp(4m, 128, 512) of the Fejér rule.
+    Each iteration first tries a Newton step on the discrete Yamabe equation
+    A c = sigma B^T (W u^5) (`_newton`) and keeps it if u stays positive at
+    every node and J does not rise.  Otherwise it moves the coefficients
+    along p = H^{-1} g, with g the gradient of the discrete functional and H
+    the H^1 Gram matrix (stiffness plus mass), so the step count does not
+    grow with m: Armijo backtracking halves the step from t = 1/2 and rejects
+    steps that leave u nonpositive at a node.  The iterate is renormalized to
     int 2 pi ell u^6 dv = 1, so the trace is non-increasing.  A stage stops
-    when g.p <= decrease_tol * max(1, |J|) or no step decreases J; then, while
-    the trailing quarter of the coefficients exceeds sqrt(eps) times the
-    largest and 2m <= min(grid_size, 256), m doubles and the same trace
-    continues.  If the iteration budget runs out first, the last iterate is
-    returned with converged=False.  Before the first step the node weights
-    and the scalar curvature at the nodes must be finite (NumericalError
-    otherwise, as when the data's scale overflows).  A callable u0 receives
-    the read-only nodes of the Galerkin grid, an array u0 holds samples on
-    linspace(0, L, n) (read through `RadialField.from_samples`), and either
-    is projected onto the basis in L^2(ds); the projection must be positive
-    at every node (NonPositiveFactor otherwise).
+    when g.p <= decrease_tol * max(1, |J|) or no step decreases J; then,
+    while the trailing quarter of the coefficients exceeds sqrt(eps) times
+    the largest and 2m <= min(grid_size, 256), m doubles and the same trace
+    continues, on a finer level where 4m asks for one.  If the iteration
+    budget runs out first, the last iterate is returned with converged=False.
+    mu_upper is read off the last stage's grid (see `MinimizeResult`).  The
+    node weights and the scalar curvature at the nodes must be finite
+    (NumericalError otherwise, as when the data's scale overflows).  A
+    callable u0 receives the read-only nodes of the first stage's grid, an
+    array u0 holds samples on linspace(0, L, n) (read through
+    `RadialField.from_samples`), and either is projected onto the basis in
+    L^2(ds); the projection must be positive at every node (NonPositiveFactor
+    otherwise).
     """
     if cfg is None:
         cfg = MinimizerConfig()
     base = metric.base
-    with np.errstate(all="ignore"):  # data out of scale is an error below, not a warning
-        W, scal, weights = _node_data(metric)
-    for name, values in (("node weights W of 2 pi ell dA", W), ("scalar curvature", scal)):
-        if not np.all(np.isfinite(values)):
-            raise NumericalError(f"the {name} at the Galerkin nodes is not finite: out of scale")
     m = min(_START_MODES, cfg.grid_size)
-    basis = _basis(base.length, base.periodic, m)
+    level = _level(m)
+    data = W, scal, weights = _node_data(metric, level)
+    basis = _basis(base.length, base.periodic, m, level)
     if u0 is None:
         c = np.zeros(m)
         c[0] = 1.0
@@ -412,12 +500,16 @@ def minimize_conformal(
             break
         m *= 2
         c = np.concatenate([c, np.zeros(m - c.size)])
-        basis = _basis(base.length, base.periodic, m)
+        if _level(m) != level:
+            level = _level(m)
+            data = W, scal, _ = _node_data(metric, level)
+        basis = _basis(base.length, base.periodic, m, level)
 
-    series = basis.series(c)
+    mu_upper, error_estimate = _read_off(metric, basis, c, level, data)
     return MinimizeResult(
-        mu_upper=conformal_functional(metric, series),
-        u_star=series,
+        mu_upper=mu_upper,
+        error_estimate=error_estimate,
+        u_star=basis.series(c),
         trace=np.asarray(trace),
         converged=stop != "budget",
         stop_reason=stop,

@@ -5,7 +5,8 @@ are interior Chebyshev points, which nest under doubling: a refinement
 evaluates only the new nodes, and a smooth integrand is settled by one call
 on 127 nodes, which gives its value and its error estimate together.  Whole
 levels, nodes with weights, are kept per interval and level (`_fejer_rule`):
-level 128 for `integrate`, level 512 for the Galerkin matrices of `conformal`.
+level 128 for `integrate`, levels 128 to 512 for the Galerkin matrices of
+`conformal`.
 
 Everything here is deterministic: quadrature nodes and reductions come in a
 fixed order, so repeated calls with the same inputs produce bit-identical

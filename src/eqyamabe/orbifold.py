@@ -450,7 +450,8 @@ class _Plan:
     """Quadrature data of one base, computed once.
 
     `nodes` maps id(nodes) to the shared node arrays that the base has used:
-    levels 128 (the first) and 512 (the Galerkin grid) of the Fejér rule;
+    levels 128 (the first), 256 and 512 (the Galerkin grids) of the Fejér
+    rule, and finer ones where a minimizer's functional needs them;
     `values` maps (member, id(nodes)) to a base member's read-only values at
     those nodes; `integrals` maps (name, cfg) to a base-only integral;
     `norms` maps a curvature density F, weakly, to its curvature-form norms

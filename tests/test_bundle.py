@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import eqyamabe as eq
+from eqyamabe import orbifold
 from eqyamabe.bundle import _scalar_curvature_log_form
+from eqyamabe.errors import DomainError
 from eqyamabe.orbifold import integrate_over_base
 
 from conftest import fourier_field
@@ -217,6 +219,15 @@ def test_plain_callable_not_finite_at_a_pole_is_rejected(half_sphere):
     # the poles themselves
     with pytest.raises(ValueError, match="not finite at s = 0;.*the poles"):
         eq.InvariantMetric(base=half_sphere, ell=1.0, F=lambda s: np.sin(2.0 * s) / np.sin(s))
+
+
+def test_plain_callable_that_raises_at_a_pole_is_rejected():
+    # the Gauss curvature is defined on the open interval only, and a plain
+    # callable is sampled at the poles themselves
+    base = eq.wps_profile(1, 2)
+    with pytest.raises(ValueError, match="raised DomainError; .*the poles included") as info:
+        eq.laplace_solve_radial(base, lambda s: orbifold.gauss_curvature(base, s))
+    assert isinstance(info.value.__cause__, DomainError)
 
 
 def test_plain_callable_off_the_seam_is_rejected_at_once():

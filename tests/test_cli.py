@@ -359,7 +359,7 @@ def test_minimize_iterations_count_steps_not_the_start(capsys, tmp_path):
     assert doc["quantities"]["iterations"]["value"] == 0.0
     assert doc["quantities"]["stop_reason"] == "tolerance"
     assert doc["quantities"]["modes"] == {"exact": True, "value": 16.0}
-    assert doc["quantities"]["mu_upper"]["route"] == "galerkin_sobolev_descent"
+    assert doc["quantities"]["mu_upper"]["route"] == "galerkin_newton"
 
 
 def test_laplace_bump_sphere(capsys, tmp_path):

@@ -12,7 +12,13 @@ import eqyamabe as eq
 import eqyamabe.conformal as conformal
 from eqyamabe.conformal import laplace_residual
 from eqyamabe import numerics, orbifold
-from eqyamabe.errors import NonPositiveFactor, NonpositiveChi, NotMeanZero, NumericalError
+from eqyamabe.errors import (
+    NoConvergence,
+    NonPositiveFactor,
+    NonpositiveChi,
+    NotMeanZero,
+    NumericalError,
+)
 
 from conftest import BERGER_HALF_J, SIGMA_S3, bump_sphere
 
@@ -179,9 +185,9 @@ def _basis_sizes(monkeypatch):
     sizes = []
     basis = conformal._basis
 
-    def counting(length, periodic, m):
+    def counting(length, periodic, m, level=conformal._GRID_LEVEL):
         sizes.append(m)
-        return basis(length, periodic, m)
+        return basis(length, periodic, m, level)
 
     monkeypatch.setattr(conformal, "_basis", counting)
     return sizes
@@ -221,12 +227,21 @@ def test_poisson_basis_stops_at_half_the_node_count(monkeypatch):
 
 def test_galerkin_grid_is_a_level_of_the_quadrature_rule():
     # level 512 of the nested Fejér rule: the first-level nodes of
-    # `integrate` are every fourth node, bit for bit
+    # `integrate` are every fourth node, bit for bit, and every node of each
+    # level a minimizer stage runs on
     base = eq.wps_profile(2, 3)
     nodes, weights = conformal._grid(base)
     first = orbifold.quadrature_nodes(base)
     assert nodes.size == weights.size == 511
     assert np.array_equal(nodes[3::4], first)
+    levels = {conformal._level(m) for m in (8, 16, 32, 64, 128, 256)}
+    assert levels == {128, 256, 512}
+    for level in levels:
+        stage = conformal._grid(base, level)[0]
+        stride = level // 128
+        assert stage.size == level - 1
+        assert np.array_equal(stage[stride - 1 :: stride], first)
+    assert conformal._grid(base, 128)[0] is first
     assert not (nodes.flags.writeable or weights.flags.writeable)
     assert conformal._grid(eq.wps_profile(1, 9))[0] is nodes  # one array per length
     assert math.fsum(weights) == pytest.approx(base.length, rel=1e-14)
@@ -246,12 +261,13 @@ def test_minimizer_basis_stops_at_half_the_grid_level():
 
 
 def test_one_rule_doubles_both_bases(monkeypatch):
-    # the minimizer and the Poisson solve ask the same helper whether to double
+    # the minimizer and the Poisson solve ask the same helper whether to double;
+    # the minimizer's second basis is its positivity probe between the nodes
     sizes = _basis_sizes(monkeypatch)
     monkeypatch.setattr(conformal, "_refinable", lambda c, cap, floor=0.0: False)
     assert eq.minimize_conformal(eq.wps_metric(1, 9)).modes == 16
     eq.uniformize_positive(eq.wps_profile(1, 9))
-    assert sizes == [16, 16]
+    assert sizes == [16, 16, 16]
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +379,7 @@ def test_minimize_berger_stays_below_start():
     )
     result = eq.minimize_conformal(metric, eq.MinimizerConfig(grid_size=200))
     # constant-curvature start is the critical point: value equals the
-    # closed form up to the continuum re-evaluation of the final iterate
+    # closed form up to the quadrature of the final iterate
     assert result.mu_upper <= BERGER_HALF_J + 1e-6
     assert np.all(np.diff(result.trace) <= 1e-12)
 
@@ -411,9 +427,9 @@ _DESCENT_METRICS = {
 
 @pytest.mark.parametrize("kind", sorted(_DESCENT_METRICS))
 def test_minimize_iterations_do_not_grow_with_grid(kind):
-    # the H^1-preconditioned step is mesh independent; plain L2-gradient
-    # descent needs more iterations on every refinement (hopf from this
-    # start: 666 at n = 100, 10378 at n = 800)
+    # Newton steps and the H^1-preconditioned step are mesh independent;
+    # plain L2-gradient descent needs more iterations on every refinement
+    # (hopf from this start: 666 at n = 100, 10378 at n = 800)
     metric = _DESCENT_METRICS[kind]()
     counts = []
     for n in (100, 200, 400, 800):
@@ -562,7 +578,8 @@ def test_u_star_is_the_series_mu_upper_evaluates(kind):
     metric = _DESCENT_METRICS[kind]()
     result = eq.minimize_conformal(metric, u0=_perturbed_start(metric))
     assert isinstance(result.u_star, eq.RadialField)
-    assert eq.conformal_functional(metric, result.u_star) == result.mu_upper
+    # the library quadrature of the same series agrees to rounding
+    assert eq.conformal_functional(metric, result.u_star) == pytest.approx(result.mu_upper, rel=1e-12)
 
 
 def test_minimize_rejects_data_out_of_scale():
@@ -610,3 +627,92 @@ def test_minimize_beats_the_finest_cell_grid(kind, monkeypatch):
 def test_minimize_wps_1_9_beats_the_cell_grid_at_the_defaults():
     # the n = 800 cell value; the basis grows from 16 to 64 modes
     assert eq.minimize_conformal(eq.wps_metric(1, 9)).mu_upper <= 22.188576563317
+
+
+# mu_upper of the Sobolev descent that preceded the Newton steps, at the
+# defaults from the constant start; Newton converges past where it stopped
+_DESCENT_MU_UPPER = {
+    "hopf": (lambda: eq.hopf_metric(), 43.82323271625066),
+    "wps23": (lambda: eq.wps_metric(2, 3), 30.687516081905418),
+    "wps12": (lambda: eq.wps_metric(1, 2), 39.54694379490317),
+    "wps13": (lambda: eq.wps_metric(1, 3), 35.23174256891452),
+    "wps15": (lambda: eq.wps_metric(1, 5), 29.135582494010865),
+    "wps19": (lambda: eq.wps_metric(1, 9), 22.188576558106874),
+    "wps120": (lambda: eq.wps_metric(1, 20), 14.313760363420169),
+    "wps160": (lambda: eq.wps_metric(1, 60), 7.278545787766445),
+    "torus": (_DESCENT_METRICS["torus"], -0.2338118445443127),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DESCENT_MU_UPPER))
+def test_mu_upper_is_read_off_the_galerkin_grid(kind):
+    # no higher than the descent's value; the library quadrature of the same
+    # series agrees, and the nested estimate meets the default tolerance
+    make, descent = _DESCENT_MU_UPPER[kind]
+    metric = make()
+    result = eq.minimize_conformal(metric)
+    assert result.converged
+    assert result.mu_upper <= descent + 1e-12 * abs(descent)
+    cfg = numerics.QuadratureConfig()
+    assert result.error_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(result.mu_upper))
+    value = eq.conformal_functional(metric, result.u_star)
+    assert value == pytest.approx(result.mu_upper, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["hopf", "wps23", "wps19"])
+def test_newton_matrix_has_one_negative_eigenvalue_at_the_solution(kind):
+    # N = A - 5 mu B^T diag(W u^4) B, mu the multiplier of u at the nodes:
+    # its one negative direction is the scaling of u, so each solution is a
+    # local minimum of J among radial factors
+    metric = _DESCENT_MU_UPPER[kind][0]()
+    result = eq.minimize_conformal(metric)
+    base, level = metric.base, conformal._level(result.modes)
+    basis = conformal._basis(base.length, base.periodic, result.modes, level)
+    W, scal, _ = conformal._node_data(metric, level)
+    A, _ = conformal._forms(basis, W, scal)
+    u, du = result.u_star.value(basis.nodes), result.u_star.d1(basis.nodes)
+    mu = np.dot(W, 8.0 * du**2 + scal * u**2) / np.dot(W, u**6)
+    N = A - 5.0 * mu * (basis.values.T * (W * u**4)) @ basis.values
+    assert np.count_nonzero(np.linalg.eigvalsh(N) < 0.0) == 1
+
+
+@pytest.mark.parametrize("kind, steps", [("wps19", 10), ("wps160", 15)])
+def test_newton_steps_do_not_grow_with_lopsided_weights(kind, steps):
+    # the Sobolev descent alone took 124 steps on wps(1,9) and 1910 on
+    # wps(1,60); the count is deterministic
+    metric = _DESCENT_MU_UPPER[kind][0]()
+    first, again = eq.minimize_conformal(metric), eq.minimize_conformal(metric)
+    assert first.stop_reason == "tolerance"
+    assert len(first.trace) - 1 <= steps
+    assert first.trace.tolist() == again.trace.tolist()
+    assert np.all(np.diff(first.trace) <= 0.0)
+
+
+def test_mu_upper_level_doubles_until_its_estimate_meets_the_tolerance(monkeypatch):
+    # wps(1,2) runs on level 128, where |J_128 - J_64| = 1.4e-14; a tolerance
+    # below that reads J off levels 256 and 512; on wps(1,9), from level 256,
+    # no level up to 1024 meets a tolerance of 1e-300
+    levels = []
+    node_data = conformal._node_data
+
+    def counting(metric, level=conformal._GRID_LEVEL):
+        levels.append(level)
+        return node_data(metric, level)
+
+    monkeypatch.setattr(conformal, "_node_data", counting)
+    metric = eq.wps_metric(1, 2)
+    default = eq.minimize_conformal(metric)
+    assert levels == [128]
+    tight = numerics.QuadratureConfig(abs_tol=1e-300, rel_tol=1e-16)
+    monkeypatch.setattr(conformal, "QuadratureConfig", lambda: tight)
+    levels.clear()
+    result = eq.minimize_conformal(metric)
+    assert levels == [128, 256, 512]
+    assert result.error_estimate <= 1e-16 * result.mu_upper
+    assert result.mu_upper == pytest.approx(default.mu_upper, rel=1e-15)
+    never = numerics.QuadratureConfig(max_refinements=2, abs_tol=1e-300, rel_tol=1e-300)
+    monkeypatch.setattr(conformal, "QuadratureConfig", lambda: never)
+    levels.clear()
+    with pytest.raises(NoConvergence, match="after 2 refinements"):
+        eq.minimize_conformal(eq.wps_metric(1, 9))
+    assert levels == [128, 256, 512, 1024]
