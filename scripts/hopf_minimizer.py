@@ -2,8 +2,8 @@
 """Conformal descent on the round 3-sphere data and its squashed family.
 
 Starting from a perturbed conformal factor, Newton steps on the Yamabe
-equation, safeguarded by H^1-preconditioned (Sobolev) gradient steps, drive
-the functional back to the value of the constant factor: the sphere constant
+equation, shifted by the H^1 Gram matrix where the plain step would raise the
+functional, drive the functional back to the value of the constant factor: the sphere constant
 for unit fiber length, and the closed-form value of the squashed metric
 otherwise.  The iteration runs on the coefficients of a cosine series;
 --grid caps the number of basis functions below the library's cap of 256

@@ -24,12 +24,14 @@ and its spline checks differentiate samples of the series.
 
 In the conformal minimizer the functional's quadratic forms become small
 dense matrices, and each step on the coefficients is a Newton step on the
-discrete Euler-Lagrange (Yamabe) equation 8 Delta u + scal u = mu u^5 where
-it lowers J, and otherwise an H^1-preconditioned (Sobolev) gradient step
-under Armijo backtracking.  mu_upper is the discrete functional of the final
-series on the stage's grid, with the nested estimate of `integrate`; it is
-the functional of an actual invariant metric, so an UPPER bound on the
-invariant conformal infimum, never the infimum itself.
+discrete Euler-Lagrange (Yamabe) equation 8 Delta u + scal u = mu u^5,
+shifted by the first multiple 0, 1, 2, 4, ... of the H^1 Gram matrix whose
+step keeps u positive and does not raise J (Levenberg-Marquardt; a large
+shift gives an H^1-preconditioned, Sobolev, gradient step).  mu_upper is
+the discrete functional of the final series on the stage's grid, with the
+nested estimate of `integrate`; it is the functional of an actual invariant
+metric, so an UPPER bound on the invariant conformal infimum, never the
+infimum itself.
 """
 
 from __future__ import annotations
@@ -320,11 +322,6 @@ def _forms(basis: _Basis, W: np.ndarray, scal: np.ndarray) -> tuple[np.ndarray, 
     return stiffness + (BW * scal) @ B, stiffness + BW @ B
 
 
-def _h1_preconditioner(H: np.ndarray) -> np.ndarray:
-    """H^{-1}, from one LU factorization of H; a step then costs one product."""
-    return np.linalg.inv(H)
-
-
 def _energy(B: np.ndarray, A: np.ndarray, W: np.ndarray, c: np.ndarray):
     """The discrete J(c) = c.A c / (sum W u^6)^{1/3}, its numerator and
     denominator, u = B c at the nodes, and W u^5."""
@@ -340,62 +337,49 @@ def _gradient(B, A, c, num: float, den: float, wu5: np.ndarray) -> np.ndarray:
     return (2.0 * (A @ c) - (2.0 * num / den) * (B.T @ wu5)) / den ** (1.0 / 3.0)
 
 
-def _newton(B: np.ndarray, A: np.ndarray, W: np.ndarray, c: np.ndarray, num: float, den: float):
-    """One Newton step on A c = sigma B^T (W u^5), u = B c, from c scaled by
-    |num / den|^{1/4} so that the multiplier is sigma = sign J; Newton's
-    matrix is N = A - 5 sigma B^T diag(W u^4) B.  None where N is singular."""
-    scale = abs(num / den) ** 0.25
-    sigma = math.copysign(1.0, num)
-    c, u = scale * c, scale * (B @ c)
-    wu4 = W * u**4
-    N = A - (5.0 * sigma) * (B.T * wu4) @ B
-    try:
-        return c - np.linalg.solve(N, A @ c - sigma * (B.T @ (wu4 * u)))
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _descend(
     basis: _Basis, W: np.ndarray, scal: np.ndarray, c: np.ndarray, trace: list, cfg: MinimizerConfig
 ) -> tuple[np.ndarray, str]:
     """Minimize J(c) = c.A c / (sum W (B c)^6)^{1/3} over coefficients with
-    B c > 0 at every node, from c normalized to sum W (B c)^6 = 1.  Each
-    iteration takes the Newton step (`_newton`, skipped at J = 0) if it keeps
-    u positive at every node and does not raise J, and otherwise a Sobolev
-    gradient step.  Appends each accepted J to `trace` (and the start's J to
-    an empty one); returns the last iterate and why the iteration stopped."""
+    B c > 0 at every node, from c normalized to sum W (B c)^6 = 1, by the
+    shifted Newton steps of `minimize_conformal`, with Newton's matrix
+    N = A - 5 mu B^T diag(W u^4) B.  The residual A c - mu B^T (W u^5) is
+    g den^{1/3} / 2, so a shift lam tends to the Sobolev step H^{-1} g / (2 lam)
+    as it grows; the shifts stop ("no_decrease") once that step's predicted
+    decrease g.H^{-1}g / (2 lam) is below the rounding of J.  Appends each
+    accepted J to `trace` (and the start's J to an empty one); returns the
+    last iterate and why the iteration stopped."""
     B = basis.values
     A, H = _forms(basis, W, scal)
-    Hinv = _h1_preconditioner(H)
-    J, num, den, _, wu5 = _energy(B, A, W, c)
+    J, num, den, u, wu5 = _energy(B, A, W, c)
     if not trace:
         trace.append(J)
     while True:
         g = _gradient(B, A, c, num, den, wu5)
-        p = Hinv @ g
-        gp = float(np.dot(g, p))
+        gp = float(np.dot(g, np.linalg.solve(H, g)))
         if gp <= cfg.decrease_tol * max(1.0, abs(J)):
             return c, "tolerance"
         if len(trace) > cfg.max_iterations:
             return c, "budget"
-        c_new = _newton(B, A, W, c, num, den) if num != 0.0 else None
-        if c_new is not None:
-            with np.errstate(all="ignore"):  # a wild step is rejected, not warned about
-                J_new, num_new, den_new, u_new, wu5_new = _energy(B, A, W, c_new)
-        if c_new is None or not (J_new <= J and u_new.min() > 0.0):
-            t = 0.5
-            # halve t until Armijo holds at a positive iterate or the predicted
-            # decrease t g.p is below the rounding of J
-            while t * gp > np.spacing(max(1.0, abs(J))):
-                c_new = c - t * p
-                J_new, num_new, den_new, u_new, wu5_new = _energy(B, A, W, c_new)
-                if J_new <= J - 1e-4 * t * gp and u_new.min() > 0.0:
-                    break
-                t *= 0.5
+        mu = num / den
+        N = A - (5.0 * mu) * (B.T * (W * u**4)) @ B
+        r = 0.5 * den ** (1.0 / 3.0) * g
+        lam = 0.0
+        while True:
+            try:
+                c_new = c - np.linalg.solve(N + lam * H, r)
+            except np.linalg.LinAlgError:
+                pass  # a singular shift: try the next
             else:
+                with np.errstate(all="ignore"):  # a wild step is rejected, not warned about
+                    J_new, num_new, den_new, u_new, wu5_new = _energy(B, A, W, c_new)
+                if J_new <= J and u_new.min() > 0.0:
+                    break
+            lam = max(1.0, 2.0 * lam)
+            if gp / (2.0 * lam) <= np.spacing(max(1.0, abs(J))):
                 return c, "no_decrease"
         scale = den_new ** (-1.0 / 6.0)  # renormalize: sum W u^6 = 1
-        c, wu5, J = c_new * scale, wu5_new * scale**5, J_new
+        c, u, wu5, J = c_new * scale, u_new * scale, wu5_new * scale**5, J_new
         num, den = num_new * scale**2, den_new * scale**6
         trace.append(J)
 
@@ -443,20 +427,20 @@ def minimize_conformal(
     u0: Callable | np.ndarray | None = None,
 ) -> MinimizeResult:
     """Galerkin minimization of the conformal functional over radial u > 0,
-    by Newton steps on its Euler-Lagrange equation, safeguarded by Sobolev
-    gradient steps.
+    by shifted Newton steps on its Euler-Lagrange equation.
 
     u is a series in the first m basis functions (see `_Basis`), m starting
     at min(16, grid_size), on level clamp(4m, 128, 512) of the Fejér rule.
-    Each iteration first tries a Newton step on the discrete Yamabe equation
-    A c = sigma B^T (W u^5) (`_newton`) and keeps it if u stays positive at
-    every node and J does not rise.  Otherwise it moves the coefficients
-    along p = H^{-1} g, with g the gradient of the discrete functional and H
-    the H^1 Gram matrix (stiffness plus mass), so the step count does not
-    grow with m: Armijo backtracking halves the step from t = 1/2 and rejects
-    steps that leave u nonpositive at a node.  The iterate is renormalized to
-    int 2 pi ell u^6 dv = 1, so the trace is non-increasing.  A stage stops
-    when g.p <= decrease_tol * max(1, |J|) or no step decreases J; then,
+    Each iteration (`_descend`) solves (N + lam H) d = A c - mu B^T (W u^5)
+    for lam = 0, 1, 2, 4, ..., with mu = num / den the multiplier of the
+    discrete Yamabe equation A c = mu B^T (W u^5), N its Newton matrix and H
+    the H^1 Gram matrix (stiffness plus mass), and keeps the first c - d that
+    leaves u positive at every node and does not raise J.  lam = 0 is the
+    Newton step and a large lam the Sobolev gradient step H^{-1} g / (2 lam),
+    g the gradient of the discrete functional, so the step count does not
+    grow with m.  The iterate is renormalized to int 2 pi ell u^6 dv = 1, so
+    the trace is non-increasing.  A stage stops when
+    g.H^{-1}g <= decrease_tol * max(1, |J|) or no step decreases J; then,
     while the trailing quarter of the coefficients exceeds sqrt(eps) times
     the largest and 2m <= min(grid_size, 256), m doubles and the same trace
     continues, on a finer level where 4m asks for one.  If the iteration

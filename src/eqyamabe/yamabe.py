@@ -39,7 +39,7 @@ from .errors import (
     NotCoprime,
     UnboundedInEll,
 )
-from .numerics import QuadratureConfig, minimize_scalar
+from .numerics import QuadratureConfig
 from .orbifold import (
     Base,
     area,
@@ -209,20 +209,35 @@ def conformal_functional(
     return num.value / den.value ** (1.0 / 3.0)
 
 
+def _closed_form_optimum(vol: float, chi: float, omega_L2_sq: float) -> tuple[float, float]:
+    """`optimal_ell`'s ell* and J_max from vol, chi > 0 and |Omega|_2^2 > 0:
+    the one critical point of `closed_form_J` in ell, a maximum, and its
+    value."""
+    ell_star = math.sqrt(4.0 * math.pi * chi) / math.sqrt(omega_L2_sq)
+    j_max = (
+        3.0
+        * 2.0 ** (4.0 / 3.0)
+        * math.pi**2
+        * vol ** (-1.0 / 3.0)
+        * chi ** (4.0 / 3.0)
+        * omega_L2_sq ** (-1.0 / 3.0)
+    )
+    return ell_star, j_max
+
+
 def optimal_ell(
     base: Base, F: FieldLike, cfg: QuadratureConfig | None = None,
     norms: NormReport | None = None,
 ) -> tuple[float, float]:
-    """Maximizing constant fiber length and the maximal functional value.
+    """Maximizing constant fiber length and the maximal functional value, in
+    closed form:
 
         ell* = sqrt(4 pi chi) / |Omega|_2,
         J_max = 3 * 2^{4/3} pi^2 vol^{-1/3} chi^{4/3} |Omega|_2^{-2/3}
 
-    Cross-checked against a numerical scan of the closed form; disagreement
-    raises InconsistentRoutes.  `norms`, when given, is the `omega_norms`
-    report of (base, F) and is used instead of looking it up; otherwise the
-    report is read from the base's quadrature plan, where the first call for
-    (F, cfg) computes it.
+    `norms`, when given, is the `omega_norms` report of (base, F) and is used
+    instead of looking it up; otherwise the report is read from the base's
+    quadrature plan, where the first call for (F, cfg) computes it.
     """
     chi = chi_orb(base)
     if chi <= 0:
@@ -233,30 +248,7 @@ def optimal_ell(
         raise UnboundedInEll(
             "curvature form vanishes: the functional grows like ell^{2/3} without bound"
         )
-    vol = area(base, cfg)
-    ell_star = math.sqrt(4.0 * math.pi * chi) / math.sqrt(norms.omega_L2_sq)
-    j_max = (
-        3.0
-        * 2.0 ** (4.0 / 3.0)
-        * math.pi**2
-        * vol ** (-1.0 / 3.0)
-        * chi ** (4.0 / 3.0)
-        * norms.omega_L2_sq ** (-1.0 / 3.0)
-    )
-
-    ell_num, neg_j = minimize_scalar(
-        lambda l: -closed_form_J(vol, chi, norms.omega_L2_sq, l),
-        bracket=[ell_star / 8.0, ell_star * 8.0],
-        tol=1e-9 * max(1.0, ell_star),
-    )
-    if abs(ell_num - ell_star) > 1e-6 * max(1.0, ell_star) or abs(-neg_j - j_max) > 1e-6 * max(
-        1.0, abs(j_max)
-    ):
-        raise InconsistentRoutes(
-            f"closed-form optimum (ell*={ell_star}, J={j_max}) disagrees with the "
-            f"numerical scan (ell={ell_num}, J={-neg_j})"
-        )
-    return ell_star, j_max
+    return _closed_form_optimum(area(base, cfg), chi, norms.omega_L2_sq)
 
 
 def wps_curvature_density(m1: int, m2: int, t):

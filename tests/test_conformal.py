@@ -427,7 +427,7 @@ _DESCENT_METRICS = {
 
 @pytest.mark.parametrize("kind", sorted(_DESCENT_METRICS))
 def test_minimize_iterations_do_not_grow_with_grid(kind):
-    # Newton steps and the H^1-preconditioned step are mesh independent;
+    # Newton steps, shifted or not, are mesh independent;
     # plain L2-gradient descent needs more iterations on every refinement
     # (hopf from this start: 666 at n = 100, 10378 at n = 800)
     metric = _DESCENT_METRICS[kind]()
@@ -459,16 +459,12 @@ def _galerkin(metric, m):
 
 
 @pytest.mark.parametrize("kind", sorted(_DESCENT_METRICS))
-def test_h1_preconditioner_matches_a_dense_solve(kind):
-    # H is the Gram matrix of the basis in the H^1 inner product: symmetric
-    # positive definite, and factored once into the preconditioner
+def test_h1_gram_matrix_is_symmetric_positive_definite(kind):
+    # H is the Gram matrix of the basis in the H^1 inner product, the shift
+    # of the descent's Newton matrix
     _, _, _, H = _galerkin(_DESCENT_METRICS[kind](), 32)
     assert np.max(np.abs(H - H.T)) <= 1e-14 * np.max(np.abs(H))
     assert np.min(np.linalg.eigvalsh(H)) > 0.0
-    Hinv = conformal._h1_preconditioner(H)
-    for g in np.random.default_rng(3).normal(size=(3, H.shape[0])):
-        exact = np.linalg.solve(H, g)
-        assert np.max(np.abs(Hinv @ g - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize("kind", ["wps23", "torus"])
@@ -501,22 +497,6 @@ def test_basis_is_read_only_and_shared_per_length():
         assert array.shape == (conformal._grid(hopf.base)[0].size, 16)
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0.0
-
-
-def test_minimize_factors_the_gram_matrix_once(monkeypatch):
-    # once per basis size: wps(1,9) doubles its basis twice
-    sizes = []
-    factor = conformal._h1_preconditioner
-
-    def counting(H):
-        sizes.append(H.shape[0])
-        return factor(H)
-
-    monkeypatch.setattr(conformal, "_h1_preconditioner", counting)
-    result = eq.minimize_conformal(eq.wps_metric(1, 9))
-    assert len(result.trace) > 3
-    assert sizes == [16, 32, 64]
-    assert result.modes == 64
 
 
 def test_minimize_trace_is_monotone_across_basis_doublings():
@@ -686,6 +666,85 @@ def test_newton_steps_do_not_grow_with_lopsided_weights(kind, steps):
     assert len(first.trace) - 1 <= steps
     assert first.trace.tolist() == again.trace.tolist()
     assert np.all(np.diff(first.trace) <= 0.0)
+
+
+def _cosine_start(s):
+    return 1.0 + 0.2 * np.cos(2.0 * s)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: eq.wps_metric(2, 3), lambda: eq.hopf_metric(2.5)], ids=["wps23", "hopf25"]
+)
+def test_minimize_stops_when_no_step_lowers_j(make):
+    # a tolerance below any reachable predicted decrease: the ladder of
+    # shifts runs out at the rounding of J, at the default tolerance's value
+    metric = make()
+    cfg = eq.MinimizerConfig(decrease_tol=1e-300)
+    result = eq.minimize_conformal(metric, cfg, u0=_cosine_start)
+    default = eq.minimize_conformal(metric, u0=_cosine_start)
+    assert result.stop_reason == "no_decrease" and result.converged
+    assert np.all(np.diff(result.trace) <= 0.0)
+    assert result.mu_upper == pytest.approx(default.mu_upper, rel=1e-12)
+
+
+def test_minimize_reaches_a_zero_yamabe_value():
+    # the Berger sphere of ell = 2 has scal = 8 - 2 ell^2 = 0: the constant
+    # factor gives J = 0, and the multiplier mu = J goes to zero on the way
+    metric = eq.hopf_metric(2.0)
+    result = eq.minimize_conformal(metric, u0=_cosine_start)
+    assert result.stop_reason == "tolerance"
+    assert abs(result.mu_upper) <= 1e-12 * result.trace[0]
+
+
+# Five perturbed starts u0 = 1 + 0.5 sum_j a_j cos(j pi s / L), j = 1..4, a_j
+# uniform in [-0.5, 0.5] (numpy default_rng(0), drawn in this order), on each
+# metric, with the mu_upper that Newton steps with an Armijo/Sobolev fallback
+# reached from each start, in 251 steps in all; shifted Newton steps take 238
+_PERTURBED_FAMILY = {
+    "hopf(2.5)": (lambda: eq.hopf_metric(2.5), [
+        -60.54231363709324, -60.54231363709325, -60.54231363709323, -60.54231363709322,
+        -60.5423136370771]),
+    "wps(2,3)": (lambda: eq.wps_metric(2, 3), [
+        30.687516082041775, 30.687516081569374, 30.687516081571644, 30.68751608159952,
+        30.68751608156971]),
+    "wps(2,3) ell 4": (lambda: eq.wps_metric(2, 3, 4.0), [
+        20.512514405940294, 20.512514405856862, 20.512514405856866, 20.51251440603961,
+        20.51251440585687]),
+    "wps(1,2)": (lambda: eq.wps_metric(1, 2), [
+        39.54694379434451, 39.546943795259246, 39.54694379434394, 39.546943794344024,
+        39.54694379434393]),
+    "wps(1,9)": (lambda: eq.wps_metric(1, 9), [
+        22.188576557929068, 22.188576557929068, 22.188576557929064, 22.188576557929068,
+        22.188576557929068]),
+    "wps(1,9) ell 0.2": (lambda: eq.wps_metric(1, 9, 0.2), [
+        7.894361808123185, 7.894361808123185, 7.894361808123185, 7.894361808123184,
+        7.894361808123185]),
+    "wps(1,20)": (lambda: eq.wps_metric(1, 20), [
+        14.313760363381812, 14.313760363381812, 14.313760363381814, 14.313760363381814,
+        14.313760363381814]),
+    "wps(1,60)": (lambda: eq.wps_metric(1, 60), [
+        7.278545787657318, 7.278545787657318, 7.278545787657318, 7.278545787657318,
+        7.278545787657318]),
+}
+
+
+def test_perturbed_starts_converge_in_no_more_steps():
+    rng = np.random.default_rng(0)
+    steps = 0
+    for name, (make, pinned) in _PERTURBED_FAMILY.items():
+        metric = make()
+        L = metric.base.length
+        for i, previous in enumerate(pinned):
+            a = rng.uniform(-0.5, 0.5, 4)
+            u0 = lambda s, a=a: 1.0 + 0.5 * sum(  # noqa: E731
+                a[j] * np.cos((j + 1) * np.pi * s / L) for j in range(4)
+            )
+            result = eq.minimize_conformal(metric, u0=u0)
+            assert result.stop_reason == "tolerance", (name, i)
+            assert np.all(np.diff(result.trace) <= 0.0), (name, i)
+            assert result.mu_upper <= previous + 1e-12 * abs(previous), (name, i)
+            steps += len(result.trace) - 1
+    assert steps <= 238
 
 
 def test_mu_upper_level_doubles_until_its_estimate_meets_the_tolerance(monkeypatch):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import eqyamabe as eq
+from eqyamabe import numerics
 from eqyamabe.errors import (
     InvalidCase,
     NonpositiveChi,
@@ -16,6 +17,7 @@ from eqyamabe.errors import (
     NotCoprime,
     UnboundedInEll,
 )
+from eqyamabe.yamabe import _closed_form_optimum, closed_form_J
 
 from conftest import (
     BERGER_HALF_J,
@@ -185,6 +187,23 @@ def test_optimal_ell_hopf(hopf):
     ell_star, j_max = eq.optimal_ell(hopf.base, 2.0)
     assert ell_star == pytest.approx(1.0, abs=1e-10)
     assert j_max == pytest.approx(SIGMA_S3, rel=1e-10)
+
+
+def test_closed_form_optimum_is_the_maximum_of_the_closed_form():
+    # a golden-section search of closed_form_J finds the same ell* and J_max
+    # over six decades of each of vol, chi and |Omega|_2^2
+    decades = np.logspace(-3.0, 3.0, 7)
+    for vol in decades:
+        for chi in decades:
+            for omega_L2_sq in decades:
+                ell_star, j_max = _closed_form_optimum(vol, chi, omega_L2_sq)
+                ell_num, neg_j = numerics.minimize_scalar(
+                    lambda ell: -closed_form_J(vol, chi, omega_L2_sq, ell),
+                    bracket=[ell_star / 8.0, ell_star * 8.0],
+                    tol=1e-9 * ell_star,
+                )
+                assert abs(ell_num - ell_star) <= 1e-6 * ell_star, (vol, chi, omega_L2_sq)
+                assert abs(-neg_j - j_max) <= 1e-6 * j_max, (vol, chi, omega_L2_sq)
 
 
 def test_optimal_ell_weighted_pair_below_bound():
