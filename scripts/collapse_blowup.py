@@ -31,7 +31,7 @@ def collapse(ells: np.ndarray, sandwich_at: list[float]) -> None:
     for ell in sandwich_at:
         upper, lower = eq.collapse_bounds(base, F, ell)
         metric = eq.InvariantMetric(base=base, ell=eq.RadialField.const(ell), F=F)
-        result = eq.minimize_conformal(metric, eq.MinimizerConfig(grid_size=128))
+        result = eq.minimize_conformal(metric)
         ok = lower - 1e-9 <= result.mu_upper <= upper + 1e-9
         print(
             f"  ell={ell:<6g} lower={lower:+.6e}  minimizer={result.mu_upper:+.6e}  "

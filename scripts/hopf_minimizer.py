@@ -27,7 +27,7 @@ def run(ell: float, grid: int) -> None:
     L = metric.base.length
     result = eq.minimize_conformal(
         metric,
-        eq.MinimizerConfig(grid_size=grid),
+        eq.MinimizerConfig(max_modes=grid),
         u0=lambda s: 1.0 + 0.3 * np.cos(2.0 * np.pi * s / L),
     )
     u = result.u_star.value(np.linspace(0.0, L, grid + 1))

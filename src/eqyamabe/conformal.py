@@ -9,8 +9,8 @@ rule (`numerics._fejer_rule`), which the base's quadrature plan keeps.  The
 Poisson solve runs on level 512, whose every fourth node is a first-level
 node of `integrate`; a minimizer stage of m modes runs on level
 clamp(4m, 128, 512), so 16 and 32 modes use the first level itself.  The
-basis doubles from 16 modes while its trailing coefficients are not
-negligible (`_refinable`), up to 256 modes, half of level 512.
+basis doubles from 16 modes, up to 256 modes, half of level 512, while its
+tail is not negligible by the library's one tail rule (`_refinable`).
 
 Radial data comes in as anything `bundle.as_radial_field` reads and every
 solution goes out as its series, a `RadialField`; means are taken with the
@@ -52,7 +52,7 @@ from .bundle import (
     as_radial_field,
 )
 from .errors import NoConvergence, NonPositiveFactor, NonpositiveChi, NotMeanZero, NumericalError
-from .numerics import _FIRST_LEVEL, QuadratureConfig, _fejer_rule, trig_series
+from .numerics import _FIRST_LEVEL, QuadratureConfig, _fejer_rule, _modes_past, trig_series
 from .orbifold import Base, _plan_nodes, area, chi_orb, gauss_curvature
 
 __all__ = [
@@ -128,13 +128,13 @@ def uniformize_positive(base: Base) -> tuple[RadialField, float]:
 
 @dataclass(frozen=True)
 class MinimizerConfig:
-    grid_size: int = 200  # only caps the basis size: the cap is min(grid_size, 256)
+    max_modes: int = 128  # caps the basis size, at most at 256
     max_iterations: int = 20000
     decrease_tol: float = 1e-10  # predicted decrease g.H^{-1}g, relative to max(1, |J|)
 
     def __post_init__(self) -> None:
-        if self.grid_size < 8:
-            raise ValueError(f"grid_size must be >= 8, got {self.grid_size}")
+        if self.max_modes < 8:
+            raise ValueError(f"max_modes must be >= 8, got {self.max_modes}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (0.0 < self.decrease_tol < 1.0):
@@ -177,7 +177,7 @@ class MinimizeResult:
 _GRID_LEVEL = 512
 _MAX_MODES = _GRID_LEVEL // 2
 
-# Basis size of a first stage; a descent's grid_size caps it and every doubling.
+# Basis size of a first stage; a descent's max_modes caps it and every doubling.
 _START_MODES = 16
 
 _EPS = float(np.finfo(float).eps)
@@ -185,7 +185,7 @@ _LOG_MAX = math.log(np.finfo(float).max)  # the largest finite exp(x) has x belo
 
 # A coefficient below sqrt(eps) of the largest changes a Rayleigh quotient by
 # about eps, since the error of the quotient is quadratic in the truncation.
-# The Poisson solve doubles by the same rule (`_refinable`).
+# Both solves double by it; the Poisson solve adds its floor (`_refinable`).
 _TAIL_TOL = math.sqrt(_EPS)
 
 
@@ -251,13 +251,12 @@ def _basis(length: float, periodic: bool, m: int, level: int = _GRID_LEVEL) -> _
 
 
 def _refinable(c: np.ndarray, cap: int, floor: np.ndarray | float = 0.0) -> bool:
-    """Whether a basis of c.size modes should double: 2 c.size <= cap and a
-    coefficient of the trailing quarter of c exceeds both _TAIL_TOL times the
-    largest and its floor (one number, or one per coefficient)."""
-    m = c.size
-    tail = slice(3 * m // 4, m)
-    bound = np.maximum(_TAIL_TOL * np.max(np.abs(c)), np.broadcast_to(floor, c.shape)[tail])
-    return 2 * m <= cap and bool(np.any(np.abs(c[tail]) > bound))
+    """Whether a basis of c.size modes should double: 2 c.size <= cap and,
+    by the library's one tail rule (`numerics._modes_past`), its tail past
+    both _TAIL_TOL times the largest coefficient and its floor (one number,
+    or one per mode) is not negligible."""
+    tol = np.maximum(_TAIL_TOL * np.max(np.abs(c)), floor)
+    return 2 * c.size <= cap and 4 * _modes_past(c, tol) > 3 * c.size
 
 
 def _area_weights(base: Base) -> np.ndarray:
@@ -351,12 +350,13 @@ def _descend(
     last iterate and why the iteration stopped."""
     B = basis.values
     A, H = _forms(basis, W, scal)
+    H_inv = np.linalg.inv(H)  # H is fixed for the stage: the stop test needs only g.H^{-1}g
     J, num, den, u, wu5 = _energy(B, A, W, c)
     if not trace:
         trace.append(J)
     while True:
         g = _gradient(B, A, c, num, den, wu5)
-        gp = float(np.dot(g, np.linalg.solve(H, g)))
+        gp = float(np.dot(g, H_inv @ g))
         if gp <= cfg.decrease_tol * max(1.0, abs(J)):
             return c, "tolerance"
         if len(trace) > cfg.max_iterations:
@@ -430,7 +430,7 @@ def minimize_conformal(
     by shifted Newton steps on its Euler-Lagrange equation.
 
     u is a series in the first m basis functions (see `_Basis`), m starting
-    at min(16, grid_size), on level clamp(4m, 128, 512) of the Fejér rule.
+    at min(16, max_modes), on level clamp(4m, 128, 512) of the Fejér rule.
     Each iteration (`_descend`) solves (N + lam H) d = A c - mu B^T (W u^5)
     for lam = 0, 1, 2, 4, ..., with mu = num / den the multiplier of the
     discrete Yamabe equation A c = mu B^T (W u^5), N its Newton matrix and H
@@ -441,10 +441,10 @@ def minimize_conformal(
     grow with m.  The iterate is renormalized to int 2 pi ell u^6 dv = 1, so
     the trace is non-increasing.  A stage stops when
     g.H^{-1}g <= decrease_tol * max(1, |J|) or no step decreases J; then,
-    while the trailing quarter of the coefficients exceeds sqrt(eps) times
-    the largest and 2m <= min(grid_size, 256), m doubles and the same trace
-    continues, on a finer level where 4m asks for one.  If the iteration
-    budget runs out first, the last iterate is returned with converged=False.
+    while the tail past sqrt(eps) times the largest coefficient is not
+    negligible (`_refinable`) and 2m <= min(max_modes, 256), m doubles and the
+    same trace continues, on a finer level where 4m asks for one.  If the
+    iteration budget runs out, the last iterate is returned with converged=False.
     mu_upper is read off the last stage's grid (see `MinimizeResult`).  The
     node weights and the scalar curvature at the nodes must be finite
     (NumericalError otherwise, as when the data's scale overflows).  A
@@ -457,7 +457,7 @@ def minimize_conformal(
     if cfg is None:
         cfg = MinimizerConfig()
     base = metric.base
-    m = min(_START_MODES, cfg.grid_size)
+    m = min(_START_MODES, cfg.max_modes)
     level = _level(m)
     data = W, scal, weights = _node_data(metric, level)
     basis = _basis(base.length, base.periodic, m, level)
@@ -480,7 +480,7 @@ def minimize_conformal(
     trace: list[float] = []
     while True:
         c, stop = _descend(basis, W, scal, c, trace, cfg)
-        if stop == "budget" or not _refinable(c, min(cfg.grid_size, _MAX_MODES)):
+        if stop == "budget" or not _refinable(c, min(cfg.max_modes, _MAX_MODES)):
             break
         m *= 2
         c = np.concatenate([c, np.zeros(m - c.size)])

@@ -235,11 +235,11 @@ def integrate(
     return results if multi else results[0]
 
 
-def _trim_modes(c: np.ndarray) -> np.ndarray:
-    """The modes up to the last one above eps times the largest; the mean
-    mode always stays, so all-zero coefficients keep one mode, not all."""
-    keep = np.flatnonzero(np.abs(c) > _EPS * np.abs(c).max())
-    return c[: np.max(keep, initial=0) + 1]
+def _modes_past(c: np.ndarray, tol) -> int:
+    """How many leading modes of c pass tol (a number, or one per mode), at
+    least one: a series keeps that many, and its tail is negligible when they
+    are at most 3/4 of c (Aurentz & Trefethen, "Chopping a Chebyshev series")."""
+    return int(np.max(np.flatnonzero(np.abs(c) > tol), initial=0)) + 1
 
 
 def trig_series(coeffs: np.ndarray, start: float, omega: float) -> tuple[Callable, ...]:
@@ -276,20 +276,20 @@ def _interpolant_coefficients(samples: np.ndarray) -> np.ndarray:
 def trig_interpolant(samples: np.ndarray, start: float, period: float) -> tuple[Callable, ...]:
     """Value, first and second derivative of the trigonometric interpolant of
     one period of uniform samples, the j-th of n taken at start + j period / n.
-    The coefficients come from one real FFT, trailing modes at or below eps
-    times the largest are dropped, and the rest are summed by `trig_series`."""
-    return trig_series(_trim_modes(_interpolant_coefficients(samples)), start, 2.0 * math.pi / period)
+    The coefficients come from one real FFT; the modes past eps times the
+    largest sample (`_modes_past`) are summed by `trig_series`."""
+    c = _interpolant_coefficients(samples)
+    return trig_series(c[: _modes_past(c, _EPS * np.max(np.abs(samples)))], start, 2.0 * math.pi / period)
 
 
 def chopped_interpolant(samples: np.ndarray, start: float, period: float) -> tuple[Callable, ...] | None:
-    """`trig_interpolant` of samples whose series has reached rounding: every
-    coefficient in its trailing quarter is at most eps times the largest
-    sample (Aurentz & Trefethen, "Chopping a Chebyshev series", 2017).  None
-    for samples that have not, which a finer sampling may resolve."""
+    """`trig_interpolant` of samples whose series has chopped: its tail past eps
+    times the largest sample is negligible.  None if not; finer samples may."""
     c = _interpolant_coefficients(samples)
-    if np.any(np.abs(c[3 * c.size // 4 :]) > _EPS * np.max(np.abs(samples))):
+    keep = _modes_past(c, _EPS * np.max(np.abs(samples)))
+    if 4 * keep > 3 * c.size:
         return None
-    return trig_series(_trim_modes(c), start, 2.0 * math.pi / period)
+    return trig_series(c[:keep], start, 2.0 * math.pi / period)
 
 
 def sign_change_roots(f: Callable, df: Callable, x: np.ndarray, fx: np.ndarray) -> np.ndarray:

@@ -180,7 +180,7 @@ def test_criterion_7_collapse_exponents_and_sandwich():
         for ell in (0.5, 0.1, 0.02):
             upper, lower = eq.collapse_bounds(base, F, ell)
             metric = eq.InvariantMetric(base=base, ell=eq.RadialField.const(ell), F=F)
-            result = eq.minimize_conformal(metric, eq.MinimizerConfig(grid_size=128))
+            result = eq.minimize_conformal(metric, eq.MinimizerConfig(max_modes=128))
             assert lower - 1e-9 <= result.mu_upper <= upper + 1e-9, ell
             assert np.all(np.diff(result.trace) <= 1e-12)
 
@@ -205,7 +205,7 @@ def test_criterion_9_minimizer_hopf():
             lambda s: 1.0 + 0.3 * np.cos(2.0 * np.pi * s / (0.5 * math.pi)),
             lambda s: 1.0 + 0.2 * np.cos(4.0 * s) - 0.1 * np.cos(2.0 * s),
         ):
-            result = eq.minimize_conformal(hopf, eq.MinimizerConfig(grid_size=200), u0=u0)
+            result = eq.minimize_conformal(hopf, u0=u0)
             assert abs(result.mu_upper - 43.8246) <= 1e-3 * 43.8246  # criterion's figure
             assert abs(result.mu_upper - SIGMA_S3) <= 1e-3 * SIGMA_S3
             u = result.u_star.value(np.linspace(0.0, hopf.base.length, 201))

@@ -11,7 +11,7 @@ import pytest
 import eqyamabe as eq
 import eqyamabe.conformal as conformal
 from eqyamabe.conformal import laplace_residual
-from eqyamabe import numerics, orbifold
+from eqyamabe import bundle, numerics, orbifold
 from eqyamabe.errors import (
     NoConvergence,
     NonPositiveFactor,
@@ -250,24 +250,39 @@ def test_galerkin_grid_is_a_level_of_the_quadrature_rule():
 
 def test_minimizer_basis_stops_at_half_the_grid_level():
     # past 256 modes the Galerkin matrices alias on the 511 nodes; a larger
-    # grid_size caps nothing more
+    # max_modes caps nothing more
     metric = eq.wps_metric(1, 60)
-    default = eq.minimize_conformal(metric, eq.MinimizerConfig(grid_size=200))
-    assert default.modes == 128
-    for grid_size in (512, 2048):
-        result = eq.minimize_conformal(metric, eq.MinimizerConfig(grid_size=grid_size))
+    default = eq.minimize_conformal(metric)
+    assert default.modes == eq.MinimizerConfig().max_modes == 128
+    for max_modes in (512, 2048):
+        result = eq.minimize_conformal(metric, eq.MinimizerConfig(max_modes=max_modes))
         assert (result.modes, result.stop_reason) == (256, "tolerance")
         assert result.mu_upper <= default.mu_upper
 
 
 def test_one_rule_doubles_both_bases(monkeypatch):
-    # the minimizer and the Poisson solve ask the same helper whether to double;
-    # the minimizer's second basis is its positivity probe between the nodes
+    # the minimizer, the Poisson solve and the chopping of a radial callable
+    # ask the same helper whether a tail is negligible; it is bound in
+    # `numerics` and imported into `conformal`.  The minimizer's second basis
+    # is its positivity probe between the nodes
+    metric, base = eq.wps_metric(1, 9), eq.wps_profile(1, 9)
+    samples = []
+
+    def f(s):
+        samples.append(s.size)
+        return np.exp(np.cos(np.pi * s / base.length))
+
+    bundle.as_radial_field(f, base)
+    assert samples == [17, 33]  # unpatched, f chops at 33 samples
+    samples.clear()
     sizes = _basis_sizes(monkeypatch)
-    monkeypatch.setattr(conformal, "_refinable", lambda c, cap, floor=0.0: False)
-    assert eq.minimize_conformal(eq.wps_metric(1, 9)).modes == 16
-    eq.uniformize_positive(eq.wps_profile(1, 9))
+    for module in (numerics, conformal):
+        monkeypatch.setattr(module, "_modes_past", lambda c, tol: 1)  # always negligible
+    assert eq.minimize_conformal(metric).modes == 16
+    eq.uniformize_positive(base)
     assert sizes == [16, 16, 16]
+    bundle.as_radial_field(f, base)
+    assert samples == [17]
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +374,12 @@ def test_uniformize_rejects_torus():
 # ---------------------------------------------------------------------------
 
 def test_minimize_hopf(hopf):
-    cfg = eq.MinimizerConfig(grid_size=200)
     result = eq.minimize_conformal(
-        hopf, cfg, u0=lambda s: 1.0 + 0.3 * np.cos(2.0 * np.pi * s / hopf.base.length)
+        hopf, u0=lambda s: 1.0 + 0.3 * np.cos(2.0 * np.pi * s / hopf.base.length)
     )
     assert result.converged
     assert result.mu_upper == pytest.approx(SIGMA_S3, rel=1e-3)
-    u = result.u_star.value(np.linspace(0.0, hopf.base.length, cfg.grid_size + 1))
+    u = result.u_star.value(np.linspace(0.0, hopf.base.length, 201))
     osc = (np.max(u) - np.min(u)) / np.mean(u)
     assert osc <= 1e-3
     assert np.all(np.diff(result.trace) <= 1e-12)
@@ -377,7 +391,7 @@ def test_minimize_berger_stays_below_start():
         ell=eq.RadialField.const(0.5),
         F=eq.RadialField.const(2.0),
     )
-    result = eq.minimize_conformal(metric, eq.MinimizerConfig(grid_size=200))
+    result = eq.minimize_conformal(metric)
     # constant-curvature start is the critical point: value equals the
     # closed form up to the quadrature of the final iterate
     assert result.mu_upper <= BERGER_HALF_J + 1e-6
@@ -389,19 +403,19 @@ def test_minimize_torus_sandwich(torus_metric):
     metric = eq.InvariantMetric(
         base=torus_metric.base, ell=eq.RadialField.const(0.1), F=torus_metric.F
     )
-    result = eq.minimize_conformal(metric, eq.MinimizerConfig(grid_size=128))
+    result = eq.minimize_conformal(metric, eq.MinimizerConfig(max_modes=128))
     assert lower - 1e-9 <= result.mu_upper <= upper + 1e-9
 
 
 def test_minimize_trace_starts_at_constant_value(hopf):
-    result = eq.minimize_conformal(hopf, eq.MinimizerConfig(grid_size=200))
+    result = eq.minimize_conformal(hopf)
     # started at u = 1: discrete trace never rises above its first entry
     assert result.trace[-1] <= result.trace[0] + 1e-12
     assert result.mu_upper <= eq.conformal_functional(hopf, 1.0) + 1e-6
 
 
 def test_minimize_invariant_under_initial_scaling(hopf):
-    cfg = eq.MinimizerConfig(grid_size=128)
+    cfg = eq.MinimizerConfig(max_modes=128)
     r1 = eq.minimize_conformal(hopf, cfg, u0=lambda s: 1.0 + 0.2 * np.cos(4.0 * s))
     r2 = eq.minimize_conformal(hopf, cfg, u0=lambda s: 5.0 * (1.0 + 0.2 * np.cos(4.0 * s)))
     assert r1.mu_upper == pytest.approx(r2.mu_upper, abs=1e-6 * abs(r1.mu_upper))
@@ -434,7 +448,7 @@ def test_minimize_iterations_do_not_grow_with_grid(kind):
     counts = []
     for n in (100, 200, 400, 800):
         result = eq.minimize_conformal(
-            metric, eq.MinimizerConfig(grid_size=n), u0=_perturbed_start(metric)
+            metric, eq.MinimizerConfig(max_modes=n), u0=_perturbed_start(metric)
         )
         assert result.converged
         assert np.all(np.diff(result.trace) <= 1e-12)
@@ -444,11 +458,11 @@ def test_minimize_iterations_do_not_grow_with_grid(kind):
 
 
 def test_minimizer_config_names_its_bounds():
-    with pytest.raises(ValueError, match="grid_size must be >= 8"):
-        eq.MinimizerConfig(grid_size=5)
+    with pytest.raises(ValueError, match="max_modes must be >= 8"):
+        eq.MinimizerConfig(max_modes=5)
     with pytest.raises(ValueError, match="max_iterations must be >= 1"):
         eq.MinimizerConfig(max_iterations=0)
-    eq.MinimizerConfig(grid_size=8, max_iterations=1)
+    eq.MinimizerConfig(max_modes=8, max_iterations=1)
 
 
 def _galerkin(metric, m):
@@ -521,7 +535,7 @@ def test_minimize_reports_why_it_stopped(hopf):
     # the constant factor is the critical point on the round sphere
     result = eq.minimize_conformal(hopf)
     assert (result.stop_reason, result.modes, result.trace.size) == ("tolerance", 16, 1)
-    assert eq.minimize_conformal(hopf, eq.MinimizerConfig(grid_size=8)).modes == 8
+    assert eq.minimize_conformal(hopf, eq.MinimizerConfig(max_modes=8)).modes == 8
 
 
 def test_minimize_reads_array_u0_as_endpoint_samples(hopf):
@@ -545,7 +559,7 @@ def test_torus_minimizer_series_is_periodic():
     metric = _DESCENT_METRICS["torus"]()
     u0 = lambda s: 1.0 + 0.2 * np.sin(2.0 * np.pi * s)  # noqa: E731
     result = eq.minimize_conformal(metric, eq.MinimizerConfig(max_iterations=1), u0=u0)
-    grid = np.linspace(0.0, metric.base.length, eq.MinimizerConfig().grid_size + 1)
+    grid = np.linspace(0.0, metric.base.length, 201)
     u = result.u_star.value(grid)
     assert np.ptp(u) > 1e-3
     assert abs(u[0] - u[-1]) <= 1e-12
@@ -599,7 +613,7 @@ def test_minimize_beats_the_finest_cell_grid(kind, monkeypatch):
     assert result.mu_upper <= _CELL_VALUES[kind] * (1.0 + 1e-13)
     # a basis of twice the size changes nothing at this tolerance
     monkeypatch.setattr(conformal, "_TAIL_TOL", 0.0)  # double up to the cap
-    doubled = eq.minimize_conformal(metric, dataclasses.replace(cfg, grid_size=2 * result.modes))
+    doubled = eq.minimize_conformal(metric, dataclasses.replace(cfg, max_modes=2 * result.modes))
     assert doubled.modes == 2 * result.modes
     assert abs(doubled.mu_upper - result.mu_upper) <= 1e-13 * result.mu_upper
 

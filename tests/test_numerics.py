@@ -20,7 +20,8 @@ from eqyamabe.numerics import (
     IntegralResult,
     QuadratureConfig,
     _fejer_weights,
-    _trim_modes,
+    _interpolant_coefficients,
+    _modes_past,
     _with_dips,
     check_derivative,
     chopped_interpolant,
@@ -29,6 +30,7 @@ from eqyamabe.numerics import (
     minimize_scalar,
     sign_change_roots,
     trig_interpolant,
+    trig_series,
 )
 
 PLAIN = QuadratureConfig()
@@ -319,10 +321,31 @@ def test_chopped_interpolant_waits_for_the_tail_to_reach_rounding():
 
 
 def test_trim_keeps_only_the_mean_mode_of_zeros():
-    # 0 is not above eps * max|c| = 0, so no trailing mode of zero data stays
-    assert _trim_modes(np.zeros(2001, dtype=complex)).size == 1
+    # 0 is not above the data scale eps * max|samples| = 0, so no trailing
+    # mode of zero data stays
+    assert _modes_past(np.zeros(2001, dtype=complex), 0.0) == 1
     c = np.array([0.0, 1.0, 1e-17, 0.0], dtype=complex)
-    assert _trim_modes(c).tolist() == [0.0, 1.0]
+    assert _modes_past(c, np.finfo(float).eps) == 2
+    # a tolerance per mode: the second mode is below its own
+    assert _modes_past(c, np.array([0.0, 2.0, 0.0, 0.0])) == 3
+
+
+@pytest.mark.parametrize(
+    "f, n, kept",
+    [(lambda x: np.sin(x) ** 2, 32, 3), (lambda x: np.cos(x) + 0.5 * np.cos(3.0 * x), 16, 4)],
+    ids=["sin2", "cos_cos3"],
+)
+def test_trim_keeps_the_modes_past_the_data_scale(f, n, kept):
+    # the rounding noise of these series is near eps * max|samples|, not near
+    # eps * max|c|: trimmed against the largest coefficient they keep 11 and 7
+    # modes, and their sums differ in the last bits
+    samples = f(2.0 * math.pi * np.arange(n) / n)
+    c = _interpolant_coefficients(samples)
+    assert _modes_past(c, np.finfo(float).eps * np.max(np.abs(samples))) == kept
+    s = np.linspace(-1.0, 2.0 * math.pi + 1.0, 41)
+    for interpolant in (trig_interpolant, chopped_interpolant):
+        for got, want in zip(interpolant(samples, 0.0, 2.0 * math.pi), trig_series(c[:kept], 0.0, 1.0)):
+            assert got(s).tolist() == want(s).tolist()
 
 
 # ---------------------------------------------------------------------------
