@@ -16,12 +16,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
 
 from .errors import DomainError
 from .numerics import (
+    _DEFAULT_CONFIG,
     QuadratureConfig,
     _with_dips,
     chopped_interpolant,
@@ -30,7 +32,7 @@ from .numerics import (
 )
 from .orbifold import (
     Base,
-    _cached_norms,
+    _norm_reports,
     gauss_curvature,
     integrate_over_base,
     quadrature_nodes,
@@ -181,23 +183,27 @@ class InvariantMetric:
     def __post_init__(self) -> None:
         for name in ("ell", "F"):
             object.__setattr__(self, name, as_radial_field(getattr(self, name), self.base))
-        L = self.base.length
-        inset = 1e-6 if self.base.cone_orders else 0.0  # no poles: probe end to end
-        probe = np.linspace(inset * L, L * (1.0 - inset), 257)
-        ell_vals = np.asarray(self.ell.value(probe), dtype=float)
-        if np.any(ell_vals <= 0.0):
+        # a field whose `constant` is set is not evaluated: its slopes are zero
+        probe, points = _probes(self.base.length, bool(self.base.cone_orders))
+        ell = self.ell
+        if ell.constant is None:
+            nonpositive = np.any(np.asarray(ell.value(probe), dtype=float) <= 0.0)
+        else:
+            nonpositive = ell.constant <= 0.0  # the probe's comparison: NaN passes
+        if nonpositive:
             raise ValueError("fiber length must be strictly positive on the base")
-        if self.base.cone_orders:
+        if points is not None:
             # invariant data must be smooth across the poles: the radial
             # derivative must vanish there, so the slope at a pole should be
             # a small fraction of the field's interior slope scale
-            points = np.append(probe, [0.0, L])
-            for field, name in ((self.ell, "ell"), (self.F, "F")):
+            for field, name in ((ell, "ell"), (self.F, "F")):
+                if field.constant is not None:
+                    continue
                 slopes = np.abs(np.asarray(field.d1(points), dtype=float))
-                interior = np.max(slopes[:-2])
+                interior = slopes[:-2].max()
                 if interior <= 1e-12:
                     continue
-                pole_slope = float(np.max(slopes[-2:]))
+                pole_slope = float(slopes[-2:].max())
                 if pole_slope > 0.05 * interior:
                     warnings.warn(
                         f"{name}' does not vanish at a cone pole "
@@ -205,6 +211,22 @@ class InvariantMetric:
                         "on the orbifold",
                         stacklevel=2,
                     )
+
+
+@lru_cache(maxsize=64)
+def _probes(length: float, poles: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The read-only points where `InvariantMetric` checks its fields on a
+    base of this length: 257 from end to end (inset by 1e-6 L where there
+    are poles) for the sign of ell, and, where there are poles, the same
+    with both poles appended for the slopes."""
+    inset = 1e-6 if poles else 0.0  # no poles: probe end to end
+    probe = np.linspace(inset * length, length * (1.0 - inset), 257)
+    probe.flags.writeable = False
+    if not poles:
+        return probe, None
+    points = np.append(probe, [0.0, length])
+    points.flags.writeable = False
+    return probe, points
 
 
 @dataclass(frozen=True)
@@ -274,13 +296,13 @@ def _norms(
     validates F as `InvariantMetric` does, unless the caller's metric already
     has (`validated`)."""
     F = as_radial_field(F, base)
-
-    def compute(cfg: QuadratureConfig) -> NormReport:
+    cfg = cfg or _DEFAULT_CONFIG
+    reports = _norm_reports(base, F)
+    report = reports.get(cfg)
+    if report is None:
         if not validated:
             InvariantMetric(base, RadialField.const(1.0), F)  # warns on F' at a pole
-        return _compute_norms(base, F, cfg)
-
-    report = _cached_norms(base, F, cfg, compute)
+        report = reports[cfg] = _compute_norms(base, F, cfg)
     _warn_on_fractional_chern(base, report.chern_number)
     return report
 

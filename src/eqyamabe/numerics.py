@@ -74,6 +74,10 @@ class QuadratureConfig:
             raise ValueError("tolerances must be positive")
 
 
+# the settings of every call that passes none: one shared, hashable key
+_DEFAULT_CONFIG = QuadratureConfig()
+
+
 @dataclass(frozen=True)
 class IntegralResult:
     value: float
@@ -124,58 +128,55 @@ def _first_nodes(a: float, b: float) -> np.ndarray:
 
 def _refine(
     f: Callable, edges: list[float], cfg: QuadratureConfig
-) -> tuple[bool, list[tuple[float, float, int]]]:
+) -> tuple[bool, list[IntegralResult]]:
     """Double the level of the rule on every piece between consecutive edges
     until two successive levels agree to tolerance.
 
     Each row of f stops at the first level where its own values agree.
-    Returns whether f gave rows and (value, error estimate, refinements) per
-    row.
+    Returns whether f gave rows and one `IntegralResult` per row.
     """
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     half = 0.5 * (hi - lo)
-    multi = False
-
-    def rows_at(nodes: np.ndarray, wanted) -> np.ndarray:
-        """f's rows at the nodes, one axis per piece: (rows, pieces, nodes)."""
-        nonlocal multi
-        vals = np.asarray(f(nodes), dtype=float)
-        multi = vals.ndim == 2
-        vals = vals if multi else vals[None]
-        finite = np.isfinite(vals if wanted is None else vals[wanted]).all(axis=0)
-        if not finite.all():  # a row that has stopped may go non-finite
-            raise NonFinite(f"integrand returned non-finite values near x={nodes[~finite][:3]}")
-        return vals.reshape(len(vals), lo.size, -1)
-
-    def level_sum(vals: np.ndarray, n: int) -> np.ndarray:
-        # row by row, so a row's value does not depend on the other rows
-        return np.sum((vals @ _fejer_weights(n)) * half, axis=1)
-
     n = _FIRST_LEVEL
-    vals = rows_at(_first_nodes(*edges) if lo.size == 1 else _fejer_nodes(lo, hi, n, 1), None)
-    coarse = level_sum(vals[:, :, 1::2], n // 2)  # level n / 2 sits at every second node
-    wanted = list(range(len(vals)))
-    done: dict[int, tuple[float, float, int]] = {}
+    nodes = _first_nodes(edges[0], edges[-1]) if lo.size == 1 else _fejer_nodes(lo, hi, n, 1)
+    vals = wanted = None  # None: every row is wanted
+    done: dict[int, IntegralResult] = {}
     for r in itertools.count():
-        fine = level_sum(vals, n)
-        err = np.abs(fine - coarse)
+        new = np.asarray(f(nodes), dtype=float)
+        multi = new.ndim == 2
+        new = new if multi else new[None]
+        checked = new if wanted is None else new[wanted]  # a stopped row may go non-finite
+        if not np.isfinite(checked).all():
+            bad = ~np.isfinite(checked).all(axis=0)
+            raise NonFinite(f"integrand returned non-finite values near x={nodes[bad][:3]}")
+        new = new.reshape(len(new), lo.size, -1)
+        if vals is None:
+            vals = new
+            # level n / 2 sits at every second node; row by row, so a row's
+            # value does not depend on the other rows
+            coarse = ((vals[:, :, 1::2] @ _fejer_weights(n // 2)) * half).sum(axis=1)
+            wanted = list(range(len(vals)))
+        else:
+            merged = np.empty(vals.shape[:2] + (2 * n - 1,))
+            merged[:, :, 0::2] = new
+            merged[:, :, 1::2] = vals
+            vals, coarse, n = merged, fine, 2 * n
+        fine = ((vals @ _fejer_weights(n)) * half).sum(axis=1)
+        values, errors = fine.tolist(), np.abs(fine - coarse).tolist()
         for i in wanted:
             # with no refinement allowed, the first level stands with its estimate
-            if err[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(fine[i])) or not cfg.max_refinements:
-                done[i] = (float(fine[i]), float(err[i]), r)
+            met = errors[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(values[i]))
+            if met or not cfg.max_refinements:
+                done[i] = IntegralResult(values[i], errors[i], r)
         wanted = [i for i in wanted if i not in done]
         if not wanted:
             return multi, [done[i] for i in sorted(done)]
         if r == cfg.max_refinements:
             raise NoConvergence(
                 f"quadrature did not reach tolerance after {r} refinements "
-                f"(last error estimate {max(err[i] for i in wanted):.3e})"
+                f"(last error estimate {max(errors[i] for i in wanted):.3e})"
             )
-        new = rows_at(_fejer_nodes(lo, hi, 2 * n, 2), wanted)
-        merged = np.empty(vals.shape[:2] + (2 * n - 1,))
-        merged[:, :, 0::2] = new
-        merged[:, :, 1::2] = vals
-        vals, coarse, n = merged, fine, 2 * n
+        nodes = _fejer_nodes(lo, hi, 2 * n, 2)
 
 
 def richardson_table(values: Sequence[float], ratio: float) -> list[list[float]]:
@@ -224,14 +225,11 @@ def integrate(
     breaks converges as a smooth one does.  Breaks outside (a, b) change
     nothing.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
     if not (a < b):
         raise ValueError(f"need a < b, got [{a}, {b}]")
     a, b = float(a), float(b)
     inner = sorted({float(x) for x in breaks if a < x < b}) if len(breaks) else []
-    multi, rows = _refine(f, [a, *inner, b], cfg)
-    results = [IntegralResult(*row) for row in rows]
+    multi, results = _refine(f, [a, *inner, b], cfg or _DEFAULT_CONFIG)
     return results if multi else results[0]
 
 
@@ -347,17 +345,17 @@ def _with_dips(f: Callable, x: np.ndarray, fx: np.ndarray) -> tuple[np.ndarray, 
     parabola's error is not seen.
     """
     s, mag = np.sign(fx), np.abs(fx)
-    j = 1 + np.flatnonzero(
-        (mag[1:-1] <= mag[:-2]) & (mag[1:-1] < mag[2:]) & (s[:-2] == s[1:-1]) & (s[1:-1] == s[2:])
-    )
+    same, mid = s[:-1] == s[1:], mag[1:-1]
+    j = 1 + ((mid <= mag[:-2]) & (mid < mag[2:]) & same[:-1] & same[1:]).nonzero()[0]
     if not j.size:
         return x, fx
     x0, x1, x2, f0, f1, f2 = x[j - 1], x[j], x[j + 1], fx[j - 1], fx[j], fx[j + 1]
     d01 = (f1 - f0) / (x1 - x0)
     curv = ((f2 - f1) / (x2 - x1) - d01) / (x2 - x0)  # nonzero: |f| has a strict minimum
     v = 0.5 * (x0 + x1) - d01 / (2.0 * curv)
-    crosses = s[j] * (f0 + (v - x0) * (d01 + curv * (v - x1))) <= 0.0
-    v, sign = v[crosses], s[j][crosses]
+    sign = s[j]
+    crosses = sign * (f0 + (v - x0) * (d01 + curv * (v - x1))) <= 0.0
+    v, sign = v[crosses], sign[crosses]
     if not v.size:
         return x, fx
     fv = np.zeros(v.size) + f(v)

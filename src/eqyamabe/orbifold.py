@@ -32,9 +32,10 @@ two levels of the nested Fejér rule on [0, L], one array per length: the
 127 nodes of level 128 (`quadrature_nodes`), where a smooth integral makes
 its only call of its integrand and where `omega_norms` and
 `scalar_curvature_integral` bracket their roots, and the 511 of level 512,
-the Galerkin grid of `conformal`.  Plans live in a weak-keyed table, so a
-plan is dropped when its base is garbage-collected, and a field's norms when
-the field is; integrands and callers see read-only nodes and values.
+the Galerkin grid of `conformal`.  Every base carries its plan, so a plan
+is dropped when its base is garbage-collected, and a field's norms, kept in
+a weak-keyed table of the plan, when the field is; integrands and callers
+see read-only nodes and values.
 Results are bit-identical to evaluating phi afresh at every call.
 
 `wps_profile` and `make_round_sphere` validate their arguments on every
@@ -49,14 +50,15 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, GridTooCoarse, NotCoprime, QuadratureFailure
-from .numerics import IntegralResult, NoConvergence, QuadratureConfig, _first_nodes, integrate
+from .numerics import _DEFAULT_CONFIG, IntegralResult, NoConvergence, QuadratureConfig
+from .numerics import _first_nodes, integrate
 from .numerics import _with_dips, sign_change_roots, trig_interpolant
 
 __all__ = [
@@ -196,6 +198,27 @@ class WpsChart:
 # bases
 # ---------------------------------------------------------------------------
 
+class _Plan:
+    """Quadrature data of one base, computed once; every base carries its own
+    (`_plan`), so a plan dies with its base.
+
+    `nodes` maps id(nodes) to the shared node arrays that the base has used:
+    levels 128 (the first), 256 and 512 (the Galerkin grids) of the Fejér
+    rule, and finer ones where a minimizer's functional needs them;
+    `values` maps (member, id(nodes)) to a base member's read-only values at
+    those nodes; `integrals` maps (integrand, cfg) to a base-only integral;
+    `norms` maps a curvature density F, weakly, to its curvature-form norms
+    per cfg, so an entry dies with its field.  A plan holds no reference to
+    its base.
+    """
+
+    def __init__(self) -> None:
+        self.nodes: dict[int, np.ndarray] = {}
+        self.values: dict[tuple[str, int], np.ndarray] = {}
+        self.integrals: dict[tuple[Callable, QuadratureConfig], float] = {}
+        self.norms: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 @dataclass(frozen=True)
 class ConeSurfaceProfile:
     """Arclength profile of a rotationally symmetric 2-orbifold sphere.
@@ -211,6 +234,7 @@ class ConeSurfaceProfile:
     phi_d1: Callable[[np.ndarray], np.ndarray]
     phi_d2: Callable[[np.ndarray], np.ndarray]
     label: str = "profile"
+    _plan: _Plan = field(default_factory=_Plan, init=False, repr=False, compare=False)
 
     periodic = False
     area_scale = 2.0 * math.pi
@@ -229,14 +253,21 @@ class ConeSurfaceProfile:
 
     def dlog_density(self, s):
         """phi'/phi, the first-order coefficient of the radial Laplacian."""
-        return _planned(self, "dlog", s, lambda s: self.phi_d1(s) / self.density(s))
+        return _planned(self, "dlog", s, self._dlog_density)
+
+    def _dlog_density(self, s):
+        return self.phi_d1(s) / self.density(s)
 
     def gauss_curvature(self, s):
-        """-phi''/phi on the open interval (0, L)."""
+        """-phi''/phi on the open interval (0, L), which holds every node
+        array of the plan: only s off them is checked."""
+        return _planned(self, "K", s, self._gauss_curvature)
+
+    def _gauss_curvature(self, s):
         s_arr = np.asarray(s, dtype=float)
         if np.any(s_arr <= 0.0) or np.any(s_arr >= self.length):
             raise DomainError("curvature is defined on the open interval (0, L)")
-        return _planned(self, "K", s, lambda s: -self.phi_d2(s) / self.density(s))
+        return -self.phi_d2(s) / self.density(s)
 
     def scaled(self, c: float) -> "ConeSurfaceProfile":
         return ConeSurfaceProfile(
@@ -256,6 +287,7 @@ class FlatTorusBase:
 
     length: float
     radius: float
+    _plan: _Plan = field(default_factory=_Plan, init=False, repr=False, compare=False)
 
     periodic = True
     cone_orders = ()
@@ -446,85 +478,56 @@ def profile_from_samples(
 # quadrature plan
 # ---------------------------------------------------------------------------
 
-class _Plan:
-    """Quadrature data of one base, computed once.
-
-    `nodes` maps id(nodes) to the shared node arrays that the base has used:
-    levels 128 (the first), 256 and 512 (the Galerkin grids) of the Fejér
-    rule, and finer ones where a minimizer's functional needs them;
-    `values` maps (member, id(nodes)) to a base member's read-only values at
-    those nodes; `integrals` maps (name, cfg) to a base-only integral;
-    `norms` maps a curvature density F, weakly, to its curvature-form norms
-    per cfg, so an entry dies with its field.  A plan holds no reference to
-    its base.
-    """
-
-    def __init__(self) -> None:
-        self.nodes: dict[int, np.ndarray] = {}
-        self.values: dict[tuple[str, int], np.ndarray] = {}
-        self.integrals: dict[tuple[str, QuadratureConfig], float] = {}
-        self.norms: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-# One plan per live base; an entry dies with its base.
-_PLANS: "weakref.WeakKeyDictionary[Base, _Plan]" = weakref.WeakKeyDictionary()
-
-
-def _plan(base: Base) -> _Plan:
-    try:
-        plan = _PLANS.get(base)
-    except TypeError:  # a profile built from unhashable callables is not cached
-        return _Plan()
-    if plan is None:
-        plan = _PLANS[base] = _Plan()
-    return plan
-
-
 def _planned(base: Base, name: str, s, compute: Callable):
     """compute(s); at the plan's node arrays, computed once per base and
     returned read-only."""
-    plan = _plan(base)
+    plan = base._plan
     if plan.nodes.get(id(s)) is not s:
         return compute(s)
     key = (name, id(s))
-    if key not in plan.values:
+    values = plan.values.get(key)
+    if values is None:
         # a copy: the caller's array stays writable
         values = plan.values[key] = np.array(compute(s), dtype=float)
         values.flags.writeable = False
-    return plan.values[key]
+    return values
 
 
 def _plan_nodes(base: Base, nodes: np.ndarray) -> np.ndarray:
     """The shared read-only nodes, entered in the base's plan: from then on
     the base's members are computed there once."""
-    _plan(base).nodes[id(nodes)] = nodes
+    base._plan.nodes[id(nodes)] = nodes
     return nodes
 
 
 def _cached_integral(
-    base: Base, name: str, fn: Callable, cfg: QuadratureConfig | None, breaks: Callable = tuple
+    base: Base, fn: Callable, cfg: QuadratureConfig | None, breaks: Callable | None = None
 ) -> float:
-    """`integrate_over_base(base, fn, cfg, breaks()).value`, computed once per
-    (name, cfg) for an integrand that depends on the base alone."""
-    cfg = cfg or QuadratureConfig()
-    integrals = _plan(base).integrals
-    key = (name, cfg)
-    if key not in integrals:
-        integrals[key] = integrate_over_base(base, fn, cfg, breaks()).value
-    return integrals[key]
+    """`integrate_over_base(base, fn(base, .), cfg, breaks(base)).value`,
+    computed once per (fn, cfg) for an integrand that depends on the base
+    alone."""
+    key = (fn, cfg or _DEFAULT_CONFIG)
+    integrals = base._plan.integrals
+    value = integrals.get(key)
+    if value is None:
+        value = integrals[key] = integrate_over_base(
+            base, partial(fn, base), cfg, breaks(base) if breaks else ()
+        ).value
+    return value
 
 
-def _cached_norms(base: Base, field, cfg: QuadratureConfig | None, compute: Callable):
-    """compute(cfg), the curvature-form norms of `field` on the base, once per
-    (field, cfg); a field that cannot be hashed is computed afresh."""
-    cfg = cfg or QuadratureConfig()
+def _norm_reports(base: Base, F) -> dict:
+    """The curvature-form norms of F on the base kept in its plan, per
+    config, for the caller to read and fill; a field that cannot be hashed
+    gets a new dict, so its norms are computed afresh."""
+    norms = base._plan.norms
     try:
-        reports = _plan(base).norms.setdefault(field, {})
+        reports = norms.get(F)
     except TypeError:  # callables that define equality but no hash
-        return compute(cfg)
-    if cfg not in reports:
-        reports[cfg] = compute(cfg)
-    return reports[cfg]
+        return {}
+    if reports is None:
+        reports = norms[F] = {}
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +586,11 @@ def area(base: Base, cfg: QuadratureConfig | None = None) -> float:
     torus), else 2 pi int phi ds once per base and config."""
     if base.closed_area is not None:
         return base.closed_area
-    return _cached_integral(base, "area", lambda s: np.ones_like(s), cfg)
+    return _cached_integral(base, _unit, cfg)
+
+
+def _unit(base: Base, s):
+    return np.ones_like(s)
 
 
 def scalar_curvature_integral(base: Base, cfg: QuadratureConfig | None = None) -> float:
@@ -594,18 +601,22 @@ def scalar_curvature_integral(base: Base, cfg: QuadratureConfig | None = None) -
     between the first level's nodes (Newton steps on a centred difference)
     split the integral into pieces, as the roots of F do in `omega_norms`.
     """
+    return _cached_integral(base, _scal_32, cfg, _curvature_roots)
+
+
+def _scal_32(base: Base, s):
+    return np.abs(2.0 * base.gauss_curvature(s)) ** 1.5
+
+
+def _curvature_roots(base: Base) -> np.ndarray:
     K = base.gauss_curvature
+    nodes = quadrature_nodes(base)
+    h = 1e-6 * base.length
 
-    def roots() -> np.ndarray:
-        nodes = quadrature_nodes(base)
-        h = 1e-6 * base.length
+    def dK(s):
+        return (K(s + h) - K(s - h)) / (2.0 * h)
 
-        def dK(s):
-            return (K(s + h) - K(s - h)) / (2.0 * h)
-
-        return sign_change_roots(K, dK, *_with_dips(K, nodes, K(nodes)))
-
-    return _cached_integral(base, "scal_32", lambda s: np.abs(2.0 * K(s)) ** 1.5, cfg, roots)
+    return sign_change_roots(K, dK, *_with_dips(K, nodes, K(nodes)))
 
 
 def gauss_bonnet_check(base: Base, cfg: QuadratureConfig | None = None) -> float:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -194,19 +195,29 @@ def conformal_functional(
     uf = as_radial_field(u, base)
     ell = metric.ell.value
 
-    probe = np.linspace(0.0, base.length, 513)[1:-1]
-    if np.any(np.asarray(uf.value(probe)) <= 0.0):
+    if np.any(np.asarray(uf.value(_positivity_probe(base.length))) <= 0.0):
         raise NonPositiveFactor("conformal factor must be strictly positive")
 
     def rows(s):
         # numerator and denominator share the evaluations of ell and u
+        out = np.empty((2, np.size(s)))
         ell_s, u_s = ell(s), uf.value(s)
         scal = _scalar_curvature(metric, s, ell_s, gauss_curvature(base, s), metric.F.value(s))
-        num = 2.0 * math.pi * ell_s * (8.0 * uf.d1(s) ** 2 + scal * u_s**2)
-        return np.stack([num, 2.0 * math.pi * ell_s * u_s**6])
+        out[0] = 2.0 * math.pi * ell_s * (8.0 * uf.d1(s) ** 2 + scal * u_s**2)
+        out[1] = 2.0 * math.pi * ell_s * u_s**6
+        return out
 
     num, den = integrate_over_base(base, rows, cfg)
     return num.value / den.value ** (1.0 / 3.0)
+
+
+@lru_cache(maxsize=64)
+def _positivity_probe(length: float) -> np.ndarray:
+    """The 511 read-only interior points of linspace(0, L, 513), where
+    `conformal_functional` checks that its factor is positive."""
+    probe = np.linspace(0.0, length, 513)[1:-1]
+    probe.flags.writeable = False
+    return probe
 
 
 def _closed_form_optimum(vol: float, chi: float, omega_L2_sq: float) -> tuple[float, float]:

@@ -191,6 +191,60 @@ def test_metric_requires_positive_ell(half_sphere):
         )
 
 
+def counted_const(c, calls):
+    """`RadialField.const(c)` whose callables log every call."""
+    field = eq.RadialField.const(c)
+
+    def counted(fn):
+        def wrapped(s):
+            calls.append(fn)
+            return fn(s)
+
+        return wrapped
+
+    return eq.RadialField(
+        counted(field.value), counted(field.d1), counted(field.d2), constant=field.constant
+    )
+
+
+@pytest.mark.parametrize(
+    "ell, F, outcome",
+    [
+        (0.0, 1.0, "nonpositive"),
+        (-1.0, 1.0, "nonpositive"),
+        (math.nan, 1.0, "accepted"),  # NaN <= 0 is false, for a constant as at a probe point
+        (0.7, 2.0, "accepted"),
+        ("dip", 1.0, "nonpositive"),
+        (0.7, "ramp", "warns"),
+    ],
+)
+def test_constant_fields_are_checked_without_evaluation(half_sphere, ell, F, outcome):
+    # `InvariantMetric` reads a constant field's `constant` and never calls it;
+    # a field that varies is still probed for its sign and its pole slopes
+    calls = []
+    fields = {
+        "dip": fourier_field(half_sphere.length, [1.5], 0.5),  # 0.5 + 1.5 cos: below 0 near L
+        "ramp": eq.RadialField(
+            value=lambda s: 1.0 + np.asarray(s),
+            d1=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+            d2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+        ),
+    }
+    ell, F = (fields[x] if isinstance(x, str) else counted_const(x, calls) for x in (ell, F))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if outcome == "nonpositive":
+            with pytest.raises(ValueError, match="fiber length must be strictly positive"):
+                eq.InvariantMetric(base=half_sphere, ell=ell, F=F)
+        elif outcome == "warns":
+            with pytest.warns(UserWarning, match="F' does not vanish at a cone pole"):
+                eq.InvariantMetric(base=half_sphere, ell=ell, F=F)
+        else:
+            metric = eq.InvariantMetric(base=half_sphere, ell=ell, F=F)
+            assert (metric.ell, metric.F) == (ell, F)
+    assert calls == []
+
+
 def test_nonsmooth_pole_data_warns(half_sphere):
     ramp = eq.RadialField(
         value=lambda s: 1.0 + np.asarray(s),

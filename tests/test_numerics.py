@@ -89,6 +89,77 @@ def test_refinement_evaluates_only_the_new_nodes():
     assert np.unique(nodes).size == nodes.size
 
 
+def level_sums_reference(f, edges, cfg=PLAIN):
+    """(value, error estimate, refinements) per row of f, written out level by
+    level: f at every node of level n on each piece between the edges, and
+    the level sum np.sum((vals @ w_n) * half, axis=1); the first estimate
+    compares level 128 with level 64 at its every second node."""
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    half = 0.5 * (hi - lo)
+
+    def level(n):
+        t = np.sin(np.arange(1, n) * (0.5 * math.pi / n)) ** 2
+        vals = np.atleast_2d(f((lo[:, None] + (hi - lo)[:, None] * t).ravel()))
+        return vals.reshape(len(vals), lo.size, n - 1)
+
+    n, vals = 128, level(128)
+    coarse = np.sum((vals[:, :, 1::2] @ _fejer_weights(64)) * half, axis=1)
+    results = {}
+    for r in range(cfg.max_refinements + 1):
+        fine = np.sum((vals @ _fejer_weights(n)) * half, axis=1)
+        err = np.abs(fine - coarse)
+        for i in range(len(fine)):
+            if i not in results and err[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(fine[i])):
+                results[i] = (float(fine[i]), float(err[i]), r)
+        if len(results) == len(fine):
+            return [results[i] for i in range(len(fine))]
+        n, coarse = 2 * n, fine
+        vals = level(n)
+    raise AssertionError("the reference did not converge")
+
+
+def peak(x):
+    return 1.0 / (1e-3 + (x - 0.3) ** 2)  # two doublings on [0, 1]
+
+
+@pytest.mark.parametrize(
+    "f, breaks, refinements",
+    [
+        (lambda x: np.exp(np.sin(3.0 * x)), (), [0]),
+        (lambda x: np.abs(x - 0.2) * np.abs(x - 0.45) / (1e-3 + (x - 0.8) ** 2), (0.2, 0.45), [2]),
+        (lambda x: np.stack([np.exp(np.sin(3.0 * x)), peak(x), np.cos(x), x * x]), (), [0, 2, 0, 0]),
+        (peak, (), [2]),
+    ],
+    ids=["one_piece", "three_pieces", "four_rows", "refines_twice"],
+)
+def test_integrate_equals_the_level_sums_bit_for_bit(f, breaks, refinements):
+    results = integrate(f, 0.0, 1.0, PLAIN, breaks=breaks)
+    results = results if isinstance(results, list) else [results]
+    reference = level_sums_reference(f, [0.0, *breaks, 1.0])
+    assert [r.refinements_used for r in results] == refinements
+    assert [(r.value, r.error_estimate, r.refinements_used) for r in results] == reference
+
+
+def test_a_stopped_row_may_go_non_finite_and_a_wanted_row_may_not():
+    # row 0 stops at the first level; from the first refinement on, the row
+    # named by `bad` is NaN
+    def rows(bad):
+        def f(x):
+            out = np.stack([np.cos(x), peak(x)])
+            if x.size != 127:
+                out[bad] = np.nan
+            return out
+
+        return f
+
+    smooth, wanted = integrate(rows(0), 0.0, 1.0, PLAIN)
+    assert (smooth.refinements_used, wanted.refinements_used) == (0, 2)
+    assert smooth == integrate(np.cos, 0.0, 1.0, PLAIN)
+    assert wanted == integrate(peak, 0.0, 1.0, PLAIN)
+    with pytest.raises(NonFinite):
+        integrate(rows(1), 0.0, 1.0, PLAIN)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.sampled_from([4, 8, 16, 32]),

@@ -16,7 +16,7 @@ import pytest
 
 import eqyamabe as eq
 from eqyamabe import conformal, modelio, orbifold
-from eqyamabe.errors import NotCoprime
+from eqyamabe.errors import DomainError, NotCoprime
 from eqyamabe.numerics import QuadratureConfig, _with_dips, integrate, sign_change_roots
 
 from conftest import bump_sphere, fourier_field
@@ -206,12 +206,12 @@ def test_warm_plan_evaluation_budget(monkeypatch):
 def test_plan_entry_dies_with_its_base():
     base = unshared(eq.wps_profile(2, 3))
     eq.area(base)
-    plan = orbifold._PLANS[base]
-    ref = weakref.ref(base)
+    plan, ref = weakref.ref(base._plan), weakref.ref(base)
+    assert plan().integrals  # the area is kept in the base's plan
     del base
     gc.collect()
     assert ref() is None
-    assert all(p is not plan for p in orbifold._PLANS.values())
+    assert plan() is None
 
 
 def test_integrand_cannot_write_its_nodes():
@@ -236,19 +236,60 @@ def test_integrand_cannot_write_its_nodes():
     assert eq.area(eq.wps_profile(2, 3)) == reference == before[0]
 
 
-def test_profile_with_unhashable_callables_is_served_uncached():
-    # np.poly1d defines equality but no hash, so such a base cannot key a plan
+def test_profile_with_unhashable_callables_has_a_plan():
+    # np.poly1d defines equality but no hash; the base carries its plan, so
+    # it needs none
     phi = np.poly1d([-1.0 / math.pi, 1.0, 0.0])  # s (pi - s) / pi: slopes 1 and -1
     base = eq.profile_from_callables(math.pi, phi, phi.deriv(), phi.deriv(2), 1, 1, check=False)
-    assert eq.area(base) == uncached(base, np.ones_like)
-    assert eq.gauss_bonnet_check(base) == uncached(
-        base, lambda s: curvature(base, s), GB_CFG
-    ) / (2.0 * math.pi)
+    with pytest.raises(TypeError):
+        hash(base)
+    for _ in range(2):  # the first call fills the plan, the second reads it
+        assert eq.area(base) == uncached(base, np.ones_like)
+        assert eq.gauss_bonnet_check(base) == uncached(
+            base, lambda s: curvature(base, s), GB_CFG
+        ) / (2.0 * math.pi)
+    assert base._plan.integrals
+
+
+def test_curvature_domain_is_checked_off_the_plan_nodes_only():
+    # the plan's node arrays lie inside (0, L): there K is the plan's
+    # read-only array, and anywhere else s is checked before phi'' is called
+    phi_d2_points = []
+    shared = eq.wps_profile(2, 3)
+    base = eq.profile_from_callables(
+        shared.length,
+        lambda s: shared.phi(s),
+        lambda s: shared.phi_d1(s),
+        counted(shared.phi_d2, phi_d2_points),
+        shared.m_start,
+        shared.m_end,
+        label=shared.label,
+    )
+    L = base.length
+    outside = (0.0, L, -0.25 * L, 1.25 * L, np.array([0.5 * L, L]), np.array([0.0, 0.5 * L]))
+    for s in outside:
+        with pytest.raises(DomainError):
+            eq.gauss_curvature(base, s)
+    assert phi_d2_points == []
+
+    nodes = orbifold.quadrature_nodes(base)
+    K = eq.gauss_curvature(base, nodes)
+    assert phi_d2_points == [nodes.size]
+    phi_d2_points.clear()
+    for _ in range(2):
+        assert eq.gauss_curvature(base, nodes) is K
+    assert not K.flags.writeable
+    assert phi_d2_points == []
+
+    # the same points in another array are off the plan: computed afresh
+    assert np.array_equal(eq.gauss_curvature(base, nodes.copy()), K)
+    assert phi_d2_points == [nodes.size]
 
 
 def test_unhashable_base_evaluates_F_once_per_level():
-    # a base without a plan still shares the first-level nodes, so F's values
-    # there serve the F rows, bit for bit as on a base with a plan
+    # a base of unhashable callables carries its plan as any base does, so
+    # F's values at the first-level nodes serve the F rows, bit for bit as on
+    # a hashable base
     class Unhashable:
         __hash__ = None
 
@@ -297,7 +338,7 @@ def test_norms_entry_dies_with_its_field_and_its_base():
     base = unshared(eq.wps_profile(2, 3))
     F = eq.wps_density_field(2, 3)
     eq.optimal_ell(base, F)
-    plan = orbifold._PLANS[base]
+    plan = base._plan
     assert list(plan.norms) == [F]
     field_ref = weakref.ref(F)
     del F
@@ -328,7 +369,7 @@ def test_field_with_unhashable_callables_is_served_uncached():
         expected = norms_and_bounds(base, hashable)
         for _ in range(2):
             assert norms_and_bounds(base, unhashable) == expected
-    assert list(orbifold._PLANS[base].norms) == [hashable]
+    assert list(base._plan.norms) == [hashable]
 
 
 def test_constructors_share_one_base_per_arguments():
