@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Desk check of the weighted quotient pipeline.
 
-For each weight pair: the Chern number and Euler characteristic by all three
-routes, the geometric fiber-length optimum of the quotient model, and the
-chain of upper bounds.  The last column shows the headroom between the
-geometric optimum and the topological bound (zero exactly for the unit pair).
+For each weight pair: the Chern number and Euler characteristic by quadrature
+on the arclength base `wps_profile` and, for the Euler characteristic, by the
+pole slopes of its closed-form profile; the geometric fiber-length optimum of
+the quotient model; and the chain of upper bounds.  The last column shows the
+headroom between the geometric optimum and the topological bound (zero
+exactly for the unit pair).
 """
 
 from __future__ import annotations

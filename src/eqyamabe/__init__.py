@@ -33,19 +33,16 @@ from .invariants import (
     chi_boundary,
     chi_closed,
     chi_quadrature,
-    kappa,
 )
 from .numerics import (
     IntegralResult,
     QuadratureConfig,
-    check_derivative,
     integrate,
     minimize_scalar,
 )
 from .orbifold import (
     ConeSurfaceProfile,
     FlatTorusBase,
-    WpsChart,
     area,
     chi_orb,
     gauss_bonnet_check,
@@ -72,7 +69,6 @@ from .yamabe import (
     optimal_ell,
     sigma_sn,
     sphere_volume,
-    wps_curvature_density,
     wps_density_field,
     wps_metric,
 )

@@ -156,7 +156,9 @@ def cmd_invariants(args) -> int:
         quantities["c1_quadrature"] = _quantity(*c1q, "quadrature")
         quantities["chi_quadrature"] = _quantity(*chiq, "quadrature")
     if chib is not None:
-        quantities["chi_boundary"] = _quantity(chib, 0.0, "boundary_limits")
+        # each pole slope and their sum round once: 2 eps chi bounds the error
+        rounding = 2.0 * sys.float_info.epsilon * chib
+        quantities["chi_boundary"] = _quantity(chib, rounding, "pole_slopes")
     if args.method == "all":
         quantities["deltas"] = {k: _quantity(v, exact=True) for k, v in rep.deltas().items()}
     report["quantities"] = quantities

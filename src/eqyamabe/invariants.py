@@ -2,24 +2,25 @@
 
 The rational Chern number of the associated line bundle and the orbifold
 Euler characteristic are each computed three ways: exact closed form,
-quadrature of the chart integrand, and (for chi) evaluation of the boundary
-form's one-sided limits.  The three routes cross-validate one another.
+quadrature on the arclength base `wps_profile(m1, m2)`, and (for chi) the
+pole slopes of its closed-form profile.  The three routes cross-validate one
+another.
 
-Sign convention: the chart integrands are orientation-dependent and the raw
-parameter integrals come out negative; every public routine reports the
-positively oriented value, matching the closed forms.
+On that base, dA = 2 pi phi ds; c1 = (1/2pi) int F dA with F the density of
+`yamabe.wps_density_field`, and chi = (1/2pi) int K dA, which Gauss-Bonnet
+turns into the pole slopes phi'(0) - phi'(L).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-import numpy as np
-
-from .errors import DomainError
-from .numerics import IntegralResult, QuadratureConfig, integrate, limit_at_zero
-from .orbifold import WpsChart, _check_weights
+from .numerics import IntegralResult, QuadratureConfig
+from .orbifold import ConeSurfaceProfile, _check_weights, integrate_over_base, wps_profile
+from .yamabe import wps_density_field
 
 __all__ = [
     "InvariantReport",
@@ -28,13 +29,8 @@ __all__ = [
     "chi_closed",
     "chi_quadrature",
     "chi_boundary",
-    "kappa",
     "build_invariant_report",
 ]
-
-# the kappa-route integrand cancels large terms near the endpoints, so the
-# refinement tolerance is kept looser than the library default
-_CHI_CFG = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-9)
 
 
 def c1_closed(m1: int, m2: int) -> Fraction:
@@ -43,15 +39,18 @@ def c1_closed(m1: int, m2: int) -> Fraction:
     return Fraction(1, int(m1) * int(m2))
 
 
+def _over_2pi(
+    base: ConeSurfaceProfile, fn: Callable, cfg: QuadratureConfig | None
+) -> IntegralResult:
+    """(1/2pi) int fn dA over the base, value and estimate alike."""
+    res = integrate_over_base(base, fn, cfg)
+    two_pi = 2.0 * math.pi
+    return IntegralResult(res.value / two_pi, res.error_estimate / two_pi, res.refinements_used)
+
+
 def c1_quadrature(m1: int, m2: int, cfg: QuadratureConfig | None = None) -> IntegralResult:
-    """Chern integrand m1 m2 / (m2^2 + (m1^2 - m2^2) r)^2 integrated over (0, 1)."""
-    _check_weights(m1, m2)
-    a = m1 * m1 - m2 * m2
-
-    def integrand(r):
-        return (m1 * m2) / (m2 * m2 + a * r) ** 2
-
-    return integrate(integrand, 0.0, 1.0, cfg)
+    """(1/2pi) int F dA of the weighted Hopf curvature density over `wps_profile`."""
+    return _over_2pi(wps_profile(m1, m2), wps_density_field(m1, m2).value, cfg)
 
 
 def chi_closed(m1: int, m2: int) -> Fraction:
@@ -60,46 +59,18 @@ def chi_closed(m1: int, m2: int) -> Fraction:
     return Fraction(1, int(m1)) + Fraction(1, int(m2))
 
 
-def kappa(m1: int, m2: int, r):
-    """Gaussian curvature of the quotient metric at radial parameter r in (0, 1)."""
-    _check_weights(m1, m2)
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0) or np.any(r_arr >= 1.0):
-        raise DomainError("kappa is defined for r strictly inside (0, 1)")
-    return WpsChart(int(m1), int(m2)).kappa(r)
-
-
 def chi_quadrature(m1: int, m2: int, cfg: QuadratureConfig | None = None) -> IntegralResult:
-    """Euler characteristic as the curvature integral of the chart metric.
-
-    Integrates kappa against the radial area density over (0, 1), then fixes
-    the orientation sign.
-    """
-    _check_weights(m1, m2)
-    chart = WpsChart(int(m1), int(m2))
-
-    def integrand(r):
-        # (1/2) kappa * gamma' / (lam1 lam2 gamma); equals -kappa/(2 sqrt(P))
-        return 0.5 * chart.kappa(r) * chart.dlog_gamma(r) / (chart.lam1(r) * chart.lam2(r))
-
-    res = integrate(integrand, 0.0, 1.0, cfg or _CHI_CFG)
-    return IntegralResult(-res.value, res.error_estimate, res.refinements_used)
+    """(1/2pi) int K dA over `wps_profile`, the Gauss-Bonnet integral."""
+    base = wps_profile(m1, m2)
+    return _over_2pi(base, base.gauss_curvature, cfg)
 
 
 def chi_boundary(m1: int, m2: int) -> float:
-    """Euler characteristic from the one-sided limits of the boundary form.
-
-    The boundary form tends to 1/m2 at r -> 0+ and to -1/m1 at r -> 1-; the
-    positively oriented difference of the limits is chi.
-    """
-    _check_weights(m1, m2)
-    chart = WpsChart(int(m1), int(m2))
-    # the endpoint Taylor series has coefficients like (m_big/m_small)^k, so
-    # the ladder starts at 1e-5 scaled down by that ratio to stay asymptotic
-    h0 = 1e-5 * min(m1, m2) / max(m1, m2)
-    at_zero, _ = limit_at_zero(lambda eps: chart.boundary_form(eps), h0=h0, rel_tol=1e-8)
-    at_one, _ = limit_at_zero(lambda eps: chart.boundary_form(1.0 - eps), h0=h0, rel_tol=1e-8)
-    return at_zero - at_one
+    """Euler characteristic from the pole slopes phi'(0) - phi'(L) of the
+    closed-form profile: 1/m2 + 1/m1, exact up to the rounding of each slope
+    and of their sum."""
+    base = wps_profile(m1, m2)
+    return float(base.phi_d1(0.0) - base.phi_d1(base.length))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Quadrature, trigonometric series, derivative checking and scalar minimization.
+"""Quadrature, trigonometric series, root polishing, and two scalar helpers.
 
 Every integral uses one rule, Fejér's second rule (`integrate`).  Its nodes
 are interior Chebyshev points, which nest under doubling: a refinement
@@ -11,7 +11,11 @@ level 128 for `integrate`, levels 128 to 512 for the Galerkin matrices of
 Everything here is deterministic: quadrature nodes and reductions come in a
 fixed order, so repeated calls with the same inputs produce bit-identical
 results.  Integrands must be vectorized (accept and return numpy arrays);
-the node arrays they receive are read-only."""
+the node arrays they receive are read-only.
+
+The scalar helpers, `minimize_scalar` (golden section) and `limit_at_zero`
+(Richardson extrapolation by `richardson_table`), have no caller inside the
+library; they stay public under these names for outside callers."""
 
 from __future__ import annotations
 
@@ -24,7 +28,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
-    DomainError,
     InvalidBracket,
     NoConvergence,
     NonFinite,
@@ -39,7 +42,6 @@ __all__ = [
     "trig_series",
     "trig_interpolant",
     "chopped_interpolant",
-    "check_derivative",
     "minimize_scalar",
     "richardson_table",
     "limit_at_zero",
@@ -363,34 +365,6 @@ def _with_dips(f: Callable, x: np.ndarray, fx: np.ndarray) -> tuple[np.ndarray, 
     xs, fs = np.concatenate([x, v[dip]]), np.concatenate([fx, fv[dip]])
     order = np.argsort(xs, kind="stable")
     return xs[order], fs[order]
-
-
-def check_derivative(
-    f: Callable, df: Callable, t: float, h_sequence: Sequence[float]
-) -> float:
-    """Max over h of |central difference - df(t)| / max(1, |df(t)|).
-
-    Used as the oracle for every hand-coded analytic derivative in the
-    geometric modules.
-    """
-    try:
-        target = float(df(t))
-    except Exception as exc:  # noqa: BLE001 - domain failures become DomainError
-        raise DomainError(f"df not evaluable at t={t}: {exc}") from exc
-    worst = 0.0
-    for h in h_sequence:
-        if h <= 0:
-            raise ValueError("finite-difference steps must be positive")
-        try:
-            hi = float(f(t + h))
-            lo = float(f(t - h))
-        except Exception as exc:  # noqa: BLE001
-            raise DomainError(f"f not evaluable at t={t}+-{h}: {exc}") from exc
-        if not (np.isfinite(hi) and np.isfinite(lo) and np.isfinite(target)):
-            raise DomainError(f"non-finite evaluation at t={t}, h={h}")
-        disc = abs((hi - lo) / (2.0 * h) - target) / max(1.0, abs(target))
-        worst = max(worst, disc)
-    return worst
 
 
 def minimize_scalar(

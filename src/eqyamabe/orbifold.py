@@ -1,21 +1,18 @@
 """Rotationally symmetric 2-orbifold bases.
 
-Two representations are kept side by side:
+A base is either an arclength profile (ds^2 + phi(s)^2 dtheta^2 on [0, L]
+with cone points at the ends; phi in closed form, or the sine series of
+samples, fitted by least squares first when they are not uniform), which
+makes curvature, area and the radial Laplacian one-dimensional, or a flat
+torus.
 
-* an arclength profile (ds^2 + phi(s)^2 dtheta^2 on [0, L] with cone points
-  at the ends; phi in closed form, or the sine series of samples, fitted by
-  least squares first when they are not uniform), which makes curvature,
-  area and the radial Laplacian one-dimensional, and
-* the rational chart of the weighted projective line CP^1(m1, m2), carrying
-  the functions lam1, lam2, gamma of the quotient metric of the weighted
-  circle action on the 3-sphere; the `invariants` routes and the tests read
-  it as the independent route.
-
-`wps_profile` is the chart's quotient metric in arclength, where it is
-elementary: phi, phi' and phi'' are closed forms, accurate relative to phi
-up to both poles.  Labelling convention: the pole at s = 0 is the zero locus
-of the first complex coordinate and carries isotropy of order m2; the pole
-at s = L carries order m1.
+The weighted projective line CP^1(m1, m2), the quotient of the weighted
+circle action on the 3-sphere, has one representation, `wps_profile`: in
+arclength its metric is elementary, and phi, phi' and phi'' are closed
+forms, accurate relative to phi up to both poles.  Its curvature, area and
+pole slopes serve every route of `invariants`.  Labelling convention: the
+pole at s = 0 is the zero locus of the first complex coordinate and carries
+isotropy of order m2; the pole at s = L carries order m1.
 
 Both bases answer the same members, one place per fact: the area element
 `area_scale * density(s) ds` (2 pi phi ds, or 2 pi c ds on the torus),
@@ -64,7 +61,6 @@ from .numerics import _with_dips, sign_change_roots, trig_interpolant
 __all__ = [
     "ConeSurfaceProfile",
     "FlatTorusBase",
-    "WpsChart",
     "Base",
     "make_round_sphere",
     "wps_profile",
@@ -84,7 +80,7 @@ _SLOPE_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# chart of the weighted projective line
+# weights of the weighted projective line
 # ---------------------------------------------------------------------------
 
 def _check_weights(m1: int, m2: int) -> None:
@@ -94,104 +90,6 @@ def _check_weights(m1: int, m2: int) -> None:
         raise NotCoprime("weights must be positive")
     if math.gcd(int(m1), int(m2)) != 1:
         raise NotCoprime(f"weights ({m1}, {m2}) are not coprime")
-
-
-@dataclass(frozen=True)
-class WpsChart:
-    """Radial chart data of CP^1(m1, m2) in the parameter t in (0, 1).
-
-    t is the squared modulus of the first sphere coordinate.  The frame
-    functions are
-
-        lam1(t) = -sqrt((m1^2 - m2^2) t + m2^2) / sqrt(t (1 - t))
-        lam2(t) = -((m1 - m2) t + m2) / sqrt(t (1 - t))
-        gamma(r) = (1 - r)^m1 / r^m2
-
-    All first and second derivatives are hand-coded elementary expressions;
-    they are validated against central differences in the test suite.
-    """
-
-    m1: int
-    m2: int
-
-    def __post_init__(self) -> None:
-        _check_weights(self.m1, self.m2)
-
-    # polynomial building blocks: P > 0 and Q > 0 on [0, 1]
-    def _P(self, t):
-        return (self.m1**2 - self.m2**2) * t + self.m2**2
-
-    def _Q(self, t):
-        return (self.m1 - self.m2) * t + self.m2
-
-    def lam1(self, t):
-        return -np.sqrt(self._P(t)) / np.sqrt(t * (1.0 - t))
-
-    def lam1_d1(self, t):
-        a = self.m1**2 - self.m2**2
-        q = t * (1.0 - t)
-        qp = 1.0 - 2.0 * t
-        u = np.sqrt(self._P(t))
-        up = a / (2.0 * u)
-        v = q**-0.5
-        vp = -0.5 * q**-1.5 * qp
-        return -(up * v + u * vp)
-
-    def lam1_d2(self, t):
-        a = self.m1**2 - self.m2**2
-        q = t * (1.0 - t)
-        qp = 1.0 - 2.0 * t
-        P = self._P(t)
-        u = np.sqrt(P)
-        up = a / (2.0 * u)
-        upp = -(a * a) / (4.0 * P**1.5)
-        v = q**-0.5
-        vp = -0.5 * q**-1.5 * qp
-        vpp = 0.75 * q**-2.5 * qp**2 + q**-1.5  # q'' = -2
-        return -(upp * v + 2.0 * up * vp + u * vpp)
-
-    def lam2(self, t):
-        return -self._Q(t) / np.sqrt(t * (1.0 - t))
-
-    def lam2_d1(self, t):
-        b = self.m1 - self.m2
-        q = t * (1.0 - t)
-        qp = 1.0 - 2.0 * t
-        v = q**-0.5
-        vp = -0.5 * q**-1.5 * qp
-        return -(b * v + self._Q(t) * vp)
-
-    def gamma(self, r):
-        return (1.0 - r) ** self.m1 / r**self.m2
-
-    # log-derivative of gamma; works at every scale, unlike gamma itself
-    def dlog_gamma(self, r):
-        return -self._Q(r) / (r * (1.0 - r))
-
-    def dlog_gamma_d1(self, r):
-        b = self.m1 - self.m2
-        q = r * (1.0 - r)
-        return -(b * q - self._Q(r) * (1.0 - 2.0 * r)) / q**2
-
-    def shear(self, t):
-        """W = lam2 lam1' gamma / (lam1 gamma'), the connection coefficient."""
-        return self.lam2(t) * self.lam1_d1(t) / (self.lam1(t) * self.dlog_gamma(t))
-
-    def shear_d1(self, t):
-        n = self.lam2(t) * self.lam1_d1(t)
-        npr = self.lam2_d1(t) * self.lam1_d1(t) + self.lam2(t) * self.lam1_d2(t)
-        d = self.lam1(t) * self.dlog_gamma(t)
-        dpr = self.lam1_d1(t) * self.dlog_gamma(t) + self.lam1(t) * self.dlog_gamma_d1(t)
-        return (npr * d - n * dpr) / (d * d)
-
-    def kappa(self, t):
-        """Gaussian curvature of the quotient metric at chart parameter t."""
-        W = self.shear(t)
-        return 4.0 * (self.shear_d1(t) * self.lam2(t) / self.dlog_gamma(t) - W * W)
-
-    def boundary_form(self, t):
-        """2 lam2 lam1' gamma / (lam1^2 gamma'); its endpoint limits are 1/m2 and -1/m1."""
-        return 2.0 * self.lam2(t) * self.lam1_d1(t) / (self.lam1(t) ** 2 * self.dlog_gamma(t))
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +293,9 @@ def _round_sphere(R: float) -> ConeSurfaceProfile:
 def wps_profile(m1: int, m2: int) -> ConeSurfaceProfile:
     """Arclength profile of the quotient metric of the weighted circle action.
 
-    Along the chart, circumference/2pi is -1/lam1 and the arclength element
-    is |gamma'| dt / (2 gamma |lam2|), which simplifies to dt / (2 sqrt(t(1-t))),
-    so t = sin(s)^2 with total length L = pi/2 and
+    In t = |z1|^2 on the 3-sphere, circumference/2pi is sqrt(t (1-t) / P(t)),
+    P(t) = (m1^2 - m2^2) t + m2^2, and the arclength element is
+    dt / (2 sqrt(t (1-t))), so t = sin(s)^2 with total length L = pi/2 and
 
         phi(s) = sin(s) cos(s) / sqrt(P(s)),  P(s) = m1^2 sin(s)^2 + m2^2 cos(s)^2,
 

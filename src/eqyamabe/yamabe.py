@@ -62,7 +62,6 @@ __all__ = [
     "closed_form_J",
     "conformal_functional",
     "optimal_ell",
-    "wps_curvature_density",
     "wps_density_field",
     "wps_metric",
     "hopf_metric",
@@ -262,23 +261,16 @@ def optimal_ell(
     return _closed_form_optimum(area(base, cfg), chi, norms.omega_L2_sq)
 
 
-def wps_curvature_density(m1: int, m2: int, t):
-    """Unit-frame curvature density of the weighted Hopf connection:
-
-        F(t) = 2 m1 m2 / ((m1^2 - m2^2) t + m2^2)^{3/2},
-
-    normalized so that (1/2pi) int F dv over the quotient base is 1/(m1 m2).
-    """
-    if math.gcd(int(m1), int(m2)) != 1:
-        raise NotCoprime(f"weights ({m1}, {m2}) are not coprime")
-    t = np.asarray(t, dtype=float)
-    P = (m1 * m1 - m2 * m2) * t + m2 * m2
-    return 2.0 * m1 * m2 / P**1.5
-
-
 def wps_density_field(m1: int, m2: int) -> RadialField:
-    """`wps_curvature_density` in the arclength coordinate of `wps_profile`."""
-    # in arclength, P(sin^2 s) = m1^2 sin^2 s + m2^2 cos^2 s: stable at both poles
+    """Unit-frame curvature density of the weighted Hopf connection on
+    `wps_profile`, in its arclength s:
+
+        F(s) = 2 m1 m2 / P(s)^{3/2},  P(s) = m1^2 sin^2 s + m2^2 cos^2 s,
+
+    normalized so that (1/2pi) int F dA over the base is 1/(m1 m2).
+    """
+    # P as m1^2 sin^2 s + m2^2 cos^2 s rather than a polynomial in sin^2 s:
+    # stable at both poles
     a = float(m1 * m1 - m2 * m2)
     c = 2.0 * m1 * m2
 

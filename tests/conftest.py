@@ -7,10 +7,13 @@ library output against these numbers, never against other library output.
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 import pytest
 
 import eqyamabe as eq
+from eqyamabe.errors import DomainError
 
 # sigma(S^3) = 3 * 2^(5/3) * pi^(4/3) = 6 * (2 pi^2)^(2/3)
 SIGMA_S3 = 43.82323271625065499
@@ -112,3 +115,26 @@ def fourier_field(base_length, coeffs, offset):
         return out if out.size > 1 else out[0]
 
     return eq.RadialField(value=value, d1=d1, d2=d2)
+
+
+def check_derivative(f: Callable, df: Callable, t: float, h_sequence: Sequence[float]) -> float:
+    """Max over h of |central difference - df(t)| / max(1, |df(t)|): the
+    oracle for hand-coded derivatives in the tests."""
+    try:
+        target = float(df(t))
+    except Exception as exc:  # noqa: BLE001 - domain failures become DomainError
+        raise DomainError(f"df not evaluable at t={t}: {exc}") from exc
+    worst = 0.0
+    for h in h_sequence:
+        if h <= 0:
+            raise ValueError("finite-difference steps must be positive")
+        try:
+            hi = float(f(t + h))
+            lo = float(f(t - h))
+        except Exception as exc:  # noqa: BLE001
+            raise DomainError(f"f not evaluable at t={t}+-{h}: {exc}") from exc
+        if not (np.isfinite(hi) and np.isfinite(lo) and np.isfinite(target)):
+            raise DomainError(f"non-finite evaluation at t={t}, h={h}")
+        disc = abs((hi - lo) / (2.0 * h) - target) / max(1.0, abs(target))
+        worst = max(worst, disc)
+    return worst

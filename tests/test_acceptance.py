@@ -46,13 +46,15 @@ def test_criterion_1_chern_quadrature():
 
 
 def test_criterion_2_euler_characteristic_routes():
-    with criterion(2, "chi by quadrature (1e-6) and boundary limits (1e-8); kappa(1,1,.)=4"):
+    with criterion(2, "chi by quadrature (1e-6) and pole slopes (1e-8); K of wps(1,1) = 4"):
         for m1, m2 in COPRIME_PAIRS:
             closed = 1.0 / m1 + 1.0 / m2
             assert abs(eq.chi_quadrature(m1, m2).value - closed) <= 1e-6, (m1, m2)
             assert abs(eq.chi_boundary(m1, m2) - closed) <= 1e-8, (m1, m2)
+        base = eq.wps_profile(1, 1)
         for r in np.linspace(0.1, 0.9, 9):
-            assert abs(float(eq.kappa(1, 1, r)) - 4.0) <= 1e-8, r
+            K = eq.gauss_curvature(base, math.asin(math.sqrt(r)))
+            assert abs(float(K) - 4.0) <= 1e-8, r
 
 
 def test_criterion_3_hopf_pipeline():

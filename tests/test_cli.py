@@ -157,10 +157,17 @@ def test_laplace_rejects_tol(capsys, tmp_path):
 
 
 def test_invariants_lopsided_pair(capsys):
-    code, out, _ = run(capsys, ["invariants", "--m1", "1", "--m2", "50"])
-    assert code == 0
-    deltas = json.loads(out)["quantities"]["deltas"]
-    assert deltas["chi_boundary_vs_closed"]["value"] <= 1e-12
+    # weights up to 2000 are in the domain, in either order
+    for m1, m2 in ((1, 50), (1, 359), (1, 2000), (2000, 1)):
+        code, out, _ = run(capsys, ["invariants", "--m1", str(m1), "--m2", str(m2)])
+        assert code == 0, (m1, m2)
+        q = json.loads(out)["quantities"]
+        assert q["deltas"]["chi_boundary_vs_closed"]["value"] <= 1e-12, (m1, m2)
+        for key, delta in q["deltas"].items():
+            assert delta["value"] <= 1e-11, (m1, m2, key)
+        chi = q["chi_boundary"]
+        assert chi["route"] == "pole_slopes"
+        assert chi["error_estimate"] == 2.0 * np.finfo(float).eps * chi["value"]
 
 
 def test_invariants_noncoprime_exit_2(capsys):

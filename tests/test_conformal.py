@@ -20,7 +20,7 @@ from eqyamabe.errors import (
     NumericalError,
 )
 
-from conftest import BERGER_HALF_J, SIGMA_S3, bump_sphere
+from conftest import BERGER_HALF_J, SIGMA_S3, bump_sphere, check_derivative
 
 
 def _eigenvalue_oracle(base, n=2000):
@@ -497,7 +497,7 @@ def test_coefficient_gradient_matches_the_discrete_functional(kind):
             _, num, den, _, wu5 = conformal._energy(B, A, W, c + t * d)
             return float(conformal._gradient(B, A, c + t * d, num, den, wu5) @ d)
 
-        assert numerics.check_derivative(J, dJ, 0.0, [1e-4, 1e-5]) <= 1e-6
+        assert check_derivative(J, dJ, 0.0, [1e-4, 1e-5]) <= 1e-6
 
 
 def test_basis_is_read_only_and_shared_per_length():

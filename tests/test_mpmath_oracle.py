@@ -1,4 +1,5 @@
-"""30-digit mpmath references for the curvature-form norms and Gauss-Bonnet.
+"""30-digit mpmath references for the curvature-form norms, Gauss-Bonnet and
+the chart of the weighted projective line.
 
 On the quotient base of wps(m1, m2), in the arclength s in (0, pi/2),
 
@@ -76,6 +77,61 @@ def test_wps_profile_matches_mpmath_up_to_both_poles(m1, m2):
             got = [base.phi(s), base.phi_d1(s), base.phi_d2(s), eq.gauss_curvature(base, s)]
             for name, g, r in zip(("phi", "phi'", "phi''", "K"), got, ref):
                 assert float(g) == pytest.approx(float(r), rel=1e-14), (name, s)
+
+
+# The chart of the weighted projective line in t = |z1|^2, written here from
+# the quotient metric and independent of the library's arclength closed form:
+# circumference/2pi is rho = sqrt(q / P) with q = t (1 - t) and
+# P = (m1^2 - m2^2) t + m2^2, the arclength element is ds = dt / (2 sqrt(q)),
+# and the curvature density is F = 2 m1 m2 / P^{3/2}.  With g = dt/ds =
+# 2 sqrt(q), K = -(1/rho) g d/dt(g rho'), and with a = m1^2 - m2^2 the
+# log-derivatives of rho are rho'/rho = (q'/q - a/P) / 2 and
+# rho''/rho = (rho'/rho)' + (rho'/rho)^2.
+CHART_PAIRS = [(1, 1), (1, 2), (2, 3), (3, 5), (7, 11), (1, 2000), (2000, 1)]
+
+
+def _mp_chart(m1: int, m2: int):
+    """rho, K, F and ds/dt as mpmath functions of t in (0, 1)."""
+    a = mpmath.mpf(m1 * m1 - m2 * m2)
+    P = lambda t: a * t + m2 * m2  # noqa: E731
+
+    def rho(t):
+        return mpmath.sqrt(t * (1 - t) / P(t))
+
+    def K(t):
+        q, dq = t * (1 - t), 1 - 2 * t
+        d1 = (dq / q - a / P(t)) / 2  # rho'/rho
+        d1_prime = (-2 / q - (dq / q) ** 2 + (a / P(t)) ** 2) / 2
+        # g = 2 sqrt(q), g' = q'/sqrt(q): -(g g' rho' + g^2 rho'')/rho
+        return -(2 * dq * d1 + 4 * q * (d1_prime + d1 * d1))
+
+    def F(t):
+        return 2 * m1 * m2 / P(t) ** mpmath.mpf(1.5)
+
+    def ds_dt(t):
+        return 1 / (2 * mpmath.sqrt(t * (1 - t)))
+
+    return rho, K, F, ds_dt
+
+
+@pytest.mark.parametrize("m1,m2", CHART_PAIRS)
+def test_closed_form_base_matches_the_chart(m1, m2):
+    base = eq.wps_profile(m1, m2)
+    s = np.arcsin(np.sqrt(np.concatenate([[1e-6], np.linspace(0.01, 0.99, 9)])))
+    phi, K = base.phi(s), eq.gauss_curvature(base, s)
+    with mpmath.workdps(30):
+        rho, K_mp, F_mp, ds_dt = _mp_chart(m1, m2)
+        for j, sj in enumerate(s):
+            t = mpmath.sin(mpmath.mpf(sj)) ** 2  # the chart point of the library's s
+            assert phi[j] == pytest.approx(float(rho(t)), rel=1e-14), (sj, "phi")
+            assert K[j] == pytest.approx(float(K_mp(t)), rel=1e-12), (sj, "K")
+        # (1/2pi) int K dA and (1/2pi) int F dA, integrated in t
+        chi = mpmath.quad(lambda t: K_mp(t) * rho(t) * ds_dt(t), [0, 1])
+        c1 = mpmath.quad(lambda t: F_mp(t) * rho(t) * ds_dt(t), [0, 1])
+        assert float(chi) == pytest.approx(1.0 / m1 + 1.0 / m2, rel=1e-15)
+        assert float(c1) == pytest.approx(1.0 / (m1 * m2), rel=1e-15)
+    assert eq.chi_quadrature(m1, m2).value == pytest.approx(float(chi), rel=REL)
+    assert eq.c1_quadrature(m1, m2).value == pytest.approx(float(c1), rel=REL)
 
 
 # Sign-changing densities F = offset + sum_k c_k cos(k pi s / period) on

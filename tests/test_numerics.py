@@ -1,4 +1,4 @@
-"""Quadrature, trigonometric series, derivative checker, scalar minimizer."""
+"""Quadrature, trigonometric series, the tests' derivative checker, scalar minimizer."""
 
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from eqyamabe.numerics import (
     _interpolant_coefficients,
     _modes_past,
     _with_dips,
-    check_derivative,
     chopped_interpolant,
     integrate,
     limit_at_zero,
@@ -32,6 +31,8 @@ from eqyamabe.numerics import (
     trig_interpolant,
     trig_series,
 )
+
+from conftest import check_derivative
 
 PLAIN = QuadratureConfig()
 
@@ -420,7 +421,7 @@ def test_trim_keeps_the_modes_past_the_data_scale(f, n, kept):
 
 
 # ---------------------------------------------------------------------------
-# check_derivative
+# check_derivative (the test helper in conftest)
 # ---------------------------------------------------------------------------
 
 def test_check_derivative_sin_cos():
@@ -433,13 +434,6 @@ def test_check_derivative_rational_pair():
     f = lambda r: (1.0 - r) / r
     df = lambda r: -1.0 / r**2
     assert check_derivative(f, df, 0.25, [1e-5, 1e-6]) <= 1e-8
-
-
-def test_check_derivative_chart_function():
-    from eqyamabe import WpsChart
-
-    chart = WpsChart(2, 3)
-    assert check_derivative(chart.lam1, chart.lam1_d1, 0.5, [1e-4, 1e-5]) <= 1e-6
 
 
 def test_check_derivative_decreases_quadratically():

@@ -1,4 +1,4 @@
-"""Profiles, the weighted-quotient chart, curvature, area, Gauss-Bonnet."""
+"""Profiles, the weighted-quotient profile, curvature, area, Gauss-Bonnet."""
 
 from __future__ import annotations
 
@@ -45,32 +45,8 @@ def test_curvature_domain_error(half_sphere):
 
 
 # ---------------------------------------------------------------------------
-# weighted quotient chart and profile
+# weighted quotient profile
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("m1,m2", COPRIME_PAIRS)
-def test_chart_analytic_derivatives(m1, m2):
-    chart = eq.WpsChart(m1, m2)
-    pairs = [
-        (chart.lam1, chart.lam1_d1),
-        (chart.lam1_d1, chart.lam1_d2),
-        (chart.lam2, chart.lam2_d1),
-        (lambda t: np.log(chart.gamma(t)), chart.dlog_gamma),
-        (chart.dlog_gamma, chart.dlog_gamma_d1),
-        (chart.shear, chart.shear_d1),
-    ]
-    for t0 in (0.2, 0.5, 0.77):
-        for f, df in pairs:
-            assert eq.check_derivative(f, df, t0, [1e-5, 1e-6]) <= 1e-6
-
-
-def test_chart_sign_invariants():
-    chart = eq.WpsChart(2, 3)
-    t = np.linspace(0.05, 0.95, 19)
-    assert np.all(chart.lam1(t) < 0)
-    assert np.all(chart.lam2(t) < 0)
-    assert np.all(np.diff(chart.gamma(t)) < 0)  # strictly decreasing
-
 
 def test_wps_profile_unit_weights_is_half_radius_sphere(half_sphere):
     base = eq.wps_profile(1, 1)
@@ -150,22 +126,6 @@ def test_wps_profile_on_all_coprime_pairs_to_thirty(m1, m2):
     slack = 1.0 + 1e-9
     assert j_max <= cs * slack
     assert cs <= main_bound * slack
-
-
-def test_wps_curvature_matches_chart():
-    # the chart is an independent route: phi = -1/lam1 and K = kappa at t = sin^2 s
-    for m1, m2 in COPRIME_PAIRS:
-        base = eq.wps_profile(m1, m2)
-        chart = eq.WpsChart(m1, m2)
-        s = orbifold.quadrature_nodes(base)
-        t = np.sin(s) ** 2
-        inner = (t >= 0.05) & (t <= 0.95)
-        s, t = s[inner], t[inner]
-        assert s.size == 65
-        phi_chart = -1.0 / chart.lam1(t)
-        assert np.max(np.abs(base.phi(s) / phi_chart - 1.0)) <= 1e-14, (m1, m2)
-        K = eq.gauss_curvature(base, s)
-        assert np.max(np.abs(K / chart.kappa(t) - 1.0)) <= 1e-12, (m1, m2)
 
 
 # ---------------------------------------------------------------------------

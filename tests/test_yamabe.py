@@ -228,7 +228,8 @@ def test_optimal_ell_nonpositive_chi(torus_metric):
 
 def test_wps_density_unit_weights_is_hopf():
     t = np.linspace(0.05, 0.95, 11)
-    assert np.max(np.abs(eq.wps_curvature_density(1, 1, t) - 2.0)) <= 1e-14
+    F = eq.wps_density_field(1, 1).value(np.arcsin(np.sqrt(t)))
+    assert np.max(np.abs(F - 2.0)) <= 1e-14
 
 
 @pytest.mark.parametrize("m1,m2", [(2, 3), (3, 5)])
@@ -239,14 +240,14 @@ def test_wps_density_chern_number(m1, m2):
 
 
 def test_wps_density_positive():
-    t = np.linspace(0.01, 0.99, 23)
+    s = np.arcsin(np.sqrt(np.linspace(0.01, 0.99, 23)))
     for m1, m2 in COPRIME_PAIRS:
-        assert np.all(eq.wps_curvature_density(m1, m2, t) > 0.0)
+        assert np.all(eq.wps_density_field(m1, m2).value(s) > 0.0)
 
 
 def test_wps_density_rejects_noncoprime():
     with pytest.raises(NotCoprime):
-        eq.wps_curvature_density(2, 6, 0.5)
+        eq.wps_metric(2, 6)
 
 
 # ---------------------------------------------------------------------------
