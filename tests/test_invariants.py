@@ -83,6 +83,23 @@ def test_chi_boundary_swap_symmetric():
 
 
 # ---------------------------------------------------------------------------
+# curvature of the base in the chart variable r = sin^2 s
+# ---------------------------------------------------------------------------
+
+def test_kappa_unit_weights_is_constant_four():
+    base = eq.wps_profile(1, 1)
+    for r in np.linspace(0.1, 0.9, 9):
+        K = eq.gauss_curvature(base, math.asin(math.sqrt(r)))
+        assert float(K) == pytest.approx(4.0, abs=1e-8)
+
+
+def test_kappa_integral_recovers_chi():
+    # (1, 2): the curvature integral (1/2pi) int K dA gives chi = 3/2
+    res = eq.chi_quadrature(1, 2)
+    assert res.value == pytest.approx(1.5, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
 # cross-route properties
 # ---------------------------------------------------------------------------
 
