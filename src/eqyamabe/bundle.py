@@ -21,15 +21,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DomainError
-from .numerics import (
-    _DEFAULT_CONFIG,
-    QuadratureConfig,
-    _with_dips,
-    chopped_interpolant,
-    sign_change_roots,
-    trig_interpolant,
-)
+from .numerics import _DEFAULT_CONFIG, QuadratureConfig, _sampled_series, _with_dips
+from .numerics import sign_change_roots, trig_interpolant, trig_series
 from .orbifold import (
     Base,
     _norm_reports,
@@ -114,21 +107,11 @@ def _one_period(grid: np.ndarray, values: np.ndarray,
 FieldLike = Union[RadialField, float, int, Callable]
 
 
-_CHOP_SAMPLES = 2**14 + 1  # the most samples a plain callable is read at
-
-
 def as_radial_field(obj: FieldLike, base: Base) -> RadialField:
     """A `RadialField` as itself, a number as a constant field, and a plain
-    vectorized callable as its trigonometric series on the base.
-
-    The callable is sampled on linspace(0, L, n), ends included, for
-    n = 17, 33, 65, ...; its samples are extended as `RadialField.from_samples`
-    extends them, and the series is kept at the first n where it has chopped
-    to rounding (`numerics.chopped_interpolant`).  Data that has not chopped
-    by n = 2**14 + 1, such as a ramp at a cone pole, keeps that series and is
-    warned about.  A callable that is not finite at a sample, such as one
-    with a removable singularity at a pole, or one that raises DomainError
-    there, is rejected with ValueError.
+    vectorized callable as its series on the base, chopped to rounding: read
+    from its samples alone by the sampling ladder of `numerics`
+    (`_sampled_series`), extended as `RadialField.from_samples` extends them.
     """
     if isinstance(obj, RadialField):
         return obj
@@ -137,37 +120,9 @@ def as_radial_field(obj: FieldLike, base: Base) -> RadialField:
     if not callable(obj):
         raise TypeError(f"cannot interpret {type(obj).__name__} as a radial field")
     ends = "the seam" if base.periodic else "the poles"
-    sampled = f"it is sampled on [0, {base.length:.6g}] with {ends} included"
-    n = 17
-    while True:
-        grid = np.linspace(0.0, base.length, n)
-        try:
-            values = np.zeros(n) + np.asarray(obj(grid), dtype=float)  # a scalar broadcasts
-        except DomainError as exc:
-            raise ValueError(
-                f"a radial callable raised DomainError; {sampled} and must be defined there"
-            ) from exc
-        bad = ~np.isfinite(values)
-        if np.any(bad):
-            where = ", ".join(f"{x:.6g}" for x in grid[bad][:3])
-            raise ValueError(
-                f"a radial callable is not finite at s = {where}; {sampled} "
-                "and must be finite there"
-            )
-        period = _one_period(grid, values, base.periodic)
-        series = chopped_interpolant(*period)
-        if series is not None:
-            break
-        if n >= _CHOP_SAMPLES:
-            warnings.warn(
-                f"a radial callable has not chopped to rounding at {n} samples; "
-                "data may not be smooth on the orbifold",
-                stacklevel=3,
-            )
-            series = trig_interpolant(*period)
-            break
-        n = 2 * n - 1
-    return RadialField(*series)
+    one_period = lambda grid, values: _one_period(grid, values, base.periodic)  # noqa: E731
+    series = _sampled_series(obj, base.length, one_period, "a radial callable", ends)
+    return RadialField(*trig_series(*series))
 
 
 @dataclass(frozen=True)

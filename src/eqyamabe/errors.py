@@ -57,10 +57,6 @@ class DomainError(NumericalError):
     """Evaluation point is outside the function's domain (e.g. at a cone pole)."""
 
 
-class GridTooCoarse(NumericalError):
-    """Profile self-checks failed at the requested resolution."""
-
-
 class NotMeanZero(NumericalError):
     """Poisson problem data has nonzero mean, so no solution exists."""
 

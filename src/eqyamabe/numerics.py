@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -28,6 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
+    DomainError,
     InvalidBracket,
     NoConvergence,
     NonFinite,
@@ -264,13 +266,15 @@ def trig_series(coeffs: np.ndarray, start: float, omega: float) -> tuple[Callabl
     return horner(coeffs), horner(1j * k * coeffs), horner(-k * k * coeffs)
 
 
-def _interpolant_coefficients(samples: np.ndarray) -> np.ndarray:
+def _interpolant_coefficients(samples: np.ndarray) -> tuple[np.ndarray, bool]:
     """The `trig_series` coefficients of the interpolant of one period of
-    uniform samples, from one real FFT."""
+    uniform samples, from one real FFT, up to the last mode past eps times
+    the largest sample (`_modes_past`), and whether that tail is negligible."""
     n = len(samples)
     c = np.fft.rfft(samples) / n
     c[1 : (n + 1) // 2] *= 2.0  # each mode below Nyquist stands for +k and -k
-    return c
+    keep = _modes_past(c, _EPS * np.max(np.abs(samples)))
+    return c[:keep], 4 * keep <= 3 * c.size
 
 
 def trig_interpolant(samples: np.ndarray, start: float, period: float) -> tuple[Callable, ...]:
@@ -278,18 +282,50 @@ def trig_interpolant(samples: np.ndarray, start: float, period: float) -> tuple[
     one period of uniform samples, the j-th of n taken at start + j period / n.
     The coefficients come from one real FFT; the modes past eps times the
     largest sample (`_modes_past`) are summed by `trig_series`."""
-    c = _interpolant_coefficients(samples)
-    return trig_series(c[: _modes_past(c, _EPS * np.max(np.abs(samples)))], start, 2.0 * math.pi / period)
+    c, _ = _interpolant_coefficients(samples)
+    return trig_series(c, start, 2.0 * math.pi / period)
 
 
 def chopped_interpolant(samples: np.ndarray, start: float, period: float) -> tuple[Callable, ...] | None:
     """`trig_interpolant` of samples whose series has chopped: its tail past eps
     times the largest sample is negligible.  None if not; finer samples may."""
-    c = _interpolant_coefficients(samples)
-    keep = _modes_past(c, _EPS * np.max(np.abs(samples)))
-    if 4 * keep > 3 * c.size:
-        return None
-    return trig_series(c[:keep], start, 2.0 * math.pi / period)
+    c, chopped = _interpolant_coefficients(samples)
+    return trig_series(c, start, 2.0 * math.pi / period) if chopped else None
+
+
+_CHOP_SAMPLES = 2**14 + 1  # the most samples a callable is read at
+
+
+def _sampled_series(f: Callable, length: float, one_period: Callable, name: str, ends: str):
+    """`trig_series`'s coefficients, start and omega for a vectorized callable
+    f on [0, length], read from its samples on linspace(0, length, n), ends
+    included, for n = 17, 33, 65, ...: `one_period(grid, values)` extends
+    them to one period (samples, start, period), and the first series that
+    has chopped (`chopped_interpolant`) is kept, or the one at n = 2**14 + 1
+    with a warning (data not smooth, such as a ramp at a cone pole).  f not
+    finite at a sample, such as one with a removable singularity at an end,
+    or raising DomainError there, raises ValueError; `name` and `ends` name
+    f and the ends in the messages."""
+    sampled = f"it is sampled on [0, {length:.6g}] with {ends} included and must be"
+    n = 17
+    while True:
+        grid = np.linspace(0.0, length, n)
+        try:
+            values = np.zeros(n) + np.asarray(f(grid), dtype=float)  # a scalar broadcasts
+        except DomainError as exc:
+            raise ValueError(f"{name} raised DomainError; {sampled} defined there") from exc
+        if not np.all(np.isfinite(values)):
+            where = ", ".join(f"{x:.6g}" for x in grid[~np.isfinite(values)][:3])
+            raise ValueError(f"{name} is not finite at s = {where}; {sampled} finite there")
+        samples, start, period = one_period(grid, values)
+        c, chopped = _interpolant_coefficients(samples)
+        if chopped or n >= _CHOP_SAMPLES:
+            break
+        n = 2 * n - 1
+    if not chopped:
+        smooth = "data may not be smooth on the orbifold"
+        warnings.warn(f"{name} has not chopped to rounding at {n} samples; {smooth}", stacklevel=3)
+    return c, start, 2.0 * math.pi / period
 
 
 def sign_change_roots(f: Callable, df: Callable, x: np.ndarray, fx: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Rotationally symmetric 2-orbifold bases.
 
 A base is either an arclength profile (ds^2 + phi(s)^2 dtheta^2 on [0, L]
-with cone points at the ends; phi in closed form, or the sine series of
-samples, fitted by least squares first when they are not uniform), which
-makes curvature, area and the radial Laplacian one-dimensional, or a flat
-torus.
+with cone points at the ends; phi in closed form, or else one chopped sine
+series, from samples or a callable, whose cone orders are read from its
+coefficients), which makes curvature, area and the radial Laplacian
+one-dimensional, or a flat torus.
 
 The weighted projective line CP^1(m1, m2), the quotient of the weighted
 circle action on the 3-sphere, has one representation, `wps_profile`: in
@@ -53,10 +53,10 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, GridTooCoarse, NotCoprime, QuadratureFailure
-from .numerics import _DEFAULT_CONFIG, IntegralResult, NoConvergence, QuadratureConfig
-from .numerics import _first_nodes, integrate
-from .numerics import _with_dips, sign_change_roots, trig_interpolant
+from .errors import DomainError, NotCoprime, QuadratureFailure
+from .numerics import _DEFAULT_CONFIG, _EPS, IntegralResult, NoConvergence, QuadratureConfig
+from .numerics import _first_nodes, _interpolant_coefficients, _modes_past, _sampled_series, integrate
+from .numerics import _with_dips, sign_change_roots, trig_series
 
 __all__ = [
     "ConeSurfaceProfile",
@@ -222,43 +222,39 @@ Base = Union[ConeSurfaceProfile, FlatTorusBase]
 
 
 def profile_from_callables(
-    length: float,
-    phi: Callable,
-    phi_d1: Callable,
-    phi_d2: Callable,
-    m_start: int,
-    m_end: int,
-    label: str = "profile",
-    check: bool = True,
+    length: float, phi: Callable, m_start: int, m_end: int, label: str = "profile"
 ) -> ConeSurfaceProfile:
-    """Wrap closed-form profile data, verifying the cone-slope invariants."""
-    base = ConeSurfaceProfile(float(length), int(m_start), int(m_end), phi, phi_d1, phi_d2, label)
-    if check:
-        _check_cone_slopes(base, h=min(1e-5, length * 1e-5))
-    return base
+    """The profile of a vectorized callable phi on [0, length]: its chopped
+    sine series, read from samples alone by the ladder that also reads radial
+    fields (`numerics._sampled_series`), extended oddly about both poles, and
+    checked by `_sine_profile`."""
+    L = float(length)
+    if not 0.0 < L < math.inf:
+        raise ValueError("profile length must be positive and finite")
+    odd = lambda _, p: (np.concatenate([p, -p[-2:0:-1]]), 0.0, 2.0 * L)  # noqa: E731
+    c, _, _ = _sampled_series(phi, L, odd, "a profile callable", "the poles")
+    return _sine_profile(c, L, m_start, m_end, label)
 
 
-def _one_sided_slope(phi: Callable, s0: float, h: float, sign: float) -> float:
-    # Richardson pair kills the h^2 term of the odd pole series.
-    d1 = (float(phi(s0 + sign * h)) - float(phi(s0))) / h
-    d2 = (float(phi(s0 + sign * 2 * h)) - float(phi(s0))) / (2 * h)
-    return sign * (4.0 * d1 - d2) / 3.0
-
-
-def _check_cone_slopes(base: ConeSurfaceProfile, h: float) -> None:
-    if 2 * h >= base.length:
-        raise GridTooCoarse("differencing step exceeds the profile length")
-    probe = np.linspace(h, base.length - h, 65)
-    if np.any(np.asarray(base.phi(probe)) <= 0.0):
+def _sine_profile(
+    c: np.ndarray, length: float, m_start: int, m_end: int, label: str
+) -> ConeSurfaceProfile:
+    """The profile sum_k b_k sin(k pi s / L) of `trig_series` coefficients
+    c_k = -i b_k.  Its pole slopes, read exactly from them as
+    phi'(0) = sum (k pi / L) b_k and phi'(L) = sum (-1)^k (k pi / L) b_k, must
+    be 1/m_start and -1/m_end to 1e-6, and phi must be positive at 65
+    interior points; else ValueError."""
+    slopes = np.arange(c.size) * (math.pi / length) * -c.imag  # per mode, at s = 0
+    start, end = float(slopes.sum()), float(slopes[::2].sum() - slopes[1::2].sum())
+    phi = trig_series(c, 0.0, math.pi / length)
+    if np.any(phi[0](np.linspace(0.0, length, 67)[1:-1]) <= 0.0):
         raise ValueError("profile must be strictly positive between the poles")
-    s_start = _one_sided_slope(base.phi, 0.0, h, +1.0)
-    s_end = _one_sided_slope(base.phi, base.length, h, -1.0)
-    err0 = abs(s_start - 1.0 / base.m_start)
-    errL = abs(s_end + 1.0 / base.m_end)
-    if err0 > _SLOPE_TOL or errL > _SLOPE_TOL:
-        raise GridTooCoarse(
-            f"cone-order check failed at h={h:.3e}: slope errors {err0:.3e}, {errL:.3e}"
+    if abs(start - 1.0 / m_start) > _SLOPE_TOL or abs(end + 1.0 / m_end) > _SLOPE_TOL:
+        raise ValueError(
+            f"profile slopes at the poles are {start:.9g} and {end:.9g}; cone orders "
+            f"({m_start}, {m_end}) need {1.0 / m_start:.9g} and {-1.0 / m_end:.9g}"
         )
+    return ConeSurfaceProfile(float(length), int(m_start), int(m_end), *phi, label)
 
 
 # Bases kept per constructor, least recently used first out: every caller of
@@ -278,15 +274,12 @@ def make_round_sphere(radius: float) -> ConeSurfaceProfile:
 
 @lru_cache(maxsize=_SHARED_BASES)
 def _round_sphere(R: float) -> ConeSurfaceProfile:
-    return profile_from_callables(
-        math.pi * R,
+    return ConeSurfaceProfile(
+        math.pi * R, 1, 1,
         lambda s: R * np.sin(np.asarray(s) / R),
         lambda s: np.cos(np.asarray(s) / R),
         lambda s: -np.sin(np.asarray(s) / R) / R,
-        1,
-        1,
         label=f"round_sphere(R={R})",
-        check=False,
     )
 
 
@@ -346,10 +339,10 @@ def profile_from_samples(
 ) -> ConeSurfaceProfile:
     """Profile from arclength samples; endpoints must be the poles (phi = 0).
 
-    phi is odd about each pole: uniform samples give the sine series of their
-    odd extension to period 2L (`trig_interpolant`), smooth through the poles.
-    Non-uniform samples are fitted by least squares with its first (n - 1) // 2
-    modes, read on the uniform grid of the same count (2 s at n = 3201).
+    phi is odd about each pole, so the samples become a sine series, checked
+    by `_sine_profile`: uniform ones the sine series of their odd extension
+    to period 2L (`trig_interpolant`), non-uniform ones a least-squares fit
+    (`_sine_fit`; a few ms at n = 3201).
     """
     s = np.asarray(s_values, dtype=float)
     p = np.asarray(phi_values, dtype=float)
@@ -363,13 +356,31 @@ def profile_from_samples(
     s = s - s[0]
     if np.any(p[1:-1] <= 0):
         raise ValueError("profile must be positive between the poles")
-    uniform = np.linspace(0.0, L, s.size)
-    if not np.allclose(s, uniform, rtol=0.0, atol=1e-12 * L):
-        k = np.arange(1, (s.size - 1) // 2 + 1) * (math.pi / L)
-        coeffs = np.linalg.lstsq(np.sin(np.outer(s, k)), p, rcond=None)[0]
-        p = np.sin(np.outer(uniform, k)) @ coeffs
-    series = trig_interpolant(np.concatenate([p, -p[-2:0:-1]]), 0.0, 2.0 * L)
-    return profile_from_callables(L, *series, m_start, m_end, label)
+    if np.allclose(s, np.linspace(0.0, L, s.size), rtol=0.0, atol=1e-12 * L):
+        c, _ = _interpolant_coefficients(np.concatenate([p, -p[-2:0:-1]]))
+    else:
+        c = _sine_fit(s, p, L)
+    return _sine_profile(c, L, m_start, m_end, label)
+
+
+def _sine_fit(s: np.ndarray, p: np.ndarray, length: float) -> np.ndarray:
+    """`trig_series` coefficients of the least-squares fit of
+    sum_k b_k sin(k pi s / L) to the samples: of 16, 32, 64, ... modes, at
+    most (n - 1) // 2, the first whose tail past 64 eps max|p| chops."""
+    # A fit's coefficients carry the samples' rounding times the fit's
+    # conditioning, so past a smooth profile's modes they settle at 1 to 4
+    # eps max|p|, not below eps as an interpolant's do.  Judged at 64 eps a
+    # fit chops once the profile is resolved; the whole fit is kept, as its
+    # modes below that still carry the profile (Gauss-Bonnet within 5e-14).
+    tol = 64.0 * _EPS * np.max(np.abs(p))
+    cap = (s.size - 1) // 2
+    m = min(16, cap)
+    while True:
+        k = np.arange(1, m + 1) * (math.pi / length)
+        c = np.concatenate([[0.0], -1j * np.linalg.lstsq(np.sin(np.outer(s, k)), p, rcond=None)[0]])
+        if m == cap or 4 * _modes_past(c, tol) <= 3 * c.size:
+            return c
+        m = min(2 * m, cap)
 
 
 # ---------------------------------------------------------------------------

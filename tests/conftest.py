@@ -87,7 +87,7 @@ def bump_sphere(amplitude: float = 0.15):
             + np.sin(s) * 2.0 * amplitude * np.cos(2.0 * s)
         )
 
-    return eq.profile_from_callables(np.pi, phi, phi_d1, phi_d2, 1, 1, label="bump_sphere")
+    return eq.ConeSurfaceProfile(np.pi, 1, 1, phi, phi_d1, phi_d2, label="bump_sphere")
 
 
 def fourier_field(base_length, coeffs, offset):

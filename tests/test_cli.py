@@ -170,6 +170,16 @@ def test_invariants_lopsided_pair(capsys):
         assert chi["error_estimate"] == 2.0 * np.finfo(float).eps * chi["value"]
 
 
+def test_invariants_past_the_converging_weights_exit_3(capsys):
+    # the K quadrature of (1, m) converges up to m of about 38000 (README);
+    # at 40000 it misses the tolerance: exit 3, one line, no traceback
+    code, out, err = run(capsys, ["invariants", "--m1", "1", "--m2", "40000"])
+    assert code == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_invariants_noncoprime_exit_2(capsys):
     code, _, err = run(capsys, ["invariants", "--m1", "2", "--m2", "4"])
     assert code == 2
@@ -456,6 +466,20 @@ def test_malformed_model_field_path(capsys, tmp_path):
     code, _, err = run(capsys, ["functional", "--model", str(path)])
     assert code == 2
     assert "$.base.m2" in err
+
+
+def test_profile_samples_off_their_cone_orders_exit_2(capsys, tmp_path):
+    # the bump sphere's pole slopes are 1 and -1, read from its sine series:
+    # cone orders (2, 1) do not fit the samples, a malformed model
+    doc = json.loads(Path(bump_sphere_model(tmp_path)).read_text())
+    doc["base"]["m_start"] = 2
+    path = tmp_path / "bump_2_1.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["functional", "--model", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "$.base.samples" in err
+    assert "slopes at the poles are 1 and -1" in err
 
 
 def test_torus_seam_mismatch_names_ell_values(capsys, tmp_path):

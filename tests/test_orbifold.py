@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import eqyamabe as eq
 from eqyamabe import orbifold
-from eqyamabe.errors import DomainError, GridTooCoarse, NotCoprime
+from eqyamabe.errors import DomainError, NotCoprime
 from eqyamabe.numerics import QuadratureConfig
 
 from conftest import COPRIME_PAIRS, bump_sphere
@@ -218,7 +222,7 @@ def test_profile_from_samples_validation():
     with pytest.raises(ValueError):
         eq.profile_from_samples(s, np.ones_like(s), 1, 1)  # no pole zeros
     phi = np.sin(np.pi * s)
-    with pytest.raises(GridTooCoarse):
+    with pytest.raises(ValueError):
         # slopes are pi, not matching cone orders (1, 1) at slope 1
         eq.profile_from_samples(s, phi, 1, 1)
 
@@ -256,8 +260,8 @@ def _warped(length, n):
 
 @pytest.mark.parametrize("name,n", [("bump", 51), ("bump", 201), ("wps13", 201)])
 def test_non_uniform_samples_meet_gauss_bonnet_at_the_library_default(name, n):
-    # the least-squares sine fit read on the uniform grid is a sine series,
-    # so K is smooth and the library default tolerance applies
+    # the least-squares sine fit is a sine series, so K is smooth and the
+    # library default tolerance applies
     base = {"bump": lambda: bump_sphere(0.15), "wps13": lambda: eq.wps_profile(1, 3)}[name]()
     sampled = _samples(base, _warped(base.length, n))
     gb = eq.gauss_bonnet_check(sampled, QuadratureConfig())
@@ -275,10 +279,83 @@ def test_non_uniform_samples_meet_the_gauss_bonnet_contract():
 
 
 def test_coarse_uniform_samples_pass_the_cone_slope_check():
-    # the slope check differences the series at the 1e-5 L step of closed
-    # forms: at the sample spacing its Richardson pair misreads this profile
-    # (slope errors 4.1e-6 > 1e-6)
+    # the pole slopes are read from the sine coefficients of 51 samples,
+    # exact for the series, so no step size can misread them
     closed = bump_sphere(0.15)
     base = _samples(closed, np.linspace(0.0, math.pi, 51))
     assert abs(eq.gauss_bonnet_check(base) - 2.0) <= 1e-12
     assert eq.gauss_curvature(base, 1e-3) == pytest.approx(closed.gauss_curvature(1e-3), abs=1e-9)
+
+
+def test_non_uniform_samples_stop_at_the_first_fit_that_chops():
+    # the bump sphere has sine modes 1 and 3 only: the first fit, 16 modes,
+    # chops; 51 samples of wps(1, 3) do not chop by the cap of 25 modes
+    bump = bump_sphere(0.15)
+    s = _warped(math.pi, 3201)
+    assert orbifold._sine_fit(s, bump.phi(s), math.pi).size == 1 + 16
+    wps = eq.wps_profile(1, 3)
+    s = _warped(wps.length, 51)
+    assert orbifold._sine_fit(s, wps.phi(s), wps.length).size == 1 + 25
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_non_uniform_samples_do_not_depend_on_the_blas_thread_count(threads):
+    # the poles and sorted uniform draws; a fit of a few modes is well
+    # conditioned, so the rounding of a threaded BLAS does not reach
+    # Gauss-Bonnet (at most 2 threads: a 2-core runner has no more)
+    script = """
+import math
+import numpy as np
+import eqyamabe as eq
+for n in (601, 3201):
+    rng = np.random.default_rng(0)
+    s = np.concatenate([[0.0], np.sort(rng.uniform(0.0, math.pi, n - 2)), [math.pi]])
+    phi = np.sin(s) * (1.0 + 0.15 * np.sin(s) ** 2)
+    phi[0] = phi[-1] = 0.0
+    print(eq.gauss_bonnet_check(eq.profile_from_samples(s, phi, 1, 1)))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+    )
+    assert proc.returncode == 0, proc.stderr
+    gb = [float(line) for line in proc.stdout.split()]
+    assert len(gb) == 2
+    for value in gb:
+        assert abs(value - 2.0) <= 1e-12, gb
+
+
+# ---------------------------------------------------------------------------
+# callable profiles
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "closed", [bump_sphere(0.15), eq.wps_profile(1, 9)], ids=["bump", "wps19"]
+)
+def test_profile_from_callables_matches_the_closed_forms(closed):
+    # phi alone is sampled; phi' and phi'' are its chopped sine series'
+    base = eq.profile_from_callables(closed.length, closed.phi, closed.m_start, closed.m_end)
+    assert base.cone_orders == closed.cone_orders
+    s = np.linspace(0.0, closed.length, 65)[1:-1]
+    assert np.max(np.abs(base.phi_d1(s) - closed.phi_d1(s))) <= 1e-10
+    assert np.max(np.abs(base.phi_d2(s) - closed.phi_d2(s))) <= 1e-10
+    assert eq.area(base) == pytest.approx(eq.area(closed), rel=1e-12)
+    assert eq.gauss_bonnet_check(base) == pytest.approx(eq.gauss_bonnet_check(closed), abs=1e-12)
+
+
+def test_callable_with_a_wrong_pole_slope_names_the_measured_slope():
+    with pytest.raises(ValueError, match=r"slopes at the poles are 1\.1 and -1\.1"):
+        eq.profile_from_callables(math.pi, lambda s: 1.1 * np.sin(s), 1, 1)
+    # the round sphere's slopes are 1 and -1, not those of cone orders (2, 1)
+    with pytest.raises(ValueError, match=r"are 1 and -1; cone orders \(2, 1\) need 0\.5"):
+        eq.profile_from_callables(math.pi, np.sin, 2, 1)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_callable_profile_not_finite_at_a_pole_is_rejected():
+    with pytest.raises(ValueError, match="profile callable is not finite at s = 0;.*the poles"):
+        eq.profile_from_callables(math.pi, lambda s: np.sin(s) * np.sin(s) / np.sin(s), 1, 1)
+    for length in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="length"):
+            eq.profile_from_callables(length, np.sin, 1, 1)

@@ -78,13 +78,13 @@ def unshared(base):
     """The members of a shared base (`wps_profile`, `make_round_sphere`) in a
     new profile of new callables: a base of its own, whose plan starts empty
     and dies with it."""
-    return eq.profile_from_callables(
+    return eq.ConeSurfaceProfile(
         base.length,
+        base.m_start,
+        base.m_end,
         lambda s: base.phi(s),
         lambda s: base.phi_d1(s),
         lambda s: base.phi_d2(s),
-        base.m_start,
-        base.m_end,
         label=base.label,
     )
 
@@ -240,7 +240,7 @@ def test_profile_with_unhashable_callables_has_a_plan():
     # np.poly1d defines equality but no hash; the base carries its plan, so
     # it needs none
     phi = np.poly1d([-1.0 / math.pi, 1.0, 0.0])  # s (pi - s) / pi: slopes 1 and -1
-    base = eq.profile_from_callables(math.pi, phi, phi.deriv(), phi.deriv(2), 1, 1, check=False)
+    base = eq.ConeSurfaceProfile(math.pi, 1, 1, phi, phi.deriv(), phi.deriv(2))
     with pytest.raises(TypeError):
         hash(base)
     for _ in range(2):  # the first call fills the plan, the second reads it
@@ -256,13 +256,13 @@ def test_curvature_domain_is_checked_off_the_plan_nodes_only():
     # read-only array, and anywhere else s is checked before phi'' is called
     phi_d2_points = []
     shared = eq.wps_profile(2, 3)
-    base = eq.profile_from_callables(
+    base = eq.ConeSurfaceProfile(
         shared.length,
+        shared.m_start,
+        shared.m_end,
         lambda s: shared.phi(s),
         lambda s: shared.phi_d1(s),
         counted(shared.phi_d2, phi_d2_points),
-        shared.m_start,
-        shared.m_end,
         label=shared.label,
     )
     L = base.length
@@ -300,8 +300,8 @@ def test_unhashable_base_evaluates_F_once_per_level():
             return self.fn(s)
 
     members = (np.sin, np.cos, lambda s: -np.sin(s))
-    unhashable = eq.profile_from_callables(math.pi, *map(Unhashable, members), 1, 1)
-    hashable = eq.profile_from_callables(math.pi, *members, 1, 1)
+    unhashable = eq.ConeSurfaceProfile(math.pi, 1, 1, *map(Unhashable, members))
+    hashable = eq.ConeSurfaceProfile(math.pi, 1, 1, *members)
     F_points = []
     F = fourier_field(math.pi, [0.1], 1.0)
     F = dataclasses.replace(F, value=counted(F.value, F_points))
