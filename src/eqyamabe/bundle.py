@@ -94,7 +94,11 @@ def _one_period(grid: np.ndarray, values: np.ndarray,
     values = np.asarray(values, dtype=float)
     if grid.ndim != 1 or grid.shape != values.shape:
         raise ValueError("grid and values must be matching 1-d arrays")
+    if grid.size < 2:
+        raise ValueError(f"need at least 2 samples on linspace(0, L, n), got {grid.size}")
     length = float(grid[-1])
+    if not 0.0 < length < math.inf:
+        raise ValueError(f"samples must span a positive, finite length L, got L = {length}")
     if not np.allclose(grid, np.linspace(0.0, length, grid.size), rtol=0.0, atol=1e-12 * length):
         raise ValueError("samples must lie on the uniform endpoint grid linspace(0, L, n)")
     if periodic:

@@ -37,8 +37,8 @@ infimum itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -156,7 +156,10 @@ class MinimizeResult:
     construction).  `stop_reason` is "tolerance" (the predicted decrease fell
     below decrease_tol), "no_decrease" (no step decreased J at rounding
     level) or "budget" (max_iterations ran out), and `modes` is the final
-    basis size.
+    basis size.  Every stage of the run comes from one builder (`_stage`),
+    and the result keeps the last stage the descent ran on, its basis, node
+    data and matrices, as the private `_stage`, out of the repr and of
+    comparisons.
     """
 
     mu_upper: float
@@ -166,6 +169,7 @@ class MinimizeResult:
     converged: bool
     stop_reason: str
     modes: int
+    _stage: _Stage | None = field(default=None, repr=False, compare=False)
 
 
 # The Galerkin grids are levels of the library's Fejér rule, and the base's
@@ -192,20 +196,20 @@ _TAIL_TOL = math.sqrt(_EPS)
 @dataclass(frozen=True)
 class _Basis:
     """Values and slopes (read-only, nodes by columns) of the first m basis
-    functions at the read-only nodes of the Galerkin grid: cos(j pi s / L)
+    functions at the nodes of a level of the Fejér rule: cos(j pi s / L)
     on a profile; 1, cos(2 pi j s / L), sin(2 pi j s / L) by increasing j on
     the torus.  Column j is Re(z^power[j]), or Re(-i z^power[j]) where
     `sine`, with z = exp(i omega s)."""
 
-    nodes: np.ndarray
     values: np.ndarray
     slopes: np.ndarray
     omega: float
     power: np.ndarray
     sine: np.ndarray
 
-    def series(self, c: np.ndarray) -> RadialField:
-        """The field sum_j c[j] (column j): at the nodes, the products of the
+    def series(self, c: np.ndarray, nodes: np.ndarray) -> RadialField:
+        """The field sum_j c[j] (column j): at the caller's node array (the
+        plan's array of the basis's level, `_grid`), the products of the
         basis arrays with c; elsewhere summed by `numerics.trig_series`."""
         coeffs = np.zeros(self.power[-1] + 1, dtype=complex)
         coeffs[self.power[~self.sine]] = c[~self.sine]
@@ -213,7 +217,7 @@ class _Basis:
         value, d1, d2 = trig_series(coeffs, 0.0, self.omega)
 
         def planned(horner: Callable, columns: np.ndarray) -> Callable:
-            return lambda s: columns @ c if s is self.nodes else horner(s)
+            return lambda s: columns @ c if s is nodes else horner(s)
 
         return RadialField(planned(value, self.values), planned(d1, self.slopes), d2)
 
@@ -247,7 +251,7 @@ def _basis(length: float, periodic: bool, m: int, level: int = _GRID_LEVEL) -> _
     slopes = np.where(sine, np.cos(x), -np.sin(x)) * k
     for a in (values, slopes, power, sine):
         a.flags.writeable = False
-    return _Basis(nodes, values, slopes, omega, power, sine)
+    return _Basis(values, slopes, omega, power, sine)
 
 
 def _refinable(c: np.ndarray, cap: int, floor: np.ndarray | float = 0.0) -> bool:
@@ -287,17 +291,45 @@ def _poisson_series(base: Base, f_nodes: np.ndarray, rounding: float) -> RadialF
         k = basis.omega * np.maximum(basis.power, 1)  # the constant mode is never in the tail
         if not _refinable(c, _MAX_MODES, rounding / k**2):
             c[0] = -np.dot(wA, basis.values @ c) / np.sum(wA)
-            return basis.series(c)
+            return basis.series(c, _grid(base)[0])
         m *= 2
 
 
-def _node_data(
-    metric: InvariantMetric, level: int = _GRID_LEVEL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A grid's weights W of 2 pi ell dA, the total scalar curvature at its
-    nodes, and the plain weights of ds.  W and the curvature must be finite
-    (NumericalError otherwise, as when the data's scale overflows)."""
+@dataclass(frozen=True, eq=False)
+class _Stage:
+    """One Galerkin stage of the minimizer (`_stage`): the basis of m modes
+    on a level of the Fejér rule, the base plan's own node array of that
+    level, and there the weights W of 2 pi ell dA, the total scalar
+    curvature and the plain weights of ds; its matrices (`forms`) are formed
+    on first use."""
+
+    basis: _Basis
+    level: int
+    nodes: np.ndarray
+    W: np.ndarray
+    scal: np.ndarray
+    weights: np.ndarray
+
+    @cached_property
+    def forms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The functional's numerator matrix A = stiffness + int scal u^2 and
+        the H^1 Gram matrix H = stiffness + int u^2, stiffness = int 8 |u'|^2,
+        each against the node weights W."""
+        B, D = self.basis.values, self.basis.slopes
+        stiffness = 8.0 * (D.T * self.W) @ D
+        BW = B.T * self.W
+        return stiffness + (BW * self.scal) @ B, stiffness + BW @ B
+
+
+def _stage(metric: InvariantMetric, m: int, level: int, prior: _Stage | None = None) -> _Stage:
+    """The stage of m modes on a level of the Fejér rule.  Its node data is
+    a prior stage's on the same level, else evaluated at the nodes once: W
+    and the curvature must be finite (NumericalError otherwise, as when the
+    data's scale overflows)."""
     base = metric.base
+    basis = _basis(base.length, base.periodic, m, level)
+    if prior is not None and prior.level == level:
+        return replace(prior, basis=basis)
     nodes, weights = _grid(base, level)
     with np.errstate(all="ignore"):  # data out of scale is an error below, not a warning
         ell = np.asarray(metric.ell.value(nodes), dtype=float)
@@ -308,17 +340,7 @@ def _node_data(
     for name, values in (("node weights W of 2 pi ell dA", W), ("scalar curvature", scal)):
         if not np.all(np.isfinite(values)):
             raise NumericalError(f"the {name} at the Galerkin nodes is not finite: out of scale")
-    return W, scal, weights
-
-
-def _forms(basis: _Basis, W: np.ndarray, scal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The functional's numerator matrix A = stiffness + int scal u^2 and the
-    H^1 Gram matrix H = stiffness + int u^2, stiffness = int 8 |u'|^2, each
-    against the node weights W of 2 pi ell dA."""
-    B, D = basis.values, basis.slopes
-    stiffness = 8.0 * (D.T * W) @ D
-    BW = B.T * W
-    return stiffness + (BW * scal) @ B, stiffness + BW @ B
+    return _Stage(basis, level, nodes, W, scal, weights)
 
 
 def _energy(B: np.ndarray, A: np.ndarray, W: np.ndarray, c: np.ndarray):
@@ -337,19 +359,19 @@ def _gradient(B, A, c, num: float, den: float, wu5: np.ndarray) -> np.ndarray:
 
 
 def _descend(
-    basis: _Basis, W: np.ndarray, scal: np.ndarray, c: np.ndarray, trace: list, cfg: MinimizerConfig
+    stage: _Stage, c: np.ndarray, trace: list, cfg: MinimizerConfig
 ) -> tuple[np.ndarray, str]:
-    """Minimize J(c) = c.A c / (sum W (B c)^6)^{1/3} over coefficients with
-    B c > 0 at every node, from c normalized to sum W (B c)^6 = 1, by the
-    shifted Newton steps of `minimize_conformal`, with Newton's matrix
-    N = A - 5 mu B^T diag(W u^4) B.  The residual A c - mu B^T (W u^5) is
+    """Minimize J(c) = c.A c / (sum W (B c)^6)^{1/3} on a stage over
+    coefficients with B c > 0 at every node, from c normalized to
+    sum W (B c)^6 = 1, by the shifted Newton steps of `minimize_conformal`,
+    with Newton's matrix N = A - 5 mu B^T diag(W u^4) B.  The residual A c - mu B^T (W u^5) is
     g den^{1/3} / 2, so a shift lam tends to the Sobolev step H^{-1} g / (2 lam)
     as it grows; the shifts stop ("no_decrease") once that step's predicted
     decrease g.H^{-1}g / (2 lam) is below the rounding of J.  Appends each
     accepted J to `trace` (and the start's J to an empty one); returns the
     last iterate and why the iteration stopped."""
-    B = basis.values
-    A, H = _forms(basis, W, scal)
+    B, W = stage.basis.values, stage.W
+    A, H = stage.forms
     H_inv = np.linalg.inv(H)  # H is fixed for the stage: the stop test needs only g.H^{-1}g
     J, num, den, u, wu5 = _energy(B, A, W, c)
     if not trace:
@@ -384,24 +406,22 @@ def _descend(
         trace.append(J)
 
 
-def _read_off(
-    metric: InvariantMetric, basis: _Basis, c: np.ndarray, level: int, data: tuple
-) -> tuple[float, float]:
+def _read_off(metric: InvariantMetric, stage: _Stage, c: np.ndarray) -> tuple[float, float]:
     """mu_upper and its error estimate: the discrete functional of the series
-    sum_j c[j] (column j of the basis on level n of the Fejér rule, with the
-    `_node_data` there), and its difference from the functional on every
-    second node with the weights of level n / 2, the nested test of
+    sum_j c[j] on a stage of level n, and its difference from the functional
+    on every second node with the weights of level n / 2, the nested test of
     `integrate`.  A level whose estimate misses the default
-    `QuadratureConfig` tolerance doubles, up to max_refinements times
-    (NoConvergence past them).  The series must be positive at the nodes of
-    the last level and between them, at the nodes of level max(2n, 512)
-    (NonPositiveFactor otherwise)."""
+    `QuadratureConfig` tolerance doubles, a stage of its own (`_stage`) whose
+    matrices are never formed, up to max_refinements times (NoConvergence
+    past them).  The series must be positive at the nodes of the last level
+    and between them, at the nodes of level max(2n, 512) (NonPositiveFactor
+    otherwise)."""
     base, cfg = metric.base, QuadratureConfig()
-    W, scal, weights = data
     for refinement in range(cfg.max_refinements + 1):
-        u, du = basis.values @ c, basis.slopes @ c
+        W, scal, weights = stage.W, stage.scal, stage.weights
+        u, du = stage.basis.values @ c, stage.basis.slopes @ c
         num, den = 8.0 * du**2 + scal * u**2, u**6
-        W_half = W[1::2] * (_fejer_rule(0.0, base.length, level // 2)[1] / weights[1::2])
+        W_half = W[1::2] * (_fejer_rule(0.0, base.length, stage.level // 2)[1] / weights[1::2])
         J = float(np.dot(W, num)) / float(np.dot(W, den)) ** (1.0 / 3.0)
         J_half = float(np.dot(W_half, num[1::2])) / float(np.dot(W_half, den[1::2])) ** (1.0 / 3.0)
         error = abs(J - J_half)
@@ -412,11 +432,9 @@ def _read_off(
                 f"mu_upper did not reach tolerance after {refinement} refinements "
                 f"(last error estimate {error:.3e})"
             )
-        level *= 2
-        W, scal, weights = _node_data(metric, level)
-        basis = _basis(base.length, base.periodic, c.size, level)
-    between = _basis(base.length, base.periodic, c.size, max(2 * level, _GRID_LEVEL)).values @ c
-    if not (np.all(u > 0.0) and np.all(between > 0.0)):
+        stage = _stage(metric, c.size, 2 * stage.level)
+    between = _basis(base.length, base.periodic, c.size, max(2 * stage.level, _GRID_LEVEL))
+    if not (np.all(u > 0.0) and np.all(between.values @ c > 0.0)):
         raise NonPositiveFactor("the minimizer's factor must be strictly positive")
     return J, error
 
@@ -458,9 +476,8 @@ def minimize_conformal(
         cfg = MinimizerConfig()
     base = metric.base
     m = min(_START_MODES, cfg.max_modes)
-    level = _level(m)
-    data = W, scal, weights = _node_data(metric, level)
-    basis = _basis(base.length, base.periodic, m, level)
+    stage = _stage(metric, m, _level(m))
+    basis, weights = stage.basis, stage.weights
     if u0 is None:
         c = np.zeros(m)
         c[0] = 1.0
@@ -470,32 +487,30 @@ def minimize_conformal(
             grid = np.linspace(0.0, base.length, samples.size)
             u0 = RadialField.from_samples(grid, samples, periodic=base.periodic).value
         # the basis is orthogonal in L^2(ds): |1|^2 = L, every other |b_j|^2 = L/2
-        u = np.asarray(u0(basis.nodes), dtype=float)
+        u = np.asarray(u0(stage.nodes), dtype=float)
         c = (basis.values.T @ (weights * u)) / np.where(basis.power == 0, 1.0, 0.5) / base.length
     u = basis.values @ c
     if not np.all(u > 0.0):
         raise NonPositiveFactor("the projection of u0 must be positive at every quadrature node")
-    c = c / float(np.dot(W, u**6)) ** (1.0 / 6.0)
+    c = c / float(np.dot(stage.W, u**6)) ** (1.0 / 6.0)
 
     trace: list[float] = []
     while True:
-        c, stop = _descend(basis, W, scal, c, trace, cfg)
+        c, stop = _descend(stage, c, trace, cfg)
         if stop == "budget" or not _refinable(c, min(cfg.max_modes, _MAX_MODES)):
             break
         m *= 2
         c = np.concatenate([c, np.zeros(m - c.size)])
-        if _level(m) != level:
-            level = _level(m)
-            data = W, scal, _ = _node_data(metric, level)
-        basis = _basis(base.length, base.periodic, m, level)
+        stage = _stage(metric, m, _level(m), stage)
 
-    mu_upper, error_estimate = _read_off(metric, basis, c, level, data)
+    mu_upper, error_estimate = _read_off(metric, stage, c)
     return MinimizeResult(
         mu_upper=mu_upper,
         error_estimate=error_estimate,
-        u_star=basis.series(c),
+        u_star=stage.basis.series(c, stage.nodes),
         trace=np.asarray(trace),
         converged=stop != "budget",
         stop_reason=stop,
         modes=m,
+        _stage=stage,
     )

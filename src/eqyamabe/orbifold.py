@@ -243,7 +243,11 @@ def _sine_profile(
     c_k = -i b_k.  Its pole slopes, read exactly from them as
     phi'(0) = sum (k pi / L) b_k and phi'(L) = sum (-1)^k (k pi / L) b_k, must
     be 1/m_start and -1/m_end to 1e-6, and phi must be positive at 65
-    interior points; else ValueError."""
+    interior points; else ValueError.  The cone orders must be positive
+    integers (ValueError naming the order otherwise)."""
+    for name, m in (("m_start", m_start), ("m_end", m_end)):
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValueError(f"cone order {name} must be a positive integer, got {m!r}")
     slopes = np.arange(c.size) * (math.pi / length) * -c.imag  # per mode, at s = 0
     start, end = float(slopes.sum()), float(slopes[::2].sum() - slopes[1::2].sum())
     phi = trig_series(c, 0.0, math.pi / length)

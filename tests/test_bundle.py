@@ -371,6 +371,21 @@ def test_radial_field_from_samples_rejects_other_grids():
         eq.RadialField.from_samples(np.linspace(0.0, 1.0, 9), np.ones(8))
 
 
+def test_radial_field_from_samples_needs_two_samples_over_a_positive_length():
+    # a series needs two samples and a period of positive length
+    for n in (0, 1):
+        for periodic in (False, True):
+            with pytest.raises(ValueError, match=f"at least 2 samples.*got {n}"):
+                eq.RadialField.from_samples(np.linspace(0.0, 1.0, n), np.ones(n), periodic=periodic)
+        with pytest.raises(ValueError, match=f"at least 2 samples.*got {n}"):
+            eq.minimize_conformal(eq.hopf_metric(), u0=np.ones(n))
+    for end in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive, finite length"):
+            eq.RadialField.from_samples(np.linspace(0.0, end, 5), np.ones(5))
+    field = eq.RadialField.from_samples(np.array([0.0, 2.0]), np.array([1.0, 3.0]))
+    assert field.value(np.array([0.0, 1.0, 2.0])) == pytest.approx([1.0, 2.0, 3.0], abs=1e-15)
+
+
 def test_sign_changing_norms_import_no_scipy():
     # root finding and piecewise quadrature are numpy only
     script = """

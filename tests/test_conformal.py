@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -465,26 +466,26 @@ def test_minimizer_config_names_its_bounds():
     eq.MinimizerConfig(max_modes=8, max_iterations=1)
 
 
-def _galerkin(metric, m):
-    """The descent's basis, node weights W and matrices A and H at m modes."""
-    basis = conformal._basis(metric.base.length, metric.base.periodic, m)
-    W, scal, _ = conformal._node_data(metric)
-    return (basis, W) + conformal._forms(basis, W, scal)
+def _galerkin(metric):
+    """The last stage the minimizer descended on: its basis, node data and
+    matrices."""
+    return eq.minimize_conformal(metric)._stage
 
 
 @pytest.mark.parametrize("kind", sorted(_DESCENT_METRICS))
 def test_h1_gram_matrix_is_symmetric_positive_definite(kind):
     # H is the Gram matrix of the basis in the H^1 inner product, the shift
     # of the descent's Newton matrix
-    _, _, _, H = _galerkin(_DESCENT_METRICS[kind](), 32)
+    _, H = _galerkin(_DESCENT_METRICS[kind]()).forms
     assert np.max(np.abs(H - H.T)) <= 1e-14 * np.max(np.abs(H))
     assert np.min(np.linalg.eigvalsh(H)) > 0.0
 
 
 @pytest.mark.parametrize("kind", ["wps23", "torus"])
 def test_coefficient_gradient_matches_the_discrete_functional(kind):
-    basis, W, A, _ = _galerkin(_DESCENT_METRICS[kind](), 16)
-    B = basis.values
+    stage = _galerkin(_DESCENT_METRICS[kind]())
+    B, W, (A, _) = stage.basis.values, stage.W, stage.forms
+    assert B.shape[1] == 16
     rng = np.random.default_rng(11)
     c = np.zeros(16)
     c[0] = 1.0
@@ -658,15 +659,12 @@ def test_newton_matrix_has_one_negative_eigenvalue_at_the_solution(kind):
     # N = A - 5 mu B^T diag(W u^4) B, mu the multiplier of u at the nodes:
     # its one negative direction is the scaling of u, so each solution is a
     # local minimum of J among radial factors
-    metric = _DESCENT_MU_UPPER[kind][0]()
-    result = eq.minimize_conformal(metric)
-    base, level = metric.base, conformal._level(result.modes)
-    basis = conformal._basis(base.length, base.periodic, result.modes, level)
-    W, scal, _ = conformal._node_data(metric, level)
-    A, _ = conformal._forms(basis, W, scal)
-    u, du = result.u_star.value(basis.nodes), result.u_star.d1(basis.nodes)
-    mu = np.dot(W, 8.0 * du**2 + scal * u**2) / np.dot(W, u**6)
-    N = A - 5.0 * mu * (basis.values.T * (W * u**4)) @ basis.values
+    result = eq.minimize_conformal(_DESCENT_MU_UPPER[kind][0]())
+    stage = result._stage
+    (A, _), B, W = stage.forms, stage.basis.values, stage.W
+    u, du = result.u_star.value(stage.nodes), result.u_star.d1(stage.nodes)
+    mu = np.dot(W, 8.0 * du**2 + stage.scal * u**2) / np.dot(W, u**6)
+    N = A - 5.0 * mu * (B.T * (W * u**4)) @ B
     assert np.count_nonzero(np.linalg.eigvalsh(N) < 0.0) == 1
 
 
@@ -761,31 +759,85 @@ def test_perturbed_starts_converge_in_no_more_steps():
     assert steps <= 238
 
 
+def _stage_counts(monkeypatch):
+    """The levels at which a run evaluates its node data, and the (level,
+    modes) of each stage whose matrices it forms."""
+    levels, formed = [], []
+    scalar_curvature, forms = conformal._scalar_curvature, conformal._Stage.forms.func
+
+    def counting(metric, s, *values):
+        levels.append(s.size + 1)
+        return scalar_curvature(metric, s, *values)
+
+    def counting_forms(stage):
+        formed.append((stage.level, stage.basis.values.shape[1]))
+        return forms(stage)
+
+    counted = functools.cached_property(counting_forms)
+    counted.__set_name__(conformal._Stage, "forms")
+    monkeypatch.setattr(conformal, "_scalar_curvature", counting)
+    monkeypatch.setattr(conformal._Stage, "forms", counted)
+    return levels, formed
+
+
 def test_mu_upper_level_doubles_until_its_estimate_meets_the_tolerance(monkeypatch):
     # wps(1,2) runs on level 128, where |J_128 - J_64| = 1.4e-14; a tolerance
     # below that reads J off levels 256 and 512; on wps(1,9), from level 256,
-    # no level up to 1024 meets a tolerance of 1e-300
-    levels = []
-    node_data = conformal._node_data
-
-    def counting(metric, level=conformal._GRID_LEVEL):
-        levels.append(level)
-        return node_data(metric, level)
-
-    monkeypatch.setattr(conformal, "_node_data", counting)
+    # no level up to 1024 meets a tolerance of 1e-300.  Each level's node
+    # data is evaluated once, and the matrices once per stage descended on,
+    # never on a level read off alone
+    levels, formed = _stage_counts(monkeypatch)
     metric = eq.wps_metric(1, 2)
     default = eq.minimize_conformal(metric)
     assert levels == [128]
+    assert formed == [(128, 16)]
     tight = numerics.QuadratureConfig(abs_tol=1e-300, rel_tol=1e-16)
     monkeypatch.setattr(conformal, "QuadratureConfig", lambda: tight)
     levels.clear()
+    formed.clear()
     result = eq.minimize_conformal(metric)
     assert levels == [128, 256, 512]
+    assert formed == [(128, 16)]
     assert result.error_estimate <= 1e-16 * result.mu_upper
     assert result.mu_upper == pytest.approx(default.mu_upper, rel=1e-15)
     never = numerics.QuadratureConfig(max_refinements=2, abs_tol=1e-300, rel_tol=1e-300)
     monkeypatch.setattr(conformal, "QuadratureConfig", lambda: never)
     levels.clear()
+    formed.clear()
     with pytest.raises(NoConvergence, match="after 2 refinements"):
         eq.minimize_conformal(eq.wps_metric(1, 9))
     assert levels == [128, 256, 512, 1024]
+    assert formed == [(128, 16), (128, 32), (256, 64)]
+
+
+def test_result_keeps_the_stage_it_descended_on():
+    # the stage's basis is the shared one of its level, on the plan's node
+    # array, with its matrices formed; the stage stays out of the repr and
+    # of comparisons
+    metric = eq.wps_metric(1, 9)
+    result = eq.minimize_conformal(metric)
+    stage, base = result._stage, metric.base
+    assert (result.modes, stage.level) == (64, 256)
+    assert stage.basis is conformal._basis(base.length, base.periodic, 64, 256)
+    assert stage.nodes is conformal._grid(base, 256)[0]
+    assert "forms" in vars(stage)
+    spec = {f.name: f for f in dataclasses.fields(result)}["_stage"]
+    assert not (spec.repr or spec.compare)
+    assert "_stage" not in repr(result)
+
+
+def test_results_repeat_bit_for_bit_across_cache_eviction():
+    # integrals on 200 new intervals evict every level of the Fejér rule from
+    # its cache, so the plan's node arrays are new ones; a series must be
+    # planned at the arrays its caller uses, not at those of an evicted rule
+    metric, base = eq.wps_metric(2, 3), eq.wps_profile(2, 3)
+
+    def run():
+        _, min_scal = eq.uniformize_positive(base)
+        value = eq.conformal_functional(metric, eq.minimize_conformal(metric).u_star)
+        return value.hex(), min_scal.hex()
+
+    first = run()
+    for k in range(200):
+        numerics.integrate(np.sin, 0.0, 1.0 + k * 1e-3)
+    assert run() == first

@@ -227,6 +227,30 @@ def test_profile_from_samples_validation():
         eq.profile_from_samples(s, phi, 1, 1)
 
 
+@pytest.mark.parametrize("orders", [(0, 1), (1, 0), (-1, 1), (1.5, 1.5)])
+def test_cone_orders_must_be_positive_integers(orders):
+    # checked before any division by them, and never rounded: int(1.5) = 1
+    # would give chi_orb 2 to a profile whose Gauss-Bonnet integral is 4/3
+    name, bad = ("m_start", orders[0]) if orders[0] != 1 else ("m_end", orders[1])
+    message = rf"cone order {name} must be a positive integer, got {bad}"
+    s = np.linspace(0.0, math.pi, 65)
+    phi = np.sin(s) / (1.5 if orders == (1.5, 1.5) else 1.0)
+    phi[-1] = 0.0
+    with pytest.raises(ValueError, match=message):
+        eq.profile_from_samples(s, phi, *orders)
+    with pytest.raises(ValueError, match=message):
+        eq.profile_from_callables(math.pi, np.sin, *orders)
+
+
+def test_numpy_integer_cone_orders_are_accepted():
+    s = np.linspace(0.0, math.pi, 65)
+    phi = np.sin(s)
+    phi[-1] = 0.0
+    base = eq.profile_from_samples(s, phi, np.int64(1), np.int32(1))
+    assert base.cone_orders == (1, 1)
+    assert all(type(m) is int for m in base.cone_orders)
+
+
 SAMPLED_PROFILES = {
     "sin": lambda: eq.make_round_sphere(1.0),
     "sin_plus_sin_cubed": lambda: bump_sphere(0.1),  # sin s + 0.1 sin^3 s
