@@ -5,7 +5,7 @@ Both the Poisson solve and the minimizer are Rayleigh-Ritz (Galerkin)
 discretizations on one basis: a cosine series cos(j pi s / L) on a profile,
 whose terms are the smooth radial fields, and a Fourier series on the torus,
 held with its slopes at the nodes of a level of the library's nested Fejér
-rule (`numerics._fejer_rule`), which the base's quadrature plan keeps.  The
+rule, which the base's quadrature plan owns (`orbifold._rule`).  The
 Poisson solve runs on level 512, whose every fourth node is a first-level
 node of `integrate`; a minimizer stage of m modes runs on level
 clamp(4m, 128, 512), so 16 and 32 modes use the first level itself.  The
@@ -53,7 +53,7 @@ from .bundle import (
 )
 from .errors import NoConvergence, NonPositiveFactor, NonpositiveChi, NotMeanZero, NumericalError
 from .numerics import _FIRST_LEVEL, QuadratureConfig, _fejer_rule, _modes_past, trig_series
-from .orbifold import Base, _plan_nodes, area, chi_orb, gauss_curvature
+from .orbifold import Base, _rule, area, chi_orb, gauss_curvature
 
 __all__ = [
     "MinimizerConfig",
@@ -230,10 +230,8 @@ def _level(m: int) -> int:
 
 def _grid(base: Base, level: int = _GRID_LEVEL) -> tuple[np.ndarray, np.ndarray]:
     """The read-only nodes and weights of a level of the Fejér rule on
-    [0, L], shared by every base of that length, its nodes entered in the
-    base's plan."""
-    nodes, weights = _fejer_rule(0.0, base.length, level)
-    return _plan_nodes(base, nodes), weights
+    [0, L], the base plan's own (`orbifold._rule`)."""
+    return _rule(base, level)
 
 
 @lru_cache(maxsize=64)
@@ -421,7 +419,7 @@ def _read_off(metric: InvariantMetric, stage: _Stage, c: np.ndarray) -> tuple[fl
         W, scal, weights = stage.W, stage.scal, stage.weights
         u, du = stage.basis.values @ c, stage.basis.slopes @ c
         num, den = 8.0 * du**2 + scal * u**2, u**6
-        W_half = W[1::2] * (_fejer_rule(0.0, base.length, stage.level // 2)[1] / weights[1::2])
+        W_half = W[1::2] * (_grid(base, stage.level // 2)[1] / weights[1::2])
         J = float(np.dot(W, num)) / float(np.dot(W, den)) ** (1.0 / 3.0)
         J_half = float(np.dot(W_half, num[1::2])) / float(np.dot(W_half, den[1::2])) ** (1.0 / 3.0)
         error = abs(J - J_half)

@@ -3,10 +3,10 @@
 Every integral uses one rule, Fejér's second rule (`integrate`).  Its nodes
 are interior Chebyshev points, which nest under doubling: a refinement
 evaluates only the new nodes, and a smooth integrand is settled by one call
-on 127 nodes, which gives its value and its error estimate together.  Whole
-levels, nodes with weights, are kept per interval and level (`_fejer_rule`):
-level 128 for `integrate`, levels 128 to 512 for the Galerkin matrices of
-`conformal`.
+on 127 nodes, which gives its value and its error estimate together.  A
+whole level, nodes with weights, is built by `_fejer_rule`; a base's
+quadrature plan keeps the levels it uses (`orbifold._rule`): level 128 for
+its integrals, levels 128 to 512 for the Galerkin matrices of `conformal`.
 
 Everything here is deterministic: quadrature nodes and reductions come in a
 fixed order, so repeated calls with the same inputs produce bit-identical
@@ -116,18 +116,13 @@ def _fejer_nodes(lo: np.ndarray, hi: np.ndarray, n: int, step: int) -> np.ndarra
     return nodes
 
 
-@lru_cache(maxsize=128)
 def _fejer_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only nodes and weights of the whole level n of Fejér's second
-    rule on [a, b]: one shared pair of arrays per (a, b, n)."""
+    """New read-only nodes and weights of the whole level n of Fejér's second
+    rule on [a, b]; the callers that share them keep them (a base's plan,
+    `orbifold._rule`)."""
     weights = 0.5 * (b - a) * _fejer_weights(n)
     weights.flags.writeable = False
     return _fejer_nodes(np.array([a]), np.array([b]), n, 1), weights
-
-
-def _first_nodes(a: float, b: float) -> np.ndarray:
-    """The first-level nodes on [a, b]: one shared read-only array per (a, b)."""
-    return _fejer_rule(a, b, _FIRST_LEVEL)[0]
 
 
 def _refine(
@@ -142,7 +137,7 @@ def _refine(
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     half = 0.5 * (hi - lo)
     n = _FIRST_LEVEL
-    nodes = _first_nodes(edges[0], edges[-1]) if lo.size == 1 else _fejer_nodes(lo, hi, n, 1)
+    nodes = _fejer_nodes(lo, hi, n, 1)
     vals = wanted = None  # None: every row is wanted
     done: dict[int, IntegralResult] = {}
     for r in itertools.count():
@@ -217,11 +212,11 @@ def integrate(
     is returned with its estimate, met or not.
 
     f receives the nodes of one call as a read-only, increasing array;
-    writing to it raises.  Without breaks the first call's array is one
-    shared array per (a, b), so a caller may compute there once and reuse
-    it (`orbifold.quadrature_nodes`).  If f returns a 2-d array, each row is
-    a separate integrand that stops at its own level, and one result per row
-    is returned in a list.
+    writing to it raises.  Equal arguments give equal arrays, each call a
+    new one; a base's integrals hand their integrand the same first-level
+    array every time (`orbifold.integrate_over_base`).
+    If f returns a 2-d array, each row is a separate integrand that stops at
+    its own level, and one result per row is returned in a list.
 
     `breaks` are points where f may have a kink, such as the roots of F in
     |F|.  The rule runs on each piece between them, and every call of f

@@ -22,17 +22,18 @@ functions here and in `bundle`, `conformal` and `modelio` never test a type.
 
 Base integrals (`integrate_over_base`, `area`, `gauss_bonnet_check`,
 `scalar_curvature_integral`) are served from a quadrature plan per base: the
-members' values at the shared read-only node arrays the base has used, the
-base-only integrals, and the curvature-form norms of each curvature density
-(`bundle.omega_norms`), each computed on first use.  The node arrays are
-two levels of the nested Fejér rule on [0, L], one array per length: the
-127 nodes of level 128 (`quadrature_nodes`), where a smooth integral makes
-its only call of its integrand and where `omega_norms` and
-`scalar_curvature_integral` bracket their roots, and the 511 of level 512,
-the Galerkin grid of `conformal`.  Every base carries its plan, so a plan
-is dropped when its base is garbage-collected, and a field's norms, kept in
-a weak-keyed table of the plan, when the field is; integrands and callers
-see read-only nodes and values.
+levels of the nested Fejér rule on [0, L] that the base has used, the
+members' values at their nodes, the base-only integrals, and the
+curvature-form norms of each curvature density (`bundle.omega_norms`), each
+computed on first use.  The plan owns its levels (`_rule`), one array of
+nodes and one of weights per level, the same arrays for as long as the base
+lives: the 127 nodes of level 128 (`quadrature_nodes`), where a smooth
+integral makes its only call of its integrand and where `omega_norms` and
+`scalar_curvature_integral` bracket their roots, and the levels 256 and 512
+of the Galerkin grids of `conformal`.  Every base carries its plan, so a
+plan is dropped when its base is garbage-collected, and a field's norms,
+kept in a weak-keyed table of the plan, when the field is; integrands and
+callers see read-only nodes and values.
 Results are bit-identical to evaluating phi afresh at every call.
 
 `wps_profile` and `make_round_sphere` validate their arguments on every
@@ -54,9 +55,9 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, NotCoprime, QuadratureFailure
-from .numerics import _DEFAULT_CONFIG, _EPS, IntegralResult, NoConvergence, QuadratureConfig
-from .numerics import _first_nodes, _interpolant_coefficients, _modes_past, _sampled_series, integrate
-from .numerics import _with_dips, sign_change_roots, trig_series
+from .numerics import _DEFAULT_CONFIG, _EPS, _FIRST_LEVEL, IntegralResult, NoConvergence
+from .numerics import QuadratureConfig, _fejer_rule, _interpolant_coefficients, _modes_past
+from .numerics import _sampled_series, _with_dips, integrate, sign_change_roots, trig_series
 
 __all__ = [
     "ConeSurfaceProfile",
@@ -100,18 +101,18 @@ class _Plan:
     """Quadrature data of one base, computed once; every base carries its own
     (`_plan`), so a plan dies with its base.
 
-    `nodes` maps id(nodes) to the shared node arrays that the base has used:
-    levels 128 (the first), 256 and 512 (the Galerkin grids) of the Fejér
-    rule, and finer ones where a minimizer's functional needs them;
-    `values` maps (member, id(nodes)) to a base member's read-only values at
-    those nodes; `integrals` maps (integrand, cfg) to a base-only integral;
-    `norms` maps a curvature density F, weakly, to its curvature-form norms
-    per cfg, so an entry dies with its field.  A plan holds no reference to
-    its base.
+    `rules` maps a level n of the Fejér rule on [0, L] to its read-only
+    nodes and weights (`_rule`): levels 128 (the first), 256 and 512 (the
+    Galerkin grids), and others where a minimizer's functional needs them;
+    `values` maps (member, n) to a base member's read-only values at the
+    nodes of level n; `integrals` maps (integrand, cfg) to a base-only
+    integral; `norms` maps a curvature density F, weakly, to its
+    curvature-form norms per cfg, so an entry dies with its field.  A plan
+    holds no reference to its base.
     """
 
     def __init__(self) -> None:
-        self.nodes: dict[int, np.ndarray] = {}
+        self.rules: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.values: dict[tuple[str, int], np.ndarray] = {}
         self.integrals: dict[tuple[Callable, QuadratureConfig], float] = {}
         self.norms: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -391,26 +392,30 @@ def _sine_fit(s: np.ndarray, p: np.ndarray, length: float) -> np.ndarray:
 # quadrature plan
 # ---------------------------------------------------------------------------
 
+def _rule(base: Base, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only nodes and weights of a level of the Fejér rule on
+    [0, L], built once per base and level and kept in its plan: from then on
+    the base's members are computed at those nodes once."""
+    rules = base._plan.rules
+    if level not in rules:
+        rules[level] = _fejer_rule(0.0, base.length, level)
+    return rules[level]
+
+
 def _planned(base: Base, name: str, s, compute: Callable):
-    """compute(s); at the plan's node arrays, computed once per base and
-    returned read-only."""
+    """compute(s); at the nodes of a level of the plan, computed once per
+    base and returned read-only."""
     plan = base._plan
-    if plan.nodes.get(id(s)) is not s:
+    rule = plan.rules.get(np.size(s) + 1)
+    if rule is None or rule[0] is not s:
         return compute(s)
-    key = (name, id(s))
+    key = (name, s.size + 1)  # (member, level)
     values = plan.values.get(key)
     if values is None:
         # a copy: the caller's array stays writable
         values = plan.values[key] = np.array(compute(s), dtype=float)
         values.flags.writeable = False
     return values
-
-
-def _plan_nodes(base: Base, nodes: np.ndarray) -> np.ndarray:
-    """The shared read-only nodes, entered in the base's plan: from then on
-    the base's members are computed there once."""
-    base._plan.nodes[id(nodes)] = nodes
-    return nodes
 
 
 def _cached_integral(
@@ -458,10 +463,10 @@ def gauss_curvature(base: Base, s):
 
 def quadrature_nodes(base: Base) -> np.ndarray:
     """The read-only, increasing nodes at which `integrate_over_base(base,
-    fn)` without breaks first calls fn, one array per base length: a caller
-    can compute there once and have fn return those values when it receives
+    fn)` without breaks first calls fn, one array per base: a caller can
+    compute there once and have fn return those values when it receives
     this array.  The base's members are computed there once per base."""
-    return _plan_nodes(base, _first_nodes(0.0, base.length))
+    return _rule(base, _FIRST_LEVEL)[0]
 
 
 def integrate_over_base(
@@ -479,11 +484,15 @@ def integrate_over_base(
     plan; with breaks the rule runs on each piece between them, as in
     `integrate`.
     """
-    quadrature_nodes(base)  # enters the first-level nodes in the plan
+
+    def integrand(s):
+        # the rule's only call of 127 nodes is its first on one piece, the
+        # first level on [0, L]: the plan's own array, equal bit for bit
+        s = quadrature_nodes(base) if s.size == _FIRST_LEVEL - 1 else s
+        return np.asarray(fn(s)) * base.density(s)
+
     try:
-        res = integrate(
-            lambda s: np.asarray(fn(s)) * base.density(s), 0.0, base.length, cfg, breaks
-        )
+        res = integrate(integrand, 0.0, base.length, cfg, breaks)
     except NoConvergence as exc:
         raise QuadratureFailure(str(exc)) from exc
     scale = base.area_scale

@@ -244,7 +244,11 @@ def test_galerkin_grid_is_a_level_of_the_quadrature_rule():
         assert np.array_equal(stage[stride - 1 :: stride], first)
     assert conformal._grid(base, 128)[0] is first
     assert not (nodes.flags.writeable or weights.flags.writeable)
-    assert conformal._grid(eq.wps_profile(1, 9))[0] is nodes  # one array per length
+    # one array per base, kept by its plan; a base of the same length has its
+    # own, equal one
+    assert conformal._grid(base)[0] is nodes and conformal._grid(base)[1] is weights
+    other = conformal._grid(eq.wps_profile(1, 9))
+    assert np.array_equal(other[0], nodes) and np.array_equal(other[1], weights)
     assert math.fsum(weights) == pytest.approx(base.length, rel=1e-14)
     assert np.dot(weights, np.cos(nodes)) == pytest.approx(math.sin(base.length), rel=1e-14)
 
@@ -827,15 +831,20 @@ def test_result_keeps_the_stage_it_descended_on():
 
 
 def test_results_repeat_bit_for_bit_across_cache_eviction():
-    # integrals on 200 new intervals evict every level of the Fejér rule from
-    # its cache, so the plan's node arrays are new ones; a series must be
-    # planned at the arrays its caller uses, not at those of an evicted rule
-    metric, base = eq.wps_metric(2, 3), eq.wps_profile(2, 3)
+    # integrals on 200 new intervals leave the base's plan as it was, so
+    # every result on the base repeats bit for bit after them; each run
+    # builds a new metric, whose fields' norms are computed afresh
+    base = eq.wps_profile(2, 3)
 
     def run():
+        metric = eq.wps_metric(2, 3)
+        norms = eq.omega_norms(metric)
+        result = eq.minimize_conformal(metric)
         _, min_scal = eq.uniformize_positive(base)
-        value = eq.conformal_functional(metric, eq.minimize_conformal(metric).u_star)
-        return value.hex(), min_scal.hex()
+        value = eq.conformal_functional(metric, result.u_star)
+        numbers = [getattr(norms, f.name) for f in dataclasses.fields(norms)]
+        numbers += [result.mu_upper, result.error_estimate, min_scal, value]
+        return [x.hex() for x in numbers], repr(eq.functional_J(metric))
 
     first = run()
     for k in range(200):

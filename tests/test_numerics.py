@@ -19,6 +19,7 @@ from eqyamabe.errors import (
 from eqyamabe.numerics import (
     IntegralResult,
     QuadratureConfig,
+    _fejer_rule,
     _fejer_weights,
     _interpolant_coefficients,
     _modes_past,
@@ -31,6 +32,7 @@ from eqyamabe.numerics import (
     trig_interpolant,
     trig_series,
 )
+from eqyamabe.orbifold import integrate_over_base, quadrature_nodes, wps_profile
 
 from conftest import check_derivative
 
@@ -68,7 +70,20 @@ def test_smooth_integrand_is_one_call_of_127_points():
     assert res.refinements_used == 0
     assert np.all(np.diff(calls[0]) > 0.0) and 0.0 < calls[0][0] and calls[0][-1] < 2.0
     assert integrate(f, 0.0, 2.0) == res
-    assert calls[1] is calls[0]  # one shared first-level array per interval
+    # each call builds its own first-level array, equal bit for bit to
+    # level 128 of the rule
+    assert calls[1] is not calls[0]
+    assert np.array_equal(calls[1], calls[0])
+    assert np.array_equal(calls[0], _fejer_rule(0.0, 2.0, 128)[0])
+    # a base's integrals hand f the plan's own array, also after integrals on
+    # 200 new intervals
+    base = wps_profile(2, 3)
+    calls.clear()
+    integrate_over_base(base, f)
+    for k in range(200):
+        integrate(np.sin, 0.0, 1.0 + k * 1e-3)
+    integrate_over_base(base, f)
+    assert calls[0] is calls[1] is quadrature_nodes(base)
 
 
 def test_refinement_evaluates_only_the_new_nodes():

@@ -334,6 +334,28 @@ def test_bound_chain_evaluates_F_once_per_level():
     assert F_points
 
 
+def test_plan_is_bounded_across_rule_eviction():
+    # the plan keeps one pair of arrays per level and its values per level,
+    # so a cycle of descents, uniformizations and integrals on new intervals
+    # adds nothing to it after the first
+    metric = eq.wps_metric(2, 3)
+    plan = metric.base._plan
+
+    def state():
+        nbytes = sum(values.nbytes for values in plan.values.values())
+        return set(plan.rules), len(plan.values), nbytes
+
+    for cycle in range(5):
+        eq.minimize_conformal(metric)
+        eq.uniformize_positive(metric.base)
+        for k in range(200 * cycle, 200 * (cycle + 1)):
+            integrate(np.sin, 0.0, 1.0 + k * 1e-3)
+        if cycle == 0:
+            first, rules = state(), dict(plan.rules)
+    assert state() == first
+    assert all(plan.rules[level] is rule for level, rule in rules.items())
+
+
 def test_norms_entry_dies_with_its_field_and_its_base():
     base = unshared(eq.wps_profile(2, 3))
     F = eq.wps_density_field(2, 3)
