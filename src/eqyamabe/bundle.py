@@ -54,8 +54,9 @@ class RadialField:
     vectorized, and pure for the life of the field: the
     curvature-form norms of a field are computed once per base and config
     (`omega_norms`), as a base's values are.  `constant` is set when the field
-    is known to be constant, which lets closed-form evaluations skip
-    quadrature.
+    is known to be constant: `InvariantMetric`'s positivity and pole checks
+    then read that number instead of evaluating the field, and `scale_metric`
+    scales it.  Every integral still evaluates the field at its nodes.
     """
 
     value: Callable[[np.ndarray], np.ndarray]

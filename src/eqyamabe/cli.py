@@ -47,6 +47,7 @@ from .scaling import (
     REGIME_INTERIOR_MAX,
     REGIME_SUP_ZERO,
     ell_scan,
+    fiber_regime,
 )
 from .yamabe import (
     BoundReport,
@@ -63,6 +64,12 @@ _REGIME_NOTE = {
     REGIME_DIVERGES: "functional unbounded as the fiber grows",
     REGIME_SUP_ZERO: "supremum 0, not attained (collapse)",
 }
+
+# a measured Chern number at or below this in magnitude counts as zero, and
+# `bound --model` then gives no topological bound (it needs c1 != 0)
+_C1_ZERO_TOL = 1e-12
+# a minimizer trace whose steps rise by at most this is reported monotone
+_TRACE_RISE_TOL = 1e-12
 
 
 def _quantity(value, error=None, route=None, exact=False):
@@ -242,32 +249,22 @@ def cmd_bound(args) -> int:
 
 
 def _bounds_for(chi: float, base, F, cfg, norms: NormReport) -> tuple[list[dict], str]:
-    # these values come from measured norms: carry the norm-quadrature
-    # tolerance as a conservative relative error estimate
+    # the regime is `scan`'s; these values come from measured norms: carry
+    # the norm-quadrature tolerance as a conservative relative error estimate
+    regime = fiber_regime(chi, norms.omega_L2_sq)
+    if regime != REGIME_INTERIOR_MAX:
+        return [], _REGIME_NOTE[regime]
     c1 = norms.chern_number
     measured_inputs = {"chi": chi, "c1_measured": c1}
-    if chi > 0 and abs(c1) > 1e-12:
-        ell_star, j_max = optimal_ell(base, F, cfg, norms=norms)
-        cs = bound_cauchy_schwarz(base, F, cfg, norms=norms)
-        top = bound_theorem_main(chi, c1)
-        bounds = [
-            _serialize_bound(
-                BoundReport(
-                    "optimal_fiber_length", j_max, dict(measured_inputs, ell_star=ell_star)
-                ),
-                error=abs(j_max) * 5e-8,
-            ),
-            _serialize_bound(
-                BoundReport("cauchy_schwarz", cs, measured_inputs), error=abs(cs) * 5e-8
-            ),
-            _serialize_bound(
-                BoundReport("topological", top, measured_inputs), error=abs(top) * 5e-8
-            ),
-        ]
-        return bounds, _REGIME_NOTE[REGIME_INTERIOR_MAX]
-    if chi > 0:
-        return [], _REGIME_NOTE[REGIME_DIVERGES]
-    return [], _REGIME_NOTE[REGIME_SUP_ZERO]
+    ell_star, j_max = optimal_ell(base, F, cfg, norms=norms)
+    cs = bound_cauchy_schwarz(base, F, cfg, norms=norms)
+    bounds = [
+        BoundReport("optimal_fiber_length", j_max, dict(measured_inputs, ell_star=ell_star)),
+        BoundReport("cauchy_schwarz", cs, measured_inputs),
+    ]
+    if abs(c1) > _C1_ZERO_TOL:
+        bounds.append(BoundReport("topological", bound_theorem_main(chi, c1), measured_inputs))
+    return [_serialize_bound(b, error=abs(b.value) * 5e-8) for b in bounds], _REGIME_NOTE[regime]
 
 
 def cmd_functional(args) -> int:
@@ -330,7 +327,7 @@ def cmd_minimize(args) -> int:
         "converged": result.converged,
         "stop_reason": result.stop_reason,
         "modes": _quantity(float(result.modes), exact=True),
-        "trace_monotone": bool(np.all(np.diff(result.trace) <= 1e-12)),
+        "trace_monotone": bool(np.all(np.diff(result.trace) <= _TRACE_RISE_TOL)),
     }
     report["tables"] = {"trace": result.trace.tolist()}
     _emit(args, report, table_to_csv({"iteration": list(range(len(result.trace))),

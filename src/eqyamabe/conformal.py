@@ -52,7 +52,7 @@ from .bundle import (
     as_radial_field,
 )
 from .errors import NoConvergence, NonPositiveFactor, NonpositiveChi, NotMeanZero, NumericalError
-from .numerics import _FIRST_LEVEL, QuadratureConfig, _fejer_rule, _modes_past, trig_series
+from .numerics import _FIRST_LEVEL, QuadratureConfig, _chop, _fejer_rule, trig_series
 from .orbifold import Base, _rule, area, chi_orb, gauss_curvature
 
 __all__ = [
@@ -75,7 +75,7 @@ def laplace_solve_radial(base: Base, f: FieldLike) -> RadialField:
     raises NotMeanZero otherwise.  Returns the Galerkin series
     (`_poisson_series`), whose mean by the same quadrature is zero.
     """
-    f_nodes = np.asarray(as_radial_field(f, base).value(_grid(base)[0]), dtype=float)
+    f_nodes = np.asarray(as_radial_field(f, base).value(_rule(base, _GRID_LEVEL)[0]), dtype=float)
     wA = _area_weights(base)
     mean, scale = float(np.dot(wA, f_nodes)), float(np.dot(wA, np.abs(f_nodes)))
     if abs(mean) > 1e-8 * max(scale, 1e-30):
@@ -88,7 +88,7 @@ def laplace_residual(base: Base, u: RadialField, f: FieldLike) -> float:
     the series' own derivatives.  On a profile only the nodes more than 2
     percent of L from either pole count: nearer a pole the quotient phi'/phi
     amplifies rounding without geometric meaning."""
-    nodes, L = _grid(base)[0], base.length
+    nodes, L = _rule(base, _GRID_LEVEL)[0], base.length
     s = nodes[(nodes > 0.02 * L) & (nodes < 0.98 * L)] if base.cone_orders else nodes
     return float(np.max(np.abs(_laplacian_of(u, base, s) - as_radial_field(f, base).value(s))))
 
@@ -110,7 +110,7 @@ def uniformize_positive(base: Base) -> tuple[RadialField, float]:
     chi = chi_orb(base)
     if chi <= 0:
         raise NonpositiveChi("uniformization to positive curvature needs chi > 0")
-    nodes = _grid(base)[0]
+    nodes = _rule(base, _GRID_LEVEL)[0]
     K = np.asarray(gauss_curvature(base, nodes), dtype=float)
     series = _poisson_series(base, 2.0 * math.pi * chi / area(base) - K, _EPS * np.max(np.abs(K)))
     g = 2.0 * (_laplacian_of(series, base, nodes) + K)
@@ -209,8 +209,8 @@ class _Basis:
 
     def series(self, c: np.ndarray, nodes: np.ndarray) -> RadialField:
         """The field sum_j c[j] (column j): at the caller's node array (the
-        plan's array of the basis's level, `_grid`), the products of the
-        basis arrays with c; elsewhere summed by `numerics.trig_series`."""
+        plan's array of the basis's level, `orbifold._rule`), the products
+        of the basis arrays with c; elsewhere summed by `numerics.trig_series`."""
         coeffs = np.zeros(self.power[-1] + 1, dtype=complex)
         coeffs[self.power[~self.sine]] = c[~self.sine]
         coeffs[self.power[self.sine]] -= 1j * c[self.sine]
@@ -226,12 +226,6 @@ def _level(m: int) -> int:
     """The Fejér level of a minimizer stage of m modes: four nodes a mode,
     from the first level of `integrate` up to the Poisson solve's level."""
     return min(max(4 * m, _FIRST_LEVEL), _GRID_LEVEL)
-
-
-def _grid(base: Base, level: int = _GRID_LEVEL) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only nodes and weights of a level of the Fejér rule on
-    [0, L], the base plan's own (`orbifold._rule`)."""
-    return _rule(base, level)
 
 
 @lru_cache(maxsize=64)
@@ -254,16 +248,16 @@ def _basis(length: float, periodic: bool, m: int, level: int = _GRID_LEVEL) -> _
 
 def _refinable(c: np.ndarray, cap: int, floor: np.ndarray | float = 0.0) -> bool:
     """Whether a basis of c.size modes should double: 2 c.size <= cap and,
-    by the library's one tail rule (`numerics._modes_past`), its tail past
+    by the library's one tail rule (`numerics._chop`), its tail past
     both _TAIL_TOL times the largest coefficient and its floor (one number,
     or one per mode) is not negligible."""
     tol = np.maximum(_TAIL_TOL * np.max(np.abs(c)), floor)
-    return 2 * c.size <= cap and 4 * _modes_past(c, tol) > 3 * c.size
+    return 2 * c.size <= cap and not _chop(c, tol)[1]
 
 
 def _area_weights(base: Base) -> np.ndarray:
     """The Galerkin grid's weights of the area measure dA."""
-    nodes, weights = _grid(base)
+    nodes, weights = _rule(base, _GRID_LEVEL)
     return base.area_scale * np.asarray(base.density(nodes), dtype=float) * weights
 
 
@@ -289,7 +283,7 @@ def _poisson_series(base: Base, f_nodes: np.ndarray, rounding: float) -> RadialF
         k = basis.omega * np.maximum(basis.power, 1)  # the constant mode is never in the tail
         if not _refinable(c, _MAX_MODES, rounding / k**2):
             c[0] = -np.dot(wA, basis.values @ c) / np.sum(wA)
-            return basis.series(c, _grid(base)[0])
+            return basis.series(c, _rule(base, _GRID_LEVEL)[0])
         m *= 2
 
 
@@ -328,7 +322,7 @@ def _stage(metric: InvariantMetric, m: int, level: int, prior: _Stage | None = N
     basis = _basis(base.length, base.periodic, m, level)
     if prior is not None and prior.level == level:
         return replace(prior, basis=basis)
-    nodes, weights = _grid(base, level)
+    nodes, weights = _rule(base, level)
     with np.errstate(all="ignore"):  # data out of scale is an error below, not a warning
         ell = np.asarray(metric.ell.value(nodes), dtype=float)
         dens = base.area_scale * np.asarray(base.density(nodes), dtype=float)
@@ -419,7 +413,7 @@ def _read_off(metric: InvariantMetric, stage: _Stage, c: np.ndarray) -> tuple[fl
         W, scal, weights = stage.W, stage.scal, stage.weights
         u, du = stage.basis.values @ c, stage.basis.slopes @ c
         num, den = 8.0 * du**2 + scal * u**2, u**6
-        W_half = W[1::2] * (_grid(base, stage.level // 2)[1] / weights[1::2])
+        W_half = W[1::2] * (_rule(base, stage.level // 2)[1] / weights[1::2])
         J = float(np.dot(W, num)) / float(np.dot(W, den)) ** (1.0 / 3.0)
         J_half = float(np.dot(W_half, num[1::2])) / float(np.dot(W_half, den[1::2])) ** (1.0 / 3.0)
         error = abs(J - J_half)

@@ -22,11 +22,12 @@ import numpy as np
 
 from . import __version__
 from .bundle import InvariantMetric, RadialField
-from .errors import ModelParseError, NumericalError
+from .errors import ModelParseError, NotCoprime, NumericalError
 from .numerics import QuadratureConfig
 from .orbifold import (
     Base,
     FlatTorusBase,
+    _check_weights,
     make_round_sphere,
     profile_from_samples,
     wps_profile,
@@ -109,8 +110,10 @@ def parse_model(doc: Any) -> ModelSpec:
     if btype == "wps":
         m1 = _require(base, "m1", "$.base", int)
         m2 = _require(base, "m2", "$.base", int)
-        if m1 < 1 or m2 < 1 or math.gcd(m1, m2) != 1:
-            raise ModelParseError("$.base: m1, m2 must be coprime positive integers")
+        try:
+            _check_weights(m1, m2)
+        except NotCoprime as exc:
+            raise ModelParseError(f"$.base: {exc}") from exc
         # the grid of older model files: validated so those files still
         # parse, then ignored, because the profile is in closed form
         if "grid" in base and _require(base, "grid", "$.base", int) < 4:

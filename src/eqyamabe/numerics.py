@@ -43,7 +43,6 @@ __all__ = [
     "sign_change_roots",
     "trig_series",
     "trig_interpolant",
-    "chopped_interpolant",
     "minimize_scalar",
     "richardson_table",
     "limit_at_zero",
@@ -232,11 +231,13 @@ def integrate(
     return results if multi else results[0]
 
 
-def _modes_past(c: np.ndarray, tol) -> int:
-    """How many leading modes of c pass tol (a number, or one per mode), at
-    least one: a series keeps that many, and its tail is negligible when they
-    are at most 3/4 of c (Aurentz & Trefethen, "Chopping a Chebyshev series")."""
-    return int(np.max(np.flatnonzero(np.abs(c) > tol), initial=0)) + 1
+def _chop(c: np.ndarray, tol) -> tuple[int, bool]:
+    """The library's one tail rule: how many leading modes of c pass tol (a
+    number, or one per mode), at least one, which a series keeps, and whether
+    its tail is negligible: they are at most 3/4 of c (Aurentz & Trefethen,
+    "Chopping a Chebyshev series")."""
+    keep = int(np.max(np.flatnonzero(np.abs(c) > tol), initial=0)) + 1
+    return keep, 4 * keep <= 3 * c.size
 
 
 def trig_series(coeffs: np.ndarray, start: float, omega: float) -> tuple[Callable, ...]:
@@ -264,28 +265,21 @@ def trig_series(coeffs: np.ndarray, start: float, omega: float) -> tuple[Callabl
 def _interpolant_coefficients(samples: np.ndarray) -> tuple[np.ndarray, bool]:
     """The `trig_series` coefficients of the interpolant of one period of
     uniform samples, from one real FFT, up to the last mode past eps times
-    the largest sample (`_modes_past`), and whether that tail is negligible."""
+    the largest sample, and whether that tail is negligible (`_chop`)."""
     n = len(samples)
     c = np.fft.rfft(samples) / n
     c[1 : (n + 1) // 2] *= 2.0  # each mode below Nyquist stands for +k and -k
-    keep = _modes_past(c, _EPS * np.max(np.abs(samples)))
-    return c[:keep], 4 * keep <= 3 * c.size
+    keep, chopped = _chop(c, _EPS * np.max(np.abs(samples)))
+    return c[:keep], chopped
 
 
 def trig_interpolant(samples: np.ndarray, start: float, period: float) -> tuple[Callable, ...]:
     """Value, first and second derivative of the trigonometric interpolant of
     one period of uniform samples, the j-th of n taken at start + j period / n.
     The coefficients come from one real FFT; the modes past eps times the
-    largest sample (`_modes_past`) are summed by `trig_series`."""
+    largest sample (`_chop`) are summed by `trig_series`."""
     c, _ = _interpolant_coefficients(samples)
     return trig_series(c, start, 2.0 * math.pi / period)
-
-
-def chopped_interpolant(samples: np.ndarray, start: float, period: float) -> tuple[Callable, ...] | None:
-    """`trig_interpolant` of samples whose series has chopped: its tail past eps
-    times the largest sample is negligible.  None if not; finer samples may."""
-    c, chopped = _interpolant_coefficients(samples)
-    return trig_series(c, start, 2.0 * math.pi / period) if chopped else None
 
 
 _CHOP_SAMPLES = 2**14 + 1  # the most samples a callable is read at
@@ -296,7 +290,8 @@ def _sampled_series(f: Callable, length: float, one_period: Callable, name: str,
     f on [0, length], read from its samples on linspace(0, length, n), ends
     included, for n = 17, 33, 65, ...: `one_period(grid, values)` extends
     them to one period (samples, start, period), and the first series that
-    has chopped (`chopped_interpolant`) is kept, or the one at n = 2**14 + 1
+    has chopped, its tail past eps times the largest sample negligible
+    (`_interpolant_coefficients`), is kept, or the one at n = 2**14 + 1
     with a warning (data not smooth, such as a ramp at a cone pole).  f not
     finite at a sample, such as one with a removable singularity at an end,
     or raising DomainError there, raises ValueError; `name` and `ends` name

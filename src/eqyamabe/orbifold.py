@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import DomainError, NotCoprime, QuadratureFailure
 from .numerics import _DEFAULT_CONFIG, _EPS, _FIRST_LEVEL, IntegralResult, NoConvergence
-from .numerics import QuadratureConfig, _fejer_rule, _interpolant_coefficients, _modes_past
+from .numerics import QuadratureConfig, _chop, _fejer_rule, _interpolant_coefficients
 from .numerics import _sampled_series, _with_dips, integrate, sign_change_roots, trig_series
 
 __all__ = [
@@ -383,7 +383,7 @@ def _sine_fit(s: np.ndarray, p: np.ndarray, length: float) -> np.ndarray:
     while True:
         k = np.arange(1, m + 1) * (math.pi / length)
         c = np.concatenate([[0.0], -1j * np.linalg.lstsq(np.sin(np.outer(s, k)), p, rcond=None)[0]])
-        if m == cap or 4 * _modes_past(c, tol) <= 3 * c.size:
+        if m == cap or _chop(c, tol)[1]:
             return c
         m = min(2 * m, cap)
 

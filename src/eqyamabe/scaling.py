@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import FieldLike, _norms
+from .bundle import FieldLike, NormReport, _norms
 from .errors import DegenerateData, InvalidCase, PositiveChi
 from .numerics import QuadratureConfig
 from .orbifold import Base, area, chi_orb
@@ -26,6 +26,7 @@ __all__ = [
     "ell_scan",
     "collapse_bounds",
     "fit_exponent",
+    "fiber_regime",
     "REGIME_INTERIOR_MAX",
     "REGIME_DIVERGES",
     "REGIME_SUP_ZERO",
@@ -34,6 +35,23 @@ __all__ = [
 REGIME_INTERIOR_MAX = "MaxInterior"
 REGIME_DIVERGES = "DivergesAsEllGrows"
 REGIME_SUP_ZERO = "SupZeroNotAttained"
+
+
+def fiber_regime(chi: float, omega_L2_sq: float) -> str:
+    """The regime of the constant-fiber functional as ell grows, from chi and
+    |Omega|_2^2: chi <= 0 has supremum 0, not attained; a flat bundle, with
+    |Omega|_2^2 at or below `yamabe._OMEGA_ZERO_TOL`, grows without bound;
+    any other has an interior maximum, whatever its Chern number."""
+    if chi <= 0:
+        return REGIME_SUP_ZERO
+    return REGIME_DIVERGES if omega_L2_sq <= _OMEGA_ZERO_TOL else REGIME_INTERIOR_MAX
+
+
+def _collapse_lower(norms: NormReport, ell):
+    """The Hoelder collapse lower bound
+    -(2 pi ell)^{2/3} (||Scal||_{3/2} + (1/4) ||Omega||_3^2), valid for
+    ell <= 1; ell may be a number or an array of fiber lengths."""
+    return -((2.0 * math.pi * ell) ** (2.0 / 3.0)) * (norms.scal_L32 + 0.25 * norms.omega_L3_sq)
 
 
 @dataclass
@@ -80,13 +98,7 @@ def ell_scan(
     norms = _norms(base, F, cfg)
     J = closed_form_J(area(base, cfg), chi, norms.omega_L2_sq, ells)
 
-    if chi > 0 and norms.omega_L2_sq > _OMEGA_ZERO_TOL:
-        regime = REGIME_INTERIOR_MAX
-    elif chi > 0:
-        regime = REGIME_DIVERGES
-    else:
-        regime = REGIME_SUP_ZERO
-
+    regime = fiber_regime(chi, norms.omega_L2_sq)
     flags = [""] * ells.size
     lower = None
     if regime == REGIME_INTERIOR_MAX:
@@ -95,8 +107,7 @@ def ell_scan(
         lower = np.full(ells.size, np.nan)
         hold = ells <= 1.0
         if np.any(hold):
-            holder = norms.scal_L32 + 0.25 * norms.omega_L3_sq
-            lower[hold] = -((2.0 * math.pi * ells[hold]) ** (2.0 / 3.0)) * holder
+            lower[hold] = _collapse_lower(norms, ells[hold])
         flags = ["collapse" if h else "ell>1" for h in hold]
 
     table = ScanTable(ell=ells, J=J, lower=lower, flags=flags, regime=regime)
@@ -114,8 +125,7 @@ def collapse_bounds(
     """(upper, lower) sandwich for the collapse regime at one fiber length.
 
     upper is the functional value itself; lower is the Hoelder bound
-    -(2 pi ell)^{2/3} (||Scal||_{3/2} + (1/4) ||Omega||_3^2), valid for
-    ell <= 1.  Requires chi <= 0.
+    (`_collapse_lower`), valid for ell <= 1.  Requires chi <= 0.
     """
     if chi_orb(base) > 0:
         raise PositiveChi("collapse bounds apply only to chi <= 0 bases")
@@ -124,11 +134,7 @@ def collapse_bounds(
     if ell > 1.0:
         raise InvalidCase("the collapse lower bound is normalized to ell <= 1")
     norms = _norms(base, F, cfg)
-    upper = functional_J_closed(base, F, ell, cfg, norms=norms)
-    lower = -((2.0 * math.pi * ell) ** (2.0 / 3.0)) * (
-        norms.scal_L32 + 0.25 * norms.omega_L3_sq
-    )
-    return upper, lower
+    return functional_J_closed(base, F, ell, cfg, norms=norms), _collapse_lower(norms, ell)
 
 
 def fit_exponent(table: ScanTable) -> tuple[float, float]:

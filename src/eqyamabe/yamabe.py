@@ -37,12 +37,12 @@ from .errors import (
     InvalidCase,
     NonpositiveChi,
     NonPositiveFactor,
-    NotCoprime,
     UnboundedInEll,
 )
 from .numerics import QuadratureConfig
 from .orbifold import (
     Base,
+    _check_weights,
     area,
     chi_orb,
     gauss_curvature,
@@ -342,9 +342,9 @@ def bound_theorem_main(chi: float, c1: float) -> float:
 
 
 def bound_weighted_hopf(m1: int, m2: int) -> float:
-    """sigma(S^3) ((m1 + m2) / (2 sqrt(m1 m2)))^{4/3} for the weighted actions."""
-    if m1 < 1 or m2 < 1 or math.gcd(int(m1), int(m2)) != 1:
-        raise NotCoprime(f"weights ({m1}, {m2}) must be coprime positive integers")
+    """sigma(S^3) ((m1 + m2) / (2 sqrt(m1 m2)))^{4/3} for the weighted actions;
+    the weights must be coprime positive integers (`orbifold._check_weights`)."""
+    _check_weights(m1, m2)
     return SIGMA_S3 * ((m1 + m2) / (2.0 * math.sqrt(m1 * m2))) ** (4.0 / 3.0)
 
 

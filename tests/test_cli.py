@@ -14,7 +14,7 @@ import pytest
 
 import eqyamabe as eq
 from eqyamabe import modelio
-from eqyamabe.cli import main
+from eqyamabe.cli import _REGIME_NOTE, main
 
 from conftest import HEBEY_VAUGON_3_2, SIGMA_S3, TORUS_J_ELL1, WEIGHTED_BOUND, bump_sphere
 
@@ -454,6 +454,81 @@ def test_bound_collapse_model_reports_regime(capsys, tmp_path):
     assert code == 0
     assert "collapse" in doc["regime"]
     assert doc["bounds"] == []
+
+
+def _sphere_model(tmp_path, name, radius, F):
+    path = tmp_path / f"{name}.json"
+    path.write_text(
+        json.dumps(
+            {
+                "base": {"type": "round_sphere", "radius": radius},
+                "ell": {"type": "constant", "value": 1.0},
+                "F": F,
+            }
+        )
+    )
+    return str(path)
+
+
+def zero_chern_model(tmp_path):
+    # F = cos s on the unit sphere: c1 is 1.1e-16, |Omega|_2^2 = 8 pi / 3
+    s = np.linspace(0.0, math.pi, 65)
+    F = {"type": "samples", "values": np.cos(s).tolist()}
+    return _sphere_model(tmp_path, "zero_chern", 1.0, F)
+
+
+def test_bound_model_of_zero_chern_sphere_has_an_interior_maximum(capsys, tmp_path):
+    # chi > 0 and a curvature form that is not zero: the functional has an
+    # interior maximum in ell, as `scan` reports, but no topological bound,
+    # which needs c1 != 0
+    path = zero_chern_model(tmp_path)
+    code, out, _ = run(capsys, ["bound", "--model", path])
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["regime"] == "interior maximum in the fiber length"
+    assert [b["kind"] for b in doc["bounds"]] == ["optimal_fiber_length", "cauchy_schwarz"]
+    vol, chi, omega_L2_sq = 4.0 * math.pi, 2.0, 8.0 * math.pi / 3.0
+    j_max = 3.0 * 2.0 ** (4.0 / 3.0) * math.pi**2 * vol ** (-1.0 / 3.0) * chi ** (4.0 / 3.0)
+    j_max *= omega_L2_sq ** (-1.0 / 3.0)
+    opt = doc["bounds"][0]
+    assert opt["value"] == pytest.approx(j_max, rel=1e-10)
+    assert opt["inputs"]["ell_star"] == pytest.approx(math.sqrt(3.0), rel=1e-10)
+    assert _bound_value(doc, "cauchy_schwarz") == pytest.approx(SIGMA_S3, rel=1e-10)
+    code, out, _ = run(capsys, ["scan", "--model", path, "--ell", "scan:0.5:4:4"])
+    assert code == 0
+    assert json.loads(out)["regime"] == "MaxInterior"
+
+
+@pytest.mark.parametrize(
+    "radius, F, regime",
+    [
+        (0.5, {"type": "constant", "value": 2.0}, "MaxInterior"),
+        (1.0, {"type": "constant", "value": 0.0}, "DivergesAsEllGrows"),
+        # c1 = 2e-4 is not zero, but |Omega|_2^2 = 1.3e-13 counts as flat
+        (1e3, {"type": "constant", "value": 1e-10}, "DivergesAsEllGrows"),
+    ],
+    ids=["hopf", "flat", "nearly_flat"],
+)
+def test_bound_model_regime_is_the_scan_regime(capsys, tmp_path, radius, F, regime):
+    path = _sphere_model(tmp_path, "sphere", radius, F)
+    code, out, _ = run(capsys, ["scan", "--model", path, "--ell", "scan:0.5:4:4"])
+    assert code == 0
+    assert json.loads(out)["regime"] == regime
+    code, out, _ = run(capsys, ["bound", "--model", path])
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["regime"] == _REGIME_NOTE[regime]
+    assert bool(doc["bounds"]) is (regime == "MaxInterior")
+
+
+@pytest.mark.parametrize("m1, m2", [(2, 4), (0, 1)])
+def test_wps_model_weights_are_checked_by_the_library_rule(capsys, tmp_path, m1, m2):
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps({"base": {"type": "wps", "m1": m1, "m2": m2},
+                                "ell": {"type": "constant", "value": 1.0}, "F": {"type": "wps"}}))
+    code, out, err = run(capsys, ["bound", "--model", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: $.base: weights")
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,7 @@ def test_poisson_basis_stops_at_half_the_node_count(monkeypatch):
     monkeypatch.setattr(conformal, "_TAIL_TOL", 0.0)
     u, min_scal = eq.uniformize_positive(eq.wps_profile(2, 3))
     assert sizes == [16, 32, 64, 128, 256]
-    assert 2 * sizes[-1] == conformal._grid(eq.wps_profile(2, 3))[0].size + 1 == 512
+    assert 2 * sizes[-1] == orbifold._rule(eq.wps_profile(2, 3), 512)[0].size + 1 == 512
     assert min_scal > 0.0
 
 
@@ -231,23 +231,23 @@ def test_galerkin_grid_is_a_level_of_the_quadrature_rule():
     # `integrate` are every fourth node, bit for bit, and every node of each
     # level a minimizer stage runs on
     base = eq.wps_profile(2, 3)
-    nodes, weights = conformal._grid(base)
+    nodes, weights = orbifold._rule(base, 512)
     first = orbifold.quadrature_nodes(base)
     assert nodes.size == weights.size == 511
     assert np.array_equal(nodes[3::4], first)
     levels = {conformal._level(m) for m in (8, 16, 32, 64, 128, 256)}
     assert levels == {128, 256, 512}
     for level in levels:
-        stage = conformal._grid(base, level)[0]
+        stage = orbifold._rule(base, level)[0]
         stride = level // 128
         assert stage.size == level - 1
         assert np.array_equal(stage[stride - 1 :: stride], first)
-    assert conformal._grid(base, 128)[0] is first
+    assert orbifold._rule(base, 128)[0] is first
     assert not (nodes.flags.writeable or weights.flags.writeable)
     # one array per base, kept by its plan; a base of the same length has its
     # own, equal one
-    assert conformal._grid(base)[0] is nodes and conformal._grid(base)[1] is weights
-    other = conformal._grid(eq.wps_profile(1, 9))
+    assert orbifold._rule(base, 512)[0] is nodes and orbifold._rule(base, 512)[1] is weights
+    other = orbifold._rule(eq.wps_profile(1, 9), 512)
     assert np.array_equal(other[0], nodes) and np.array_equal(other[1], weights)
     assert math.fsum(weights) == pytest.approx(base.length, rel=1e-14)
     assert np.dot(weights, np.cos(nodes)) == pytest.approx(math.sin(base.length), rel=1e-14)
@@ -267,7 +267,7 @@ def test_minimizer_basis_stops_at_half_the_grid_level():
 
 def test_one_rule_doubles_both_bases(monkeypatch):
     # the minimizer, the Poisson solve and the chopping of a radial callable
-    # ask the same helper whether a tail is negligible; it is bound in
+    # ask the one chop helper whether a tail is negligible; it is bound in
     # `numerics` and imported into `conformal`.  The minimizer's second basis
     # is its positivity probe between the nodes
     metric, base = eq.wps_metric(1, 9), eq.wps_profile(1, 9)
@@ -282,7 +282,7 @@ def test_one_rule_doubles_both_bases(monkeypatch):
     samples.clear()
     sizes = _basis_sizes(monkeypatch)
     for module in (numerics, conformal):
-        monkeypatch.setattr(module, "_modes_past", lambda c, tol: 1)  # always negligible
+        monkeypatch.setattr(module, "_chop", lambda c, tol: (1, True))  # always negligible
     assert eq.minimize_conformal(metric).modes == 16
     eq.uniformize_positive(base)
     assert sizes == [16, 16, 16]
@@ -513,7 +513,7 @@ def test_basis_is_read_only_and_shared_per_length():
     assert conformal._basis(wps.base.length, False, 16) is basis
     assert conformal._basis(hopf.base.length, False, 32) is not basis
     for array in (basis.values, basis.slopes):
-        assert array.shape == (conformal._grid(hopf.base)[0].size, 16)
+        assert array.shape == (orbifold._rule(hopf.base, 512)[0].size, 16)
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0.0
 
@@ -823,7 +823,7 @@ def test_result_keeps_the_stage_it_descended_on():
     stage, base = result._stage, metric.base
     assert (result.modes, stage.level) == (64, 256)
     assert stage.basis is conformal._basis(base.length, base.periodic, 64, 256)
-    assert stage.nodes is conformal._grid(base, 256)[0]
+    assert stage.nodes is orbifold._rule(base, 256)[0]
     assert "forms" in vars(stage)
     spec = {f.name: f for f in dataclasses.fields(result)}["_stage"]
     assert not (spec.repr or spec.compare)

@@ -21,10 +21,9 @@ from eqyamabe.numerics import (
     QuadratureConfig,
     _fejer_rule,
     _fejer_weights,
+    _chop,
     _interpolant_coefficients,
-    _modes_past,
     _with_dips,
-    chopped_interpolant,
     integrate,
     limit_at_zero,
     minimize_scalar,
@@ -396,25 +395,29 @@ def test_trig_interpolant_of_zeros_is_zero():
 
 def test_chopped_interpolant_waits_for_the_tail_to_reach_rounding():
     # exp(cos) has coefficients 2 I_k(1), below eps from k = 15 on: 16 samples
-    # leave its trailing quarter above rounding, 64 do not
+    # leave its trailing quarter above rounding, 64 do not.  The verdict is
+    # the flag `_sampled_series` reads; the coefficients are the interpolant's
     f = lambda s: np.exp(np.cos(2.0 * math.pi * s))  # noqa: E731
-    assert chopped_interpolant(f(np.arange(16) / 16), 0.0, 1.0) is None
+    assert _interpolant_coefficients(f(np.arange(16) / 16))[1] is False
     samples = f(np.arange(64) / 64)
     s = np.linspace(0.0, 1.0, 33)
-    chopped = chopped_interpolant(samples, 0.0, 1.0)
-    for got, want in zip(chopped, trig_interpolant(samples, 0.0, 1.0)):
+    c, chopped = _interpolant_coefficients(samples)
+    assert chopped is True
+    for got, want in zip(trig_series(c, 0.0, 2.0 * math.pi), trig_interpolant(samples, 0.0, 1.0)):
         assert got(s).tolist() == want(s).tolist()
-    assert chopped_interpolant(np.zeros(8), 0.0, 1.0) is not None
+    assert _interpolant_coefficients(np.zeros(8))[1] is True
 
 
 def test_trim_keeps_only_the_mean_mode_of_zeros():
     # 0 is not above the data scale eps * max|samples| = 0, so no trailing
     # mode of zero data stays
-    assert _modes_past(np.zeros(2001, dtype=complex), 0.0) == 1
+    assert _chop(np.zeros(2001, dtype=complex), 0.0) == (1, True)
     c = np.array([0.0, 1.0, 1e-17, 0.0], dtype=complex)
-    assert _modes_past(c, np.finfo(float).eps) == 2
-    # a tolerance per mode: the second mode is below its own
-    assert _modes_past(c, np.array([0.0, 2.0, 0.0, 0.0])) == 3
+    assert _chop(c, np.finfo(float).eps) == (2, True)
+    # a tolerance per mode: the second mode is below its own; 3 of 4 modes
+    # kept is still a negligible tail, 4 of 4 is not
+    assert _chop(c, np.array([0.0, 2.0, 0.0, 0.0])) == (3, True)
+    assert _chop(np.ones(4), 0.0) == (4, False)
 
 
 @pytest.mark.parametrize(
@@ -428,11 +431,10 @@ def test_trim_keeps_the_modes_past_the_data_scale(f, n, kept):
     # modes, and their sums differ in the last bits
     samples = f(2.0 * math.pi * np.arange(n) / n)
     c, _ = _interpolant_coefficients(samples)
-    assert c.size == _modes_past(c, np.finfo(float).eps * np.max(np.abs(samples))) == kept
+    assert c.size == _chop(c, np.finfo(float).eps * np.max(np.abs(samples)))[0] == kept
     s = np.linspace(-1.0, 2.0 * math.pi + 1.0, 41)
-    for interpolant in (trig_interpolant, chopped_interpolant):
-        for got, want in zip(interpolant(samples, 0.0, 2.0 * math.pi), trig_series(c[:kept], 0.0, 1.0)):
-            assert got(s).tolist() == want(s).tolist()
+    for got, want in zip(trig_interpolant(samples, 0.0, 2.0 * math.pi), trig_series(c[:kept], 0.0, 1.0)):
+        assert got(s).tolist() == want(s).tolist()
 
 
 # ---------------------------------------------------------------------------
