@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Union
 
@@ -26,6 +26,7 @@ from .numerics import sign_change_roots, trig_interpolant, trig_series
 from .orbifold import (
     Base,
     _norm_reports,
+    _plan_level,
     gauss_curvature,
     integrate_over_base,
     quadrature_nodes,
@@ -134,11 +135,17 @@ def as_radial_field(obj: FieldLike, base: Base) -> RadialField:
 class InvariantMetric:
     """base + fiber-length profile + curvature density, all radial.  ell and F
     may be given as anything `as_radial_field` reads and are kept as the
-    `RadialField`s it returns."""
+    `RadialField`s it returns.
+
+    `_nodes` keeps, per level of the base's plan, ell, K, F and the total
+    scalar curvature at that level's node array (`_node_values`), computed
+    on first use; like a base's plan it is out of the repr and of
+    comparisons, and dies with the metric."""
 
     base: Base
     ell: RadialField
     F: RadialField
+    _nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("ell", "F"):
@@ -221,6 +228,38 @@ def _scalar_curvature(metric: InvariantMetric, s, ell, K, F):
     return 2.0 * K - 0.5 * ell**2 * F**2 + 2.0 * _laplacian_of(metric.ell, metric.base, s) / ell
 
 
+@dataclass(frozen=True, eq=False)
+class _NodeValues:
+    """ell, K, F and the total scalar curvature at one node array."""
+
+    ell: np.ndarray
+    K: np.ndarray
+    F: np.ndarray
+    scal: np.ndarray
+
+
+def _node_values(metric: InvariantMetric, s) -> _NodeValues:
+    """ell, K, F and the total scalar curvature at s.  At the node array of a
+    level of the base's plan they are computed once per metric and level and
+    kept, read-only, on the metric (`InvariantMetric._nodes`).  Values out
+    of scale, a curvature that is not finite, are not kept: every caller
+    computes them afresh, and warns or raises by its own floating-point
+    policy."""
+    level = _plan_level(metric.base, s)
+    kept = metric._nodes.get(level)
+    if kept is not None:
+        return kept
+    ell = np.array(metric.ell.value(s), dtype=float)
+    K, F = gauss_curvature(metric.base, s), np.array(metric.F.value(s), dtype=float)
+    scal = np.asarray(_scalar_curvature(metric, s, ell, K, F), dtype=float)
+    values = _NodeValues(ell, K, F, scal)
+    if level is not None and np.isfinite(scal).all():
+        for array in (ell, K, F, scal):
+            array.flags.writeable = False
+        metric._nodes[level] = values
+    return values
+
+
 def _scalar_curvature_log_form(metric: InvariantMetric, s):
     """Alternate form with 2 Delta(log ell) - 2 |d ell|^2 / ell^2.
 
@@ -244,7 +283,8 @@ def omega_norms(metric: InvariantMetric, cfg: QuadratureConfig | None = None) ->
     The report is computed once per (base, F, config) and kept in the base's
     quadrature plan until F or the base is garbage-collected, so a repeat is
     a lookup (a field whose callables cannot be hashed is computed afresh).
-    A fractional Chern number is warned about on every call.
+    A fractional Chern number is warned about on every call; the verdict and
+    its message are kept beside the report.
     """
     return _norms(metric.base, metric.F, cfg, validated=True)
 
@@ -258,12 +298,16 @@ def _norms(
     F = as_radial_field(F, base)
     cfg = cfg or _DEFAULT_CONFIG
     reports = _norm_reports(base, F)
-    report = reports.get(cfg)
-    if report is None:
+    kept = reports.get(cfg)
+    if kept is None:
         if not validated:
             InvariantMetric(base, RadialField.const(1.0), F)  # warns on F' at a pole
-        report = reports[cfg] = _compute_norms(base, F, cfg)
-    _warn_on_fractional_chern(base, report.chern_number)
+        report = _compute_norms(base, F, cfg)
+        kept = reports[cfg] = (report, _fractional_chern(base, report.chern_number))
+    report, message = kept
+    if message is not None:
+        # the caller of omega_norms or of a function reading the norms
+        warnings.warn(message, stacklevel=3)
     return report
 
 
@@ -318,16 +362,17 @@ def _compute_norms(base: Base, field: RadialField, cfg: QuadratureConfig) -> Nor
     )
 
 
-def _warn_on_fractional_chern(base: Base, chern: float) -> None:
-    # quantization is not enforced, only flagged: m1 m2 c1 should be an integer
+def _fractional_chern(base: Base, chern: float) -> str | None:
+    """The warning that m1 m2 c1 is not close to an integer, or None when it
+    is: quantization is not enforced, only flagged."""
     m_product = math.prod(base.cone_orders)
     scaled = m_product * chern
     if abs(scaled - round(scaled)) > 1e-3:
-        warnings.warn(
+        return (
             f"curvature density has non-integral Chern data: {m_product} * {chern:.6f} "
-            "is not close to an integer",
-            stacklevel=4,  # the caller of omega_norms or of a function reading the norms
+            "is not close to an integer"
         )
+    return None
 
 
 def volume_total(metric: InvariantMetric, cfg: QuadratureConfig | None = None) -> float:

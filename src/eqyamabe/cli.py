@@ -251,7 +251,7 @@ def cmd_bound(args) -> int:
 def _bounds_for(chi: float, base, F, cfg, norms: NormReport) -> tuple[list[dict], str]:
     # the regime is `scan`'s; these values come from measured norms: carry
     # the norm-quadrature tolerance as a conservative relative error estimate
-    regime = fiber_regime(chi, norms.omega_L2_sq)
+    regime = fiber_regime(chi, norms)
     if regime != REGIME_INTERIOR_MAX:
         return [], _REGIME_NOTE[regime]
     c1 = norms.chern_number

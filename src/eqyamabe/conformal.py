@@ -8,9 +8,12 @@ held with its slopes at the nodes of a level of the library's nested Fejér
 rule, which the base's quadrature plan owns (`orbifold._rule`).  The
 Poisson solve runs on level 512, whose every fourth node is a first-level
 node of `integrate`; a minimizer stage of m modes runs on level
-clamp(4m, 128, 512), so 16 and 32 modes use the first level itself.  The
-basis doubles from 16 modes, up to 256 modes, half of level 512, while its
-tail is not negligible by the library's one tail rule (`_refinable`).
+clamp(4m, 128, 512), so 16 and 32 modes use the first level itself, and
+reads ell and the total scalar curvature at its nodes from the metric, which
+keeps them per level (`bundle._node_values`): stages on one level, and a
+`functional_J` of the metric after the run, share them.  The basis doubles
+from 16 modes, up to 256 modes, half of level 512, while its tail is not
+negligible by the library's one tail rule (`_refinable`).
 
 Radial data comes in as anything `bundle.as_radial_field` reads and every
 solution goes out as its series, a `RadialField`; means are taken with the
@@ -37,7 +40,7 @@ infimum itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -48,7 +51,7 @@ from .bundle import (
     InvariantMetric,
     RadialField,
     _laplacian_of,
-    _scalar_curvature,
+    _node_values,
     as_radial_field,
 )
 from .errors import NoConvergence, NonPositiveFactor, NonpositiveChi, NotMeanZero, NumericalError
@@ -313,26 +316,22 @@ class _Stage:
         return stiffness + (BW * self.scal) @ B, stiffness + BW @ B
 
 
-def _stage(metric: InvariantMetric, m: int, level: int, prior: _Stage | None = None) -> _Stage:
-    """The stage of m modes on a level of the Fejér rule.  Its node data is
-    a prior stage's on the same level, else evaluated at the nodes once: W
-    and the curvature must be finite (NumericalError otherwise, as when the
-    data's scale overflows)."""
+def _stage(metric: InvariantMetric, m: int, level: int) -> _Stage:
+    """The stage of m modes on a level of the Fejér rule, at the values of
+    ell and the total scalar curvature the metric keeps for that level
+    (`bundle._node_values`), so stages on one level share them: W and the
+    curvature must be finite (NumericalError otherwise, as when the data's
+    scale overflows)."""
     base = metric.base
-    basis = _basis(base.length, base.periodic, m, level)
-    if prior is not None and prior.level == level:
-        return replace(prior, basis=basis)
     nodes, weights = _rule(base, level)
     with np.errstate(all="ignore"):  # data out of scale is an error below, not a warning
-        ell = np.asarray(metric.ell.value(nodes), dtype=float)
+        at = _node_values(metric, nodes)
         dens = base.area_scale * np.asarray(base.density(nodes), dtype=float)
-        K, F = gauss_curvature(base, nodes), metric.F.value(nodes)
-        scal = np.asarray(_scalar_curvature(metric, nodes, ell, K, F), dtype=float)
-        W = 2.0 * math.pi * ell * dens * weights
-    for name, values in (("node weights W of 2 pi ell dA", W), ("scalar curvature", scal)):
+        W = 2.0 * math.pi * at.ell * dens * weights
+    for name, values in (("node weights W of 2 pi ell dA", W), ("scalar curvature", at.scal)):
         if not np.all(np.isfinite(values)):
             raise NumericalError(f"the {name} at the Galerkin nodes is not finite: out of scale")
-    return _Stage(basis, level, nodes, W, scal, weights)
+    return _Stage(_basis(base.length, base.periodic, m, level), level, nodes, W, at.scal, weights)
 
 
 def _energy(B: np.ndarray, A: np.ndarray, W: np.ndarray, c: np.ndarray):
@@ -493,7 +492,7 @@ def minimize_conformal(
             break
         m *= 2
         c = np.concatenate([c, np.zeros(m - c.size)])
-        stage = _stage(metric, m, _level(m), stage)
+        stage = _stage(metric, m, _level(m))
 
     mu_upper, error_estimate = _read_off(metric, stage, c)
     return MinimizeResult(

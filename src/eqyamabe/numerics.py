@@ -105,12 +105,22 @@ def _fejer_weights(n: int) -> np.ndarray:
     return w
 
 
-def _fejer_nodes(lo: np.ndarray, hi: np.ndarray, n: int, step: int) -> np.ndarray:
-    """The read-only nodes lo + (hi - lo) sin^2(k pi / 2n), k = 1, 1 + step,
-    ... < n, of level n on every piece [lo, hi], increasing: step 1 gives the
-    whole level, step 2 the nodes that level n / 2 lacks."""
+@lru_cache(maxsize=16)
+def _fejer_offsets(n: int, step: int) -> np.ndarray:
+    """The read-only offsets sin^2(k pi / 2n), k = 1, 1 + step, ... < n, of
+    level n on [0, 1]."""
     t = np.sin(np.arange(1, n, step) * (0.5 * math.pi / n)) ** 2
-    nodes = (lo[:, None] + (hi - lo)[:, None] * t).ravel()
+    t.flags.writeable = False
+    return t
+
+
+def _fejer_nodes(edges: Sequence[float], n: int, step: int) -> np.ndarray:
+    """The read-only nodes lo + (hi - lo) sin^2(k pi / 2n), k = 1, 1 + step,
+    ... < n, of level n on every piece [lo, hi] between consecutive edges,
+    increasing: step 1 gives the whole level, step 2 the nodes that level
+    n / 2 lacks."""
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    nodes = (lo[:, None] + (hi - lo)[:, None] * _fejer_offsets(n, step)).ravel()
     nodes.flags.writeable = False
     return nodes
 
@@ -121,24 +131,39 @@ def _fejer_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     `orbifold._rule`)."""
     weights = 0.5 * (b - a) * _fejer_weights(n)
     weights.flags.writeable = False
-    return _fejer_nodes(np.array([a]), np.array([b]), n, 1), weights
+    return _fejer_nodes([a, b], n, 1), weights
 
 
 def _refine(
-    f: Callable, edges: list[float], cfg: QuadratureConfig
+    f: Callable, edges: list[float], cfg: QuadratureConfig, nodes: np.ndarray | None = None
 ) -> tuple[bool, list[IntegralResult]]:
     """Double the level of the rule on every piece between consecutive edges
-    until two successive levels agree to tolerance.
+    until two successive levels agree to tolerance; `nodes` are the first
+    level's, where the caller keeps them.
 
     Each row of f stops at the first level where its own values agree.
     Returns whether f gave rows and one `IntegralResult` per row.
     """
-    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
-    half = 0.5 * (hi - lo)
+    pieces = len(edges) - 1
+    # a level's value per row: the sum over the pieces of (vals @ w) * half,
+    # which for one piece is its only term, exactly
+    if pieces == 1:
+        h = 0.5 * (edges[1] - edges[0])
+
+        def total(v):
+            return (v[:, 0] * h).tolist()
+    else:
+        half = 0.5 * np.diff(edges)
+
+        def total(v):
+            return (v * half).sum(axis=1).tolist()
+
     n = _FIRST_LEVEL
-    nodes = _fejer_nodes(lo, hi, n, 1)
+    if nodes is None:
+        nodes = _fejer_nodes(edges, n, 1)
     vals = wanted = None  # None: every row is wanted
-    done: dict[int, IntegralResult] = {}
+    results: list[IntegralResult | None] = []
+    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     for r in itertools.count():
         new = np.asarray(f(nodes), dtype=float)
         multi = new.ndim == 2
@@ -147,34 +172,34 @@ def _refine(
         if not np.isfinite(checked).all():
             bad = ~np.isfinite(checked).all(axis=0)
             raise NonFinite(f"integrand returned non-finite values near x={nodes[bad][:3]}")
-        new = new.reshape(len(new), lo.size, -1)
+        new = new.reshape(len(new), pieces, -1)
         if vals is None:
             vals = new
             # level n / 2 sits at every second node; row by row, so a row's
             # value does not depend on the other rows
-            coarse = ((vals[:, :, 1::2] @ _fejer_weights(n // 2)) * half).sum(axis=1)
-            wanted = list(range(len(vals)))
+            coarse = total(vals[:, :, 1::2] @ _fejer_weights(n // 2))
+            wanted, results = range(len(vals)), [None] * len(vals)
         else:
             merged = np.empty(vals.shape[:2] + (2 * n - 1,))
             merged[:, :, 0::2] = new
             merged[:, :, 1::2] = vals
-            vals, coarse, n = merged, fine, 2 * n
-        fine = ((vals @ _fejer_weights(n)) * half).sum(axis=1)
-        values, errors = fine.tolist(), np.abs(fine - coarse).tolist()
+            vals, coarse, n = merged, values, 2 * n
+        values = total(vals @ _fejer_weights(n))
+        errors = [abs(v - c) for v, c in zip(values, coarse)]
         for i in wanted:
             # with no refinement allowed, the first level stands with its estimate
-            met = errors[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(values[i]))
+            met = errors[i] <= max(abs_tol, rel_tol * abs(values[i]))
             if met or not cfg.max_refinements:
-                done[i] = IntegralResult(values[i], errors[i], r)
-        wanted = [i for i in wanted if i not in done]
+                results[i] = IntegralResult(values[i], errors[i], r)
+        wanted = [i for i in wanted if results[i] is None]
         if not wanted:
-            return multi, [done[i] for i in sorted(done)]
+            return multi, results
         if r == cfg.max_refinements:
             raise NoConvergence(
                 f"quadrature did not reach tolerance after {r} refinements "
                 f"(last error estimate {max(errors[i] for i in wanted):.3e})"
             )
-        nodes = _fejer_nodes(lo, hi, 2 * n, 2)
+        nodes = _fejer_nodes(edges, 2 * n, 2)
 
 
 def richardson_table(values: Sequence[float], ratio: float) -> list[list[float]]:
@@ -194,6 +219,8 @@ def integrate(
     b: float,
     cfg: QuadratureConfig | None = None,
     breaks: Sequence[float] = (),
+    *,
+    _first_level: np.ndarray | None = None,
 ) -> IntegralResult | list[IntegralResult]:
     """Integrate f over [a, b] by Fejér's second rule, doubled until two
     successive levels agree.
@@ -212,8 +239,11 @@ def integrate(
 
     f receives the nodes of one call as a read-only, increasing array;
     writing to it raises.  Equal arguments give equal arrays, each call a
-    new one; a base's integrals hand their integrand the same first-level
-    array every time (`orbifold.integrate_over_base`).
+    new one.  A caller that keeps the read-only nodes of the first level on
+    [a, b] may hand them in as `_first_level`, an internal keyword: with no
+    break inside (a, b), the first call of f receives that array itself, so
+    a base's integrals hand their integrand the plan's own array every time
+    (`orbifold.integrate_over_base`).
     If f returns a 2-d array, each row is a separate integrand that stops at
     its own level, and one result per row is returned in a list.
 
@@ -227,7 +257,8 @@ def integrate(
         raise ValueError(f"need a < b, got [{a}, {b}]")
     a, b = float(a), float(b)
     inner = sorted({float(x) for x in breaks if a < x < b}) if len(breaks) else []
-    multi, results = _refine(f, [a, *inner, b], cfg or _DEFAULT_CONFIG)
+    first = None if inner else _first_level
+    multi, results = _refine(f, [a, *inner, b], cfg or _DEFAULT_CONFIG, first)
     return results if multi else results[0]
 
 

@@ -27,13 +27,15 @@ members' values at their nodes, the base-only integrals, and the
 curvature-form norms of each curvature density (`bundle.omega_norms`), each
 computed on first use.  The plan owns its levels (`_rule`), one array of
 nodes and one of weights per level, the same arrays for as long as the base
-lives: the 127 nodes of level 128 (`quadrature_nodes`), where a smooth
-integral makes its only call of its integrand and where `omega_norms` and
-`scalar_curvature_integral` bracket their roots, and the levels 256 and 512
-of the Galerkin grids of `conformal`.  Every base carries its plan, so a
-plan is dropped when its base is garbage-collected, and a field's norms,
-kept in a weak-keyed table of the plan, when the field is; integrands and
-callers see read-only nodes and values.
+lives: the 127 nodes of level 128 (`quadrature_nodes`), which
+`integrate_over_base` hands `integrate` as its first level, so that a smooth
+integral makes its only call of its integrand there, and where `omega_norms`
+and `scalar_curvature_integral` bracket their roots, and the levels 256 and
+512 of the Galerkin grids of `conformal`.  A metric keeps its own values at
+these node arrays, per level (`bundle._node_values`).  Every base carries
+its plan, so a plan is dropped when its base is garbage-collected, and a
+field's norms, kept in a weak-keyed table of the plan, when the field is;
+integrands and callers see read-only nodes and values.
 Results are bit-identical to evaluating phi afresh at every call.
 
 `wps_profile` and `make_round_sphere` validate their arguments on every
@@ -402,18 +404,25 @@ def _rule(base: Base, level: int) -> tuple[np.ndarray, np.ndarray]:
     return rules[level]
 
 
+def _plan_level(base: Base, s) -> int | None:
+    """The level of the base's plan whose node array is s itself (`_rule`),
+    or None when s is no such array."""
+    if not isinstance(s, np.ndarray):
+        return None
+    rule = base._plan.rules.get(s.size + 1)
+    return s.size + 1 if rule is not None and rule[0] is s else None
+
+
 def _planned(base: Base, name: str, s, compute: Callable):
     """compute(s); at the nodes of a level of the plan, computed once per
     base and returned read-only."""
-    plan = base._plan
-    rule = plan.rules.get(np.size(s) + 1)
-    if rule is None or rule[0] is not s:
+    level = _plan_level(base, s)
+    if level is None:
         return compute(s)
-    key = (name, s.size + 1)  # (member, level)
-    values = plan.values.get(key)
+    values = base._plan.values.get((name, level))
     if values is None:
         # a copy: the caller's array stays writable
-        values = plan.values[key] = np.array(compute(s), dtype=float)
+        values = base._plan.values[(name, level)] = np.array(compute(s), dtype=float)
         values.flags.writeable = False
     return values
 
@@ -480,19 +489,18 @@ def integrate_over_base(
     fn receives read-only arclength nodes.  If it returns one row per
     integrand (a 2-d array), every row is integrated at once and a list of
     results is returned.  Without breaks the first call receives
-    `quadrature_nodes(base)`, where the area density comes from the base's
-    plan; with breaks the rule runs on each piece between them, as in
-    `integrate`.
+    `quadrature_nodes(base)`, handed to `integrate` as its first level, where
+    the area density comes from the base's plan; with breaks the rule runs on
+    each piece between them, as in `integrate`.
     """
 
     def integrand(s):
-        # the rule's only call of 127 nodes is its first on one piece, the
-        # first level on [0, L]: the plan's own array, equal bit for bit
-        s = quadrature_nodes(base) if s.size == _FIRST_LEVEL - 1 else s
         return np.asarray(fn(s)) * base.density(s)
 
     try:
-        res = integrate(integrand, 0.0, base.length, cfg, breaks)
+        res = integrate(
+            integrand, 0.0, base.length, cfg, breaks, _first_level=quadrature_nodes(base)
+        )
     except NoConvergence as exc:
         raise QuadratureFailure(str(exc)) from exc
     scale = base.area_scale

@@ -19,7 +19,7 @@ from .bundle import FieldLike, NormReport, _norms
 from .errors import DegenerateData, InvalidCase, PositiveChi
 from .numerics import QuadratureConfig
 from .orbifold import Base, area, chi_orb
-from .yamabe import _OMEGA_ZERO_TOL, closed_form_J, functional_J_closed
+from .yamabe import _curvature_form_vanishes, closed_form_J, functional_J_closed
 
 __all__ = [
     "ScanTable",
@@ -37,14 +37,16 @@ REGIME_DIVERGES = "DivergesAsEllGrows"
 REGIME_SUP_ZERO = "SupZeroNotAttained"
 
 
-def fiber_regime(chi: float, omega_L2_sq: float) -> str:
+def fiber_regime(chi: float, norms: NormReport) -> str:
     """The regime of the constant-fiber functional as ell grows, from chi and
-    |Omega|_2^2: chi <= 0 has supremum 0, not attained; a flat bundle, with
-    |Omega|_2^2 at or below `yamabe._OMEGA_ZERO_TOL`, grows without bound;
-    any other has an interior maximum, whatever its Chern number."""
+    the `omega_norms` report: chi <= 0 has supremum 0, not attained; a flat
+    bundle, whose curvature form vanishes by the library's one zero test
+    (`yamabe._curvature_form_vanishes`, unchanged by scaling the metric),
+    grows without bound; any other has an interior maximum, whatever its
+    Chern number."""
     if chi <= 0:
         return REGIME_SUP_ZERO
-    return REGIME_DIVERGES if omega_L2_sq <= _OMEGA_ZERO_TOL else REGIME_INTERIOR_MAX
+    return REGIME_DIVERGES if _curvature_form_vanishes(norms) else REGIME_INTERIOR_MAX
 
 
 def _collapse_lower(norms: NormReport, ell):
@@ -98,7 +100,7 @@ def ell_scan(
     norms = _norms(base, F, cfg)
     J = closed_form_J(area(base, cfg), chi, norms.omega_L2_sq, ells)
 
-    regime = fiber_regime(chi, norms.omega_L2_sq)
+    regime = fiber_regime(chi, norms)
     flags = [""] * ells.size
     lower = None
     if regime == REGIME_INTERIOR_MAX:

@@ -28,8 +28,8 @@ from .bundle import (
     InvariantMetric,
     NormReport,
     RadialField,
+    _node_values,
     _norms,
-    _scalar_curvature,
     as_radial_field,
 )
 from .errors import (
@@ -37,6 +37,7 @@ from .errors import (
     InvalidCase,
     NonpositiveChi,
     NonPositiveFactor,
+    NumericalError,
     UnboundedInEll,
 )
 from .numerics import QuadratureConfig
@@ -45,7 +46,6 @@ from .orbifold import (
     _check_weights,
     area,
     chi_orb,
-    gauss_curvature,
     integrate_over_base,
     make_round_sphere,
     wps_profile,
@@ -71,8 +71,15 @@ __all__ = [
     "hebey_vaugon_bound",
 ]
 
-# |Omega|_2^2 or |Omega|_1 at or below this counts as a flat bundle
+# |Omega|_1 at or below this counts as a flat bundle
 _OMEGA_ZERO_TOL = 1e-12
+
+
+def _curvature_form_vanishes(norms: NormReport) -> bool:
+    """The library's one zero test of the curvature form: |Omega|_1 =
+    sqrt2 int |F| dA, which no scaling g -> c^2 g changes, at or below
+    `_OMEGA_ZERO_TOL`, so that a model and its rescaled twin agree."""
+    return norms.omega_L1 <= _OMEGA_ZERO_TOL
 
 
 def sphere_volume(n: int) -> float:
@@ -121,19 +128,21 @@ def functional_J(metric: InvariantMetric, cfg: QuadratureConfig | None = None) -
     against the direct total-scalar-curvature route.
 
     The base route's numerator, the volume and the direct route's numerator
-    are three rows of one integral, which share the values of ell, K and F.
+    are three rows of one integral, which share the values of ell, K, F and
+    the total scalar curvature; at the first level those are the metric's
+    own, kept once (`bundle._node_values`).
     """
-    base = metric.base
 
     def rows(s):
         out = np.empty((3, np.size(s)))
-        ell, K, F = metric.ell.value(s), gauss_curvature(base, s), metric.F.value(s)
+        at = _node_values(metric, s)
+        ell, K, F = at.ell, at.K, at.F
         out[0] = (2.0 * K - 0.5 * ell**2 * F**2) * ell
         out[1] = ell
-        out[2] = _scalar_curvature(metric, s, ell, K, F) * ell
+        out[2] = at.scal * ell
         return out
 
-    num, vol_base, direct = integrate_over_base(base, rows, cfg)
+    num, vol_base, direct = integrate_over_base(metric.base, rows, cfg)
     numerator = 2.0 * math.pi * num.value
     volume = 2.0 * math.pi * vol_base.value
     denominator = volume ** (1.0 / 3.0)
@@ -188,11 +197,12 @@ def conformal_functional(
 
         int 2 pi ell (8 |du|^2 + Scal u^2) dv / (int 2 pi ell u^6 dv)^{1/3}
 
-    Invariant under u -> c u; requires u > 0.
+    Invariant under u -> c u; requires u > 0.  ell and the total scalar
+    curvature at the first level are the metric's own, kept once
+    (`bundle._node_values`).
     """
     base = metric.base
     uf = as_radial_field(u, base)
-    ell = metric.ell.value
 
     if np.any(np.asarray(uf.value(_positivity_probe(base.length))) <= 0.0):
         raise NonPositiveFactor("conformal factor must be strictly positive")
@@ -200,10 +210,10 @@ def conformal_functional(
     def rows(s):
         # numerator and denominator share the evaluations of ell and u
         out = np.empty((2, np.size(s)))
-        ell_s, u_s = ell(s), uf.value(s)
-        scal = _scalar_curvature(metric, s, ell_s, gauss_curvature(base, s), metric.F.value(s))
-        out[0] = 2.0 * math.pi * ell_s * (8.0 * uf.d1(s) ** 2 + scal * u_s**2)
-        out[1] = 2.0 * math.pi * ell_s * u_s**6
+        at, u_s = _node_values(metric, s), uf.value(s)
+        fiber = 2.0 * math.pi * at.ell
+        out[0] = fiber * (8.0 * uf.d1(s) ** 2 + at.scal * u_s**2)
+        out[1] = fiber * u_s**6
         return out
 
     num, den = integrate_over_base(base, rows, cfg)
@@ -247,16 +257,22 @@ def optimal_ell(
 
     `norms`, when given, is the `omega_norms` report of (base, F) and is used
     instead of looking it up; otherwise the report is read from the base's
-    quadrature plan, where the first call for (F, cfg) computes it.
+    quadrature plan, where the first call for (F, cfg) computes it.  A
+    curvature form that is not zero but whose |Omega|_2^2 underflowed to 0
+    is out of scale (NumericalError).
     """
     chi = chi_orb(base)
     if chi <= 0:
         raise NonpositiveChi("no interior maximum in ell when chi <= 0")
     if norms is None:
         norms = _norms(base, F, cfg)
-    if norms.omega_L2_sq <= _OMEGA_ZERO_TOL:
+    if _curvature_form_vanishes(norms):
         raise UnboundedInEll(
             "curvature form vanishes: the functional grows like ell^{2/3} without bound"
+        )
+    if norms.omega_L2_sq == 0.0:
+        raise NumericalError(
+            f"|Omega|_2^2 underflowed to 0 while |Omega|_1 = {norms.omega_L1:.3e}: out of scale"
         )
     return _closed_form_optimum(area(base, cfg), chi, norms.omega_L2_sq)
 
@@ -325,7 +341,7 @@ def bound_cauchy_schwarz(
         raise NonpositiveChi("the bound requires chi > 0")
     if norms is None:
         norms = _norms(base, F, cfg)
-    if norms.omega_L1 <= _OMEGA_ZERO_TOL:
+    if _curvature_form_vanishes(norms):
         raise UnboundedInEll("curvature form vanishes: no finite bound")
     return (
         3.0 * 2.0 ** (4.0 / 3.0) * math.pi**2 * chi ** (4.0 / 3.0) * norms.omega_L1 ** (-2.0 / 3.0)

@@ -456,13 +456,13 @@ def test_bound_collapse_model_reports_regime(capsys, tmp_path):
     assert doc["bounds"] == []
 
 
-def _sphere_model(tmp_path, name, radius, F):
+def _sphere_model(tmp_path, name, radius, F, ell=1.0):
     path = tmp_path / f"{name}.json"
     path.write_text(
         json.dumps(
             {
                 "base": {"type": "round_sphere", "radius": radius},
-                "ell": {"type": "constant", "value": 1.0},
+                "ell": {"type": "constant", "value": ell},
                 "F": F,
             }
         )
@@ -500,17 +500,23 @@ def test_bound_model_of_zero_chern_sphere_has_an_interior_maximum(capsys, tmp_pa
 
 
 @pytest.mark.parametrize(
-    "radius, F, regime",
+    "radius, ell, F, regime",
     [
-        (0.5, {"type": "constant", "value": 2.0}, "MaxInterior"),
-        (1.0, {"type": "constant", "value": 0.0}, "DivergesAsEllGrows"),
-        # c1 = 2e-4 is not zero, but |Omega|_2^2 = 1.3e-13 counts as flat
-        (1e3, {"type": "constant", "value": 1e-10}, "DivergesAsEllGrows"),
+        (0.5, 1.0, {"type": "constant", "value": 2.0}, "MaxInterior"),
+        (1.0, 1.0, {"type": "constant", "value": 0.0}, "DivergesAsEllGrows"),
+        # |Omega|_2^2 = 2.5e-13, but |Omega|_1 = 1.8e-3 and c1 = 2e-4: not
+        # flat, as its twin of radius 1 with F = 1e-4 is not
+        (1e3, 1.0, {"type": "constant", "value": 1e-10}, "MaxInterior"),
+        # one model in two units, g -> c^2 g with c = 1e14: |Omega|_1 = 8.9e-13
+        # in both counts as flat, though |Omega|_2^2 is 6.3e-12 in the first
+        # and 6.3e-40 in the second
+        (1e-7, 1e-7, {"type": "constant", "value": 5.0}, "DivergesAsEllGrows"),
+        (1e7, 1e7, {"type": "constant", "value": 5e-28}, "DivergesAsEllGrows"),
     ],
-    ids=["hopf", "flat", "nearly_flat"],
+    ids=["hopf", "flat", "nearly_flat", "tiny", "tiny_rescaled"],
 )
-def test_bound_model_regime_is_the_scan_regime(capsys, tmp_path, radius, F, regime):
-    path = _sphere_model(tmp_path, "sphere", radius, F)
+def test_bound_model_regime_is_the_scan_regime(capsys, tmp_path, radius, ell, F, regime):
+    path = _sphere_model(tmp_path, "sphere", radius, F, ell)
     code, out, _ = run(capsys, ["scan", "--model", path, "--ell", "scan:0.5:4:4"])
     assert code == 0
     assert json.loads(out)["regime"] == regime

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import math
 import warnings
 import weakref
@@ -17,7 +18,8 @@ import pytest
 import eqyamabe as eq
 from eqyamabe import conformal, modelio, orbifold
 from eqyamabe.errors import DomainError, NotCoprime
-from eqyamabe.numerics import QuadratureConfig, _with_dips, integrate, sign_change_roots
+from eqyamabe.numerics import QuadratureConfig, _fejer_rule, _with_dips, integrate
+from eqyamabe.numerics import sign_change_roots
 
 from conftest import bump_sphere, fourier_field
 
@@ -450,7 +452,9 @@ def test_second_descent_on_a_base_evaluates_no_profile():
 
 def test_functionals_evaluate_ell_once_per_node_array(monkeypatch):
     # J's three integrands are rows of one integral, as are the conformal
-    # functional's two: each reads ell once per node array it receives
+    # functional's two; at the node array of a plan level they read ell from
+    # the metric, which keeps it: ell is read at most once per level per
+    # metric, and once per refinement array
     integrand_points, ell_points = [], []
     real_integrate = orbifold.integrate
 
@@ -469,6 +473,110 @@ def test_functionals_evaluate_ell_once_per_node_array(monkeypatch):
 
     integrand_points.clear()
     ell_points.clear()
-    eq.conformal_functional(metric, fourier_field(base.length, [0.05], 1.0))
-    assert integrand_points
-    assert ell_points == integrand_points
+    for _ in range(2):
+        eq.conformal_functional(metric, fourier_field(base.length, [0.05], 1.0))
+        eq.functional_J(metric)
+    assert integrand_points[0] == 127
+    assert ell_points == [n for n in integrand_points if n != 127]
+
+
+def test_base_integrals_hand_integrate_the_plan_nodes(monkeypatch):
+    # integrate_over_base hands the plan's first level to integrate, whose
+    # first call of the integrand receives that array itself; a break
+    # inside (0, L) gives the nodes of both pieces, one outside changes nothing
+    received = []
+    real_integrate = orbifold.integrate
+
+    def recording(f, *args, **kwargs):
+        return real_integrate(lambda s: received.append(s) or f(s), *args, **kwargs)
+
+    monkeypatch.setattr(orbifold, "integrate", recording)
+    base = eq.wps_profile(2, 3)
+    L = base.length
+    orbifold.integrate_over_base(base, np.ones_like)
+    orbifold.integrate_over_base(base, np.ones_like, breaks=[-1.0, 2.0 * L])
+    assert received[0] is received[1] is orbifold.quadrature_nodes(base)
+    received.clear()
+    orbifold.integrate_over_base(base, np.ones_like, breaks=[0.5 * L])
+    pieces = [_fejer_rule(a, b, 128)[0] for a, b in ((0.0, 0.5 * L), (0.5 * L, L))]
+    assert received[0].tobytes() == np.concatenate(pieces).tobytes()
+
+
+def test_descent_leaves_functional_J_its_first_level_values():
+    # the minimizer's first stage runs on level 128, where the metric keeps
+    # ell, K, F and the scalar curvature: functional_J then evaluates neither
+    # ell nor F, and gives what it gives on a new metric
+    ell_points, F_points = [], []
+    base = eq.wps_profile(2, 3)
+    ell = fourier_field(base.length, [0.1], 1.0)
+    ell = eq.RadialField(*(counted(fn, ell_points) for fn in (ell.value, ell.d1, ell.d2)))
+    F = eq.wps_density_field(2, 3)
+    F = eq.RadialField(*(counted(fn, F_points) for fn in (F.value, F.d1, F.d2)))
+    expected = eq.functional_J(eq.InvariantMetric(base, ell, F))
+    metric = eq.InvariantMetric(base, ell, F)
+    eq.minimize_conformal(metric)
+    ell_points.clear()
+    F_points.clear()
+    assert eq.functional_J(metric) == expected
+    assert ell_points == F_points == []
+
+
+def test_conformal_functional_reads_the_metric_once():
+    # hopf's ell is read once for two conformal factors: the first call
+    # keeps ell and the scalar curvature at the first level on the metric
+    ell_points = []
+    hopf = eq.hopf_metric()
+    ell = eq.RadialField(*(counted(fn, ell_points) for fn in (hopf.ell.value, hopf.ell.d1,
+                                                               hopf.ell.d2)), constant=1.0)
+    metric = eq.InvariantMetric(hopf.base, ell, hopf.F)
+    factors = [fourier_field(hopf.base.length, [a], 1.0) for a in (0.05, -0.1)]
+    values = [eq.conformal_functional(metric, u) for u in factors]
+    assert ell_points == [127, 127, 127]  # ell, ell' and ell'' at the first level
+    assert values == [eq.conformal_functional(eq.hopf_metric(), u) for u in factors]
+
+
+def test_node_values_die_with_their_metric():
+    metric = eq.wps_metric(2, 3)
+    eq.functional_J(metric)
+    record = metric._nodes[128]
+    assert record.ell.size == 127 and not record.scal.flags.writeable
+    # out of comparisons, as is a base's plan
+    assert metric == eq.InvariantMetric(metric.base, metric.ell, metric.F)
+    assert "_nodes" not in repr(metric)
+    refs = [weakref.ref(a) for a in (record.ell, record.F, record.scal)] + [weakref.ref(metric)]
+    del metric, record
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_out_of_scale_data_raises_alike_in_any_order():
+    # ell^2 overflows, so the curvature is not finite: such values are not
+    # kept on the metric, and functional_J, conformal_functional and the
+    # minimizer each raise what they raise on a new metric, whichever runs
+    # first, with numpy's warnings ignored or raised
+    def overflowing():
+        return eq.InvariantMetric(eq.FlatTorusBase(length=1.0, radius=1.0),
+                                  eq.RadialField.const(1e300), eq.RadialField.const(1.0))
+
+    calls = {
+        "J": eq.functional_J,
+        "conformal": lambda metric: eq.conformal_functional(metric, 1.0),
+        "minimize": eq.minimize_conformal,
+    }
+
+    def outcome(name, metric):
+        try:
+            calls[name](metric)
+        except Exception as exc:  # noqa: BLE001 - the outcome is the exception itself
+            return type(exc).__name__, str(exc)
+        return None
+
+    for action in ("ignore", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            alone = {name: outcome(name, overflowing()) for name in calls}
+            for order in itertools.permutations(calls):
+                metric = overflowing()
+                assert [outcome(name, metric) for name in order] == [alone[n] for n in order]
+            assert not overflowing()._nodes
+    assert alone["minimize"][0] == "NumericalError"

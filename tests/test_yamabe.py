@@ -15,6 +15,7 @@ from eqyamabe.errors import (
     NonpositiveChi,
     NonPositiveFactor,
     NotCoprime,
+    NumericalError,
     UnboundedInEll,
 )
 from eqyamabe.yamabe import _closed_form_optimum, closed_form_J
@@ -215,6 +216,44 @@ def test_optimal_ell_weighted_pair_below_bound():
 def test_optimal_ell_flat_bundle_raises(half_sphere):
     with pytest.raises(UnboundedInEll):
         eq.optimal_ell(half_sphere, 0.0)
+
+
+@pytest.mark.parametrize("F, flat", [(5e-14, True), (5e-13, False)])
+def test_curvature_form_zero_test_is_scale_free(F, flat):
+    # |Omega|_1 = 8.9e-13 and 8.9e-12 on the unit sphere, and in any units:
+    # the scan's regime, optimal_ell and Cauchy-Schwarz give one verdict at
+    # every scale, where |Omega|_2^2 goes as c^-2
+    metric = eq.InvariantMetric(eq.make_round_sphere(1.0), 1.0, F)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # fractional Chern data
+        for c in (1e-7, 1.0, 1e7):
+            scaled = eq.scale_metric(metric, c)
+            table = eq.ell_scan(scaled.base, scaled.F, [0.5, 1.0, 2.0])
+            assert (table.regime == "DivergesAsEllGrows") is flat, c
+            for bound in (eq.optimal_ell, eq.bound_cauchy_schwarz):
+                if flat:
+                    with pytest.raises(UnboundedInEll):
+                        bound(scaled.base, scaled.F)
+                else:
+                    bound(scaled.base, scaled.F)
+
+
+def test_underflowed_curvature_norm_is_out_of_scale_not_flat():
+    # F^2 = 1e-340 is 0 in doubles: on a sphere of radius 1e80 |Omega|_2^2
+    # reads 0 while |Omega|_1 = 1.8e-9, as on its unit-sphere twin with
+    # F = 1e-10.  The form is not zero: the scan and Cauchy-Schwarz read it
+    # as the twin does, and ell*, which divides by |Omega|_2, is out of scale
+    base, twin = eq.make_round_sphere(1e80), eq.make_round_sphere(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # fractional Chern data
+        norms = eq.omega_norms(eq.InvariantMetric(base, 1.0, 1e-170))
+        assert norms.omega_L2_sq == 0.0 < norms.omega_L1
+        for b, F in ((base, 1e-170), (twin, 1e-10)):
+            assert eq.ell_scan(b, F, [0.5, 1.0]).regime == "MaxInterior"
+        cs = eq.bound_cauchy_schwarz(base, 1e-170)
+        assert cs == pytest.approx(eq.bound_cauchy_schwarz(twin, 1e-10), rel=1e-9)
+        with pytest.raises(NumericalError, match="out of scale"):
+            eq.optimal_ell(base, 1e-170)
 
 
 def test_optimal_ell_nonpositive_chi(torus_metric):
