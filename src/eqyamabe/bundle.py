@@ -21,8 +21,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .numerics import _DEFAULT_CONFIG, QuadratureConfig, _sampled_series, _with_dips
-from .numerics import sign_change_roots, trig_interpolant, trig_series
+from .numerics import _DEFAULT_CONFIG, QuadratureConfig, _interpolant, _sampled_series
+from .numerics import _with_dips, sign_change_roots, trig_series
 from .orbifold import (
     Base,
     _norm_reports,
@@ -76,38 +76,21 @@ class RadialField:
         )
 
     @classmethod
-    def from_samples(cls, grid: np.ndarray, values: np.ndarray,
+    def from_samples(cls, values: np.ndarray, length: float,
                      periodic: bool = False) -> "RadialField":
-        """Trigonometric series (`numerics.trig_interpolant`) through samples
-        on the endpoint grid linspace(0, L, n), and no other grid.  A smooth
-        field is even about each pole, so off the torus the samples are
-        extended evenly to period 2L (a cosine series); on the torus the
-        samples must match at the seam.
+        """Trigonometric series through samples on linspace(0, length, n), ends
+        included (`numerics._interpolant`).  A smooth field is even about
+        each pole, so off the torus the samples are extended evenly to period
+        2L (a cosine series); on the torus the samples must match at the
+        seam.
         """
-        return cls(*trig_interpolant(*_one_period(grid, values, periodic)))
-
-
-def _one_period(grid: np.ndarray, values: np.ndarray,
-                periodic: bool) -> tuple[np.ndarray, float, float]:
-    """One period of the series through samples on linspace(0, L, n), with its
-    start and its period: on the torus the samples less the repeat at the
-    seam, off it their even extension to period 2L."""
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if grid.ndim != 1 or grid.shape != values.shape:
-        raise ValueError("grid and values must be matching 1-d arrays")
-    if grid.size < 2:
-        raise ValueError(f"need at least 2 samples on linspace(0, L, n), got {grid.size}")
-    length = float(grid[-1])
-    if not 0.0 < length < math.inf:
-        raise ValueError(f"samples must span a positive, finite length L, got L = {length}")
-    if not np.allclose(grid, np.linspace(0.0, length, grid.size), rtol=0.0, atol=1e-12 * length):
-        raise ValueError("samples must lie on the uniform endpoint grid linspace(0, L, n)")
-    if periodic:
-        if abs(values[0] - values[-1]) > 1e-12 * max(1.0, abs(values[0])):
-            raise ValueError("periodic samples must match at the seam")
-        return values[:-1], 0.0, length
-    return np.concatenate([values, values[-2:0:-1]]), 0.0, 2.0 * length
+        values, length = np.asarray(values, dtype=float), float(length)
+        if values.ndim != 1 or values.size < 2:
+            raise ValueError(f"need a 1-d array of at least 2 samples, got shape {values.shape}")
+        if not 0.0 < length < math.inf:
+            raise ValueError(f"samples must span a positive, finite length L, got L = {length}")
+        c, omega, _ = _interpolant(values, length, "periodic" if periodic else "even")
+        return cls(*trig_series(c, 0.0, omega))
 
 
 FieldLike = Union[RadialField, float, int, Callable]
@@ -125,10 +108,9 @@ def as_radial_field(obj: FieldLike, base: Base) -> RadialField:
         return RadialField.const(float(obj))
     if not callable(obj):
         raise TypeError(f"cannot interpret {type(obj).__name__} as a radial field")
-    ends = "the seam" if base.periodic else "the poles"
-    one_period = lambda grid, values: _one_period(grid, values, base.periodic)  # noqa: E731
-    series = _sampled_series(obj, base.length, one_period, "a radial callable", ends)
-    return RadialField(*trig_series(*series))
+    parity = "periodic" if base.periodic else "even"
+    c, omega = _sampled_series(obj, base.length, parity, "a radial callable")
+    return RadialField(*trig_series(c, 0.0, omega))
 
 
 @dataclass(frozen=True)
@@ -363,13 +345,14 @@ def _compute_norms(base: Base, field: RadialField, cfg: QuadratureConfig) -> Nor
 
 
 def _fractional_chern(base: Base, chern: float) -> str | None:
-    """The warning that m1 m2 c1 is not close to an integer, or None when it
-    is: quantization is not enforced, only flagged."""
-    m_product = math.prod(base.cone_orders)
-    scaled = m_product * chern
+    """The warning that lcm(m1, m2) c1 is not close to an integer, or None
+    when it is: the Chern numbers of circle orbibundles over the base lie in
+    (1 / lcm(m1, m2)) Z.  Quantization is not enforced, only flagged."""
+    lcm = math.lcm(*base.cone_orders)
+    scaled = lcm * chern
     if abs(scaled - round(scaled)) > 1e-3:
         return (
-            f"curvature density has non-integral Chern data: {m_product} * {chern:.6f} "
+            f"curvature density has non-integral Chern data: {lcm} * {chern:.6f} "
             "is not close to an integer"
         )
     return None

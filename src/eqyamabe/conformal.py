@@ -474,9 +474,7 @@ def minimize_conformal(
         c[0] = 1.0
     else:
         if not callable(u0):
-            samples = np.asarray(u0, dtype=float)
-            grid = np.linspace(0.0, base.length, samples.size)
-            u0 = RadialField.from_samples(grid, samples, periodic=base.periodic).value
+            u0 = RadialField.from_samples(u0, base.length, periodic=base.periodic).value
         # the basis is orthogonal in L^2(ds): |1|^2 = L, every other |b_j|^2 = L/2
         u = np.asarray(u0(stage.nodes), dtype=float)
         c = (basis.values.T @ (weights * u)) / np.where(basis.power == 0, 1.0, 0.5) / base.length

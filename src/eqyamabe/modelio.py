@@ -227,10 +227,8 @@ def build_base(spec: ModelSpec) -> Base:
 def _field_from(spec_part: dict, base: Base, kind: str) -> RadialField:
     if spec_part["type"] == "constant":
         return RadialField.const(float(spec_part["value"]))
-    grid = np.linspace(0.0, base.length, len(spec_part["values"]))
-    values = np.asarray(spec_part["values"], dtype=float)
     try:
-        return RadialField.from_samples(grid, values, periodic=base.periodic)
+        return RadialField.from_samples(spec_part["values"], base.length, periodic=base.periodic)
     except ValueError as exc:
         raise ModelParseError(f"$.{kind}.values: {exc}") from exc
 

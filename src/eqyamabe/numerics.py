@@ -42,7 +42,6 @@ __all__ = [
     "integrate",
     "sign_change_roots",
     "trig_series",
-    "trig_interpolant",
     "minimize_scalar",
     "richardson_table",
     "limit_at_zero",
@@ -293,40 +292,41 @@ def trig_series(coeffs: np.ndarray, start: float, omega: float) -> tuple[Callabl
     return horner(coeffs), horner(1j * k * coeffs), horner(-k * k * coeffs)
 
 
-def _interpolant_coefficients(samples: np.ndarray) -> tuple[np.ndarray, bool]:
-    """The `trig_series` coefficients of the interpolant of one period of
-    uniform samples, from one real FFT, up to the last mode past eps times
-    the largest sample, and whether that tail is negligible (`_chop`)."""
+def _interpolant(values: np.ndarray, length: float, parity: str) -> tuple[np.ndarray, float, bool]:
+    """The `trig_series` coefficients (start 0) and omega of the interpolant
+    of uniform samples on linspace(0, length, n), ends included, and whether
+    its tail is negligible.  This is the one place where samples become one
+    period: parity "even" or "odd" reflects them about the far end to period
+    2 length, "periodic" drops the repeat at the seam, where they must
+    match (ValueError otherwise).  One real FFT gives the coefficients, kept
+    up to the last mode past eps times the largest sample (`_chop`)."""
+    if parity == "periodic":
+        if abs(values[0] - values[-1]) > 1e-12 * max(1.0, abs(values[0])):
+            raise ValueError("periodic samples must match at the seam")
+        samples, period = values[:-1], length
+    else:
+        sign = 1.0 if parity == "even" else -1.0
+        samples, period = np.concatenate([values, sign * values[-2:0:-1]]), 2.0 * length
     n = len(samples)
     c = np.fft.rfft(samples) / n
     c[1 : (n + 1) // 2] *= 2.0  # each mode below Nyquist stands for +k and -k
     keep, chopped = _chop(c, _EPS * np.max(np.abs(samples)))
-    return c[:keep], chopped
-
-
-def trig_interpolant(samples: np.ndarray, start: float, period: float) -> tuple[Callable, ...]:
-    """Value, first and second derivative of the trigonometric interpolant of
-    one period of uniform samples, the j-th of n taken at start + j period / n.
-    The coefficients come from one real FFT; the modes past eps times the
-    largest sample (`_chop`) are summed by `trig_series`."""
-    c, _ = _interpolant_coefficients(samples)
-    return trig_series(c, start, 2.0 * math.pi / period)
+    return c[:keep], 2.0 * math.pi / period, chopped
 
 
 _CHOP_SAMPLES = 2**14 + 1  # the most samples a callable is read at
 
 
-def _sampled_series(f: Callable, length: float, one_period: Callable, name: str, ends: str):
-    """`trig_series`'s coefficients, start and omega for a vectorized callable
-    f on [0, length], read from its samples on linspace(0, length, n), ends
-    included, for n = 17, 33, 65, ...: `one_period(grid, values)` extends
-    them to one period (samples, start, period), and the first series that
-    has chopped, its tail past eps times the largest sample negligible
-    (`_interpolant_coefficients`), is kept, or the one at n = 2**14 + 1
-    with a warning (data not smooth, such as a ramp at a cone pole).  f not
-    finite at a sample, such as one with a removable singularity at an end,
-    or raising DomainError there, raises ValueError; `name` and `ends` name
-    f and the ends in the messages."""
+def _sampled_series(f: Callable, length: float, parity: str, name: str) -> tuple[np.ndarray, float]:
+    """`trig_series`'s coefficients (start 0) and omega for a vectorized
+    callable f on [0, length], read from its samples on linspace(0, length,
+    n), ends included, for n = 17, 33, 65, ...: the first interpolant of the
+    given parity (`_interpolant`) that has chopped, its tail past eps times
+    the largest sample negligible, is kept, or the one at n = 2**14 + 1 with
+    a warning (data not smooth, such as a ramp at a cone pole).  f not finite
+    at a sample, such as one with a removable singularity at an end, or
+    raising DomainError there, raises ValueError naming f by `name`."""
+    ends = "the seam" if parity == "periodic" else "the poles"
     sampled = f"it is sampled on [0, {length:.6g}] with {ends} included and must be"
     n = 17
     while True:
@@ -338,15 +338,14 @@ def _sampled_series(f: Callable, length: float, one_period: Callable, name: str,
         if not np.all(np.isfinite(values)):
             where = ", ".join(f"{x:.6g}" for x in grid[~np.isfinite(values)][:3])
             raise ValueError(f"{name} is not finite at s = {where}; {sampled} finite there")
-        samples, start, period = one_period(grid, values)
-        c, chopped = _interpolant_coefficients(samples)
+        c, omega, chopped = _interpolant(values, length, parity)
         if chopped or n >= _CHOP_SAMPLES:
             break
         n = 2 * n - 1
     if not chopped:
         smooth = "data may not be smooth on the orbifold"
         warnings.warn(f"{name} has not chopped to rounding at {n} samples; {smooth}", stacklevel=3)
-    return c, start, 2.0 * math.pi / period
+    return c, omega
 
 
 def sign_change_roots(f: Callable, df: Callable, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
@@ -410,8 +409,10 @@ def _with_dips(f: Callable, x: np.ndarray, fx: np.ndarray) -> tuple[np.ndarray, 
         return x, fx
     x0, x1, x2, f0, f1, f2 = x[j - 1], x[j], x[j + 1], fx[j - 1], fx[j], fx[j + 1]
     d01 = (f1 - f0) / (x1 - x0)
-    curv = ((f2 - f1) / (x2 - x1) - d01) / (x2 - x0)  # nonzero: |f| has a strict minimum
-    v = 0.5 * (x0 + x1) - d01 / (2.0 * curv)
+    # nonzero, as |f| has a strict minimum, unless it underflows: that vertex
+    # is NaN and no candidate
+    curv = ((f2 - f1) / (x2 - x1) - d01) / (x2 - x0)
+    v = 0.5 * (x0 + x1) - np.divide(d01, 2.0 * curv, out=np.full(j.size, np.nan), where=curv != 0)
     sign = s[j]
     crosses = sign * (f0 + (v - x0) * (d01 + curv * (v - x1))) <= 0.0
     v, sign = v[crosses], sign[crosses]

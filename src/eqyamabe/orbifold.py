@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import DomainError, NotCoprime, QuadratureFailure
 from .numerics import _DEFAULT_CONFIG, _EPS, _FIRST_LEVEL, IntegralResult, NoConvergence
-from .numerics import QuadratureConfig, _chop, _fejer_rule, _interpolant_coefficients
+from .numerics import QuadratureConfig, _chop, _fejer_rule, _interpolant
 from .numerics import _sampled_series, _with_dips, integrate, sign_change_roots, trig_series
 
 __all__ = [
@@ -234,8 +234,7 @@ def profile_from_callables(
     L = float(length)
     if not 0.0 < L < math.inf:
         raise ValueError("profile length must be positive and finite")
-    odd = lambda _, p: (np.concatenate([p, -p[-2:0:-1]]), 0.0, 2.0 * L)  # noqa: E731
-    c, _, _ = _sampled_series(phi, L, odd, "a profile callable", "the poles")
+    c, _ = _sampled_series(phi, L, "odd", "a profile callable")
     return _sine_profile(c, L, m_start, m_end, label)
 
 
@@ -348,7 +347,7 @@ def profile_from_samples(
 
     phi is odd about each pole, so the samples become a sine series, checked
     by `_sine_profile`: uniform ones the sine series of their odd extension
-    to period 2L (`trig_interpolant`), non-uniform ones a least-squares fit
+    to period 2L (`numerics._interpolant`), non-uniform ones a least-squares fit
     (`_sine_fit`; a few ms at n = 3201).
     """
     s = np.asarray(s_values, dtype=float)
@@ -364,7 +363,7 @@ def profile_from_samples(
     if np.any(p[1:-1] <= 0):
         raise ValueError("profile must be positive between the poles")
     if np.allclose(s, np.linspace(0.0, L, s.size), rtol=0.0, atol=1e-12 * L):
-        c, _ = _interpolant_coefficients(np.concatenate([p, -p[-2:0:-1]]))
+        c, _, _ = _interpolant(p, L, "odd")
     else:
         c = _sine_fit(s, p, L)
     return _sine_profile(c, L, m_start, m_end, label)

@@ -145,7 +145,7 @@ def test_criterion_6_laplace_and_uniformization():
     with criterion(6, "Poisson residual <= 1e-6; uniformization identity within 1e-6"):
         half = eq.make_round_sphere(0.5)
         grid = np.linspace(0.0, half.length, 4001)
-        f = eq.RadialField.from_samples(grid, np.cos(2.0 * grid))
+        f = eq.RadialField.from_samples(np.cos(2.0 * grid), half.length)
         u = eq.laplace_solve_radial(half, f)
         assert laplace_residual(half, u, f) <= 1e-6
         assert np.max(np.abs(u.value(grid) - f.value(grid) / 8.0)) <= 1e-6

@@ -336,10 +336,27 @@ def test_fractional_chern_warns(half_sphere):
         eq.omega_norms(metric)
 
 
+def test_chern_lattice_is_one_over_the_lcm_of_the_cone_orders():
+    # every circle orbibundle over S^2(2, 2) has c1 in (1/2)Z: a constant F
+    # on this spindle of area 2 pi has c1 = F, so 1/4 is fractional and 1/2
+    # is not.  On wps(2, 3) the orders are coprime and lcm = m1 m2 = 6; the
+    # torus has no cone point and lcm 1
+    spindle = eq.profile_from_callables(math.pi, lambda s: 0.5 * np.sin(s), 2, 2)
+    with pytest.warns(UserWarning, match=r"Chern data: 2 \* 0\.250000 is not"):
+        eq.omega_norms(eq.InvariantMetric(spindle, 1.0, 0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eq.omega_norms(eq.InvariantMetric(spindle, 1.0, 0.5))
+    with pytest.warns(UserWarning, match=r"Chern data: 6 \* 0\.200000 is not"):
+        eq.omega_norms(eq.InvariantMetric(eq.wps_profile(2, 3), 1.0, 1.0))
+    with pytest.warns(UserWarning, match=r"Chern data: 1 \* 0\.300000 is not"):
+        eq.omega_norms(eq.InvariantMetric(eq.FlatTorusBase(1.0, 1.0), 1.0, 0.3))
+
+
 def test_radial_field_from_samples_matches_function(half_sphere):
     grid = np.linspace(0.0, half_sphere.length, 201)
     values = 1.0 + 0.2 * np.cos(2.0 * grid)
-    field = eq.RadialField.from_samples(grid, values)
+    field = eq.RadialField.from_samples(values, half_sphere.length)
     s = np.linspace(0.1, half_sphere.length - 0.1, 17)
     assert np.max(np.abs(field.value(s) - (1.0 + 0.2 * np.cos(2.0 * s)))) <= 1e-6
     assert np.max(np.abs(field.d1(s) + 0.4 * np.sin(2.0 * s))) <= 1e-4
@@ -354,35 +371,29 @@ def test_radial_field_from_samples_is_spectral(periodic):
     odd = 0.1 if periodic else 0.0
     f = lambda s: 1.0 + 0.2 * np.cos(4.0 * s) + odd * np.sin(4.0 * s)  # noqa: E731
     df = lambda s: -0.8 * np.sin(4.0 * s) + 4.0 * odd * np.cos(4.0 * s)  # noqa: E731
-    field = eq.RadialField.from_samples(grid, f(grid), periodic=periodic)
+    field = eq.RadialField.from_samples(f(grid), L, periodic=periodic)
     s = np.linspace(0.0, L, 33)
     assert field.value(s) == pytest.approx(f(s), abs=1e-14)
     assert field.d1(s) == pytest.approx(df(s), abs=1e-13)
 
 
-def test_radial_field_from_samples_rejects_other_grids():
-    values = np.ones(9)
-    cells = (np.arange(9) + 0.5) / 9  # cell centres are not an endpoint grid
-    for grid in (np.linspace(0.1, 1.0, 9), np.linspace(0.0, 1.0, 9) ** 2, cells):
-        for periodic in (False, True):
-            with pytest.raises(ValueError, match="grid"):
-                eq.RadialField.from_samples(grid, values, periodic=periodic)
-    with pytest.raises(ValueError, match="matching"):
-        eq.RadialField.from_samples(np.linspace(0.0, 1.0, 9), np.ones(8))
-
-
 def test_radial_field_from_samples_needs_two_samples_over_a_positive_length():
-    # a series needs two samples and a period of positive length
+    # a series needs two samples in a 1-d array, a period of positive length
+    # and, on the torus, samples that match at the seam
     for n in (0, 1):
         for periodic in (False, True):
-            with pytest.raises(ValueError, match=f"at least 2 samples.*got {n}"):
-                eq.RadialField.from_samples(np.linspace(0.0, 1.0, n), np.ones(n), periodic=periodic)
-        with pytest.raises(ValueError, match=f"at least 2 samples.*got {n}"):
+            with pytest.raises(ValueError, match=rf"at least 2 samples.*got shape \({n},\)"):
+                eq.RadialField.from_samples(np.ones(n), 1.0, periodic=periodic)
+        with pytest.raises(ValueError, match=rf"at least 2 samples.*got shape \({n},\)"):
             eq.minimize_conformal(eq.hopf_metric(), u0=np.ones(n))
-    for end in (0.0, -1.0):
+    with pytest.raises(ValueError, match=r"1-d array.*got shape \(3, 3\)"):
+        eq.RadialField.from_samples(np.ones((3, 3)), 1.0)
+    for end in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="positive, finite length"):
-            eq.RadialField.from_samples(np.linspace(0.0, end, 5), np.ones(5))
-    field = eq.RadialField.from_samples(np.array([0.0, 2.0]), np.array([1.0, 3.0]))
+            eq.RadialField.from_samples(np.ones(5), end)
+    with pytest.raises(ValueError, match="seam"):
+        eq.RadialField.from_samples(np.array([1.0, 2.0, 1.5]), 1.0, periodic=True)
+    field = eq.RadialField.from_samples(np.array([1.0, 3.0]), 2.0)
     assert field.value(np.array([0.0, 1.0, 2.0])) == pytest.approx([1.0, 2.0, 3.0], abs=1e-15)
 
 

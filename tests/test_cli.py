@@ -124,6 +124,14 @@ def test_invariants_deltas_describe_printed_values(capsys):
                         ("chi_boundary", "chi")):
         delta = q["deltas"][f"{route}_vs_closed"]["value"]
         assert delta == abs(q[route]["value"] - closed[kind])
+    # a single method prints its keys of the "all" report, bit for bit
+    for method, keys in (("quadrature", ["c1_quadrature", "chi_quadrature"]),
+                         ("boundary", ["chi_boundary"])):
+        argv = ["invariants", "--m1", "3", "--m2", "7", "--tol", "1e-3", "--method", method]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        single = json.loads(out)["quantities"]
+        assert sorted(single) == keys and all(single[k] == q[k] for k in keys), method
 
 
 @pytest.mark.parametrize(
@@ -202,6 +210,12 @@ def test_bound_unit_pair(capsys):
     doc = json.loads(out)
     assert _bound_value(doc, "weighted_pair") == pytest.approx(SIGMA_S3, rel=1e-12)
     assert _bound_value(doc, "topological") == pytest.approx(SIGMA_S3, rel=1e-12)
+    # the same topological bound from chi and c1 given by hand
+    code, out, _ = run(capsys, ["bound", "--chi", "2", "--c1", "1"])
+    assert code == 0
+    doc = json.loads(out)
+    assert _bound_value(doc, "topological") == eq.bound_theorem_main(2.0, 1.0)
+    assert doc["bounds"][0]["inputs"] == {"chi": 2.0, "c1": 1.0}
 
 
 def test_bound_one_two(capsys):
@@ -219,6 +233,9 @@ def test_bound_hebey_vaugon(capsys):
     assert code == 0
     assert _bound_value(doc, "orbit_count") == pytest.approx(HEBEY_VAUGON_3_2, rel=1e-12)
     assert doc["bounds"][0]["inputs"] == {"n": 3, "k": 2}
+    code, out, err = run(capsys, ["bound", "--hebey-vaugon", "--n", "3", "--k", "x"])
+    assert code == 2 and out == ""
+    assert "--k" in err
 
 
 def test_bound_hebey_vaugon_without_a_finite_orbit_is_null(capsys):
@@ -244,6 +261,11 @@ def test_bound_model_route(capsys, tmp_path):
 def test_bound_missing_args(capsys):
     code, _, err = run(capsys, ["bound"])
     assert code == 2
+    # --chi and --c1 come together
+    for argv in (["--chi", "2"], ["--c1", "1"]):
+        code, out, err = run(capsys, ["bound", *argv])
+        assert code == 2 and out == "", argv
+        assert "together" in err, argv
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +357,22 @@ def test_minimize_out_of_scale_exits_3_without_a_warning(capsys, tmp_path):
     assert not out_path.exists() and out == ""
 
 
+def test_bound_of_a_huge_sphere_exits_3_without_a_warning(capsys, tmp_path):
+    # on a sphere of radius 1e80 the parabola through three values of K has
+    # a curvature that underflows to 0; it is no dip candidate, so no numpy
+    # RuntimeWarning (an error under pytest) escapes as a traceback, and
+    # |Omega|_2^2 underflows: exit 3
+    path = tmp_path / "huge_sphere.json"
+    path.write_text(json.dumps({"base": {"type": "round_sphere", "radius": 1e80},
+                                "ell": {"type": "constant", "value": 1.0},
+                                "F": {"type": "constant", "value": 1e-170}}))
+    out_path = tmp_path / "bound.json"
+    code, out, err = run(capsys, ["bound", "--model", str(path), "--out", str(out_path)])
+    assert code == 3
+    assert "underflowed" in err
+    assert not out_path.exists() and out == ""
+
+
 def test_canonical_json_rejects_non_finite_numbers():
     with pytest.raises(eq.errors.NumericalError, match=r"\$\.a\[1\]\.b is NaN"):
         modelio.canonical_json({"a": [1.0, {"b": math.nan}]})
@@ -353,6 +391,12 @@ def test_bad_ell_syntax(capsys, tmp_path):
     )
     assert code == 2
     assert "scan" in err
+    # a ladder that is not numbers or not increasing, a word, a nonpositive length
+    for ell, message in (("scan:a:1:4", "--ell scan:"), ("scan:2:1:4", "0 < lo < hi"),
+                         ("abc", "got 'abc'"), ("-1", "must be positive")):
+        code, out, err = run(capsys, ["functional", "--model", hopf_model(tmp_path), "--ell", ell])
+        assert code == 2 and out == "", ell
+        assert message in err, ell
 
 
 # ---------------------------------------------------------------------------

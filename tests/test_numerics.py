@@ -22,13 +22,12 @@ from eqyamabe.numerics import (
     _fejer_rule,
     _fejer_weights,
     _chop,
-    _interpolant_coefficients,
+    _interpolant,
     _with_dips,
     integrate,
     limit_at_zero,
     minimize_scalar,
     sign_change_roots,
-    trig_interpolant,
     trig_series,
 )
 from eqyamabe.orbifold import integrate_over_base, quadrature_nodes, wps_profile
@@ -358,54 +357,84 @@ def test_dips_between_points_of_one_sign_are_bracketed():
     assert calls == [31, 1, 31]
 
 
+def test_a_vertex_whose_curvature_underflows_is_no_candidate():
+    # the parabola through these three values has a curvature below the
+    # least subnormal: its vertex is no candidate, and nothing warns (a
+    # RuntimeWarning is an error here) or calls f
+    x = np.array([0.0, 1e80, 2e80])
+    fx = 1e-160 * np.array([1.0 + 2.0**-50, 1.0, 1.0 + 2.0**-50])
+    calls = []
+    xs, fs = _with_dips(lambda t: calls.append(t) or -t, x, fx)
+    assert xs.tolist() == x.tolist() and fs.tolist() == fx.tolist() and calls == []
+
+
 # ---------------------------------------------------------------------------
-# trig_interpolant
+# _interpolant: uniform endpoint samples to one period, then a series
 # ---------------------------------------------------------------------------
 
+def _interpolated(values, length, parity):
+    c, omega, _ = _interpolant(np.asarray(values, dtype=float), length, parity)
+    return trig_series(c, 0.0, omega)
+
+
 def test_trig_interpolant_reproduces_a_trigonometric_polynomial():
-    start, period = 0.25, 2.0
+    period = 2.0
     w = 2.0 * math.pi / period
-    x = lambda s: w * (s - start)  # noqa: E731
-    f = lambda s: 0.3 + np.cos(x(s)) - 0.5 * np.sin(3.0 * x(s))  # noqa: E731
-    value, d1, d2 = trig_interpolant(f(start + period * np.arange(16) / 16), start, period)
+    f = lambda s: 0.3 + np.cos(w * s) - 0.5 * np.sin(3.0 * w * s)  # noqa: E731
+    value, d1, d2 = _interpolated(f(np.linspace(0.0, period, 17)), period, "periodic")
     s = np.linspace(-1.0, 3.0, 41)  # beyond one period too
     assert value(s) == pytest.approx(f(s), abs=1e-14)
-    assert d1(s) == pytest.approx(-w * np.sin(x(s)) - 1.5 * w * np.cos(3.0 * x(s)), abs=1e-13)
-    assert d2(s) == pytest.approx(-w * w * np.cos(x(s)) + 4.5 * w * w * np.sin(3.0 * x(s)),
+    assert d1(s) == pytest.approx(-w * np.sin(w * s) - 1.5 * w * np.cos(3.0 * w * s), abs=1e-13)
+    assert d2(s) == pytest.approx(-w * w * np.cos(w * s) + 4.5 * w * w * np.sin(3.0 * w * s),
                                   abs=1e-12)
     assert np.shape(value(0.7)) == ()
+    # the even and odd reflections about the far end give the cosine and the
+    # sine polynomials of period 2L
+    L = 1.5
+    k = math.pi / L
+    for parity, g in (("even", lambda s: 0.3 + np.cos(k * s) - 0.5 * np.cos(3.0 * k * s)),
+                      ("odd", lambda s: np.sin(k * s) - 0.5 * np.sin(3.0 * k * s))):
+        value, _, _ = _interpolated(g(np.linspace(0.0, L, 9)), L, parity)
+        assert value(s) == pytest.approx(g(s), abs=1e-14), parity
 
 
 @pytest.mark.parametrize("n", [15, 16])
 def test_trig_interpolant_passes_through_its_samples(n):
     # random data keeps every mode, the Nyquist mode of an even count too
     samples = np.random.default_rng(n).normal(size=n)
-    value, d1, _ = trig_interpolant(samples, -1.0, 3.0)
-    nodes = -1.0 + 3.0 * np.arange(n) / n
+    value, d1, _ = _interpolated(np.append(samples, samples[0]), 3.0, "periodic")
+    nodes = 3.0 * np.arange(n) / n
     assert value(nodes) == pytest.approx(samples, abs=1e-13)
     assert value(nodes + 3.0) == pytest.approx(samples, abs=1e-13)
     assert np.all(np.isfinite(d1(nodes)))
 
 
 def test_trig_interpolant_of_zeros_is_zero():
-    value, d1, d2 = trig_interpolant(np.zeros(8), 0.0, 1.0)
     s = np.linspace(0.0, 1.0, 5)
-    assert value(s).tolist() == d1(s).tolist() == d2(s).tolist() == [0.0] * 5
+    for parity in ("even", "odd", "periodic"):
+        value, d1, d2 = _interpolated(np.zeros(9), 1.0, parity)
+        assert value(s).tolist() == d1(s).tolist() == d2(s).tolist() == [0.0] * 5
+
+
+def test_periodic_samples_must_match_at_the_seam():
+    with pytest.raises(ValueError, match="seam"):
+        _interpolant(np.array([1.0, 2.0, 1.0 + 1e-9]), 1.0, "periodic")
+    # the even and odd reflections have no seam
+    for parity in ("even", "odd"):
+        assert _interpolant(np.array([1.0, 2.0, 3.0]), 1.0, parity)[1] == math.pi
 
 
 def test_chopped_interpolant_waits_for_the_tail_to_reach_rounding():
     # exp(cos) has coefficients 2 I_k(1), below eps from k = 15 on: 16 samples
     # leave its trailing quarter above rounding, 64 do not.  The verdict is
-    # the flag `_sampled_series` reads; the coefficients are the interpolant's
+    # the flag `_sampled_series` reads; the coefficients pass through the samples
     f = lambda s: np.exp(np.cos(2.0 * math.pi * s))  # noqa: E731
-    assert _interpolant_coefficients(f(np.arange(16) / 16))[1] is False
-    samples = f(np.arange(64) / 64)
-    s = np.linspace(0.0, 1.0, 33)
-    c, chopped = _interpolant_coefficients(samples)
-    assert chopped is True
-    for got, want in zip(trig_series(c, 0.0, 2.0 * math.pi), trig_interpolant(samples, 0.0, 1.0)):
-        assert got(s).tolist() == want(s).tolist()
-    assert _interpolant_coefficients(np.zeros(8))[1] is True
+    assert _interpolant(f(np.linspace(0.0, 1.0, 17)), 1.0, "periodic")[2] is False
+    grid = np.linspace(0.0, 1.0, 65)
+    c, omega, chopped = _interpolant(f(grid), 1.0, "periodic")
+    assert chopped is True and omega == 2.0 * math.pi
+    assert trig_series(c, 0.0, omega)[0](grid) == pytest.approx(f(grid), abs=1e-15)
+    assert _interpolant(np.zeros(9), 1.0, "periodic")[2] is True
 
 
 def test_trim_keeps_only_the_mean_mode_of_zeros():
@@ -429,12 +458,10 @@ def test_trim_keeps_the_modes_past_the_data_scale(f, n, kept):
     # the rounding noise of these series is near eps * max|samples|, not near
     # eps * max|c|: trimmed against the largest coefficient they keep 11 and 7
     # modes, and their sums differ in the last bits
-    samples = f(2.0 * math.pi * np.arange(n) / n)
-    c, _ = _interpolant_coefficients(samples)
+    samples = f(np.linspace(0.0, 2.0 * math.pi, n + 1))
+    c, omega, _ = _interpolant(samples, 2.0 * math.pi, "periodic")
     assert c.size == _chop(c, np.finfo(float).eps * np.max(np.abs(samples)))[0] == kept
-    s = np.linspace(-1.0, 2.0 * math.pi + 1.0, 41)
-    for got, want in zip(trig_interpolant(samples, 0.0, 2.0 * math.pi), trig_series(c[:kept], 0.0, 1.0)):
-        assert got(s).tolist() == want(s).tolist()
+    assert omega == 1.0
 
 
 # ---------------------------------------------------------------------------
