@@ -133,7 +133,7 @@ class InvariantMetric:
         for name in ("ell", "F"):
             object.__setattr__(self, name, as_radial_field(getattr(self, name), self.base))
         # a field whose `constant` is set is not evaluated: its slopes are zero
-        probe, points = _probes(self.base.length, bool(self.base.cone_orders))
+        probe, poles = _probes(self.base.length, bool(self.base.cone_orders))
         ell = self.ell
         if ell.constant is None:
             nonpositive = np.any(np.asarray(ell.value(probe), dtype=float) <= 0.0)
@@ -141,18 +141,22 @@ class InvariantMetric:
             nonpositive = ell.constant <= 0.0  # the probe's comparison: NaN passes
         if nonpositive:
             raise ValueError("fiber length must be strictly positive on the base")
-        if points is not None:
+        if poles is not None:
             # invariant data must be smooth across the poles: the radial
             # derivative must vanish there, so the slope at a pole should be
-            # a small fraction of the field's interior slope scale
+            # a small fraction of the field's interior slope scale.  Only an
+            # interior slope above 1e-12 counts, so pole slopes of at most
+            # 0.05 times that pass whatever the interior holds: the interior
+            # is probed only past them
             for field, name in ((ell, "ell"), (self.F, "F")):
                 if field.constant is not None:
                     continue
-                slopes = np.abs(np.asarray(field.d1(points), dtype=float))
-                interior = slopes[:-2].max()
+                pole_slope = float(np.abs(np.asarray(field.d1(poles), dtype=float)).max())
+                if pole_slope <= 0.05 * 1e-12:
+                    continue
+                interior = np.abs(np.asarray(field.d1(probe), dtype=float)).max()
                 if interior <= 1e-12:
                     continue
-                pole_slope = float(slopes[-2:].max())
                 if pole_slope > 0.05 * interior:
                     warnings.warn(
                         f"{name}' does not vanish at a cone pole "
@@ -166,16 +170,16 @@ class InvariantMetric:
 def _probes(length: float, poles: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """The read-only points where `InvariantMetric` checks its fields on a
     base of this length: 257 from end to end (inset by 1e-6 L where there
-    are poles) for the sign of ell, and, where there are poles, the same
-    with both poles appended for the slopes."""
+    are poles) for the sign of ell and the interior slopes, and, where there
+    are poles, the two poles for the pole slopes."""
     inset = 1e-6 if poles else 0.0  # no poles: probe end to end
     probe = np.linspace(inset * length, length * (1.0 - inset), 257)
     probe.flags.writeable = False
     if not poles:
         return probe, None
-    points = np.append(probe, [0.0, length])
-    points.flags.writeable = False
-    return probe, points
+    ends = np.array([0.0, length])
+    ends.flags.writeable = False
+    return probe, ends
 
 
 @dataclass(frozen=True)

@@ -320,8 +320,8 @@ def _stage(metric: InvariantMetric, m: int, level: int) -> _Stage:
     """The stage of m modes on a level of the Fejér rule, at the values of
     ell and the total scalar curvature the metric keeps for that level
     (`bundle._node_values`), so stages on one level share them: W and the
-    curvature must be finite (NumericalError otherwise, as when the data's
-    scale overflows)."""
+    curvature must be finite, and W not 0 at every node (NumericalError
+    otherwise, as when the data's scale overflows or underflows)."""
     base = metric.base
     nodes, weights = _rule(base, level)
     with np.errstate(all="ignore"):  # data out of scale is an error below, not a warning
@@ -331,6 +331,10 @@ def _stage(metric: InvariantMetric, m: int, level: int) -> _Stage:
     for name, values in (("node weights W of 2 pi ell dA", W), ("scalar curvature", at.scal)):
         if not np.all(np.isfinite(values)):
             raise NumericalError(f"the {name} at the Galerkin nodes is not finite: out of scale")
+    if not W.any():
+        raise NumericalError(
+            "the node weights W of 2 pi ell dA underflowed to 0 at every Galerkin node: out of scale"
+        )
     return _Stage(_basis(base.length, base.periodic, m, level), level, nodes, W, at.scal, weights)
 
 

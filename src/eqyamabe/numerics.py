@@ -400,26 +400,32 @@ def _with_dips(f: Callable, x: np.ndarray, fx: np.ndarray) -> tuple[np.ndarray, 
     minimum of |fx| and its two neighbours, where all three have one sign and
     the parabola crosses zero; f is called once, on all candidates, and a
     candidate is added where f has the other sign.  A dip shallower than the
-    parabola's error is not seen.
+    parabola's error is not seen.  The local minima are found over the whole
+    array, and each candidate's parabola is worked out in Python floats, so
+    an overflow there gives inf without a warning; x must increase.
     """
     s, mag = np.sign(fx), np.abs(fx)
     same, mid = s[:-1] == s[1:], mag[1:-1]
     j = 1 + ((mid <= mag[:-2]) & (mid < mag[2:]) & same[:-1] & same[1:]).nonzero()[0]
     if not j.size:
         return x, fx
-    x0, x1, x2, f0, f1, f2 = x[j - 1], x[j], x[j + 1], fx[j - 1], fx[j], fx[j + 1]
-    d01 = (f1 - f0) / (x1 - x0)
-    # nonzero, as |f| has a strict minimum, unless it underflows: that vertex
-    # is NaN and no candidate
-    curv = ((f2 - f1) / (x2 - x1) - d01) / (x2 - x0)
-    v = 0.5 * (x0 + x1) - np.divide(d01, 2.0 * curv, out=np.full(j.size, np.nan), where=curv != 0)
-    sign = s[j]
-    crosses = sign * (f0 + (v - x0) * (d01 + curv * (v - x1))) <= 0.0
-    v, sign = v[crosses], sign[crosses]
-    if not v.size:
+    vs, signs = [], []
+    for k in j.tolist():
+        (x0, x1, x2), (f0, f1, f2) = x[k - 1 : k + 2].tolist(), fx[k - 1 : k + 2].tolist()
+        d01 = (f1 - f0) / (x1 - x0)
+        # nonzero, as |f| has a strict minimum, unless it underflows: that
+        # vertex is NaN and no candidate
+        curv = ((f2 - f1) / (x2 - x1) - d01) / (x2 - x0)
+        v = 0.5 * (x0 + x1) - (d01 / (2.0 * curv) if curv != 0.0 else math.nan)
+        sign = math.copysign(1.0, f1)  # f1 is neither 0 nor NaN: a strict minimum of one sign
+        if sign * (f0 + (v - x0) * (d01 + curv * (v - x1))) <= 0.0:
+            vs.append(v)
+            signs.append(sign)
+    if not vs:
         return x, fx
+    v = np.array(vs)
     fv = np.zeros(v.size) + f(v)
-    dip = sign * fv < 0.0
+    dip = np.array(signs) * fv < 0.0
     xs, fs = np.concatenate([x, v[dip]]), np.concatenate([fx, fv[dip]])
     order = np.argsort(xs, kind="stable")
     return xs[order], fs[order]

@@ -534,7 +534,8 @@ def scalar_curvature_integral(base: Base, cfg: QuadratureConfig | None = None) -
 
 
 def _scal_32(base: Base, s):
-    return np.abs(2.0 * base.gauss_curvature(s)) ** 1.5
+    with np.errstate(over="ignore"):  # inf on data out of scale: NonFinite, not a warning
+        return np.abs(2.0 * base.gauss_curvature(s)) ** 1.5
 
 
 def _curvature_roots(base: Base) -> np.ndarray:

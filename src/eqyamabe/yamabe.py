@@ -145,6 +145,8 @@ def functional_J(metric: InvariantMetric, cfg: QuadratureConfig | None = None) -
     num, vol_base, direct = integrate_over_base(metric.base, rows, cfg)
     numerator = 2.0 * math.pi * num.value
     volume = 2.0 * math.pi * vol_base.value
+    if volume == 0.0:
+        raise NumericalError("the volume underflowed to 0: out of scale")
     denominator = volume ** (1.0 / 3.0)
     J = numerator / denominator
 
@@ -217,6 +219,8 @@ def conformal_functional(
         return out
 
     num, den = integrate_over_base(base, rows, cfg)
+    if den.value == 0.0:
+        raise NumericalError("the volume int 2 pi ell u^6 dv underflowed to 0: out of scale")
     return num.value / den.value ** (1.0 / 3.0)
 
 

@@ -312,6 +312,67 @@ def test_steep_smooth_pole_data_does_not_warn(weights):
         eq.wps_metric(*weights)
 
 
+def _counted_slopes(field, points):
+    """field with its d1 appending the number of points it is handed."""
+    def d1(s):
+        points.append(np.size(s))
+        return field.d1(s)
+
+    return eq.RadialField(field.value, d1, field.d2)
+
+
+def _pole_check_field(kind, length):
+    k = math.pi / length
+    if kind == "series":  # a cosine series through 33 samples
+        return eq.RadialField.from_samples(1.0 + 0.3 * np.cos(k * np.linspace(0.0, length, 33)), length)
+    if kind == "big_cosine":  # rounding leaves |F'| ~ 1e-11 at the poles
+        return eq.RadialField(
+            value=lambda s: 1e6 * (1.0 + 0.3 * np.cos(k * np.asarray(s))),
+            d1=lambda s: -3e5 * k * np.sin(k * np.asarray(s)),
+            d2=lambda s: -3e5 * k * k * np.cos(k * np.asarray(s)),
+        )
+    if kind == "flat":  # constant, but not marked so: it is evaluated
+        return eq.RadialField(
+            value=lambda s: np.full_like(np.asarray(s, dtype=float), 2.0),
+            d1=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+            d2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+        )
+    scale = {"ramp": 1.0, "big_ramp": 1e6}[kind]  # 1 + 0.3 s / L, times the scale
+    return eq.RadialField(
+        value=lambda s: scale * (1.0 + 0.3 * np.asarray(s) / length),
+        d1=lambda s: np.full_like(np.asarray(s, dtype=float), scale * 0.3 / length),
+        d2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+    )
+
+
+@pytest.mark.parametrize("role", ["ell", "F"])
+@pytest.mark.parametrize("base", ["wps23", "sphere"])
+@pytest.mark.parametrize(
+    "kind, points, warns",
+    [
+        ("series", [2], False),  # its pole slopes are rounding: the interior is not read
+        ("flat", [2], False),
+        ("big_cosine", [2, 257], False),  # pole slopes past 5e-14, but small against the interior's
+        ("ramp", [2, 257], True),
+        ("big_ramp", [2, 257], True),
+    ],
+    ids=["series", "flat", "big_cosine", "ramp", "big_ramp"],
+)
+def test_pole_check_reads_the_poles_before_the_interior(role, base, kind, points, warns):
+    # the pole slopes are read first; the 257 interior slopes only when a pole
+    # slope exceeds 0.05 * 1e-12, below which the check cannot fire
+    base = {"wps23": eq.wps_profile(2, 3), "sphere": eq.make_round_sphere(1.0)}[base]
+    handed = []
+    fields = {"ell": eq.RadialField.const(1.0), "F": eq.RadialField.const(1.0)}
+    fields[role] = _counted_slopes(_pole_check_field(kind, base.length), handed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        eq.InvariantMetric(base=base, **fields)
+    assert handed == points
+    expected = [f"{role}' does not vanish at a cone pole"] if warns else []
+    assert [str(w.message).split(" (")[0] for w in caught] == expected
+
+
 def test_torus_slope_at_the_seam_does_not_warn():
     # a torus has no cone poles, so a periodic field whose slope is largest at
     # s = 0 is smooth data there

@@ -373,6 +373,52 @@ def test_bound_of_a_huge_sphere_exits_3_without_a_warning(capsys, tmp_path):
     assert not out_path.exists() and out == ""
 
 
+def _tiny_sphere(tmp_path, radius, ell):
+    path = tmp_path / f"sphere_{radius}_{ell}.json"
+    path.write_text(json.dumps({"base": {"type": "round_sphere", "radius": radius},
+                                "ell": {"type": "constant", "value": ell},
+                                "F": {"type": "constant", "value": 1.0}}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, code, message",
+    [
+        ("functional", 3, "the volume underflowed to 0"),
+        ("minimize", 3, "W of 2 pi ell dA underflowed to 0 at every Galerkin node"),
+        ("bound", 3, "non-finite"),  # K^{3/2} = 1e450 overflows the base integral
+        ("laplace", 0, None),  # the uniformization reads the base alone
+    ],
+    ids=["functional", "minimize", "bound", "laplace"],
+)
+def test_data_that_underflows_keeps_the_exit_code_contract(capsys, tmp_path, command, code, message):
+    # radius 1e-150 and ell = 1e-100: the volume and the node weights of
+    # 2 pi ell dA underflow to 0, which ended in a ZeroDivisionError and a
+    # singular matrix, both tracebacks
+    out_path = tmp_path / "report.json"
+    argv = [command, "--model", _tiny_sphere(tmp_path, 1e-150, 1e-100), "--out", str(out_path)]
+    got, out, err = run(capsys, argv)
+    assert got == code
+    assert "Traceback" not in err
+    if message is not None:
+        assert message in err
+        assert not out_path.exists() and out == ""
+
+
+@pytest.mark.parametrize("radius, code", [(1e-100, 0), (1e-150, 3)])
+def test_bound_of_a_tiny_sphere_makes_no_warning(capsys, tmp_path, radius, code):
+    # K = 1e200 or 1e300: the dip search's parabolas and |2K|^{3/2} overflow
+    # to inf without a numpy RuntimeWarning (an error under pytest); on the
+    # smaller sphere the scalar-curvature integral is not finite: exit 3
+    out_path = tmp_path / "bound.json"
+    code_got, out, err = run(capsys, ["bound", "--model", _tiny_sphere(tmp_path, radius, 1.0),
+                                      "--out", str(out_path)])
+    assert code_got == code
+    assert out_path.exists() == (code == 0)
+    if code:
+        assert "integrand returned non-finite values" in err
+
+
 def test_canonical_json_rejects_non_finite_numbers():
     with pytest.raises(eq.errors.NumericalError, match=r"\$\.a\[1\]\.b is NaN"):
         modelio.canonical_json({"a": [1.0, {"b": math.nan}]})

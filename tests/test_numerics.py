@@ -368,6 +368,77 @@ def test_a_vertex_whose_curvature_underflows_is_no_candidate():
     assert xs.tolist() == x.tolist() and fs.tolist() == fx.tolist() and calls == []
 
 
+def _with_dips_vectorized(f, x, fx):
+    """`_with_dips` with each candidate's parabola in numpy arrays, the form
+    the scalar loop replaced: the reference it must match bit for bit."""
+    s, mag = np.sign(fx), np.abs(fx)
+    same, mid = s[:-1] == s[1:], mag[1:-1]
+    j = 1 + ((mid <= mag[:-2]) & (mid < mag[2:]) & same[:-1] & same[1:]).nonzero()[0]
+    if not j.size:
+        return x, fx
+    x0, x1, x2, f0, f1, f2 = x[j - 1], x[j], x[j + 1], fx[j - 1], fx[j], fx[j + 1]
+    d01 = (f1 - f0) / (x1 - x0)
+    curv = ((f2 - f1) / (x2 - x1) - d01) / (x2 - x0)
+    v = 0.5 * (x0 + x1) - np.divide(d01, 2.0 * curv, out=np.full(j.size, np.nan), where=curv != 0)
+    sign = s[j]
+    crosses = sign * (f0 + (v - x0) * (d01 + curv * (v - x1))) <= 0.0
+    v, sign = v[crosses], sign[crosses]
+    if not v.size:
+        return x, fx
+    fv = np.zeros(v.size) + f(v)
+    dip = sign * fv < 0.0
+    xs, fs = np.concatenate([x, v[dip]]), np.concatenate([fx, fv[dip]])
+    order = np.argsort(xs, kind="stable")
+    return xs[order], fs[order]
+
+
+_MAGNITUDES = st.one_of(
+    st.sampled_from([0.0, 1e-300, 1e-160, 1.0, 2.0, 1e160, 1e300]),  # zeros and ties
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-300, 299)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    steps=st.lists(st.integers(1, 4), min_size=3, max_size=24),
+    x_scale=st.sampled_from([1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300]),
+    data=st.data(),
+    f_scale=st.sampled_from([1e-300, 1.0, 1e300]),
+)
+def test_with_dips_matches_the_vectorized_parabolas(steps, x_scale, data, f_scale):
+    # x increases; fx runs in stretches of one sign, so that interior minima
+    # of |fx| are candidates, with exact zeros, ties and magnitudes from
+    # 1e-300 to 1e300.  Overflow in a parabola gives inf or NaN and, unlike
+    # the reference, no RuntimeWarning (an error here)
+    n = len(steps)
+    x = x_scale * np.cumsum(np.asarray(steps, dtype=float))
+    flips = data.draw(st.lists(st.sampled_from([1.0, 1.0, 1.0, -1.0]), min_size=n, max_size=n))
+    mags = data.draw(st.lists(_MAGNITUDES, min_size=n, max_size=n))
+    fx = np.cumprod(flips) * np.asarray(mags)
+    cut = x[n // 2]
+    handed = {"scalar": [], "vectorized": []}
+
+    def f(key):
+        # either sign, by where the candidate lies; NaN and inf make no warning
+        return lambda t: handed[key].append(np.array(t)) or f_scale * np.where(t < cut, -1.0, 1.0)
+
+    xs, fs = _with_dips(f("scalar"), x, fx)
+    with np.errstate(all="ignore"):
+        want_x, want_f = _with_dips_vectorized(f("vectorized"), x, fx)
+    assert xs.tobytes() == want_x.tobytes() and fs.tobytes() == want_f.tobytes()
+    assert [a.tobytes() for a in handed["scalar"]] == [a.tobytes() for a in handed["vectorized"]]
+
+
+def test_with_dips_overflows_to_inf_without_a_warning():
+    # a dip of depth 1e300 between points 1e-10 apart: every slope of the
+    # parabola overflows, which is no candidate and no RuntimeWarning
+    x = np.array([0.0, 1e-10, 2e-10])
+    fx = np.array([1e300, 1e299, 1e300])
+    calls = []
+    xs, fs = _with_dips(lambda t: calls.append(t) or -t, x, fx)
+    assert xs.tolist() == x.tolist() and fs.tolist() == fx.tolist() and calls == []
+
+
 # ---------------------------------------------------------------------------
 # _interpolant: uniform endpoint samples to one period, then a series
 # ---------------------------------------------------------------------------

@@ -145,6 +145,16 @@ def test_conformal_rejects_nonpositive(hopf):
         eq.conformal_functional(hopf, -1.0)
 
 
+def test_functionals_name_a_volume_that_underflows():
+    # radius 1e-150 and ell = 1e-100: int 2 pi ell dA = 7.9e-399 is 0 in
+    # doubles, which was a ZeroDivisionError in both functionals
+    metric = eq.InvariantMetric(eq.make_round_sphere(1e-150), 1e-100, 1.0)
+    with pytest.raises(NumericalError, match="volume underflowed to 0: out of scale"):
+        eq.functional_J(metric)
+    with pytest.raises(NumericalError, match="volume int 2 pi ell u\\^6 dv underflowed to 0"):
+        eq.conformal_functional(metric, 1.0)
+
+
 @pytest.mark.parametrize("a,k", [(0.01, 2), (0.3, 4), (0.5, 8)])
 def test_plain_callable_ell_matches_exact_derivatives(a, k):
     # a bare callable is read as its chopped cosine series, so ell'' is exact
