@@ -56,8 +56,11 @@ class RadialField:
     curvature-form norms of a field are computed once per base and config
     (`omega_norms`), as a base's values are.  `constant` is set when the field
     is known to be constant: `InvariantMetric`'s positivity and pole checks
-    then read that number instead of evaluating the field, and `scale_metric`
-    scales it.  Every integral still evaluates the field at its nodes.
+    then read that number instead of evaluating the field, the scalar
+    curvature of a constant ell drops its Laplacian term (ell' and ell'' are
+    not read), the norms of a constant F skip the search for its roots, and
+    `scale_metric` scales it.  Every integral still evaluates the field's
+    values at its nodes.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -210,8 +213,13 @@ def scalar_curvature_total(metric: InvariantMetric, s):
 
 
 def _scalar_curvature(metric: InvariantMetric, s, ell, K, F):
-    """`scalar_curvature_total` at s, given the values of ell, K and F there."""
-    return 2.0 * K - 0.5 * ell**2 * F**2 + 2.0 * _laplacian_of(metric.ell, metric.base, s) / ell
+    """`scalar_curvature_total` at s, given the values of ell, K and F there.
+    A constant ell (`RadialField.constant`) has no Laplacian term, so its
+    slopes are not read."""
+    scal = 2.0 * K - 0.5 * ell**2 * F**2
+    if metric.ell.constant is None:
+        scal = scal + 2.0 * _laplacian_of(metric.ell, metric.base, s) / ell
+    return scal
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,7 +317,8 @@ def _compute_norms(base: Base, field: RadialField, cfg: QuadratureConfig) -> Nor
     roots between the same pair of nodes are found where F dips across zero
     at the vertex of the parabola through its values at three nodes
     (`numerics._with_dips`); a shallower dip is not seen, and the integral
-    refines across its kinks only where the nested levels disagree.  The
+    refines across its kinks only where the nested levels disagree; a
+    constant F (`RadialField.constant`) has no root, and none is sought.  The
     scalar-curvature integral depends on the base alone and is computed once
     per base and config by `scalar_curvature_integral`.
     """
@@ -318,15 +327,17 @@ def _compute_norms(base: Base, field: RadialField, cfg: QuadratureConfig) -> Nor
     sqrt2 = math.sqrt(2.0)
     nodes = quadrature_nodes(base)
     f_nodes = F(nodes)
-    x, fx = nodes, f_nodes
-    if not base.cone_orders:
-        # no poles: the area element does not vanish at the ends, so a root
-        # between an end and its nearest node must be found too
-        ends = np.array([0.0, base.length])
-        f_ends = np.zeros(2) + F(ends)
-        x = np.concatenate([ends[:1], nodes, ends[1:]])
-        fx = np.concatenate([f_ends[:1], f_nodes, f_ends[1:]])
-    roots = sign_change_roots(F, field.d1, *_with_dips(F, x, fx))
+    roots = ()  # a constant F has no root
+    if field.constant is None:
+        x, fx = nodes, f_nodes
+        if not base.cone_orders:
+            # no poles: the area element does not vanish at the ends, so a
+            # root between an end and its nearest node must be found too
+            ends = np.array([0.0, base.length])
+            f_ends = np.zeros(2) + F(ends)
+            x = np.concatenate([ends[:1], nodes, ends[1:]])
+            fx = np.concatenate([f_ends[:1], f_nodes, f_ends[1:]])
+        roots = sign_change_roots(F, field.d1, *_with_dips(F, x, fx))
 
     def rows(s):
         # sqrt2 |F|, 2 F^2, (sqrt2 |F|)^3 and F, written in place

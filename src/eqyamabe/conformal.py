@@ -144,7 +144,7 @@ class MinimizerConfig:
             raise ValueError("decrease_tol must lie in (0, 1)")
 
 
-@dataclass
+@dataclass(eq=False)
 class MinimizeResult:
     """Minimizer output.
 
@@ -161,18 +161,26 @@ class MinimizeResult:
     level) or "budget" (max_iterations ran out), and `modes` is the final
     basis size.  Every stage of the run comes from one builder (`_stage`),
     and the result keeps the last stage the descent ran on, its basis, node
-    data and matrices, as the private `_stage`, out of the repr and of
-    comparisons.
+    data and matrices, as the private `_stage`, and the final coefficients
+    on its basis as `_coeffs`, both out of the repr.  `u_star`, a
+    `RadialField`, is the series of those coefficients (`_Basis.series`),
+    built on first read and the same object on every later read.  A result
+    equals only itself: `trace` is an array, and no two runs are compared
+    through it.
     """
 
     mu_upper: float
     error_estimate: float
-    u_star: RadialField
     trace: np.ndarray
     converged: bool
     stop_reason: str
     modes: int
     _stage: _Stage | None = field(default=None, repr=False, compare=False)
+    _coeffs: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def u_star(self) -> RadialField:
+        return self._stage.basis.series(self._coeffs, self._stage.nodes)
 
 
 # The Galerkin grids are levels of the library's Fejér rule, and the base's
@@ -202,13 +210,16 @@ class _Basis:
     functions at the nodes of a level of the Fejér rule: cos(j pi s / L)
     on a profile; 1, cos(2 pi j s / L), sin(2 pi j s / L) by increasing j on
     the torus.  Column j is Re(z^power[j]), or Re(-i z^power[j]) where
-    `sine`, with z = exp(i omega s)."""
+    `sine`, with z = exp(i omega s).  The basis is orthogonal in L^2(ds), and
+    `norms_sq` holds its squared norms: L for the constant, L/2 for every
+    other function."""
 
     values: np.ndarray
     slopes: np.ndarray
     omega: float
     power: np.ndarray
     sine: np.ndarray
+    norms_sq: np.ndarray
 
     def series(self, c: np.ndarray, nodes: np.ndarray) -> RadialField:
         """The field sum_j c[j] (column j): at the caller's node array (the
@@ -244,9 +255,10 @@ def _basis(length: float, periodic: bool, m: int, level: int = _GRID_LEVEL) -> _
     x = np.outer(nodes, k)
     values = np.where(sine, np.sin(x), np.cos(x))
     slopes = np.where(sine, np.cos(x), -np.sin(x)) * k
-    for a in (values, slopes, power, sine):
+    norms_sq = np.where(power == 0, 1.0, 0.5) * length
+    for a in (values, slopes, power, sine, norms_sq):
         a.flags.writeable = False
-    return _Basis(values, slopes, omega, power, sine)
+    return _Basis(values, slopes, omega, power, sine, norms_sq)
 
 
 def _refinable(c: np.ndarray, cap: int, floor: np.ndarray | float = 0.0) -> bool:
@@ -254,7 +266,7 @@ def _refinable(c: np.ndarray, cap: int, floor: np.ndarray | float = 0.0) -> bool
     by the library's one tail rule (`numerics._chop`), its tail past
     both _TAIL_TOL times the largest coefficient and its floor (one number,
     or one per mode) is not negligible."""
-    tol = np.maximum(_TAIL_TOL * np.max(np.abs(c)), floor)
+    tol = np.maximum(_TAIL_TOL * np.abs(c).max(), floor)
     return 2 * c.size <= cap and not _chop(c, tol)[1]
 
 
@@ -329,7 +341,7 @@ def _stage(metric: InvariantMetric, m: int, level: int) -> _Stage:
         dens = base.area_scale * np.asarray(base.density(nodes), dtype=float)
         W = 2.0 * math.pi * at.ell * dens * weights
     for name, values in (("node weights W of 2 pi ell dA", W), ("scalar curvature", at.scal)):
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise NumericalError(f"the {name} at the Galerkin nodes is not finite: out of scale")
     if not W.any():
         raise NumericalError(
@@ -364,41 +376,49 @@ def _descend(
     as it grows; the shifts stop ("no_decrease") once that step's predicted
     decrease g.H^{-1}g / (2 lam) is below the rounding of J.  Appends each
     accepted J to `trace` (and the start's J to an empty one); returns the
-    last iterate and why the iteration stopped."""
+    last iterate and why the iteration stopped.  The start's J and every
+    g.H^{-1}g must be finite (NumericalError otherwise, as when the data's
+    scale overflows the matrices): neither test could ever pass on NaN."""
     B, W = stage.basis.values, stage.W
-    A, H = stage.forms
-    H_inv = np.linalg.inv(H)  # H is fixed for the stage: the stop test needs only g.H^{-1}g
-    J, num, den, u, wu5 = _energy(B, A, W, c)
-    if not trace:
-        trace.append(J)
-    while True:
-        g = _gradient(B, A, c, num, den, wu5)
-        gp = float(np.dot(g, H_inv @ g))
-        if gp <= cfg.decrease_tol * max(1.0, abs(J)):
-            return c, "tolerance"
-        if len(trace) > cfg.max_iterations:
-            return c, "budget"
-        mu = num / den
-        N = A - (5.0 * mu) * (B.T * (W * u**4)) @ B
-        r = 0.5 * den ** (1.0 / 3.0) * g
-        lam = 0.0
+    # one floating-point policy for the stage: data out of scale is an error
+    # below and a wild trial step is rejected; neither is warned about
+    with np.errstate(all="ignore"):
+        A, H = stage.forms
+        J, num, den, u, wu5 = _energy(B, A, W, c)
+        if not math.isfinite(J):
+            raise NumericalError("the discrete functional J is not finite: out of scale")
+        H_inv = np.linalg.inv(H)  # H is fixed for the stage: the stop test needs only g.H^{-1}g
+        if not trace:
+            trace.append(J)
         while True:
-            try:
-                c_new = c - np.linalg.solve(N + lam * H, r)
-            except np.linalg.LinAlgError:
-                pass  # a singular shift: try the next
-            else:
-                with np.errstate(all="ignore"):  # a wild step is rejected, not warned about
+            g = _gradient(B, A, c, num, den, wu5)
+            gp = float(np.dot(g, H_inv @ g))
+            if not math.isfinite(gp):
+                raise NumericalError("the predicted decrease g.H^{-1}g is not finite: out of scale")
+            if gp <= cfg.decrease_tol * max(1.0, abs(J)):
+                return c, "tolerance"
+            if len(trace) > cfg.max_iterations:
+                return c, "budget"
+            mu = num / den
+            N = A - (5.0 * mu) * (B.T * (W * u**4)) @ B
+            r = 0.5 * den ** (1.0 / 3.0) * g
+            lam = 0.0
+            while True:
+                try:
+                    c_new = c - np.linalg.solve(N + lam * H if lam else N, r)
+                except np.linalg.LinAlgError:
+                    pass  # a singular shift: try the next
+                else:
                     J_new, num_new, den_new, u_new, wu5_new = _energy(B, A, W, c_new)
-                if J_new <= J and u_new.min() > 0.0:
-                    break
-            lam = max(1.0, 2.0 * lam)
-            if gp / (2.0 * lam) <= np.spacing(max(1.0, abs(J))):
-                return c, "no_decrease"
-        scale = den_new ** (-1.0 / 6.0)  # renormalize: sum W u^6 = 1
-        c, u, wu5, J = c_new * scale, u_new * scale, wu5_new * scale**5, J_new
-        num, den = num_new * scale**2, den_new * scale**6
-        trace.append(J)
+                    if J_new <= J and u_new.min() > 0.0:
+                        break
+                lam = max(1.0, 2.0 * lam)
+                if gp / (2.0 * lam) <= np.spacing(max(1.0, abs(J))):
+                    return c, "no_decrease"
+            scale = den_new ** (-1.0 / 6.0)  # renormalize: sum W u^6 = 1
+            c, u, wu5, J = c_new * scale, u_new * scale, wu5_new * scale**5, J_new
+            num, den = num_new * scale**2, den_new * scale**6
+            trace.append(J)
 
 
 def _read_off(metric: InvariantMetric, stage: _Stage, c: np.ndarray) -> tuple[float, float]:
@@ -429,7 +449,7 @@ def _read_off(metric: InvariantMetric, stage: _Stage, c: np.ndarray) -> tuple[fl
             )
         stage = _stage(metric, c.size, 2 * stage.level)
     between = _basis(base.length, base.periodic, c.size, max(2 * stage.level, _GRID_LEVEL))
-    if not (np.all(u > 0.0) and np.all(between.values @ c > 0.0)):
+    if not ((u > 0.0).all() and (between.values @ c > 0.0).all()):
         raise NonPositiveFactor("the minimizer's factor must be strictly positive")
     return J, error
 
@@ -459,8 +479,9 @@ def minimize_conformal(
     same trace continues, on a finer level where 4m asks for one.  If the
     iteration budget runs out, the last iterate is returned with converged=False.
     mu_upper is read off the last stage's grid (see `MinimizeResult`).  The
-    node weights and the scalar curvature at the nodes must be finite
-    (NumericalError otherwise, as when the data's scale overflows).  A
+    node weights and the scalar curvature at the nodes, each stage's start J
+    and every g.H^{-1}g must be finite (NumericalError otherwise, as when
+    the data's scale overflows).  A
     callable u0 receives the read-only nodes of the first stage's grid, an
     array u0 holds samples on linspace(0, L, n) (read through
     `RadialField.from_samples`), and either is projected onto the basis in
@@ -479,11 +500,10 @@ def minimize_conformal(
     else:
         if not callable(u0):
             u0 = RadialField.from_samples(u0, base.length, periodic=base.periodic).value
-        # the basis is orthogonal in L^2(ds): |1|^2 = L, every other |b_j|^2 = L/2
         u = np.asarray(u0(stage.nodes), dtype=float)
-        c = (basis.values.T @ (weights * u)) / np.where(basis.power == 0, 1.0, 0.5) / base.length
+        c = (basis.values.T @ (weights * u)) / basis.norms_sq
     u = basis.values @ c
-    if not np.all(u > 0.0):
+    if not (u > 0.0).all():
         raise NonPositiveFactor("the projection of u0 must be positive at every quadrature node")
     c = c / float(np.dot(stage.W, u**6)) ** (1.0 / 6.0)
 
@@ -500,10 +520,10 @@ def minimize_conformal(
     return MinimizeResult(
         mu_upper=mu_upper,
         error_estimate=error_estimate,
-        u_star=stage.basis.series(c, stage.nodes),
         trace=np.asarray(trace),
         converged=stop != "budget",
         stop_reason=stop,
         modes=m,
         _stage=stage,
+        _coeffs=c,
     )

@@ -266,7 +266,8 @@ def _chop(c: np.ndarray, tol) -> tuple[int, bool]:
     number, or one per mode), at least one, which a series keeps, and whether
     its tail is negligible: they are at most 3/4 of c (Aurentz & Trefethen,
     "Chopping a Chebyshev series")."""
-    keep = int(np.max(np.flatnonzero(np.abs(c) > tol), initial=0)) + 1
+    above = np.flatnonzero(np.abs(c) > tol)
+    keep = int(above[-1]) + 1 if above.size else 1
     return keep, 4 * keep <= 3 * c.size
 
 

@@ -17,8 +17,10 @@ isotropy of order m2; the pole at s = L carries order m1.
 Both bases answer the same members, one place per fact: the area element
 `area_scale * density(s) ds` (2 pi phi ds, or 2 pi c ds on the torus),
 `dlog_density` (phi'/phi, 0 on the torus), `gauss_curvature`, `cone_orders`
-(empty on the torus), `periodic`, `closed_area` and `scaled(c)`.  The free
-functions here and in `bundle`, `conformal` and `modelio` never test a type.
+(empty on the torus), `periodic`, `closed_area`, `closed_scal_32` (the
+integral of |2K|^{3/2} where it is known without quadrature: 0 on the flat
+torus, None on a profile) and `scaled(c)`.  The free functions here and in
+`bundle`, `conformal` and `modelio` never test a type.
 
 Base integrals (`integrate_over_base`, `area`, `gauss_bonnet_check`,
 `scalar_curvature_integral`) are served from a quadrature plan per base: the
@@ -56,7 +58,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, NotCoprime, QuadratureFailure
+from .errors import DomainError, NonFinite, NotCoprime, QuadratureFailure
 from .numerics import _DEFAULT_CONFIG, _EPS, _FIRST_LEVEL, IntegralResult, NoConvergence
 from .numerics import QuadratureConfig, _chop, _fejer_rule, _interpolant
 from .numerics import _sampled_series, _with_dips, integrate, sign_change_roots, trig_series
@@ -140,6 +142,7 @@ class ConeSurfaceProfile:
     periodic = False
     area_scale = 2.0 * math.pi
     closed_area = None
+    closed_scal_32 = None
 
     @property
     def cone_orders(self) -> tuple[int, int]:
@@ -192,6 +195,7 @@ class FlatTorusBase:
 
     periodic = True
     cone_orders = ()
+    closed_scal_32 = 0.0  # int |2K|^{3/2} dA of a flat base
 
     def __post_init__(self) -> None:
         if self.length <= 0 or self.radius <= 0:
@@ -523,14 +527,23 @@ def _unit(base: Base, s):
 
 
 def scalar_curvature_integral(base: Base, cfg: QuadratureConfig | None = None) -> float:
-    """int |2K|^{3/2} dA, the base scalar curvature to the power 3/2 (once
-    per base and config); 0 on the flat torus.
+    """int |2K|^{3/2} dA, the base scalar curvature to the power 3/2: the
+    base's `closed_scal_32` where it has one (0 on the flat torus), else by
+    quadrature once per base and config.
 
     The integrand has a kink wherever K changes sign, so the roots of K found
     between the first level's nodes (Newton steps on a centred difference)
     split the integral into pieces, as the roots of F do in `omega_norms`.
+    A curvature whose |2K|^{3/2} overflows raises NonFinite naming it.
     """
-    return _cached_integral(base, _scal_32, cfg, _curvature_roots)
+    if base.closed_scal_32 is not None:
+        return base.closed_scal_32
+    try:
+        return _cached_integral(base, _scal_32, cfg, _curvature_roots)
+    except NonFinite as exc:
+        raise NonFinite(
+            f"the base scalar curvature |2K|^(3/2) is non-finite: out of scale ({exc})"
+        ) from exc
 
 
 def _scal_32(base: Base, s):

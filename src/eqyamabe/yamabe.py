@@ -35,6 +35,7 @@ from .bundle import (
 from .errors import (
     InconsistentRoutes,
     InvalidCase,
+    NonFinite,
     NonpositiveChi,
     NonPositiveFactor,
     NumericalError,
@@ -48,6 +49,7 @@ from .orbifold import (
     chi_orb,
     integrate_over_base,
     make_round_sphere,
+    quadrature_nodes,
     wps_profile,
 )
 
@@ -73,6 +75,9 @@ __all__ = [
 
 # |Omega|_1 at or below this counts as a flat bundle
 _OMEGA_ZERO_TOL = 1e-12
+
+# the rows of `functional_J`'s integral, as its error names them
+_J_ROWS = ("(2K - ell^2 F^2 / 2) ell", "ell", "scal ell")
 
 
 def _curvature_form_vanishes(norms: NormReport) -> bool:
@@ -130,7 +135,9 @@ def functional_J(metric: InvariantMetric, cfg: QuadratureConfig | None = None) -
     The base route's numerator, the volume and the direct route's numerator
     are three rows of one integral, which share the values of ell, K, F and
     the total scalar curvature; at the first level those are the metric's
-    own, kept once (`bundle._node_values`).
+    own, kept once (`bundle._node_values`).  A row that is not finite, as
+    when the data's scale overflows, raises NumericalError naming it, with
+    no numpy warning.
     """
 
     def rows(s):
@@ -142,7 +149,16 @@ def functional_J(metric: InvariantMetric, cfg: QuadratureConfig | None = None) -
         out[2] = at.scal * ell
         return out
 
-    num, vol_base, direct = integrate_over_base(metric.base, rows, cfg)
+    base = metric.base
+    with np.errstate(all="ignore"):  # data out of scale is an error below, not a warning
+        try:
+            num, vol_base, direct = integrate_over_base(base, rows, cfg)
+        except NonFinite as exc:
+            finite = np.isfinite(rows(quadrature_nodes(base))).all(axis=1)
+            names = [name for name, ok in zip(_J_ROWS, finite) if not ok] or _J_ROWS
+            raise NumericalError(
+                f"the integrand of J is not finite in {' and '.join(names)}: out of scale"
+            ) from exc
     numerator = 2.0 * math.pi * num.value
     volume = 2.0 * math.pi * vol_base.value
     if volume == 0.0:

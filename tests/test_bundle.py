@@ -478,3 +478,57 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _marked_and_plain(field, reads):
+    """The callables of a constant field, without its `constant`, and the
+    marked field again with its slopes counted into `reads`."""
+    def counted(fn, name):
+        def wrapped(s):
+            reads.append(name)
+            return fn(s)
+        return wrapped
+
+    marked = eq.RadialField(field.value, counted(field.d1, "d1"), counted(field.d2, "d2"),
+                            constant=field.constant)
+    return marked, eq.RadialField(field.value, field.d1, field.d2)
+
+
+@pytest.mark.parametrize("base_name, F", [("hopf", 2.0), ("hopf", 0.0), ("hopf", -4.0),
+                                          ("torus", 1.0), ("torus", 0.0), ("torus", -2.0),
+                                          ("wps23", None)])
+@pytest.mark.parametrize("ell", [0.3, 1.0, 2.5])
+def test_constant_marked_fields_give_the_numbers_of_their_callables(base_name, F, ell):
+    # a constant ell drops its Laplacian term and a constant F its root
+    # search, and neither slope is read; every number is bit for bit that of
+    # the same callables unmarked, signed zeros included (F = 0 on the torus
+    # makes the scalar curvature +0.0)
+    base = {"hopf": lambda: eq.make_round_sphere(0.5), "wps23": lambda: eq.wps_profile(2, 3),
+            "torus": lambda: eq.FlatTorusBase(length=1.0, radius=1.0)}[base_name]()
+    reads = []
+    ell_marked, ell_plain = _marked_and_plain(eq.RadialField.const(ell), reads)
+    if F is None:
+        F_marked = F_plain = eq.wps_density_field(2, 3)
+    else:
+        F_marked, F_plain = _marked_and_plain(eq.RadialField.const(F), reads)
+
+    def numbers(ell_field, F_field):
+        metric = eq.InvariantMetric(base, ell_field, F_field)
+        s = orbifold._rule(base, 128)[0]
+        norms = eq.omega_norms(metric)
+        result = eq.minimize_conformal(metric)
+        return [
+            np.asarray(eq.scalar_curvature_total(metric, s)).tobytes(),
+            np.asarray(eq.scalar_curvature_total(metric, s[::7].copy())).tobytes(),
+            [getattr(norms, k).hex() for k in vars(norms)],
+            repr(eq.functional_J(metric)),
+            result.mu_upper.hex(), result.error_estimate.hex(), result.trace.tobytes(),
+        ]
+
+    marked = numbers(ell_marked, F_marked)
+    assert reads == []
+    assert marked == numbers(ell_plain, F_plain)
+    if F == 0.0 and base_name == "torus":
+        scal = eq.scalar_curvature_total(eq.InvariantMetric(base, ell_marked, F_marked), 0.5)
+        assert math.copysign(1.0, scal) == 1.0
+

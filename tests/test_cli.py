@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -416,7 +417,47 @@ def test_bound_of_a_tiny_sphere_makes_no_warning(capsys, tmp_path, radius, code)
     assert code_got == code
     assert out_path.exists() == (code == 0)
     if code:
+        assert "the base scalar curvature |2K|^(3/2) is non-finite: out of scale" in err
         assert "integrand returned non-finite values" in err
+
+
+@pytest.mark.parametrize("warn", ["default", "error"])
+@pytest.mark.parametrize(
+    "ell, F, message",
+    [(1e100, 1.0, "g.H^{-1}g is not finite"), (1e100, 1e5, "J is not finite"),
+     (3e150, 1.0, "J is not finite")],
+)
+def test_a_descent_out_of_scale_ends(tmp_path, warn, ell, F, message):
+    # g.H^{-1}g or J overflows to inf or NaN, on which neither the stop test
+    # nor the shift loop's exit could pass: the descent never returned.  A
+    # subprocess with a timeout fails such a regression instead of hanging
+    out_path = tmp_path / "report.json"
+    path = _sphere_model(tmp_path, "sphere", 1.0, {"type": "constant", "value": F}, ell)
+    argv = ["minimize", "--model", path, "--out", str(out_path)]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-W", f"{warn}::RuntimeWarning", "-m", "eqyamabe.cli", *argv],
+        capture_output=True, text=True, timeout=30, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert f"{message}: out of scale" in proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("warn", ["always", "error"])
+@pytest.mark.parametrize("ell, F", [(1e100, 1e5), (1.0, 1e170)])
+def test_functional_out_of_scale_names_its_integrand(capsys, tmp_path, warn, ell, F):
+    # ell^2 F^2 overflows: J's numerator and its direct route are not finite
+    out_path = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(warn, RuntimeWarning)
+        path = _sphere_model(tmp_path, "sphere", 1.0, {"type": "constant", "value": F}, ell)
+        code, out, err = run(capsys, ["functional", "--model", path, "--out", str(out_path)])
+    assert code == 3
+    assert "the integrand of J is not finite in (2K - ell^2 F^2 / 2) ell and scal ell: " \
+        "out of scale" in err
+    assert not seen and not out_path.exists() and out == ""
 
 
 def test_canonical_json_rejects_non_finite_numbers():

@@ -577,6 +577,28 @@ def test_u_star_is_the_series_mu_upper_evaluates(kind):
     assert eq.conformal_functional(metric, result.u_star) == pytest.approx(result.mu_upper, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", sorted(_DESCENT_METRICS))
+def test_u_star_is_built_once_from_the_kept_coefficients(kind):
+    # u_star is built on first read, is the same object on every read, and is
+    # bit for bit the series of the last stage's basis and coefficients
+    metric = _DESCENT_METRICS[kind]()
+    result = eq.minimize_conformal(metric, u0=_perturbed_start(metric))
+    assert "u_star" not in vars(result)
+    u_star = result.u_star
+    assert result.u_star is u_star and isinstance(u_star, eq.RadialField)
+    stage = result._stage
+    reference = stage.basis.series(result._coeffs, stage.nodes)
+    grid = np.linspace(0.0, metric.base.length, 257)
+    for got, want in zip((u_star.value, u_star.d1, u_star.d2),
+                         (reference.value, reference.d1, reference.d2)):
+        for s in (stage.nodes, grid):
+            assert got(s).tobytes() == want(s).tobytes()
+    # a result equals only itself, and comparing two never reaches the trace array
+    again = eq.minimize_conformal(metric, u0=_perturbed_start(metric))
+    assert result == result and (result == again) is False
+    assert again.trace.tobytes() == result.trace.tobytes()
+
+
 def test_minimize_rejects_data_out_of_scale():
     # ell^2 overflows in the scalar curvature: an error before the first
     # step, with no numpy warning (pytest turns RuntimeWarning into errors)

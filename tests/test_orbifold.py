@@ -149,6 +149,18 @@ def test_flat_torus_validation():
         eq.FlatTorusBase(length=-1.0, radius=1.0)
 
 
+@pytest.mark.parametrize("length, radius", [(1.0, 1.0), (0.3, 7.0), (1e-100, 1e100)])
+def test_flat_torus_curvature_integral_is_the_quadrature_zero(length, radius):
+    # the closed form is the quadrature's own +0.0, and no quadrature runs
+    base = eq.FlatTorusBase(length=length, radius=radius)
+    reference = orbifold.integrate_over_base(
+        base, lambda s: orbifold._scal_32(base, s), breaks=orbifold._curvature_roots(base)
+    ).value
+    value = orbifold.scalar_curvature_integral(base)
+    assert value.hex() == reference.hex() == (0.0).hex()
+    assert not base._plan.integrals
+
+
 # ---------------------------------------------------------------------------
 # invariance properties
 # ---------------------------------------------------------------------------
