@@ -76,9 +76,6 @@ __all__ = [
 # |Omega|_1 at or below this counts as a flat bundle
 _OMEGA_ZERO_TOL = 1e-12
 
-# the rows of `functional_J`'s integral, as its error names them
-_J_ROWS = ("(2K - ell^2 F^2 / 2) ell", "ell", "scal ell")
-
 
 def _curvature_form_vanishes(norms: NormReport) -> bool:
     """The library's one zero test of the curvature form: |Omega|_1 =
@@ -154,8 +151,9 @@ def functional_J(metric: InvariantMetric, cfg: QuadratureConfig | None = None) -
         try:
             num, vol_base, direct = integrate_over_base(base, rows, cfg)
         except NonFinite as exc:
+            every = ("(2K - ell^2 F^2 / 2) ell", "ell", "scal ell")
             finite = np.isfinite(rows(quadrature_nodes(base))).all(axis=1)
-            names = [name for name, ok in zip(_J_ROWS, finite) if not ok] or _J_ROWS
+            names = [name for name, ok in zip(every, finite) if not ok] or every
             raise NumericalError(
                 f"the integrand of J is not finite in {' and '.join(names)}: out of scale"
             ) from exc
