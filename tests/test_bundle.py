@@ -481,8 +481,8 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
 
 
 def _marked_and_plain(field, reads):
-    """The callables of a constant field, without its `constant`, and the
-    marked field again with its slopes counted into `reads`."""
+    """A constant field, its slopes counted into `reads`, and the same
+    callables without `constant`."""
     def counted(fn, name):
         def wrapped(s):
             reads.append(name)
@@ -531,4 +531,3 @@ def test_constant_marked_fields_give_the_numbers_of_their_callables(base_name, F
     if F == 0.0 and base_name == "torus":
         scal = eq.scalar_curvature_total(eq.InvariantMetric(base, ell_marked, F_marked), 0.5)
         assert math.copysign(1.0, scal) == 1.0
-
