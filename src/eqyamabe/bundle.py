@@ -21,6 +21,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .errors import NonFinite
 from .numerics import _DEFAULT_CONFIG, QuadratureConfig, _interpolant, _sampled_series
 from .numerics import _with_dips, sign_change_roots, trig_series
 from .orbifold import (
@@ -30,7 +31,6 @@ from .orbifold import (
     gauss_curvature,
     integrate_over_base,
     quadrature_nodes,
-    scalar_curvature_integral,
     scale_base,
 )
 
@@ -93,7 +93,7 @@ class RadialField:
         if not 0.0 < length < math.inf:
             raise ValueError(f"samples must span a positive, finite length L, got L = {length}")
         c, omega, _ = _interpolant(values, length, "periodic" if periodic else "even")
-        return cls(*trig_series(c, 0.0, omega))
+        return cls(*trig_series(c, omega))
 
 
 FieldLike = Union[RadialField, float, int, Callable]
@@ -113,7 +113,7 @@ def as_radial_field(obj: FieldLike, base: Base) -> RadialField:
         raise TypeError(f"cannot interpret {type(obj).__name__} as a radial field")
     parity = "periodic" if base.periodic else "even"
     c, omega = _sampled_series(obj, base.length, parity, "a radial callable")
-    return RadialField(*trig_series(c, 0.0, omega))
+    return RadialField(*trig_series(c, omega))
 
 
 @dataclass(frozen=True)
@@ -187,11 +187,18 @@ def _probes(length: float, poles: bool) -> tuple[np.ndarray, np.ndarray | None]:
 
 @dataclass(frozen=True)
 class NormReport:
+    """|Omega|_1, |Omega|_2^2 and |Omega|_3^2 of the curvature form, and the
+    measured Chern number (1/2pi) int F dA."""
+
     omega_L1: float
     omega_L2_sq: float
     omega_L3_sq: float
-    scal_L32: float
     chern_number: float
+
+
+# past DBL_MAX^(1/3) / sqrt2, about 4.0e102, the row (sqrt2 |F|)^3 of
+# `_compute_norms` overflows (from a few ulps on)
+_F_MAX = float(np.finfo(float).max) ** (1.0 / 3.0) / math.sqrt(2.0)
 
 
 def _laplacian_of(field: RadialField, base: Base, s):
@@ -271,8 +278,8 @@ def _scalar_curvature_log_form(metric: InvariantMetric, s):
 
 
 def omega_norms(metric: InvariantMetric, cfg: QuadratureConfig | None = None) -> NormReport:
-    """L^p norms of the curvature form, the 3/2-norm of the base scalar
-    curvature, and the measured Chern number (1/2pi) int F dv.
+    """L^p norms of the curvature form and the measured Chern number
+    (1/2pi) int F dv.
 
     The report is computed once per (base, F, config) and kept in the base's
     quadrature plan until F or the base is garbage-collected, so a repeat is
@@ -318,15 +325,18 @@ def _compute_norms(base: Base, field: RadialField, cfg: QuadratureConfig) -> Nor
     at the vertex of the parabola through its values at three nodes
     (`numerics._with_dips`); a shallower dip is not seen, and the integral
     refines across its kinks only where the nested levels disagree; a
-    constant F (`RadialField.constant`) has no root, and none is sought.  The
-    scalar-curvature integral depends on the base alone and is computed once
-    per base and config by `scalar_curvature_integral`.
+    constant F (`RadialField.constant`) has no root, and none is sought.
+    An F past `_F_MAX` at a first-level node, where the row (sqrt2 |F|)^3
+    overflows, raises NonFinite naming F and its size before any row is
+    formed; a NaN F goes on to the quadrature's own NonFinite.
     """
-    scal = scalar_curvature_integral(base, cfg)
     F = field.value
     sqrt2 = math.sqrt(2.0)
     nodes = quadrature_nodes(base)
     f_nodes = F(nodes)
+    f_max = np.abs(f_nodes).max()
+    if f_max > _F_MAX:  # NaN fails the comparison
+        raise NonFinite(f"the curvature density F reaches |F| = {f_max:.3e}: out of scale")
     roots = ()  # a constant F has no root
     if field.constant is None:
         x, fx = nodes, f_nodes
@@ -354,7 +364,6 @@ def _compute_norms(base: Base, field: RadialField, cfg: QuadratureConfig) -> Nor
         omega_L1=l1.value,
         omega_L2_sq=l2sq.value,
         omega_L3_sq=l3.value ** (2.0 / 3.0),
-        scal_L32=scal ** (2.0 / 3.0),
         chern_number=chern.value / (2.0 * math.pi),
     )
 

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bundle import NormReport, omega_norms
+from .bundle import NormReport, RadialField, omega_norms
 from .conformal import MinimizerConfig, minimize_conformal, uniformize_positive
 from .errors import (
     CaseMismatchError,
@@ -291,8 +291,6 @@ def cmd_functional(args) -> int:
         csv_text = table_to_csv(cols)
     else:
         if kind == "value":
-            from .bundle import RadialField
-
             metric = type(metric)(base=metric.base, ell=RadialField.const(parsed), F=metric.F)
         rep = functional_J(metric, cfg)
         report["quantities"] = {

@@ -55,7 +55,7 @@ from .bundle import (
     as_radial_field,
 )
 from .errors import NoConvergence, NonPositiveFactor, NonpositiveChi, NotMeanZero, NumericalError
-from .numerics import _FIRST_LEVEL, QuadratureConfig, _chop, _fejer_rule, trig_series
+from .numerics import _EPS, _FIRST_LEVEL, QuadratureConfig, _chop, _fejer_rule, trig_series
 from .orbifold import Base, _rule, area, chi_orb, gauss_curvature
 
 __all__ = [
@@ -195,7 +195,6 @@ _MAX_MODES = _GRID_LEVEL // 2
 # Basis size of a first stage; a descent's max_modes caps it and every doubling.
 _START_MODES = 16
 
-_EPS = float(np.finfo(float).eps)
 _LOG_MAX = math.log(np.finfo(float).max)  # the largest finite exp(x) has x below this
 
 # A coefficient below sqrt(eps) of the largest changes a Rayleigh quotient by
@@ -228,7 +227,7 @@ class _Basis:
         coeffs = np.zeros(self.power[-1] + 1, dtype=complex)
         coeffs[self.power[~self.sine]] = c[~self.sine]
         coeffs[self.power[self.sine]] -= 1j * c[self.sine]
-        value, d1, d2 = trig_series(coeffs, 0.0, self.omega)
+        value, d1, d2 = trig_series(coeffs, self.omega)
 
         def planned(horner: Callable, columns: np.ndarray) -> Callable:
             return lambda s: columns @ c if s is nodes else horner(s)

@@ -271,17 +271,17 @@ def _chop(c: np.ndarray, tol) -> tuple[int, bool]:
     return keep, 4 * keep <= 3 * c.size
 
 
-def trig_series(coeffs: np.ndarray, start: float, omega: float) -> tuple[Callable, ...]:
+def trig_series(coeffs: np.ndarray, omega: float) -> tuple[Callable, ...]:
     """Value, first and second derivative of the real part of
-    sum_k coeffs[k] z^k, z = exp(i omega (s - start)), each summed by Horner's
-    rule.  A real coefficient a_k stands for a_k cos(k omega (s - start)),
-    -i b_k for b_k sin(k omega (s - start))."""
+    sum_k coeffs[k] z^k, z = exp(i omega s), each summed by Horner's rule.
+    A real coefficient a_k stands for a_k cos(k omega s), -i b_k for
+    b_k sin(k omega s)."""
     coeffs = np.asarray(coeffs, dtype=complex)
     k = omega * np.arange(coeffs.size)
 
     def horner(c: np.ndarray) -> Callable:
         def evaluate(s):
-            z = np.exp(1j * omega * (np.asarray(s, dtype=float) - start))
+            z = np.exp(1j * omega * np.asarray(s, dtype=float))
             acc = np.full(z.shape, c[-1])
             for a in c[-2::-1]:
                 acc *= z
@@ -294,7 +294,7 @@ def trig_series(coeffs: np.ndarray, start: float, omega: float) -> tuple[Callabl
 
 
 def _interpolant(values: np.ndarray, length: float, parity: str) -> tuple[np.ndarray, float, bool]:
-    """The `trig_series` coefficients (start 0) and omega of the interpolant
+    """The `trig_series` coefficients and omega of the interpolant
     of uniform samples on linspace(0, length, n), ends included, and whether
     its tail is negligible.  This is the one place where samples become one
     period: parity "even" or "odd" reflects them about the far end to period
@@ -319,7 +319,7 @@ _CHOP_SAMPLES = 2**14 + 1  # the most samples a callable is read at
 
 
 def _sampled_series(f: Callable, length: float, parity: str, name: str) -> tuple[np.ndarray, float]:
-    """`trig_series`'s coefficients (start 0) and omega for a vectorized
+    """`trig_series`'s coefficients and omega for a vectorized
     callable f on [0, length], read from its samples on linspace(0, length,
     n), ends included, for n = 17, 33, 65, ...: the first interpolant of the
     given parity (`_interpolant`) that has chopped, its tail past eps times

@@ -17,28 +17,28 @@ isotropy of order m2; the pole at s = L carries order m1.
 Both bases answer the same members, one place per fact: the area element
 `area_scale * density(s) ds` (2 pi phi ds, or 2 pi c ds on the torus),
 `dlog_density` (phi'/phi, 0 on the torus), `gauss_curvature`, `cone_orders`
-(empty on the torus), `periodic`, `closed_area`, `closed_scal_32` (the
-integral of |2K|^{3/2} where it is known without quadrature: 0 on the flat
-torus, None on a profile) and `scaled(c)`.  The free functions here and in
-`bundle`, `conformal` and `modelio` never test a type.
+(empty on the torus; positive integers on a profile, checked where it is
+built, so chi_orb <= 0 only on the flat torus), `periodic`, `closed_area`
+and `scaled(c)`.  The free functions here and in `bundle`, `conformal` and
+`modelio` never test a type.
 
-Base integrals (`integrate_over_base`, `area`, `gauss_bonnet_check`,
-`scalar_curvature_integral`) are served from a quadrature plan per base: the
-levels of the nested Fejér rule on [0, L] that the base has used, the
-members' values at their nodes, the base-only integrals, and the
-curvature-form norms of each curvature density (`bundle.omega_norms`), each
-computed on first use.  The plan owns its levels (`_rule`), one array of
-nodes and one of weights per level, the same arrays for as long as the base
-lives: the 127 nodes of level 128 (`quadrature_nodes`), which
-`integrate_over_base` hands `integrate` as its first level, so that a smooth
-integral makes its only call of its integrand there, and where `omega_norms`
-and `scalar_curvature_integral` bracket their roots, and the levels 256 and
-512 of the Galerkin grids of `conformal`.  A metric keeps its own values at
-these node arrays, per level (`bundle._node_values`).  Every base carries
-its plan, so a plan is dropped when its base is garbage-collected, and a
-field's norms, kept in a weak-keyed table of the plan, when the field is;
-integrands and callers see read-only nodes and values.
-Results are bit-identical to evaluating phi afresh at every call.
+Base integrals (`integrate_over_base`, `area`, `gauss_bonnet_check`) are
+served from a quadrature plan per base: the levels of the nested Fejér rule
+on [0, L] that the base has used, the members' values at their nodes, the
+area per config, and the curvature-form norms of each curvature density
+(`bundle.omega_norms`), each computed on first use.  The plan owns its
+levels (`_rule`), one array of nodes and one of weights per level, the same
+arrays for as long as the base lives: the 127 nodes of level 128
+(`quadrature_nodes`), which `integrate_over_base` hands `integrate` as its
+first level, so that a smooth integral makes its only call of its integrand
+there, and where `omega_norms` brackets the roots of F (the library's only
+root search), and the levels 256 and 512 of the Galerkin grids of
+`conformal`.  A metric keeps its own values at these node arrays, per level
+(`bundle._node_values`).  Every base carries its plan, so a plan is dropped
+when its base is garbage-collected, and a field's norms, kept in a
+weak-keyed table of the plan, when the field is; integrands and callers see
+read-only nodes and values.  Results are bit-identical to evaluating phi
+afresh at every call.
 
 `wps_profile` and `make_round_sphere` validate their arguments on every
 call and then share one base per canonical arguments (int weights; float
@@ -53,15 +53,15 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, NonFinite, NotCoprime, QuadratureFailure
+from .errors import DomainError, NotCoprime, QuadratureFailure
 from .numerics import _DEFAULT_CONFIG, _EPS, _FIRST_LEVEL, IntegralResult, NoConvergence
 from .numerics import QuadratureConfig, _chop, _fejer_rule, _interpolant
-from .numerics import _sampled_series, _with_dips, integrate, sign_change_roots, trig_series
+from .numerics import _sampled_series, integrate, trig_series
 
 __all__ = [
     "ConeSurfaceProfile",
@@ -74,7 +74,6 @@ __all__ = [
     "gauss_curvature",
     "area",
     "gauss_bonnet_check",
-    "scalar_curvature_integral",
     "chi_orb",
     "integrate_over_base",
     "quadrature_nodes",
@@ -109,8 +108,8 @@ class _Plan:
     nodes and weights (`_rule`): levels 128 (the first), 256 and 512 (the
     Galerkin grids), and others where a minimizer's functional needs them;
     `values` maps (member, n) to a base member's read-only values at the
-    nodes of level n; `integrals` maps (integrand, cfg) to a base-only
-    integral; `norms` maps a curvature density F, weakly, to its
+    nodes of level n; `areas` maps a config to the base's area (`area`);
+    `norms` maps a curvature density F, weakly, to its
     curvature-form norms per cfg, so an entry dies with its field.  A plan
     holds no reference to its base.
     """
@@ -118,7 +117,7 @@ class _Plan:
     def __init__(self) -> None:
         self.rules: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.values: dict[tuple[str, int], np.ndarray] = {}
-        self.integrals: dict[tuple[Callable, QuadratureConfig], float] = {}
+        self.areas: dict[QuadratureConfig, float] = {}
         self.norms: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -127,7 +126,9 @@ class ConeSurfaceProfile:
     """Arclength profile of a rotationally symmetric 2-orbifold sphere.
 
     phi > 0 on (0, L), phi(0) = phi(L) = 0, and the profile slopes at the
-    poles are 1/m_start and -1/m_end (cone angles 2 pi / m).
+    poles are 1/m_start and -1/m_end (cone angles 2 pi / m).  The cone
+    orders must be positive integers (ValueError naming the order
+    otherwise), kept as ints, so chi_orb > 0 on every profile.
     """
 
     length: float
@@ -142,7 +143,12 @@ class ConeSurfaceProfile:
     periodic = False
     area_scale = 2.0 * math.pi
     closed_area = None
-    closed_scal_32 = None
+
+    def __post_init__(self) -> None:
+        for name, m in (("m_start", self.m_start), ("m_end", self.m_end)):
+            if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+                raise ValueError(f"cone order {name} must be a positive integer, got {m!r}")
+            object.__setattr__(self, name, int(m))
 
     @property
     def cone_orders(self) -> tuple[int, int]:
@@ -195,7 +201,6 @@ class FlatTorusBase:
 
     periodic = True
     cone_orders = ()
-    closed_scal_32 = 0.0  # int |2K|^{3/2} dA of a flat base
 
     def __post_init__(self) -> None:
         if self.length <= 0 or self.radius <= 0:
@@ -249,14 +254,12 @@ def _sine_profile(
     c_k = -i b_k.  Its pole slopes, read exactly from them as
     phi'(0) = sum (k pi / L) b_k and phi'(L) = sum (-1)^k (k pi / L) b_k, must
     be 1/m_start and -1/m_end to 1e-6, and phi must be positive at 65
-    interior points; else ValueError.  The cone orders must be positive
-    integers (ValueError naming the order otherwise)."""
-    for name, m in (("m_start", m_start), ("m_end", m_end)):
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-            raise ValueError(f"cone order {name} must be a positive integer, got {m!r}")
+    interior points; else ValueError.  The profile, built first, checks its
+    cone orders."""
+    phi = trig_series(c, math.pi / length)
+    profile = ConeSurfaceProfile(float(length), m_start, m_end, *phi, label)
     slopes = np.arange(c.size) * (math.pi / length) * -c.imag  # per mode, at s = 0
     start, end = float(slopes.sum()), float(slopes[::2].sum() - slopes[1::2].sum())
-    phi = trig_series(c, 0.0, math.pi / length)
     if np.any(phi[0](np.linspace(0.0, length, 67)[1:-1]) <= 0.0):
         raise ValueError("profile must be strictly positive between the poles")
     if abs(start - 1.0 / m_start) > _SLOPE_TOL or abs(end + 1.0 / m_end) > _SLOPE_TOL:
@@ -264,7 +267,7 @@ def _sine_profile(
             f"profile slopes at the poles are {start:.9g} and {end:.9g}; cone orders "
             f"({m_start}, {m_end}) need {1.0 / m_start:.9g} and {-1.0 / m_end:.9g}"
         )
-    return ConeSurfaceProfile(float(length), int(m_start), int(m_end), *phi, label)
+    return profile
 
 
 # Bases kept per constructor, least recently used first out: every caller of
@@ -430,34 +433,14 @@ def _planned(base: Base, name: str, s, compute: Callable):
     return values
 
 
-def _cached_integral(
-    base: Base, fn: Callable, cfg: QuadratureConfig | None, breaks: Callable | None = None
-) -> float:
-    """`integrate_over_base(base, fn(base, .), cfg, breaks(base)).value`,
-    computed once per (fn, cfg) for an integrand that depends on the base
-    alone."""
-    key = (fn, cfg or _DEFAULT_CONFIG)
-    integrals = base._plan.integrals
-    value = integrals.get(key)
-    if value is None:
-        value = integrals[key] = integrate_over_base(
-            base, partial(fn, base), cfg, breaks(base) if breaks else ()
-        ).value
-    return value
-
-
 def _norm_reports(base: Base, F) -> dict:
     """The curvature-form norms of F on the base kept in its plan, per
     config, for the caller to read and fill; a field that cannot be hashed
     gets a new dict, so its norms are computed afresh."""
-    norms = base._plan.norms
     try:
-        reports = norms.get(F)
+        return base._plan.norms.setdefault(F, {})
     except TypeError:  # callables that define equality but no hash
         return {}
-    if reports is None:
-        reports = norms[F] = {}
-    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -516,50 +499,14 @@ def integrate_over_base(
 
 def area(base: Base, cfg: QuadratureConfig | None = None) -> float:
     """Total area: the base's closed form where it has one (2 pi c L on the
-    torus), else 2 pi int phi ds once per base and config."""
+    torus), else 2 pi int phi ds once per base and config, kept in its plan."""
     if base.closed_area is not None:
         return base.closed_area
-    return _cached_integral(base, _unit, cfg)
-
-
-def _unit(base: Base, s):
-    return np.ones_like(s)
-
-
-def scalar_curvature_integral(base: Base, cfg: QuadratureConfig | None = None) -> float:
-    """int |2K|^{3/2} dA, the base scalar curvature to the power 3/2: the
-    base's `closed_scal_32` where it has one (0 on the flat torus), else by
-    quadrature once per base and config.
-
-    The integrand has a kink wherever K changes sign, so the roots of K found
-    between the first level's nodes (Newton steps on a centred difference)
-    split the integral into pieces, as the roots of F do in `omega_norms`.
-    A curvature whose |2K|^{3/2} overflows raises NonFinite naming it.
-    """
-    if base.closed_scal_32 is not None:
-        return base.closed_scal_32
-    try:
-        return _cached_integral(base, _scal_32, cfg, _curvature_roots)
-    except NonFinite as exc:
-        raise NonFinite(
-            f"the base scalar curvature |2K|^(3/2) is non-finite: out of scale ({exc})"
-        ) from exc
-
-
-def _scal_32(base: Base, s):
-    with np.errstate(over="ignore"):  # inf on data out of scale: NonFinite, not a warning
-        return np.abs(2.0 * base.gauss_curvature(s)) ** 1.5
-
-
-def _curvature_roots(base: Base) -> np.ndarray:
-    K = base.gauss_curvature
-    nodes = quadrature_nodes(base)
-    h = 1e-6 * base.length
-
-    def dK(s):
-        return (K(s + h) - K(s - h)) / (2.0 * h)
-
-    return sign_change_roots(K, dK, *_with_dips(K, nodes, K(nodes)))
+    cfg = cfg or _DEFAULT_CONFIG
+    areas = base._plan.areas
+    if cfg not in areas:
+        areas[cfg] = integrate_over_base(base, np.ones_like, cfg).value
+    return areas[cfg]
 
 
 def gauss_bonnet_check(base: Base, cfg: QuadratureConfig | None = None) -> float:

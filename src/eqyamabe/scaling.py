@@ -51,9 +51,12 @@ def fiber_regime(chi: float, norms: NormReport) -> str:
 
 def _collapse_lower(norms: NormReport, ell):
     """The Hoelder collapse lower bound
-    -(2 pi ell)^{2/3} (||Scal||_{3/2} + (1/4) ||Omega||_3^2), valid for
-    ell <= 1; ell may be a number or an array of fiber lengths."""
-    return -((2.0 * math.pi * ell) ** (2.0 / 3.0)) * (norms.scal_L32 + 0.25 * norms.omega_L3_sq)
+    -(2 pi ell)^{2/3} (||Scal_B||_{3/2} + (1/4) ||Omega||_3^2), valid for
+    ell <= 1; ell may be a number or an array of fiber lengths.  It applies
+    to chi <= 0 bases alone, and every such base is the flat torus (a
+    profile's cone orders are positive integers, so its chi is positive),
+    where 2K = 0: the base term is 0 and is not computed."""
+    return -((2.0 * math.pi * ell) ** (2.0 / 3.0)) * (0.25 * norms.omega_L3_sq)
 
 
 @dataclass
@@ -108,8 +111,7 @@ def ell_scan(
     elif regime == REGIME_SUP_ZERO:
         lower = np.full(ells.size, np.nan)
         hold = ells <= 1.0
-        if np.any(hold):
-            lower[hold] = _collapse_lower(norms, ells[hold])
+        lower[hold] = _collapse_lower(norms, ells[hold])  # a no-op when no ell holds
         flags = ["collapse" if h else "ell>1" for h in hold]
 
     table = ScanTable(ell=ells, J=J, lower=lower, flags=flags, regime=regime)
@@ -127,7 +129,8 @@ def collapse_bounds(
     """(upper, lower) sandwich for the collapse regime at one fiber length.
 
     upper is the functional value itself; lower is the Hoelder bound
-    (`_collapse_lower`), valid for ell <= 1.  Requires chi <= 0.
+    (`_collapse_lower`), valid for ell <= 1.  Requires chi <= 0, that is,
+    the flat torus, where the bound's base-curvature term is 0.
     """
     if chi_orb(base) > 0:
         raise PositiveChi("collapse bounds apply only to chi <= 0 bases")

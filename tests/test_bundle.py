@@ -108,7 +108,6 @@ def test_torus_norms(torus_metric):
     norms = eq.omega_norms(torus_metric)
     assert norms.chern_number == pytest.approx(1.0, rel=1e-13)
     assert norms.omega_L2_sq == pytest.approx(4.0 * math.pi, rel=1e-13)
-    assert norms.scal_L32 == 0.0
 
 
 def test_zero_density_norms(half_sphere):

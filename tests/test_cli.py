@@ -359,10 +359,9 @@ def test_minimize_out_of_scale_exits_3_without_a_warning(capsys, tmp_path):
 
 
 def test_bound_of_a_huge_sphere_exits_3_without_a_warning(capsys, tmp_path):
-    # on a sphere of radius 1e80 the parabola through three values of K has
-    # a curvature that underflows to 0; it is no dip candidate, so no numpy
-    # RuntimeWarning (an error under pytest) escapes as a traceback, and
-    # |Omega|_2^2 underflows: exit 3
+    # on a sphere of radius 1e80 with F = 1e-170, |Omega|_2^2 underflows:
+    # exit 3, and no numpy RuntimeWarning (an error under pytest) escapes as
+    # a traceback
     path = tmp_path / "huge_sphere.json"
     path.write_text(json.dumps({"base": {"type": "round_sphere", "radius": 1e80},
                                 "ell": {"type": "constant", "value": 1.0},
@@ -387,7 +386,7 @@ def _tiny_sphere(tmp_path, radius, ell):
     [
         ("functional", 3, "the volume underflowed to 0"),
         ("minimize", 3, "W of 2 pi ell dA underflowed to 0 at every Galerkin node"),
-        ("bound", 3, "non-finite"),  # K^{3/2} = 1e450 overflows the base integral
+        ("bound", 0, None),  # |Omega|_1 vanishes: no bound, and no base integral is read
         ("laplace", 0, None),  # the uniformization reads the base alone
     ],
     ids=["functional", "minimize", "bound", "laplace"],
@@ -406,19 +405,36 @@ def test_data_that_underflows_keeps_the_exit_code_contract(capsys, tmp_path, com
         assert not out_path.exists() and out == ""
 
 
-@pytest.mark.parametrize("radius, code", [(1e-100, 0), (1e-150, 3)])
+@pytest.mark.parametrize("radius, code", [(1e-100, 0), (1e-150, 0)])
 def test_bound_of_a_tiny_sphere_makes_no_warning(capsys, tmp_path, radius, code):
-    # K = 1e200 or 1e300: the dip search's parabolas and |2K|^{3/2} overflow
-    # to inf without a numpy RuntimeWarning (an error under pytest); on the
-    # smaller sphere the scalar-curvature integral is not finite: exit 3
+    # K = 1e200 or 1e300 and |Omega|_1 = 1.8e-199 or 1.8e-299: the curvature form
+    # vanishes by the scale-free zero test, so the functional is unbounded in
+    # ell and no bound is reported, without a numpy RuntimeWarning (an error
+    # under pytest).  The smaller sphere exited 3 while the norms integrated
+    # |2K|^{3/2} = 2.8e450, which no bound read
     out_path = tmp_path / "bound.json"
     code_got, out, err = run(capsys, ["bound", "--model", _tiny_sphere(tmp_path, radius, 1.0),
                                       "--out", str(out_path)])
     assert code_got == code
-    assert out_path.exists() == (code == 0)
-    if code:
-        assert "the base scalar curvature |2K|^(3/2) is non-finite: out of scale" in err
-        assert "integrand returned non-finite values" in err
+    assert err == ""
+    report = json.loads(out_path.read_text())
+    assert report["regime"] == _REGIME_NOTE["DivergesAsEllGrows"]
+    assert report["bounds"] == []
+
+
+@pytest.mark.parametrize("warn", ["always", "error"])
+@pytest.mark.parametrize("F", [1e103, 1e120, 1e170, -1e170])
+def test_bound_of_an_out_of_scale_F_names_it(capsys, tmp_path, warn, F):
+    # (sqrt2 |F|)^3 overflows at the first-level nodes past 4.0e102: the
+    # norms raise NonFinite naming F before any row is formed
+    out_path = tmp_path / "report.json"
+    path = _sphere_model(tmp_path, "sphere", 1.0, {"type": "constant", "value": F})
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(warn, RuntimeWarning)
+        code, out, err = run(capsys, ["bound", "--model", path, "--out", str(out_path)])
+    assert code == 3
+    assert f"the curvature density F reaches |F| = {abs(F):.3e}: out of scale" in err
+    assert not seen and not out_path.exists() and out == ""
 
 
 @pytest.mark.parametrize("warn", ["default", "error"])

@@ -24,7 +24,7 @@ import eqyamabe as eq
 from eqyamabe import orbifold
 from eqyamabe.numerics import sign_change_roots
 
-from conftest import bump_sphere, fourier_field
+from conftest import fourier_field
 
 PAIRS = [(1, 2), (2, 3), (1, 9)]
 REL = 1e-13
@@ -262,19 +262,3 @@ def test_torus_root_next_to_an_end_matches_mpmath():
     norms = _norms(base, F)
     for key in ("omega_L1", "omega_L3_sq", "chern_number"):
         assert getattr(norms, key) == pytest.approx(ref[key], rel=REL, abs=1e-15), key
-
-
-def test_sign_changing_curvature_integral_matches_mpmath():
-    # on phi = sin s (1 + a sin^2 s), K = (1 - 6a + 9a sin^2 s) / (1 + a sin^2 s)
-    # changes sign where sin s = 1/3 (a = 0.2): |2K|^{3/2} has two kinks
-    a = 0.2
-    with mpmath.workdps(30):
-        am = mpmath.mpf(a)
-        sin2 = lambda s: mpmath.sin(s) ** 2  # noqa: E731
-        K = lambda s: (1 - 6 * am + 9 * am * sin2(s)) / (1 + am * sin2(s))  # noqa: E731
-        phi = lambda s: mpmath.sin(s) * (1 + am * sin2(s))  # noqa: E731
-        root = mpmath.asin(mpmath.mpf(1) / 3)
-        pts = [0, root, mpmath.pi - root, mpmath.pi]
-        ref = float(2 * mpmath.pi * mpmath.quad(lambda s: abs(2 * K(s)) ** 1.5 * phi(s), pts))
-    value = orbifold.scalar_curvature_integral(bump_sphere(a))
-    assert value == pytest.approx(ref, rel=1e-10)

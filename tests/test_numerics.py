@@ -445,7 +445,7 @@ def test_with_dips_overflows_to_inf_without_a_warning():
 
 def _interpolated(values, length, parity):
     c, omega, _ = _interpolant(np.asarray(values, dtype=float), length, parity)
-    return trig_series(c, 0.0, omega)
+    return trig_series(c, omega)
 
 
 def test_trig_interpolant_reproduces_a_trigonometric_polynomial():
@@ -504,7 +504,7 @@ def test_chopped_interpolant_waits_for_the_tail_to_reach_rounding():
     grid = np.linspace(0.0, 1.0, 65)
     c, omega, chopped = _interpolant(f(grid), 1.0, "periodic")
     assert chopped is True and omega == 2.0 * math.pi
-    assert trig_series(c, 0.0, omega)[0](grid) == pytest.approx(f(grid), abs=1e-15)
+    assert trig_series(c, omega)[0](grid) == pytest.approx(f(grid), abs=1e-15)
     assert _interpolant(np.zeros(9), 1.0, "periodic")[2] is True
 
 

@@ -149,18 +149,6 @@ def test_flat_torus_validation():
         eq.FlatTorusBase(length=-1.0, radius=1.0)
 
 
-@pytest.mark.parametrize("length, radius", [(1.0, 1.0), (0.3, 7.0), (1e-100, 1e100)])
-def test_flat_torus_curvature_integral_is_the_quadrature_zero(length, radius):
-    # the closed form is the quadrature's own +0.0, and no quadrature runs
-    base = eq.FlatTorusBase(length=length, radius=radius)
-    reference = orbifold.integrate_over_base(
-        base, lambda s: orbifold._scal_32(base, s), breaks=orbifold._curvature_roots(base)
-    ).value
-    value = orbifold.scalar_curvature_integral(base)
-    assert value.hex() == reference.hex() == (0.0).hex()
-    assert not base._plan.integrals
-
-
 # ---------------------------------------------------------------------------
 # invariance properties
 # ---------------------------------------------------------------------------
@@ -252,6 +240,18 @@ def test_cone_orders_must_be_positive_integers(orders):
         eq.profile_from_samples(s, phi, *orders)
     with pytest.raises(ValueError, match=message):
         eq.profile_from_callables(math.pi, np.sin, *orders)
+
+
+@pytest.mark.parametrize("position", ["m_start", "m_end"])
+@pytest.mark.parametrize("bad", [0, -1, True, 1.5])
+def test_a_profile_checks_its_cone_orders_where_it_is_built(position, bad):
+    # a directly built profile with an order below 1 would have chi <= 0,
+    # where collapse_bounds reads the base as flat
+    orders = {"m_start": 1, "m_end": 1, position: bad}
+    with pytest.raises(ValueError, match=rf"cone order {position} must be a positive integer, got {bad}"):
+        eq.ConeSurfaceProfile(
+            math.pi, orders["m_start"], orders["m_end"], np.sin, np.cos, lambda s: -np.sin(s)
+        )
 
 
 def test_numpy_integer_cone_orders_are_accepted():

@@ -119,14 +119,11 @@ def test_plan_results_equal_uncached_integrals(name):
     else:
         # one-signed F: the values of the former 2e-8 default, bit for bit
         cfg, breaks = NORMS_CFG, ()
-    # the scalar-curvature integral keeps the 2e-8 default
-    scal = uncached(base, lambda s: np.abs(2.0 * curvature(base, s)) ** 1.5, NORMS_CFG)
     expected_norms = eq.NormReport(
         omega_L1=uncached(base, lambda s: sqrt2 * np.abs(f(s)), cfg, breaks),
         omega_L2_sq=uncached(base, lambda s: 2.0 * f(s) ** 2, cfg, breaks),
         omega_L3_sq=uncached(base, lambda s: (sqrt2 * np.abs(f(s))) ** 3, cfg, breaks)
         ** (2.0 / 3.0),
-        scal_L32=scal ** (2.0 / 3.0),
         chern_number=uncached(base, f, cfg, breaks) / (2.0 * math.pi),
     )
     numerator = 2.0 * math.pi * uncached(
@@ -209,7 +206,7 @@ def test_plan_entry_dies_with_its_base():
     base = unshared(eq.wps_profile(2, 3))
     eq.area(base)
     plan, ref = weakref.ref(base._plan), weakref.ref(base)
-    assert plan().integrals  # the area is kept in the base's plan
+    assert plan().areas  # the area is kept in the base's plan
     del base
     gc.collect()
     assert ref() is None
@@ -250,7 +247,7 @@ def test_profile_with_unhashable_callables_has_a_plan():
         assert eq.gauss_bonnet_check(base) == uncached(
             base, lambda s: curvature(base, s), GB_CFG
         ) / (2.0 * math.pi)
-    assert base._plan.integrals
+    assert base._plan.areas
 
 
 def test_curvature_domain_is_checked_off_the_plan_nodes_only():

@@ -91,6 +91,42 @@ def test_collapse_bounds_zero_density():
     assert lower == 0.0
 
 
+# collapse_bounds(FlatTorusBase(1, 1), F, ell) and the lower bounds of
+# ell_scan on the ladder (1e-3, 0.05, 1, 2), by float.hex, as they read when
+# the bound still added the torus's base term ||2K||_{3/2} = 0.0 ** (2/3)
+TORUS_COLLAPSE_HEX = {
+    "one": (
+        {1.0: ("-0x1.730379caabb36p+2", "-0x1.730379caabb35p+2"),
+         0.05: ("-0x1.01d05fd36efc4p-9", "-0x1.92d595ba5d69ep-1"),
+         1e-3: ("-0x1.f1f74b5eddcb9p-25", "-0x1.dae5ba9d04bccp-5")},
+        ("-0x1.dae5ba9d04bcap-5", "-0x1.92d595ba5d69ep-1", "-0x1.730379caabb35p+2", "nan"),
+    ),
+    "cos": (
+        {1.0: ("-0x1.730379caabb35p+1", "-0x1.a3100f463a2a8p+1"),
+         0.05: ("-0x1.01d05fd36efc4p-10", "-0x1.c701274ec9f0fp-2"),
+         1e-3: ("-0x1.f1f74b5eddcb7p-26", "-0x1.0c333cf9bed3ap-5")},
+        ("-0x1.0c333cf9bed39p-5", "-0x1.c701274ec9f0fp-2", "-0x1.a3100f463a2a8p+1", "nan"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TORUS_COLLAPSE_HEX))
+def test_torus_collapse_bounds_keep_their_bits(name):
+    # F = 1, and cos(2 pi s), whose two roots split the norms' integral
+    k = 2.0 * math.pi
+    F = 1.0 if name == "one" else eq.RadialField(
+        lambda s: np.cos(k * np.asarray(s)),
+        lambda s: -k * np.sin(k * np.asarray(s)),
+        lambda s: -k * k * np.cos(k * np.asarray(s)),
+    )
+    pairs, scan = TORUS_COLLAPSE_HEX[name]
+    for ell, expected in pairs.items():
+        got = eq.collapse_bounds(eq.FlatTorusBase(1.0, 1.0), F, ell)
+        assert tuple(v.hex() for v in got) == expected, ell
+    table = eq.ell_scan(eq.FlatTorusBase(1.0, 1.0), F, [1e-3, 0.05, 1.0, 2.0])
+    assert tuple(float(v).hex() for v in table.lower) == scan
+
+
 def test_collapse_bounds_regime_errors(half_sphere, torus_metric):
     with pytest.raises(PositiveChi):
         eq.collapse_bounds(half_sphere, 2.0, 0.1)
