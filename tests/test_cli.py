@@ -386,7 +386,7 @@ def _tiny_sphere(tmp_path, radius, ell):
     [
         ("functional", 3, "the volume underflowed to 0"),
         ("minimize", 3, "W of 2 pi ell dA underflowed to 0 at every Galerkin node"),
-        ("bound", 0, None),  # |Omega|_1 vanishes: no bound, and no base integral is read
+        ("bound", 0, None),  # |Omega|_1 vanishes by the zero test: no bound
         ("laplace", 0, None),  # the uniformization reads the base alone
     ],
     ids=["functional", "minimize", "bound", "laplace"],
@@ -407,11 +407,10 @@ def test_data_that_underflows_keeps_the_exit_code_contract(capsys, tmp_path, com
 
 @pytest.mark.parametrize("radius, code", [(1e-100, 0), (1e-150, 0)])
 def test_bound_of_a_tiny_sphere_makes_no_warning(capsys, tmp_path, radius, code):
-    # K = 1e200 or 1e300 and |Omega|_1 = 1.8e-199 or 1.8e-299: the curvature form
-    # vanishes by the scale-free zero test, so the functional is unbounded in
-    # ell and no bound is reported, without a numpy RuntimeWarning (an error
-    # under pytest).  The smaller sphere exited 3 while the norms integrated
-    # |2K|^{3/2} = 2.8e450, which no bound read
+    # K = 1e200 or 1e300 and |Omega|_1 = 1.8e-199 or 1.8e-299: the curvature
+    # form vanishes by the scale-free zero test, so the functional is
+    # unbounded in ell and no bound is reported, without a numpy
+    # RuntimeWarning (an error under pytest); no base integral of K is taken
     out_path = tmp_path / "bound.json"
     code_got, out, err = run(capsys, ["bound", "--model", _tiny_sphere(tmp_path, radius, 1.0),
                                       "--out", str(out_path)])

@@ -245,10 +245,11 @@ def test_cone_orders_must_be_positive_integers(orders):
 @pytest.mark.parametrize("position", ["m_start", "m_end"])
 @pytest.mark.parametrize("bad", [0, -1, True, 1.5])
 def test_a_profile_checks_its_cone_orders_where_it_is_built(position, bad):
-    # a directly built profile with an order below 1 would have chi <= 0,
-    # where collapse_bounds reads the base as flat
+    # however a profile is built, its cone orders are positive integers, so
+    # its chi is positive: collapse_bounds, on chi <= 0, reads a flat base
     orders = {"m_start": 1, "m_end": 1, position: bad}
-    with pytest.raises(ValueError, match=rf"cone order {position} must be a positive integer, got {bad}"):
+    message = rf"cone order {position} must be a positive integer, got {bad}"
+    with pytest.raises(ValueError, match=message):
         eq.ConeSurfaceProfile(
             math.pi, orders["m_start"], orders["m_end"], np.sin, np.cos, lambda s: -np.sin(s)
         )
