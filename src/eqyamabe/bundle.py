@@ -26,6 +26,7 @@ from .numerics import _DEFAULT_CONFIG, QuadratureConfig, _interpolant, _sampled_
 from .numerics import _with_dips, sign_change_roots, trig_series
 from .orbifold import (
     Base,
+    _chain_rule,
     _norm_reports,
     _plan_level,
     gauss_curvature,
@@ -390,21 +391,17 @@ def volume_total(metric: InvariantMetric, cfg: QuadratureConfig | None = None) -
 def scale_metric(metric: InvariantMetric, c: float) -> InvariantMetric:
     """Scale base and fiber coherently: g -> c^2 g, ell -> c ell, F -> F / c^2.
 
-    The curvature 2-form is unchanged, so the Chern number is too, and the
-    total scalar curvature scales by c^-2.
+    ell(s) becomes c ell(s/c) and F(s) becomes F(s/c) / c^2, their
+    derivatives by the chain rule of the base (`orbifold._chain_rule`), and a
+    known constant scales with them.  The curvature 2-form is unchanged, so
+    the Chern number is too, and the total scalar curvature scales by c^-2.
     """
     new_base = scale_base(metric.base, c)  # raises on c <= 0
-    old_ell, old_F = metric.ell, metric.F
-    new_ell = RadialField(
-        value=lambda s: c * old_ell.value(np.asarray(s) / c),
-        d1=lambda s: old_ell.d1(np.asarray(s) / c),
-        d2=lambda s: old_ell.d2(np.asarray(s) / c) / c,
-        constant=None if old_ell.constant is None else c * old_ell.constant,
+    ell, F = metric.ell, metric.F
+    return InvariantMetric(
+        base=new_base,
+        ell=RadialField(*_chain_rule(c, 1, ell.value, ell.d1, ell.d2),
+                        constant=None if ell.constant is None else c * ell.constant),
+        F=RadialField(*_chain_rule(c, -2, F.value, F.d1, F.d2),
+                      constant=None if F.constant is None else F.constant / c**2),
     )
-    new_F = RadialField(
-        value=lambda s: old_F.value(np.asarray(s) / c) / c**2,
-        d1=lambda s: old_F.d1(np.asarray(s) / c) / c**3,
-        d2=lambda s: old_F.d2(np.asarray(s) / c) / c**4,
-        constant=None if old_F.constant is None else old_F.constant / c**2,
-    )
-    return InvariantMetric(base=new_base, ell=new_ell, F=new_F)

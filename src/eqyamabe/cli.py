@@ -29,8 +29,7 @@ from .errors import (
     NumericalError,
     UsageError,
 )
-from .invariants import build_invariant_report, chi_boundary, chi_closed, chi_quadrature
-from .invariants import c1_closed, c1_quadrature
+from .invariants import build_invariant_report, c1_closed, chi_boundary, chi_closed
 from .modelio import (
     TOOL_NAME,
     TOOL_VERSION,
@@ -100,6 +99,16 @@ def _base_report(args, command: str) -> dict:
     }
 
 
+def _open_model(args, command: str):
+    """The spec and metric of the model file and the command's report, which
+    echoes the model: how every model command reads its file."""
+    spec = parse_model_file(args.model)
+    metric = build_metric(spec)
+    report = _base_report(args, command)
+    report["model"] = spec.raw
+    return spec, metric, report
+
+
 def _parse_ell_arg(text: str) -> tuple[str, object]:
     if text.startswith("scan:"):
         parts = text.split(":")
@@ -142,17 +151,14 @@ def cmd_invariants(args) -> int:
     report["m1"] = m1
     report["m2"] = m2
     cfg = _tolerance_cfg(args)
-    # (value, error) per route; "all" takes every route from one report, so
-    # its deltas describe exactly the printed values
+    # (value, error) per route; the quadrature routes come from one report,
+    # so the deltas of "all" describe exactly the printed values
     c1q = chiq = chib = None
-    if args.method == "all":
+    if args.method in ("quadrature", "all"):
         rep = build_invariant_report(m1, m2, cfg)
         c1q = (rep.c1_quadrature, rep.c1_error)
         chiq = (rep.chi_quadrature, rep.chi_quadrature_error)
-        chib = rep.chi_boundary
-    elif args.method == "quadrature":
-        r1, r2 = c1_quadrature(m1, m2, cfg), chi_quadrature(m1, m2, cfg)
-        c1q, chiq = (r1.value, r1.error_estimate), (r2.value, r2.error_estimate)
+        chib = rep.chi_boundary if args.method == "all" else None
     elif args.method == "boundary":
         chib = chi_boundary(m1, m2)
     quantities: dict = {}
@@ -173,11 +179,12 @@ def cmd_invariants(args) -> int:
     return 0
 
 
-def _serialize_bound(b: BoundReport, error: float | None = None) -> dict:
-    entry = {"kind": b.kind}
-    entry.update(_quantity(b.value, error=error, exact=error is None))
-    entry["inputs"] = b.inputs
-    return entry
+def _bound(kind: str, value: float, inputs: dict, error: float | None = None) -> dict:
+    """A bound's report entry, exact unless an error is given; `BoundReport`
+    checks that the value is finite."""
+    b = BoundReport(kind, value, inputs)
+    return {"kind": b.kind, **_quantity(b.value, error=error, exact=error is None),
+            "inputs": b.inputs}
 
 
 def cmd_bound(args) -> int:
@@ -198,18 +205,16 @@ def cmd_bound(args) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         k_echo = "inf" if k == math.inf else int(k)
-        entry = _serialize_bound(BoundReport("orbit_count", value, {"n": args.n, "k": k_echo}))
+        entry = _bound("orbit_count", value, {"n": args.n, "k": k_echo})
         if k == math.inf:
             entry["value"] = None  # no finite orbit, no constraint: JSON has no Infinity
         bounds.append(entry)
     elif args.model:
-        spec = parse_model_file(args.model)
+        spec, metric, report = _open_model(args, "bound")
         cfg = build_quadrature(spec.quadrature) or tol_cfg
-        metric = build_metric(spec)
         base = metric.base
         chi = chi_orb(base)
         norms = omega_norms(metric, cfg)
-        report["model"] = spec.raw
         report["inputs"] = {
             "chi": _quantity(chi, exact=True),
             "c1_measured": _quantity(norms.chern_number, 0.0, "quadrature"),
@@ -219,15 +224,8 @@ def cmd_bound(args) -> int:
     elif args.chi is not None or args.c1 is not None:
         if args.chi is None or args.c1 is None:
             raise UsageError("--chi and --c1 must be given together")
-        bounds.append(
-            _serialize_bound(
-                BoundReport(
-                    "topological",
-                    bound_theorem_main(args.chi, args.c1),
-                    {"chi": args.chi, "c1": args.c1},
-                )
-            )
-        )
+        pair = {"chi": args.chi, "c1": args.c1}
+        bounds.append(_bound("topological", bound_theorem_main(args.chi, args.c1), pair))
         report["regime"] = _REGIME_NOTE[REGIME_INTERIOR_MAX]
     else:
         if args.m1 is None or args.m2 is None:
@@ -236,11 +234,9 @@ def cmd_bound(args) -> int:
         c1 = float(c1_closed(args.m1, args.m2))
         pair = {"m1": args.m1, "m2": args.m2, "chi": chi, "c1": c1}
         bounds = [
-            _serialize_bound(
-                BoundReport("weighted_pair", bound_weighted_hopf(args.m1, args.m2), pair)
-            ),
-            _serialize_bound(BoundReport("topological", bound_theorem_main(chi, c1), pair)),
-            _serialize_bound(BoundReport("orbit_count", hebey_vaugon_bound(3, 1), {"n": 3, "k": 1})),
+            _bound("weighted_pair", bound_weighted_hopf(args.m1, args.m2), pair),
+            _bound("topological", bound_theorem_main(chi, c1), pair),
+            _bound("orbit_count", hebey_vaugon_bound(3, 1), {"n": 3, "k": 1}),
         ]
         report["regime"] = _REGIME_NOTE[REGIME_INTERIOR_MAX]
     report["bounds"] = bounds
@@ -259,20 +255,18 @@ def _bounds_for(chi: float, base, F, cfg, norms: NormReport) -> tuple[list[dict]
     ell_star, j_max = optimal_ell(base, F, cfg, norms=norms)
     cs = bound_cauchy_schwarz(base, F, cfg, norms=norms)
     bounds = [
-        BoundReport("optimal_fiber_length", j_max, dict(measured_inputs, ell_star=ell_star)),
-        BoundReport("cauchy_schwarz", cs, measured_inputs),
+        ("optimal_fiber_length", j_max, dict(measured_inputs, ell_star=ell_star)),
+        ("cauchy_schwarz", cs, measured_inputs),
     ]
     if abs(c1) > _C1_ZERO_TOL:
-        bounds.append(BoundReport("topological", bound_theorem_main(chi, c1), measured_inputs))
-    return [_serialize_bound(b, error=abs(b.value) * 5e-8) for b in bounds], _REGIME_NOTE[regime]
+        bounds.append(("topological", bound_theorem_main(chi, c1), measured_inputs))
+    entries = [_bound(kind, value, inputs, abs(value) * 5e-8) for kind, value, inputs in bounds]
+    return entries, _REGIME_NOTE[regime]
 
 
 def cmd_functional(args) -> int:
-    spec = parse_model_file(args.model)
+    spec, metric, report = _open_model(args, "functional")
     cfg = build_quadrature(spec.quadrature) or _tolerance_cfg(args)
-    metric = build_metric(spec)
-    report = _base_report(args, "functional")
-    report["model"] = spec.raw
     csv_text = None
     if args.ell is not None:
         kind, parsed = _parse_ell_arg(args.ell)
@@ -309,15 +303,12 @@ def cmd_scan(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    spec = parse_model_file(args.model)
-    metric = build_metric(spec)
+    _, metric, report = _open_model(args, "minimize")
     if args.tol is None:
         cfg = MinimizerConfig()
     else:
         cfg = _tol_config(MinimizerConfig, decrease_tol=args.tol)
     result = minimize_conformal(metric, cfg)
-    report = _base_report(args, "minimize")
-    report["model"] = spec.raw
     report["quantities"] = {
         "mu_upper": _quantity(result.mu_upper, result.error_estimate, "galerkin_newton"),
         # the trace starts with the value at u0: steps taken, not values seen
@@ -334,15 +325,12 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_laplace(args) -> int:
-    spec = parse_model_file(args.model)
-    metric = build_metric(spec)
+    _, metric, report = _open_model(args, "laplace")
     u, min_scal = uniformize_positive(metric.base)
     u_values = u.value(np.linspace(0.0, metric.base.length, 4001))
     chi = chi_orb(metric.base)
     vol = area(metric.base)
     target = 4.0 * math.pi * chi / vol
-    report = _base_report(args, "laplace")
-    report["model"] = spec.raw
     report["quantities"] = {
         "min_scal": _quantity(min_scal, 0.0, "galerkin_series_at_nodes"),
         "uniformized_constant": _quantity(target, 0.0, "closed_form"),

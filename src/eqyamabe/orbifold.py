@@ -180,14 +180,11 @@ class ConeSurfaceProfile:
         return -self.phi_d2(s) / self.density(s)
 
     def scaled(self, c: float) -> "ConeSurfaceProfile":
+        """The profile of g -> c^2 g: (L, phi) -> (cL, c phi(s/c)), its
+        derivatives by `_chain_rule`."""
         return ConeSurfaceProfile(
-            c * self.length,
-            self.m_start,
-            self.m_end,
-            lambda s: c * self.phi(np.asarray(s) / c),
-            lambda s: self.phi_d1(np.asarray(s) / c),
-            lambda s: self.phi_d2(np.asarray(s) / c) / c,
-            label=f"{self.label}*{c}",
+            c * self.length, self.m_start, self.m_end,
+            *_chain_rule(c, 1, self.phi, self.phi_d1, self.phi_d2), label=f"{self.label}*{c}",
         )
 
 
@@ -233,6 +230,23 @@ class FlatTorusBase:
 Base = Union[ConeSurfaceProfile, FlatTorusBase]
 
 
+def _chain_rule(c: float, p: int, f: Callable, d1: Callable, d2: Callable) -> tuple:
+    """The value and two derivatives of s -> c^p f(s/c), the radial functions
+    of g -> c^2 g, from those of f: c^p f(s/c), c^(p-1) f'(s/c) and
+    c^(p-2) f''(s/c).  A factor c^q multiplies for q > 0 and divides by
+    c^(-q) for q < 0, as x c^-1 and x / c round differently; q = 0 passes
+    the value through."""
+
+    def term(g: Callable, q: int) -> Callable:
+        if q > 0:
+            return lambda s: c**q * g(np.asarray(s) / c)
+        if q < 0:
+            return lambda s: g(np.asarray(s) / c) / c**-q
+        return lambda s: g(np.asarray(s) / c)
+
+    return term(f, p), term(d1, p - 1), term(d2, p - 2)
+
+
 def profile_from_callables(
     length: float, phi: Callable, m_start: int, m_end: int, label: str = "profile"
 ) -> ConeSurfaceProfile:
@@ -276,7 +290,9 @@ _SHARED_BASES = 32
 
 
 def make_round_sphere(radius: float) -> ConeSurfaceProfile:
-    """Round sphere of the given radius as a smooth profile (cone orders 1, 1).
+    """Round sphere of the given radius as a smooth profile (cone orders 1, 1):
+    the unit sphere's (sin, cos, -sin) at radius R by `_chain_rule`, so
+    phi = R sin(s/R).
 
     One base per radius: calls with equal float(radius) return the same base.
     """
@@ -287,13 +303,8 @@ def make_round_sphere(radius: float) -> ConeSurfaceProfile:
 
 @lru_cache(maxsize=_SHARED_BASES)
 def _round_sphere(R: float) -> ConeSurfaceProfile:
-    return ConeSurfaceProfile(
-        math.pi * R, 1, 1,
-        lambda s: R * np.sin(np.asarray(s) / R),
-        lambda s: np.cos(np.asarray(s) / R),
-        lambda s: -np.sin(np.asarray(s) / R) / R,
-        label=f"round_sphere(R={R})",
-    )
+    unit = _chain_rule(R, 1, np.sin, np.cos, lambda s: -np.sin(s))
+    return ConeSurfaceProfile(math.pi * R, 1, 1, *unit, label=f"round_sphere(R={R})")
 
 
 def wps_profile(m1: int, m2: int) -> ConeSurfaceProfile:
@@ -350,7 +361,9 @@ def profile_from_samples(
     m_end: int,
     label: str = "sampled_profile",
 ) -> ConeSurfaceProfile:
-    """Profile from arclength samples; endpoints must be the poles (phi = 0).
+    """Profile from arclength samples; endpoints must be the poles: phi there
+    at most 1e-12 max|phi|, a test relative to the samples' own scale, so the
+    same profile passes in any units.
 
     phi is odd about each pole, so the samples become a sine series, checked
     by `_sine_profile`: uniform ones the sine series of their odd extension
@@ -363,7 +376,7 @@ def profile_from_samples(
         raise ValueError("need matching 1-d sample arrays with at least 8 points")
     if np.any(np.diff(s) <= 0):
         raise ValueError("sample abscissae must be strictly increasing")
-    if abs(p[0]) > 1e-12 or abs(p[-1]) > 1e-12:
+    if max(abs(p[0]), abs(p[-1])) > 1e-12 * np.max(np.abs(p)):
         raise ValueError("profile samples must vanish at both poles")
     L = float(s[-1] - s[0])
     s = s - s[0]

@@ -49,12 +49,13 @@ def fiber_regime(chi: float, norms: NormReport) -> str:
     return REGIME_DIVERGES if _curvature_form_vanishes(norms) else REGIME_INTERIOR_MAX
 
 
-def _collapse_lower(norms: NormReport, ell):
+def _collapse_lower(norms: NormReport, ell: float) -> float:
     """The Hoelder collapse lower bound
     -(2 pi ell)^{2/3} (||Scal_B||_{3/2} + (1/4) ||Omega||_3^2), valid for
-    ell <= 1; ell may be a number or an array of fiber lengths.  It applies
-    to chi <= 0 bases alone, and every such base is the flat torus (a
-    profile's cone orders are positive integers, so its chi is positive),
+    ell <= 1, at one fiber length: a number, raised to 2/3 by libm's pow on
+    every CPU, so that `ell_scan` and `collapse_bounds` read the same float.
+    It applies to chi <= 0 bases alone, and every such base is the flat torus
+    (a profile's cone orders are positive integers, so its chi is positive),
     where 2K = 0: the base term is 0 and is not computed."""
     return -((2.0 * math.pi * ell) ** (2.0 / 3.0)) * (0.25 * norms.omega_L3_sq)
 
@@ -92,7 +93,12 @@ class ScanTable:
 def ell_scan(
     base: Base, F: FieldLike, ell_values, cfg: QuadratureConfig | None = None
 ) -> ScanTable:
-    """Closed-form functional values over a ladder of constant fiber lengths."""
+    """Closed-form functional values over a ladder of constant fiber lengths.
+
+    Each row is computed at its own fiber length as a number, so its J is
+    `functional_J_closed` and, on a chi <= 0 base with ell <= 1, its lower
+    bound is `collapse_bounds`'s, to the bit and on every CPU (numpy's array
+    power rounds differently from libm's pow where it has wider kernels)."""
     ells = np.sort(np.asarray(list(ell_values), dtype=float))
     if ells.size == 0:
         raise ValueError("need at least one fiber length")
@@ -101,7 +107,8 @@ def ell_scan(
 
     chi = chi_orb(base)
     norms = _norms(base, F, cfg)
-    J = closed_form_J(area(base, cfg), chi, norms.omega_L2_sq, ells)
+    vol, ladder = area(base, cfg), ells.tolist()
+    J = np.array([closed_form_J(vol, chi, norms.omega_L2_sq, ell) for ell in ladder])
 
     regime = fiber_regime(chi, norms)
     flags = [""] * ells.size
@@ -109,10 +116,8 @@ def ell_scan(
     if regime == REGIME_INTERIOR_MAX:
         flags[int(np.argmax(J))] = "max"
     elif regime == REGIME_SUP_ZERO:
-        lower = np.full(ells.size, np.nan)
-        hold = ells <= 1.0
-        lower[hold] = _collapse_lower(norms, ells[hold])  # a no-op when no ell holds
-        flags = ["collapse" if h else "ell>1" for h in hold]
+        lower = np.array([_collapse_lower(norms, ell) if ell <= 1.0 else math.nan for ell in ladder])
+        flags = ["collapse" if ell <= 1.0 else "ell>1" for ell in ladder]
 
     table = ScanTable(ell=ells, J=J, lower=lower, flags=flags, regime=regime)
     if ells.size >= 4 and np.all(np.abs(J) > 0):

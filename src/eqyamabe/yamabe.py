@@ -198,9 +198,10 @@ def functional_J_closed(
     return closed_form_J(vol, chi_orb(base), norms.omega_L2_sq, ell_const)
 
 
-def closed_form_J(vol: float, chi: float, omega_L2_sq: float, ell):
-    """(pi^2 / (16 vol))^{1/3} (16 pi chi ell^{2/3} - |Omega|_2^2 ell^{8/3});
-    ell may be a number or an array of fiber lengths."""
+def closed_form_J(vol: float, chi: float, omega_L2_sq: float, ell: float) -> float:
+    """(pi^2 / (16 vol))^{1/3} (16 pi chi ell^{2/3} - |Omega|_2^2 ell^{8/3})
+    at one fiber length: a number, whose powers libm's pow rounds the same
+    on every CPU, so `ell_scan`'s rows equal `functional_J_closed`."""
     return (math.pi**2 / (16.0 * vol)) ** (1.0 / 3.0) * (
         16.0 * math.pi * chi * ell ** (2.0 / 3.0) - omega_L2_sq * ell ** (8.0 / 3.0)
     )

@@ -167,6 +167,29 @@ def test_scaling_multiplies_curvature_by_inverse_square(hopf, c):
         )
 
 
+# scale_metric's (ell, ell', ell'') and (F, F', F'') at s = 0.9 c, by
+# float.hex, for ell = 1 + 0.2 cos 4s and the weighted density on wps(2, 3):
+# the chain rule multiplies by c^p for p > 0 and divides by c^(-p) for p < 0
+SCALED_FIELDS_HEX = {
+    0.37: {"ell": ("0x1.36ed5f3931203p-2", "0x1.6a834365a418ep-2", "0x1.f05e2ecfee3d6p+2"),
+           "F": ("0x1.844a567e08b77p+2", "0x1.43085c73bc9d6p+4", "0x1.5a0f56287c4e1p+6")},
+    7.0: {"ell": ("0x1.6fa6839f4d1d7p+2", "0x1.6a834365a418ep-2", "0x1.a3c911a59c226p-2"),
+          "F": ("0x1.15b7cc3e7dd22p-6", "0x1.86cb28a429351p-9", "0x1.620f2b537050dp-11")},
+}
+
+
+@pytest.mark.parametrize("c", sorted(SCALED_FIELDS_HEX))
+def test_scaled_fields_keep_their_bits(c):
+    ell = eq.RadialField(lambda s: 1.0 + 0.2 * np.cos(4.0 * np.asarray(s)),
+                         lambda s: -0.8 * np.sin(4.0 * np.asarray(s)),
+                         lambda s: -3.2 * np.cos(4.0 * np.asarray(s)))
+    metric = eq.InvariantMetric(base=eq.wps_profile(2, 3), ell=ell, F=eq.wps_density_field(2, 3))
+    scaled = eq.scale_metric(metric, c)
+    for name, field in (("ell", scaled.ell), ("F", scaled.F)):
+        got = tuple(float(f(0.9 * c)).hex() for f in (field.value, field.d1, field.d2))
+        assert got == SCALED_FIELDS_HEX[c][name], name
+
+
 def test_scaling_preserves_chern(hopf):
     norms0 = eq.omega_norms(hopf)
     norms1 = eq.omega_norms(eq.scale_metric(hopf, 2.0))

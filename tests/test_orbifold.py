@@ -198,6 +198,24 @@ def test_metric_scaling_of_base(name):
         )
 
 
+# (phi, phi', phi'') at s = 0.9 c, by float.hex, of wps(2, 3) scaled by c and
+# of the round sphere of radius c: one chain rule builds both
+SCALED_PHI_HEX = {
+    0.37: {"wps23": ("0x1.2efc5ef19128ep-4", "-0x1.7012bd93322adp-7", "-0x1.196ef59c90bb1p+1"),
+           "sphere": ("0x1.28c9723f362e8p-2", "0x1.3e43a9692e21cp-1", "-0x1.0efd1ff2a8671p+1")},
+    7.0: {"wps23": ("0x1.6642a0b264b90p+0", "-0x1.7012bd93322adp-7", "-0x1.dc064920398e5p-4"),
+          "sphere": ("0x1.5eee32551f339p+2", "0x1.3e43a9692e21cp-1", "-0x1.ca5baf7467726p-4")},
+}
+
+
+@pytest.mark.parametrize("c", sorted(SCALED_PHI_HEX))
+def test_scaled_profiles_keep_their_bits(c):
+    for name, base in (("wps23", eq.wps_profile(2, 3).scaled(c)),
+                       ("sphere", eq.make_round_sphere(c))):
+        got = tuple(float(f(0.9 * c)).hex() for f in (base.phi, base.phi_d1, base.phi_d2))
+        assert got == SCALED_PHI_HEX[c][name], name
+
+
 # ---------------------------------------------------------------------------
 # sampled profiles
 # ---------------------------------------------------------------------------
@@ -225,6 +243,20 @@ def test_profile_from_samples_validation():
     with pytest.raises(ValueError):
         # slopes are pi, not matching cone orders (1, 1) at slope 1
         eq.profile_from_samples(s, phi, 1, 1)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e3, 1e4, 1e6])
+def test_profile_samples_in_any_units_are_the_same_profile(c):
+    # the poles hold phi = c sin(pi) (1 + ...), 1.2e-12 and more from c = 1e4;
+    # they are judged against max|phi|, so the units of the samples do not matter
+    s = np.linspace(0.0, math.pi, 201)
+    phi = bump_sphere().phi(s)
+    base = eq.profile_from_samples(c * s, c * phi, 1, 1)
+    unit = eq.profile_from_samples(s, phi, 1, 1)
+    assert eq.area(base) == pytest.approx(c * c * eq.area(unit), rel=1e-14)
+    assert eq.gauss_bonnet_check(base) == pytest.approx(2.0, abs=1e-12)
+    with pytest.raises(ValueError, match="vanish at both poles"):
+        eq.profile_from_samples(c * s, c * (phi + 1e-9), 1, 1)
 
 
 @pytest.mark.parametrize("orders", [(0, 1), (1, 0), (-1, 1), (1.5, 1.5)])

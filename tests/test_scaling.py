@@ -92,20 +92,20 @@ def test_collapse_bounds_zero_density():
 
 
 # collapse_bounds(FlatTorusBase(1, 1), F, ell) and the lower bounds of
-# ell_scan on the ladder (1e-3, 0.05, 1, 2), by float.hex, as they read when
-# the bound still added the torus's base term ||2K||_{3/2} = 0.0 ** (2/3)
+# ell_scan on the ladder (1e-3, 0.05, 1, 2), by float.hex: each scan row is
+# collapse_bounds's lower bound at its fiber length, and ell = 2 > 1 has none
 TORUS_COLLAPSE_HEX = {
     "one": (
         {1.0: ("-0x1.730379caabb36p+2", "-0x1.730379caabb35p+2"),
          0.05: ("-0x1.01d05fd36efc4p-9", "-0x1.92d595ba5d69ep-1"),
          1e-3: ("-0x1.f1f74b5eddcb9p-25", "-0x1.dae5ba9d04bccp-5")},
-        ("-0x1.dae5ba9d04bcap-5", "-0x1.92d595ba5d69ep-1", "-0x1.730379caabb35p+2", "nan"),
+        ("-0x1.dae5ba9d04bccp-5", "-0x1.92d595ba5d69ep-1", "-0x1.730379caabb35p+2", "nan"),
     ),
     "cos": (
         {1.0: ("-0x1.730379caabb35p+1", "-0x1.a3100f463a2a8p+1"),
          0.05: ("-0x1.01d05fd36efc4p-10", "-0x1.c701274ec9f0fp-2"),
          1e-3: ("-0x1.f1f74b5eddcb7p-26", "-0x1.0c333cf9bed3ap-5")},
-        ("-0x1.0c333cf9bed39p-5", "-0x1.c701274ec9f0fp-2", "-0x1.a3100f463a2a8p+1", "nan"),
+        ("-0x1.0c333cf9bed3ap-5", "-0x1.c701274ec9f0fp-2", "-0x1.a3100f463a2a8p+1", "nan"),
     ),
 }
 
@@ -125,6 +125,30 @@ def test_torus_collapse_bounds_keep_their_bits(name):
         assert tuple(v.hex() for v in got) == expected, ell
     table = eq.ell_scan(eq.FlatTorusBase(1.0, 1.0), F, [1e-3, 0.05, 1.0, 2.0])
     assert tuple(float(v).hex() for v in table.lower) == scan
+
+
+@pytest.mark.parametrize("name", ["one", "cos", "sphere"])
+def test_scan_rows_equal_the_closed_forms_to_the_bit(name):
+    # each row is computed at its own fiber length as a number, so its J and
+    # lower bound are functional_J_closed's and collapse_bounds's on every CPU
+    k = 2.0 * math.pi
+    base = eq.make_round_sphere(1.0) if name == "sphere" else eq.FlatTorusBase(1.0, 1.0)
+    F = 1.0 if name != "cos" else eq.RadialField(
+        lambda s: np.cos(k * np.asarray(s)),
+        lambda s: -k * np.sin(k * np.asarray(s)),
+        lambda s: -k * k * np.cos(k * np.asarray(s)),
+    )
+    ladder = [1e-3, 0.05, 0.3, 1.0]
+    table = eq.ell_scan(base, F, ladder)
+    assert [v.hex() for v in table.J.tolist()] == [
+        eq.functional_J_closed(base, F, ell).hex() for ell in ladder
+    ]
+    if name == "sphere":
+        assert table.lower is None
+    else:
+        assert [v.hex() for v in table.lower.tolist()] == [
+            eq.collapse_bounds(base, F, ell)[1].hex() for ell in ladder
+        ]
 
 
 def test_collapse_bounds_regime_errors(half_sphere, torus_metric):
