@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -25,10 +24,12 @@ from .errors import NonFinite
 from .numerics import _DEFAULT_CONFIG, QuadratureConfig, _interpolant, _sampled_series
 from .numerics import _with_dips, sign_change_roots, trig_series
 from .orbifold import (
+    _GRID_LEVEL,
     Base,
     _chain_rule,
     _norm_reports,
     _plan_level,
+    _rule,
     gauss_curvature,
     integrate_over_base,
     quadrature_nodes,
@@ -123,6 +124,16 @@ class InvariantMetric:
     may be given as anything `as_radial_field` reads and are kept as the
     `RadialField`s it returns.
 
+    ell must be positive at the 511 nodes of the base plan's Galerkin grid
+    (`orbifold._GRID_LEVEL`), the points where every check on a base reads
+    its field; they include every node an integral's first levels read, the
+    nearest 9.4e-6 L from either end (ValueError otherwise).  On a base with
+    cone poles, the slope of ell or F at a pole must be small against its
+    largest slope at the same nodes (a warning otherwise), and the nodes are
+    read only past pole slopes of 5e-14, below which it cannot fire.  A
+    constant field is not evaluated, so the grid is built only for a field
+    that is.
+
     `_nodes` keeps, per level of the base's plan, ell, K, F and the total
     scalar curvature at that level's node array (`_node_values`), computed
     on first use; like a base's plan it is out of the repr and of
@@ -136,29 +147,32 @@ class InvariantMetric:
     def __post_init__(self) -> None:
         for name in ("ell", "F"):
             object.__setattr__(self, name, as_radial_field(getattr(self, name), self.base))
-        # a field whose `constant` is set is not evaluated: its slopes are zero
-        probe, poles = _probes(self.base.length, bool(self.base.cone_orders))
-        ell = self.ell
+        # a field whose `constant` is set is not evaluated: its slopes are
+        # zero, and the grid is fetched only for a field that is
+        ell, base = self.ell, self.base
         if ell.constant is None:
-            nonpositive = np.any(np.asarray(ell.value(probe), dtype=float) <= 0.0)
+            values = ell.value(_rule(base, _GRID_LEVEL)[0])
+            nonpositive = np.any(np.asarray(values, dtype=float) <= 0.0)
         else:
-            nonpositive = ell.constant <= 0.0  # the probe's comparison: NaN passes
+            nonpositive = ell.constant <= 0.0  # the grid's comparison: NaN passes
         if nonpositive:
             raise ValueError("fiber length must be strictly positive on the base")
-        if poles is not None:
+        if base.cone_orders:
             # invariant data must be smooth across the poles: the radial
             # derivative must vanish there, so the slope at a pole should be
             # a small fraction of the field's interior slope scale.  Only an
             # interior slope above 1e-12 counts, so pole slopes of at most
             # 0.05 times that pass whatever the interior holds: the interior
-            # is probed only past them
+            # is read only past them
+            poles = np.array([0.0, base.length])
             for field, name in ((ell, "ell"), (self.F, "F")):
                 if field.constant is not None:
                     continue
                 pole_slope = float(np.abs(np.asarray(field.d1(poles), dtype=float)).max())
                 if pole_slope <= 0.05 * 1e-12:
                     continue
-                interior = np.abs(np.asarray(field.d1(probe), dtype=float)).max()
+                grid = _rule(base, _GRID_LEVEL)[0]
+                interior = np.abs(np.asarray(field.d1(grid), dtype=float)).max()
                 if interior <= 1e-12:
                     continue
                 if pole_slope > 0.05 * interior:
@@ -168,22 +182,6 @@ class InvariantMetric:
                         "on the orbifold",
                         stacklevel=2,
                     )
-
-
-@lru_cache(maxsize=64)
-def _probes(length: float, poles: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """The read-only points where `InvariantMetric` checks its fields on a
-    base of this length: 257 from end to end (inset by 1e-6 L where there
-    are poles) for the sign of ell and the interior slopes, and, where there
-    are poles, the two poles for the pole slopes."""
-    inset = 1e-6 if poles else 0.0  # no poles: probe end to end
-    probe = np.linspace(inset * length, length * (1.0 - inset), 257)
-    probe.flags.writeable = False
-    if not poles:
-        return probe, None
-    ends = np.array([0.0, length])
-    ends.flags.writeable = False
-    return probe, ends
 
 
 @dataclass(frozen=True)
@@ -327,17 +325,24 @@ def _compute_norms(base: Base, field: RadialField, cfg: QuadratureConfig) -> Nor
     (`numerics._with_dips`); a shallower dip is not seen, and the integral
     refines across its kinks only where the nested levels disagree; a
     constant F (`RadialField.constant`) has no root, and none is sought.
-    An F past `_F_MAX` at a first-level node, where the row (sqrt2 |F|)^3
-    overflows, raises NonFinite naming F and its size before any row is
-    formed; a NaN F goes on to the quadrature's own NonFinite.
+    An F past `_F_MAX` at a node the integral reads, where the row
+    (sqrt2 |F|)^3 overflows, raises NonFinite naming F and the largest |F|
+    read before that node array's rows are formed, and so does an F whose
+    integrals leave the doubles although every node is within the bound
+    (the level sums of `integrate` raise NonFinite for them, with no numpy
+    warning); a NaN F goes on to the quadrature's own NonFinite.
     """
     F = field.value
     sqrt2 = math.sqrt(2.0)
     nodes = quadrature_nodes(base)
     f_nodes = F(nodes)
-    f_max = np.abs(f_nodes).max()
-    if f_max > _F_MAX:  # NaN fails the comparison
-        raise NonFinite(f"the curvature density F reaches |F| = {f_max:.3e}: out of scale")
+    read = [np.abs(f_nodes).max()]  # the largest |F| at each node array read
+
+    def out_of_scale() -> NonFinite:
+        return NonFinite(f"the curvature density F reaches |F| = {max(read):.3e}: out of scale")
+
+    if read[0] > _F_MAX:  # NaN fails the comparison
+        raise out_of_scale()
     roots = ()  # a constant F has no root
     if field.constant is None:
         x, fx = nodes, f_nodes
@@ -355,12 +360,22 @@ def _compute_norms(base: Base, field: RadialField, cfg: QuadratureConfig) -> Nor
         out = np.empty((4, np.size(s)))
         l1, l2, l3, chern = out
         chern[:] = f_nodes if s is nodes else F(s)
-        np.multiply(sqrt2, np.abs(chern, out=l1), out=l1)
+        np.abs(chern, out=l1)
+        if s is not nodes:
+            read.append(l1.max())
+            if read[-1] > _F_MAX:
+                raise out_of_scale()
+        np.multiply(sqrt2, l1, out=l1)
         np.multiply(2.0, np.square(chern, out=l2), out=l2)
         np.power(l1, 3, out=l3)
         return out
 
-    l1, l2sq, l3, chern = integrate_over_base(base, rows, cfg, breaks=roots)
+    try:
+        l1, l2sq, l3, chern = integrate_over_base(base, rows, cfg, breaks=roots)
+    except NonFinite as exc:
+        if np.isnan(read).any():  # F itself is not a number: the quadrature's message
+            raise
+        raise out_of_scale() from exc
     return NormReport(
         omega_L1=l1.value,
         omega_L2_sq=l2sq.value,

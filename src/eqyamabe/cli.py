@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -413,13 +414,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as the CLI prints it: `warning: <message>`, with no source
+    path, line number or source line."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  A library warning that is
+    shown goes to stderr as one `warning: <message>` line; Python's format
+    is restored on return, and a caller recording warnings still sees them."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 on --help/--version
         return int(exc.code or 0)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _one_line
     try:
         return args.func(args)
     except UsageError as exc:
@@ -431,6 +442,8 @@ def main(argv=None) -> int:
     except (NumericalError, EqYamabeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -56,7 +56,7 @@ from .bundle import (
 )
 from .errors import NoConvergence, NonPositiveFactor, NonpositiveChi, NotMeanZero, NumericalError
 from .numerics import _EPS, _FIRST_LEVEL, QuadratureConfig, _chop, _fejer_rule, trig_series
-from .orbifold import Base, _rule, area, chi_orb, gauss_curvature
+from .orbifold import _GRID_LEVEL, Base, _rule, area, chi_orb, gauss_curvature
 
 __all__ = [
     "MinimizerConfig",
@@ -158,11 +158,14 @@ class MinimizeResult:
     discrete objective values of the iteration itself (non-increasing by
     construction).  `stop_reason` is "tolerance" (the predicted decrease fell
     below decrease_tol), "no_decrease" (no step decreased J at rounding
-    level) or "budget" (max_iterations ran out), and `modes` is the final
-    basis size.  Every stage of the run comes from one builder (`_stage`),
-    and the result keeps the last stage the descent ran on, its basis, node
-    data and matrices, as the private `_stage`, and the final coefficients
-    on its basis as `_coeffs`, both out of the repr.  `u_star`, a
+    level), "basis_cap" (the last stage ended by either of those, but its
+    tail was not negligible and the next doubling would pass
+    min(max_modes, 256): u* is not resolved by the basis, although mu_upper
+    is still an upper bound) or "budget" (max_iterations ran out), and
+    `modes` is the final basis size.  Every stage of the run comes from one
+    builder (`_stage`), and the result keeps the last stage the descent ran
+    on, its basis, node data and matrices, as the private `_stage`, and the
+    final coefficients on its basis as `_coeffs`, both out of the repr.  `u_star`, a
     `RadialField`, is the series of those coefficients (`_Basis.series`),
     built on first read and the same object on every later read.  A result
     equals only itself: `trace` is an array, and no two runs are compared
@@ -185,11 +188,11 @@ class MinimizeResult:
 
 # The Galerkin grids are levels of the library's Fejér rule, and the base's
 # plan keeps their nodes and the base's values there.  The Poisson solve runs
-# on level 512 (511 nodes); a minimizer stage of m modes on level
-# clamp(4m, 128, 512) (`_level`), so the first level of `integrate` serves up
-# to 32 modes.  Both solves double their basis up to half of level 512, past
-# which the products in their matrices alias on the nodes.
-_GRID_LEVEL = 512
+# on level 512 (`orbifold._GRID_LEVEL`, 511 nodes); a minimizer stage of m
+# modes on level clamp(4m, 128, 512) (`_level`), so the first level of
+# `integrate` serves up to 32 modes.  Both solves double their basis up to
+# half of level 512, past which the products in their matrices alias on the
+# nodes.
 _MAX_MODES = _GRID_LEVEL // 2
 
 # Basis size of a first stage; a descent's max_modes caps it and every doubling.
@@ -475,7 +478,8 @@ def minimize_conformal(
     g.H^{-1}g <= decrease_tol * max(1, |J|) or no step decreases J; then,
     while the tail past sqrt(eps) times the largest coefficient is not
     negligible (`_refinable`) and 2m <= min(max_modes, 256), m doubles and the
-    same trace continues, on a finer level where 4m asks for one.  If the
+    same trace continues, on a finer level where 4m asks for one; where 2m
+    would pass that cap, the run stops with stop_reason "basis_cap".  If the
     iteration budget runs out, the last iterate is returned with converged=False.
     mu_upper is read off the last stage's grid (see `MinimizeResult`).  The
     node weights and the scalar curvature at the nodes, each stage's start J
@@ -509,7 +513,10 @@ def minimize_conformal(
     trace: list[float] = []
     while True:
         c, stop = _descend(stage, c, trace, cfg)
-        if stop == "budget" or not _refinable(c, min(cfg.max_modes, _MAX_MODES)):
+        if stop == "budget" or not _refinable(c, math.inf):
+            break
+        if 2 * m > min(cfg.max_modes, _MAX_MODES):
+            stop = "basis_cap"  # the tail is not negligible, but the basis may not double
             break
         m *= 2
         c = np.concatenate([c, np.zeros(m - c.size)])

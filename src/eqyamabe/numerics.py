@@ -53,6 +53,7 @@ _RICHARDSON_RATIO = 10.0
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 _EPS = float(np.finfo(float).eps)
+_DBL_MAX = float(np.finfo(float).max)
 _SQRT_EPS = float(np.sqrt(_EPS))
 
 # step budget of `sign_change_roots`; from its interpolated start a simple
@@ -141,7 +142,9 @@ def _refine(
     level's, where the caller keeps them.
 
     Each row of f stops at the first level where its own values agree.
-    Returns whether f gave rows and one `IntegralResult` per row.
+    Returns whether f gave rows and one `IntegralResult` per row.  A value
+    of a row still wanted that is not finite, and a level sum of one that
+    leaves the doubles, raise NonFinite, with no numpy warning from the sums.
     """
     pieces = len(edges) - 1
     # a level's value per row: the sum over the pieces of (vals @ w) * half,
@@ -160,6 +163,19 @@ def _refine(
     n = _FIRST_LEVEL
     if nodes is None:
         nodes = _fejer_nodes(edges, n, 1)
+    # the weights of every level are positive and sum to the length of their
+    # piece, so no level sum can leave the doubles while every value is
+    # within this; past it the sums are formed without a warning and checked
+    within = _DBL_MAX / (2.0 * max(2.0, edges[-1] - edges[0]))
+
+    def level_sums(vals, n, coarse):
+        # the level-n value per row, and the level-n/2 one at every second
+        # node unless given; row by row, so a row's value does not depend on
+        # the other rows
+        if coarse is None:
+            coarse = total(vals[:, :, 1::2] @ _fejer_weights(n // 2))
+        return coarse, total(vals @ _fejer_weights(n))
+
     vals = wanted = None  # None: every row is wanted
     results: list[IntegralResult | None] = []
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
@@ -167,23 +183,28 @@ def _refine(
         new = np.asarray(f(nodes), dtype=float)
         multi = new.ndim == 2
         new = new if multi else new[None]
-        checked = new if wanted is None else new[wanted]  # a stopped row may go non-finite
-        if not np.isfinite(checked).all():
-            bad = ~np.isfinite(checked).all(axis=0)
-            raise NonFinite(f"integrand returned non-finite values near x={nodes[bad][:3]}")
+        large = not float(np.abs(new).max()) <= within  # NaN too
+        if large:
+            checked = new if wanted is None else new[wanted]  # a stopped row may go non-finite
+            if not np.isfinite(checked).all():
+                bad = ~np.isfinite(checked).all(axis=0)
+                raise NonFinite(f"integrand returned non-finite values near x={nodes[bad][:3]}")
         new = new.reshape(len(new), pieces, -1)
         if vals is None:
-            vals = new
-            # level n / 2 sits at every second node; row by row, so a row's
-            # value does not depend on the other rows
-            coarse = total(vals[:, :, 1::2] @ _fejer_weights(n // 2))
+            vals, coarse = new, None
             wanted, results = range(len(vals)), [None] * len(vals)
         else:
             merged = np.empty(vals.shape[:2] + (2 * n - 1,))
             merged[:, :, 0::2] = new
             merged[:, :, 1::2] = vals
             vals, coarse, n = merged, values, 2 * n
-        values = total(vals @ _fejer_weights(n))
+        if large:
+            with np.errstate(over="ignore", invalid="ignore"):
+                coarse, values = level_sums(vals, n, coarse)
+            if not all(math.isfinite(values[i]) and math.isfinite(coarse[i]) for i in wanted):
+                raise NonFinite("a level sum of the integral is not finite: out of scale")
+        else:
+            coarse, values = level_sums(vals, n, coarse)
         errors = [abs(v - c) for v, c in zip(values, coarse)]
         for i in wanted:
             # with no refinement allowed, the first level stands with its estimate

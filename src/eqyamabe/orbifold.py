@@ -106,7 +106,9 @@ class _Plan:
 
     `rules` maps a level n of the Fejér rule on [0, L] to its read-only
     nodes and weights (`_rule`): levels 128 (the first), 256 and 512 (the
-    Galerkin grids), and others where a minimizer's functional needs them;
+    Galerkin grids; the nodes of 512 are also where every check reads a
+    field, see `_GRID_LEVEL`), and others where a minimizer's functional
+    needs them;
     `values` maps (member, n) to a base member's read-only values at the
     nodes of level n; `areas` maps a config to the base's area (`area`);
     `norms` maps a curvature density F, weakly, to its
@@ -267,14 +269,15 @@ def _sine_profile(
     """The profile sum_k b_k sin(k pi s / L) of `trig_series` coefficients
     c_k = -i b_k.  Its pole slopes, read exactly from them as
     phi'(0) = sum (k pi / L) b_k and phi'(L) = sum (-1)^k (k pi / L) b_k, must
-    be 1/m_start and -1/m_end to 1e-6, and phi must be positive at 65
-    interior points; else ValueError.  The profile, built first, checks its
-    cone orders."""
+    be 1/m_start and -1/m_end to 1e-6, and phi must be positive at the 511
+    nodes of the Galerkin grid (`_GRID_LEVEL`), where its values are kept in
+    the plan; else ValueError.  The profile, built first, checks its cone
+    orders."""
     phi = trig_series(c, math.pi / length)
     profile = ConeSurfaceProfile(float(length), m_start, m_end, *phi, label)
     slopes = np.arange(c.size) * (math.pi / length) * -c.imag  # per mode, at s = 0
     start, end = float(slopes.sum()), float(slopes[::2].sum() - slopes[1::2].sum())
-    if np.any(phi[0](np.linspace(0.0, length, 67)[1:-1]) <= 0.0):
+    if np.any(profile.density(_rule(profile, _GRID_LEVEL)[0]) <= 0.0):
         raise ValueError("profile must be strictly positive between the poles")
     if abs(start - 1.0 / m_start) > _SLOPE_TOL or abs(end + 1.0 / m_end) > _SLOPE_TOL:
         raise ValueError(
@@ -412,6 +415,13 @@ def _sine_fit(s: np.ndarray, p: np.ndarray, length: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # quadrature plan
 # ---------------------------------------------------------------------------
+
+# The Galerkin grid of `conformal`: level 512, whose 511 nodes hold every node
+# of levels 128 and 256.  It is also the one set of points where the library
+# checks a field on a base: the sign and slopes of ell and F
+# (`bundle.InvariantMetric`), the sign of a conformal factor
+# (`yamabe.conformal_functional`) and of a profile (`_sine_profile`).
+_GRID_LEVEL = 512
 
 def _rule(base: Base, level: int) -> tuple[np.ndarray, np.ndarray]:
     """The read-only nodes and weights of a level of the Fejér rule on

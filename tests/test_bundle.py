@@ -374,15 +374,16 @@ def _pole_check_field(kind, length):
     [
         ("series", [2], False),  # its pole slopes are rounding: the interior is not read
         ("flat", [2], False),
-        ("big_cosine", [2, 257], False),  # pole slopes past 5e-14, but small against the interior's
-        ("ramp", [2, 257], True),
-        ("big_ramp", [2, 257], True),
+        ("big_cosine", [2, 511], False),  # pole slopes past 5e-14, but small against the interior's
+        ("ramp", [2, 511], True),
+        ("big_ramp", [2, 511], True),
     ],
     ids=["series", "flat", "big_cosine", "ramp", "big_ramp"],
 )
 def test_pole_check_reads_the_poles_before_the_interior(role, base, kind, points, warns):
-    # the pole slopes are read first; the 257 interior slopes only when a pole
-    # slope exceeds 0.05 * 1e-12, below which the check cannot fire
+    # the pole slopes are read first; the slopes at the 511 nodes of the
+    # Galerkin grid, where every check on a base reads its field, only when a
+    # pole slope exceeds 0.05 * 1e-12, below which the check cannot fire
     base = {"wps23": eq.wps_profile(2, 3), "sphere": eq.make_round_sphere(1.0)}[base]
     handed = []
     fields = {"ell": eq.RadialField.const(1.0), "F": eq.RadialField.const(1.0)}

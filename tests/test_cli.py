@@ -436,6 +436,38 @@ def test_bound_of_an_out_of_scale_F_names_it(capsys, tmp_path, warn, F):
     assert not seen and not out_path.exists() and out == ""
 
 
+def _bump_between_nodes():
+    # 1 + 1e103 g, g a Gaussian of width 0.01 midway between two first-level
+    # nodes of the unit sphere: |F| stays below 4.0e102 at every first-level
+    # node and passes it at the next level's node between them
+    s = np.linspace(0.0, math.pi, 2049)
+    nodes = math.pi * np.sin(np.arange(63, 65) * math.pi / 256.0) ** 2
+    mid = 0.5 * (nodes[0] + nodes[1])
+    return {"type": "samples", "values": (1.0 + 1e103 * np.exp(-(((s - mid) / 0.01) ** 2))).tolist()}
+
+
+@pytest.mark.parametrize("warn", ["always", "error"])
+@pytest.mark.parametrize("F", [3.2e102, 3.5e102, 3.99e102, "bump"])
+def test_bound_whose_norm_integrals_leave_the_doubles_names_F(capsys, tmp_path, warn, F):
+    # every first-level node is within the bound, but the level sums of
+    # (sqrt2 |F|)^3 leave the doubles, or |F| passes the bound at a node of
+    # the next level: NonFinite naming F, with no numpy warning (they warned
+    # and ended in "did not reach tolerance ... nan", or a traceback under
+    # -W error::RuntimeWarning)
+    field = _bump_between_nodes() if F == "bump" else {"type": "constant", "value": F}
+    out_path = tmp_path / "report.json"
+    path = _sphere_model(tmp_path, "sphere", 1.0, field)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(warn, RuntimeWarning)
+        code, out, err = run(capsys, ["bound", "--model", path, "--out", str(out_path)])
+    assert code == 3
+    prefix = "numerical failure: the curvature density F reaches |F| = "
+    assert err.startswith(prefix) and err.endswith(": out of scale\n")
+    size = float(err[len(prefix):-len(": out of scale\n")])
+    assert size > 4.0e102 if F == "bump" else size == float(f"{F:.3e}")
+    assert not seen and not out_path.exists() and out == ""
+
+
 @pytest.mark.parametrize("warn", ["default", "error"])
 @pytest.mark.parametrize(
     "ell, F, message",
@@ -896,3 +928,39 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_library_warning_is_one_line_on_stderr(tmp_path):
+    # the bump-sphere profile with F = 0.3 has c1 = 0.64: the fractional
+    # Chern warning was printed with the source path, line number and line
+    s = np.linspace(0.0, math.pi, 201)
+    phi = np.sin(s) * (1.0 + 0.1 * np.sin(s) ** 2)
+    phi[0] = phi[-1] = 0.0
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({
+        "base": {"type": "profile", "samples": np.column_stack([s, phi]).tolist(),
+                 "m_start": 1, "m_end": 1},
+        "ell": {"type": "constant", "value": 1.0},
+        "F": {"type": "constant", "value": 0.3},
+    }))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "eqyamabe.cli", "bound", "--model", str(path)],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "warning: curvature density has non-integral Chern data: 1 * 0.640000 "
+        "is not close to an integer\n"
+    )
+
+
+def test_main_restores_the_warning_format_and_leaves_warnings_seen(tmp_path):
+    path = hopf_model(tmp_path)
+    before = warnings.formatwarning
+    with pytest.warns(UserWarning, match="Chern"):
+        spec = json.loads(Path(path).read_text())
+        spec["F"]["value"] = 2.5
+        Path(path).write_text(json.dumps(spec))
+        assert main(["bound", "--model", path, "--out", str(tmp_path / "r.json")]) == 0
+    assert warnings.formatwarning is before

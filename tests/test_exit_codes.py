@@ -1,0 +1,120 @@
+"""The CLI's exit-code contract on the whole documented input domain: every
+model command exits 0, 2, 3 or 4, raises nothing out of `cli.main`, lets no
+numpy RuntimeWarning escape (an error here), and writes a report that is
+strict JSON.  Models are drawn on every base type, with constant and sampled
+fiber lengths and curvature densities from 1e-12 to 1e12 in magnitude, and
+the same model is written in units c, log-uniform in [1e-6, 1e6]."""
+
+from __future__ import annotations
+
+import json
+import math
+import time
+import warnings
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from eqyamabe import cli
+
+COMMANDS = (["functional"], ["bound"], ["minimize"], ["laplace"], ["scan", "--ell", "scan:0.5:4:4"])
+# the slowest known call, `minimize` in units 1e4, takes 1.1-1.5 s
+WALL_BUDGET_S = 3.0
+
+magnitudes = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
+units = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+
+
+def _reject(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@st.composite
+def bases(draw):
+    """A base in its own units as a model dict, its length, and whether its
+    size scales with the units (every base but the weighted quotient)."""
+    kind = draw(st.sampled_from(["wps", "round_sphere", "uniform", "nonuniform", "flat_torus"]))
+    if kind == "wps":
+        m1, m2 = draw(st.integers(1, 2000)), draw(st.integers(1, 2000))
+        if math.gcd(m1, m2) != 1:
+            m2 = 1
+        return {"type": "wps", "m1": m1, "m2": m2}, 0.5 * math.pi, False
+    if kind == "round_sphere":
+        radius = draw(st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+        return {"type": "round_sphere", "radius": radius}, math.pi * radius, True
+    if kind == "flat_torus":
+        length, radius = draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0))
+        return {"type": "flat_torus", "length": length, "radius": radius}, length, True
+    n = draw(st.integers(17, 257))
+    if kind == "uniform":
+        s = np.linspace(0.0, math.pi, n)
+    else:
+        drawn = np.random.default_rng(draw(st.integers(0, 2**16))).uniform(0.0, math.pi, n - 2)
+        s = np.concatenate([[0.0], np.sort(drawn), [math.pi]])
+    phi = np.sin(s) * (1.0 + draw(st.floats(0.0, 0.3)) * np.sin(s) ** 2)
+    phi[0] = phi[-1] = 0.0
+    samples = np.column_stack([s, phi])
+    return {"type": "profile", "samples": samples, "m_start": 1, "m_end": 1}, math.pi, True
+
+
+@st.composite
+def fields(draw, length, periodic, positive):
+    """A constant or a sampled field on [0, length], as a model dict."""
+    mag = draw(magnitudes)
+    sign = 1.0 if positive else draw(st.sampled_from([1.0, -1.0]))
+    if draw(st.booleans()):
+        return {"type": "constant", "value": sign * mag}
+    n = draw(st.integers(5, 65))
+    s = np.linspace(0.0, length, n)
+    wave = np.cos((2.0 if periodic else 1.0) * math.pi * s / length)
+    offset = draw(st.floats(1.5, 3.0)) if positive else draw(st.floats(-1.5, 1.5))
+    return {"type": "samples", "values": sign * mag * (offset + wave)}
+
+
+@st.composite
+def models(draw):
+    """A model file written in units c: lengths times c, ell times c and F
+    over c^2 (a weighted quotient keeps its own units)."""
+    base, length, scales = draw(bases())
+    periodic = base["type"] == "flat_torus"
+    ell = draw(fields(length, periodic, positive=True))
+    if base["type"] == "wps" and draw(st.booleans()):
+        F = {"type": "wps"}
+    else:
+        F = draw(fields(length, periodic, positive=False))
+    c = draw(units) if scales else 1.0
+    base = dict(base)
+    for key in ("radius", "length"):
+        if key in base:
+            base[key] = base[key] * c
+    if "samples" in base:
+        base["samples"] = base["samples"] * c
+    for field, power in ((ell, 1), (F, -2)):
+        if "value" in field:
+            field["value"] = field["value"] * c**power
+        if "values" in field:
+            field["values"] = field["values"] * c**power
+    model = {"base": base, "ell": ell, "F": F}
+    return json.loads(json.dumps(model, default=lambda a: a.tolist()))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(model=models(), command=st.sampled_from(COMMANDS))
+def test_every_model_command_keeps_the_exit_code_contract(tmp_path_factory, model, command):
+    tmp = tmp_path_factory.mktemp("model")
+    path, out = tmp / "model.json", tmp / "report.json"
+    path.write_text(json.dumps(model))
+    argv = [command[0], "--model", str(path), *command[1:], "--out", str(out)]
+    started = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a fractional Chern number, say
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(argv)
+    assert time.perf_counter() - started <= WALL_BUDGET_S, argv
+    assert code in (0, 2, 3, 4), argv
+    if code == 0:
+        json.loads(out.read_text(), parse_constant=_reject)
+    else:
+        assert not out.exists(), argv

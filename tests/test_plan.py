@@ -578,3 +578,88 @@ def test_out_of_scale_data_raises_alike_in_any_order():
                 assert [outcome(name, metric) for name in order] == [alone[n] for n in order]
             assert not overflowing()._nodes
     assert alone["minimize"][0] == "NumericalError"
+
+
+def _dip(length):
+    """1 - 2 g, g a Gaussian of width 3e-4 L at the first-level node
+    L sin^2(4 pi / 256): -1 at that node, 1 at every point of a uniform
+    grid of 257 or 513 points."""
+    s4, w = length * math.sin(4.0 * math.pi / 256.0) ** 2, 3e-4 * length
+
+    def g(s):
+        return np.exp(-(((np.asarray(s, dtype=float) - s4) / w) ** 2))
+
+    def d1(s):
+        return 4.0 * (np.asarray(s, dtype=float) - s4) / w**2 * g(s)
+
+    def d2(s):
+        x = (np.asarray(s, dtype=float) - s4) / w
+        return -2.0 * (4.0 * x**2 - 2.0) / w**2 * g(s)
+
+    return eq.RadialField(lambda s: 1.0 - 2.0 * g(s), d1, d2)
+
+
+def test_a_fiber_length_negative_at_a_first_level_node_is_refused():
+    # the old check read 257 uniform points, none of them near the node, and
+    # functional_J then returned 27.606681902646205
+    base = eq.make_round_sphere(1.0)
+    ell = _dip(base.length)
+    assert ell.value(orbifold.quadrature_nodes(base)).min() == pytest.approx(-1.0)
+    with pytest.raises(ValueError, match="fiber length must be strictly positive"):
+        eq.InvariantMetric(base=base, ell=ell, F=eq.RadialField.const(1.0))
+
+
+def test_a_factor_negative_at_a_first_level_node_is_refused():
+    # the old check read the interior of linspace(0, L, 513), and the
+    # functional then returned 4745.578372770309
+    hopf = eq.hopf_metric()
+    with pytest.raises(eq.errors.NonPositiveFactor):
+        eq.conformal_functional(hopf, _dip(hopf.base.length))
+
+
+def _handed(field, seen):
+    def value(s):
+        seen.append(s)
+        return field.value(s)
+
+    def d1(s):
+        seen.append(s)
+        return field.d1(s)
+
+    return eq.RadialField(value, d1, field.d2)
+
+
+def test_every_check_reads_the_plan_galerkin_grid(monkeypatch):
+    # ell's sign and slopes, u's sign and phi's sign are all read at the
+    # plan's own array of level 512, the nodes the Galerkin solves read
+    base = eq.wps_profile(2, 3)
+    grid = orbifold._rule(base, orbifold._GRID_LEVEL)[0]
+    ramp = eq.RadialField(lambda s: 1.0 + 0.3 * np.asarray(s), lambda s: np.full_like(s, 0.3),
+                          lambda s: np.zeros_like(s))
+    seen = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the ramp is not flat at the poles
+        metric = eq.InvariantMetric(base=base, ell=_handed(ramp, seen), F=1.0)
+    assert [s is grid for s in seen] == [True, False, True]  # sign, the poles, slopes
+    seen.clear()
+    eq.conformal_functional(metric, _handed(ramp, seen))
+    assert seen[0] is grid
+
+    c = np.zeros(4, dtype=complex)
+    c[1] = -1j  # sin(pi s / pi): the unit sphere
+    sampled = []
+    original = orbifold.trig_series
+
+    def handing(coeffs, omega):
+        phi, d1, d2 = original(coeffs, omega)
+        return (lambda s: sampled.append(s) or phi(s)), d1, d2
+
+    monkeypatch.setattr(orbifold, "trig_series", handing)
+    profile = orbifold._sine_profile(c, math.pi, 1, 1, "unit")
+    assert len(sampled) == 1 and sampled[0] is orbifold._rule(profile, orbifold._GRID_LEVEL)[0]
+
+
+def test_no_grid_is_built_for_constant_fields():
+    torus = eq.FlatTorusBase(length=1.0, radius=1.0)
+    eq.InvariantMetric(base=torus, ell=0.5, F=1.0)
+    assert orbifold._GRID_LEVEL not in torus._plan.rules
