@@ -195,11 +195,6 @@ class NormReport:
     chern_number: float
 
 
-# past DBL_MAX^(1/3) / sqrt2, about 4.0e102, the row (sqrt2 |F|)^3 of
-# `_compute_norms` overflows (from a few ulps on)
-_F_MAX = float(np.finfo(float).max) ** (1.0 / 3.0) / math.sqrt(2.0)
-
-
 def _laplacian_of(field: RadialField, base: Base, s):
     """Nonnegative radial Laplacian -(phi f')'/phi = -(phi'/phi) f' - f''."""
     s = np.asarray(s, dtype=float)
@@ -241,10 +236,9 @@ class _NodeValues:
 def _node_values(metric: InvariantMetric, s) -> _NodeValues:
     """ell, K, F and the total scalar curvature at s.  At the node array of a
     level of the base's plan they are computed once per metric and level and
-    kept, read-only, on the metric (`InvariantMetric._nodes`).  Values out
-    of scale, a curvature that is not finite, are not kept: every caller
-    computes them afresh, and warns or raises by its own floating-point
-    policy."""
+    kept, read-only, on the metric (`InvariantMetric._nodes`), out of scale
+    or not: every caller evaluates them with numpy's floating-point warnings
+    off and raises on values that are not finite."""
     level = _plan_level(metric.base, s)
     kept = metric._nodes.get(level)
     if kept is not None:
@@ -253,7 +247,7 @@ def _node_values(metric: InvariantMetric, s) -> _NodeValues:
     K, F = gauss_curvature(metric.base, s), np.array(metric.F.value(s), dtype=float)
     scal = np.asarray(_scalar_curvature(metric, s, ell, K, F), dtype=float)
     values = _NodeValues(ell, K, F, scal)
-    if level is not None and np.isfinite(scal).all():
+    if level is not None:
         for array in (ell, K, F, scal):
             array.flags.writeable = False
         metric._nodes[level] = values
@@ -284,7 +278,9 @@ def omega_norms(metric: InvariantMetric, cfg: QuadratureConfig | None = None) ->
     quadrature plan until F or the base is garbage-collected, so a repeat is
     a lookup (a field whose callables cannot be hashed is computed afresh).
     A fractional Chern number is warned about on every call; the verdict and
-    its message are kept beside the report.
+    its message are kept beside the report.  An F whose integrals leave the
+    doubles raises NonFinite naming the largest |F| read, with no numpy
+    warning (`_compute_norms`).
     """
     return _norms(metric.base, metric.F, cfg, validated=True)
 
@@ -325,24 +321,17 @@ def _compute_norms(base: Base, field: RadialField, cfg: QuadratureConfig) -> Nor
     (`numerics._with_dips`); a shallower dip is not seen, and the integral
     refines across its kinks only where the nested levels disagree; a
     constant F (`RadialField.constant`) has no root, and none is sought.
-    An F past `_F_MAX` at a node the integral reads, where the row
-    (sqrt2 |F|)^3 overflows, raises NonFinite naming F and the largest |F|
-    read before that node array's rows are formed, and so does an F whose
-    integrals leave the doubles although every node is within the bound
-    (the level sums of `integrate` raise NonFinite for them, with no numpy
-    warning); a NaN F goes on to the quadrature's own NonFinite.
+    An F whose integrals leave the doubles, at a node or in a level sum,
+    raises NonFinite naming F and the largest |F| read, with no numpy
+    warning: the quadrature decides, by its one rule for an integral out of
+    scale (`numerics._refine`); a NaN F keeps the quadrature's own
+    NonFinite.
     """
     F = field.value
     sqrt2 = math.sqrt(2.0)
     nodes = quadrature_nodes(base)
     f_nodes = F(nodes)
     read = [np.abs(f_nodes).max()]  # the largest |F| at each node array read
-
-    def out_of_scale() -> NonFinite:
-        return NonFinite(f"the curvature density F reaches |F| = {max(read):.3e}: out of scale")
-
-    if read[0] > _F_MAX:  # NaN fails the comparison
-        raise out_of_scale()
     roots = ()  # a constant F has no root
     if field.constant is None:
         x, fx = nodes, f_nodes
@@ -363,8 +352,6 @@ def _compute_norms(base: Base, field: RadialField, cfg: QuadratureConfig) -> Nor
         np.abs(chern, out=l1)
         if s is not nodes:
             read.append(l1.max())
-            if read[-1] > _F_MAX:
-                raise out_of_scale()
         np.multiply(sqrt2, l1, out=l1)
         np.multiply(2.0, np.square(chern, out=l2), out=l2)
         np.power(l1, 3, out=l3)
@@ -375,7 +362,8 @@ def _compute_norms(base: Base, field: RadialField, cfg: QuadratureConfig) -> Nor
     except NonFinite as exc:
         if np.isnan(read).any():  # F itself is not a number: the quadrature's message
             raise
-        raise out_of_scale() from exc
+        message = f"the curvature density F reaches |F| = {max(read):.3e}: out of scale"
+        raise NonFinite(message) from exc
     return NormReport(
         omega_L1=l1.value,
         omega_L2_sq=l2sq.value,

@@ -92,7 +92,10 @@ def _require(mapping: dict, key: str, path: str, types, choices=None):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # json.load reads NaN and Infinity as floats: they are no numbers here
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _positive(value, path: str) -> float:
@@ -133,7 +136,7 @@ def parse_model(doc: Any) -> ModelSpec:
                 or len(row) != 2
                 or not all(_is_number(v) for v in row)
             ):
-                raise ModelParseError(f"$.base.samples[{i}]: expected a [s, phi] number pair")
+                raise ModelParseError(f"$.base.samples[{i}]: expected a [s, phi] pair of finite numbers")
         for key in ("m_start", "m_end"):
             m = _require(base, key, "$.base", int)
             if m < 1:
@@ -146,7 +149,7 @@ def parse_model(doc: Any) -> ModelSpec:
     else:
         values = _require(ell, "values", "$.ell", list)
         if len(values) < 4 or not all(_is_number(v) for v in values):
-            raise ModelParseError("$.ell.values: need at least 4 numbers")
+            raise ModelParseError("$.ell.values: need at least 4 finite numbers")
         if min(values) <= 0:
             raise ModelParseError("$.ell.values: fiber length must be positive everywhere")
 
@@ -159,7 +162,7 @@ def parse_model(doc: Any) -> ModelSpec:
     elif ftype == "samples":
         values = _require(F, "values", "$.F", list)
         if len(values) < 4 or not all(_is_number(v) for v in values):
-            raise ModelParseError("$.F.values: need at least 4 numbers")
+            raise ModelParseError("$.F.values: need at least 4 finite numbers")
     else:  # wps density needs a wps base
         if btype != "wps":
             raise ModelParseError("$.F.type: 'wps' density requires a 'wps' base")

@@ -11,7 +11,10 @@ its integrals, levels 128 to 512 for the Galerkin matrices of `conformal`.
 Everything here is deterministic: quadrature nodes and reductions come in a
 fixed order, so repeated calls with the same inputs produce bit-identical
 results.  Integrands must be vectorized (accept and return numpy arrays);
-the node arrays they receive are read-only.
+the node arrays they receive are read-only.  Every integral has one
+floating-point policy: its integrand runs with numpy's floating-point
+warnings off, and a level sum that is not finite raises NonFinite, so data
+out of scale is an error, never a warning.
 
 The scalar helpers, `minimize_scalar` (golden section) and `limit_at_zero`
 (Richardson extrapolation by `richardson_table`), have no caller inside the
@@ -53,7 +56,6 @@ _RICHARDSON_RATIO = 10.0
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 _EPS = float(np.finfo(float).eps)
-_DBL_MAX = float(np.finfo(float).max)
 _SQRT_EPS = float(np.sqrt(_EPS))
 
 # step budget of `sign_change_roots`; from its interpolated start a simple
@@ -142,9 +144,11 @@ def _refine(
     level's, where the caller keeps them.
 
     Each row of f stops at the first level where its own values agree.
-    Returns whether f gave rows and one `IntegralResult` per row.  A value
-    of a row still wanted that is not finite, and a level sum of one that
-    leaves the doubles, raise NonFinite, with no numpy warning from the sums.
+    Returns whether f gave rows and one `IntegralResult` per row.  This is
+    the library's one rule for an integral out of scale: f is called and
+    the level sums are formed with numpy's floating-point warnings off, and
+    a level sum of a row still wanted that is not finite raises NonFinite,
+    naming the nodes where a value of such a row is not finite, if any.
     """
     pieces = len(edges) - 1
     # a level's value per row: the sum over the pieces of (vals @ w) * half,
@@ -163,63 +167,53 @@ def _refine(
     n = _FIRST_LEVEL
     if nodes is None:
         nodes = _fejer_nodes(edges, n, 1)
-    # the weights of every level are positive and sum to the length of their
-    # piece, so no level sum can leave the doubles while every value is
-    # within this; past it the sums are formed without a warning and checked
-    within = _DBL_MAX / (2.0 * max(2.0, edges[-1] - edges[0]))
-
-    def level_sums(vals, n, coarse):
-        # the level-n value per row, and the level-n/2 one at every second
-        # node unless given; row by row, so a row's value does not depend on
-        # the other rows
-        if coarse is None:
-            coarse = total(vals[:, :, 1::2] @ _fejer_weights(n // 2))
-        return coarse, total(vals @ _fejer_weights(n))
-
-    vals = wanted = None  # None: every row is wanted
+    vals = None  # the values read so far, per row, piece and node
     results: list[IntegralResult | None] = []
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-    for r in itertools.count():
-        new = np.asarray(f(nodes), dtype=float)
-        multi = new.ndim == 2
-        new = new if multi else new[None]
-        large = not float(np.abs(new).max()) <= within  # NaN too
-        if large:
-            checked = new if wanted is None else new[wanted]  # a stopped row may go non-finite
-            if not np.isfinite(checked).all():
-                bad = ~np.isfinite(checked).all(axis=0)
-                raise NonFinite(f"integrand returned non-finite values near x={nodes[bad][:3]}")
-        new = new.reshape(len(new), pieces, -1)
-        if vals is None:
-            vals, coarse = new, None
-            wanted, results = range(len(vals)), [None] * len(vals)
-        else:
-            merged = np.empty(vals.shape[:2] + (2 * n - 1,))
-            merged[:, :, 0::2] = new
-            merged[:, :, 1::2] = vals
-            vals, coarse, n = merged, values, 2 * n
-        if large:
-            with np.errstate(over="ignore", invalid="ignore"):
-                coarse, values = level_sums(vals, n, coarse)
+    # one floating-point policy for every integral: f and the level sums run
+    # quietly, and a level sum of a row still wanted that is not finite
+    # raises below; the weights are positive, so a value that is not finite
+    # makes its row's sum not finite too
+    with np.errstate(all="ignore"):
+        for r in itertools.count():
+            new = np.asarray(f(nodes), dtype=float)
+            multi = new.ndim == 2
+            new = new if multi else new[None]
+            shaped = new.reshape(len(new), pieces, -1)
+            if vals is None:
+                vals, coarse = shaped, None
+                wanted, results = range(len(new)), [None] * len(new)
+            else:
+                merged = np.empty(vals.shape[:2] + (2 * n - 1,))
+                merged[:, :, 0::2] = shaped
+                merged[:, :, 1::2] = vals
+                vals, coarse, n = merged, values, 2 * n
+            # the level-n value per row, and the level-n/2 one at every
+            # second node unless known; row by row, so a row's value does
+            # not depend on the other rows
+            if coarse is None:
+                coarse = total(vals[:, :, 1::2] @ _fejer_weights(n // 2))
+            values = total(vals @ _fejer_weights(n))
             if not all(math.isfinite(values[i]) and math.isfinite(coarse[i]) for i in wanted):
+                bad = ~np.isfinite(new[wanted]).all(axis=0)  # a stopped row may go non-finite
+                if bad.any():
+                    raise NonFinite(f"integrand returned non-finite values near x={nodes[bad][:3]}")
                 raise NonFinite("a level sum of the integral is not finite: out of scale")
-        else:
-            coarse, values = level_sums(vals, n, coarse)
-        errors = [abs(v - c) for v, c in zip(values, coarse)]
-        for i in wanted:
-            # with no refinement allowed, the first level stands with its estimate
-            met = errors[i] <= max(abs_tol, rel_tol * abs(values[i]))
-            if met or not cfg.max_refinements:
-                results[i] = IntegralResult(values[i], errors[i], r)
-        wanted = [i for i in wanted if results[i] is None]
-        if not wanted:
-            return multi, results
-        if r == cfg.max_refinements:
-            raise NoConvergence(
-                f"quadrature did not reach tolerance after {r} refinements "
-                f"(last error estimate {max(errors[i] for i in wanted):.3e})"
-            )
-        nodes = _fejer_nodes(edges, 2 * n, 2)
+            errors = [abs(v - c) for v, c in zip(values, coarse)]
+            for i in wanted:
+                # with no refinement allowed, the first level stands with its estimate
+                met = errors[i] <= max(abs_tol, rel_tol * abs(values[i]))
+                if met or not cfg.max_refinements:
+                    results[i] = IntegralResult(values[i], errors[i], r)
+            wanted = [i for i in wanted if results[i] is None]
+            if not wanted:
+                return multi, results
+            if r == cfg.max_refinements:
+                raise NoConvergence(
+                    f"quadrature did not reach tolerance after {r} refinements "
+                    f"(last error estimate {max(errors[i] for i in wanted):.3e})"
+                )
+            nodes = _fejer_nodes(edges, 2 * n, 2)
 
 
 def richardson_table(values: Sequence[float], ratio: float) -> list[list[float]]:
@@ -266,6 +260,11 @@ def integrate(
     (`orbifold.integrate_over_base`).
     If f returns a 2-d array, each row is a separate integrand that stops at
     its own level, and one result per row is returned in a list.
+
+    f is called with numpy's floating-point warnings off, and a row still
+    wanted whose level sum leaves the doubles raises NonFinite: one that
+    names the nodes where a value of the row is not finite, or one that
+    says the sum is out of scale where every value is finite.
 
     `breaks` are points where f may have a kink, such as the roots of F in
     |F|.  The rule runs on each piece between them, and every call of f

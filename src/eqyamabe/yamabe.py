@@ -133,9 +133,9 @@ def functional_J(metric: InvariantMetric, cfg: QuadratureConfig | None = None) -
     The base route's numerator, the volume and the direct route's numerator
     are three rows of one integral, which share the values of ell, K, F and
     the total scalar curvature; at the first level those are the metric's
-    own, kept once (`bundle._node_values`).  A row that is not finite, as
-    when the data's scale overflows, raises NumericalError naming it, with
-    no numpy warning.
+    own, kept once (`bundle._node_values`).  A row whose integral is not
+    finite, as when the data's scale overflows, raises NumericalError naming
+    the rows not finite at the first level's nodes, with no numpy warning.
     """
 
     def rows(s):
@@ -148,16 +148,16 @@ def functional_J(metric: InvariantMetric, cfg: QuadratureConfig | None = None) -
         return out
 
     base = metric.base
-    with np.errstate(all="ignore"):  # data out of scale is an error below, not a warning
-        try:
-            num, vol_base, direct = integrate_over_base(base, rows, cfg)
-        except NonFinite as exc:
-            every = ("(2K - ell^2 F^2 / 2) ell", "ell", "scal ell")
+    try:
+        num, vol_base, direct = integrate_over_base(base, rows, cfg)
+    except NonFinite as exc:
+        every = ("(2K - ell^2 F^2 / 2) ell", "ell", "scal ell")
+        with np.errstate(all="ignore"):  # the rows are out of scale: name them, quietly
             finite = np.isfinite(rows(quadrature_nodes(base))).all(axis=1)
-            names = [name for name, ok in zip(every, finite) if not ok] or every
-            raise NumericalError(
-                f"the integrand of J is not finite in {' and '.join(names)}: out of scale"
-            ) from exc
+        names = [name for name, ok in zip(every, finite) if not ok] or every
+        raise NumericalError(
+            f"the integrand of J is not finite in {' and '.join(names)}: out of scale"
+        ) from exc
     numerator = 2.0 * math.pi * num.value
     volume = 2.0 * math.pi * vol_base.value
     if volume == 0.0:

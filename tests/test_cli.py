@@ -425,7 +425,8 @@ def test_bound_of_a_tiny_sphere_makes_no_warning(capsys, tmp_path, radius, code)
 @pytest.mark.parametrize("F", [1e103, 1e120, 1e170, -1e170])
 def test_bound_of_an_out_of_scale_F_names_it(capsys, tmp_path, warn, F):
     # (sqrt2 |F|)^3 overflows at the first-level nodes past 4.0e102: the
-    # norms raise NonFinite naming F before any row is formed
+    # quadrature's level sums are not finite, and the norms raise NonFinite
+    # naming F, with no numpy warning
     out_path = tmp_path / "report.json"
     path = _sphere_model(tmp_path, "sphere", 1.0, {"type": "constant", "value": F})
     with warnings.catch_warnings(record=True) as seen:
@@ -447,16 +448,21 @@ def _bump_between_nodes():
 
 
 @pytest.mark.parametrize("warn", ["always", "error"])
-@pytest.mark.parametrize("F", [3.2e102, 3.5e102, 3.99e102, "bump"])
-def test_bound_whose_norm_integrals_leave_the_doubles_names_F(capsys, tmp_path, warn, F):
-    # every first-level node is within the bound, but the level sums of
-    # (sqrt2 |F|)^3 leave the doubles, or |F| passes the bound at a node of
-    # the next level: NonFinite naming F, with no numpy warning (they warned
-    # and ended in "did not reach tolerance ... nan", or a traceback under
-    # -W error::RuntimeWarning)
+@pytest.mark.parametrize(
+    "radius, F",
+    [(1.0, 3.2e102), (1.0, 3.5e102), (1.0, 3.99e102), (1.0, "bump"), (10.0, 3e102)],
+    ids=["3.2e+102", "3.5e+102", "3.99e+102", "bump", "radius10-3e+102"],
+)
+def test_bound_whose_norm_integrals_leave_the_doubles_names_F(capsys, tmp_path, warn, radius, F):
+    # (sqrt2 |F|)^3 is finite at every first-level node, but its level sums
+    # leave the doubles, or |F| overflows it at a node of the next level, or
+    # (radius 10, where the density phi passes 1) its product with phi
+    # overflows in the integrand: NonFinite naming F, with no numpy warning
+    # (they warned and ended in "did not reach tolerance ... nan", or a
+    # traceback under -W error::RuntimeWarning)
     field = _bump_between_nodes() if F == "bump" else {"type": "constant", "value": F}
     out_path = tmp_path / "report.json"
-    path = _sphere_model(tmp_path, "sphere", 1.0, field)
+    path = _sphere_model(tmp_path, "sphere", radius, field)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter(warn, RuntimeWarning)
         code, out, err = run(capsys, ["bound", "--model", path, "--out", str(out_path)])
@@ -505,6 +511,24 @@ def test_functional_out_of_scale_names_its_integrand(capsys, tmp_path, warn, ell
     assert "the integrand of J is not finite in (2K - ell^2 F^2 / 2) ell and scal ell: " \
         "out of scale" in err
     assert not seen and not out_path.exists() and out == ""
+
+
+@pytest.mark.parametrize("field, value", [("F", math.inf), ("F", -math.inf), ("ell", math.nan)])
+def test_samples_that_are_not_finite_exit_2(capsys, tmp_path, field, value):
+    # json.load reads NaN and Infinity: an infinite F sample went into the
+    # series, whose chop test warned, and a NaN ell passed the positivity
+    # test and exited 3 as out of scale
+    samples = {"type": "samples", "values": [1.0, value, 1.0, 1.0, 1.0]}
+    path = tmp_path / "model.json"
+    model = {"base": {"type": "flat_torus", "length": 1.0, "radius": 1.0},
+             "ell": {"type": "constant", "value": 1.0}, "F": {"type": "constant", "value": 1.0}}
+    model[field] = samples
+    path.write_text(json.dumps(model))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, ["functional", "--model", str(path)])
+    assert code == 2 and out == ""
+    assert f"$.{field}.values: need at least 4 finite numbers" in err
 
 
 def test_canonical_json_rejects_non_finite_numbers():

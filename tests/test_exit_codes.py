@@ -2,8 +2,9 @@
 model command exits 0, 2, 3 or 4, raises nothing out of `cli.main`, lets no
 numpy RuntimeWarning escape (an error here), and writes a report that is
 strict JSON.  Models are drawn on every base type, with constant and sampled
-fiber lengths and curvature densities from 1e-12 to 1e12 in magnitude, and
-the same model is written in units c, log-uniform in [1e-6, 1e6]."""
+fiber lengths and curvature densities from 1e-300 to 1e300 in magnitude, so
+that data out of scale is drawn too, and the same model is written in units
+c, log-uniform in [1e-6, 1e6]."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import time
 import warnings
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from eqyamabe import cli
@@ -22,7 +23,7 @@ COMMANDS = (["functional"], ["bound"], ["minimize"], ["laplace"], ["scan", "--el
 # the slowest known call, `minimize` in units 1e4, takes 1.1-1.5 s
 WALL_BUDGET_S = 3.0
 
-magnitudes = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
+magnitudes = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
 units = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
 
 
@@ -102,6 +103,13 @@ def models(draw):
 @settings(derandomize=True, max_examples=400, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(model=models(), command=st.sampled_from(COMMANDS))
+# a sphere whose density phi passes 1, with an F whose (sqrt2 |F|)^3 is
+# finite at every node but overflows in its product with phi
+@example(
+    model={"base": {"type": "round_sphere", "radius": 10.0},
+           "ell": {"type": "constant", "value": 1.0}, "F": {"type": "constant", "value": 3e102}},
+    command=["bound"],
+)
 def test_every_model_command_keeps_the_exit_code_contract(tmp_path_factory, model, command):
     tmp = tmp_path_factory.mktemp("model")
     path, out = tmp / "model.json", tmp / "report.json"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,22 @@ def test_nonfinite_integrand_raises():
 
     with pytest.raises(NonFinite):
         integrate(f, 0.0, 1.0, PLAIN)
+
+
+@pytest.mark.parametrize(
+    "f, message",
+    [(lambda x: np.exp(800.0 * x), "integrand returned non-finite values near x="),
+     (lambda x: np.full_like(x, 1e308), "a level sum of the integral is not finite")],
+    ids=["value_overflows", "sum_overflows"],
+)
+def test_an_integral_out_of_scale_raises_without_a_warning(f, message):
+    # exp(800 x) overflows past x = 0.887, and 1e308 is finite at every node
+    # but its level sums, 2e308 times the half length, are not: one quiet
+    # rule decides both
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFinite, match=message):
+            integrate(f, 0.0, 1.0, PLAIN)
 
 
 def test_refinement_budget_exhaustion_raises():

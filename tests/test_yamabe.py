@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ import eqyamabe as eq
 from eqyamabe import numerics
 from eqyamabe.errors import (
     InvalidCase,
+    NonFinite,
     NonpositiveChi,
     NonPositiveFactor,
     NotCoprime,
@@ -143,6 +145,30 @@ def test_conformal_respects_round_sphere_infimum(hopf):
 def test_conformal_rejects_nonpositive(hopf):
     with pytest.raises(NonPositiveFactor):
         eq.conformal_functional(hopf, -1.0)
+
+
+def test_conformal_factor_out_of_scale_raises_without_a_warning():
+    # u^6 = 1e360 overflows in the integrand: the quadrature's NonFinite,
+    # where numpy's "overflow encountered in power" was raised first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFinite):
+            eq.conformal_functional(eq.hopf_metric(), 1e60)
+
+
+def test_a_fiber_length_flat_to_third_order_at_the_poles_stays_quiet():
+    # ell = 1 + 0.1 sin^3(pi s / L) has zero slope and second derivative at
+    # both poles but not a zero third: its cosine series has a k^-4 tail and
+    # still chops, so the smoothness checks must accept it, quietly and fast
+    started = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = eq.wps_profile(2, 3)
+        L = base.length
+        ell = lambda s: 1.0 + 0.1 * np.sin(math.pi * np.asarray(s) / L) ** 3
+        J = eq.functional_J(eq.InvariantMetric(base, ell, eq.wps_density_field(2, 3))).J
+    assert time.perf_counter() - started < 1.0
+    assert J == pytest.approx(32.41304108138776, rel=1e-13)
 
 
 def test_functionals_name_a_volume_that_underflows():
