@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NonFinite
 from .numerics import _DEFAULT_CONFIG, QuadratureConfig, _interpolant, _sampled_series
-from .numerics import _with_dips, sign_change_roots, trig_series
+from .numerics import _with_dips, sign_change_roots
 from .orbifold import (
     _GRID_LEVEL,
     Base,
@@ -87,15 +87,16 @@ class RadialField:
         included (`numerics._interpolant`).  A smooth field is even about
         each pole, so off the torus the samples are extended evenly to period
         2L (a cosine series); on the torus the samples must match at the
-        seam.
+        seam.  Samples whose series leaves the doubles, such as finite values
+        near DBL_MAX, raise NonFinite (`numerics.TrigSeries`).
         """
         values, length = np.asarray(values, dtype=float), float(length)
         if values.ndim != 1 or values.size < 2:
             raise ValueError(f"need a 1-d array of at least 2 samples, got shape {values.shape}")
         if not 0.0 < length < math.inf:
             raise ValueError(f"samples must span a positive, finite length L, got L = {length}")
-        c, omega, _ = _interpolant(values, length, "periodic" if periodic else "even")
-        return cls(*trig_series(c, omega))
+        series = _interpolant(values, length, "periodic" if periodic else "even")[0]
+        return cls(series.value, series.d1, series.d2)
 
 
 FieldLike = Union[RadialField, float, int, Callable]
@@ -114,8 +115,8 @@ def as_radial_field(obj: FieldLike, base: Base) -> RadialField:
     if not callable(obj):
         raise TypeError(f"cannot interpret {type(obj).__name__} as a radial field")
     parity = "periodic" if base.periodic else "even"
-    c, omega = _sampled_series(obj, base.length, parity, "a radial callable")
-    return RadialField(*trig_series(c, omega))
+    series = _sampled_series(obj, base.length, parity, "a radial callable")
+    return RadialField(series.value, series.d1, series.d2)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ from 16 modes, up to 256 modes, half of level 512, while its tail is not
 negligible by the library's one tail rule (`_refinable`).
 
 Radial data comes in as anything `bundle.as_radial_field` reads and every
-solution goes out as its series, a `RadialField`; means are taken with the
-node weights of the Galerkin grid.  The Poisson problem Delta u = f
+solution goes out as its series, a `RadialField` summing the
+`numerics.TrigSeries` of its coefficients (`_Basis.series`); means are taken
+with the node weights of the Galerkin grid.  The Poisson problem Delta u = f
 (nonnegative Laplacian, mean-zero f) is one linear solve with the stiffness
 matrix int u' v' dA over the non-constant basis functions, and its constant
 coefficient gives u mean zero.  `laplace_residual` reads Delta u - f at the
@@ -55,7 +56,7 @@ from .bundle import (
     as_radial_field,
 )
 from .errors import NoConvergence, NonPositiveFactor, NonpositiveChi, NotMeanZero, NumericalError
-from .numerics import _EPS, _FIRST_LEVEL, QuadratureConfig, _chop, _fejer_rule, trig_series
+from .numerics import _EPS, _FIRST_LEVEL, QuadratureConfig, TrigSeries, _chop, _fejer_rule
 from .orbifold import _GRID_LEVEL, Base, _rule, area, chi_orb, gauss_curvature
 
 __all__ = [
@@ -83,7 +84,8 @@ def laplace_solve_radial(base: Base, f: FieldLike) -> RadialField:
     mean, scale = float(np.dot(wA, f_nodes)), float(np.dot(wA, np.abs(f_nodes)))
     if abs(mean) > 1e-8 * max(scale, 1e-30):
         raise NotMeanZero(f"int f dv = {mean:.3e} exceeds 1e-8 * ||f||_1 = {1e-8 * scale:.3e}")
-    return _poisson_series(base, f_nodes, _EPS * np.max(np.abs(f_nodes)))
+    basis, c = _poisson_series(base, f_nodes, _EPS * np.max(np.abs(f_nodes)))
+    return basis.series(c)
 
 
 def laplace_residual(base: Base, u: RadialField, f: FieldLike) -> float:
@@ -103,8 +105,9 @@ def uniformize_positive(base: Base) -> tuple[RadialField, float]:
     curvature integral) at the Galerkin grid's nodes (`_poisson_series`) and
     returns the series u, of mean zero by the nodes' quadrature, together
     with the minimum over the nodes of the resulting scalar curvature
-    2 e^{-2u} (Delta u + K), with Delta u taken from the series' own
-    derivatives.  That curvature is (4 pi chi / vol) e^{-2u}, so its minimum
+    2 e^{-2u} (Delta u + K): u and u' at the nodes are the products of the
+    basis arrays with the solve's coefficients, and u'' is the series' own
+    second derivative.  That curvature is (4 pi chi / vol) e^{-2u}, so its minimum
     is (4 pi chi / vol) e^{-2 max u}; the contract min > 0 is checked by the
     caller and the test suite.  The minimum is taken in log form, since
     e^{-2u} may overflow where the product does not; a minimum that is not
@@ -115,10 +118,11 @@ def uniformize_positive(base: Base) -> tuple[RadialField, float]:
         raise NonpositiveChi("uniformization to positive curvature needs chi > 0")
     nodes = _rule(base, _GRID_LEVEL)[0]
     K = np.asarray(gauss_curvature(base, nodes), dtype=float)
-    series = _poisson_series(base, 2.0 * math.pi * chi / area(base) - K, _EPS * np.max(np.abs(K)))
-    g = 2.0 * (_laplacian_of(series, base, nodes) + K)
+    basis, c = _poisson_series(base, 2.0 * math.pi * chi / area(base) - K, _EPS * np.max(np.abs(K)))
+    series = basis.series(c)
+    g = 2.0 * (-base.dlog_density(nodes) * (basis.slopes @ c) - series.d2(nodes) + K)
     log_g = np.log(np.abs(g), out=np.full(g.shape, -np.inf), where=g != 0.0)
-    log_scal = log_g - 2.0 * series.value(nodes)  # log |g e^{-2u}|
+    log_scal = log_g - 2.0 * (basis.values @ c)  # log |g e^{-2u}|
     negative = g < 0.0
     i = np.argmax(np.where(negative, log_scal, -np.inf)) if negative.any() else np.argmin(log_scal)
     if not log_scal[i] < _LOG_MAX:
@@ -183,7 +187,7 @@ class MinimizeResult:
 
     @cached_property
     def u_star(self) -> RadialField:
-        return self._stage.basis.series(self._coeffs, self._stage.nodes)
+        return self._stage.basis.series(self._coeffs)
 
 
 # The Galerkin grids are levels of the library's Fejér rule, and the base's
@@ -211,10 +215,9 @@ class _Basis:
     """Values and slopes (read-only, nodes by columns) of the first m basis
     functions at the nodes of a level of the Fejér rule: cos(j pi s / L)
     on a profile; 1, cos(2 pi j s / L), sin(2 pi j s / L) by increasing j on
-    the torus.  Column j is Re(z^power[j]), or Re(-i z^power[j]) where
-    `sine`, with z = exp(i omega s).  The basis is orthogonal in L^2(ds), and
-    `norms_sq` holds its squared norms: L for the constant, L/2 for every
-    other function."""
+    the torus.  Column j is cos(power[j] omega s), or sin(power[j] omega s)
+    where `sine`.  The basis is orthogonal in L^2(ds), and `norms_sq` holds
+    its squared norms: L for the constant, L/2 for every other function."""
 
     values: np.ndarray
     slopes: np.ndarray
@@ -223,19 +226,14 @@ class _Basis:
     sine: np.ndarray
     norms_sq: np.ndarray
 
-    def series(self, c: np.ndarray, nodes: np.ndarray) -> RadialField:
-        """The field sum_j c[j] (column j): at the caller's node array (the
-        plan's array of the basis's level, `orbifold._rule`), the products
-        of the basis arrays with c; elsewhere summed by `numerics.trig_series`."""
-        coeffs = np.zeros(self.power[-1] + 1, dtype=complex)
-        coeffs[self.power[~self.sine]] = c[~self.sine]
-        coeffs[self.power[self.sine]] -= 1j * c[self.sine]
-        value, d1, d2 = trig_series(coeffs, self.omega)
-
-        def planned(horner: Callable, columns: np.ndarray) -> Callable:
-            return lambda s: columns @ c if s is nodes else horner(s)
-
-        return RadialField(planned(value, self.values), planned(d1, self.slopes), d2)
+    def series(self, c: np.ndarray) -> RadialField:
+        """The field sum_j c[j] (column j) as a `numerics.TrigSeries`, its
+        cosine and sine coefficients gathered from c by wavenumber."""
+        cos, sin = np.zeros((2, self.power[-1] + 1))
+        cos[self.power[~self.sine]] = c[~self.sine]
+        sin[self.power[self.sine]] = c[self.sine]
+        series = TrigSeries.from_real(cos, sin, self.omega)
+        return RadialField(series.value, series.d1, series.d2)
 
 
 def _level(m: int) -> int:
@@ -255,8 +253,9 @@ def _basis(length: float, periodic: bool, m: int, level: int = _GRID_LEVEL) -> _
     omega = (2.0 if periodic else 1.0) * math.pi / length
     k = omega * power
     x = np.outer(nodes, k)
-    values = np.where(sine, np.sin(x), np.cos(x))
-    slopes = np.where(sine, np.cos(x), -np.sin(x)) * k
+    sin, cos = np.sin(x), np.cos(x)
+    values = np.where(sine, sin, cos)
+    slopes = np.where(sine, cos, -sin) * k
     norms_sq = np.where(power == 0, 1.0, 0.5) * length
     for a in (values, slopes, power, sine, norms_sq):
         a.flags.writeable = False
@@ -278,10 +277,12 @@ def _area_weights(base: Base) -> np.ndarray:
     return base.area_scale * np.asarray(base.density(nodes), dtype=float) * weights
 
 
-def _poisson_series(base: Base, f_nodes: np.ndarray, rounding: float) -> RadialField:
+def _poisson_series(base: Base, f_nodes: np.ndarray, rounding: float) -> tuple[_Basis, np.ndarray]:
     """Galerkin solution of Delta u = f, f given at the Galerkin grid's
-    nodes, as a series in the basis functions (`_Basis`) whose mean against
-    the weights wA of dA at the nodes is zero.
+    nodes, as the basis (`_Basis`, on the grid's level) and the coefficients
+    of the series whose mean against the weights wA of dA at the nodes is
+    zero: u and u' at the nodes are the products of the basis arrays with
+    them, and the series itself is `_Basis.series`.
 
     f is recentred by its mean against wA; then S c = B^T (wA f) with
     stiffness S = D^T wA D, values B and slopes D of the non-constant
@@ -300,7 +301,7 @@ def _poisson_series(base: Base, f_nodes: np.ndarray, rounding: float) -> RadialF
         k = basis.omega * np.maximum(basis.power, 1)  # the constant mode is never in the tail
         if not _refinable(c, _MAX_MODES, rounding / k**2):
             c[0] = -np.dot(wA, basis.values @ c) / np.sum(wA)
-            return basis.series(c, _rule(base, _GRID_LEVEL)[0])
+            return basis, c
         m *= 2
 
 

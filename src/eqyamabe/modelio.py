@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bundle import InvariantMetric, RadialField
-from .errors import ModelParseError, NotCoprime, NumericalError
+from .errors import ModelParseError, NonFinite, NotCoprime, NumericalError
 from .numerics import QuadratureConfig
 from .orbifold import (
     Base,
@@ -86,16 +87,21 @@ def _require(mapping: dict, key: str, path: str, types, choices=None):
     if isinstance(value, bool) or not isinstance(value, types):
         tn = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
         raise ModelParseError(f"{path}.{key}: expected {tn}, got {type(value).__name__}")
+    if isinstance(value, int) and not _is_number(value):
+        raise ModelParseError(f"{path}.{key}: integer past the largest double")
     if choices is not None and value not in choices:
         raise ModelParseError(f"{path}.{key}: expected one of {sorted(choices)}, got {value!r}")
     return value
 
 
 def _is_number(value) -> bool:
-    # json.load reads NaN and Infinity as floats: they are no numbers here
+    # json.load reads NaN and Infinity as floats, and an integer of any size
+    # as an int: a number here is one a finite double holds
     if isinstance(value, float):
         return math.isfinite(value)
-    return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(value, bool) or not isinstance(value, int):
+        return False
+    return abs(value) <= sys.float_info.max
 
 
 def _positive(value, path: str) -> float:
@@ -225,6 +231,8 @@ def build_base(spec: ModelSpec) -> Base:
         )
     except ValueError as exc:
         raise ModelParseError(f"$.base.samples: {exc}") from exc
+    except NonFinite as exc:
+        raise NonFinite(f"$.base.samples: {exc}") from exc
 
 
 def _field_from(spec_part: dict, base: Base, kind: str) -> RadialField:
@@ -234,6 +242,8 @@ def _field_from(spec_part: dict, base: Base, kind: str) -> RadialField:
         return RadialField.from_samples(spec_part["values"], base.length, periodic=base.periodic)
     except ValueError as exc:
         raise ModelParseError(f"$.{kind}.values: {exc}") from exc
+    except NonFinite as exc:  # samples whose series leaves the doubles
+        raise NonFinite(f"$.{kind}.values: {exc}") from exc
 
 
 def build_metric(spec: ModelSpec) -> InvariantMetric:

@@ -16,6 +16,14 @@ floating-point policy: its integrand runs with numpy's floating-point
 warnings off, and a level sum that is not finite raises NonFinite, so data
 out of scale is an error, never a warning.
 
+Every radial function or profile that is not in closed form is one type of
+series, `TrigSeries`, the only code that knows the coefficient convention.
+Its coefficients come from uniform samples (`_interpolant`), from a callable
+read at samples (`_sampled_series`), from a least-squares fit
+(`orbifold._sine_fit`) or from a Galerkin solve (`conformal._Basis.series`);
+a series is built with numpy's warnings off and raises NonFinite when its
+coefficients leave the doubles, the same policy as the integrals'.
+
 The scalar helpers, `minimize_scalar` (golden section) and `limit_at_zero`
 (Richardson extrapolation by `richardson_table`), have no caller inside the
 library; they stay public under these names for outside callers."""
@@ -25,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -44,7 +52,7 @@ __all__ = [
     "IntegralResult",
     "integrate",
     "sign_change_roots",
-    "trig_series",
+    "TrigSeries",
     "minimize_scalar",
     "richardson_table",
     "limit_at_zero",
@@ -291,62 +299,105 @@ def _chop(c: np.ndarray, tol) -> tuple[int, bool]:
     return keep, 4 * keep <= 3 * c.size
 
 
-def trig_series(coeffs: np.ndarray, omega: float) -> tuple[Callable, ...]:
-    """Value, first and second derivative of the real part of
-    sum_k coeffs[k] z^k, z = exp(i omega s), each summed by Horner's rule.
-    A real coefficient a_k stands for a_k cos(k omega s), -i b_k for
-    b_k sin(k omega s)."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    k = omega * np.arange(coeffs.size)
+@dataclass(frozen=True, eq=False)
+class TrigSeries:
+    """The real part of sum_k coeffs[k] z^k, z = exp(i omega s): the library's
+    one trigonometric series, and the only code that knows its coefficient
+    convention.  A real coefficient a_k stands for a_k cos(k omega s), -i b_k
+    for b_k sin(k omega s) (`from_real`).  `value`, `d1` and `d2` sum the
+    series and its two derivatives by Horner's rule.
 
-    def horner(c: np.ndarray) -> Callable:
-        def evaluate(s):
-            z = np.exp(1j * omega * np.asarray(s, dtype=float))
-            acc = np.full(z.shape, c[-1])
-            for a in c[-2::-1]:
-                acc *= z
-                acc += a
-            return acc.real
+    The coefficients are kept read-only, and those of both derivatives are
+    formed where the series is built, with numpy's floating-point warnings
+    off: a series whose coefficients, or its derivatives', sum in modulus
+    past the doubles, the bound on their values, raises NonFinite, so data
+    out of scale is an error, never a warning.  A series equals only
+    itself."""
 
-        return evaluate
+    coeffs: np.ndarray
+    omega: float
+    _terms: tuple = field(init=False, repr=False)
 
-    return horner(coeffs), horner(1j * k * coeffs), horner(-k * k * coeffs)
+    def __post_init__(self) -> None:
+        c = np.array(self.coeffs, dtype=complex)
+        c.flags.writeable = False
+        with np.errstate(all="ignore"):
+            k = self.omega * np.arange(c.size)
+            terms = (c, 1j * k * c, -k * k * c)  # of the series and its two derivatives
+            if not all(math.isfinite(np.abs(t).sum()) for t in terms):
+                raise NonFinite("a series or its derivative leaves the doubles: out of scale")
+        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "_terms", terms)
+
+    @classmethod
+    def from_real(cls, cos: np.ndarray, sin: np.ndarray, omega: float) -> TrigSeries:
+        """sum_k cos[k] cos(k omega s) + sin[k] sin(k omega s), from two real
+        arrays of one size."""
+        return cls(np.asarray(cos, dtype=complex) - 1j * np.asarray(sin, dtype=float), omega)
+
+    def value(self, s):
+        return self._horner(self._terms[0], s)
+
+    def d1(self, s):
+        return self._horner(self._terms[1], s)
+
+    def d2(self, s):
+        return self._horner(self._terms[2], s)
+
+    def _horner(self, c: np.ndarray, s) -> np.ndarray:
+        """The real part of sum_k c[k] z^k at s, by Horner's rule."""
+        z = np.exp(1j * self.omega * np.asarray(s, dtype=float))
+        acc = np.full(z.shape, c[-1])
+        for a in c[-2::-1]:
+            acc *= z
+            acc += a
+        return acc.real
+
+    def end_slopes(self) -> tuple[float, float]:
+        """The slopes at s = 0 and at the half period s = pi / omega, read
+        exactly from the coefficients: sum_k k omega b_k and
+        sum_k (-1)^k k omega b_k, as the cosine terms are flat there (the
+        poles of a profile, odd about both ends)."""
+        slopes = np.arange(self.coeffs.size) * self.omega * -self.coeffs.imag  # per mode, at s = 0
+        return float(slopes.sum()), float(slopes[::2].sum() - slopes[1::2].sum())
 
 
-def _interpolant(values: np.ndarray, length: float, parity: str) -> tuple[np.ndarray, float, bool]:
-    """The `trig_series` coefficients and omega of the interpolant
-    of uniform samples on linspace(0, length, n), ends included, and whether
-    its tail is negligible.  This is the one place where samples become one
-    period: parity "even" or "odd" reflects them about the far end to period
-    2 length, "periodic" drops the repeat at the seam, where they must
-    match (ValueError otherwise).  One real FFT gives the coefficients, kept
-    up to the last mode past eps times the largest sample (`_chop`)."""
-    if parity == "periodic":
-        if abs(values[0] - values[-1]) > 1e-12 * max(1.0, abs(values[0])):
-            raise ValueError("periodic samples must match at the seam")
-        samples, period = values[:-1], length
-    else:
-        sign = 1.0 if parity == "even" else -1.0
-        samples, period = np.concatenate([values, sign * values[-2:0:-1]]), 2.0 * length
-    n = len(samples)
-    c = np.fft.rfft(samples) / n
-    c[1 : (n + 1) // 2] *= 2.0  # each mode below Nyquist stands for +k and -k
-    keep, chopped = _chop(c, _EPS * np.max(np.abs(samples)))
-    return c[:keep], 2.0 * math.pi / period, chopped
+def _interpolant(values: np.ndarray, length: float, parity: str) -> tuple[TrigSeries, bool]:
+    """The series interpolating uniform samples on linspace(0, length, n),
+    ends included, and whether its tail is negligible.  This is the one
+    place where samples become one period: parity "even" or "odd" reflects
+    them about the far end to period 2 length, "periodic" drops the repeat
+    at the seam, where they must match (ValueError otherwise).  One real FFT
+    gives the coefficients, kept up to the last mode past eps times the
+    largest sample (`_chop`), all formed quietly: coefficients out of scale
+    raise NonFinite where the series is built (`TrigSeries`)."""
+    with np.errstate(all="ignore"):
+        if parity == "periodic":
+            if abs(values[0] - values[-1]) > 1e-12 * max(1.0, abs(values[0])):
+                raise ValueError("periodic samples must match at the seam")
+            samples, period = values[:-1], length
+        else:
+            sign = 1.0 if parity == "even" else -1.0
+            samples, period = np.concatenate([values, sign * values[-2:0:-1]]), 2.0 * length
+        n = len(samples)
+        c = np.fft.rfft(samples) / n
+        c[1 : (n + 1) // 2] *= 2.0  # each mode below Nyquist stands for +k and -k
+        keep, chopped = _chop(c, _EPS * np.max(np.abs(samples)))
+    return TrigSeries(c[:keep], 2.0 * math.pi / period), chopped
 
 
 _CHOP_SAMPLES = 2**14 + 1  # the most samples a callable is read at
 
 
-def _sampled_series(f: Callable, length: float, parity: str, name: str) -> tuple[np.ndarray, float]:
-    """`trig_series`'s coefficients and omega for a vectorized
-    callable f on [0, length], read from its samples on linspace(0, length,
-    n), ends included, for n = 17, 33, 65, ...: the first interpolant of the
-    given parity (`_interpolant`) that has chopped, its tail past eps times
-    the largest sample negligible, is kept, or the one at n = 2**14 + 1 with
-    a warning (data not smooth, such as a ramp at a cone pole).  f not finite
-    at a sample, such as one with a removable singularity at an end, or
-    raising DomainError there, raises ValueError naming f by `name`."""
+def _sampled_series(f: Callable, length: float, parity: str, name: str) -> TrigSeries:
+    """The series of a vectorized callable f on [0, length], read from its
+    samples on linspace(0, length, n), ends included, for n = 17, 33, 65,
+    ...: the first interpolant of the given parity (`_interpolant`) that has
+    chopped, its tail past eps times the largest sample negligible, is kept,
+    or the one at n = 2**14 + 1 with a warning (data not smooth, such as a
+    ramp at a cone pole).  f not finite at a sample, such as one with a
+    removable singularity at an end, or raising DomainError there, raises
+    ValueError naming f by `name`."""
     ends = "the seam" if parity == "periodic" else "the poles"
     sampled = f"it is sampled on [0, {length:.6g}] with {ends} included and must be"
     n = 17
@@ -359,14 +410,14 @@ def _sampled_series(f: Callable, length: float, parity: str, name: str) -> tuple
         if not np.all(np.isfinite(values)):
             where = ", ".join(f"{x:.6g}" for x in grid[~np.isfinite(values)][:3])
             raise ValueError(f"{name} is not finite at s = {where}; {sampled} finite there")
-        c, omega, chopped = _interpolant(values, length, parity)
+        series, chopped = _interpolant(values, length, parity)
         if chopped or n >= _CHOP_SAMPLES:
             break
         n = 2 * n - 1
     if not chopped:
         smooth = "data may not be smooth on the orbifold"
         warnings.warn(f"{name} has not chopped to rounding at {n} samples; {smooth}", stacklevel=3)
-    return c, omega
+    return series
 
 
 def sign_change_roots(f: Callable, df: Callable, x: np.ndarray, fx: np.ndarray) -> np.ndarray:

@@ -60,8 +60,8 @@ import numpy as np
 
 from .errors import DomainError, NotCoprime, QuadratureFailure
 from .numerics import _DEFAULT_CONFIG, _EPS, _FIRST_LEVEL, IntegralResult, NoConvergence
-from .numerics import QuadratureConfig, _chop, _fejer_rule, _interpolant
-from .numerics import _sampled_series, integrate, trig_series
+from .numerics import QuadratureConfig, TrigSeries, _chop, _fejer_rule, _interpolant
+from .numerics import _sampled_series, integrate
 
 __all__ = [
     "ConeSurfaceProfile",
@@ -259,24 +259,21 @@ def profile_from_callables(
     L = float(length)
     if not 0.0 < L < math.inf:
         raise ValueError("profile length must be positive and finite")
-    c, _ = _sampled_series(phi, L, "odd", "a profile callable")
-    return _sine_profile(c, L, m_start, m_end, label)
+    series = _sampled_series(phi, L, "odd", "a profile callable")
+    return _sine_profile(series, L, m_start, m_end, label)
 
 
 def _sine_profile(
-    c: np.ndarray, length: float, m_start: int, m_end: int, label: str
+    phi: TrigSeries, length: float, m_start: int, m_end: int, label: str
 ) -> ConeSurfaceProfile:
-    """The profile sum_k b_k sin(k pi s / L) of `trig_series` coefficients
-    c_k = -i b_k.  Its pole slopes, read exactly from them as
-    phi'(0) = sum (k pi / L) b_k and phi'(L) = sum (-1)^k (k pi / L) b_k, must
-    be 1/m_start and -1/m_end to 1e-6, and phi must be positive at the 511
+    """The profile of a sine series phi of period 2L.  Its pole slopes, read
+    exactly from its coefficients (`TrigSeries.end_slopes`), must be
+    1/m_start and -1/m_end to 1e-6, and phi must be positive at the 511
     nodes of the Galerkin grid (`_GRID_LEVEL`), where its values are kept in
     the plan; else ValueError.  The profile, built first, checks its cone
     orders."""
-    phi = trig_series(c, math.pi / length)
-    profile = ConeSurfaceProfile(float(length), m_start, m_end, *phi, label)
-    slopes = np.arange(c.size) * (math.pi / length) * -c.imag  # per mode, at s = 0
-    start, end = float(slopes.sum()), float(slopes[::2].sum() - slopes[1::2].sum())
+    profile = ConeSurfaceProfile(float(length), m_start, m_end, phi.value, phi.d1, phi.d2, label)
+    start, end = phi.end_slopes()
     if np.any(profile.density(_rule(profile, _GRID_LEVEL)[0]) <= 0.0):
         raise ValueError("profile must be strictly positive between the poles")
     if abs(start - 1.0 / m_start) > _SLOPE_TOL or abs(end + 1.0 / m_end) > _SLOPE_TOL:
@@ -386,16 +383,16 @@ def profile_from_samples(
     if np.any(p[1:-1] <= 0):
         raise ValueError("profile must be positive between the poles")
     if np.allclose(s, np.linspace(0.0, L, s.size), rtol=0.0, atol=1e-12 * L):
-        c, _, _ = _interpolant(p, L, "odd")
+        phi = _interpolant(p, L, "odd")[0]
     else:
-        c = _sine_fit(s, p, L)
-    return _sine_profile(c, L, m_start, m_end, label)
+        phi = _sine_fit(s, p, L)
+    return _sine_profile(phi, L, m_start, m_end, label)
 
 
-def _sine_fit(s: np.ndarray, p: np.ndarray, length: float) -> np.ndarray:
-    """`trig_series` coefficients of the least-squares fit of
-    sum_k b_k sin(k pi s / L) to the samples: of 16, 32, 64, ... modes, at
-    most (n - 1) // 2, the first whose tail past 64 eps max|p| chops."""
+def _sine_fit(s: np.ndarray, p: np.ndarray, length: float) -> TrigSeries:
+    """The least-squares fit sum_k b_k sin(k pi s / L) to the samples: of
+    16, 32, 64, ... modes, at most (n - 1) // 2, the first whose tail past
+    64 eps max|p| chops."""
     # A fit's coefficients carry the samples' rounding times the fit's
     # conditioning, so past a smooth profile's modes they settle at 1 to 4
     # eps max|p|, not below eps as an interpolant's do.  Judged at 64 eps a
@@ -406,9 +403,9 @@ def _sine_fit(s: np.ndarray, p: np.ndarray, length: float) -> np.ndarray:
     m = min(16, cap)
     while True:
         k = np.arange(1, m + 1) * (math.pi / length)
-        c = np.concatenate([[0.0], -1j * np.linalg.lstsq(np.sin(np.outer(s, k)), p, rcond=None)[0]])
-        if m == cap or _chop(c, tol)[1]:
-            return c
+        b = np.concatenate([[0.0], np.linalg.lstsq(np.sin(np.outer(s, k)), p, rcond=None)[0]])
+        if m == cap or _chop(b, tol)[1]:
+            return TrigSeries.from_real(np.zeros(b.size), b, math.pi / length)
         m = min(2 * m, cap)
 
 

@@ -531,6 +531,46 @@ def test_samples_that_are_not_finite_exit_2(capsys, tmp_path, field, value):
     assert f"$.{field}.values: need at least 4 finite numbers" in err
 
 
+def _near_max(n=201):
+    # finite samples whose sum, and so their FFT, leaves the doubles
+    return (1.7e308 * (0.5 + 0.4 * np.cos(np.linspace(0.0, math.pi, n)))).tolist()
+
+
+_UNIT = {"type": "constant", "value": 1.0}
+_S = np.linspace(0.0, math.pi, 201)
+_OUT_OF_SCALE_SERIES = {
+    "F": {"base": {"type": "round_sphere", "radius": 1.0}, "ell": _UNIT,
+          "F": {"type": "samples", "values": _near_max()}},
+    "ell": {"base": {"type": "round_sphere", "radius": 1.0}, "F": _UNIT,
+            "ell": {"type": "samples", "values": _near_max()}},
+    # every coefficient is finite, but F'' has wavenumbers 1e6 k: 6.4e313
+    "F''": {"base": {"type": "round_sphere", "radius": 1e-6},
+            "ell": {"type": "constant", "value": 1e-6},
+            "F": {"type": "samples",
+                  "values": (1e300 * np.cos(np.linspace(0.0, math.pi, 17))).tolist()}},
+    "phi": {"base": {"type": "profile", "m_start": 1, "m_end": 1,
+                     "samples": np.column_stack([_S, 1.5e308 * np.sin(_S)]).tolist()},
+            "ell": _UNIT, "F": _UNIT},
+}
+
+
+@pytest.mark.parametrize("command", ["functional", "bound", "minimize", "laplace"])
+@pytest.mark.parametrize("kind, path", [("F", "$.F.values"), ("ell", "$.ell.values"),
+                                        ("F''", "$.F.values"), ("phi", "$.base.samples")])
+def test_samples_whose_series_leaves_the_doubles_exit_3(capsys, tmp_path, command, kind, path):
+    # the series is formed quietly and refused where it is built: the FFT
+    # overflowed and warned, `bound` with such an ell exited 0, and F'' of
+    # the tiny sphere overflowed in its coefficients
+    model, out_path = tmp_path / "model.json", tmp_path / "report.json"
+    model.write_text(json.dumps(_OUT_OF_SCALE_SERIES[kind]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, [command, "--model", str(model), "--out", str(out_path)])
+    assert code == 3 and out == "" and not out_path.exists()
+    assert f"numerical failure: {path}: a series or its derivative leaves the doubles: " \
+        "out of scale" in err
+
+
 def test_canonical_json_rejects_non_finite_numbers():
     with pytest.raises(eq.errors.NumericalError, match=r"\$\.a\[1\]\.b is NaN"):
         modelio.canonical_json({"a": [1.0, {"b": math.nan}]})
@@ -838,18 +878,21 @@ _MODEL_DOCS = {
 }
 
 
-@pytest.mark.parametrize(
-    "kind,field",
-    [("wps", "$.base.m1"), ("wps", "$.base.m2"), ("wps", "$.base.grid"),
-     ("sphere", "$.base.radius"), ("torus", "$.base.length"), ("torus", "$.base.radius"),
-     ("profile", "$.base.samples[3]"), ("profile", "$.base.m_start"), ("profile", "$.base.m_end"),
-     ("wps", "$.ell.value"), ("torus", "$.ell.values"), ("sphere", "$.F.value"),
-     ("torus", "$.F.values"), ("wps", "$.quadrature.panels"),
-     ("wps", "$.quadrature.points_per_panel"), ("wps", "$.quadrature.max_refinements"),
-     ("wps", "$.quadrature.abs_tol"), ("wps", "$.quadrature.rel_tol")],
-)
-def test_json_booleans_are_not_numbers(capsys, tmp_path, kind, field):
-    # true is a Python int: it parsed as 1 wherever a number was asked for
+# every numeric field of a model, by its path in one of the documents above
+_NUMERIC_FIELDS = [
+    ("wps", "$.base.m1"), ("wps", "$.base.m2"), ("wps", "$.base.grid"),
+    ("sphere", "$.base.radius"), ("torus", "$.base.length"), ("torus", "$.base.radius"),
+    ("profile", "$.base.samples[3]"), ("profile", "$.base.m_start"), ("profile", "$.base.m_end"),
+    ("wps", "$.ell.value"), ("torus", "$.ell.values"), ("sphere", "$.F.value"),
+    ("torus", "$.F.values"), ("wps", "$.quadrature.panels"),
+    ("wps", "$.quadrature.points_per_panel"), ("wps", "$.quadrature.max_refinements"),
+    ("wps", "$.quadrature.abs_tol"), ("wps", "$.quadrature.rel_tol"),
+]
+
+
+def _bound_with_field(capsys, tmp_path, kind, field, value):
+    """`bound --model` on a valid model document with one numeric field, or
+    one sample of it, set to value."""
     doc = json.loads(json.dumps(_MODEL_DOCS[kind]))
     modelio.build_metric(modelio.parse_model(doc))  # valid before the edit
     *parents, key = field.split(".")[1:]
@@ -858,16 +901,74 @@ def test_json_booleans_are_not_numbers(capsys, tmp_path, kind, field):
         node = node[name]
     if key.endswith("]"):  # one [s, phi] pair
         key, index = key[:-1].split("[")
-        node[key][int(index)][1] = True
+        node[key][int(index)][1] = value
     elif isinstance(node[key], list):  # one sample value
-        node[key][2] = True
+        node[key][2] = value
     else:
-        node[key] = True
-    path = tmp_path / "bool.json"
+        node[key] = value
+    path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc))
-    code, _, err = run(capsys, ["bound", "--model", str(path)])
+    return run(capsys, ["bound", "--model", str(path)])
+
+
+@pytest.mark.parametrize("kind,field", _NUMERIC_FIELDS)
+def test_json_booleans_are_not_numbers(capsys, tmp_path, kind, field):
+    # true is a Python int: it parsed as 1 wherever a number was asked for
+    code, _, err = _bound_with_field(capsys, tmp_path, kind, field, True)
     assert code == 2
     assert field in err
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("kind,field", _NUMERIC_FIELDS)
+def test_json_integers_past_the_doubles_exit_2(capsys, tmp_path, kind, field, sign):
+    # json.load reads 10^400 as an int, whose first float() raised
+    # OverflowError out of `cli.main`
+    code, out, err = _bound_with_field(capsys, tmp_path, kind, field, sign * 10**400)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {field}")
+
+
+def _model(kind, **parts):
+    """A copy of one of the documents above with some of its parts replaced."""
+    doc = json.loads(json.dumps(_MODEL_DOCS[kind]))
+    doc.update(parts)
+    return doc
+
+
+_PROFILE_BASE = _MODEL_DOCS["profile"]["base"]
+# a model file that fails to parse or to build, and the start of its message
+_MALFORMED_MODELS = {
+    "not an object": ("[1, 2]", "$: model document must be a JSON object"),
+    "invalid JSON": ('{"base": ', "$: invalid JSON"),
+    "few samples": (_model("profile", base=dict(_PROFILE_BASE, samples=_PROFILE_BASE["samples"][:7])),
+                    "$.base.samples: need at least 8 [s, phi] pairs"),
+    "cone order": (_model("profile", base=dict(_PROFILE_BASE, m_start=0)),
+                   "$.base.m_start: must be a positive integer"),
+    "ell samples": (_model("torus", ell={"type": "samples", "values": [1.0, 0.0, 1.0, 1.0, 1.0]}),
+                    "$.ell.values: fiber length must be positive everywhere"),
+    "F not finite": (_model("sphere", F={"type": "constant", "value": math.nan}),
+                     "$.F.value: must be finite"),
+    "wps F": (_model("sphere", F={"type": "wps"}), "$.F.type: 'wps' density requires a 'wps' base"),
+    "quadrature list": (_model("sphere", quadrature=[]), "$.quadrature: expected an object"),
+    "quadrature key": (_model("sphere", quadrature={"order": 5}),
+                       "$.quadrature: unknown fields ['order']"),
+    "quadrature value": (_model("sphere", quadrature={"max_refinements": -1}),
+                         "$.quadrature: max_refinements must be >= 0"),
+    # positive samples whose interpolant dips below 0 between them
+    "ell series": (_model("sphere", ell={"type": "samples", "values": [1] * 4 + [1e-6] * 2 + [1] * 4}),
+                   "$.ell: fiber length must be strictly positive on the base"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_MODELS))
+def test_malformed_models_exit_2_naming_their_path(capsys, tmp_path, case):
+    doc, message = _MALFORMED_MODELS[case]
+    path = tmp_path / "malformed.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    code, out, err = run(capsys, ["functional", "--model", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}"), err
 
 
 def test_wps_model_grid_is_validated_and_ignored(capsys, tmp_path):

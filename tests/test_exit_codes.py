@@ -3,8 +3,9 @@ model command exits 0, 2, 3 or 4, raises nothing out of `cli.main`, lets no
 numpy RuntimeWarning escape (an error here), and writes a report that is
 strict JSON.  Models are drawn on every base type, with constant and sampled
 fiber lengths and curvature densities from 1e-300 to 1e300 in magnitude, so
-that data out of scale is drawn too, and the same model is written in units
-c, log-uniform in [1e-6, 1e6]."""
+that data out of scale is drawn too, constants that are JSON integers past
+DBL_MAX among them, and the same model is written in units c, log-uniform
+in [1e-6, 1e6]."""
 
 from __future__ import annotations
 
@@ -65,6 +66,8 @@ def fields(draw, length, periodic, positive):
     mag = draw(magnitudes)
     sign = 1.0 if positive else draw(st.sampled_from([1.0, -1.0]))
     if draw(st.booleans()):
+        if draw(st.integers(0, 9)) == 0:  # an integer past DBL_MAX, which json.load reads as an int
+            return {"type": "constant", "value": int(sign) * 10 ** draw(st.integers(309, 400))}
         return {"type": "constant", "value": sign * mag}
     n = draw(st.integers(5, 65))
     s = np.linspace(0.0, length, n)
@@ -92,7 +95,7 @@ def models(draw):
     if "samples" in base:
         base["samples"] = base["samples"] * c
     for field, power in ((ell, 1), (F, -2)):
-        if "value" in field:
+        if isinstance(field.get("value"), float):
             field["value"] = field["value"] * c**power
         if "values" in field:
             field["values"] = field["values"] * c**power

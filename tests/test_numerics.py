@@ -23,13 +23,13 @@ from eqyamabe.numerics import (
     _fejer_rule,
     _fejer_weights,
     _chop,
+    TrigSeries,
     _interpolant,
     _with_dips,
     integrate,
     limit_at_zero,
     minimize_scalar,
     sign_change_roots,
-    trig_series,
 )
 from eqyamabe.orbifold import integrate_over_base, quadrature_nodes, wps_profile
 
@@ -269,6 +269,12 @@ def test_integrate_is_linear(alpha, beta):
     assert abs(combined.value - separate) <= tol
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0), (0.0, math.nan)])
+def test_integrate_needs_an_increasing_interval(a, b):
+    with pytest.raises(ValueError, match="need a < b"):
+        integrate(np.ones_like, a, b)
+
+
 def test_breaks_make_a_kink_converge_at_level_one():
     # |x - c| on [0, 1]: split there, each piece is linear and the first
     # level converges
@@ -461,8 +467,8 @@ def test_with_dips_overflows_to_inf_without_a_warning():
 # ---------------------------------------------------------------------------
 
 def _interpolated(values, length, parity):
-    c, omega, _ = _interpolant(np.asarray(values, dtype=float), length, parity)
-    return trig_series(c, omega)
+    series = _interpolant(np.asarray(values, dtype=float), length, parity)[0]
+    return series.value, series.d1, series.d2
 
 
 def test_trig_interpolant_reproduces_a_trigonometric_polynomial():
@@ -509,7 +515,7 @@ def test_periodic_samples_must_match_at_the_seam():
         _interpolant(np.array([1.0, 2.0, 1.0 + 1e-9]), 1.0, "periodic")
     # the even and odd reflections have no seam
     for parity in ("even", "odd"):
-        assert _interpolant(np.array([1.0, 2.0, 3.0]), 1.0, parity)[1] == math.pi
+        assert _interpolant(np.array([1.0, 2.0, 3.0]), 1.0, parity)[0].omega == math.pi
 
 
 def test_chopped_interpolant_waits_for_the_tail_to_reach_rounding():
@@ -517,12 +523,12 @@ def test_chopped_interpolant_waits_for_the_tail_to_reach_rounding():
     # leave its trailing quarter above rounding, 64 do not.  The verdict is
     # the flag `_sampled_series` reads; the coefficients pass through the samples
     f = lambda s: np.exp(np.cos(2.0 * math.pi * s))  # noqa: E731
-    assert _interpolant(f(np.linspace(0.0, 1.0, 17)), 1.0, "periodic")[2] is False
+    assert _interpolant(f(np.linspace(0.0, 1.0, 17)), 1.0, "periodic")[1] is False
     grid = np.linspace(0.0, 1.0, 65)
-    c, omega, chopped = _interpolant(f(grid), 1.0, "periodic")
-    assert chopped is True and omega == 2.0 * math.pi
-    assert trig_series(c, omega)[0](grid) == pytest.approx(f(grid), abs=1e-15)
-    assert _interpolant(np.zeros(9), 1.0, "periodic")[2] is True
+    series, chopped = _interpolant(f(grid), 1.0, "periodic")
+    assert chopped is True and series.omega == 2.0 * math.pi
+    assert series.value(grid) == pytest.approx(f(grid), abs=1e-15)
+    assert _interpolant(np.zeros(9), 1.0, "periodic")[1] is True
 
 
 def test_trim_keeps_only_the_mean_mode_of_zeros():
@@ -547,9 +553,54 @@ def test_trim_keeps_the_modes_past_the_data_scale(f, n, kept):
     # eps * max|c|: trimmed against the largest coefficient they keep 11 and 7
     # modes, and their sums differ in the last bits
     samples = f(np.linspace(0.0, 2.0 * math.pi, n + 1))
-    c, omega, _ = _interpolant(samples, 2.0 * math.pi, "periodic")
+    series, _ = _interpolant(samples, 2.0 * math.pi, "periodic")
+    c = series.coeffs
     assert c.size == _chop(c, np.finfo(float).eps * np.max(np.abs(samples)))[0] == kept
-    assert omega == 1.0
+    assert series.omega == 1.0
+
+
+# ---------------------------------------------------------------------------
+# TrigSeries: the one series type
+# ---------------------------------------------------------------------------
+
+def test_trig_series_from_real_sums_cosines_and_sines():
+    w = 1.5
+    series = TrigSeries.from_real([0.3, 1.0, 0.0], [0.0, -0.5, 2.0], w)
+    assert series.coeffs.tolist() == [0.3, 1.0 + 0.5j, -2.0j]
+    s = np.linspace(-1.0, 3.0, 41)
+    value = 0.3 + np.cos(w * s) - 0.5 * np.sin(w * s) + 2.0 * np.sin(2.0 * w * s)
+    d1 = -w * np.sin(w * s) - 0.5 * w * np.cos(w * s) + 4.0 * w * np.cos(2.0 * w * s)
+    d2 = -w * w * np.cos(w * s) + 0.5 * w * w * np.sin(w * s) - 8.0 * w * w * np.sin(2.0 * w * s)
+    assert series.value(s) == pytest.approx(value, abs=1e-14)
+    assert series.d1(s) == pytest.approx(d1, abs=1e-13)
+    assert series.d2(s) == pytest.approx(d2, abs=1e-12)
+    assert np.shape(series.value(0.7)) == ()
+    # the coefficients are read-only, and a series equals only itself
+    with pytest.raises(ValueError):
+        series.coeffs[0] = 1.0
+    assert series == series and series != TrigSeries(series.coeffs, w)
+
+
+def test_trig_series_end_slopes_are_the_slopes_at_zero_and_the_half_period():
+    series = TrigSeries.from_real([0.3, 0.7, -0.2, 0.1], [0.0, 1.0, 0.25, -0.5], 2.0)
+    start, end = series.end_slopes()
+    assert start == pytest.approx(float(series.d1(0.0)), abs=1e-14)
+    assert end == pytest.approx(float(series.d1(0.5 * math.pi)), abs=1e-14)
+
+
+def test_trig_series_out_of_scale_raises_without_a_warning():
+    # a derivative's coefficients, the sum of the moduli that bounds the
+    # values, and the FFT of samples near DBL_MAX each leave the doubles
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for coeffs, omega in (([1e300, 1e300], 1e6), ([1.7e308, 1.7e308], 1.0)):
+            with pytest.raises(NonFinite, match="leaves the doubles: out of scale"):
+                TrigSeries(coeffs, omega)
+        with pytest.raises(NonFinite, match="leaves the doubles: out of scale"):
+            _interpolant(np.full(9, 1.7e308), 1.0, "even")
+        with pytest.raises(ValueError, match="seam"):  # the seam's difference overflows quietly
+            _interpolant(np.array([1.7e308, 0.0, -1.7e308]), 1.0, "periodic")
+        assert TrigSeries([1e300, 1e300], 1e3).d2(0.0) == -1e306
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 import eqyamabe as eq
 from eqyamabe import orbifold
 from eqyamabe.errors import DomainError, NotCoprime
-from eqyamabe.numerics import QuadratureConfig
+from eqyamabe.numerics import QuadratureConfig, _interpolant
 
 from conftest import COPRIME_PAIRS, bump_sphere
 
@@ -361,10 +361,27 @@ def test_non_uniform_samples_stop_at_the_first_fit_that_chops():
     # chops; 51 samples of wps(1, 3) do not chop by the cap of 25 modes
     bump = bump_sphere(0.15)
     s = _warped(math.pi, 3201)
-    assert orbifold._sine_fit(s, bump.phi(s), math.pi).size == 1 + 16
+    assert orbifold._sine_fit(s, bump.phi(s), math.pi).coeffs.size == 1 + 16
     wps = eq.wps_profile(1, 3)
     s = _warped(wps.length, 51)
-    assert orbifold._sine_fit(s, wps.phi(s), wps.length).size == 1 + 25
+    assert orbifold._sine_fit(s, wps.phi(s), wps.length).coeffs.size == 1 + 25
+
+
+@pytest.mark.parametrize("closed, n", [(bump_sphere(0.15), 51), (eq.wps_profile(2, 3), 201)],
+                         ids=["bump", "wps23"])
+def test_pole_slopes_are_the_hand_sums_of_the_sine_coefficients(closed, n):
+    # end_slopes() gives phi'(0) = sum (k pi / L) b_k and
+    # phi'(L) = sum (-1)^k (k pi / L) b_k bit for bit as the profile builder
+    # once summed them by hand, on interpolated and on fitted profiles
+    L = closed.length
+    uniform, warped = np.linspace(0.0, L, n), _warped(L, n)
+    for series in (_interpolant(closed.phi(uniform), L, "odd")[0],
+                   orbifold._sine_fit(warped, closed.phi(warped), L)):
+        c = series.coeffs
+        slopes = np.arange(c.size) * (math.pi / L) * -c.imag
+        hand = float(slopes.sum()), float(slopes[::2].sum() - slopes[1::2].sum())
+        assert series.end_slopes() == hand
+    assert hand == pytest.approx((1.0 / closed.m_start, -1.0 / closed.m_end), abs=1e-6)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

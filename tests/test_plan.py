@@ -19,7 +19,7 @@ import eqyamabe as eq
 from eqyamabe import conformal, modelio, orbifold
 from eqyamabe.errors import DomainError, NotCoprime
 from eqyamabe.numerics import QuadratureConfig, _fejer_rule, _with_dips, integrate
-from eqyamabe.numerics import sign_change_roots
+from eqyamabe.numerics import TrigSeries, sign_change_roots
 
 from conftest import bump_sphere, fourier_field
 
@@ -645,17 +645,11 @@ def test_every_check_reads_the_plan_galerkin_grid(monkeypatch):
     eq.conformal_functional(metric, _handed(ramp, seen))
     assert seen[0] is grid
 
-    c = np.zeros(4, dtype=complex)
-    c[1] = -1j  # sin(pi s / pi): the unit sphere
+    sine = TrigSeries.from_real(np.zeros(4), [0.0, 1.0, 0.0, 0.0], 1.0)  # sin s: the unit sphere
     sampled = []
-    original = orbifold.trig_series
-
-    def handing(coeffs, omega):
-        phi, d1, d2 = original(coeffs, omega)
-        return (lambda s: sampled.append(s) or phi(s)), d1, d2
-
-    monkeypatch.setattr(orbifold, "trig_series", handing)
-    profile = orbifold._sine_profile(c, math.pi, 1, 1, "unit")
+    original = TrigSeries.value
+    monkeypatch.setattr(TrigSeries, "value", lambda self, s: sampled.append(s) or original(self, s))
+    profile = orbifold._sine_profile(sine, math.pi, 1, 1, "unit")
     assert len(sampled) == 1 and sampled[0] is orbifold._rule(profile, orbifold._GRID_LEVEL)[0]
 
 

@@ -151,6 +151,12 @@ def test_scan_rows_equal_the_closed_forms_to_the_bit(name):
         ]
 
 
+@pytest.mark.parametrize("ell", [0.0, -0.5])
+def test_collapse_bounds_need_a_positive_fiber_length(torus_metric, ell):
+    with pytest.raises(ValueError, match="fiber length must be positive"):
+        eq.collapse_bounds(torus_metric.base, torus_metric.F, ell)
+
+
 def test_collapse_bounds_regime_errors(half_sphere, torus_metric):
     with pytest.raises(PositiveChi):
         eq.collapse_bounds(half_sphere, 2.0, 0.1)
@@ -217,6 +223,19 @@ def test_fit_exponent_degenerate():
         regime=REGIME_INTERIOR_MAX,
     )
     with pytest.raises(DegenerateData):
+        eq.fit_exponent(table)
+
+
+def test_fit_exponent_of_a_ladder_without_spread():
+    # five rows, all of nonzero J, at one fiber length
+    table = ScanTable(
+        ell=np.full(5, 0.5),
+        J=np.arange(1.0, 6.0),
+        lower=None,
+        flags=[""] * 5,
+        regime=REGIME_INTERIOR_MAX,
+    )
+    with pytest.raises(DegenerateData, match="no spread"):
         eq.fit_exponent(table)
 
 
