@@ -21,8 +21,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import NonFinite
-from .numerics import _DEFAULT_CONFIG, QuadratureConfig, _interpolant, _sampled_series
-from .numerics import _with_dips, sign_change_roots
+from .numerics import _DEFAULT_CONFIG, QuadratureConfig, TrigSeries, _interpolant
+from .numerics import _sampled_series, _with_dips, sign_change_roots
 from .orbifold import (
     _GRID_LEVEL,
     Base,
@@ -81,6 +81,11 @@ class RadialField:
         )
 
     @classmethod
+    def from_series(cls, series: TrigSeries) -> "RadialField":
+        """The field a `numerics.TrigSeries` sums, with its two derivatives."""
+        return cls(series.value, series.d1, series.d2)
+
+    @classmethod
     def from_samples(cls, values: np.ndarray, length: float,
                      periodic: bool = False) -> "RadialField":
         """Trigonometric series through samples on linspace(0, length, n), ends
@@ -95,8 +100,7 @@ class RadialField:
             raise ValueError(f"need a 1-d array of at least 2 samples, got shape {values.shape}")
         if not 0.0 < length < math.inf:
             raise ValueError(f"samples must span a positive, finite length L, got L = {length}")
-        series = _interpolant(values, length, "periodic" if periodic else "even")[0]
-        return cls(series.value, series.d1, series.d2)
+        return cls.from_series(_interpolant(values, length, "periodic" if periodic else "even")[0])
 
 
 FieldLike = Union[RadialField, float, int, Callable]
@@ -115,8 +119,7 @@ def as_radial_field(obj: FieldLike, base: Base) -> RadialField:
     if not callable(obj):
         raise TypeError(f"cannot interpret {type(obj).__name__} as a radial field")
     parity = "periodic" if base.periodic else "even"
-    series = _sampled_series(obj, base.length, parity, "a radial callable")
-    return RadialField(series.value, series.d1, series.d2)
+    return RadialField.from_series(_sampled_series(obj, base.length, parity, "a radial callable"))
 
 
 @dataclass(frozen=True)
@@ -196,10 +199,10 @@ class NormReport:
     chern_number: float
 
 
-def _laplacian_of(field: RadialField, base: Base, s):
-    """Nonnegative radial Laplacian -(phi f')'/phi = -(phi'/phi) f' - f''."""
-    s = np.asarray(s, dtype=float)
-    return -base.dlog_density(s) * field.d1(s) - field.d2(s)
+def _laplacian(base: Base, s, d1, d2):
+    """Nonnegative radial Laplacian -(phi f')'/phi = -(phi'/phi) f' - f'' at
+    s, from the values d1 = f' and d2 = f'' there."""
+    return -base.dlog_density(s) * d1 - d2
 
 
 def scalar_curvature_total(metric: InvariantMetric, s):
@@ -220,7 +223,7 @@ def _scalar_curvature(metric: InvariantMetric, s, ell, K, F):
     slopes are not read."""
     scal = 2.0 * K - 0.5 * ell**2 * F**2
     if metric.ell.constant is None:
-        scal = scal + 2.0 * _laplacian_of(metric.ell, metric.base, s) / ell
+        scal = scal + 2.0 * _laplacian(metric.base, s, metric.ell.d1(s), metric.ell.d2(s)) / ell
     return scal
 
 

@@ -51,7 +51,7 @@ from .bundle import (
     FieldLike,
     InvariantMetric,
     RadialField,
-    _laplacian_of,
+    _laplacian,
     _node_values,
     as_radial_field,
 )
@@ -95,7 +95,8 @@ def laplace_residual(base: Base, u: RadialField, f: FieldLike) -> float:
     amplifies rounding without geometric meaning."""
     nodes, L = _rule(base, _GRID_LEVEL)[0], base.length
     s = nodes[(nodes > 0.02 * L) & (nodes < 0.98 * L)] if base.cone_orders else nodes
-    return float(np.max(np.abs(_laplacian_of(u, base, s) - as_radial_field(f, base).value(s))))
+    lap = _laplacian(base, s, u.d1(s), u.d2(s))
+    return float(np.max(np.abs(lap - as_radial_field(f, base).value(s))))
 
 
 def uniformize_positive(base: Base) -> tuple[RadialField, float]:
@@ -120,7 +121,7 @@ def uniformize_positive(base: Base) -> tuple[RadialField, float]:
     K = np.asarray(gauss_curvature(base, nodes), dtype=float)
     basis, c = _poisson_series(base, 2.0 * math.pi * chi / area(base) - K, _EPS * np.max(np.abs(K)))
     series = basis.series(c)
-    g = 2.0 * (-base.dlog_density(nodes) * (basis.slopes @ c) - series.d2(nodes) + K)
+    g = 2.0 * (_laplacian(base, nodes, basis.slopes @ c, series.d2(nodes)) + K)
     log_g = np.log(np.abs(g), out=np.full(g.shape, -np.inf), where=g != 0.0)
     log_scal = log_g - 2.0 * (basis.values @ c)  # log |g e^{-2u}|
     negative = g < 0.0
@@ -232,8 +233,7 @@ class _Basis:
         cos, sin = np.zeros((2, self.power[-1] + 1))
         cos[self.power[~self.sine]] = c[~self.sine]
         sin[self.power[self.sine]] = c[self.sine]
-        series = TrigSeries.from_real(cos, sin, self.omega)
-        return RadialField(series.value, series.d1, series.d2)
+        return RadialField.from_series(TrigSeries.from_real(cos, sin, self.omega))
 
 
 def _level(m: int) -> int:

@@ -93,6 +93,17 @@ def test_laplacian_term_integrates_to_zero(half_sphere):
     assert abs(res.value) <= 1e-8
 
 
+def test_a_field_from_a_series_sums_it_bit_for_bit():
+    from eqyamabe.numerics import TrigSeries
+
+    series = TrigSeries.from_real([1.2, 0.4, -0.2], [0.0, 0.3, 0.1], 2.0)
+    field = eq.RadialField.from_series(series)
+    s = np.linspace(0.0, math.pi, 37)
+    for got, want in ((field.value, series.value), (field.d1, series.d1), (field.d2, series.d2)):
+        assert np.array_equal(got(s), want(s))
+    assert field.constant is None
+
+
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
