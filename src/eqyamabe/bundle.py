@@ -8,7 +8,7 @@ the squared norm of the curvature form is 2 F^2.
 The Laplacian is taken nonnegative throughout: on radial functions
 Delta f = -(phi f')' / phi.  This is the unique sign under which the two
 equivalent forms of the submersion scalar-curvature formula coincide; see
-`scalar_curvature_total` and the companion `_scalar_curvature_log_form`.
+`scalar_curvature_total`, which the test suite checks against the other form.
 """
 
 from __future__ import annotations
@@ -256,22 +256,6 @@ def _node_values(metric: InvariantMetric, s) -> _NodeValues:
             array.flags.writeable = False
         metric._nodes[level] = values
     return values
-
-
-def _scalar_curvature_log_form(metric: InvariantMetric, s):
-    """Alternate form with 2 Delta(log ell) - 2 |d ell|^2 / ell^2.
-
-    Must agree pointwise with `scalar_curvature_total`; the agreement pins the
-    Laplacian sign convention and is asserted in the test suite.
-    """
-    base = metric.base
-    ell = metric.ell.value(s)
-    dell = metric.ell.d1(s)
-    F = metric.F.value(s)
-    K = gauss_curvature(base, s)
-    lap_log = -(metric.ell.d2(s) / ell - (dell / ell) ** 2)
-    lap_log = -base.dlog_density(s) * (dell / ell) + lap_log
-    return 2.0 * K - 0.5 * ell**2 * F**2 - 2.0 * (dell / ell) ** 2 + 2.0 * lap_log
 
 
 def omega_norms(metric: InvariantMetric, cfg: QuadratureConfig | None = None) -> NormReport:

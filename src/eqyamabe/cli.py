@@ -24,12 +24,7 @@ import numpy as np
 from . import __version__
 from .bundle import NormReport, RadialField, omega_norms
 from .conformal import MinimizerConfig, minimize_conformal, uniformize_positive
-from .errors import (
-    CaseMismatchError,
-    EqYamabeError,
-    NumericalError,
-    UsageError,
-)
+from .errors import CaseMismatchError, EqYamabeError, UsageError
 from .invariants import build_invariant_report, c1_closed, chi_boundary, chi_closed
 from .modelio import (
     TOOL_NAME,
@@ -84,12 +79,14 @@ def _quantity(value, error=None, route=None, exact=False):
 
 
 def _emit(args, report: dict, csv_text: str | None = None) -> None:
+    # the JSON is formed with --csv too: it refuses a value JSON cannot carry
     payload = canonical_json(report)
+    text = csv_text if (csv_text is not None and args.csv) else payload
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text if (csv_text is not None and args.csv) else payload)
+            fh.write(text)
     else:
-        sys.stdout.write(csv_text if (csv_text is not None and args.csv) else payload)
+        sys.stdout.write(text)
 
 
 def _base_report(args, command: str) -> dict:
@@ -439,7 +436,7 @@ def main(argv=None) -> int:
     except CaseMismatchError as exc:
         print(f"case mismatch: {exc}", file=sys.stderr)
         return 4
-    except (NumericalError, EqYamabeError) as exc:
+    except EqYamabeError as exc:  # NumericalError and its subclasses
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     finally:

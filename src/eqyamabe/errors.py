@@ -45,10 +45,6 @@ class NoConvergence(NumericalError):
     """Refinement budget exhausted without meeting the tolerance."""
 
 
-class QuadratureFailure(NumericalError):
-    """An assembled quadrature (area, norm, functional) failed."""
-
-
 class LimitNotConverged(NumericalError):
     """One-sided limit extrapolation disagrees across scales."""
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .numerics import IntegralResult, QuadratureConfig
+from .errors import InconsistentRoutes
+from .numerics import _DEFAULT_CONFIG, IntegralResult, QuadratureConfig
 from .orbifold import ConeSurfaceProfile, _check_weights, integrate_over_base, wps_profile
 from .yamabe import wps_density_field
 
@@ -96,10 +97,14 @@ class InvariantReport:
 def build_invariant_report(
     m1: int, m2: int, cfg: QuadratureConfig | None = None
 ) -> InvariantReport:
-    """All routes at once, for the CLI and for cross-route validation."""
+    """All routes at once, for the CLI and for cross-route validation.  A
+    quadrature route that misses its closed form by more than 1e-6 relative
+    (or the config's rel_tol, if looser) raises InconsistentRoutes: past the
+    weights its rule resolves, a quadrature can settle on a wrong value with
+    a small error estimate."""
     c1q = c1_quadrature(m1, m2, cfg)
     chiq = chi_quadrature(m1, m2, cfg)
-    return InvariantReport(
+    report = InvariantReport(
         m1=int(m1),
         m2=int(m2),
         c1_closed=c1_closed(m1, m2),
@@ -110,3 +115,13 @@ def build_invariant_report(
         chi_quadrature_error=chiq.error_estimate,
         chi_boundary=chi_boundary(m1, m2),
     )
+    rel_tol = max(1e-6, (cfg or _DEFAULT_CONFIG).rel_tol)
+    deltas = report.deltas()
+    for name, value, closed in (("c1", c1q.value, float(report.c1_closed)),
+                                ("chi", chiq.value, float(report.chi_closed))):
+        if not deltas[f"{name}_quadrature_vs_closed"] <= rel_tol * closed:
+            raise InconsistentRoutes(
+                f"{name} quadrature {value:.6g} misses the closed form {closed:.6g} "
+                f"by more than {rel_tol:.0e} relative: weights past what the rule resolves"
+            )
+    return report

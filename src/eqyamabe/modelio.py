@@ -12,6 +12,7 @@ produce byte-identical reports.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -321,25 +322,19 @@ def canonical_json(obj: Any) -> str:
     return buf.getvalue()
 
 
+def _csv_cell(v) -> str:
+    if isinstance(v, (float, np.floating)):
+        return format_float(float(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return "" if v is None else str(v)
+
+
 def table_to_csv(columns: dict[str, list]) -> str:
-    """RFC-4180-style CSV with a one-line header, 17-digit floats, CRLF rows;
-    None is an empty cell."""
-    names = list(columns)
-    rows = zip(*[columns[n] for n in names])
-    lines = [",".join(names)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if v is None:
-                cells.append("")
-            elif isinstance(v, (float, np.floating)):
-                cells.append(format_float(float(v)))
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                text = str(v)
-                if any(ch in text for ch in ",\"\r\n"):
-                    text = '"' + text.replace('"', '""') + '"'
-                cells.append(text)
-        lines.append(",".join(cells))
-    return "\r\n".join(lines) + "\r\n"
+    """RFC-4180 CSV by the `csv` module: a one-line header, 17-digit floats,
+    CRLF rows; None is an empty cell."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\r\n")
+    writer.writerow(columns)
+    writer.writerows(map(_csv_cell, row) for row in zip(*columns.values()))
+    return out.getvalue()

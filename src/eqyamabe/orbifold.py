@@ -51,6 +51,7 @@ every other base still drops its plan when it is collected.
 from __future__ import annotations
 
 import math
+import sys
 import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -58,8 +59,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, NotCoprime, QuadratureFailure
-from .numerics import _DEFAULT_CONFIG, _EPS, _FIRST_LEVEL, IntegralResult, NoConvergence
+from .errors import DomainError, NonFinite, NotCoprime
+from .numerics import _DEFAULT_CONFIG, _EPS, _FIRST_LEVEL, IntegralResult
 from .numerics import QuadratureConfig, TrigSeries, _chop, _fejer_rule, _interpolant
 from .numerics import _sampled_series, integrate
 
@@ -92,8 +93,19 @@ def _check_weights(m1: int, m2: int) -> None:
         raise NotCoprime("weights must be integers")
     if m1 < 1 or m2 < 1:
         raise NotCoprime("weights must be positive")
+    if int(m1) * int(m2) > sys.float_info.max:  # so that c1 = 1/(m1 m2) is a double above 0
+        raise NotCoprime("the product of the weights must be at most the largest double")
     if math.gcd(int(m1), int(m2)) != 1:
         raise NotCoprime(f"weights ({m1}, {m2}) are not coprime")
+
+
+def _square_difference(m1: int, m2: int) -> float:
+    """m1^2 - m2^2 in doubles, exact below 2^26, for the closed forms of
+    `wps_profile` and `yamabe.wps_density_field`.  Those reach the fourth
+    power of a weight, which leaves the doubles from 2^255 on: NonFinite."""
+    if max(m1, m2) >= 2**255:
+        raise NonFinite("wps weights must be below 2^255: its closed forms leave the doubles")
+    return (float(m1) - m2) * (float(m1) + m2)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +332,8 @@ def wps_profile(m1: int, m2: int) -> ConeSurfaceProfile:
     forms in sin 2s, cos 2s and P, with cos s read as sin(L - s): sin 2s is then
     an exact zero at both poles, every value is accurate relative to phi up to
     either pole, and the pole slopes are exactly 1/m2 and -1/m1.  One base per
-    (int(m1), int(m2)): equal weights return the same base.
+    (int(m1), int(m2)): equal weights return the same base.  Weights of 2^255
+    or more raise NonFinite (`_square_difference`).
     """
     _check_weights(m1, m2)
     return _wps_profile(int(m1), int(m2))
@@ -329,7 +342,7 @@ def wps_profile(m1: int, m2: int) -> ConeSurfaceProfile:
 @lru_cache(maxsize=_SHARED_BASES)
 def _wps_profile(m1: int, m2: int) -> ConeSurfaceProfile:
     L = 0.5 * math.pi
-    a = float(m1 * m1 - m2 * m2)
+    a = _square_difference(m1, m2)
 
     def terms(s):
         """sin 2s, cos 2s, P'/P and P^(-1/2) at s."""
@@ -503,12 +516,7 @@ def integrate_over_base(
     def integrand(s):
         return np.asarray(fn(s)) * base.density(s)
 
-    try:
-        res = integrate(
-            integrand, 0.0, base.length, cfg, breaks, _first_level=quadrature_nodes(base)
-        )
-    except NoConvergence as exc:
-        raise QuadratureFailure(str(exc)) from exc
+    res = integrate(integrand, 0.0, base.length, cfg, breaks, _first_level=quadrature_nodes(base))
     scale = base.area_scale
     scaled = [
         IntegralResult(scale * r.value, scale * r.error_estimate, r.refinements_used)

@@ -46,6 +46,7 @@ from .orbifold import (
     Base,
     _check_weights,
     _rule,
+    _square_difference,
     area,
     chi_orb,
     integrate_over_base,
@@ -297,11 +298,12 @@ def wps_density_field(m1: int, m2: int) -> RadialField:
 
         F(s) = 2 m1 m2 / P(s)^{3/2},  P(s) = m1^2 sin^2 s + m2^2 cos^2 s,
 
-    normalized so that (1/2pi) int F dA over the base is 1/(m1 m2).
+    normalized so that (1/2pi) int F dA over the base is 1/(m1 m2).  Weights
+    of 2^255 or more raise NonFinite (`orbifold._square_difference`).
     """
     # P as m1^2 sin^2 s + m2^2 cos^2 s rather than a polynomial in sin^2 s:
     # stable at both poles
-    a = float(m1 * m1 - m2 * m2)
+    a = _square_difference(m1, m2)
     c = 2.0 * m1 * m2
 
     def P(s):

@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 import eqyamabe as eq
-from eqyamabe import orbifold
-from eqyamabe.bundle import _scalar_curvature_log_form
-from eqyamabe.errors import DomainError
+from eqyamabe import bundle, orbifold
+from eqyamabe.errors import DomainError, NonFinite
 from eqyamabe.orbifold import integrate_over_base
 
 from conftest import fourier_field
@@ -66,6 +65,19 @@ def test_scalar_curvature_pole_domain(hopf):
 
     with pytest.raises(DomainError):
         eq.scalar_curvature_total(hopf, 0.0)
+
+
+def _scalar_curvature_log_form(metric, s):
+    """The total scalar curvature with 2 Delta(log ell) - 2 |d ell|^2 / ell^2
+    in place of the fiber-gradient term of `scalar_curvature_total`."""
+    base = metric.base
+    ell = metric.ell.value(s)
+    dell = metric.ell.d1(s)
+    F = metric.F.value(s)
+    K = eq.gauss_curvature(base, s)
+    lap_log = -(metric.ell.d2(s) / ell - (dell / ell) ** 2)
+    lap_log = -base.dlog_density(s) * (dell / ell) + lap_log
+    return 2.0 * K - 0.5 * ell**2 * F**2 - 2.0 * (dell / ell) ** 2 + 2.0 * lap_log
 
 
 def test_oneill_two_forms_agree_for_variable_ell(half_sphere):
@@ -119,6 +131,24 @@ def test_torus_norms(torus_metric):
     norms = eq.omega_norms(torus_metric)
     assert norms.chern_number == pytest.approx(1.0, rel=1e-13)
     assert norms.omega_L2_sq == pytest.approx(4.0 * math.pi, rel=1e-13)
+
+
+def test_a_nan_density_keeps_the_quadratures_own_error(half_sphere):
+    # the norms name the largest |F| only for values out of scale; a NaN is
+    # the quadrature's to report
+    nan = eq.RadialField(
+        value=lambda s: np.full_like(np.asarray(s, dtype=float), math.nan),
+        d1=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+        d2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+    )
+    metric = eq.InvariantMetric(base=half_sphere, ell=eq.RadialField.const(1.0), F=nan)
+    with pytest.raises(NonFinite, match="^integrand returned non-finite values near"):
+        eq.omega_norms(metric)
+
+
+def test_a_string_is_not_a_radial_field(half_sphere):
+    with pytest.raises(TypeError, match="cannot interpret str as a radial field"):
+        bundle.as_radial_field("x", half_sphere)
 
 
 def test_zero_density_norms(half_sphere):
@@ -370,6 +400,12 @@ def _pole_check_field(kind, length):
             d1=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
             d2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         )
+    if kind == "tiny_slope":  # F' = 1e-13: past 5e-14 at the poles, under the interior's 1e-12
+        return eq.RadialField(
+            value=lambda s: 1.0 + 1e-13 * np.asarray(s),
+            d1=lambda s: np.full_like(np.asarray(s, dtype=float), 1e-13),
+            d2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+        )
     scale = {"ramp": 1.0, "big_ramp": 1e6}[kind]  # 1 + 0.3 s / L, times the scale
     return eq.RadialField(
         value=lambda s: scale * (1.0 + 0.3 * np.asarray(s) / length),
@@ -386,10 +422,11 @@ def _pole_check_field(kind, length):
         ("series", [2], False),  # its pole slopes are rounding: the interior is not read
         ("flat", [2], False),
         ("big_cosine", [2, 511], False),  # pole slopes past 5e-14, but small against the interior's
+        ("tiny_slope", [2, 511], False),  # the interior is read, but its slopes are under 1e-12
         ("ramp", [2, 511], True),
         ("big_ramp", [2, 511], True),
     ],
-    ids=["series", "flat", "big_cosine", "ramp", "big_ramp"],
+    ids=["series", "flat", "big_cosine", "tiny_slope", "ramp", "big_ramp"],
 )
 def test_pole_check_reads_the_poles_before_the_interior(role, base, kind, points, warns):
     # the pole slopes are read first; the slopes at the 511 nodes of the

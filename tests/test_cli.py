@@ -166,8 +166,8 @@ def test_laplace_rejects_tol(capsys, tmp_path):
 
 
 def test_invariants_lopsided_pair(capsys):
-    # weights up to 2000 are in the domain, in either order
-    for m1, m2 in ((1, 50), (1, 359), (1, 2000), (2000, 1)):
+    # weights up to about 38000 are in the domain, in either order
+    for m1, m2 in ((1, 50), (1, 359), (1, 2000), (2000, 1), (1, 38000)):
         code, out, _ = run(capsys, ["invariants", "--m1", str(m1), "--m2", str(m2)])
         assert code == 0, (m1, m2)
         q = json.loads(out)["quantities"]
@@ -187,6 +187,60 @@ def test_invariants_past_the_converging_weights_exit_3(capsys):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("m1, m2", [(10**8, 1), (1, 10**8)])
+def test_invariants_that_settle_on_a_wrong_value_exit_3(capsys, m1, m2):
+    # past the weights the rule resolves, the c1 quadrature settles on
+    # 8.7e-17 with an estimate of 5e-13 against the exact 1e-8: its closed
+    # form catches it
+    code, out, err = run(capsys, ["invariants", "--m1", str(m1), "--m2", str(m2)])
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: c1 quadrature 8.67182e-17 misses the closed "
+                          "form 1e-08")
+
+
+def _wps_weights_model(tmp_path, m1, m2):
+    path = tmp_path / "wps_weights.json"
+    path.write_text(json.dumps({"base": {"type": "wps", "m1": m1, "m2": m2},
+                                "ell": {"type": "constant", "value": 1.0}, "F": {"type": "wps"}}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["invariants", "--m1", str(10**400), "--m2", "1"], 2, "error: the product of the weights"),
+        (["bound", "--m1", str(10**400), "--m2", "1"], 2, "error: the product of the weights"),
+        (["bound", "--m1", str(10**200), "--m2", str(10**200 + 1)], 2,
+         "error: the product of the weights"),
+        (["invariants", "--m1", str(10**200), "--m2", "1"], 3,
+         "numerical failure: wps weights must be below 2^255"),
+        (["bound", "--model", (10**200, 1)], 3,
+         "numerical failure: wps weights must be below 2^255"),
+        (["bound", "--model", (10**400, 1)], 2,
+         "error: $.base.m1: integer past the largest double"),
+    ],
+    ids=["invariants", "bound", "bound_product", "invariants_quadrature", "model",
+         "model_past_max"],
+)
+def test_weights_past_the_doubles_exit_2_or_3(capsys, tmp_path, argv, code, message):
+    argv = [_wps_weights_model(tmp_path, *a) if isinstance(a, tuple) else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got, out, err = run(capsys, argv)
+    assert (got, out) == (code, "")
+    assert err.startswith(message) and len(err.splitlines()) == 1
+
+
+def test_weighted_pair_bound_of_a_huge_weight(capsys):
+    # the bounds of a pair are closed forms: a weight of 1e200 is in their domain
+    code, out, _ = run(capsys, ["bound", "--m1", str(10**200), "--m2", "1"])
+    assert code == 0
+    doc = _strict_json(out)
+    assert _bound_value(doc, "weighted_pair") == pytest.approx(
+        _bound_value(doc, "topological"), rel=1e-12
+    )
 
 
 def test_invariants_noncoprime_exit_2(capsys):
@@ -237,6 +291,9 @@ def test_bound_hebey_vaugon(capsys):
     code, out, err = run(capsys, ["bound", "--hebey-vaugon", "--n", "3", "--k", "x"])
     assert code == 2 and out == ""
     assert "--k" in err
+    code, out, err = run(capsys, ["bound", "--hebey-vaugon", "--n", "2"])
+    assert code == 2 and out == ""
+    assert "dimension n >= 3" in err
 
 
 def test_bound_hebey_vaugon_without_a_finite_orbit_is_null(capsys):
@@ -304,6 +361,17 @@ def test_scan_csv(capsys, tmp_path):
     lines = out.strip().splitlines()
     assert lines[0].startswith("ell,J,flag")
     assert len(lines) == 7
+
+
+def test_csv_cells_are_quoted_as_rfc_4180():
+    # cells with a comma, a quote or a line break are quoted, and a quote is
+    # doubled; floats have 17 digits, ints and bools are integers
+    table = {"name": ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "plain"],
+             "x": [0.1, 2, True, np.float64(1.5), None]}
+    assert modelio.table_to_csv(table) == (
+        'name,x\r\n"a,b",0.10000000000000001\r\n"say ""hi""",2\r\n"two\nlines",1\r\n'
+        '"cr\rhere",1.5\r\nplain,\r\n'
+    )
 
 
 def _strict_json(text):
@@ -569,6 +637,11 @@ def test_samples_whose_series_leaves_the_doubles_exit_3(capsys, tmp_path, comman
     assert code == 3 and out == "" and not out_path.exists()
     assert f"numerical failure: {path}: a series or its derivative leaves the doubles: " \
         "out of scale" in err
+
+
+def test_canonical_json_of_empty_containers():
+    assert modelio.canonical_json({}) == "{}\n"
+    assert modelio.canonical_json({"a": [], "b": {}}) == '{\n  "a": [],\n  "b": {}\n}\n'
 
 
 def test_canonical_json_rejects_non_finite_numbers():

@@ -1,11 +1,12 @@
 """The CLI's exit-code contract on the whole documented input domain: every
-model command exits 0, 2, 3 or 4, raises nothing out of `cli.main`, lets no
-numpy RuntimeWarning escape (an error here), and writes a report that is
-strict JSON.  Models are drawn on every base type, with constant and sampled
-fiber lengths and curvature densities from 1e-300 to 1e300 in magnitude, so
-that data out of scale is drawn too, constants that are JSON integers past
-DBL_MAX among them, and the same model is written in units c, log-uniform
-in [1e-6, 1e6]."""
+model command and every weighted-pair command exits 0, 2, 3 or 4, raises
+nothing out of `cli.main`, lets no numpy RuntimeWarning escape (an error
+here), and writes a report that is strict JSON.  Models are drawn on every
+base type, with constant and sampled fiber lengths and curvature densities
+from 1e-300 to 1e300 in magnitude, so that data out of scale is drawn too,
+constants that are JSON integers past DBL_MAX among them, and the same model
+is written in units c, log-uniform in [1e-6, 1e6].  Weights are drawn up to
+10^400, past DBL_MAX too."""
 
 from __future__ import annotations
 
@@ -21,11 +22,17 @@ from hypothesis import strategies as st
 from eqyamabe import cli
 
 COMMANDS = (["functional"], ["bound"], ["minimize"], ["laplace"], ["scan", "--ell", "scan:0.5:4:4"])
+PAIR_COMMANDS = (["invariants"], ["invariants", "--method", "closed"],
+                 ["invariants", "--method", "boundary"], ["bound"])
 # the slowest known call, `minimize` in units 1e4, takes 1.1-1.5 s
 WALL_BUDGET_S = 3.0
 
 magnitudes = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
 units = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+# weights of every order of magnitude up to 10^400, past DBL_MAX too
+weights = st.integers(1, 2000) | st.integers(0, 399).flatmap(
+    lambda e: st.integers(10**e, 10 ** (e + 1))
+)
 
 
 def _reject(token):
@@ -38,7 +45,7 @@ def bases(draw):
     size scales with the units (every base but the weighted quotient)."""
     kind = draw(st.sampled_from(["wps", "round_sphere", "uniform", "nonuniform", "flat_torus"]))
     if kind == "wps":
-        m1, m2 = draw(st.integers(1, 2000)), draw(st.integers(1, 2000))
+        m1, m2 = draw(weights), draw(weights)
         if math.gcd(m1, m2) != 1:
             m2 = 1
         return {"type": "wps", "m1": m1, "m2": m2}, 0.5 * math.pi, False
@@ -98,7 +105,8 @@ def models(draw):
         if isinstance(field.get("value"), float):
             field["value"] = field["value"] * c**power
         if "values" in field:
-            field["values"] = field["values"] * c**power
+            with np.errstate(over="ignore"):  # past DBL_MAX: Infinity in the file, refused
+                field["values"] = field["values"] * c**power
     model = {"base": base, "ell": ell, "F": F}
     return json.loads(json.dumps(model, default=lambda a: a.tolist()))
 
@@ -117,7 +125,21 @@ def test_every_model_command_keeps_the_exit_code_contract(tmp_path_factory, mode
     tmp = tmp_path_factory.mktemp("model")
     path, out = tmp / "model.json", tmp / "report.json"
     path.write_text(json.dumps(model))
-    argv = [command[0], "--model", str(path), *command[1:], "--out", str(out)]
+    _keeps_the_contract([command[0], "--model", str(path), *command[1:]], out)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(m1=weights, m2=weights, command=st.sampled_from(PAIR_COMMANDS))
+def test_every_weighted_pair_command_keeps_the_exit_code_contract(
+    tmp_path_factory, m1, m2, command
+):
+    out = tmp_path_factory.mktemp("pair") / "report.json"
+    _keeps_the_contract([*command, "--m1", str(m1), "--m2", str(m2)], out)
+
+
+def _keeps_the_contract(argv, out):
+    argv = [*argv, "--out", str(out)]
     started = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a fractional Chern number, say

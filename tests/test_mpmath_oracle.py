@@ -231,7 +231,7 @@ def test_unseen_root_pair_and_tangential_zero_match_mpmath(half_width):
         F_mp = lambda s: (mpmath.cos(mpmath.pi * s / L) - cm) ** 2 - dm**2  # noqa: E731
         roots = [L / mpmath.pi * mpmath.acos(cm + sign * dm) for sign in (1, -1)]
         ref = _mp_norms(F_mp, _mp_round_w, L, breaks=roots)
-    norms = _norms(base, F)  # raises QuadratureFailure if the kinks stall refinement
+    norms = _norms(base, F)  # raises NoConvergence if the kinks stall refinement
     for key in ("omega_L1", "omega_L3_sq", "chern_number"):
         assert getattr(norms, key) == pytest.approx(ref[key], rel=1e-8), key
 

@@ -13,7 +13,7 @@ import pytest
 
 import eqyamabe as eq
 from eqyamabe import orbifold
-from eqyamabe.errors import DomainError, NotCoprime
+from eqyamabe.errors import DomainError, NonFinite, NotCoprime
 from eqyamabe.numerics import QuadratureConfig, _interpolant
 
 from conftest import COPRIME_PAIRS, bump_sphere
@@ -111,6 +111,32 @@ def test_wps_profile_rejects_noncoprime():
         eq.wps_profile(0, 1)
 
 
+def test_weights_past_the_doubles_are_refused():
+    # c1 = 1/(m1 m2) must be a double above 0: a usage error past DBL_MAX
+    for m1, m2 in ((10**400, 1), (10**200, 10**200 + 1)):
+        with pytest.raises(NotCoprime, match="product of the weights"):
+            eq.wps_profile(m1, m2)
+        with pytest.raises(NotCoprime, match="product of the weights"):
+            eq.bound_weighted_hopf(m1, m2)
+    # the closed forms reach fourth powers of a weight: out of scale from 2^255
+    for m1, m2 in ((2**255, 1), (1, 10**300), (2**255 + 2, 2**255 + 1)):
+        with pytest.raises(NonFinite, match=r"below 2\^255"):
+            eq.wps_profile(m1, m2)
+        with pytest.raises(NonFinite, match=r"below 2\^255"):
+            eq.wps_density_field(m1, m2)
+    assert eq.wps_profile(2**255 - 1, 1).m_end == 2**255 - 1
+
+
+def test_the_square_difference_keeps_its_bits_below_2_to_the_26():
+    rng = np.random.default_rng(5)
+    top = 2**26 - 1
+    pairs = [(top, 1), (1, top), (top, top - 1)]
+    pairs += [tuple(rng.integers(1, top, 2)) for _ in range(200)]
+    for m1, m2 in pairs:
+        m1, m2 = int(m1), int(m2)
+        assert orbifold._square_difference(m1, m2) == float(m1 * m1 - m2 * m2), (m1, m2)
+
+
 ALL_PAIRS_TO_30 = [
     (m1, m2) for m1 in range(1, 31) for m2 in range(1, 31) if math.gcd(m1, m2) == 1
 ]
@@ -196,6 +222,9 @@ def test_metric_scaling_of_base(name):
         assert eq.gauss_bonnet_check(scaled) == pytest.approx(
             eq.gauss_bonnet_check(base), abs=1e-6
         )
+    for c in (0.0, -2.0):
+        with pytest.raises(ValueError, match="scale factor must be positive"):
+            eq.scale_base(base, c)
 
 
 # (phi, phi', phi'') at s = 0.9 c, by float.hex, of wps(2, 3) scaled by c and
@@ -243,6 +272,14 @@ def test_profile_from_samples_validation():
     with pytest.raises(ValueError):
         # slopes are pi, not matching cone orders (1, 1) at slope 1
         eq.profile_from_samples(s, phi, 1, 1)
+    with pytest.raises(ValueError, match="at least 8 points"):
+        eq.profile_from_samples(s[:7], phi[:7], 1, 1)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        eq.profile_from_samples(s[::-1], phi, 1, 1)
+    dipped = phi.copy()
+    dipped[16] = 0.0
+    with pytest.raises(ValueError, match="positive between the poles"):
+        eq.profile_from_samples(s, dipped, 1, 1)
 
 
 @pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e3, 1e4, 1e6])
@@ -436,6 +473,13 @@ def test_callable_with_a_wrong_pole_slope_names_the_measured_slope():
     # the round sphere's slopes are 1 and -1, not those of cone orders (2, 1)
     with pytest.raises(ValueError, match=r"are 1 and -1; cone orders \(2, 1\) need 0\.5"):
         eq.profile_from_callables(math.pi, np.sin, 2, 1)
+
+
+def test_callable_profile_negative_between_the_poles_is_rejected():
+    # sin(s)(1 - 2 sin^2 s): slopes 1 and -1 at the poles, as cone orders
+    # (1, 1) need, but -1 at pi/2
+    with pytest.raises(ValueError, match="strictly positive between the poles"):
+        eq.profile_from_callables(math.pi, lambda s: np.sin(s) * np.cos(2.0 * s), 1, 1)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -91,6 +91,12 @@ def test_torus_closed_form_small_ell(torus_metric):
     assert val == pytest.approx(TORUS_J_ELL01, rel=1e-10)
 
 
+def test_closed_form_needs_a_positive_fiber_length(hopf):
+    for ell in (0.0, -1.0):
+        with pytest.raises(ValueError, match="fiber length must be positive"):
+            eq.functional_J_closed(hopf.base, 2.0, ell)
+
+
 def test_hopf_closed_form_identity(hopf):
     # (pi/16)^(1/3) (32 pi - 8 pi) simplifies to the round-sphere constant
     assert eq.functional_J_closed(hopf.base, 2.0, 1.0) == pytest.approx(SIGMA_S3, rel=1e-10)
@@ -295,6 +301,11 @@ def test_underflowed_curvature_norm_is_out_of_scale_not_flat():
 def test_optimal_ell_nonpositive_chi(torus_metric):
     with pytest.raises(NonpositiveChi):
         eq.optimal_ell(torus_metric.base, 1.0)
+
+
+def test_cauchy_schwarz_nonpositive_chi(torus_metric):
+    with pytest.raises(NonpositiveChi, match="requires chi > 0"):
+        eq.bound_cauchy_schwarz(torus_metric.base, 1.0)
 
 
 # ---------------------------------------------------------------------------
