@@ -56,7 +56,6 @@ from .orbifold import (
 from .scaling import ScanTable, collapse_bounds, ell_scan, fit_exponent
 from .yamabe import (
     SIGMA_S3,
-    BoundReport,
     YamabeReport,
     bound_cauchy_schwarz,
     bound_theorem_main,

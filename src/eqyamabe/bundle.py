@@ -28,7 +28,7 @@ from .orbifold import (
     Base,
     _chain_rule,
     _norm_reports,
-    _plan_level,
+    _planned,
     _rule,
     gauss_curvature,
     integrate_over_base,
@@ -227,35 +227,20 @@ def _scalar_curvature(metric: InvariantMetric, s, ell, K, F):
     return scal
 
 
-@dataclass(frozen=True, eq=False)
-class _NodeValues:
-    """ell, K, F and the total scalar curvature at one node array."""
-
-    ell: np.ndarray
-    K: np.ndarray
-    F: np.ndarray
-    scal: np.ndarray
-
-
-def _node_values(metric: InvariantMetric, s) -> _NodeValues:
+def _node_values(metric: InvariantMetric, s) -> tuple:
     """ell, K, F and the total scalar curvature at s.  At the node array of a
     level of the base's plan they are computed once per metric and level and
-    kept, read-only, on the metric (`InvariantMetric._nodes`), out of scale
-    or not: every caller evaluates them with numpy's floating-point warnings
-    off and raises on values that are not finite."""
-    level = _plan_level(metric.base, s)
-    kept = metric._nodes.get(level)
-    if kept is not None:
-        return kept
-    ell = np.array(metric.ell.value(s), dtype=float)
-    K, F = gauss_curvature(metric.base, s), np.array(metric.F.value(s), dtype=float)
-    scal = np.asarray(_scalar_curvature(metric, s, ell, K, F), dtype=float)
-    values = _NodeValues(ell, K, F, scal)
-    if level is not None:
-        for array in (ell, K, F, scal):
-            array.flags.writeable = False
-        metric._nodes[level] = values
-    return values
+    kept, read-only, on the metric (`InvariantMetric._nodes`, by
+    `orbifold._planned`), out of scale or not: every caller evaluates them
+    with numpy's floating-point warnings off and raises on values that are
+    not finite."""
+
+    def compute(s):
+        ell = np.asarray(metric.ell.value(s), dtype=float)
+        K, F = gauss_curvature(metric.base, s), np.asarray(metric.F.value(s), dtype=float)
+        return ell, K, F, np.asarray(_scalar_curvature(metric, s, ell, K, F), dtype=float)
+
+    return _planned(metric._nodes, metric.base, "rows", s, compute)
 
 
 def omega_norms(metric: InvariantMetric, cfg: QuadratureConfig | None = None) -> NormReport:

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .bundle import NormReport, RadialField, omega_norms
 from .conformal import MinimizerConfig, minimize_conformal, uniformize_positive
-from .errors import CaseMismatchError, EqYamabeError, UsageError
+from .errors import CaseMismatchError, EqYamabeError, NumericalError, UsageError
 from .invariants import build_invariant_report, c1_closed, chi_boundary, chi_closed
 from .modelio import (
     TOOL_NAME,
@@ -45,7 +45,6 @@ from .scaling import (
     fiber_regime,
 )
 from .yamabe import (
-    BoundReport,
     bound_cauchy_schwarz,
     bound_theorem_main,
     bound_weighted_hopf,
@@ -83,7 +82,11 @@ def _emit(args, report: dict, csv_text: str | None = None) -> None:
     payload = canonical_json(report)
     text = csv_text if (csv_text is not None and args.csv) else payload
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8", newline="")
+        except OSError as exc:  # a missing directory, or a directory
+            raise UsageError(f"--out: {exc}") from exc
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -116,15 +119,15 @@ def _parse_ell_arg(text: str) -> tuple[str, object]:
             lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
         except ValueError as exc:
             raise UsageError(f"--ell scan: {exc}") from exc
-        if lo <= 0 or hi <= lo or n < 2:
-            raise UsageError("--ell scan needs 0 < lo < hi and n >= 2")
+        if not 0 < lo < hi < math.inf or n < 2:  # NaN fails every comparison
+            raise UsageError("--ell scan needs 0 < lo < hi < inf and n >= 2")
         return "scan", np.geomspace(lo, hi, n)
     try:
         value = float(text)
     except ValueError as exc:
         raise UsageError(f"--ell: expected a number or scan:lo:hi:n, got {text!r}") from exc
-    if value <= 0:
-        raise UsageError("--ell must be positive")
+    if not 0 < value < math.inf:
+        raise UsageError("--ell must be positive and finite")
     return "value", value
 
 
@@ -178,11 +181,12 @@ def cmd_invariants(args) -> int:
 
 
 def _bound(kind: str, value: float, inputs: dict, error: float | None = None) -> dict:
-    """A bound's report entry, exact unless an error is given; `BoundReport`
-    checks that the value is finite."""
-    b = BoundReport(kind, value, inputs)
-    return {"kind": b.kind, **_quantity(b.value, error=error, exact=error is None),
-            "inputs": b.inputs}
+    """A bound's report entry, exact unless an error is given.  A value that
+    is not finite is out of scale, but for the orbit count, which is +inf
+    where no orbit is finite."""
+    if not (math.isfinite(value) or (kind == "orbit_count" and value == math.inf)):
+        raise NumericalError(f"the {kind} bound is {value}: out of scale")
+    return {"kind": kind, **_quantity(value, error=error, exact=error is None), "inputs": inputs}
 
 
 def cmd_bound(args) -> int:
@@ -222,6 +226,8 @@ def cmd_bound(args) -> int:
     elif args.chi is not None or args.c1 is not None:
         if args.chi is None or args.c1 is None:
             raise UsageError("--chi and --c1 must be given together")
+        if not (math.isfinite(args.chi) and math.isfinite(args.c1)):
+            raise UsageError("--chi and --c1 must be finite")
         pair = {"chi": args.chi, "c1": args.c1}
         bounds.append(_bound("topological", bound_theorem_main(args.chi, args.c1), pair))
         report["regime"] = _REGIME_NOTE[REGIME_INTERIOR_MAX]

@@ -340,17 +340,17 @@ def _stage(metric: InvariantMetric, m: int, level: int) -> _Stage:
     base = metric.base
     nodes, weights = _rule(base, level)
     with np.errstate(all="ignore"):  # data out of scale is an error below, not a warning
-        at = _node_values(metric, nodes)
+        ell, _, _, scal = _node_values(metric, nodes)
         dens = base.area_scale * np.asarray(base.density(nodes), dtype=float)
-        W = 2.0 * math.pi * at.ell * dens * weights
-    for name, values in (("node weights W of 2 pi ell dA", W), ("scalar curvature", at.scal)):
+        W = 2.0 * math.pi * ell * dens * weights
+    for name, values in (("node weights W of 2 pi ell dA", W), ("scalar curvature", scal)):
         if not np.isfinite(values).all():
             raise NumericalError(f"the {name} at the Galerkin nodes is not finite: out of scale")
     if not W.any():
         raise NumericalError(
             "the node weights W of 2 pi ell dA underflowed to 0 at every Galerkin node: out of scale"
         )
-    return _Stage(_basis(base.length, base.periodic, m, level), level, nodes, W, at.scal, weights)
+    return _Stage(_basis(base.length, base.periodic, m, level), level, nodes, W, scal, weights)
 
 
 def _energy(B: np.ndarray, A: np.ndarray, W: np.ndarray, c: np.ndarray):

@@ -17,6 +17,7 @@ import io
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
@@ -208,12 +209,28 @@ def parse_model_file(path: str) -> ModelSpec:
         raise ModelParseError(f"$: cannot read model file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelParseError(f"$: invalid JSON: {exc}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
+        raise ModelParseError(f"$: cannot parse model file: {exc}") from exc
     return parse_model(doc)
 
 
 def build_quadrature(overrides: dict | None) -> QuadratureConfig | None:
     fields = {k: v for k, v in (overrides or {}).items() if k in _QUADRATURE_FIELDS}
     return QuadratureConfig(**fields) if fields else None
+
+
+@contextmanager
+def _naming(path: str):
+    """Name the model part at `path` in the errors of building it: a
+    ValueError becomes a ModelParseError (exit 2) and a NonFinite, such as
+    samples whose series leaves the doubles, stays one (exit 3), each
+    prefixed with the path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ModelParseError(f"{path}: {exc}") from exc
+    except NonFinite as exc:
+        raise NonFinite(f"{path}: {exc}") from exc
 
 
 def build_base(spec: ModelSpec) -> Base:
@@ -226,25 +243,17 @@ def build_base(spec: ModelSpec) -> Base:
     if btype == "flat_torus":
         return FlatTorusBase(length=float(base["length"]), radius=float(base["radius"]))
     samples = np.asarray(base["samples"], dtype=float)
-    try:
+    with _naming("$.base.samples"):
         return profile_from_samples(
             samples[:, 0], samples[:, 1], base["m_start"], base["m_end"]
         )
-    except ValueError as exc:
-        raise ModelParseError(f"$.base.samples: {exc}") from exc
-    except NonFinite as exc:
-        raise NonFinite(f"$.base.samples: {exc}") from exc
 
 
 def _field_from(spec_part: dict, base: Base, kind: str) -> RadialField:
     if spec_part["type"] == "constant":
         return RadialField.const(float(spec_part["value"]))
-    try:
+    with _naming(f"$.{kind}.values"):
         return RadialField.from_samples(spec_part["values"], base.length, periodic=base.periodic)
-    except ValueError as exc:
-        raise ModelParseError(f"$.{kind}.values: {exc}") from exc
-    except NonFinite as exc:  # samples whose series leaves the doubles
-        raise NonFinite(f"$.{kind}.values: {exc}") from exc
 
 
 def build_metric(spec: ModelSpec) -> InvariantMetric:
@@ -254,10 +263,8 @@ def build_metric(spec: ModelSpec) -> InvariantMetric:
         F = wps_density_field(spec.base["m1"], spec.base["m2"])
     else:
         F = _field_from(spec.F, base, "F")
-    try:
+    with _naming("$.ell"):
         return InvariantMetric(base=base, ell=ell, F=F)
-    except ValueError as exc:
-        raise ModelParseError(f"$.ell: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +290,7 @@ def _write_canonical(obj: Any, out: io.StringIO, indent: int, path: str = "$") -
         out.write("{\n")
         items = list(obj.items())
         for i, (k, v) in enumerate(items):
-            out.write(f'{pad}  "{k}": ')
+            out.write(f"{pad}  {json.dumps(str(k))}: ")
             _write_canonical(v, out, indent + 1, f"{path}.{k}")
             out.write(",\n" if i < len(items) - 1 else "\n")
         out.write(pad + "}")

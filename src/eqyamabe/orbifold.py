@@ -173,11 +173,11 @@ class ConeSurfaceProfile:
 
     def density(self, s):
         """phi(s): the area element over area_scale ds."""
-        return _planned(self, "phi", s, self.phi)
+        return _planned(self._plan.values, self, "phi", s, self.phi)
 
     def dlog_density(self, s):
         """phi'/phi, the first-order coefficient of the radial Laplacian."""
-        return _planned(self, "dlog", s, self._dlog_density)
+        return _planned(self._plan.values, self, "dlog", s, self._dlog_density)
 
     def _dlog_density(self, s):
         return self.phi_d1(s) / self.density(s)
@@ -185,7 +185,7 @@ class ConeSurfaceProfile:
     def gauss_curvature(self, s):
         """-phi''/phi on the open interval (0, L), which holds every node
         array of the plan: only s off them is checked."""
-        return _planned(self, "K", s, self._gauss_curvature)
+        return _planned(self._plan.values, self, "K", s, self._gauss_curvature)
 
     def _gauss_curvature(self, s):
         s_arr = np.asarray(s, dtype=float)
@@ -443,26 +443,26 @@ def _rule(base: Base, level: int) -> tuple[np.ndarray, np.ndarray]:
     return rules[level]
 
 
-def _plan_level(base: Base, s) -> int | None:
-    """The level of the base's plan whose node array is s itself (`_rule`),
-    or None when s is no such array."""
-    if not isinstance(s, np.ndarray):
-        return None
-    rule = base._plan.rules.get(s.size + 1)
-    return s.size + 1 if rule is not None and rule[0] is s else None
-
-
-def _planned(base: Base, name: str, s, compute: Callable):
-    """compute(s); at the nodes of a level of the plan, computed once per
-    base and returned read-only."""
-    level = _plan_level(base, s)
-    if level is None:
+def _planned(store: dict, base: Base, key: str, s, compute: Callable):
+    """compute(s), an array or a tuple of arrays.  At the node array of a
+    level of the base's plan (`_rule`) it is computed once per store, key
+    and level and kept in the store read-only: `base._plan.values` for the
+    base's members, `InvariantMetric._nodes` for a metric's."""
+    rule = base._plan.rules.get(s.size + 1) if isinstance(s, np.ndarray) else None
+    if rule is None or rule[0] is not s:
         return compute(s)
-    values = base._plan.values.get((name, level))
+    values = store.get((key, s.size + 1))
     if values is None:
-        # a copy: the caller's array stays writable
-        values = base._plan.values[(name, level)] = np.array(compute(s), dtype=float)
-        values.flags.writeable = False
+        values = compute(s)
+        values = tuple(map(_read_only, values)) if isinstance(values, tuple) else _read_only(values)
+        store[(key, s.size + 1)] = values
+    return values
+
+
+def _read_only(values) -> np.ndarray:
+    # a copy: the caller's array stays writable
+    values = np.array(values, dtype=float)
+    values.flags.writeable = False
     return values
 
 

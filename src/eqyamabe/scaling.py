@@ -72,21 +72,13 @@ class ScanTable:
     exponent: float | None = None
     coefficient: float | None = None
 
-    def _bounds(self) -> list[float | None]:
-        # a row without a collapse lower bound has None, not the NaN of `lower`
-        low = self.lower if self.lower is not None else [None] * len(self.ell)
-        return [None if v is None or not np.isfinite(v) else float(v) for v in low]
-
-    def rows(self):
-        return list(zip(self.ell.tolist(), self.J.tolist(), self._bounds(), self.flags))
-
     def columns(self) -> dict[str, list]:
         """The rows as the columns ell, J, flag and, in the regime that has
-        them, lower_bound, where a row without a bound has None: null in
-        JSON and an empty cell in CSV."""
+        them, lower_bound, where a row without a bound (NaN in `lower`) has
+        None: null in JSON and an empty cell in CSV."""
         cols = {"ell": self.ell.tolist(), "J": self.J.tolist(), "flag": self.flags}
         if self.lower is not None:
-            cols["lower_bound"] = self._bounds()
+            cols["lower_bound"] = [float(v) if np.isfinite(v) else None for v in self.lower]
         return cols
 
 

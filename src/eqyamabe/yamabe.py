@@ -17,6 +17,7 @@ maximizing that closed form over ell gives the topological upper bounds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -57,7 +58,6 @@ from .orbifold import (
 
 __all__ = [
     "YamabeReport",
-    "BoundReport",
     "sphere_volume",
     "sigma_sn",
     "SIGMA_S3",
@@ -87,10 +87,14 @@ def _curvature_form_vanishes(norms: NormReport) -> bool:
 
 
 def sphere_volume(n: int) -> float:
-    """Volume of the unit n-sphere: 2 pi^{(n+1)/2} / Gamma((n+1)/2)."""
+    """Volume of the unit n-sphere: 2 pi^{(n+1)/2} / Gamma((n+1)/2).  Where
+    Gamma((n+1)/2) leaves the doubles it raises NumericalError."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+    try:
+        return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+    except OverflowError as exc:  # from n = 343 on
+        raise NumericalError(f"vol(S^{n}) needs Gamma((n+1)/2) past DBL_MAX: out of scale") from exc
 
 
 def sigma_sn(n: int) -> float:
@@ -109,22 +113,8 @@ class YamabeReport:
     J: float
     numerator: float
     denominator: float
-    route: str  # "base_integral" or "closed_form"
+    route: str  # "base_integral", the one route that produces a report
     error_estimate: float
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One evaluated bound: which rule produced it, its value, and the
-    inputs it was computed from (rational topology or measured norms)."""
-
-    kind: str  # topological | weighted_pair | cauchy_schwarz | orbit_count | optimal_fiber_length
-    value: float
-    inputs: dict
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value) and self.kind != "orbit_count":
-            raise ValueError(f"bound value must be finite, got {self.value}")
 
 
 def functional_J(metric: InvariantMetric, cfg: QuadratureConfig | None = None) -> YamabeReport:
@@ -141,11 +131,10 @@ def functional_J(metric: InvariantMetric, cfg: QuadratureConfig | None = None) -
 
     def rows(s):
         out = np.empty((3, np.size(s)))
-        at = _node_values(metric, s)
-        ell, K, F = at.ell, at.K, at.F
+        ell, K, F, scal = _node_values(metric, s)
         out[0] = (2.0 * K - 0.5 * ell**2 * F**2) * ell
         out[1] = ell
-        out[2] = at.scal * ell
+        out[2] = scal * ell
         return out
 
     base = metric.base
@@ -203,10 +192,14 @@ def functional_J_closed(
 def closed_form_J(vol: float, chi: float, omega_L2_sq: float, ell: float) -> float:
     """(pi^2 / (16 vol))^{1/3} (16 pi chi ell^{2/3} - |Omega|_2^2 ell^{8/3})
     at one fiber length: a number, whose powers libm's pow rounds the same
-    on every CPU, so `ell_scan`'s rows equal `functional_J_closed`."""
-    return (math.pi**2 / (16.0 * vol)) ** (1.0 / 3.0) * (
-        16.0 * math.pi * chi * ell ** (2.0 / 3.0) - omega_L2_sq * ell ** (8.0 / 3.0)
-    )
+    on every CPU, so `ell_scan`'s rows equal `functional_J_closed`.  An ell
+    whose power leaves the doubles raises NumericalError."""
+    try:
+        return (math.pi**2 / (16.0 * vol)) ** (1.0 / 3.0) * (
+            16.0 * math.pi * chi * ell ** (2.0 / 3.0) - omega_L2_sq * ell ** (8.0 / 3.0)
+        )
+    except OverflowError as exc:  # a power of ell past DBL_MAX
+        raise NumericalError(f"J at ell = {ell!r} leaves the doubles: out of scale") from exc
 
 
 def conformal_functional(
@@ -232,9 +225,9 @@ def conformal_functional(
     def rows(s):
         # numerator and denominator share the evaluations of ell and u
         out = np.empty((2, np.size(s)))
-        at, u_s = _node_values(metric, s), uf.value(s)
-        fiber = 2.0 * math.pi * at.ell
-        out[0] = fiber * (8.0 * uf.d1(s) ** 2 + at.scal * u_s**2)
+        (ell, _, _, scal), u_s = _node_values(metric, s), uf.value(s)
+        fiber = 2.0 * math.pi * ell
+        out[0] = fiber * (8.0 * uf.d1(s) ** 2 + scal * u_s**2)
         out[1] = fiber * u_s**6
         return out
 
@@ -365,12 +358,16 @@ def bound_cauchy_schwarz(
 
 
 def bound_theorem_main(chi: float, c1: float) -> float:
-    """Topological upper bound sigma(S^3) (chi / (2 sqrt(|c1|)))^{4/3}."""
+    """Topological upper bound sigma(S^3) (chi / (2 sqrt(|c1|)))^{4/3}: +inf
+    where it passes the largest double."""
     if chi <= 0:
         raise InvalidCase("the topological bound requires chi > 0")
     if c1 == 0:
         raise InvalidCase("the topological bound requires a nonzero Chern number")
-    return SIGMA_S3 * (chi / (2.0 * math.sqrt(abs(c1)))) ** (4.0 / 3.0)
+    try:
+        return SIGMA_S3 * (chi / (2.0 * math.sqrt(abs(c1)))) ** (4.0 / 3.0)
+    except OverflowError:  # the power of a finite ratio passes DBL_MAX
+        return math.inf
 
 
 def bound_weighted_hopf(m1: int, m2: int) -> float:
@@ -381,15 +378,15 @@ def bound_weighted_hopf(m1: int, m2: int) -> float:
 
 
 def hebey_vaugon_bound(n: int, k: Union[int, float]) -> float:
-    """sigma(S^n) k^{2/n} where k is the minimal orbit cardinality.
+    """sigma(S^n) k^{2/n} where k is the minimal orbit cardinality, a
+    positive integer of at most DBL_MAX.
 
     k may be math.inf, in which case the bound is +inf (no constraint).
     """
     if n < 3:
         raise ValueError("the bound applies in dimension n >= 3")
-    if k != math.inf:
-        if k < 1 or int(k) != k:
-            raise ValueError("orbit cardinality must be a positive integer or inf")
     if k == math.inf:
         return math.inf
+    if k < 1 or int(k) != k or k > sys.float_info.max:
+        raise ValueError("orbit cardinality must be a positive integer up to DBL_MAX, or inf")
     return sigma_sn(n) * float(k) ** (2.0 / n)

@@ -1031,6 +1031,10 @@ _MALFORMED_MODELS = {
     # positive samples whose interpolant dips below 0 between them
     "ell series": (_model("sphere", ell={"type": "samples", "values": [1] * 4 + [1e-6] * 2 + [1] * 4}),
                    "$.ell: fiber length must be strictly positive on the base"),
+    "not UTF-8": (json.dumps(_MODEL_DOCS["sphere"]).encode()[:-1] + b', "note": "\xff"}',
+                  "$: cannot parse model file: 'utf-8' codec can't decode"),
+    "nested too deep": (json.dumps(_MODEL_DOCS["sphere"])[:-1] + ', "note": '
+                        + "[" * 100000 + "]" * 100000 + "}", "$: cannot parse model file: maximum recursion"),
 }
 
 
@@ -1038,7 +1042,10 @@ _MALFORMED_MODELS = {
 def test_malformed_models_exit_2_naming_their_path(capsys, tmp_path, case):
     doc, message = _MALFORMED_MODELS[case]
     path = tmp_path / "malformed.json"
-    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, out, err = run(capsys, ["functional", "--model", str(path)])
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}"), err
@@ -1057,6 +1064,36 @@ def test_wps_model_grid_is_validated_and_ignored(capsys, tmp_path):
     code, _, err = run(capsys, ["bound", "--model", str(path)])
     assert code == 2
     assert "$.base.grid" in err
+
+
+def test_a_model_nested_900_deep_parses_and_echoes(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(_MODEL_DOCS["sphere"])[:-1] + ', "note": ' + "[" * 900 + "]" * 900 + "}")
+    code, out, _ = run(capsys, ["bound", "--model", str(path)])
+    assert code == 0
+    note, depth = _strict_json(out)["model"]["note"], 1
+    while note != []:
+        note, depth = note[0], depth + 1
+    assert depth == 900
+
+
+def test_model_keys_that_need_escapes_echo_as_strict_json(capsys, tmp_path):
+    keys = ['note"x', "tab\there", "back\\slash", "line\nfeed", "\u0001", "fibre ℓ", "ß"]
+    doc = dict(_MODEL_DOCS["sphere"], **{key: i for i, key in enumerate(keys)})
+    path = tmp_path / "keys.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    code, out, _ = run(capsys, ["bound", "--model", str(path)])
+    assert code == 0
+    assert _strict_json(out)["model"] == doc
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_out_that_cannot_be_written_exits_2(capsys, tmp_path, target):
+    out_path = tmp_path / target
+    code, out, err = run(capsys, ["bound", "--m1", "2", "--m2", "3", "--out", str(out_path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --out: "), err
+    assert not (tmp_path / "missing").exists() and list(tmp_path.iterdir()) == []
 
 
 def test_unreadable_model(capsys):

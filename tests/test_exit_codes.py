@@ -6,7 +6,9 @@ base type, with constant and sampled fiber lengths and curvature densities
 from 1e-300 to 1e300 in magnitude, so that data out of scale is drawn too,
 constants that are JSON integers past DBL_MAX among them, and the same model
 is written in units c, log-uniform in [1e-6, 1e6].  Weights are drawn up to
-10^400, past DBL_MAX too."""
+10^400, past DBL_MAX too, and so are the numbers of the argument-only forms:
+`bound --chi --c1`, `bound --hebey-vaugon --n --k` and the fiber lengths of
+`--ell`, NaN and infinities among them."""
 
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import time
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -138,6 +141,63 @@ def test_every_weighted_pair_command_keeps_the_exit_code_contract(
     _keeps_the_contract([*command, "--m1", str(m1), "--m2", str(m2)], out)
 
 
+# every double, NaN and the infinities included, and every order of magnitude
+doubles = (st.sampled_from([math.nan, math.inf, -math.inf, 0.0]) | st.floats()
+           | magnitudes | magnitudes.map(lambda x: -x))
+# an argument-only form whose numbers leave the doubles, and its exit code
+ARGUMENT_CASES = [
+    (["bound", "--chi", "nan", "--c1", "1"], 2),
+    (["bound", "--chi", "inf", "--c1", "1"], 2),
+    (["bound", "--chi", "1", "--c1", "nan"], 2),
+    (["bound", "--chi", "1e300", "--c1", "1e-300"], 3),  # chi / sqrt(c1) is inf
+    (["bound", "--chi", "1e300", "--c1", "1"], 3),  # its 4/3 power passes DBL_MAX
+    (["bound", "--hebey-vaugon", "--n", "400", "--k", "1"], 3),  # Gamma(200.5) overflows
+    (["bound", "--hebey-vaugon", "--n", "3", "--k", str(10**400)], 2),
+    (["scan", "--model", "{model}", "--ell", "scan:0.5:1e300:4"], 3),
+    (["functional", "--model", "{model}", "--ell", "nan"], 2),
+    (["functional", "--model", "{model}", "--ell", "inf"], 2),
+    (["scan", "--model", "{model}", "--ell", "scan:nan:1:4"], 2),
+    (["scan", "--model", "{model}", "--ell", "scan:0.5:inf:4"], 2),
+]
+SPHERE = {"base": {"type": "round_sphere", "radius": 0.5},
+          "ell": {"type": "constant", "value": 1.0}, "F": {"type": "constant", "value": 2.0}}
+
+
+@pytest.mark.parametrize("argv, code", ARGUMENT_CASES)
+def test_arguments_past_the_doubles_exit_2_or_3(tmp_path, argv, code):
+    model = tmp_path / "sphere.json"
+    model.write_text(json.dumps(SPHERE))
+    argv = [a.replace("{model}", str(model)) for a in argv]
+    assert _keeps_the_contract(argv, tmp_path / "report.json") == code
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(chi=doubles, c1=doubles)
+def test_every_topological_pair_keeps_the_exit_code_contract(tmp_path_factory, chi, c1):
+    out = tmp_path_factory.mktemp("pair") / "report.json"
+    _keeps_the_contract(["bound", f"--chi={chi!r}", f"--c1={c1!r}"], out)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(n=st.integers(-2, 1000) | weights, k=weights | st.integers(-5, 0) | st.just("inf"))
+def test_every_orbit_count_keeps_the_exit_code_contract(tmp_path_factory, n, k):
+    out = tmp_path_factory.mktemp("orbit") / "report.json"
+    _keeps_the_contract(["bound", "--hebey-vaugon", f"--n={n}", f"--k={k}"], out)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(lo=doubles, hi=doubles, n=st.integers(1, 12), scan=st.booleans(),
+       kind=st.sampled_from(["sphere", "flat_torus"]))
+def test_every_fiber_length_keeps_the_exit_code_contract(tmp_path_factory, lo, hi, n, scan, kind):
+    tmp = tmp_path_factory.mktemp("ell")
+    model = SPHERE if kind == "sphere" else dict(
+        SPHERE, base={"type": "flat_torus", "length": 1.0, "radius": 1.0})
+    (tmp / "model.json").write_text(json.dumps(model))
+    ell = f"scan:{lo!r}:{hi!r}:{n}" if scan else repr(lo)
+    _keeps_the_contract(["functional", "--model", str(tmp / "model.json"), f"--ell={ell}"],
+                        tmp / "report.json")
+
+
 def _keeps_the_contract(argv, out):
     argv = [*argv, "--out", str(out)]
     started = time.perf_counter()
@@ -151,3 +211,4 @@ def _keeps_the_contract(argv, out):
         json.loads(out.read_text(), parse_constant=_reject)
     else:
         assert not out.exists(), argv
+    return code

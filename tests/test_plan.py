@@ -536,13 +536,14 @@ def test_conformal_functional_reads_the_metric_once():
 def test_node_values_die_with_their_metric():
     metric = eq.wps_metric(2, 3)
     eq.functional_J(metric)
-    record = metric._nodes[128]
-    assert record.ell.size == 127 and not record.scal.flags.writeable
+    (key, level), = metric._nodes
+    ell, K, F, scal = record = metric._nodes[key, level]
+    assert level == 128 and ell.size == 127 and not scal.flags.writeable
     # out of comparisons, as is a base's plan
     assert metric == eq.InvariantMetric(metric.base, metric.ell, metric.F)
     assert "_nodes" not in repr(metric)
-    refs = [weakref.ref(a) for a in (record.ell, record.F, record.scal)] + [weakref.ref(metric)]
-    del metric, record
+    refs = [weakref.ref(a) for a in (ell, F, scal)] + [weakref.ref(metric)]
+    del metric, record, ell, K, F, scal
     gc.collect()
     assert all(ref() is None for ref in refs)
 

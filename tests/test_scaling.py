@@ -237,13 +237,17 @@ def test_fit_exponent_of_a_ladder_without_spread():
     )
     with pytest.raises(DegenerateData, match="no spread"):
         eq.fit_exponent(table)
+    # ell_scan swallows it: a table of four equal fiber lengths has no exponent
+    scan = eq.ell_scan(eq.make_round_sphere(0.5), 2.0, [0.5] * 4)
+    assert scan.J.size == 4 and scan.exponent is None and scan.coefficient is None
 
 
 def test_scan_rows_structure(torus_metric):
     table = eq.ell_scan(torus_metric.base, torus_metric.F, [0.5, 0.1])
-    rows = table.rows()
-    assert len(rows) == 2
-    ell0, J0, lower0, flag0 = rows[0]
+    cols = table.columns()
+    assert list(cols) == ["ell", "J", "flag", "lower_bound"]
+    assert all(len(col) == 2 for col in cols.values())
+    ell0, J0, flag0, lower0 = (col[0] for col in cols.values())
     assert ell0 == 0.1  # sorted ascending
     assert lower0 is not None and lower0 < 0.0
     assert flag0 == "collapse"

@@ -12,6 +12,7 @@ import pytest
 import eqyamabe as eq
 from eqyamabe import numerics
 from eqyamabe.errors import (
+    InconsistentRoutes,
     InvalidCase,
     NonFinite,
     NonpositiveChi,
@@ -55,10 +56,18 @@ def test_sigma_s3_closed_form():
 def test_sphere_volumes():
     assert eq.sphere_volume(2) == pytest.approx(4.0 * math.pi, rel=1e-15)
     assert eq.sphere_volume(3) == pytest.approx(2.0 * math.pi**2, rel=1e-15)
+    assert 0.0 < eq.sphere_volume(342) < 1e-200  # Gamma(171.5) is still a double
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        eq.sphere_volume(0)
+    for n in (343, 400, 10**400):  # Gamma((n+1)/2) past the largest double
+        with pytest.raises(NumericalError, match="out of scale"):
+            eq.sphere_volume(n)
 
 
 def test_sigma_s2_is_eight_pi():
     assert eq.sigma_sn(2) == pytest.approx(SIGMA_S2, rel=1e-15)
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        eq.sigma_sn(1)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +123,10 @@ def test_functional_variable_ell_routes_agree(half_sphere):
     metric = eq.InvariantMetric(base=half_sphere, ell=ell, F=eq.RadialField.const(2.0))
     rep = eq.functional_J(metric)  # raises InconsistentRoutes on disagreement
     assert np.isfinite(rep.J)
+    # an ell'' that is not its value's: only the direct route reads it
+    wrong = eq.RadialField(ell.value, ell.d1, lambda s: ell.d2(s) + 1.0)
+    with pytest.raises(InconsistentRoutes, match="routes disagree"):
+        eq.functional_J(eq.InvariantMetric(base=half_sphere, ell=wrong, F=eq.RadialField.const(2.0)))
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
