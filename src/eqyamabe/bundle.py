@@ -304,7 +304,7 @@ def _compute_norms(base: Base, field: RadialField, cfg: QuadratureConfig) -> Nor
     sqrt2 = math.sqrt(2.0)
     nodes = quadrature_nodes(base)
     f_nodes = F(nodes)
-    read = [np.abs(f_nodes).max()]  # the largest |F| at each node array read
+    read = [f_nodes]  # F at each node array read
     roots = ()  # a constant F has no root
     if field.constant is None:
         x, fx = nodes, f_nodes
@@ -321,10 +321,10 @@ def _compute_norms(base: Base, field: RadialField, cfg: QuadratureConfig) -> Nor
         # sqrt2 |F|, 2 F^2, (sqrt2 |F|)^3 and F, written in place
         out = np.empty((4, np.size(s)))
         l1, l2, l3, chern = out
-        chern[:] = f_nodes if s is nodes else F(s)
+        if s is not nodes:  # the first call, at the nodes, has read F already
+            read.append(F(s))
+        chern[:] = read[-1]
         np.abs(chern, out=l1)
-        if s is not nodes:
-            read.append(l1.max())
         np.multiply(sqrt2, l1, out=l1)
         np.multiply(2.0, np.square(chern, out=l2), out=l2)
         np.power(l1, 3, out=l3)
@@ -333,9 +333,10 @@ def _compute_norms(base: Base, field: RadialField, cfg: QuadratureConfig) -> Nor
     try:
         l1, l2sq, l3, chern = integrate_over_base(base, rows, cfg, breaks=roots)
     except NonFinite as exc:
-        if np.isnan(read).any():  # F itself is not a number: the quadrature's message
+        largest = np.max([np.abs(values).max() for values in read])
+        if np.isnan(largest):  # F itself is not a number: the quadrature's message
             raise
-        message = f"the curvature density F reaches |F| = {max(read):.3e}: out of scale"
+        message = f"the curvature density F reaches |F| = {largest:.3e}: out of scale"
         raise NonFinite(message) from exc
     return NormReport(
         omega_L1=l1.value,

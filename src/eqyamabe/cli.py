@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .bundle import NormReport, RadialField, omega_norms
 from .conformal import MinimizerConfig, minimize_conformal, uniformize_positive
-from .errors import CaseMismatchError, EqYamabeError, NumericalError, UsageError
+from .errors import CaseMismatchError, EqYamabeError, UsageError
 from .invariants import build_invariant_report, c1_closed, chi_boundary, chi_closed
 from .modelio import (
     TOOL_NAME,
@@ -45,6 +45,7 @@ from .scaling import (
     fiber_regime,
 )
 from .yamabe import (
+    _closed_form,
     bound_cauchy_schwarz,
     bound_theorem_main,
     bound_weighted_hopf,
@@ -181,12 +182,13 @@ def cmd_invariants(args) -> int:
 
 
 def _bound(kind: str, value: float, inputs: dict, error: float | None = None) -> dict:
-    """A bound's report entry, exact unless an error is given.  A value that
-    is not finite is out of scale, but for the orbit count, which is +inf
-    where no orbit is finite."""
-    if not (math.isfinite(value) or (kind == "orbit_count" and value == math.inf)):
-        raise NumericalError(f"the {kind} bound is {value}: out of scale")
-    return {"kind": kind, **_quantity(value, error=error, exact=error is None), "inputs": inputs}
+    """A bound's report entry, exact unless an error is given.  Every bound
+    is a finite double (`yamabe._closed_form`) but the orbit count's, which
+    is +inf where no orbit is finite: no constraint, null in JSON."""
+    entry = {"kind": kind, **_quantity(value, error=error, exact=error is None), "inputs": inputs}
+    if kind == "orbit_count" and value == math.inf:
+        entry["value"] = None
+    return entry
 
 
 def cmd_bound(args) -> int:
@@ -207,10 +209,7 @@ def cmd_bound(args) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         k_echo = "inf" if k == math.inf else int(k)
-        entry = _bound("orbit_count", value, {"n": args.n, "k": k_echo})
-        if k == math.inf:
-            entry["value"] = None  # no finite orbit, no constraint: JSON has no Infinity
-        bounds.append(entry)
+        bounds.append(_bound("orbit_count", value, {"n": args.n, "k": k_echo}))
     elif args.model:
         spec, metric, report = _open_model(args, "bound")
         cfg = build_quadrature(spec.quadrature) or tol_cfg
@@ -332,9 +331,8 @@ def cmd_laplace(args) -> int:
     _, metric, report = _open_model(args, "laplace")
     u, min_scal = uniformize_positive(metric.base)
     u_values = u.value(np.linspace(0.0, metric.base.length, 4001))
-    chi = chi_orb(metric.base)
-    vol = area(metric.base)
-    target = 4.0 * math.pi * chi / vol
+    target = _closed_form("4 pi chi / vol at vol = {1!r}", lambda c, v: 4.0 * math.pi * c / v,
+                          chi_orb(metric.base), area(metric.base))
     report["quantities"] = {
         "min_scal": _quantity(min_scal, 0.0, "galerkin_series_at_nodes"),
         "uniformized_constant": _quantity(target, 0.0, "closed_form"),

@@ -56,8 +56,9 @@ from .bundle import (
     as_radial_field,
 )
 from .errors import NoConvergence, NonPositiveFactor, NonpositiveChi, NotMeanZero, NumericalError
-from .numerics import _EPS, _FIRST_LEVEL, QuadratureConfig, TrigSeries, _chop, _fejer_rule
+from .numerics import _DEFAULT_CONFIG, _EPS, _FIRST_LEVEL, TrigSeries, _chop, _fejer_rule
 from .orbifold import _GRID_LEVEL, Base, _rule, area, chi_orb, gauss_curvature
+from .yamabe import _closed_form
 
 __all__ = [
     "MinimizerConfig",
@@ -117,9 +118,11 @@ def uniformize_positive(base: Base) -> tuple[RadialField, float]:
     chi = chi_orb(base)
     if chi <= 0:
         raise NonpositiveChi("uniformization to positive curvature needs chi > 0")
+    mean = _closed_form("2 pi chi / vol at vol = {1!r}", lambda c, v: 2.0 * math.pi * c / v,
+                        chi, area(base))
     nodes = _rule(base, _GRID_LEVEL)[0]
     K = np.asarray(gauss_curvature(base, nodes), dtype=float)
-    basis, c = _poisson_series(base, 2.0 * math.pi * chi / area(base) - K, _EPS * np.max(np.abs(K)))
+    basis, c = _poisson_series(base, mean - K, _EPS * np.max(np.abs(K)))
     series = basis.series(c)
     g = 2.0 * (_laplacian(base, nodes, basis.slopes @ c, series.d2(nodes)) + K)
     log_g = np.log(np.abs(g), out=np.full(g.shape, -np.inf), where=g != 0.0)
@@ -434,7 +437,7 @@ def _read_off(metric: InvariantMetric, stage: _Stage, c: np.ndarray) -> tuple[fl
     past them).  The series must be positive at the nodes of the last level
     and between them, at the nodes of level max(2n, 512) (NonPositiveFactor
     otherwise)."""
-    base, cfg = metric.base, QuadratureConfig()
+    base, cfg = metric.base, _DEFAULT_CONFIG
     for refinement in range(cfg.max_refinements + 1):
         W, scal, weights = stage.W, stage.scal, stage.weights
         u, du = stage.basis.values @ c, stage.basis.slopes @ c

@@ -145,14 +145,16 @@ def _fejer_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _refine(
-    f: Callable, edges: list[float], cfg: QuadratureConfig, nodes: np.ndarray | None = None
+    f: Callable, edges: list[float], cfg: QuadratureConfig, nodes: np.ndarray | None = None,
+    scale: float = 1.0,
 ) -> tuple[bool, list[IntegralResult]]:
     """Double the level of the rule on every piece between consecutive edges
     until two successive levels agree to tolerance; `nodes` are the first
     level's, where the caller keeps them.
 
     Each row of f stops at the first level where its own values agree.
-    Returns whether f gave rows and one `IntegralResult` per row.  This is
+    Returns whether f gave rows and one `IntegralResult` per row, its value
+    and estimate multiplied by `scale`, built once.  This is
     the library's one rule for an integral out of scale: f is called and
     the level sums are formed with numpy's floating-point warnings off, and
     a level sum of a row still wanted that is not finite raises NonFinite,
@@ -212,7 +214,7 @@ def _refine(
                 # with no refinement allowed, the first level stands with its estimate
                 met = errors[i] <= max(abs_tol, rel_tol * abs(values[i]))
                 if met or not cfg.max_refinements:
-                    results[i] = IntegralResult(values[i], errors[i], r)
+                    results[i] = IntegralResult(scale * values[i], scale * errors[i], r)
             wanted = [i for i in wanted if results[i] is None]
             if not wanted:
                 return multi, results
@@ -243,6 +245,7 @@ def integrate(
     breaks: Sequence[float] = (),
     *,
     _first_level: np.ndarray | None = None,
+    _scale: float = 1.0,
 ) -> IntegralResult | list[IntegralResult]:
     """Integrate f over [a, b] by Fejér's second rule, doubled until two
     successive levels agree.
@@ -265,7 +268,9 @@ def integrate(
     [a, b] may hand them in as `_first_level`, an internal keyword: with no
     break inside (a, b), the first call of f receives that array itself, so
     a base's integrals hand their integrand the plan's own array every time
-    (`orbifold.integrate_over_base`).
+    (`orbifold.integrate_over_base`), with the area element's constant
+    factor as `_scale`, another internal keyword, which multiplies every
+    value and estimate.
     If f returns a 2-d array, each row is a separate integrand that stops at
     its own level, and one result per row is returned in a list.
 
@@ -285,7 +290,7 @@ def integrate(
     a, b = float(a), float(b)
     inner = sorted({float(x) for x in breaks if a < x < b}) if len(breaks) else []
     first = None if inner else _first_level
-    multi, results = _refine(f, [a, *inner, b], cfg or _DEFAULT_CONFIG, first)
+    multi, results = _refine(f, [a, *inner, b], cfg or _DEFAULT_CONFIG, first, _scale)
     return results if multi else results[0]
 
 

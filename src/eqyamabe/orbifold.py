@@ -516,13 +516,8 @@ def integrate_over_base(
     def integrand(s):
         return np.asarray(fn(s)) * base.density(s)
 
-    res = integrate(integrand, 0.0, base.length, cfg, breaks, _first_level=quadrature_nodes(base))
-    scale = base.area_scale
-    scaled = [
-        IntegralResult(scale * r.value, scale * r.error_estimate, r.refinements_used)
-        for r in (res if isinstance(res, list) else [res])
-    ]
-    return scaled if isinstance(res, list) else scaled[0]
+    return integrate(integrand, 0.0, base.length, cfg, breaks,
+                     _first_level=quadrature_nodes(base), _scale=base.area_scale)
 
 
 def area(base: Base, cfg: QuadratureConfig | None = None) -> float:

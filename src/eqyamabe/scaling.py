@@ -19,7 +19,7 @@ from .bundle import FieldLike, NormReport, _norms
 from .errors import DegenerateData, InvalidCase, PositiveChi
 from .numerics import QuadratureConfig
 from .orbifold import Base, area, chi_orb
-from .yamabe import _curvature_form_vanishes, closed_form_J, functional_J_closed
+from .yamabe import _closed_form, _curvature_form_vanishes, closed_form_J, functional_J_closed
 
 __all__ = [
     "ScanTable",
@@ -56,8 +56,12 @@ def _collapse_lower(norms: NormReport, ell: float) -> float:
     every CPU, so that `ell_scan` and `collapse_bounds` read the same float.
     It applies to chi <= 0 bases alone, and every such base is the flat torus
     (a profile's cone orders are positive integers, so its chi is positive),
-    where 2K = 0: the base term is 0 and is not computed."""
-    return -((2.0 * math.pi * ell) ** (2.0 / 3.0)) * (0.25 * norms.omega_L3_sq)
+    where 2K = 0: the base term is 0 and is not computed.  It returns
+    through the library's one rule for a closed form out of scale
+    (`yamabe._closed_form`)."""
+    return _closed_form("the collapse lower bound at ell = {0!r}, |Omega|_3^2 = {1!r}",
+                        lambda l, w: -((2.0 * math.pi * l) ** (2.0 / 3.0)) * (0.25 * w),
+                        ell, norms.omega_L3_sq, positive=False)
 
 
 @dataclass

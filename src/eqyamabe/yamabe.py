@@ -16,10 +16,11 @@ maximizing that closed form over ell gives the topological upper bounds.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -86,22 +87,68 @@ def _curvature_form_vanishes(norms: NormReport) -> bool:
     return norms.omega_L1 <= _OMEGA_ZERO_TOL
 
 
+def _closed_form(name: str, formula: Callable, *args: float, positive: bool = True) -> float:
+    """formula(*args), a closed form in numbers, by the library's one rule for
+    a closed form out of scale, which judges its value, not its
+    intermediates.  Args of magnitude within 1e-100 to 1e100 are evaluated
+    as Python floats, where no power in these formulas (exponents of at most
+    8/3) overflows and no divisor is 0, so nothing raises; any other args
+    become numpy doubles with numpy's floating-point warnings off, so no
+    power, product or quotient raises or warns.  Both give the bits of the
+    expression in Python floats, and a finite value is returned.  A value
+    past the doubles (an overflow, or a product that goes to +-inf), or one
+    that underflowed to 0 where the formula makes it positive (unless
+    `positive` is False: a value that may be 0), raises NumericalError
+    naming the quantity: `name`, formatted with the args."""
+    plain = all([1e-100 <= abs(a) <= 1e100 for a in args])
+    with contextlib.nullcontext() if plain else np.errstate(all="ignore"):
+        value = float(formula(*(args if plain else map(np.float64, args))))
+    if math.isfinite(value) and (value != 0.0 or not positive):
+        return value
+    fault = "underflowed to 0" if math.isfinite(value) else "leaves the doubles"
+    raise NumericalError(f"{name.format(*args)} {fault}: out of scale")
+
+
+def _log_sphere_volume_per_half_dim(n: float) -> float:
+    """log vol(S^n) / (n/2) past n = 342, by Stirling's series for
+    lgamma((n+1)/2) to its h^-5 term (the rest is below 1e-19 there), each
+    term divided by n/2 first, so it is finite for every n up to DBL_MAX,
+    where lgamma overflows from n ~ 5e305 on."""
+    h, m = 0.5 * n + 0.5, 0.5 * n
+    stirling = (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * h * h)) / (h * h)) / h
+    return ((0.5 * math.log(2.0 / math.pi) - stirling) / m
+            + h / m * math.log(math.e * math.pi) - math.log(h))
+
+
+# Gamma((n + 1) / 2) is a double up to n = 342, where both keep its expression
+def _sphere_volume(n: float) -> float:
+    return (2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0) if n <= 342
+            else math.exp(0.5 * n * _log_sphere_volume_per_half_dim(n)))
+
+
+def _sigma_sn(n: float) -> float:
+    return (n * (n - 1) * _sphere_volume(n) ** (2.0 / n) if n <= 342
+            else n * math.exp(math.log(n - 1) + _log_sphere_volume_per_half_dim(n)))
+
+
 def sphere_volume(n: int) -> float:
-    """Volume of the unit n-sphere: 2 pi^{(n+1)/2} / Gamma((n+1)/2).  Where
-    Gamma((n+1)/2) leaves the doubles it raises NumericalError."""
+    """Volume of the unit n-sphere, 2 pi^{(n+1)/2} / Gamma((n+1)/2), by that
+    expression up to n = 342 and from its logarithm past it, where Gamma
+    overflows: from n = 455 on it underflows to 0 (NumericalError,
+    `_closed_form`)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    try:
-        return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
-    except OverflowError as exc:  # from n = 343 on
-        raise NumericalError(f"vol(S^{n}) needs Gamma((n+1)/2) past DBL_MAX: out of scale") from exc
+    return _closed_form(f"vol(S^{n})", _sphere_volume, min(n, sys.float_info.max))
 
 
 def sigma_sn(n: int) -> float:
-    """Best-constant value n (n-1) vol(S^n)^{2/n} of the round n-sphere."""
+    """Best-constant value n (n-1) vol(S^n)^{2/n} of the round n-sphere,
+    about 2 pi e n for large n: a double wherever it is one, up to n of about
+    1e307, from the logarithm of the volume past n = 342, so past its
+    underflow too."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    return n * (n - 1) * sphere_volume(n) ** (2.0 / n)
+    return _closed_form(f"sigma(S^{n})", _sigma_sn, min(n, sys.float_info.max))
 
 
 #: 3 * 2^{5/3} * pi^{4/3}, the round 3-sphere value; every bound is a multiple of it.
@@ -192,14 +239,12 @@ def functional_J_closed(
 def closed_form_J(vol: float, chi: float, omega_L2_sq: float, ell: float) -> float:
     """(pi^2 / (16 vol))^{1/3} (16 pi chi ell^{2/3} - |Omega|_2^2 ell^{8/3})
     at one fiber length: a number, whose powers libm's pow rounds the same
-    on every CPU, so `ell_scan`'s rows equal `functional_J_closed`.  An ell
-    whose power leaves the doubles raises NumericalError."""
-    try:
-        return (math.pi**2 / (16.0 * vol)) ** (1.0 / 3.0) * (
-            16.0 * math.pi * chi * ell ** (2.0 / 3.0) - omega_L2_sq * ell ** (8.0 / 3.0)
-        )
-    except OverflowError as exc:  # a power of ell past DBL_MAX
-        raise NumericalError(f"J at ell = {ell!r} leaves the doubles: out of scale") from exc
+    on every CPU, so `ell_scan`'s rows equal `functional_J_closed`.  A value
+    that leaves the doubles raises NumericalError (`_closed_form`)."""
+    return _closed_form(
+        "J at ell = {3!r}", lambda v, c, w, l: (math.pi**2 / (16.0 * v)) ** (1.0 / 3.0)
+        * (16.0 * math.pi * c * l ** (2.0 / 3.0) - w * l ** (8.0 / 3.0)),
+        vol, chi, omega_L2_sq, ell, positive=False)
 
 
 def conformal_functional(
@@ -215,17 +260,20 @@ def conformal_functional(
     are denser than a uniform grid of 511 points within 11% of L of either
     pole, and up to 1.57 times sparser (L/326 against L/512) in the middle.
     ell and the total scalar curvature at the first level are the metric's
-    own, kept once (`bundle._node_values`).
+    own, kept once (`bundle._node_values`), and u there is read from its
+    values on the grid, whose every fourth node is a first-level node.
     """
     base = metric.base
     uf = as_radial_field(u, base)
-    if np.any(np.asarray(uf.value(_rule(base, _GRID_LEVEL)[0])) <= 0.0):
+    u_grid = np.asarray(uf.value(_rule(base, _GRID_LEVEL)[0]), dtype=float)
+    if np.any(u_grid <= 0.0):
         raise NonPositiveFactor("conformal factor must be strictly positive")
 
     def rows(s):
         # numerator and denominator share the evaluations of ell and u
         out = np.empty((2, np.size(s)))
-        (ell, _, _, scal), u_s = _node_values(metric, s), uf.value(s)
+        ell, _, _, scal = _node_values(metric, s)
+        u_s = u_grid[3::4] if s is quadrature_nodes(base) else uf.value(s)
         fiber = 2.0 * math.pi * ell
         out[0] = fiber * (8.0 * uf.d1(s) ** 2 + scal * u_s**2)
         out[1] = fiber * u_s**6
@@ -240,17 +288,12 @@ def conformal_functional(
 def _closed_form_optimum(vol: float, chi: float, omega_L2_sq: float) -> tuple[float, float]:
     """`optimal_ell`'s ell* and J_max from vol, chi > 0 and |Omega|_2^2 > 0:
     the one critical point of `closed_form_J` in ell, a maximum, and its
-    value."""
+    value, positive (`_closed_form`)."""
     ell_star = math.sqrt(4.0 * math.pi * chi) / math.sqrt(omega_L2_sq)
-    j_max = (
-        3.0
-        * 2.0 ** (4.0 / 3.0)
-        * math.pi**2
-        * vol ** (-1.0 / 3.0)
-        * chi ** (4.0 / 3.0)
-        * omega_L2_sq ** (-1.0 / 3.0)
-    )
-    return ell_star, j_max
+    return ell_star, _closed_form(
+        "J_max at vol = {0!r}, chi = {1!r}, |Omega|_2^2 = {2!r}", lambda v, c, w:
+        3.0 * 2.0 ** (4.0 / 3.0) * math.pi**2 * v ** (-1.0 / 3.0) * c ** (4.0 / 3.0)
+        * w ** (-1.0 / 3.0), vol, chi, omega_L2_sq)
 
 
 def optimal_ell(
@@ -352,29 +395,28 @@ def bound_cauchy_schwarz(
         norms = _norms(base, F, cfg)
     if _curvature_form_vanishes(norms):
         raise UnboundedInEll("curvature form vanishes: no finite bound")
-    return (
-        3.0 * 2.0 ** (4.0 / 3.0) * math.pi**2 * chi ** (4.0 / 3.0) * norms.omega_L1 ** (-2.0 / 3.0)
-    )
+    return _closed_form(
+        "the Cauchy-Schwarz bound at chi = {0!r}, |Omega|_1 = {1!r}", lambda c, w:
+        3.0 * 2.0 ** (4.0 / 3.0) * math.pi**2 * c ** (4.0 / 3.0) * w ** (-2.0 / 3.0),
+        chi, norms.omega_L1)
 
 
 def bound_theorem_main(chi: float, c1: float) -> float:
-    """Topological upper bound sigma(S^3) (chi / (2 sqrt(|c1|)))^{4/3}: +inf
-    where it passes the largest double."""
+    """Topological upper bound sigma(S^3) (chi / (2 sqrt(|c1|)))^{4/3}."""
     if chi <= 0:
         raise InvalidCase("the topological bound requires chi > 0")
     if c1 == 0:
         raise InvalidCase("the topological bound requires a nonzero Chern number")
-    try:
-        return SIGMA_S3 * (chi / (2.0 * math.sqrt(abs(c1)))) ** (4.0 / 3.0)
-    except OverflowError:  # the power of a finite ratio passes DBL_MAX
-        return math.inf
+    return _closed_form("the topological bound at chi = {0!r}, c1 = {1!r}", lambda c, c1:
+                        SIGMA_S3 * (c / (2.0 * math.sqrt(abs(c1)))) ** (4.0 / 3.0), chi, c1)
 
 
 def bound_weighted_hopf(m1: int, m2: int) -> float:
     """sigma(S^3) ((m1 + m2) / (2 sqrt(m1 m2)))^{4/3} for the weighted actions;
     the weights must be coprime positive integers (`orbifold._check_weights`)."""
     _check_weights(m1, m2)
-    return SIGMA_S3 * ((m1 + m2) / (2.0 * math.sqrt(m1 * m2))) ** (4.0 / 3.0)
+    return _closed_form("the weighted-pair bound at (m1 + m2) / 2 sqrt(m1 m2) = {0!r}", lambda r:
+                        SIGMA_S3 * r ** (4.0 / 3.0), (m1 + m2) / (2.0 * math.sqrt(m1 * m2)))
 
 
 def hebey_vaugon_bound(n: int, k: Union[int, float]) -> float:
@@ -389,4 +431,5 @@ def hebey_vaugon_bound(n: int, k: Union[int, float]) -> float:
         return math.inf
     if k < 1 or int(k) != k or k > sys.float_info.max:
         raise ValueError("orbit cardinality must be a positive integer up to DBL_MAX, or inf")
-    return sigma_sn(n) * float(k) ** (2.0 / n)
+    return _closed_form("the orbit-count bound at n = {2!r}, k = {1!r}",
+                        lambda s, k, n: s * k ** (2.0 / n), sigma_sn(n), float(k), n)

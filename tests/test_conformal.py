@@ -818,7 +818,7 @@ def test_mu_upper_level_doubles_until_its_estimate_meets_the_tolerance(monkeypat
     assert levels == [128]
     assert formed == [(128, 16)]
     tight = numerics.QuadratureConfig(abs_tol=1e-300, rel_tol=1e-16)
-    monkeypatch.setattr(conformal, "QuadratureConfig", lambda: tight)
+    monkeypatch.setattr(conformal, "_DEFAULT_CONFIG", tight)
     levels.clear()
     formed.clear()
     result = eq.minimize_conformal(metric)
@@ -827,7 +827,7 @@ def test_mu_upper_level_doubles_until_its_estimate_meets_the_tolerance(monkeypat
     assert result.error_estimate <= 1e-16 * result.mu_upper
     assert result.mu_upper == pytest.approx(default.mu_upper, rel=1e-15)
     never = numerics.QuadratureConfig(max_refinements=2, abs_tol=1e-300, rel_tol=1e-300)
-    monkeypatch.setattr(conformal, "QuadratureConfig", lambda: never)
+    monkeypatch.setattr(conformal, "_DEFAULT_CONFIG", never)
     levels.clear()
     formed.clear()
     with pytest.raises(NoConvergence, match="after 2 refinements"):

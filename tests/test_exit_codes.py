@@ -151,13 +151,14 @@ ARGUMENT_CASES = [
     (["bound", "--chi", "1", "--c1", "nan"], 2),
     (["bound", "--chi", "1e300", "--c1", "1e-300"], 3),  # chi / sqrt(c1) is inf
     (["bound", "--chi", "1e300", "--c1", "1"], 3),  # its 4/3 power passes DBL_MAX
-    (["bound", "--hebey-vaugon", "--n", "400", "--k", "1"], 3),  # Gamma(200.5) overflows
+    (["bound", "--chi", "1e-320", "--c1", "1"], 3),  # the positive bound underflows to 0
     (["bound", "--hebey-vaugon", "--n", "3", "--k", str(10**400)], 2),
     (["scan", "--model", "{model}", "--ell", "scan:0.5:1e300:4"], 3),
     (["functional", "--model", "{model}", "--ell", "nan"], 2),
     (["functional", "--model", "{model}", "--ell", "inf"], 2),
     (["scan", "--model", "{model}", "--ell", "scan:nan:1:4"], 2),
     (["scan", "--model", "{model}", "--ell", "scan:0.5:inf:4"], 2),
+    (["scan", "--model", "{model}", "--ell", "scan:1:2e115:4"], 3),  # ell^{8/3} |Omega|_2^2 is inf
 ]
 SPHERE = {"base": {"type": "round_sphere", "radius": 0.5},
           "ell": {"type": "constant", "value": 1.0}, "F": {"type": "constant", "value": 2.0}}
@@ -169,6 +170,42 @@ def test_arguments_past_the_doubles_exit_2_or_3(tmp_path, argv, code):
     model.write_text(json.dumps(SPHERE))
     argv = [a.replace("{model}", str(model)) for a in argv]
     assert _keeps_the_contract(argv, tmp_path / "report.json") == code
+
+
+def test_a_closed_form_out_of_scale_is_named_by_its_value(tmp_path, capsys):
+    # J at ell = 2e115 is a finite power times |Omega|_2^2 = 8 pi, which goes
+    # to -inf, and at 4e115 the power itself passes DBL_MAX: one rule, one message
+    model = tmp_path / "sphere.json"
+    model.write_text(json.dumps(SPHERE))
+    for hi in ("2e115", "4e115"):
+        assert cli.main(["scan", "--model", str(model), "--ell", f"scan:1:{hi}:4"]) == 3
+        out, err = capsys.readouterr()
+        message = f"numerical failure: J at ell = {float(hi)!r} leaves the doubles: out of scale\n"
+        assert (out, err) == ("", message)
+    assert cli.main(["bound", "--chi", "1e-320", "--c1", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("numerical failure: the topological bound at chi = 1e-320, c1 = 1.0 "
+                   "underflowed to 0: out of scale\n")
+
+
+def test_a_base_whose_area_underflows_exits_3(tmp_path):
+    # 4 pi R^2 at R = 1e-170 is 0: J over it in a scan, and the uniformized
+    # constant 2 pi chi / vol in laplace, divided by it (ZeroDivisionError,
+    # exit 1, before they were judged on their value)
+    model = tmp_path / "vanishing.json"
+    model.write_text(json.dumps(dict(SPHERE, base={"type": "round_sphere", "radius": 1e-170})))
+    for argv in (["scan", "--model", str(model), "--ell", "scan:0.5:4:4"],
+                 ["laplace", "--model", str(model)]):
+        assert _keeps_the_contract(argv, tmp_path / "report.json") == 3
+
+
+def test_the_orbit_count_bound_is_a_double_wherever_sigma_is(tmp_path):
+    # Gamma(200.5) overflows, but sigma(S^400) = 6826.53... is a double
+    out = tmp_path / "report.json"
+    assert _keeps_the_contract(["bound", "--hebey-vaugon", "--n", "400", "--k", "1"], out) == 0
+    (bound,) = json.loads(out.read_text())["bounds"]
+    assert bound["value"] == pytest.approx(6826.5342472093261, rel=1e-12, abs=0.0)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import eqyamabe as eq
-from eqyamabe import conformal, modelio, orbifold
+from eqyamabe import bundle, conformal, modelio, orbifold
 from eqyamabe.errors import DomainError, NotCoprime
 from eqyamabe.numerics import QuadratureConfig, _fejer_rule, _with_dips, integrate
 from eqyamabe.numerics import TrigSeries, sign_change_roots
@@ -531,6 +531,31 @@ def test_conformal_functional_reads_the_metric_once():
     values = [eq.conformal_functional(metric, u) for u in factors]
     assert ell_points == [127]  # ell at the first level
     assert values == [eq.conformal_functional(eq.hopf_metric(), u) for u in factors]
+
+
+def test_conformal_functional_reads_u_on_the_grid_alone():
+    # every fourth node of the Galerkin grid is a first-level node, to the
+    # bit, so u is read once, on the grid, and its slope at the first level;
+    # the value is the one u read afresh at the first level gives
+    for base in (eq.make_round_sphere(0.5), eq.wps_profile(2, 3),
+                 eq.FlatTorusBase(length=1.0, radius=1.0)):
+        grid = orbifold._rule(base, orbifold._GRID_LEVEL)[0]
+        assert grid[3::4].tobytes() == orbifold.quadrature_nodes(base).tobytes()
+    hopf = eq.hopf_metric()
+    u = fourier_field(hopf.base.length, [0.05, -0.02], 1.0)
+    value_points, d1_points = [], []
+    value = eq.conformal_functional(
+        hopf, eq.RadialField(counted(u.value, value_points), counted(u.d1, d1_points), u.d2))
+    assert value_points == [511] and d1_points == [127]
+
+    def rows(s):
+        ell, _, _, scal = bundle._node_values(hopf, s)
+        fiber = 2.0 * math.pi * ell
+        return np.array([fiber * (8.0 * u.d1(s) ** 2 + scal * u.value(s) ** 2),
+                         fiber * u.value(s) ** 6])
+
+    num, den = orbifold.integrate_over_base(hopf.base, rows)
+    assert value == num.value / den.value ** (1.0 / 3.0)
 
 
 def test_node_values_die_with_their_metric():

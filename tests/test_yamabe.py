@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+import re
 import time
 import warnings
 
@@ -59,9 +61,48 @@ def test_sphere_volumes():
     assert 0.0 < eq.sphere_volume(342) < 1e-200  # Gamma(171.5) is still a double
     with pytest.raises(ValueError, match="n must be >= 1"):
         eq.sphere_volume(0)
-    for n in (343, 400, 10**400):  # Gamma((n+1)/2) past the largest double
-        with pytest.raises(NumericalError, match="out of scale"):
+    # Gamma((n+1)/2) is past the largest double, the volume is not
+    assert 0.0 < eq.sphere_volume(343) < eq.sphere_volume(342)
+    assert eq.sphere_volume(400) == pytest.approx(1.7118955476142872e-274, rel=1e-12)
+    for n in (1000, 10**400):  # the volume itself underflows to 0
+        with pytest.raises(NumericalError, match=r"vol\(S\^.*underflowed to 0: out of scale"):
             eq.sphere_volume(n)
+
+
+def _mp_sigma(n):
+    import mpmath
+
+    with mpmath.workdps(40):
+        h = mpmath.mpf(n + 1) / 2
+        return float(n * (n - 1) * (2 * mpmath.pi**h / mpmath.gamma(h)) ** (mpmath.mpf(2) / n))
+
+
+@pytest.mark.parametrize("n, reference", [
+    (343, 5853.0025055663547), (400, 6826.5342472093261), (1000, 17074.222669202922)])
+def test_sigma_sn_past_the_gamma_overflow(n, reference):
+    assert _mp_sigma(n) == pytest.approx(reference, rel=1e-15)
+    assert eq.sigma_sn(n) == pytest.approx(reference, rel=1e-12, abs=0.0)
+    assert eq.hebey_vaugon_bound(n, 1) == eq.sigma_sn(n)
+
+
+def test_sigma_sn_past_the_doubles_raises():
+    # sigma(S^n) is about 2 pi e n: past DBL_MAX from n ~ 1e307 on
+    for n in (10**308, 10**400):
+        with pytest.raises(NumericalError, match="leaves the doubles: out of scale"):
+            eq.sigma_sn(n)
+        with pytest.raises(NumericalError, match="leaves the doubles: out of scale"):
+            eq.hebey_vaugon_bound(n, 1)
+
+
+def test_sphere_volume_and_sigma_keep_the_gamma_expression_up_to_342():
+    # the bits of 2 pi^{(n+1)/2} / Gamma((n+1)/2) and n (n-1) vol^{2/n} in
+    # Python floats, where Gamma is a double
+    for n in range(1, 343):
+        vol = 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+        assert eq.sphere_volume(n).hex() == vol.hex()
+        if n >= 2:
+            assert eq.sigma_sn(n).hex() == (n * (n - 1) * vol ** (2.0 / n)).hex()
+    assert eq.SIGMA_S3.hex() == "0x1.5e95fb08ca59bp+5"
 
 
 def test_sigma_s2_is_eight_pi():
@@ -397,6 +438,63 @@ def test_bound_theorem_main_values():
     assert eq.bound_theorem_main(5.0 / 6.0, 1.0 / 6.0) == pytest.approx(
         WEIGHTED_BOUND[(2, 3)], rel=1e-12
     )
+
+
+def test_bound_theorem_main_out_of_scale():
+    # the power of a finite ratio, and the ratio itself, past DBL_MAX
+    for chi, c1 in ((1e300, 1.0), (1e300, 1e-300)):
+        with pytest.raises(NumericalError, match="topological bound at .* leaves the doubles"):
+            eq.bound_theorem_main(chi, c1)
+    # a positive bound of about 1e-427, which underflowed to 0
+    with pytest.raises(NumericalError, match="topological bound at .* underflowed to 0"):
+        eq.bound_theorem_main(1e-320, 1.0)
+    assert eq.bound_theorem_main(1e-200, 1.0) > 0.0
+
+
+def test_closed_form_J_is_judged_on_its_value():
+    # ell^{8/3} is finite at 2e115, its product with |Omega|_2^2 = 25 is not;
+    # at 4e115 the power itself passes DBL_MAX: one rule and one message
+    for ell in (2e115, 4e115):
+        with pytest.raises(NumericalError, match=re.escape(f"J at ell = {ell!r} leaves the doubles")):
+            closed_form_J(1.0, 2.0, 25.0, ell)
+    # a base whose area underflowed to 0 divides by it: out of scale, not ZeroDivisionError
+    with pytest.raises(NumericalError, match="J at ell = 0.5 leaves the doubles"):
+        closed_form_J(0.0, 2.0, 0.0, 0.5)
+    with pytest.raises(NumericalError, match="J_max at vol = 0.0"):
+        _closed_form_optimum(0.0, 2.0, 1.0)
+    # J may be 0 itself, where the two terms cancel
+    assert closed_form_J(1.0, 1.0, 16.0 * math.pi, 1.0) == 0.0
+
+
+def test_closed_forms_keep_the_bits_of_python_floats_on_every_scale():
+    # arguments past 1e+-100 are evaluated in numpy doubles with warnings
+    # off: every value Python floats give is the same to the bit, and every
+    # one they cannot give (OverflowError, ZeroDivisionError, inf, or a
+    # positive bound at 0) raises NumericalError
+    rng = random.Random(20240611)
+
+    def python(formula, *args):
+        try:
+            return formula(*args)
+        except (OverflowError, ZeroDivisionError):
+            return math.inf
+
+    J = lambda v, c, w, l: (math.pi**2 / (16.0 * v)) ** (1.0 / 3.0) * (  # noqa: E731
+        16.0 * math.pi * c * l ** (2.0 / 3.0) - w * l ** (8.0 / 3.0))
+    main = lambda c, c1: eq.SIGMA_S3 * (c / (2.0 * math.sqrt(abs(c1)))) ** (4.0 / 3.0)  # noqa: E731
+    checked = 0
+    for _ in range(3000):
+        v, c, w, l, c1 = (10.0 ** rng.uniform(-320.0, 308.0) for _ in range(5))
+        for ours, theirs, args, positive in ((closed_form_J, J, (v, 2.0, w, l), False),
+                                            (eq.bound_theorem_main, main, (c, c1), True)):
+            expected = python(theirs, *args)
+            if math.isfinite(expected) and (expected != 0.0 or not positive):
+                assert ours(*args).hex() == expected.hex(), args
+                checked += 1
+            else:
+                with pytest.raises(NumericalError, match="out of scale"):
+                    ours(*args)
+    assert checked > 3000
 
 
 def test_bound_theorem_main_invalid_cases():
