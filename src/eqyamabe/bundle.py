@@ -27,7 +27,6 @@ from .orbifold import (
     _GRID_LEVEL,
     Base,
     _chain_rule,
-    _norm_reports,
     _planned,
     _rule,
     gauss_curvature,
@@ -47,43 +46,73 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialField:
     """A radial (circle-invariant) function on the base with two derivatives.
 
-    Wherever a field is taken, a number, a `RadialField` or a plain vectorized
-    callable of s will do (`as_radial_field`); a plain callable is read as a
-    chopped trigonometric series and needs no derivatives.  Callables must be
-    vectorized, and pure for the life of the field: the
-    curvature-form norms of a field are computed once per base and config
-    (`omega_norms`), as a base's values are.  `constant` is set when the field
-    is known to be constant: `InvariantMetric`'s positivity and pole checks
-    then read that number instead of evaluating the field, the scalar
-    curvature of a constant ell drops its Laplacian term (ell' and ell'' are
-    not read), the norms of a constant F skip the search for its roots, and
-    `scale_metric` scales it.  Every integral still evaluates the field's
-    values at its nodes.
+    A field is one of three kinds, and keeps what it sums: its `constant`
+    (`const`), its `numerics.TrigSeries` as `series` (`from_series`, which
+    samples, a plain callable and a Galerkin solve go through), or three
+    callables value, d1 and d2 in closed form (the wps density, a user's
+    `RadialField(value, d1, d2)`), which may carry a known `constant` (a
+    scaled constant field, `scale_metric`).  `value`, `d1` and `d2` are
+    instance attributes set where the field is built, from its constant or
+    its series for those kinds, and every evaluation reads them.
+
+    A field is its key: a series field equals, and hashes as, every field of
+    an equal series, a constant field every constant field of the same
+    constant (signed zeros apart), and a field of callables only itself.
+    The curvature-form norms of a field are kept per base and config under
+    that key (`omega_norms`), so equal data shares one entry; callables must
+    be vectorized, and pure for the life of the field.  Wherever a field is
+    taken, a number, a `RadialField` or a plain vectorized callable of s
+    will do (`as_radial_field`); a plain callable is read as a chopped
+    trigonometric series and needs no derivatives.  Where `constant` is set,
+    `InvariantMetric`'s positivity and pole checks read that number instead
+    of evaluating the field, the scalar curvature of a constant ell drops
+    its Laplacian term (ell' and ell'' are not read), the norms of a
+    constant F skip the search for its roots, and `scale_metric` scales it.
+    Every integral still evaluates the field's values at its nodes.
     """
 
-    value: Callable[[np.ndarray], np.ndarray]
-    d1: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
+    value: Callable[[np.ndarray], np.ndarray] | None = None
+    d1: Callable[[np.ndarray], np.ndarray] | None = None
+    d2: Callable[[np.ndarray], np.ndarray] | None = None
     constant: float | None = None
+    series: TrigSeries | None = None
+    _key: object = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # the one place where a field's callables come from what it sums
+        if self.value is not None:  # callables in closed form: equal only to itself
+            object.__setattr__(self, "_key", object())
+            return
+        if self.series is not None:
+            key, fns = self.series, (self.series.value, self.series.d1, self.series.d2)
+        else:
+            c = float(self.constant)
+            key = (c, math.copysign(1.0, c))  # signed zeros are two constants
+            zeros = lambda s: np.zeros_like(np.asarray(s, dtype=float))  # noqa: E731
+            fns = (lambda s: np.full_like(np.asarray(s, dtype=float), c), zeros, zeros)
+            object.__setattr__(self, "constant", c)
+        for name, fn in zip(("value", "d1", "d2"), fns):
+            object.__setattr__(self, name, fn)
+        object.__setattr__(self, "_key", key)
+
+    def __eq__(self, other) -> bool:
+        return self._key == other._key if isinstance(other, RadialField) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @classmethod
     def const(cls, c: float) -> "RadialField":
-        c = float(c)
-        return cls(
-            value=lambda s: np.full_like(np.asarray(s, dtype=float), c),
-            d1=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-            d2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-            constant=c,
-        )
+        return cls(constant=c)
 
     @classmethod
     def from_series(cls, series: TrigSeries) -> "RadialField":
         """The field a `numerics.TrigSeries` sums, with its two derivatives."""
-        return cls(series.value, series.d1, series.d2)
+        return cls(series=series)
 
     @classmethod
     def from_samples(cls, values: np.ndarray, length: float,
@@ -134,7 +163,9 @@ class InvariantMetric:
     nearest 9.4e-6 L from either end (ValueError otherwise).  On a base with
     cone poles, the slope of ell or F at a pole must be small against its
     largest slope at the same nodes (a warning otherwise), and the nodes are
-    read only past pole slopes of 5e-14, below which it cannot fire.  A
+    read only past pole slopes of 5e-14, below which it cannot fire; a
+    series field's pole slopes are read off its tail
+    (`TrigSeries.pole_slopes`), any other field's by its d1 at the poles.  A
     constant field is not evaluated, so the grid is built only for a field
     that is.
 
@@ -167,12 +198,18 @@ class InvariantMetric:
             # a small fraction of the field's interior slope scale.  Only an
             # interior slope above 1e-12 counts, so pole slopes of at most
             # 0.05 times that pass whatever the interior holds: the interior
-            # is read only past them
+            # is read only past them.  A series reads its pole slopes off its
+            # tail (`TrigSeries.pole_slopes`): its cosine terms are flat at
+            # the poles, where the even extension of samples with a slope
+            # has its kink
             poles = np.array([0.0, base.length])
             for field, name in ((ell, "ell"), (self.F, "F")):
                 if field.constant is not None:
                     continue
-                pole_slope = float(np.abs(np.asarray(field.d1(poles), dtype=float)).max())
+                if field.series is not None:
+                    pole_slope = max(map(abs, field.series.pole_slopes()))
+                else:
+                    pole_slope = float(np.abs(np.asarray(field.d1(poles), dtype=float)).max())
                 if pole_slope <= 0.05 * 1e-12:
                     continue
                 grid = _rule(base, _GRID_LEVEL)[0]
@@ -266,7 +303,7 @@ def _norms(
     has (`validated`)."""
     F = as_radial_field(F, base)
     cfg = cfg or _DEFAULT_CONFIG
-    reports = _norm_reports(base, F)
+    reports = base._plan.norms.setdefault(F, {})  # under F's key: equal data shares it
     kept = reports.get(cfg)
     if kept is None:
         if not validated:

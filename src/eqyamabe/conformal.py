@@ -301,8 +301,11 @@ def _poisson_series(base: Base, f_nodes: np.ndarray, rounding: float) -> tuple[_
         basis = _basis(base.length, base.periodic, m)
         B, D = basis.values[:, 1:], basis.slopes[:, 1:]
         c = np.concatenate([[0.0], np.linalg.solve((D.T * wA) @ D, B.T @ wf)])
-        k = basis.omega * np.maximum(basis.power, 1)  # the constant mode is never in the tail
-        if not _refinable(c, _MAX_MODES, rounding / k**2):
+        # the constant mode is never in the tail; formed quietly, as every
+        # value out of scale is: where k^2 overflows, the floor is 0
+        with np.errstate(all="ignore"):
+            floor = rounding / (basis.omega * np.maximum(basis.power, 1)) ** 2
+        if not _refinable(c, _MAX_MODES, floor):
             c[0] = -np.dot(wA, basis.values @ c) / np.sum(wA)
             return basis, c
         m *= 2

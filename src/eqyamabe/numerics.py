@@ -310,18 +310,24 @@ class TrigSeries:
     one trigonometric series, and the only code that knows its coefficient
     convention.  A real coefficient a_k stands for a_k cos(k omega s), -i b_k
     for b_k sin(k omega s) (`from_real`).  `value`, `d1` and `d2` sum the
-    series and its two derivatives by Horner's rule.
+    series and its two derivatives by Horner's rule.  `samples` is the
+    number of samples a period of an interpolant whose tail is not
+    negligible (`_interpolant`), whose pole slopes its tail then carries
+    (`pole_slopes`), and 0 for every other series.
 
     The coefficients are kept read-only, and those of both derivatives are
     formed where the series is built, with numpy's floating-point warnings
     off: a series whose coefficients, or its derivatives', sum in modulus
     past the doubles, the bound on their values, raises NonFinite, so data
-    out of scale is an error, never a warning.  A series equals only
-    itself."""
+    out of scale is an error, never a warning.  A series is its data: two
+    series are equal, and hash equal, when their omega, samples and the
+    bits of their coefficients are, and the hash is computed once."""
 
     coeffs: np.ndarray
     omega: float
+    samples: int = 0
     _terms: tuple = field(init=False, repr=False)
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         c = np.array(self.coeffs, dtype=complex)
@@ -333,6 +339,14 @@ class TrigSeries:
                 raise NonFinite("a series or its derivative leaves the doubles: out of scale")
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "_terms", terms)
+        key = (self.omega, self.samples, c.tobytes())
+        object.__setattr__(self, "_key", (hash(key), key))  # the hash first: a quick mismatch
+
+    def __eq__(self, other) -> bool:
+        return self._key == other._key if isinstance(other, TrigSeries) else NotImplemented
+
+    def __hash__(self) -> int:
+        return self._key[0]
 
     @classmethod
     def from_real(cls, cos: np.ndarray, sin: np.ndarray, omega: float) -> TrigSeries:
@@ -366,6 +380,31 @@ class TrigSeries:
         slopes = np.arange(self.coeffs.size) * self.omega * -self.coeffs.imag  # per mode, at s = 0
         return float(slopes.sum()), float(slopes[::2].sum() - slopes[1::2].sum())
 
+    def pole_slopes(self) -> tuple[float, float]:
+        """The slopes at s = 0 and s = L = pi / omega of the field whose
+        samples a cosine series interpolates, read from its tail, as its
+        cosine terms are flat there: 0 and 0 unless it is an interpolant
+        whose tail is not negligible (`samples`).  The even extension of a
+        field with a slope at an end has a kink there, and the tail of an
+        interpolant of N samples a period then follows the discrete form of
+        the kink law
+
+            a_k ~ 2L ((-1)^k f'(L) - f'(0)) / (N sin(pi k / N))^2,
+
+        2L ((-1)^k f'(L) - f'(0)) / (k pi)^2 for k << N.  Its mean over the
+        even and over the odd modes of the upper half below N / 2 (the
+        Nyquist mode, which stands for its aliases once) gives
+        f'(L) - f'(0) and -f'(L) - f'(0), 0 where it has none."""
+        n, a = self.samples, self.coeffs.real
+        k = np.arange(a.size // 2, min(a.size, n // 2))
+        if not k.size:
+            return 0.0, 0.0
+        is_odd = k % 2 == 1
+        with np.errstate(all="ignore"):
+            kinks = a[k] * (n * np.sin(k * (math.pi / n))) ** 2 * (self.omega / (2.0 * math.pi))
+            even, odd = (float(kinks[m].mean()) if m.any() else 0.0 for m in (~is_odd, is_odd))
+        return -0.5 * (even + odd), 0.5 * (even - odd)
+
 
 def _interpolant(values: np.ndarray, length: float, parity: str) -> tuple[TrigSeries, bool]:
     """The series interpolating uniform samples on linspace(0, length, n),
@@ -375,7 +414,8 @@ def _interpolant(values: np.ndarray, length: float, parity: str) -> tuple[TrigSe
     at the seam, where they must match (ValueError otherwise).  One real FFT
     gives the coefficients, kept up to the last mode past eps times the
     largest sample (`_chop`), all formed quietly: coefficients out of scale
-    raise NonFinite where the series is built (`TrigSeries`)."""
+    raise NonFinite where the series is built (`TrigSeries`).  A series
+    whose tail is not negligible keeps its samples a period (`samples`)."""
     with np.errstate(all="ignore"):
         if parity == "periodic":
             if abs(values[0] - values[-1]) > 1e-12 * max(1.0, abs(values[0])):
@@ -388,7 +428,7 @@ def _interpolant(values: np.ndarray, length: float, parity: str) -> tuple[TrigSe
         c = np.fft.rfft(samples) / n
         c[1 : (n + 1) // 2] *= 2.0  # each mode below Nyquist stands for +k and -k
         keep, chopped = _chop(c, _EPS * np.max(np.abs(samples)))
-    return TrigSeries(c[:keep], 2.0 * math.pi / period), chopped
+    return TrigSeries(c[:keep], 2.0 * math.pi / period, 0 if chopped else n), chopped
 
 
 _CHOP_SAMPLES = 2**14 + 1  # the most samples a callable is read at

@@ -123,8 +123,9 @@ class _Plan:
     needs them;
     `values` maps (member, n) to a base member's read-only values at the
     nodes of level n; `areas` maps a config to the base's area (`area`);
-    `norms` maps a curvature density F, weakly, to its
-    curvature-form norms per cfg, so an entry dies with its field.  A plan
+    `norms` maps a curvature density F, weakly and under its key (equal
+    data shares an entry, `bundle.RadialField`), to its curvature-form
+    norms per cfg, so an entry dies with the field that made it.  A plan
     holds no reference to its base.
     """
 
@@ -464,16 +465,6 @@ def _read_only(values) -> np.ndarray:
     values = np.array(values, dtype=float)
     values.flags.writeable = False
     return values
-
-
-def _norm_reports(base: Base, F) -> dict:
-    """The curvature-form norms of F on the base kept in its plan, per
-    config, for the caller to read and fill; a field that cannot be hashed
-    gets a new dict, so its norms are computed afresh."""
-    try:
-        return base._plan.norms.setdefault(F, {})
-    except TypeError:  # callables that define equality but no hash
-        return {}
 
 
 # ---------------------------------------------------------------------------

@@ -444,6 +444,57 @@ def test_pole_check_reads_the_poles_before_the_interior(role, base, kind, points
     assert [str(w.message).split(" (")[0] for w in caught] == expected
 
 
+@pytest.mark.parametrize(
+    "profile, start, end",
+    [(lambda t: 1.0 + 0.3 * t, 0.3, 0.3), (lambda t: 1.0 + 0.3 * t * t, 0.0, 0.6)],
+    ids=["ramp", "half_parabola"],
+)
+def test_a_sampled_field_reads_its_pole_slopes_off_its_tail(profile, start, end):
+    # the even extension of samples with a slope at a pole has a kink there,
+    # flattened by the cosine series: its tail follows the discrete kink
+    # law, exactly for these, whose even extensions have no other kinks
+    base = eq.wps_profile(2, 3)
+    L = base.length
+    field = eq.RadialField.from_samples(profile(np.linspace(0.0, 1.0, 33)), L)
+    assert field.d1(np.array([0.0, L])) == pytest.approx([0.0, 0.0], abs=1e-14)
+    assert field.series.pole_slopes() == pytest.approx((start / L, end / L), rel=1e-12, abs=1e-13)
+    with pytest.warns(UserWarning, match="ell' does not vanish at a cone pole") as seen:
+        eq.InvariantMetric(base, field, eq.wps_density_field(2, 3))
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("n", [33, 65, 129])
+def test_a_sampled_field_flat_at_the_poles_does_not_warn(n):
+    # 1 + 0.1 sin^3(pi s / L) is flat at both poles, but its third derivative
+    # is not, so its series does not chop: its tail decays as k^-4, which
+    # reads as pole slopes below 1% of its interior slope; a resolved series
+    # (here 1 + 0.1 sin^4, whose cosine modes 2 and 4 chop) reads none
+    base = eq.wps_profile(2, 3)
+    t = np.linspace(0.0, 1.0, n)
+    cubed = eq.RadialField.from_samples(1.0 + 0.1 * np.sin(math.pi * t) ** 3, base.length)
+    fourth = eq.RadialField.from_samples(1.0 + 0.1 * np.sin(math.pi * t) ** 4, base.length)
+    assert cubed.series.samples == 2 * (n - 1) and fourth.series.samples == 0
+    assert fourth.series.pole_slopes() == (0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ell in (cubed, fourth):
+            eq.InvariantMetric(base, ell, eq.wps_density_field(2, 3))
+
+
+def test_a_sampled_model_flat_at_the_poles_does_not_warn():
+    # the sampled model of the scipy-free CI step: a bump-sphere profile,
+    # ell = 1 + 0.1 cos 2s and F = (1 + 0.2 cos 2s) / chern in 201 samples
+    s = np.linspace(0.0, math.pi, 201)
+    phi = np.sin(s) * (1.0 + 0.15 * np.sin(s) ** 2)
+    phi[0] = phi[-1] = 0.0
+    base = eq.profile_from_samples(s, phi, 1, 1)
+    chern = 2.2 + 0.2 * (2.0 - 1.85 * 4.0 / 3.0 - 0.3 * 16.0 / 15.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eq.InvariantMetric(base, eq.RadialField.from_samples(1.0 + 0.1 * np.cos(2.0 * s), math.pi),
+                           eq.RadialField.from_samples((1.0 + 0.2 * np.cos(2.0 * s)) / chern, math.pi))
+
+
 def test_torus_slope_at_the_seam_does_not_warn():
     # a torus has no cone poles, so a periodic field whose slope is largest at
     # s = 0 is smooth data there
@@ -602,3 +653,77 @@ def test_constant_marked_fields_give_the_numbers_of_their_callables(base_name, F
     if F == 0.0 and base_name == "torus":
         scal = eq.scalar_curvature_total(eq.InvariantMetric(base, ell_marked, F_marked), 0.5)
         assert math.copysign(1.0, scal) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the tracer's contract: fields are built through __init__ and evaluated
+# through their attributes
+# ---------------------------------------------------------------------------
+
+def test_every_field_is_built_through_init_and_evaluated_through_its_attributes(monkeypatch):
+    # perfbench/tracing.py counts field evaluations by replacing value, d1
+    # and d2 on each instance after RadialField.__init__: every field the
+    # library builds must pass through __init__, and every evaluation must
+    # read those attributes, for a series as for closed-form callables
+    from eqyamabe import conformal
+    from eqyamabe.numerics import TrigSeries
+
+    base = eq.wps_profile(2, 3)
+    L = base.length
+    cosine = np.cos(np.linspace(0.0, math.pi, 33))
+    closed = fourier_field(L, [0.1, 0.02], 0.8)
+    built, outer, inner = [], [], []
+
+    def counted(fn, log):
+        def wrapped(*args):
+            log.append(int(np.size(args[-1])))
+            return fn(*args)
+
+        return wrapped
+
+    init = eq.RadialField.__init__
+
+    def traced_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+        for name in ("value", "d1", "d2"):
+            object.__setattr__(self, name, counted(getattr(self, name), outer))
+
+    monkeypatch.setattr(eq.RadialField, "__init__", traced_init)
+    for name in ("value", "d1", "d2"):  # what a series field sums, counted inside
+        monkeypatch.setattr(TrigSeries, name, counted(getattr(TrigSeries, name), inner))
+
+    def metric():
+        """A new metric of a sampled ell and a closed-form F, which keeps
+        no values yet."""
+        F = eq.RadialField(*(counted(fn, inner) for fn in (closed.value, closed.d1, closed.d2)))
+        return eq.InvariantMetric(base, eq.RadialField.from_samples(1.0 + 0.1 * cosine, L), F)
+
+    scaled = eq.scale_metric(metric(), 2.0)
+    fields = {
+        "const": eq.RadialField.const(1.0),
+        "from_series": eq.RadialField.from_series(TrigSeries([1.0, 0.1], math.pi / L)),
+        "from_samples": eq.RadialField.from_samples(cosine, L),
+        "as_radial_field": bundle.as_radial_field(lambda s: 1.0 + 0.1 * np.cos(4.0 * s), base),
+        "_Basis.series": conformal._basis(L, False, 16).series(np.eye(16)[1]),
+        "scale_metric ell": scaled.ell,
+        "scale_metric F": scaled.F,
+    }
+    for name, field in fields.items():
+        assert any(field is b for b in built), name
+
+    u = eq.RadialField.from_samples(1.0 + 0.05 * cosine, L)
+    runs = {
+        "omega_norms": eq.omega_norms,
+        "functional_J": eq.functional_J,
+        "conformal_functional": lambda m: eq.conformal_functional(m, u),
+        "minimize_conformal": eq.minimize_conformal,
+    }
+    for name, run in runs.items():
+        m = metric()
+        outer.clear()
+        inner.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # fractional Chern data
+            run(m)
+        assert inner and inner == outer, name

@@ -473,6 +473,21 @@ def test_data_that_underflows_keeps_the_exit_code_contract(capsys, tmp_path, com
         assert not out_path.exists() and out == ""
 
 
+@pytest.mark.parametrize("radius", [1e-170, 1e-165, 1e-160, 1e-158, 1e-156, 1e-155, 3e-155,
+                                    8e-155, 1e-154])
+def test_laplace_on_a_vanishing_sphere_exits_3_without_a_warning(capsys, tmp_path, radius):
+    # the area underflows below radius ~1e-154, and from 8e-155 on the
+    # Poisson solve's mode numbers k = n pi / L square past the doubles,
+    # where the tail's floor rounding / k^2 is formed quietly as 0; numpy
+    # warnings are errors here, so only the failure line may reach stderr
+    out_path = tmp_path / "laplace.json"
+    argv = ["laplace", "--model", _tiny_sphere(tmp_path, radius, 1.0), "--out", str(out_path)]
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert not out_path.exists() and out == ""
+
+
 @pytest.mark.parametrize("radius, code", [(1e-100, 0), (1e-150, 0)])
 def test_bound_of_a_tiny_sphere_makes_no_warning(capsys, tmp_path, radius, code):
     # K = 1e200 or 1e300 and |Omega|_1 = 1.8e-199 or 1.8e-299: the curvature
@@ -1187,6 +1202,29 @@ def test_a_library_warning_is_one_line_on_stderr(tmp_path):
     assert proc.stderr == (
         "warning: curvature density has non-integral Chern data: 1 * 0.640000 "
         "is not close to an integer\n"
+    )
+
+
+def test_a_sampled_ramp_warns_once_on_stderr(tmp_path):
+    # ell = 1 + 0.3 t in 33 samples on wps(2,3) is not flat at either pole:
+    # the pole check reads its slopes off the tail of its series, and the
+    # report still exits 0
+    path = tmp_path / "ramp.json"
+    path.write_text(json.dumps({
+        "base": {"type": "wps", "m1": 2, "m2": 3},
+        "ell": {"type": "samples", "values": (1.0 + 0.3 * np.linspace(0.0, 1.0, 33)).tolist()},
+        "F": {"type": "wps"},
+    }))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "eqyamabe.cli", "functional",
+         "--model", str(path)],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "warning: ell' does not vanish at a cone pole (|ell'| ~ 1.91e-01); data may not be "
+        "smooth on the orbifold\n"
     )
 
 

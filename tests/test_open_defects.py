@@ -35,13 +35,17 @@ def test_the_minimizer_is_scale_free():
     assert scaled.mu_upper == pytest.approx(unit.mu_upper, rel=1e-9)
 
 
-@_open("14", "a sampled ramp ell is not flat at the poles, yet gives a silent report")
 def test_a_sampled_ramp_fiber_length_warns_or_is_refused(capsys, tmp_path):
+    # ROADMAP item 14, mended: the pole check reads a sampled field's pole
+    # slopes off the tail of its series.  The warning is seen here, where
+    # pytest records it; on the command line it is one stderr line
+    # (tests/test_cli.py)
     ramp = (1.0 + 0.3 * np.linspace(0.0, 1.0, 33)).tolist()
     model = {"base": {"type": "wps", "m1": 2, "m2": 3},
              "ell": {"type": "samples", "values": ramp}, "F": {"type": "wps"}}
-    code, _, err = _run(capsys, tmp_path, "functional", model)
-    assert code == 2 or "ell' does not vanish at a cone pole" in err
+    with pytest.warns(UserWarning, match="ell' does not vanish at a cone pole") as seen:
+        code, _, _ = _run(capsys, tmp_path, "functional", model)
+    assert code == 0 and len(seen) == 1
 
 
 @_open("22", "the basis does not resolve the pole layer of wps(1,200) within its cap")

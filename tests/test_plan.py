@@ -376,21 +376,57 @@ def test_norms_entry_dies_with_its_field_and_its_base():
     assert plan_ref() is None
 
 
-def test_field_with_unhashable_callables_is_served_uncached():
-    # np.poly1d defines equality but no hash, so such a field cannot key a
-    # report; F' = 0.4 s (L - s) (L - 2 s) vanishes at both poles
+def test_a_poly1d_field_is_kept_and_gives_the_same_numbers():
+    # np.poly1d defines equality but no hash; a field of callables is keyed
+    # by its identity, so such a field keys its report as any field does;
+    # F' = 0.4 s (L - s) (L - 2 s) vanishes at both poles
     base = unshared(eq.make_round_sphere(0.5))
     p = 1.0 + 0.1 * np.poly1d([-1.0, base.length, 0.0]) ** 2
-    unhashable = eq.RadialField(value=p, d1=p.deriv(), d2=p.deriv(2))
-    with pytest.raises(TypeError):
-        hash(unhashable)
+    poly = eq.RadialField(value=p, d1=p.deriv(), d2=p.deriv(2))
+    assert hash(poly) == hash(poly)
+    assert poly != eq.RadialField(value=p, d1=p.deriv(), d2=p.deriv(2))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # fractional Chern data
-        hashable = rewrapped(unhashable)
-        expected = norms_and_bounds(base, hashable)
+        expected = norms_and_bounds(base, rewrapped(poly))
         for _ in range(2):
-            assert norms_and_bounds(base, unhashable) == expected
-    assert list(base._plan.norms) == [hashable]
+            assert norms_and_bounds(base, poly) == expected
+    assert list(base._plan.norms) == [poly]
+
+
+def test_equal_fields_share_one_norms_quadrature(monkeypatch):
+    # a field's key is its data: two series of one array, or two constant
+    # fields of one constant, are one entry of the plan
+    integrand_points = []
+    real_integrate = orbifold.integrate
+
+    def counting_integrate(f, *args, **kwargs):
+        return real_integrate(counted(f, integrand_points), *args, **kwargs)
+
+    monkeypatch.setattr(orbifold, "integrate", counting_integrate)
+    base = unshared(eq.wps_profile(2, 3))
+    values = (1.0 + 0.2 * np.cos(np.linspace(0.0, math.pi, 33))) / 3.0
+    first, second = (eq.RadialField.from_samples(values, base.length) for _ in range(2))
+    assert first is not second and first == second and hash(first) == hash(second)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # fractional Chern data
+        report = bundle._norms(base, first)
+        assert integrand_points == [127]
+        assert bundle._norms(base, second) is report
+    assert integrand_points == [127]
+    assert list(base._plan.norms) == [first]
+
+    # the shared sphere may already hold the norms of F = 2 for the default
+    # config (the `hopf` fixture), so these are asked for under a config of
+    # their own
+    integrand_points.clear()
+    cfg = QuadratureConfig(rel_tol=3e-10)
+    one, two = eq.hopf_metric(1.0), eq.hopf_metric(2.0)
+    assert one.base is two.base and one.F is not two.F and one.F == two.F
+    assert eq.omega_norms(two, cfg) is eq.omega_norms(one, cfg)
+    assert integrand_points == [127]
+    # a signed zero is another constant, and a field of callables only itself
+    assert eq.RadialField.const(0.0) != eq.RadialField.const(-0.0)
+    assert eq.RadialField.const(2.0) != rewrapped(eq.RadialField.const(2.0))
 
 
 def test_constructors_share_one_base_per_arguments():
