@@ -59,12 +59,10 @@ class RadialField:
     instance attributes set where the field is built, from its constant or
     its series for those kinds, and every evaluation reads them.
 
-    A field is its key: a series field equals, and hashes as, every field of
-    an equal series, a constant field every constant field of the same
-    constant (signed zeros apart), and a field of callables only itself.
-    The curvature-form norms of a field are kept per base and config under
-    that key (`omega_norms`), so equal data shares one entry; callables must
-    be vectorized, and pure for the life of the field.  Wherever a field is
+    A field compares and hashes by identity.  The curvature-form norms of a
+    field are kept per base and config under the field itself
+    (`omega_norms`); callables must be vectorized, and pure for the life of
+    the field.  Wherever a field is
     taken, a number, a `RadialField` or a plain vectorized callable of s
     will do (`as_radial_field`); a plain callable is read as a chopped
     trigonometric series and needs no derivatives.  Where `constant` is set,
@@ -80,30 +78,20 @@ class RadialField:
     d2: Callable[[np.ndarray], np.ndarray] | None = None
     constant: float | None = None
     series: TrigSeries | None = None
-    _key: object = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # the one place where a field's callables come from what it sums
-        if self.value is not None:  # callables in closed form: equal only to itself
-            object.__setattr__(self, "_key", object())
+        if self.value is not None:  # callables in closed form
             return
         if self.series is not None:
-            key, fns = self.series, (self.series.value, self.series.d1, self.series.d2)
+            fns = (self.series.value, self.series.d1, self.series.d2)
         else:
             c = float(self.constant)
-            key = (c, math.copysign(1.0, c))  # signed zeros are two constants
             zeros = lambda s: np.zeros_like(np.asarray(s, dtype=float))  # noqa: E731
             fns = (lambda s: np.full_like(np.asarray(s, dtype=float), c), zeros, zeros)
             object.__setattr__(self, "constant", c)
         for name, fn in zip(("value", "d1", "d2"), fns):
             object.__setattr__(self, name, fn)
-        object.__setattr__(self, "_key", key)
-
-    def __eq__(self, other) -> bool:
-        return self._key == other._key if isinstance(other, RadialField) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key)
 
     @classmethod
     def const(cls, c: float) -> "RadialField":
@@ -163,8 +151,8 @@ class InvariantMetric:
     nearest 9.4e-6 L from either end (ValueError otherwise).  On a base with
     cone poles, the slope of ell or F at a pole must be small against its
     largest slope at the same nodes (a warning otherwise), and the nodes are
-    read only past pole slopes of 5e-14, below which it cannot fire; a
-    series field's pole slopes are read off its tail
+    read only past pole slopes of 5e-14, below which it cannot fire
+    (`_check_poles`); a series field's pole slopes are read off its tail
     (`TrigSeries.pole_slopes`), any other field's by its d1 at the poles.  A
     constant field is not evaluated, so the grid is built only for a field
     that is.
@@ -192,37 +180,40 @@ class InvariantMetric:
             nonpositive = ell.constant <= 0.0  # the grid's comparison: NaN passes
         if nonpositive:
             raise ValueError("fiber length must be strictly positive on the base")
-        if base.cone_orders:
-            # invariant data must be smooth across the poles: the radial
-            # derivative must vanish there, so the slope at a pole should be
-            # a small fraction of the field's interior slope scale.  Only an
-            # interior slope above 1e-12 counts, so pole slopes of at most
-            # 0.05 times that pass whatever the interior holds: the interior
-            # is read only past them.  A series reads its pole slopes off its
-            # tail (`TrigSeries.pole_slopes`): its cosine terms are flat at
-            # the poles, where the even extension of samples with a slope
-            # has its kink
-            poles = np.array([0.0, base.length])
-            for field, name in ((ell, "ell"), (self.F, "F")):
-                if field.constant is not None:
-                    continue
-                if field.series is not None:
-                    pole_slope = max(map(abs, field.series.pole_slopes()))
-                else:
-                    pole_slope = float(np.abs(np.asarray(field.d1(poles), dtype=float)).max())
-                if pole_slope <= 0.05 * 1e-12:
-                    continue
-                grid = _rule(base, _GRID_LEVEL)[0]
-                interior = np.abs(np.asarray(field.d1(grid), dtype=float)).max()
-                if interior <= 1e-12:
-                    continue
-                if pole_slope > 0.05 * interior:
-                    warnings.warn(
-                        f"{name}' does not vanish at a cone pole "
-                        f"(|{name}'| ~ {pole_slope:.2e}); data may not be smooth "
-                        "on the orbifold",
-                        stacklevel=2,
-                    )
+        _check_poles(base, ell, "ell")
+        _check_poles(base, self.F, "F")
+
+
+def _check_poles(base: Base, field: RadialField, name: str) -> None:
+    """Warn where a field is not flat at a cone pole of the base.  Its two
+    callers, `InvariantMetric.__post_init__` and `_norms`, are each two
+    frames below the line that built the metric or called the function that
+    reads the norms, which the warning names.
+
+    Invariant data must be smooth across the poles: the radial derivative
+    must vanish there, so the slope at a pole should be a small fraction of
+    the field's interior slope scale.  Only an interior slope above 1e-12
+    counts, so pole slopes of at most 0.05 times that pass whatever the
+    interior holds: the interior is read only past them.  A series reads its
+    pole slopes off its tail (`TrigSeries.pole_slopes`): its cosine terms are
+    flat at the poles, where the even extension of samples with a slope has
+    its kink."""
+    if not base.cone_orders or field.constant is not None:
+        return
+    if field.series is not None:
+        pole_slope = max(map(abs, field.series.pole_slopes()))
+    else:
+        poles = np.array([0.0, base.length])
+        pole_slope = float(np.abs(np.asarray(field.d1(poles), dtype=float)).max())
+    if pole_slope <= 0.05 * 1e-12:
+        return
+    interior = np.abs(np.asarray(field.d1(_rule(base, _GRID_LEVEL)[0]), dtype=float)).max()
+    if interior > 1e-12 and pole_slope > 0.05 * interior:
+        warnings.warn(
+            f"{name}' does not vanish at a cone pole (|{name}'| ~ {pole_slope:.2e}); "
+            "data may not be smooth on the orbifold",
+            stacklevel=4,
+        )
 
 
 @dataclass(frozen=True)
@@ -285,8 +276,8 @@ def omega_norms(metric: InvariantMetric, cfg: QuadratureConfig | None = None) ->
     (1/2pi) int F dv.
 
     The report is computed once per (base, F, config) and kept in the base's
-    quadrature plan until F or the base is garbage-collected, so a repeat is
-    a lookup (a field whose callables cannot be hashed is computed afresh).
+    quadrature plan, under the field object itself, until F or the base is
+    garbage-collected, so a repeat with the same F is a lookup.
     A fractional Chern number is warned about on every call; the verdict and
     its message are kept beside the report.  An F whose integrals leave the
     doubles raises NonFinite naming the largest |F| read, with no numpy
@@ -298,16 +289,16 @@ def omega_norms(metric: InvariantMetric, cfg: QuadratureConfig | None = None) ->
 def _norms(
     base: Base, F: FieldLike, cfg: QuadratureConfig | None = None, validated: bool = False
 ) -> NormReport:
-    """`omega_norms` of (base, F).  A report not yet in the plan first
-    validates F as `InvariantMetric` does, unless the caller's metric already
-    has (`validated`)."""
+    """`omega_norms` of (base, F).  A report not yet in the plan first checks
+    F's pole slopes as `InvariantMetric` does (`_check_poles`), unless the
+    caller's metric already has (`validated`)."""
     F = as_radial_field(F, base)
     cfg = cfg or _DEFAULT_CONFIG
-    reports = base._plan.norms.setdefault(F, {})  # under F's key: equal data shares it
+    reports = base._plan.norms.setdefault(F, {})
     kept = reports.get(cfg)
     if kept is None:
         if not validated:
-            InvariantMetric(base, RadialField.const(1.0), F)  # warns on F' at a pole
+            _check_poles(base, F, "F")
         report = _compute_norms(base, F, cfg)
         kept = reports[cfg] = (report, _fractional_chern(base, report.chern_number))
     report, message = kept

@@ -161,18 +161,11 @@ def _refine(
     naming the nodes where a value of such a row is not finite, if any.
     """
     pieces = len(edges) - 1
-    # a level's value per row: the sum over the pieces of (vals @ w) * half,
-    # which for one piece is its only term, exactly
-    if pieces == 1:
-        h = 0.5 * (edges[1] - edges[0])
+    half = 0.5 * np.diff(edges)
 
-        def total(v):
-            return (v[:, 0] * h).tolist()
-    else:
-        half = 0.5 * np.diff(edges)
-
-        def total(v):
-            return (v * half).sum(axis=1).tolist()
+    def total(v):
+        # a level's value per row: the sum over the pieces of (vals @ w) * half
+        return np.add.reduce(v * half, 1).tolist()
 
     n = _FIRST_LEVEL
     if nodes is None:
@@ -319,15 +312,13 @@ class TrigSeries:
     formed where the series is built, with numpy's floating-point warnings
     off: a series whose coefficients, or its derivatives', sum in modulus
     past the doubles, the bound on their values, raises NonFinite, so data
-    out of scale is an error, never a warning.  A series is its data: two
-    series are equal, and hash equal, when their omega, samples and the
-    bits of their coefficients are, and the hash is computed once."""
+    out of scale is an error, never a warning.  A series compares and
+    hashes by identity."""
 
     coeffs: np.ndarray
     omega: float
     samples: int = 0
     _terms: tuple = field(init=False, repr=False)
-    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         c = np.array(self.coeffs, dtype=complex)
@@ -339,14 +330,6 @@ class TrigSeries:
                 raise NonFinite("a series or its derivative leaves the doubles: out of scale")
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "_terms", terms)
-        key = (self.omega, self.samples, c.tobytes())
-        object.__setattr__(self, "_key", (hash(key), key))  # the hash first: a quick mismatch
-
-    def __eq__(self, other) -> bool:
-        return self._key == other._key if isinstance(other, TrigSeries) else NotImplemented
-
-    def __hash__(self) -> int:
-        return self._key[0]
 
     @classmethod
     def from_real(cls, cos: np.ndarray, sin: np.ndarray, omega: float) -> TrigSeries:

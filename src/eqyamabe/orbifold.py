@@ -123,10 +123,9 @@ class _Plan:
     needs them;
     `values` maps (member, n) to a base member's read-only values at the
     nodes of level n; `areas` maps a config to the base's area (`area`);
-    `norms` maps a curvature density F, weakly and under its key (equal
-    data shares an entry, `bundle.RadialField`), to its curvature-form
-    norms per cfg, so an entry dies with the field that made it.  A plan
-    holds no reference to its base.
+    `norms` maps a curvature density F, weakly and by identity, to its
+    curvature-form norms per cfg, so an entry dies with the field that made
+    it.  A plan holds no reference to its base.
     """
 
     def __init__(self) -> None:

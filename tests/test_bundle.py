@@ -463,6 +463,21 @@ def test_a_sampled_field_reads_its_pole_slopes_off_its_tail(profile, start, end)
     assert len(seen) == 1
 
 
+def test_the_pole_warning_names_the_callers_line():
+    # a metric and a bound that reads F's norms run one pole check, whose
+    # warning names the line that built the metric or asked for the bound
+    base = eq.wps_profile(2, 3)
+    ramp = 1.0 + 0.3 * np.linspace(0.0, 1.0, 33)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        eq.InvariantMetric(base, eq.RadialField.from_samples(ramp, base.length), 1.0)
+        eq.optimal_ell(base, eq.RadialField.from_samples(ramp, base.length))
+    poles = [w for w in caught if "cone pole" in str(w.message)]
+    assert [str(w.message).split("'")[0] for w in poles] == ["ell", "F"]
+    assert [w.filename for w in poles] == [__file__, __file__]
+    assert poles[0].lineno + 1 == poles[1].lineno
+
+
 @pytest.mark.parametrize("n", [33, 65, 129])
 def test_a_sampled_field_flat_at_the_poles_does_not_warn(n):
     # 1 + 0.1 sin^3(pi s / L) is flat at both poles, but its third derivative

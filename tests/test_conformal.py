@@ -608,6 +608,53 @@ def test_minimize_rejects_data_out_of_scale():
         eq.minimize_conformal(metric)
 
 
+def test_a_stage_whose_start_j_is_not_finite_is_refused():
+    # ell = 1e100 and F = 1e5 on the unit sphere: the node weights and the
+    # scalar curvature are finite, but the stage's matrices overflow, so J
+    # at the start is not a number, on which no stop test could pass
+    metric = eq.InvariantMetric(eq.make_round_sphere(1.0), 1e100, 1e5)
+    with pytest.raises(NumericalError, match="discrete functional J is not finite"):
+        eq.minimize_conformal(metric)
+
+
+def test_a_singular_newton_matrix_falls_back_to_the_first_shift(monkeypatch):
+    # a solve that fails for the unshifted Newton matrix N of the first
+    # step: the descent tries N + H (lam = 1) and still meets its stop test
+    metric = eq.wps_metric(2, 3)
+    expected = eq.minimize_conformal(metric)
+    real_solve, matrices = np.linalg.solve, []
+
+    def solve(a, b):
+        matrices.append(a)
+        if len(matrices) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    result = eq.minimize_conformal(metric)
+    first = conformal._stage(metric, 16, 128)
+    assert np.array_equal(matrices[1], matrices[0] + first.forms[1])
+    assert (result.stop_reason, result.converged) == ("tolerance", True)
+    assert np.all(np.diff(result.trace) <= 0.0)
+    assert result.mu_upper == pytest.approx(expected.mu_upper, rel=1e-12)
+
+
+def test_a_factor_negative_between_the_stage_nodes_is_refused():
+    # 256 modes on the 127 nodes of level 128: a combination v whose values
+    # and slopes vanish at every node leaves J and its estimate as they are
+    # for u = 1, but is read between the nodes, at level 512
+    metric = eq.hopf_metric()
+    base = metric.base
+    stage = conformal._stage(metric, 256, 128)
+    v = np.linalg.svd(np.vstack([stage.basis.values, stage.basis.slopes]))[2][-1]
+    between = conformal._basis(base.length, base.periodic, 256, 512).values @ v
+    c = -2.0 * v / between.min()  # -1 at the deepest point between the nodes
+    c[0] += 1.0
+    assert (stage.basis.values @ c > 0.0).all()
+    with pytest.raises(NonPositiveFactor, match="strictly positive"):
+        conformal._read_off(metric, stage, c)
+
+
 # mu_upper against the cell-centred finite-difference minimizer at n cells
 # (its value converges as n^-2), measured with decrease_tol = 1e-14
 _CELL_VALUES = {

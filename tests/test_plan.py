@@ -67,7 +67,7 @@ def cases():
 
 
 def rewrapped(field):
-    """The same functions in new callables: an equal field that is a new key."""
+    """The same functions in new callables: a new field of the same values."""
     return eq.RadialField(
         value=lambda s: field.value(s),
         d1=lambda s: field.d1(s),
@@ -393,9 +393,9 @@ def test_a_poly1d_field_is_kept_and_gives_the_same_numbers():
     assert list(base._plan.norms) == [poly]
 
 
-def test_equal_fields_share_one_norms_quadrature(monkeypatch):
-    # a field's key is its data: two series of one array, or two constant
-    # fields of one constant, are one entry of the plan
+def test_a_field_keys_its_norms_by_identity(monkeypatch):
+    # a repeat lookup of the same field costs one quadrature; a second field
+    # of the same samples is a field of its own, with its own entry
     integrand_points = []
     real_integrate = orbifold.integrate
 
@@ -406,27 +406,18 @@ def test_equal_fields_share_one_norms_quadrature(monkeypatch):
     base = unshared(eq.wps_profile(2, 3))
     values = (1.0 + 0.2 * np.cos(np.linspace(0.0, math.pi, 33))) / 3.0
     first, second = (eq.RadialField.from_samples(values, base.length) for _ in range(2))
-    assert first is not second and first == second and hash(first) == hash(second)
+    assert first != second and first == first and hash(first) == hash(first)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # fractional Chern data
         report = bundle._norms(base, first)
         assert integrand_points == [127]
-        assert bundle._norms(base, second) is report
-    assert integrand_points == [127]
-    assert list(base._plan.norms) == [first]
-
-    # the shared sphere may already hold the norms of F = 2 for the default
-    # config (the `hopf` fixture), so these are asked for under a config of
-    # their own
-    integrand_points.clear()
-    cfg = QuadratureConfig(rel_tol=3e-10)
-    one, two = eq.hopf_metric(1.0), eq.hopf_metric(2.0)
-    assert one.base is two.base and one.F is not two.F and one.F == two.F
-    assert eq.omega_norms(two, cfg) is eq.omega_norms(one, cfg)
-    assert integrand_points == [127]
-    # a signed zero is another constant, and a field of callables only itself
-    assert eq.RadialField.const(0.0) != eq.RadialField.const(-0.0)
-    assert eq.RadialField.const(2.0) != rewrapped(eq.RadialField.const(2.0))
+        assert bundle._norms(base, first) is report
+        assert eq.omega_norms(eq.InvariantMetric(base, 1.0, first)) is report
+        assert integrand_points == [127]
+        twin = bundle._norms(base, second)
+    assert twin == report and twin is not report
+    assert integrand_points == [127, 127]
+    assert set(base._plan.norms) == {first, second}
 
 
 def test_constructors_share_one_base_per_arguments():
